@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,8 +29,15 @@ func pollHealthz(t *testing.T, base string, deadline time.Duration, ok func(stri
 // ENOSPC episode on its journal: the commit that hits the fault is
 // still acknowledged, /healthz flips to degraded, the re-arm loop
 // drains the backlog once the disk "recovers", and a kill/restart
-// afterwards proves the degraded-window commit was made durable.
+// afterwards proves the degraded-window commit was made durable. The
+// episode is the same with one journal and with one per shard.
 func TestDaemonDegradeEpisodeAndRearm(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { degradeEpisode(t, shards) })
+	}
+}
+
+func degradeEpisode(t *testing.T, shards int) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir, "hr.rtic", hrSpec)
 	walPath := filepath.Join(dir, "state.wal")
@@ -38,6 +46,7 @@ func TestDaemonDegradeEpisodeAndRearm(t *testing.T) {
 	d, err := start(options{
 		specPath:    spec,
 		listen:      "127.0.0.1:0",
+		shards:      shards,
 		walPath:     walPath,
 		snapPath:    snapPath,
 		metricsAddr: "127.0.0.1:0",
@@ -91,6 +100,7 @@ func TestDaemonDegradeEpisodeAndRearm(t *testing.T) {
 	d2, err := start(options{
 		specPath: spec,
 		listen:   "127.0.0.1:0",
+		shards:   shards,
 		walPath:  walPath,
 		snapPath: snapPath,
 	})

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rtic/internal/vfs"
 	"rtic/internal/wal"
 )
 
@@ -27,9 +28,6 @@ func (d *daemon) crash() {
 	}
 	if d.dur != nil {
 		d.dur.Stop()
-	}
-	if d.sdur != nil {
-		d.sdur.Stop()
 	}
 }
 
@@ -355,5 +353,71 @@ func TestDurabilityArgValidation(t *testing.T) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestStartFailureReleasesDurability pins that a startup failure after
+// the durability layer is up — a -listen or -metrics port that is
+// already taken — stops the checkpointer and closes the journals
+// instead of leaking them: the filesystem sees no further operation
+// once start has returned, and a second start over the same files
+// recovers everything.
+func TestStartFailureReleasesDurability(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	for _, shards := range []int{1, 2} {
+		for _, flag := range []string{"-listen", "-metrics"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, flag), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := options{
+					specPath:     writeSpec(t, dir, "hr.rtic", hrSpec),
+					listen:       "127.0.0.1:0",
+					shards:       shards,
+					walPath:      filepath.Join(dir, "state.wal"),
+					snapPath:     filepath.Join(dir, "state.snap"),
+					ckptInterval: time.Millisecond,
+				}
+				d, err := start(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := dialLine(t, d)
+				trace := rehireTrace(6)
+				for _, line := range trace {
+					c.commit(t, line)
+				}
+				d.crash()
+
+				ffs := vfs.NewFaultFS(vfs.OS)
+				bad := opts
+				bad.fsys = ffs
+				if flag == "-listen" {
+					bad.listen = taken.Addr().String()
+				} else {
+					bad.metricsAddr = taken.Addr().String()
+				}
+				if d, err := start(bad); err == nil {
+					d.shutdown()
+					t.Fatalf("start bound the occupied %s address", flag)
+				}
+				ops := ffs.OpCount()
+				time.Sleep(20 * time.Millisecond) // twenty checkpoint intervals
+				if now := ffs.OpCount(); now != ops {
+					t.Fatalf("failed start left the checkpointer running: %d filesystem ops after it returned", now-ops)
+				}
+
+				again, err := start(opts)
+				if err != nil {
+					t.Fatalf("second start over the same files: %v", err)
+				}
+				defer again.shutdown()
+				if again.m.Len() != len(trace) {
+					t.Fatalf("second start recovered %d states, want %d", again.m.Len(), len(trace))
+				}
+			})
+		}
 	}
 }

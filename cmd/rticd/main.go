@@ -55,10 +55,12 @@
 //
 // With -shards N the monitor hash-partitions its state across N shard
 // engines behind a router (see docs/ARCHITECTURE.md): per-shard commits
-// run concurrently and results stay exact. Sharded daemons journal to
-// one WAL per shard at <path>.0 .. <path>.N-1 and recover the journals'
-// common prefix on startup; -snapshot and -restore are rejected (the
-// sharded engine does not checkpoint).
+// run concurrently and results stay exact. Durability is the same
+// manager over N journals: -wal names one WAL per shard at <path>.0 ..
+// <path>.N-1, startup recovers the journals' common prefix past the
+// checkpoint, and -snapshot/-restore/-checkpoint-interval work as
+// unsharded — one checkpoint file holds every shard and must be
+// restored with the -shards it was written with.
 //
 // With -metrics the daemon serves HTTP on the given address:
 //
@@ -152,7 +154,7 @@ func main() {
 	flag.IntVar(&opts.parallelism, "parallelism", 0,
 		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS; incremental engine only)")
 	flag.IntVar(&opts.shards, "shards", 1,
-		"hash-partition state across N shard engines checked concurrently (1 = unsharded; journals to one -wal file per shard)")
+		"hash-partition state across N shard engines checked concurrently (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
 	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval)")
 	flag.BoolVar(&opts.restore, "restore", false, "start from the -snapshot checkpoint")
 	flag.StringVar(&opts.walPath, "wal", "", "write-ahead log journaling every commit; startup recovers checkpoint + WAL tail automatically")
@@ -200,10 +202,7 @@ type daemon struct {
 	opts  options
 	m     *monitor.Monitor
 	srv   *monitor.Server
-	dur   *monitor.Durable        // nil without -wal or -checkpoint-interval
-	sdur  *monitor.ShardedDurable // nil unless -shards with -wal
-	wlog  *wal.Log                // nil without -wal
-	wlogs []*wal.Log              // per-shard journals, nil unless -shards with -wal
+	dur   *monitor.Durable // nil without -wal or -checkpoint-interval; owns the journals
 	l     net.Listener
 	hl    net.Listener // nil without -metrics
 	hsrv  *http.Server
@@ -324,9 +323,6 @@ func start(opts options) (*daemon, error) {
 	if opts.pprof && opts.metricsAddr == "" {
 		return nil, fmt.Errorf("-pprof requires -metrics (pprof serves on the metrics listener)")
 	}
-	if opts.shards > 1 && (opts.snapPath != "" || opts.restore) {
-		return nil, fmt.Errorf("-snapshot and -restore are not available with -shards (sharded durability is per-shard WALs; use -wal)")
-	}
 	// Catch a mistyped durability path at startup instead of failing the
 	// first append or checkpoint at runtime.
 	for _, p := range []struct{ flag, path string }{{"-wal", opts.walPath}, {"-snapshot", opts.snapPath}} {
@@ -364,10 +360,10 @@ func start(opts options) (*daemon, error) {
 			return nil, err
 		}
 		m, err = monitor.RestoreObserved(sp.Schema, sf, o,
-			monitor.WithParallelism(opts.parallelism))
+			monitor.WithParallelism(opts.parallelism), monitor.WithShards(opts.shards))
 		sf.Close()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("restoring %s (-shards %d): %w", opts.snapPath, max(opts.shards, 1), err)
 		}
 		fmt.Printf("restored checkpoint: %d states, t=%d\n", m.Len(), m.Now())
 	case opts.restore && opts.walPath == "":
@@ -425,114 +421,35 @@ func start(opts options) (*daemon, error) {
 		monitor.WithDurableFS(fsys),
 	}
 
-	var wlog *wal.Log
-	var wlogs []*wal.Log
 	var dur *monitor.Durable
-	var sdur *monitor.ShardedDurable
-	switch {
-	case opts.walPath != "" && opts.shards > 1:
-		// One journal per shard: <path>.0 .. <path>.N-1. Recovery replays
-		// the journals' common prefix and truncates torn tails, so a crash
-		// that journaled a commit on only some shards loses exactly that
-		// commit and nothing else.
-		pol, err := wal.ParseSyncPolicy(opts.walSync)
-		if err != nil {
-			return nil, err
-		}
-		closeAll := func() {
-			for _, l := range wlogs {
-				l.Close()
-			}
-		}
-		for i := 0; i < opts.shards; i++ {
-			path := fmt.Sprintf("%s.%d", opts.walPath, i)
-			l, err := wal.Open(path, wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(o.Spans), wal.WithFS(fsys))
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			if off, torn := l.TornTail(); torn {
-				fmt.Printf("wal: truncated torn final record at byte %d of %s\n", off, path)
-			}
-			wlogs = append(wlogs, l)
-		}
-		sdur, err = monitor.NewShardedDurable(m, wlogs, durOpts...)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		n, err := sdur.Recover()
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("wal recovery: %w", err)
-		}
-		if n > 0 {
-			fmt.Printf("replayed %d transactions from %d shard journals (now %d states, t=%d)\n",
-				n, opts.shards, m.Len(), m.Now())
-		}
-		sdur.Attach()
-	case opts.walPath != "":
-		pol, err := wal.ParseSyncPolicy(opts.walSync)
-		if err != nil {
-			return nil, err
-		}
-		openWAL := func(path string) (*wal.Log, error) {
-			return wal.Open(path, wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(o.Spans), wal.WithFS(fsys))
-		}
-		wlog, err = openWAL(opts.walPath)
-		if err != nil {
-			return nil, err
-		}
-		// The factory hands the re-arm loop fresh segments with the same
-		// sync policy and instrumentation as the original journal.
-		dur, err = monitor.NewDurable(m, wlog, opts.snapPath,
-			append(durOpts, monitor.WithLogFactory(openWAL))...)
-		if err != nil {
-			wlog.Close()
-			return nil, err
-		}
-		if off, torn := wlog.TornTail(); torn {
-			fmt.Printf("wal: truncated torn final record at byte %d of %s\n", off, opts.walPath)
-		}
-		n, err := dur.Recover()
-		if err != nil {
-			wlog.Close()
-			return nil, fmt.Errorf("wal recovery: %w", err)
-		}
-		if n > 0 {
-			fmt.Printf("replayed %d transactions from %s (now %d states, t=%d)\n",
-				n, opts.walPath, m.Len(), m.Now())
-		}
-		dur.Attach()
-	case opts.ckptInterval > 0:
-		dur, err = monitor.NewDurable(m, nil, opts.snapPath, durOpts...)
-		if err != nil {
+	if opts.walPath != "" || opts.ckptInterval > 0 {
+		if dur, err = openDurability(opts, m, o, fsys, durOpts); err != nil {
 			return nil, err
 		}
 	}
-	if dur != nil {
-		dur.Start(opts.ckptInterval)
+	// The manager now holds open journals and, with -checkpoint-interval,
+	// a running checkpointer: every later failure releases both.
+	fail := func(err error) (*daemon, error) {
+		if dur != nil {
+			dur.Stop()
+			dur.CloseLogs()
+		}
+		return nil, err
 	}
 
 	l, err := net.Listen("tcp", opts.listen)
 	if err != nil {
-		if wlog != nil {
-			wlog.Close()
-		}
-		for _, sl := range wlogs {
-			sl.Close()
-		}
-		return nil, err
+		return fail(err)
 	}
 	srv := monitor.NewServer(m,
 		monitor.WithMaxConns(opts.maxConns), monitor.WithIdleTimeout(opts.idleTimeout))
-	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, sdur: sdur, wlog: wlog, wlogs: wlogs, diags: diags, rec: rec, fsys: fsys, done: done}
+	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, diags: diags, rec: rec, fsys: fsys, done: done}
 
 	if opts.metricsAddr != "" {
 		hl, err := net.Listen("tcp", opts.metricsAddr)
 		if err != nil {
 			l.Close()
-			return nil, err
+			return fail(err)
 		}
 		mux := http.NewServeMux()
 		reg := o.Metrics.Registry()
@@ -551,17 +468,9 @@ func start(opts options) (*daemon, error) {
 			if s := m.Shards(); s > 1 {
 				resp["shards"] = s
 			}
-			var dh *monitor.DurabilityHealth
-			switch {
-			case d.dur != nil:
-				h := d.dur.Health()
-				dh = &h
-			case d.sdur != nil:
-				h := d.sdur.Health()
-				dh = &h
-			}
-			if dh != nil {
-				resp["durability"] = *dh
+			if d.dur != nil {
+				dh := d.dur.Health()
+				resp["durability"] = dh
 				if dh.Status != "ok" {
 					// Orchestrators watch the top-level status: commits
 					// still serve, but they are no longer durable.
@@ -594,6 +503,62 @@ func start(opts options) (*daemon, error) {
 	return d, nil
 }
 
+// openDurability opens the -wal journals (monitor.JournalPaths: the
+// path itself for one shard, <path>.0 .. <path>.N-1 for N, so journals
+// written by earlier versions are found), builds the durability manager
+// over them, replays whatever the checkpoint m was restored from does
+// not cover, and starts journaling and the periodic checkpointer. On
+// failure the journals are closed again.
+func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.FS, durOpts []monitor.DurableOption) (dur *monitor.Durable, err error) {
+	var logs []*wal.Log
+	defer func() {
+		if err != nil {
+			for _, l := range logs {
+				l.Close()
+			}
+		}
+	}()
+	if opts.walPath != "" {
+		pol, err := wal.ParseSyncPolicy(opts.walSync)
+		if err != nil {
+			return nil, err
+		}
+		// The factory also hands the re-arm loop fresh segments with the
+		// same sync policy and instrumentation as the original journals.
+		openWAL := func(path string) (*wal.Log, error) {
+			return wal.Open(path, wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(o.Spans), wal.WithFS(fsys))
+		}
+		durOpts = append(durOpts, monitor.WithLogFactory(openWAL))
+		for _, path := range monitor.JournalPaths(opts.walPath, m.Shards()) {
+			l, err := openWAL(path)
+			if err != nil {
+				return nil, err
+			}
+			logs = append(logs, l)
+			if off, torn := l.TornTail(); torn {
+				fmt.Printf("wal: truncated torn final record at byte %d of %s\n", off, path)
+			}
+		}
+	}
+	if dur, err = monitor.NewDurableLogs(m, logs, opts.snapPath, durOpts...); err != nil {
+		return nil, err
+	}
+	n, err := dur.Recover()
+	if err != nil {
+		return nil, fmt.Errorf("wal recovery: %w", err)
+	}
+	if n > 0 {
+		src := opts.walPath
+		if len(logs) > 1 {
+			src = fmt.Sprintf("%s.0..%d", opts.walPath, len(logs)-1)
+		}
+		fmt.Printf("replayed %d transactions from %s (now %d states, t=%d)\n", n, src, m.Len(), m.Now())
+	}
+	dur.Attach()
+	dur.Start(opts.ckptInterval)
+	return dur, nil
+}
+
 // shutdown stops both listeners, closes open connections, and writes a
 // final atomic checkpoint when -snapshot is set. The checkpoint goes to
 // a temp file first and is renamed into place, so even a crash here
@@ -608,29 +573,21 @@ func (d *daemon) shutdown() error {
 	var err error
 	if d.dur != nil {
 		d.dur.Stop()
-		if d.opts.snapPath != "" {
-			if err = d.dur.Checkpoint(); err == nil {
-				fmt.Printf("checkpoint written to %s (%d states)\n", d.opts.snapPath, d.m.Len())
-			}
+	}
+	if d.opts.snapPath != "" {
+		if d.dur != nil {
+			err = d.dur.Checkpoint()
+		} else {
+			err = wal.WriteFileAtomicFS(d.fsys, d.opts.snapPath, d.m.Snapshot)
 		}
-	} else if d.opts.snapPath != "" {
-		if err = wal.WriteFileAtomicFS(d.fsys, d.opts.snapPath, d.m.Snapshot); err == nil {
+		if err == nil {
 			fmt.Printf("checkpoint written to %s (%d states)\n", d.opts.snapPath, d.m.Len())
 		}
 	}
-	if d.sdur != nil {
-		d.sdur.Stop()
-	}
-	if d.wlog != nil {
+	if d.dur != nil {
 		// Close through the manager: a fresh-segment re-arm may have
-		// swapped the live journal since startup.
-		cerr := d.dur.CloseLog()
-		if err == nil {
-			err = cerr
-		}
-	}
-	for _, l := range d.wlogs {
-		if cerr := l.Close(); err == nil {
+		// swapped the live journals since startup.
+		if cerr := d.dur.CloseLogs(); err == nil {
 			err = cerr
 		}
 	}

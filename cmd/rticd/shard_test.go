@@ -1,13 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"rtic/internal/monitor"
 	"rtic/internal/wal"
 )
 
@@ -197,22 +200,138 @@ func TestDaemonShardedHealthz(t *testing.T) {
 	}
 }
 
-// TestDaemonShardedArgValidation covers the flag combinations -shards
-// rejects.
+// TestDaemonShardedCheckpointBoundsRecovery is the bounded-recovery
+// acceptance test for a sharded daemon: with -shards 2 -wal -snapshot
+// -checkpoint-interval the periodic checkpoint truncates both journals,
+// so a restart after a kill replays only the tail since the last
+// checkpoint, and lands on the state of an unsharded daemon fed the
+// same trace. The checkpoint then refuses another shard count.
+func TestDaemonShardedCheckpointBoundsRecovery(t *testing.T) {
+	trace := rehireTrace(40)
+	tail := 4 // commits sent after the last observed checkpoint
+
+	ref, err := start(options{
+		specPath: writeSpec(t, t.TempDir(), "hr.rtic", hrSpec),
+		listen:   "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.shutdown()
+	refC := dialLine(t, ref)
+	var want [][]string
+	for _, line := range trace {
+		want = append(want, refC.commit(t, line))
+	}
+
+	dir := t.TempDir()
+	opts := options{
+		specPath:     writeSpec(t, dir, "hr.rtic", hrSpec),
+		listen:       "127.0.0.1:0",
+		shards:       2,
+		walPath:      filepath.Join(dir, "state.wal"),
+		snapPath:     filepath.Join(dir, "state.snap"),
+		ckptInterval: 50 * time.Millisecond,
+		metricsAddr:  "127.0.0.1:0",
+	}
+	a, err := start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := dialLine(t, a)
+	sent := len(trace) - tail
+	for i, line := range trace[:sent] {
+		if got := ac.commit(t, line); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("step %d: sharded replies %q, want %q", i, got, want[i])
+		}
+	}
+	// Wait for a periodic checkpoint that covers everything sent so far:
+	// both journals are back to their bare 8-byte headers.
+	checkpointed := func(b string) bool {
+		return strings.Contains(b, `"wal_bytes":16,`) && !strings.Contains(b, `"last_checkpoint_age_seconds":-1`)
+	}
+	if health := pollHealthz(t, "http://"+a.hl.Addr().String(), 10*time.Second, checkpointed); !checkpointed(health) {
+		t.Fatalf("no periodic checkpoint truncated the shard journals: %s", health)
+	}
+	a.dur.Stop() // freeze the checkpointer so the tail stays in the journals
+	for i, line := range trace[sent:] {
+		if got := ac.commit(t, line); !reflect.DeepEqual(got, want[sent+i]) {
+			t.Fatalf("step %d: sharded replies %q, want %q", sent+i, got, want[sent+i])
+		}
+	}
+	a.crash()
+
+	b, err := start(opts)
+	if err != nil {
+		t.Fatalf("restart after crash: %v", err)
+	}
+	if b.m.Len() != len(trace) {
+		t.Fatalf("recovered %d states, want %d", b.m.Len(), len(trace))
+	}
+	health := pollHealthz(t, "http://"+b.hl.Addr().String(), 10*time.Second, func(b string) bool {
+		return !strings.Contains(b, `"last_checkpoint_age_seconds":-1`)
+	})
+	var report struct {
+		Status     string
+		Shards     int
+		Durability monitor.DurabilityHealth
+	}
+	if err := json.Unmarshal([]byte(health), &report); err != nil {
+		t.Fatalf("/healthz after recovery: %v: %s", err, health)
+	}
+	if dh := report.Durability; report.Status != "ok" || report.Shards != 2 ||
+		dh.ReplayedRecords != tail || dh.LastCheckpointAgeSeconds < 0 {
+		t.Errorf("/healthz after recovery = %s, want ok on 2 shards with %d of %d commits replayed and a fresh checkpoint",
+			health, tail, len(trace))
+	}
+	if got, wantStats := b.m.Stats(), ref.m.Stats(); got.Entries != wantStats.Entries || got.Timestamps != wantStats.Timestamps {
+		t.Errorf("recovered aux stats = %+v, want the entries and timestamps of %+v", got, wantStats)
+	}
+	bc := dialLine(t, b)
+	probe := fmt.Sprintf("@%d -fire(0) +hire(0)", len(trace)*10)
+	if got, want := bc.commit(t, probe), refC.commit(t, probe); !reflect.DeepEqual(got, want) {
+		t.Errorf("probe after recovery replies %q, want %q", got, want)
+	}
+	if err := b.shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.shards = 4
+	if c, err := start(opts); err == nil {
+		c.shutdown()
+		t.Fatal("a 2-shard checkpoint restored under -shards 4")
+	} else if !strings.Contains(err.Error(), "written by 2 shards") || !strings.Contains(err.Error(), "configured with 4") {
+		t.Fatalf("shard-count mismatch error = %v, want both counts named", err)
+	}
+}
+
+// TestDaemonShardedArgValidation covers what a sharded daemon rejects
+// at startup now that it checkpoints like an unsharded one.
 func TestDaemonShardedArgValidation(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir, "hr.rtic", hrSpec)
+
+	// A checkpoint written by an unsharded daemon.
+	snap := filepath.Join(dir, "one.snap")
+	d, err := start(options{specPath: spec, listen: "127.0.0.1:0", snapPath: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name string
 		opts options
 		want string
 	}{
-		{"shards with snapshot",
-			options{specPath: spec, listen: "127.0.0.1:0", shards: 2, snapPath: filepath.Join(dir, "s.snap")},
-			"not available with -shards"},
-		{"shards with restore",
-			options{specPath: spec, listen: "127.0.0.1:0", shards: 2, restore: true},
-			"not available with -shards"},
+		{"unsharded checkpoint under -shards",
+			options{specPath: spec, listen: "127.0.0.1:0", shards: 2, restore: true, snapPath: snap},
+			"not a sharded rtic snapshot"},
+		{"restore without a checkpoint file",
+			options{specPath: spec, listen: "127.0.0.1:0", shards: 2, restore: true, snapPath: filepath.Join(dir, "nope.snap")},
+			"nope.snap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -40,7 +40,7 @@ func TestChaosCDCBaseline(t *testing.T) {
 }
 
 // TestChaosCDCSeeds drives the CDC feed through 10 seeded fault
-// schedules on both durability paths, asserting the same contract as
+// schedules at both journal counts, asserting the same contract as
 // the hire/fire suite: no commit acknowledged while durability
 // reported ok may be missing after the crash, and the recovered
 // monitor must behave identically to a clean replay of the prefix.

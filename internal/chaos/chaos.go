@@ -36,7 +36,7 @@ type Config struct {
 	Dir     string // scratch directory for WAL and snapshot files (required)
 	Seed    int64  // fault-schedule seed
 	Commits int    // workload length (default 24)
-	Shards  int    // >1 runs the sharded durability path (no checkpoints)
+	Shards  int    // >1 shards the monitor: one journal per shard, one checkpoint for all
 	FirstOp uint64 // first faultable op index (default: just past journal setup)
 	Window  uint64 // op window the schedule draws from (default 4*Commits)
 	Faults  int    // injections in the window (default Commits/3+2; <0: none)
@@ -199,45 +199,34 @@ func Run(cfg Config) (*Result, error) {
 	ffs := vfs.NewFaultFS(vfs.OS, plan...)
 	res := &Result{Seed: cfg.Seed}
 	snapPath := filepath.Join(cfg.Dir, "state.snap")
-	walPath := filepath.Join(cfg.Dir, "state.wal")
-	shardPath := func(i int) string { return fmt.Sprintf("%s.%d", walPath, i) }
+	walPaths := monitor.JournalPaths(filepath.Join(cfg.Dir, "state.wal"), shards)
+	openLogs := func(opts ...wal.Option) ([]*wal.Log, error) {
+		logs := make([]*wal.Log, len(walPaths))
+		for i, p := range walPaths {
+			var err error
+			if logs[i], err = wal.Open(p, opts...); err != nil {
+				return nil, fmt.Errorf("seed %d: opening journal %d: %w", cfg.Seed, i, err)
+			}
+		}
+		return logs, nil
+	}
 
 	m, err := newMonitor(sch, cons, cfg.Shards)
 	if err != nil {
 		return res, err
 	}
+	logs, err := openLogs(wal.WithFS(ffs))
+	if err != nil {
+		return res, err
+	}
 	// Millisecond-scale backoff so re-arm episodes resolve within the
 	// run instead of after it.
-	backoff := monitor.WithRearmBackoff(time.Millisecond, 8*time.Millisecond)
-	var health func() monitor.DurabilityHealth
-	var checkpoint func() error
-	var stop func()
-	if shards > 1 {
-		logs := make([]*wal.Log, shards)
-		for i := range logs {
-			if logs[i], err = wal.Open(shardPath(i), wal.WithFS(ffs)); err != nil {
-				return res, fmt.Errorf("seed %d: opening shard journal %d: %w", cfg.Seed, i, err)
-			}
-		}
-		sd, err := monitor.NewShardedDurable(m, logs, backoff)
-		if err != nil {
-			return res, err
-		}
-		sd.Attach()
-		health, stop = sd.Health, sd.Stop
-		checkpoint = func() error { return nil } // sharded durability is journal-only
-	} else {
-		log, err := wal.Open(walPath, wal.WithFS(ffs))
-		if err != nil {
-			return res, fmt.Errorf("seed %d: opening journal: %w", cfg.Seed, err)
-		}
-		d, err := monitor.NewDurable(m, log, snapPath, monitor.WithDurableFS(ffs), backoff)
-		if err != nil {
-			return res, err
-		}
-		d.Attach()
-		health, checkpoint, stop = d.Health, d.Checkpoint, d.Stop
+	d, err := monitor.NewDurableLogs(m, logs, snapPath, monitor.WithDurableFS(ffs),
+		monitor.WithRearmBackoff(time.Millisecond, 8*time.Millisecond))
+	if err != nil {
+		return res, err
 	}
+	d.Attach()
 
 	// Drive the trace straight through every fault: commits must keep
 	// being acknowledged no matter what the disk does. A commit counts
@@ -249,11 +238,11 @@ func Run(cfg Config) (*Result, error) {
 			return res, fmt.Errorf("seed %d: commit at t=%d rejected during fault episode: %w", cfg.Seed, st.t, err)
 		}
 		res.Acked = i + 1
-		if h := health(); h.Status == "ok" {
+		if h := d.Health(); h.Status == "ok" {
 			res.MaxDurableT = st.t
 		}
 		if (i+1)%5 == 0 {
-			if err := checkpoint(); err != nil {
+			if err := d.Checkpoint(); err != nil {
 				res.CheckpointErrs++
 			}
 		}
@@ -263,70 +252,53 @@ func Run(cfg Config) (*Result, error) {
 	// crash-latched disk never heals — stop waiting the moment it
 	// latches (re-arm retries can themselves trip a Crash injection).
 	for end := time.Now().Add(250 * time.Millisecond); time.Now().Before(end) && !ffs.Crashed(); {
-		h := health()
+		h := d.Health()
 		if h.Status == "ok" || h.DegradedSeconds == 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if h := health(); h.Status == "ok" {
+	if h := d.Health(); h.Status == "ok" {
 		// Everything degraded was drained or checkpointed: the whole
 		// trace is now durable.
 		res.MaxDurableT = trace[len(trace)-1].t
 	}
-	h := health()
+	h := d.Health()
 	res.Rearms = h.Rearms
 	res.Crashed = ffs.Crashed()
 	res.Fired = ffs.Fired()
 	res.Ops = ffs.OpCount()
 	// Crash: stop background loops (a dead process runs no goroutines)
 	// and abandon the journals without closing them.
-	stop()
+	d.Stop()
 
 	// Recover on the real filesystem, exactly as a restarted process
 	// would: newest checkpoint (if any) plus journal tails.
 	var m2 *monitor.Monitor
-	var replayed int
-	if shards > 1 {
-		if m2, err = newMonitor(sch, cons, cfg.Shards); err != nil {
-			return res, err
-		}
-		logs := make([]*wal.Log, shards)
-		for i := range logs {
-			if logs[i], err = wal.Open(shardPath(i)); err != nil {
-				return res, fmt.Errorf("seed %d: recovery open of shard journal %d: %w", cfg.Seed, i, err)
-			}
-			defer logs[i].Close()
-		}
-		sd2, err := monitor.NewShardedDurable(m2, logs)
+	if sf, err := os.Open(snapPath); err == nil {
+		m2, err = monitor.RestoreObserved(sch, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())},
+			monitor.WithShards(cfg.Shards))
+		sf.Close()
 		if err != nil {
-			return res, err
+			return res, fmt.Errorf("seed %d: restoring checkpoint: %w", cfg.Seed, err)
 		}
-		if replayed, err = sd2.Recover(); err != nil {
-			return res, fmt.Errorf("seed %d: sharded recovery: %w", cfg.Seed, err)
-		}
-	} else {
-		if sf, err := os.Open(snapPath); err == nil {
-			m2, err = monitor.RestoreObserved(sch, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())})
-			sf.Close()
-			if err != nil {
-				return res, fmt.Errorf("seed %d: restoring checkpoint: %w", cfg.Seed, err)
-			}
-		} else if m2, err = newMonitor(sch, cons, cfg.Shards); err != nil {
-			return res, err
-		}
-		log2, err := wal.Open(walPath)
-		if err != nil {
-			return res, fmt.Errorf("seed %d: recovery open of journal: %w", cfg.Seed, err)
-		}
-		defer log2.Close()
-		d2, err := monitor.NewDurable(m2, log2, snapPath)
-		if err != nil {
-			return res, err
-		}
-		if replayed, err = d2.Recover(); err != nil {
-			return res, fmt.Errorf("seed %d: recovery: %w", cfg.Seed, err)
-		}
+	} else if m2, err = newMonitor(sch, cons, cfg.Shards); err != nil {
+		return res, err
+	}
+	logs2, err := openLogs()
+	if err != nil {
+		return res, err
+	}
+	for _, l := range logs2 {
+		defer l.Close()
+	}
+	d2, err := monitor.NewDurableLogs(m2, logs2, snapPath)
+	if err != nil {
+		return res, err
+	}
+	replayed, err := d2.Recover()
+	if err != nil {
+		return res, fmt.Errorf("seed %d: recovery: %w", cfg.Seed, err)
 	}
 	res.Replayed = replayed
 	res.RecoveredT = m2.Now()

@@ -23,14 +23,25 @@ func TestChaosBaselineNoFaults(t *testing.T) {
 	}
 }
 
-// TestChaosUnshardedSeeds runs the single-journal durability path
-// (WAL + checkpoints + drain and fresh-segment re-arm) under seeded
-// fault schedules mixing ENOSPC, EIO, short writes, fsync failures,
-// and whole-disk crash latches.
+// TestChaosUnshardedSeeds runs the manager over one journal (WAL +
+// checkpoints + drain and fresh-segment re-arm) under seeded fault
+// schedules mixing ENOSPC, EIO, short writes, fsync failures, and
+// whole-disk crash latches.
 func TestChaosUnshardedSeeds(t *testing.T) {
+	seeds(t, 30, 1)
+}
+
+// TestChaosShardedSeeds runs the same manager over one journal per
+// shard — same checkpoints, same two re-arm classes — under seeded
+// fault schedules.
+func TestChaosShardedSeeds(t *testing.T) {
+	seeds(t, 10, 3)
+}
+
+func seeds(t *testing.T, n int64, shards int) {
 	fired, rearms := 0, uint64(0)
-	for seed := int64(1); seed <= 30; seed++ {
-		res, err := Run(Config{Dir: t.TempDir(), Seed: seed, Commits: 24})
+	for seed := int64(1); seed <= n; seed++ {
+		res, err := Run(Config{Dir: t.TempDir(), Seed: seed, Commits: 24, Shards: shards})
 		if err != nil {
 			t.Errorf("%+v: %v", res, err)
 			continue
@@ -42,27 +53,10 @@ func TestChaosUnshardedSeeds(t *testing.T) {
 	// a schedule drift that stops faults from firing would otherwise
 	// turn this into an expensive no-op.
 	if fired == 0 {
-		t.Error("no injection fired across any unsharded seed")
+		t.Errorf("shards=%d: no injection fired across any seed", shards)
 	}
 	if rearms == 0 {
-		t.Error("no re-arm succeeded across any unsharded seed")
-	}
-}
-
-// TestChaosShardedSeeds runs the per-shard-journal path (drain-only
-// re-arm, no checkpoints) under seeded fault schedules.
-func TestChaosShardedSeeds(t *testing.T) {
-	fired := 0
-	for seed := int64(1); seed <= 10; seed++ {
-		res, err := Run(Config{Dir: t.TempDir(), Seed: seed, Commits: 24, Shards: 3})
-		if err != nil {
-			t.Errorf("%+v: %v", res, err)
-			continue
-		}
-		fired += len(res.Fired)
-	}
-	if fired == 0 {
-		t.Error("no injection fired across any sharded seed")
+		t.Errorf("shards=%d: no re-arm succeeded across any seed", shards)
 	}
 }
 
@@ -78,7 +72,7 @@ func TestChaosConfigValidation(t *testing.T) {
 // being acknowledged against the dead disk and recovery must surface
 // everything written before the latch.
 func TestChaosCrashKind(t *testing.T) {
-	for _, shards := range []int{1, 3} {
+	for _, shards := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			res, err := Run(Config{Dir: t.TempDir(), Commits: 24, Shards: shards,
 				Plan: []vfs.Injection{{AtOp: 40, Kind: vfs.Crash}}})

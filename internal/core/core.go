@@ -1044,6 +1044,11 @@ func (c *Checker) ConstraintNames() []string {
 	return out
 }
 
+// Constraints returns the installed constraints in order — what a
+// restored shard router re-derives its partition plan from. Callers
+// must not mutate the slice.
+func (c *Checker) Constraints() []*check.Constraint { return c.constraints }
+
 // Now returns the timestamp of the latest state.
 func (c *Checker) Now() uint64 { return c.now }
 

@@ -3,12 +3,13 @@ package monitor
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
 
+	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/storage"
 	"rtic/internal/vfs"
@@ -138,43 +139,58 @@ func WithBacklogLimit(n int) DurableOption {
 	}
 }
 
-// pendingRec is one commit buffered while degraded: its timestamp and
-// the encoded journal payload a drain re-arm appends.
+// pendingRec is one commit buffered while degraded: its timestamp, the
+// encoded record of every journal, and the journals still missing
+// theirs — so a commit that reached only some journals is completed by
+// the drain, never duplicated. With one journal need is {0}.
 type pendingRec struct {
-	t       uint64
-	payload []byte
+	t        uint64
+	payloads [][]byte // indexed like Durable.logs
+	need     []int    // journals missing the record, ascending
 }
 
 // Durable is the durability manager around a monitor: it journals every
-// accepted transaction to a write-ahead log, periodically rotates an
-// atomic checkpoint that truncates the journal, and replays the journal
-// tail over the newest checkpoint on startup. Only the incremental
-// engine is durable (it is the only one with snapshot support).
+// accepted transaction to write-ahead logs — one for an unsharded
+// monitor, one per shard (each receiving that shard's slice of the
+// transaction) for a sharded one — periodically rotates an atomic
+// checkpoint that truncates the journals, and replays the journal tails
+// over the newest checkpoint on startup. Checkpoints need the
+// incremental engine (it is the only one with snapshot support);
+// journal-only durability works over any engine.
 //
-// Crash-safety argument: a commit is journaled under the commit lock
-// before the next commit can start, so the log always holds every
-// accepted transaction since the last checkpoint. A checkpoint writes
-// the snapshot to a temp file, fsyncs, renames it over the live path,
-// and only then resets the log — a crash before the rename leaves the
-// old checkpoint plus a log that covers everything after it; a crash
-// after the rename but before the reset leaves records the recovery
-// skips by timestamp (timestamps are strictly increasing, so "t at or
-// before the checkpoint's clock" identifies them exactly).
+// Crash-safety argument: a commit appends exactly one record to every
+// journal (empty sub-transactions included) under the commit lock,
+// before the next commit can start, so the journals always hold every
+// accepted transaction since the last checkpoint, record j of every
+// journal carries the same timestamp, and a crash can tear that
+// alignment only at the tail — some journals got the last commit,
+// others did not. A checkpoint writes the snapshot to a temp file,
+// fsyncs, renames it over the live path, and only then resets the
+// journals one by one — a crash before the rename leaves the old
+// checkpoint plus journals that cover everything after it; a crash
+// after the rename, before or between the resets, leaves records the
+// recovery skips by timestamp (timestamps are strictly increasing, so
+// "t at or before the checkpoint's clock" identifies them exactly).
+// Recovery therefore drops the covered records of each journal first,
+// then replays the common prefix of what remains, verifying the
+// timestamps agree record by record, and truncates the longer journals
+// back to that prefix — discarding at most the final, partially
+// journaled commit.
 //
 // Journaling failures follow the configured FailurePolicy. Under
 // Degrade (the default) the manager enters degraded mode: commits keep
 // being checked and acknowledged — as non-durable — while a re-arm loop
-// retries in the background. Re-arm has two classes. If the log never
+// retries in the background. Re-arm has two classes. If no journal
 // latched broken (a transient append failure, e.g. ENOSPC that
-// cleared), the buffered backlog is drained into it and fsynced. If the
-// log is broken or the backlog overflowed, a fresh segment is opened
-// beside the live path, an atomic checkpoint capturing the whole state
-// — degraded-window commits included — is written, and the fresh
-// segment is renamed over the old path; either way no acknowledged-
-// durable commit is ever lost, and commits acknowledged during the
-// degraded window become durable again at re-arm. Journal-only managers
-// (no checkpoint path) can only drain; if their log breaks they stay
-// degraded until restart.
+// cleared), the buffered backlog is drained into the journals missing
+// it and fsynced. If a journal is broken or the backlog overflowed, a
+// fresh segment is opened beside every live path, an atomic checkpoint
+// capturing the whole state — degraded-window commits included — is
+// written, and the fresh segments are renamed over the old paths;
+// either way no acknowledged-durable commit is ever lost, and commits
+// acknowledged during the degraded window become durable again at
+// re-arm. Journal-only managers (no checkpoint path) can only drain; if
+// a journal breaks they stay degraded until restart.
 type Durable struct {
 	m        *Monitor
 	snapPath string // "": journal-only durability
@@ -188,8 +204,17 @@ type Durable struct {
 	backoffMax time.Duration
 	backlogCap int
 
-	mu              sync.Mutex
-	log             *wal.Log     // nil: checkpoint-only durability; swapped by re-arm
+	// one is the journal hook's parts slice when there is one journal:
+	// the transaction passes whole, with no Split and no allocation. The
+	// hook runs under the commit lock, so it has a single user.
+	one [1]*storage.Transaction
+
+	mu sync.Mutex
+	// logs holds no journal (checkpoint-only durability), one (unsharded)
+	// or one per shard, index == shard id — record i of a commit goes to
+	// logs[i], so the order is load-bearing across restarts. A
+	// fresh-segment re-arm replaces the slice; it is never edited in place.
+	logs            []*wal.Log
 	mm              *obs.Metrics // captured at Attach/Recover; safe under the commit lock
 	last            time.Time    // last successful checkpoint
 	lastErr         error        // latest durability failure, nil when healthy
@@ -207,22 +232,50 @@ type Durable struct {
 	done chan struct{}
 }
 
-// NewDurable builds the durability manager. log may be nil (periodic
-// checkpoints without a journal) and snapPath may be empty (journal
-// only, replayed in full on recovery); at least one must be set.
+// NewDurable builds the durability manager of a monitor with at most
+// one journal. log may be nil (periodic checkpoints without a journal)
+// and snapPath may be empty (journal only, replayed in full on
+// recovery); at least one must be set.
 func NewDurable(m *Monitor, log *wal.Log, snapPath string, opts ...DurableOption) (*Durable, error) {
-	if m.inc == nil {
-		return nil, fmt.Errorf("monitor: durability requires the incremental engine (current: %v)", m.mode)
+	var logs []*wal.Log
+	if log != nil {
+		logs = []*wal.Log{log}
 	}
-	if log == nil && snapPath == "" {
+	return NewDurableLogs(m, logs, snapPath, opts...)
+}
+
+// NewShardedDurable is NewDurableLogs without a checkpoint path. It
+// exists for benchmark/ladder.go, which is frozen between benchmark
+// PRs, and goes when one next edits the ladder.
+func NewShardedDurable(m *Monitor, logs []*wal.Log, opts ...DurableOption) (*Durable, error) {
+	return NewDurableLogs(m, logs, "", opts...)
+}
+
+// NewDurableLogs builds the durability manager. logs holds either no
+// journal or exactly one per shard of m, in shard order (one journal
+// for an unsharded monitor); snapPath may be empty (journal only,
+// replayed in full on recovery). At least one of the two must be set.
+func NewDurableLogs(m *Monitor, logs []*wal.Log, snapPath string, opts ...DurableOption) (*Durable, error) {
+	if len(logs) == 0 && snapPath == "" {
 		return nil, fmt.Errorf("monitor: durability needs a WAL, a checkpoint path, or both")
+	}
+	if snapPath != "" && m.mode != engine.Incremental {
+		return nil, fmt.Errorf("monitor: checkpoints require the incremental engine (current: %v)", m.mode)
+	}
+	if len(logs) != 0 && len(logs) != m.Shards() {
+		return nil, fmt.Errorf("monitor: durability wants %d journals (one per shard), got %d", m.Shards(), len(logs))
+	}
+	for i, l := range logs {
+		if l == nil {
+			return nil, fmt.Errorf("monitor: journal %d is nil", i)
+		}
 	}
 	o := defaultDurableOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
 	d := &Durable{
-		m: m, log: log, snapPath: snapPath,
+		m: m, logs: logs, snapPath: snapPath,
 		fs: o.fs, policy: o.policy, halt: o.halt, openLog: o.openLog,
 		backoffMin: o.backoffMin, backoffMax: o.backoffMax, backlogCap: o.backlogCap,
 	}
@@ -233,28 +286,115 @@ func NewDurable(m *Monitor, log *wal.Log, snapPath string, opts ...DurableOption
 	return d, nil
 }
 
-// Recover replays the journal tail into the monitor and returns how
-// many records were applied. Call it on the freshly built (or
+// JournalPaths names the n journals kept under path: the path itself
+// for one journal, <path>.0 .. <path>.n-1 for several. Every opener of
+// journals (rticd, the chaos harness) goes through it, so journals
+// written under one layout are found again under the same one.
+func JournalPaths(path string, n int) []string {
+	if n <= 1 {
+		return []string{path}
+	}
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("%s.%d", path, i)
+	}
+	return paths
+}
+
+// currentLogs returns the journals in use right now.
+func (d *Durable) currentLogs() []*wal.Log {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.logs
+}
+
+// journalRec is one decoded journal record.
+type journalRec struct {
+	t  uint64
+	tx *storage.Transaction
+}
+
+// Recover replays the journal tails into the monitor and returns how
+// many commits were applied. Call it on the freshly built (or
 // checkpoint-restored) monitor, before Attach and before serving
-// traffic. Records already covered by the checkpoint — possible when a
-// crash hit between checkpoint rename and journal reset — are skipped
-// by timestamp.
+// traffic. Records at or before the monitor's clock are already in the
+// checkpoint — possible when a crash hit between the checkpoint rename
+// and the last journal reset — and are skipped per journal, before the
+// journals are compared: a crash between two resets leaves journals of
+// different lengths whose surplus is all covered. Of the rest, the
+// common prefix is replayed and journals torn by a crash — a commit
+// that reached only some of them — are truncated back to it, so the
+// next run appends from an aligned state.
+//
+// Each commit is reassembled from its per-journal slices and goes
+// through the monitor's own commit path, not to the individual shards,
+// so the router's current partition plan decides placement afresh: a
+// plan change between runs (new constraint set) re-routes old data
+// correctly instead of resurrecting a stale layout.
 func (d *Durable) Recover() (int, error) {
 	d.captureMetrics()
-	d.mu.Lock()
-	log := d.log
-	d.mu.Unlock()
-	if log == nil {
+	logs := d.currentLogs()
+	if len(logs) == 0 {
 		return 0, nil
 	}
-	applied := 0
-	_, err := log.Replay(func(payload []byte) error {
+	covered := func(t uint64) bool { return d.m.Len() > 0 && t <= d.m.Now() }
+	skipped := make([]int, len(logs)) // covered records, per journal
+
+	// Journals 1..N-1 are read whole and journal 0 is streamed against
+	// them, so a single journal is replayed without buffering it.
+	rest := make([][]journalRec, len(logs)-1)
+	prefix := math.MaxInt
+	for i, l := range logs[1:] {
+		if _, err := l.Replay(func(payload []byte) error {
+			t, tx, err := wal.DecodeTx(payload)
+			if err != nil {
+				return err
+			}
+			if covered(t) {
+				skipped[i+1]++
+			} else {
+				rest[i] = append(rest[i], journalRec{t: t, tx: tx})
+			}
+			return nil
+		}); err != nil {
+			return 0, fmt.Errorf("monitor: replaying journal %d: %w", i+1, err)
+		}
+		if len(rest[i]) < prefix {
+			prefix = len(rest[i])
+		}
+	}
+
+	applied, first := 0, 0 // first: journal 0's records past the checkpoint
+	_, err := logs[0].Replay(func(payload []byte) error {
 		t, tx, err := wal.DecodeTx(payload)
 		if err != nil {
 			return err
 		}
-		if d.m.Len() > 0 && t <= d.m.Now() {
-			return nil // already in the checkpoint
+		if covered(t) {
+			skipped[0]++
+			return nil
+		}
+		j := first
+		first++
+		if j >= prefix {
+			return nil // never reached every journal: truncated below
+		}
+		for i, recs := range rest {
+			if recs[j].t != t {
+				return fmt.Errorf(
+					"monitor: journals disagree at record %d: journal 0 has t=%d, journal %d has t=%d (journals swapped or mixed across runs?)",
+					skipped[0]+j, t, i+1, recs[j].t)
+			}
+			// Appending the slices in journal order is safe: ops on the same
+			// tuple always hash to the same shard, so no cross-shard reorder
+			// can change the merged transaction's meaning.
+			for _, op := range recs[j].tx.Ops() {
+				if op.Insert {
+					tx.Insert(op.Rel, op.Tuple)
+				} else {
+					tx.Delete(op.Rel, op.Tuple)
+				}
+			}
 		}
 		if _, err := d.m.Apply(t, tx); err != nil {
 			return fmt.Errorf("monitor: replaying record at t=%d: %w", t, err)
@@ -269,7 +409,21 @@ func (d *Durable) Recover() (int, error) {
 	if mm != nil {
 		mm.ReplayedRecords.Add(uint64(applied))
 	}
-	return applied, err
+	if err != nil {
+		return applied, err
+	}
+	if first < prefix {
+		prefix = first
+	}
+	// Drop the torn tails so every journal restarts aligned.
+	for i, l := range logs {
+		if keep := skipped[i] + prefix; l.Records() > keep {
+			if err := l.Truncate(keep); err != nil {
+				return applied, fmt.Errorf("monitor: truncating journal %d to %d records: %w", i, keep, err)
+			}
+		}
+	}
+	return applied, nil
 }
 
 // captureMetrics snapshots the monitor's metric handles so hooks that
@@ -284,49 +438,78 @@ func (d *Durable) captureMetrics() {
 }
 
 // Attach starts journaling: every subsequently accepted transaction is
-// appended to the log under the commit lock. Failures — including a
-// background-flusher fsync failure, surfaced through the log's failure
-// handler at the point of failure — trigger the configured
-// FailurePolicy.
+// appended to the journals under the commit lock, one record per
+// journal per commit. Failures — including a background-flusher fsync
+// failure, surfaced through the log's failure handler at the point of
+// failure — trigger the configured FailurePolicy.
 func (d *Durable) Attach() {
 	d.captureMetrics()
-	d.mu.Lock()
-	log := d.log
-	d.mu.Unlock()
-	if log == nil {
+	logs := d.currentLogs()
+	if len(logs) == 0 {
 		return
 	}
-	log.SetFailureHandler(d.onFailure)
+	d.watch(logs)
 	d.m.SetJournal(d.journalHook)
+}
+
+// watch routes the journals' failure notifications to onFailure.
+func (d *Durable) watch(logs []*wal.Log) {
+	for i, l := range logs {
+		l.SetFailureHandler(func(err error) { d.onFailure(journalErr(len(logs), i, err)) })
+	}
+}
+
+// journalErr names the failing journal when there are several.
+func journalErr(n, i int, err error) error {
+	if n == 1 {
+		return err
+	}
+	return fmt.Errorf("shard %d journal: %w", i, err)
 }
 
 // journalHook runs under the commit lock for every accepted commit.
 func (d *Durable) journalHook(t uint64, tx *storage.Transaction) {
 	d.mu.Lock()
-	if d.degraded {
-		d.pushBacklogLocked(pendingRec{t: t, payload: wal.EncodeTx(t, tx)})
-		d.mu.Unlock()
-		return
-	}
-	log := d.log
+	logs, degraded := d.logs, d.degraded
 	d.mu.Unlock()
-	if err := log.AppendTx(t, tx); err != nil {
-		d.onFailure(err)
-		d.mu.Lock()
-		if d.degraded {
-			// The failed record joins the backlog so a drain re-arm
-			// still covers this commit.
-			d.pushBacklogLocked(pendingRec{t: t, payload: wal.EncodeTx(t, tx)})
-		}
-		d.mu.Unlock()
+	parts := d.one[:]
+	if rtr := d.m.rtr; rtr == nil {
+		parts[0] = tx
+	} else {
+		parts = rtr.Split(tx)
 	}
+	var failed []int // nil while degraded: every journal misses the record
+	if !degraded {
+		var firstErr error
+		for i, part := range parts {
+			if err := logs[i].AppendTx(t, part); err != nil {
+				failed = append(failed, i)
+				if firstErr == nil {
+					firstErr = journalErr(len(logs), i, err)
+				}
+			}
+		}
+		if firstErr == nil {
+			return
+		}
+		d.onFailure(firstErr)
+	}
+	d.mu.Lock()
+	if d.degraded {
+		// The commit joins the backlog so a drain re-arm still covers it.
+		// After a failed append only the failed journals need its record:
+		// the others hold it, and a duplicate would misalign the journals.
+		d.pushBacklogLocked(t, parts, failed)
+	}
+	d.mu.Unlock()
 }
 
 // pushBacklogLocked buffers one degraded-window commit (caller holds
-// d.mu). Past the cap the backlog is dropped wholesale: it can no
-// longer be replayed into the journal, so only a checkpoint-class
-// re-arm — which captures the state directly — can recover.
-func (d *Durable) pushBacklogLocked(rec pendingRec) {
+// d.mu). need lists the journals missing their record; nil means all.
+// Past the cap the backlog is dropped wholesale: it can no longer be
+// replayed into the journals, so only a checkpoint-class re-arm — which
+// captures the state directly — can recover.
+func (d *Durable) pushBacklogLocked(t uint64, parts []*storage.Transaction, need []int) {
 	if d.backlogOverflow {
 		return
 	}
@@ -338,7 +521,17 @@ func (d *Durable) pushBacklogLocked(rec pendingRec) {
 		}
 		return
 	}
-	d.backlog = append(d.backlog, rec)
+	payloads := make([][]byte, len(parts))
+	for i, part := range parts {
+		payloads[i] = wal.EncodeTx(t, part)
+	}
+	if need == nil {
+		need = make([]int, len(parts))
+		for i := range need {
+			need[i] = i
+		}
+	}
+	d.backlog = append(d.backlog, pendingRec{t: t, payloads: payloads, need: need})
 	if d.mm != nil {
 		d.mm.JournalBacklog.Set(int64(len(d.backlog)))
 	}
@@ -434,38 +627,49 @@ func (d *Durable) tryRearm() bool {
 		d.mu.Unlock()
 		return true
 	}
-	log := d.log
+	logs := d.logs
 	backlog := d.backlog
-	overflow := d.backlogOverflow
+	drainable := len(logs) > 0 && !d.backlogOverflow
 	d.mu.Unlock()
 
-	if log != nil && log.Err() == nil && !overflow {
-		return d.rearmDrain(log, backlog)
+	for _, l := range logs {
+		if l.Err() != nil {
+			drainable = false
+		}
 	}
-	return d.rearmFresh(log)
+	if drainable {
+		return d.rearmDrain(logs, backlog)
+	}
+	return d.rearmFresh(logs)
 }
 
 // rearmDrain re-appends the degraded window's commits to the still
-// healthy log (the failure was transient) and fsyncs. Caller holds the
-// commit lock, which also freezes the backlog.
-func (d *Durable) rearmDrain(log *wal.Log, backlog []pendingRec) bool {
-	appended := 0
-	for _, rec := range backlog {
-		if err := log.Append(rec.payload); err != nil {
-			break
+// healthy journals (the failure was transient) and fsyncs: each
+// buffered record goes to exactly the journals missing it, restoring
+// the one-record-per-journal-per-commit alignment. Caller holds the
+// commit lock, which also freezes the backlog — so records are edited
+// in place, and a partial drain leaves each knowing which journals it
+// still needs.
+func (d *Durable) rearmDrain(logs []*wal.Log, backlog []pendingRec) bool {
+	drained := 0
+drain:
+	for ; drained < len(backlog); drained++ {
+		rec := &backlog[drained]
+		for len(rec.need) > 0 {
+			i := rec.need[0]
+			if err := logs[i].Append(rec.payloads[i]); err != nil {
+				break drain
+			}
+			rec.need = rec.need[1:]
 		}
-		appended++
 	}
-	ok := appended == len(backlog)
-	if ok {
-		ok = log.Sync() == nil
+	ok := drained == len(backlog)
+	for _, l := range logs {
+		ok = ok && l.Sync() == nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Drop what reached the log even on a partial drain: a duplicate
-	// append on the next attempt would be harmless (recovery skips by
-	// timestamp) but the trim keeps attempts monotone.
-	d.backlog = d.backlog[appended:]
+	d.backlog = d.backlog[drained:]
 	if !ok {
 		if d.mm != nil {
 			d.mm.JournalBacklog.Set(int64(len(d.backlog)))
@@ -476,46 +680,51 @@ func (d *Durable) rearmDrain(log *wal.Log, backlog []pendingRec) bool {
 	return true
 }
 
-// rearmFresh replaces a broken (or overflowed-past) journal: open a
-// fresh segment beside the live path, write an atomic checkpoint
+// rearmFresh replaces broken (or overflowed-past) journals: open a
+// fresh segment beside every live path, write an atomic checkpoint
 // covering every commit — the degraded window included — and rotate the
-// fresh segment over the old path. A crash at any point leaves a
-// recoverable pair: before the checkpoint rename, the old checkpoint
-// and old journal; after it, a checkpoint that supersedes every old
-// journal record (replay skips them by timestamp). Caller holds the
-// commit lock.
-func (d *Durable) rearmFresh(old *wal.Log) bool {
-	if d.snapPath == "" || old == nil {
+// fresh segments over the old paths. A crash at any point leaves a
+// recoverable set: before the checkpoint rename, the old checkpoint and
+// old journals; after it, a checkpoint that supersedes every old
+// journal record, whichever of the journals were already rotated
+// (replay skips covered records by timestamp, journal by journal).
+// Caller holds the commit lock.
+func (d *Durable) rearmFresh(old []*wal.Log) bool {
+	if d.snapPath == "" || len(old) == 0 {
 		return false // journal-only managers cannot rebuild a broken log
 	}
-	livePath := old.Path()
-	rearmPath := livePath + ".rearm"
-	// A leftover segment from an earlier failed attempt would make the
-	// fresh open replay stale records; clear it first.
-	if err := d.fs.Remove(rearmPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	fresh := make([]*wal.Log, 0, len(old))
+	abort := func() bool {
+		for i, l := range fresh {
+			l.Close()                                //rtic:errok aborting a failed re-arm; the segment is removed on the next line
+			d.fs.Remove(old[i].Path() + rearmSuffix) //rtic:errok best-effort cleanup; a leftover segment is overwritten by the next attempt
+		}
 		return false
 	}
-	fresh, err := d.openLog(rearmPath)
-	if err != nil {
-		return false
+	for _, o := range old {
+		rearmPath := o.Path() + rearmSuffix
+		// A leftover segment from an earlier failed attempt would make the
+		// fresh open replay stale records; clear it first.
+		if err := d.fs.Remove(rearmPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return abort()
+		}
+		l, err := d.openLog(rearmPath)
+		if err != nil {
+			return abort()
+		}
+		fresh = append(fresh, l)
 	}
-	abort := func() {
-		fresh.Close()          //rtic:errok aborting a failed re-arm; the segment is removed on the next line
-		d.fs.Remove(rearmPath) //rtic:errok best-effort cleanup; a leftover segment is overwritten by the next attempt
+	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, d.m.snapshotLocked); err != nil {
+		return abort()
 	}
-	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, func(w io.Writer) error {
-		return d.m.inc.SaveSnapshot(w)
-	}); err != nil {
-		abort()
-		return false
+	for i, l := range fresh {
+		if err := l.Rename(old[i].Path()); err != nil {
+			return abort()
+		}
 	}
-	if err := fresh.Rename(livePath); err != nil {
-		abort()
-		return false
-	}
-	fresh.SetFailureHandler(d.onFailure)
+	d.watch(fresh)
 	d.mu.Lock()
-	d.log = fresh
+	d.logs = fresh
 	d.last = time.Now()
 	mm := d.mm
 	d.finishRearmLocked()
@@ -524,9 +733,15 @@ func (d *Durable) rearmFresh(old *wal.Log) bool {
 		mm.Checkpoints.Inc()
 		mm.CheckpointLastUnix.Set(time.Now().Unix())
 	}
-	old.Close() //rtic:errok the replaced log was already broken; its latched error has been reported
+	for _, o := range old {
+		o.Close() //rtic:errok the replaced journals are superseded by the checkpoint; a broken one's latched error has been reported
+	}
 	return true
 }
+
+// rearmSuffix names the staging segment a fresh-segment re-arm opens
+// beside each live journal.
+const rearmSuffix = ".rearm"
 
 // finishRearmLocked clears the degraded state (caller holds d.mu and
 // the commit lock). The re-arm loop exits once its attempt reports
@@ -589,17 +804,17 @@ func (d *Durable) Stop() {
 	}
 }
 
-// CloseLog flushes and closes the manager's current journal — which a
-// fresh-segment re-arm may have swapped since the caller opened it —
-// and is a no-op without one.
-func (d *Durable) CloseLog() error {
-	d.mu.Lock()
-	log := d.log
-	d.mu.Unlock()
-	if log == nil {
-		return nil
+// CloseLogs flushes and closes the manager's current journals — which a
+// fresh-segment re-arm may have swapped since the caller opened them —
+// and returns the first error. Call it after Stop.
+func (d *Durable) CloseLogs() error {
+	var first error
+	for _, l := range d.currentLogs() {
+		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return log.Close()
+	return first
 }
 
 // errCheckpointSkipped marks a checkpoint attempt that found the
@@ -607,11 +822,11 @@ func (d *Durable) CloseLog() error {
 var errCheckpointSkipped = errors.New("monitor: checkpoint skipped while degraded")
 
 // Checkpoint atomically rotates a snapshot into the checkpoint path and
-// resets the journal. Commits are held out for the duration — bounded
+// resets the journals. Commits are held out for the duration — bounded
 // history encoding keeps the state (and so the pause) small. While
 // degraded, Checkpoint is a no-op: the re-arm loop writes the
 // checkpoint that covers the degraded window, and a competing rotation
-// here could reset a journal the drain path still needs.
+// here could reset journals the drain path still needs.
 func (d *Durable) Checkpoint() error {
 	if d.snapPath == "" {
 		return fmt.Errorf("monitor: no checkpoint path configured")
@@ -646,20 +861,23 @@ func (d *Durable) checkpointLocked() error {
 	d.m.mu.Lock()
 	defer d.m.mu.Unlock()
 	d.mu.Lock()
-	log, degraded := d.log, d.degraded
+	logs, degraded := d.logs, d.degraded
 	d.mu.Unlock()
 	if degraded {
 		return errCheckpointSkipped
 	}
-	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, func(w io.Writer) error {
-		return d.m.inc.SaveSnapshot(w)
-	}); err != nil {
+	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, d.m.snapshotLocked); err != nil {
 		return err
 	}
-	if log != nil {
-		return log.Reset()
+	// Every journal is reset even if one fails: whatever stays behind is
+	// covered by the checkpoint and skipped by Recover.
+	var first error
+	for _, l := range logs {
+		if err := l.Reset(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return nil
+	return first
 }
 
 // DurabilityHealth is the durability section of a health report.
@@ -672,7 +890,7 @@ type DurabilityHealth struct {
 	// LastCheckpointAgeSeconds is the age of the newest successful
 	// checkpoint, -1 when none has been written this run.
 	LastCheckpointAgeSeconds float64 `json:"last_checkpoint_age_seconds"`
-	// WALBytes is the journal's current on-disk size.
+	// WALBytes is the journals' current on-disk size, summed.
 	WALBytes int64 `json:"wal_bytes"`
 	// ReplayedRecords counts journal records applied during recovery.
 	ReplayedRecords int `json:"replayed_records"`
@@ -709,8 +927,8 @@ func (d *Durable) Health() DurabilityHealth {
 	if !d.last.IsZero() {
 		h.LastCheckpointAgeSeconds = time.Since(d.last).Seconds()
 	}
-	if d.log != nil {
-		h.WALBytes = d.log.Size()
+	for _, l := range d.logs {
+		h.WALBytes += l.Size()
 	}
 	if d.degraded {
 		h.DegradedSeconds = time.Since(d.degradedSince).Seconds()

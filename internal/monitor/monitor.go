@@ -86,8 +86,9 @@ func WithParallelism(n int) Option {
 // behind a router (see internal/shard): transactions split by the
 // inferred per-relation partition columns, per-shard commits run
 // concurrently, results stay exact. n<=1 selects the plain unsharded
-// engine. Sharded monitors journal through per-shard WALs (see
-// ShardedDurable) and do not support snapshots.
+// engine. A sharded monitor journals one WAL per shard and snapshots
+// all shards in one file (see Durable); Restore needs the shard count
+// the snapshot was written with.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
@@ -143,10 +144,11 @@ func (m *Monitor) Diagnostics() []lint.Diagnostic {
 	return append([]lint.Diagnostic(nil), m.diags...)
 }
 
-// Restore rebuilds a monitor from a checker snapshot (see
-// core.SaveSnapshot); the snapshot carries its constraints. Restored
-// monitors always run the incremental engine (it is the only one with
-// snapshot support), so WithMode is rejected here.
+// Restore rebuilds a monitor from a snapshot written by Snapshot — a
+// checker snapshot (core.SaveSnapshot), or with WithShards a router
+// snapshot (shard.Router.SaveSnapshot); either carries its constraints.
+// Restored monitors always run the incremental engine (it is the only
+// one with snapshot support), so WithMode is rejected here.
 func Restore(s *schema.Schema, r io.Reader, opts ...Option) (*Monitor, error) {
 	return RestoreObserved(s, r, nil, opts...)
 }
@@ -162,15 +164,24 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 	if op.mode != engine.Incremental {
 		return nil, fmt.Errorf("monitor: snapshots restore the incremental engine; mode %v is not restorable", op.mode)
 	}
+	m := &Monitor{mode: engine.Incremental, schema: s, obs: o, subs: make(map[int]chan check.Violation)}
+	if op.shards > 1 {
+		rtr, err := shard.LoadSnapshot(s, r, op.shards, op.par)
+		if err != nil {
+			return nil, err
+		}
+		rtr.SetObserver(o)
+		m.rtr, m.eng = rtr, rtr
+		m.states, m.now = rtr.Len(), rtr.Now()
+		return m, nil
+	}
 	c, err := core.LoadSnapshotObserved(s, r, o, core.WithParallelism(op.par))
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{
-		eng: c, inc: c, mode: engine.Incremental,
-		states: c.Len(), now: c.Now(),
-		schema: s, obs: o, subs: make(map[int]chan check.Violation),
-	}, nil
+	m.inc, m.eng = c, c
+	m.states, m.now = c.Len(), c.Now()
+	return m, nil
 }
 
 // SetObserver attaches instrumentation to the monitor and its engine:
@@ -206,8 +217,8 @@ func (m *Monitor) Shards() int {
 	return 1
 }
 
-// Router exposes the shard router (nil when unsharded); the sharded
-// durability layer uses it to split journal records by shard.
+// Router exposes the shard router (nil when unsharded), whose plan
+// says where each constraint and relation lives.
 func (m *Monitor) Router() *shard.Router { return m.rtr }
 
 // Observer returns the attached observer (nil when uninstrumented).
@@ -342,18 +353,25 @@ func (m *Monitor) Dropped() int {
 	return m.dropped
 }
 
-// Snapshot checkpoints the checker state. Only the incremental engine
-// supports snapshots.
+// Snapshot checkpoints the checker state — of every shard, on a sharded
+// monitor. Only the incremental engine supports snapshots.
 func (m *Monitor) Snapshot(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.rtr != nil {
-		return fmt.Errorf("monitor: snapshots are not available on a sharded monitor; durability is per-shard WAL journals")
-	}
-	if m.inc == nil {
+	return m.snapshotLocked(w)
+}
+
+// snapshotLocked is Snapshot for callers already holding the commit
+// lock (the durability manager's checkpoint and re-arm).
+func (m *Monitor) snapshotLocked(w io.Writer) error {
+	switch {
+	case m.mode != engine.Incremental:
 		return fmt.Errorf("monitor: snapshots are only available in incremental mode (current: %v)", m.mode)
+	case m.rtr != nil:
+		return m.rtr.SaveSnapshot(w)
+	default:
+		return m.inc.SaveSnapshot(w)
 	}
-	return m.inc.SaveSnapshot(w)
 }
 
 // Stats reports the incremental engine's auxiliary storage; it returns

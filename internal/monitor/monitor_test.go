@@ -126,24 +126,35 @@ func TestConcurrentApplySerialized(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	m, s := hrMonitor(t)
-	if _, err := m.Apply(0, ins("fire", 7)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Restore(s, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := m2.Apply(100, ins("hire", 7))
-	if err != nil || len(vs) != 1 {
-		t.Fatalf("restored monitor: vs=%v err=%v", vs, err)
-	}
-	if m2.Stats().Nodes != 1 {
-		t.Fatalf("stats = %+v", m2.Stats())
+	for _, shards := range []int{1, 3} {
+		m := durableMonitor(t, shards)
+		if _, err := m.Apply(0, ins("fire", 7)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		// A snapshot restores only under the shard count it was taken with.
+		if _, err := Restore(hrSchema(), bytes.NewReader(buf.Bytes()), WithShards(shards+1)); err == nil {
+			t.Fatalf("shards=%d: snapshot restored under %d shards", shards, shards+1)
+		}
+		m2, err := Restore(hrSchema(), &buf, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.Shards() != shards || m2.Len() != 1 {
+			t.Fatalf("shards=%d: restored monitor has %d shards, %d states", shards, m2.Shards(), m2.Len())
+		}
+		for _, mon := range []*Monitor{m, m2} {
+			vs, err := mon.Apply(100, ins("hire", 7))
+			if err != nil || len(vs) != 1 {
+				t.Fatalf("shards=%d: rehire on live/restored monitor: vs=%v err=%v", shards, vs, err)
+			}
+		}
+		if got, want := m2.Stats(), m.Stats(); got.Nodes != want.Nodes || got.Entries != want.Entries || want.Nodes != shards {
+			t.Fatalf("shards=%d: restored stats = %+v, live %+v", shards, got, want)
+		}
 	}
 }
 

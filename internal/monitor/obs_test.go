@@ -206,7 +206,9 @@ func TestServerLongLine(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		fmt.Fprintf(&b, " +fire(%d)", i)
 	}
-	c.send(t, b.String())
+	// The server may reply and hang up before the client has finished
+	// writing the line, so a write error here is not a failure.
+	c.conn.Write([]byte(b.String() + "\n"))
 	if got := c.recv(t); !strings.HasPrefix(got, "error line exceeds") {
 		t.Fatalf("oversized line reply = %q", got)
 	}

@@ -193,12 +193,19 @@ func (r *Router) seal() error {
 			}
 		}
 	}
+	r.adopt(engines)
+	return nil
+}
+
+// adopt makes engines — freshly built by seal, or restored by
+// LoadSnapshot — the router's shards and indexes the constraints they
+// run for merge.
+func (r *Router) adopt(engines []engine.Engine) {
 	r.conIndex = make(map[string]int, len(r.cons))
 	for i, con := range r.cons {
 		r.conIndex[con.Name] = i
 	}
 	r.engines = engines
-	return nil
 }
 
 // ShardFor returns the shard owning tup in rel under the current plan.
