@@ -65,7 +65,7 @@ func main() {
 	mode := flag.String("mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
 	parallelism := flag.Int("parallelism", 0,
-		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS; incremental engine only)")
+		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers; incremental engine only)")
 	quiet := flag.Bool("quiet", false, "suppress per-violation output; print only the summary")
 	explain := flag.Bool("explain", false, "print evidence trails for violations (incremental mode only)")
 	trace := flag.Bool("trace", false, "log engine trace events (structured, stderr)")

@@ -28,7 +28,7 @@ func runTrace(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rtic trace", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "spec file with relations and constraints (required)")
 	parallelism := fs.Int("parallelism", 0,
-		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS)")
+		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers)")
 	shards := fs.Int("shards", 1,
 		"hash-partition state across N shard engines (1 = unsharded)")
 	outPath := fs.String("out", "trace.json", "Chrome trace-event output file")

@@ -54,8 +54,8 @@
 // matrix.
 //
 // With -shards N the monitor hash-partitions its state across N shard
-// engines behind a router (see docs/ARCHITECTURE.md): per-shard commits
-// run concurrently and results stay exact. Durability is the same
+// engines behind a router (see docs/ARCHITECTURE.md): the shards commit
+// one after another and results stay exact. Durability is the same
 // manager over N journals: -wal names one WAL per shard at <path>.0 ..
 // <path>.N-1, startup recovers the journals' common prefix past the
 // checkpoint, and -snapshot/-restore/-checkpoint-interval work as
@@ -152,9 +152,9 @@ func main() {
 	flag.StringVar(&opts.mode, "mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
 	flag.IntVar(&opts.parallelism, "parallelism", 0,
-		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS; incremental engine only)")
+		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers; incremental engine only)")
 	flag.IntVar(&opts.shards, "shards", 1,
-		"hash-partition state across N shard engines checked concurrently (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
+		"hash-partition state across N shard engines behind a router (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
 	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval)")
 	flag.BoolVar(&opts.restore, "restore", false, "start from the -snapshot checkpoint")
 	flag.StringVar(&opts.walPath, "wal", "", "write-ahead log journaling every commit; startup recovers checkpoint + WAL tail automatically")

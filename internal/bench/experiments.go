@@ -433,45 +433,56 @@ func parallelismConstraints(count int) []workload.ConstraintSpec {
 	return out
 }
 
-// Table8Parallelism — scaling the commit pipeline's worker pool on a
-// constraint-heavy workload. Expected shape: throughput improves with
-// the pool width up to the core count; violations are identical at
-// every width (the equivalence the core test suite also proves).
+// Table8Parallelism — the commit pipeline's worker pool against the
+// inline default, on two legs: the 32 once-window constraints whose
+// delta-driven commits cost a few hundred microseconds (the pool's
+// wake-ups cost about as much as they save), and the 32 cross-join
+// denials of Table 9 whose commits cost milliseconds (the leg where
+// fan-out has something to divide). Violations are identical at every
+// width — the equivalence the core test suite also proves.
 func Table8Parallelism(quick bool) (Table, error) {
 	t := Table{
 		ID:      "Table 8",
 		Title:   "commit-pipeline worker pool vs per-transaction cost (32 constraints)",
-		Columns: []string{"workers", "ns/tx", "speedup vs sequential", "violations"},
-		Notes:   "32 distinct once-window constraints; all widths report identical violations",
+		Columns: []string{"workers", "once-window ns/tx", "speedup vs inline", "cross-join ns/tx", "speedup vs inline", "violations"},
+		Notes:   "once-window: 32 distinct once-window constraints; cross-join: 32 self-join denials r(x, y) -> not once[…] r(y, x); width 1 is the inline default; all widths report identical violations",
 	}
 	n := 400
 	if quick {
 		n = 150
 	}
-	h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
-	h.Constraints = parallelismConstraints(32)
+	once := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
+	once.Constraints = parallelismConstraints(32)
+	cross := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 59, OpsPerTx: 4, Domain: 16})
+	cross.Constraints = crossShardConstraints(32)
 
 	widths := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
 		widths = append(widths, p)
 	}
-	var seq float64
-	var seqViolations int
+	var seqOnce, seqCross replayResult
 	for i, w := range widths {
-		res, _, err := bestIncremental(h, repeats(quick), core.WithParallelism(w))
+		resOnce, _, err := bestIncremental(once, repeats(quick), core.WithParallelism(w))
+		if err != nil {
+			return t, err
+		}
+		resCross, _, err := bestIncremental(cross, repeats(quick), core.WithParallelism(w))
 		if err != nil {
 			return t, err
 		}
 		if i == 0 {
-			seq, seqViolations = res.nsPerStepAll, res.violations
-		} else if res.violations != seqViolations {
-			return t, fmt.Errorf("bench: width %d reported %d violations, sequential %d", w, res.violations, seqViolations)
+			seqOnce, seqCross = resOnce, resCross
+		} else if resOnce.violations != seqOnce.violations || resCross.violations != seqCross.violations {
+			return t, fmt.Errorf("bench: width %d reported %d+%d violations, inline %d+%d",
+				w, resOnce.violations, resCross.violations, seqOnce.violations, seqCross.violations)
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", w),
-			ns(res.nsPerStepAll),
-			ratio(seq, res.nsPerStepAll),
-			fmt.Sprintf("%d", res.violations),
+			ns(resOnce.nsPerStepAll),
+			ratio(seqOnce.nsPerStepAll, resOnce.nsPerStepAll),
+			ns(resCross.nsPerStepAll),
+			ratio(seqCross.nsPerStepAll, resCross.nsPerStepAll),
+			fmt.Sprintf("%d", resOnce.violations+resCross.violations),
 		})
 	}
 	return t, nil

@@ -30,8 +30,8 @@ import (
 // it — the inputs of the checker's delta-driven constraint evaluation.
 type auxNode interface {
 	formula() mtl.Formula
-	phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error
-	phaseBCompute(sc *stepCtx, ev *fol.Evaluator, t uint64) error
+	phaseA(sc *stepCtx, ev *lazyEval, t uint64) error
+	phaseBCompute(sc *stepCtx, ev *lazyEval, t uint64) error
 	phaseBCommit(t uint64)
 	enumerate(now uint64) (*fol.Bindings, error)
 	test(env fol.Env, now uint64) (bool, error)
@@ -46,7 +46,13 @@ type auxNode interface {
 	// delta row-by-row (prev nodes); callers must then fall back to full
 	// evaluation whenever the node is dirty.
 	answerDelta() (added, removed []tuple.Tuple, exact bool)
+	// stats walks the node's storage and reports it, formula included.
 	stats() NodeStats
+	// account reports the same three sums from running totals the node
+	// maintains where entries are inserted, aged and pruned — no walk of
+	// unchanged storage, no allocation; what the per-commit storage
+	// gauges read. CheckInvariants holds it equal to the stats walk.
+	account() (entries, timestamps, bytes int)
 }
 
 // NodeStats describes the auxiliary storage of one temporal subformula.
@@ -87,6 +93,11 @@ type prevNode struct {
 	stored     *fol.Bindings
 	storedTime uint64
 	has        bool
+	// storedBytes caches the footprint of measured, the set it was last
+	// taken for: published bindings are immutable, so account re-measures
+	// only after stored was replaced — and only if someone asks.
+	storedBytes int
+	measured    *fol.Bindings
 
 	pending     *fol.Bindings
 	pendingTime uint64
@@ -107,7 +118,7 @@ func (p *prevNode) formula() mtl.Formula { return p.n }
 
 // phaseA computes the dirty bit: the answer served for this state vs the
 // previous one. The stored enumeration itself only advances in phase B.
-func (p *prevNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
+func (p *prevNode) phaseA(sc *stepCtx, ev *lazyEval, t uint64) error {
 	cur, err := p.enumerate(t)
 	if err != nil {
 		return err
@@ -130,7 +141,7 @@ func bindingsEqual(a, b *fol.Bindings) bool {
 	return a.Equal(b)
 }
 
-func (p *prevNode) phaseBCompute(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
+func (p *prevNode) phaseBCompute(sc *stepCtx, ev *lazyEval, t uint64) error {
 	// Refresh fast path: when nothing φ reads changed in this commit,
 	// φ's enumeration in the new state equals the stored one — alias it
 	// (bindings are immutable once published).
@@ -141,9 +152,9 @@ func (p *prevNode) phaseBCompute(sc *stepCtx, ev *fol.Evaluator, t uint64) error
 	var b *fol.Bindings
 	var err error
 	if p.fPlan != nil && sc != nil && sc.planned {
-		b, err = p.fPlan.Eval(sc.c.cur, sc.orc, nil)
+		b, err = p.fPlan.Eval(sc.c.cur, &sc.orc, nil)
 	} else {
-		b, err = ev.Eval(p.n.F)
+		b, err = ev.get().Eval(p.n.F)
 		if err == nil {
 			// The evaluator may hand back a child node's maintained
 			// answer (φ a bare temporal subformula); that set mutates in
@@ -199,6 +210,16 @@ func (p *prevNode) stats() NodeStats {
 	return s
 }
 
+func (p *prevNode) account() (entries, timestamps, bytes int) {
+	if !p.has {
+		return 0, 0, 0
+	}
+	if p.measured != p.stored {
+		p.storedBytes, p.measured = p.stored.Size()+16, p.stored
+	}
+	return p.stored.Len(), 0, p.storedBytes
+}
+
 // sinceEntry is the bounded history the checker keeps for one binding θ
 // of a since/once subformula: the timestamps t_j at which the anchor ψ
 // held with the chain φ unbroken since, pruned to the metric window
@@ -232,6 +253,12 @@ type sinceNode struct {
 	noPrune bool
 
 	entries map[string]*sinceEntry
+	// nTimes and fixedBytes are the running storage account: timestamps
+	// held across all entries, and the entries' footprint apart from
+	// their timestamps (entryFixedBytes, constant while an entry lives).
+	// Every site that adds or drops an entry or a timestamp keeps them.
+	nTimes     int
+	fixedBytes int
 
 	// The maintained answer: ans holds exactly the rows satisfied at
 	// lastT (valid once primed), added/removed the rows that entered and
@@ -287,7 +314,7 @@ func (s *sinceNode) isOnce() bool {
 	return ok && t.Bool
 }
 
-func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
+func (s *sinceNode) phaseA(sc *stepCtx, ev *lazyEval, t uint64) error {
 	s.added = s.added[:0]
 	s.removed = s.removed[:0]
 
@@ -314,7 +341,7 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 			return nil
 		}
 		e := &sinceEntry{row: row.Clone(), times: []uint64{t}, inRB: true, keep: true, stamp: t + 1}
-		s.entries[string(key)] = e
+		s.insert(string(key), e)
 		if s.iv.Contains(0) {
 			if err := s.ans.AddRow(e.row); err != nil {
 				return err
@@ -325,7 +352,7 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	}
 	if s.rightPlan != nil && sc != nil && sc.planned {
 		var emitErr error
-		err := s.rightPlan.Execute(sc.c.cur, sc.orc, nil, func(row tuple.Tuple) bool {
+		err := s.rightPlan.Execute(sc.c.cur, &sc.orc, nil, func(row tuple.Tuple) bool {
 			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
 			if e := newRow(row, s.keyBuf); e != nil {
 				emitErr = e
@@ -340,7 +367,7 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 			return fmt.Errorf("core: %q: %w", s.node.String(), err)
 		}
 	} else {
-		rb, err := ev.Eval(s.right)
+		rb, err := ev.get().Eval(s.right)
 		if err != nil {
 			return fmt.Errorf("core: %q: %w", s.node.String(), err)
 		}
@@ -369,13 +396,17 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	if s.envBuf == nil {
 		s.envBuf = make(fol.Env, len(s.lvars)+1)
 	}
+	var chain *fol.Evaluator
+	if !once && len(s.entries) > 0 {
+		chain = ev.get()
+	}
 	for key, e := range s.entries {
 		keep := once
 		if !once {
 			for i, p := range lPos {
 				s.envBuf[s.lvars[i]] = e.row[p]
 			}
-			ok, err := ev.Test(s.left, s.envBuf)
+			ok, err := chain.Test(s.left, s.envBuf)
 			if err != nil {
 				return fmt.Errorf("core: %q: testing chain: %w", s.node.String(), err)
 			}
@@ -400,6 +431,7 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 // prunes, deletes empty entries, and maintains the answer set.
 func (s *sinceNode) applyRecurrence(key string, e *sinceEntry, keep bool, t uint64) error {
 	before := s.ans.ContainsKey(key)
+	held := len(e.times)
 	if !keep {
 		e.times = e.times[:0]
 	}
@@ -408,8 +440,10 @@ func (s *sinceNode) applyRecurrence(key string, e *sinceEntry, keep bool, t uint
 	}
 	s.prune(e, t)
 	after := len(e.times) > 0 && s.satisfied(e, t)
+	s.nTimes += len(e.times) - held
 	if len(e.times) == 0 {
 		delete(s.entries, key)
+		s.fixedBytes -= entryFixedBytes(key, e.row)
 	}
 	if before && !after {
 		s.ans.RemoveKey(key)
@@ -467,8 +501,8 @@ func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 	}
 }
 
-func (s *sinceNode) phaseBCompute(*stepCtx, *fol.Evaluator, uint64) error { return nil }
-func (s *sinceNode) phaseBCommit(uint64)                                  {}
+func (s *sinceNode) phaseBCompute(*stepCtx, *lazyEval, uint64) error { return nil }
+func (s *sinceNode) phaseBCommit(uint64)                             {}
 
 func (s *sinceNode) satisfied(e *sinceEntry, now uint64) bool {
 	for _, tm := range e.times {
@@ -533,13 +567,31 @@ func (s *sinceNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return s.added, s.removed, true
 }
 
+// insert adds a new entry under its row key (the tuple.Key encoding of
+// e.row) and opens its storage account.
+func (s *sinceNode) insert(key string, e *sinceEntry) {
+	s.entries[key] = e
+	s.nTimes += len(e.times)
+	s.fixedBytes += entryFixedBytes(key, e.row)
+}
+
+// entryFixedBytes estimates one entry's footprint apart from its
+// timestamps: map key, row, and the entry and slice headers.
+func entryFixedBytes(key string, row tuple.Tuple) int {
+	return len(key) + row.Size() + 48
+}
+
 func (s *sinceNode) stats() NodeStats {
 	st := NodeStats{Formula: s.node.String(), Entries: len(s.entries)}
-	for _, e := range s.entries {
+	for key, e := range s.entries {
 		st.Timestamps += len(e.times)
-		st.Bytes += len(e.row.Key()) + e.row.Size() + 8*len(e.times) + 48
+		st.Bytes += entryFixedBytes(key, e.row) + 8*len(e.times)
 	}
 	return st
+}
+
+func (s *sinceNode) account() (entries, timestamps, bytes int) {
+	return len(s.entries), s.nTimes, s.fixedBytes + 8*s.nTimes
 }
 
 // Invariants returns an error if the node's internal invariants are

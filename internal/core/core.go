@@ -18,11 +18,12 @@
 //	check   — evaluate every constraint's denial in the new state
 //	carry   — phase B: compute then commit next-state carry-over
 //
-// The update, check and carry phases are data-parallel: nodes within
-// one dependency level (see schedule.go) and constraints against one
-// state are independent, so a checker built WithParallelism(n>1) runs
-// them on a bounded worker pool. n=1 runs the phases inline and is
-// bit-for-bit the sequential algorithm.
+// By default the phases run inline on the committing goroutine — the
+// exact sequential algorithm. The update, check and carry phases are
+// also data-parallel: nodes within one dependency level (see
+// schedule.go) and constraints against one state are independent, so a
+// checker built WithParallelism(n>1) runs them on a bounded worker
+// pool, with identical results.
 package core
 
 import (
@@ -62,6 +63,9 @@ type Checker struct {
 	// k-1. Built incrementally by register/schedule.
 	levels  [][]auxNode
 	levelOf map[auxNode]int
+	// levelLabels[k] is the worker-span label prefix of level k ("L0."),
+	// rendered when the level is created so no commit formats one.
+	levelLabels []string
 
 	// par is the worker-pool width of the commit pipeline (1 = run the
 	// phases inline, sequentially).
@@ -182,10 +186,10 @@ func (cs *conState) inexactDirty() bool {
 }
 
 // WithParallelism sets the worker-pool width of the commit pipeline.
-// n=1 runs the pipeline inline (the exact sequential algorithm); n>1
-// updates independent auxiliary nodes and checks constraints
-// concurrently on at most n goroutines; n<=0 selects GOMAXPROCS. The
-// default is GOMAXPROCS.
+// n<=1 — the default — runs the pipeline inline on the committing
+// goroutine (the exact sequential algorithm); n>1 is an explicit
+// opt-in that updates independent auxiliary nodes and checks
+// constraints concurrently on at most n goroutines.
 func WithParallelism(n int) Option {
 	return func(c *Checker) { c.par = resolveParallelism(n) }
 }
@@ -200,7 +204,7 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		byNode:   make(map[mtl.Formula]auxNode),
 		byShape:  make(map[string]auxNode),
 		levelOf:  make(map[auxNode]int),
-		par:      resolveParallelism(0),
+		par:      1,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -549,17 +553,6 @@ func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, er
 	if m == nil && tr == nil && sink == nil {
 		return c.step(t, tx, nil)
 	}
-	vs, err := c.observedStep(t, tx, m, tr, sink)
-	if m != nil && err == nil {
-		c.refreshAuxGauges(m)
-	}
-	return vs, err
-}
-
-// observedStep is one instrumented commit: counters, latency histogram,
-// the step trace event and the commit span — everything per-step except
-// the auxiliary-storage gauge refresh, which batch commits amortize.
-func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics, tr obs.Tracer, sink obs.SpanSink) ([]check.Violation, error) {
 	si := &stepInstr{c: c, m: m, tr: tr}
 	if sink != nil {
 		si.span = &obs.Span{Name: obs.SpanCommit, Time: t, Start: time.Now(), Ops: tx.Len()}
@@ -573,6 +566,7 @@ func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics
 		} else {
 			m.Commits.Inc()
 			m.CommitSeconds.Observe(d.Seconds())
+			c.publishAuxGauges(m)
 		}
 	}
 	if tr != nil {
@@ -586,43 +580,24 @@ func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics
 	return vs, err
 }
 
-// refreshAuxGauges walks the auxiliary nodes and republishes the
-// storage gauges — the one O(aux) piece of instrumentation, kept out of
-// the per-step path of batch commits.
-func (c *Checker) refreshAuxGauges(m *obs.Metrics) {
-	st := c.Stats()
+// publishAuxGauges republishes the storage gauges from the nodes'
+// running accounts: a few integer adds per node, no entry walked and
+// nothing allocated, so every observed commit can afford it.
+//
+//rtic:noalloc
+func (c *Checker) publishAuxGauges(m *obs.Metrics) {
+	st := c.Totals()
 	m.AuxNodes.Set(int64(st.Nodes))
 	m.AuxEntries.Set(int64(st.Entries))
 	m.AuxTimestamps.Set(int64(st.Timestamps))
 	m.AuxBytes.Set(int64(st.Bytes))
 }
 
-// StepBatch commits a sequence of transactions in order, refreshing the
-// auxiliary-storage gauges once at the end instead of after every step
-// (per-step counters, latencies and trace events are still recorded).
-// On error the committed prefix stays committed and its violations are
-// returned alongside the error.
+// StepBatch commits a sequence of transactions in order. On error the
+// committed prefix stays committed and its violations are returned
+// alongside the error.
 func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
-	m, tr := c.obs.Parts()
-	sink := c.obs.SpanSink()
-	if m != nil {
-		defer c.refreshAuxGauges(m)
-	}
-	out := make([][]check.Violation, 0, len(steps))
-	for i, s := range steps {
-		var vs []check.Violation
-		var err error
-		if m == nil && tr == nil && sink == nil {
-			vs, err = c.step(s.Time, s.Tx, nil)
-		} else {
-			vs, err = c.observedStep(s.Time, s.Tx, m, tr, sink)
-		}
-		if err != nil {
-			return out, fmt.Errorf("core: batch step %d (t=%d): %w", i, s.Time, err)
-		}
-		out = append(out, vs)
-	}
-	return out, nil
+	return engine.SerialBatch(c.Step, steps)
 }
 
 // domainCache computes the state's active domain once per commit and
@@ -638,14 +613,34 @@ func (d *domainCache) get() []value.Value {
 	return d.dom
 }
 
+// lazyEval hands a pipeline task the tree-walking evaluator, built on
+// first use: a commit whose nodes and constraints all take the planned
+// path never constructs one. Evaluators cache the active domain and
+// scratch buffers and so are single-goroutine — the inline pipeline
+// shares stepCtx.inline across its phases (the state is fixed once the
+// apply phase is over), every pool task gets its own.
+type lazyEval struct {
+	sc *stepCtx
+	ev *fol.Evaluator
+}
+
+func (l *lazyEval) get() *fol.Evaluator {
+	if l.ev == nil {
+		sc := l.sc
+		l.ev = fol.NewEvaluatorShared(sc.c.cur, &sc.orc, sc.dom.get)
+	}
+	return l.ev
+}
+
 // step runs the four-phase commit pipeline for one transaction,
 // attributing each phase's time through si (nil = uninstrumented).
 func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]check.Violation, error) {
 	if c.started && t <= c.now {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, c.now)
 	}
-	sc := &stepCtx{c: c, t: t, planned: c.mode == EvalPlanned}
-	sc.orc = &oracle{c: c, now: t}
+	sc := &stepCtx{c: c, t: t, planned: c.mode == EvalPlanned, orc: oracle{c: c, now: t}}
+	sc.dom.st = c.cur
+	sc.inline.sc = sc
 	ps := si.phase(phaseApply, obs.SpanApply)
 	err := c.applyPhase(sc, tx)
 	ps.done(tx.Len(), err)
@@ -653,28 +648,20 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 		return nil, err
 	}
 
-	// Evaluators cache the active domain and so are per-goroutine;
-	// newEval hands each pipeline task its own, all sharing one domain
-	// computation for this commit.
-	dc := &domainCache{st: c.cur}
-	newEval := func() *fol.Evaluator {
-		return fol.NewEvaluatorShared(c.cur, &oracle{c: c, now: t}, dc.get)
-	}
-
 	ps = si.phase(phaseUpdate, obs.SpanUpdate)
-	err = c.updatePhase(sc, t, newEval, si, ps.span)
+	err = c.updatePhase(sc, si, ps.span)
 	ps.done(len(c.nodes), err)
 	if err != nil {
 		return nil, err
 	}
 	ps = si.phase(phaseCheck, obs.SpanCheck)
-	out, err := c.checkPhase(sc, t, newEval, si, ps.span)
+	out, err := c.checkPhase(sc, si, ps.span)
 	ps.done(len(c.constraints), err)
 	if err != nil {
 		return nil, err
 	}
 	ps = si.phase(phaseCarry, obs.SpanCarry)
-	err = c.carryPhase(sc, t, newEval, si, ps.span)
+	err = c.carryPhase(sc, si, ps.span)
 	ps.done(len(c.nodes), err)
 	if err != nil {
 		return nil, err
@@ -702,13 +689,12 @@ func (c *Checker) applyPhase(sc *stepCtx, tx *storage.Transaction) error {
 
 // updatePhase brings every auxiliary node's answer up to the new state:
 // levels run in order (children before parents), nodes within a level
-// concurrently. span (the update phase span, may be nil) collects
-// per-worker attribution children, one batch per level.
-func (c *Checker) updatePhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span) error {
+// concurrently when the pipeline is parallel. span (the update phase
+// span, may be nil) collects per-worker attribution children, one batch
+// per level.
+func (c *Checker) updatePhase(sc *stepCtx, si *stepInstr, span *obs.Span) error {
 	for lvl, level := range c.levels {
-		if err := c.runNodePhase(level, t, newEval, si, span, fmt.Sprintf("L%d.", lvl), true, func(n auxNode, ev *fol.Evaluator) error {
-			return n.phaseA(sc, ev, t)
-		}); err != nil {
+		if err := c.runNodePhase(sc, level, false, si, span, c.levelLabels[lvl]); err != nil {
 			return err
 		}
 	}
@@ -718,71 +704,99 @@ func (c *Checker) updatePhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluat
 // carryPhase computes the carry-over state for the next transition
 // (all computations first, so nodes keep answering for this state),
 // then commits it. Computations only read this-state answers and write
-// the node's own pending slot, so they run concurrently; commits are a
-// cheap sequential sweep.
-func (c *Checker) carryPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span) error {
-	if err := c.runNodePhase(c.nodes, t, newEval, si, span, "", false, func(n auxNode, ev *fol.Evaluator) error {
-		return n.phaseBCompute(sc, ev, t)
-	}); err != nil {
+// the node's own pending slot, so they may run concurrently; commits
+// are a cheap sequential sweep.
+func (c *Checker) carryPhase(sc *stepCtx, si *stepInstr, span *obs.Span) error {
+	if err := c.runNodePhase(sc, c.nodes, true, si, span, ""); err != nil {
 		return err
 	}
 	for _, node := range c.nodes {
-		node.phaseBCommit(t)
+		node.phaseBCommit(sc.t)
 	}
 	return nil
 }
 
+// runNode drives node through one phase: phase A (update), or with
+// carry set the compute half of phase B.
+func (sc *stepCtx) runNode(node auxNode, ev *lazyEval, carry bool) error {
+	if carry {
+		return node.phaseBCompute(sc, ev, sc.t)
+	}
+	return node.phaseA(sc, ev, sc.t)
+}
+
 // runNodePhase drives one node phase over nodes, inline when the
-// pipeline is sequential and on the worker pool otherwise. Parallel
-// runs record per-node durations and errors in per-index slots and
-// emit trace events afterwards in schedule order, so output and the
-// returned error (the first node's, in schedule order) are
-// deterministic regardless of interleaving. Per-node trace events fire
-// only when traceNodes is set AND the tracer wants OpNodeUpdate — the
-// Enabled gate keeps formula rendering off the hot path when the sink
-// would discard DEBUG events anyway. span/label feed the worker-pool
-// attribution of parallel batches.
-func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span, label string, traceNodes bool, f func(auxNode, *fol.Evaluator) error) error {
-	n := len(nodes)
-	if n == 0 {
+// pipeline is sequential and on the worker pool otherwise. Per-node
+// trace events fire only in the update phase AND when the tracer wants
+// OpNodeUpdate — the Enabled gate keeps formula rendering off the hot
+// path when the sink would discard DEBUG events anyway. span/label feed
+// the worker-pool attribution of parallel batches.
+func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, carry bool, si *stepInstr, span *obs.Span, label string) error {
+	if len(nodes) == 0 {
 		return nil
 	}
 	tr := si.tracer()
-	if !traceNodes || !obs.TraceEnabled(tr, obs.OpNodeUpdate) {
+	if carry || !obs.TraceEnabled(tr, obs.OpNodeUpdate) {
 		tr = nil
 	}
-	if c.par <= 1 || n == 1 {
-		ev := newEval()
-		for _, node := range nodes {
-			if tr == nil {
-				if err := f(node, ev); err != nil {
-					return err
-				}
-				continue
-			}
-			n0 := time.Now()
-			err := f(node, ev)
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpNodeUpdate, Detail: node.formula().String(),
-				Time: t, Duration: time.Since(n0), Err: err,
-			})
-			if err != nil {
+	if c.par <= 1 || len(nodes) == 1 {
+		return runNodesInline(sc, nodes, carry, tr)
+	}
+	return c.runNodesPooled(sc, nodes, carry, tr, si, span, label)
+}
+
+// runNodesInline is the default pipeline's node loop, on the committing
+// goroutine. The dispatch itself allocates nothing — no closure, no
+// label, and the shared evaluator behind sc.inline is only built if a
+// node falls back to the tree walk (what the nodes allocate behind the
+// auxNode interface is their own account: new entries, answer deltas).
+//
+//rtic:noalloc
+func runNodesInline(sc *stepCtx, nodes []auxNode, carry bool, tr obs.Tracer) error {
+	for _, node := range nodes {
+		if tr == nil {
+			if err := sc.runNode(node, &sc.inline, carry); err != nil {
 				return err
 			}
+			continue
 		}
-		return nil
+		//rtic:allocok DEBUG node tracing renders the formula; off unless a tracer asked for OpNodeUpdate
+		if err := sc.traceNode(node, &sc.inline, carry, tr); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// traceNode is runNode wrapped in an OpNodeUpdate trace event.
+func (sc *stepCtx) traceNode(node auxNode, ev *lazyEval, carry bool, tr obs.Tracer) error {
+	n0 := time.Now()
+	err := sc.runNode(node, ev, carry)
+	tr.Trace(obs.TraceEvent{
+		Op: obs.OpNodeUpdate, Detail: node.formula().String(),
+		Time: sc.t, Duration: time.Since(n0), Err: err,
+	})
+	return err
+}
+
+// runNodesPooled is the explicit WithParallelism(n>1) node loop. Runs
+// record per-node durations and errors in per-index slots and emit
+// trace events afterwards in schedule order, so output and the returned
+// error (the first node's, in schedule order) are deterministic
+// regardless of interleaving.
+func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, tr obs.Tracer, si *stepInstr, span *obs.Span, label string) error {
+	n := len(nodes)
 	errs := make([]error, n)
 	durs := make([]time.Duration, n)
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		ev := newEval()
+		ev := lazyEval{sc: sc}
 		if tr == nil {
-			errs[i] = f(nodes[i], ev)
+			errs[i] = sc.runNode(nodes[i], &ev, carry)
 			return
 		}
 		n0 := time.Now()
-		errs[i] = f(nodes[i], ev)
+		errs[i] = sc.runNode(nodes[i], &ev, carry)
 		durs[i] = time.Since(n0)
 	})
 	si.attributePool(span, batchStart, label, timings)
@@ -790,7 +804,7 @@ func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Ev
 		if tr != nil {
 			tr.Trace(obs.TraceEvent{
 				Op: obs.OpNodeUpdate, Detail: node.formula().String(),
-				Time: t, Duration: durs[i], Err: errs[i],
+				Time: sc.t, Duration: durs[i], Err: errs[i],
 			})
 		}
 	}
@@ -809,7 +823,7 @@ func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Ev
 // so results are identical to the sequential pipeline's. Per-check
 // trace events are gated on the tracer wanting OpConstraintCheck (the
 // DEBUG-frequency op); metrics are recorded regardless.
-func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
+func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
 		return nil, nil
@@ -826,15 +840,15 @@ func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluato
 		tr = nil
 	}
 	instrumented := m != nil || tr != nil
+	t := sc.t
 	if c.par <= 1 || n == 1 {
-		ev := newEval()
 		var out []check.Violation
 		for i, con := range c.constraints {
 			var c0 time.Time
 			if instrumented {
 				c0 = time.Now()
 			}
-			vs, err := c.checkCon(ev, sc, i, t)
+			vs, err := c.checkCon(&sc.inline, sc, i, t)
 			if m != nil && i < len(c.conMetrics) {
 				c.conMetrics[i].seconds.Observe(time.Since(c0).Seconds())
 				c.conMetrics[i].violations.Add(uint64(len(vs)))
@@ -857,12 +871,12 @@ func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluato
 	durs := make([]time.Duration, n)
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		ev := newEval()
+		ev := lazyEval{sc: sc}
 		var c0 time.Time
 		if instrumented {
 			c0 = time.Now()
 		}
-		results[i], errs[i] = c.checkCon(ev, sc, i, t)
+		results[i], errs[i] = c.checkCon(&ev, sc, i, t)
 		if instrumented {
 			durs[i] = time.Since(c0)
 		}
@@ -894,8 +908,8 @@ func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluato
 
 // checkOne evaluates one constraint's denial and materializes the
 // violation witnesses.
-func (c *Checker) checkOne(ev *fol.Evaluator, con *check.Constraint, t uint64) ([]check.Violation, error) {
-	b, err := ev.Eval(con.Denial)
+func (c *Checker) checkOne(ev *lazyEval, con *check.Constraint, t uint64) ([]check.Violation, error) {
+	b, err := ev.get().Eval(con.Denial)
 	if err != nil {
 		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
 	}
@@ -908,7 +922,7 @@ func (c *Checker) checkOne(ev *fol.Evaluator, con *check.Constraint, t uint64) (
 // changed source has exact row-level changes, otherwise run the
 // compiled plan in full — or the tree-walking evaluator when the
 // denial's shape defeated plan compilation.
-func (c *Checker) checkCon(ev *fol.Evaluator, sc *stepCtx, i int, t uint64) ([]check.Violation, error) {
+func (c *Checker) checkCon(ev *lazyEval, sc *stepCtx, i int, t uint64) ([]check.Violation, error) {
 	con := c.constraints[i]
 	if !sc.planned {
 		return c.checkOne(ev, con, t)
@@ -929,7 +943,7 @@ func (c *Checker) checkCon(ev *fol.Evaluator, sc *stepCtx, i int, t uint64) ([]c
 		return check.FromBindings(con, c.index, t, b)
 	}
 	if cs.plan != nil {
-		b, err := cs.plan.Eval(c.cur, sc.orc, nil)
+		b, err := cs.plan.Eval(c.cur, &sc.orc, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
 		}
@@ -937,7 +951,7 @@ func (c *Checker) checkCon(ev *fol.Evaluator, sc *stepCtx, i int, t uint64) ([]c
 		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionPlanned, Reason: fullEvalReason(clean, cs)}
 		return check.FromBindings(con, c.index, t, b)
 	}
-	b, err := ev.Eval(con.Denial)
+	b, err := ev.get().Eval(con.Denial)
 	if err != nil {
 		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
 	}
@@ -972,7 +986,7 @@ func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
 	out := fol.NewBindings(cs.plan.Vars())
 	var rerr error
 	cs.lastB.EachRow(func(row tuple.Tuple) bool {
-		ok, err := cs.plan.RetestRow(c.cur, sc.orc, row)
+		ok, err := cs.plan.RetestRow(c.cur, &sc.orc, row)
 		if err != nil {
 			rerr = err
 			return false
@@ -1019,7 +1033,7 @@ func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
 		if len(seeds) == 0 {
 			continue
 		}
-		if err := cs.plan.ExecuteSeeded(c.cur, sc.orc, src, seeds, emit); err != nil {
+		if err := cs.plan.ExecuteSeeded(c.cur, &sc.orc, src, seeds, emit); err != nil {
 			return nil, err
 		}
 		if rerr != nil {
@@ -1075,9 +1089,33 @@ func (c *Checker) Stats() Stats {
 	return s
 }
 
+// Totals reports the sums of Stats from the nodes' running accounts: a
+// few integer adds per node, no entry walked and nothing allocated.
+// PerNode is nil.
+//
+//rtic:noalloc
+func (c *Checker) Totals() Stats {
+	s := Stats{Nodes: len(c.nodes)}
+	for _, n := range c.nodes {
+		entries, timestamps, bytes := n.account()
+		s.Entries += entries
+		s.Timestamps += timestamps
+		s.Bytes += bytes
+	}
+	return s
+}
+
 // CheckInvariants verifies the internal invariants of every auxiliary
-// node (sorted, in-window, deduplicated timestamp sets); used by tests.
+// node (sorted, in-window, deduplicated timestamp sets) and that each
+// node's running storage account equals its full walk; used by tests.
 func (c *Checker) CheckInvariants() error {
+	for _, n := range c.nodes {
+		ns := n.stats()
+		if e, ts, b := n.account(); e != ns.Entries || ts != ns.Timestamps || b != ns.Bytes {
+			return fmt.Errorf("core: %q: running account entries=%d timestamps=%d bytes=%d, storage walk finds %d/%d/%d",
+				ns.Formula, e, ts, b, ns.Entries, ns.Timestamps, ns.Bytes)
+		}
+	}
 	if !c.started {
 		return nil
 	}

@@ -36,7 +36,12 @@ type stepCtx struct {
 	t       uint64
 	planned bool
 	delta   map[string]*relDelta
-	orc     *oracle
+	orc     oracle
+	// dom and inline serve the tree-walk fallback: the commit's one
+	// active-domain computation and the inline pipeline's evaluator,
+	// neither touched by a fully planned commit.
+	dom    domainCache
+	inline lazyEval
 }
 
 // relsChanged reports whether the commit touched any of rels (net).

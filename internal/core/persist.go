@@ -299,10 +299,14 @@ func decodeNode(node auxNode, sn snapNode) error {
 				return fmt.Errorf("core: snapshot entry arity %d for node %s (want %d)",
 					len(e.Row), n.node.String(), len(n.vars))
 			}
-			n.entries[e.Row.Key()] = &sinceEntry{
+			key := e.Row.Key()
+			if _, dup := n.entries[key]; dup {
+				return fmt.Errorf("core: snapshot repeats entry %s of node %s", key, n.node.String())
+			}
+			n.insert(key, &sinceEntry{
 				row:   e.Row.Clone(),
 				times: append([]uint64(nil), e.Times...),
-			}
+			})
 		}
 		return nil
 	default:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -142,5 +143,94 @@ func TestPoolMetrics(t *testing.T) {
 	}
 	if got := seqM.PoolQueueWaitSeconds.Count(); got != 0 {
 		t.Errorf("sequential run observed %d queue waits", got)
+	}
+}
+
+// TestDefaultPipelineIsInline pins the default width: a checker built
+// with no option, or with any n < 2, runs the pipeline inline — width 1
+// on the gauge, and no commit ever observes a pool queue wait.
+func TestDefaultPipelineIsInline(t *testing.T) {
+	h := workload.Uniform(workload.UniformConfig{Steps: 100, Seed: 11, OpsPerTx: 3, Domain: 8})
+	for name, opts := range map[string][]Option{
+		"no option": nil,
+		"n=0":       {WithParallelism(0)},
+		"n=-3":      {WithParallelism(-3)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := obs.NewMetrics(obs.NewRegistry())
+			c := newFromHistory(t, h, opts...)
+			c.SetObserver(&obs.Observer{Metrics: m})
+			if got := c.Parallelism(); got != 1 {
+				t.Fatalf("Parallelism() = %d, want 1", got)
+			}
+			if got := m.ParallelWorkers.Value(); got != 1 {
+				t.Errorf("rtic_parallel_workers = %d, want 1", got)
+			}
+			for _, s := range h.Steps {
+				if _, err := c.Step(s.Time, s.Tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := m.PoolQueueWaitSeconds.Count(); got != 0 {
+				t.Errorf("%d default commits observed %d pool queue waits", len(h.Steps), got)
+			}
+		})
+	}
+}
+
+// TestAuxGaugesTrackStatsEveryStep holds the storage gauges — published
+// from the nodes' running accounts — to a fresh full walk after every
+// commit of every workload, across a snapshot round trip, and pins the
+// upkeep at zero allocations.
+func TestAuxGaugesTrackStatsEveryStep(t *testing.T) {
+	for name, h := range workloadTraces() {
+		t.Run(name, func(t *testing.T) {
+			m := obs.NewMetrics(obs.NewRegistry())
+			c := newFromHistory(t, h)
+			c.SetObserver(&obs.Observer{Metrics: m})
+			check := func(c *Checker, i int) {
+				t.Helper()
+				st := c.Stats()
+				got := Stats{
+					Nodes:      int(m.AuxNodes.Value()),
+					Entries:    int(m.AuxEntries.Value()),
+					Timestamps: int(m.AuxTimestamps.Value()),
+					Bytes:      int(m.AuxBytes.Value()),
+				}
+				if got.Nodes != st.Nodes || got.Entries != st.Entries || got.Timestamps != st.Timestamps || got.Bytes != st.Bytes {
+					t.Fatalf("step %d: gauges %+v, full walk %d/%d/%d/%d", i, got, st.Nodes, st.Entries, st.Timestamps, st.Bytes)
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			half := len(h.Steps) / 2
+			for i, s := range h.Steps[:half] {
+				if _, err := c.Step(s.Time, s.Tx); err != nil {
+					t.Fatal(err)
+				}
+				check(c, i)
+			}
+			var snap bytes.Buffer
+			if err := c.SaveSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			r, err := LoadSnapshotObserved(h.Schema, &snap, &obs.Observer{Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatalf("restored: %v", err)
+			}
+			for i, s := range h.Steps[half:] {
+				if _, err := r.Step(s.Time, s.Tx); err != nil {
+					t.Fatal(err)
+				}
+				check(r, half+i)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { r.publishAuxGauges(m) }); allocs != 0 {
+				t.Errorf("gauge upkeep allocates %.0f objects per commit, want 0", allocs)
+			}
+		})
 	}
 }

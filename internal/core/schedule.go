@@ -1,7 +1,7 @@
 package core
 
 import (
-	"runtime"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +79,7 @@ func (c *Checker) schedule(f mtl.Formula, node auxNode) {
 	lvl := c.nodeLevel(f)
 	c.levelOf[node] = lvl
 	for len(c.levels) <= lvl {
+		c.levelLabels = append(c.levelLabels, fmt.Sprintf("L%d.", len(c.levels)))
 		c.levels = append(c.levels, nil)
 	}
 	c.levels[lvl] = append(c.levels[lvl], node)
@@ -187,12 +188,15 @@ func satMul(a, b uint64) uint64 {
 func (c *Checker) Parallelism() int { return c.par }
 
 // resolveParallelism maps the WithParallelism argument to a pool width:
-// n >= 1 is taken literally, anything else means GOMAXPROCS.
+// n >= 2 is taken literally, anything else means 1 — the inline
+// pipeline. A delta-driven commit is tens of microseconds of work;
+// waking a second CPU for it costs more than it saves (EXPERIMENTS.md,
+// Table 8), so fan-out is only ever an explicit request.
 func resolveParallelism(n int) int {
-	if n >= 1 {
-		return n
+	if n < 1 {
+		return 1
 	}
-	return runtime.GOMAXPROCS(0)
+	return n
 }
 
 // runTasks evaluates f(0..n-1) on a pool bounded by the checker's

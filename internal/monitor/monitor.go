@@ -76,7 +76,8 @@ func WithMode(m engine.Mode) Option {
 }
 
 // WithParallelism sets the worker-pool width of the incremental
-// engine's commit pipeline (n<=0 selects GOMAXPROCS, the default); the
+// engine's commit pipeline (n<=1, the default, runs it inline; n>=2 is
+// an explicit fan-out over n workers — see core.WithParallelism); the
 // other engines check sequentially and ignore it.
 func WithParallelism(n int) Option {
 	return func(o *options) { o.par = n }
@@ -84,8 +85,8 @@ func WithParallelism(n int) Option {
 
 // WithShards partitions the engine's state across n shard engines
 // behind a router (see internal/shard): transactions split by the
-// inferred per-relation partition columns, per-shard commits run
-// concurrently, results stay exact. n<=1 selects the plain unsharded
+// inferred per-relation partition columns, the shards commit one
+// after another, results stay exact. n<=1 selects the plain unsharded
 // engine. A sharded monitor journals one WAL per shard and snapshots
 // all shards in one file (see Durable); Restore needs the shard count
 // the snapshot was written with.

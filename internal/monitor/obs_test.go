@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtic/internal/cdcgen"
 	"rtic/internal/obs"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
@@ -63,6 +64,62 @@ func TestMonitorCountersAdvance(t *testing.T) {
 	}
 	if got := metrics.AuxBytes.Value(); got != int64(st.Bytes) {
 		t.Errorf("aux bytes gauge = %d, Stats says %d", got, st.Bytes)
+	}
+}
+
+// TestDefaultMonitorRunsInline: a monitor built without WithParallelism
+// reports a one-wide pipeline and never wakes the worker pool.
+func TestDefaultMonitorRunsInline(t *testing.T) {
+	m, metrics := observedMonitor(t)
+	for i := uint64(0); i < 50; i++ {
+		if _, err := m.Apply(i, ins("fire", int64(i%5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := metrics.ParallelWorkers.Value(); got != 1 {
+		t.Errorf("rtic_parallel_workers = %d, want 1", got)
+	}
+	if got := metrics.PoolQueueWaitSeconds.Count(); got != 0 {
+		t.Errorf("50 default commits observed %d pool queue waits", got)
+	}
+}
+
+// TestAuxGaugesExactEveryStep replays the five workload traces and one
+// CDC history through an unsharded and a two-shard monitor and holds
+// the exposed rtic_aux_* gauges — kept from running accounts, not from a
+// walk — to a fresh full-walk Stats() after every commit.
+func TestAuxGaugesExactEveryStep(t *testing.T) {
+	cdc, _ := cdcgen.Generate(cdcgen.Config{Steps: 150, Seed: 31, BurstLen: 6, BurstEvery: 8, MaxReorder: 2, Sensors: 12, ViolationRate: 0.15})
+	traces := map[string]workload.History{
+		"uniform": workload.Uniform(workload.UniformConfig{Steps: 150, Seed: 7, OpsPerTx: 2, Domain: 8}),
+		"tickets": workload.Tickets(workload.TicketsConfig{Steps: 150, Seed: 8, ViolationRate: 0.05}),
+		"hr":      workload.HR(workload.HRConfig{Steps: 150, Seed: 9, ViolationRate: 0.05}),
+		"library": workload.Library(workload.LibraryConfig{Steps: 150, Seed: 10, ViolationRate: 0.05}),
+		"alarms":  workload.Alarms(workload.AlarmsConfig{Steps: 150, Seed: 11, ViolationRate: 0.05}),
+		"cdc":     cdc,
+	}
+	for name, h := range traces {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				m, err := New(h.Schema, h.Constraints, WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				metrics := obs.NewMetrics(obs.NewRegistry())
+				m.SetObserver(&obs.Observer{Metrics: metrics})
+				for i, s := range h.Steps {
+					if _, err := m.Apply(s.Time, s.Tx); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+					st := m.Stats()
+					got := [4]int64{metrics.AuxNodes.Value(), metrics.AuxEntries.Value(), metrics.AuxTimestamps.Value(), metrics.AuxBytes.Value()}
+					want := [4]int64{int64(st.Nodes), int64(st.Entries), int64(st.Timestamps), int64(st.Bytes)}
+					if got != want {
+						t.Fatalf("step %d: gauges nodes/entries/timestamps/bytes = %v, full walk = %v", i, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

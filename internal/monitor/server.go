@@ -167,16 +167,20 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 4096), maxLineBytes)
+	// Every reply line goes through w, flushed once per command after
+	// the terminating line, so a commit with k violations is one
+	// write to the socket, not k+1. Replies are never held across
+	// commands: a pipelined client sees each acknowledgement as soon as
+	// its commit is done.
 	w := bufio.NewWriter(conn)
-	reply := func(format string, args ...interface{}) bool {
+	reply := func(format string, args ...interface{}) {
 		fmt.Fprintf(w, format+"\n", args...)
-		return w.Flush() == nil
 	}
-	replyError := func(format string, args ...interface{}) bool {
+	replyError := func(format string, args ...interface{}) {
 		if m != nil {
 			m.ProtocolErrors.Inc()
 		}
-		return reply("error "+format, args...)
+		reply("error "+format, args...)
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -187,16 +191,12 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		case line == "stats":
 			st := s.M.Stats()
-			if !reply("stats nodes=%d entries=%d timestamps=%d bytes=%d",
-				st.Nodes, st.Entries, st.Timestamps, st.Bytes) {
-				return
-			}
+			reply("stats nodes=%d entries=%d timestamps=%d bytes=%d",
+				st.Nodes, st.Entries, st.Timestamps, st.Bytes)
 		case line == "metrics":
 			if m == nil {
-				if !replyError("metrics not enabled") {
-					return
-				}
-				continue
+				replyError("metrics not enabled")
+				break
 			}
 			// Render the full exposition to memory first: the conn write
 			// below can stall on a slow reader for as long as the idle
@@ -206,12 +206,8 @@ func (s *Server) handle(conn net.Conn) {
 			if err := m.Registry().WritePrometheus(&expo); err != nil {
 				return
 			}
-			if _, err := w.Write(expo.Bytes()); err != nil {
-				return
-			}
-			if !reply("# EOF") {
-				return
-			}
+			fmt.Fprintln(&expo, "# EOF")
+			w.Write(expo.Bytes()) //rtic:errok bufio.Writer errors are sticky; the Flush below reports it
 		case line == "lint":
 			ds := s.M.Diagnostics()
 			for _, d := range ds {
@@ -219,75 +215,60 @@ func (s *Server) handle(conn net.Conn) {
 				if name == "" {
 					name = "-"
 				}
-				if !reply("diag %s %s %s %s", d.Severity, d.Rule, name, d.Message) {
-					return
-				}
+				reply("diag %s %s %s %s", d.Severity, d.Rule, name, d.Message)
 			}
-			if !reply("ok %d", len(ds)) {
-				return
-			}
+			reply("ok %d", len(ds))
 		case line == "recent" || strings.HasPrefix(line, "recent "):
 			n := 10
 			if rest := strings.TrimSpace(strings.TrimPrefix(line, "recent")); rest != "" {
 				parsed, err := strconv.Atoi(rest)
 				if err != nil || parsed < 1 {
-					if !replyError("recent wants a positive count, got %q", rest) {
-						return
-					}
-					continue
+					replyError("recent wants a positive count, got %q", rest)
+					break
 				}
 				n = parsed
 			}
 			vs := s.M.Recent(n)
 			for _, v := range vs {
-				if !reply("violation %s", v.String()) {
-					return
-				}
+				reply("violation %s", v.String())
 			}
-			if !reply("ok %d", len(vs)) {
-				return
-			}
+			reply("ok %d", len(vs))
 		default:
 			t, tx, ok, err := spec.ParseLogLine(line)
 			if err != nil {
-				if !replyError("%v", err) {
-					return
-				}
-				continue
+				replyError("%v", err)
+				break
 			}
 			if !ok {
 				continue
 			}
 			vs, err := s.M.Apply(t, tx)
 			if err != nil {
-				if !replyError("%v", err) {
-					return
-				}
-				continue
+				replyError("%v", err)
+				break
 			}
 			for _, v := range vs {
-				if !reply("violation %s", v.String()) {
-					return
-				}
+				reply("violation %s", v.String())
 			}
-			if !reply("ok %d", len(vs)) {
-				return
-			}
+			reply("ok %d", len(vs))
+		}
+		if w.Flush() != nil {
+			return
 		}
 	}
 	// A scan error (oversized line, mid-line disconnect) would otherwise
 	// kill the loop silently; tell the client what happened before the
 	// deferred close. bufio reports ErrTooLong for lines over the cap.
 	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
+		switch {
+		case errors.Is(err, bufio.ErrTooLong):
 			replyError("line exceeds %d bytes", maxLineBytes)
-			return
-		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
+		case errors.Is(err, os.ErrDeadlineExceeded):
 			replyError("idle for more than %s, closing", s.idleTimeout)
-			return
+		default:
+			replyError("read: %v", err)
 		}
-		replyError("read: %v", err)
+		w.Flush() //rtic:errok a last courtesy to a connection that is closing either way
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package shard scales checking past one state's lock: a Router fronts
-// N independent engines, hash-partitions relation state by a
+// Package shard partitions checking across independent states: a Router
+// fronts N independent engines, hash-partitions relation state by a
 // per-relation partition column inferred from constraint join keys, and
-// runs shard commits concurrently.
+// commits each transaction's per-shard slices one shard after another.
 //
 // The results are exact, never approximate. A constraint is installed
 // on every shard only when the static analysis in this file proves that

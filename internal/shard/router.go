@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"rtic/internal/active"
@@ -30,7 +29,10 @@ type Factory func() engine.Engine
 // the engines, installs each constraint according to the current Plan
 // (partitionable constraints on every shard, the rest on the global
 // shard), and from then on splits every transaction by the per-relation
-// partition columns and commits the sub-transactions concurrently.
+// partition columns and commits the sub-transactions one shard after
+// another on the committing goroutine: a sub-commit is tens of
+// microseconds, less than the wake-up a goroutine per shard would cost
+// (EXPERIMENTS.md, Table 9).
 //
 // Every shard steps at every commit timestamp — shards the split
 // leaves empty receive an empty sub-transaction — so temporal window
@@ -78,13 +80,9 @@ func New(s *schema.Schema, shards int, factory Factory) (*Router, error) {
 
 // NewMode is New with the factory derived from an engine mode, the
 // shape the public checker and the monitor use. Parallelism sets each
-// shard engine's commit-pipeline width in Incremental mode (values
-// below 1 mean 1: with shard concurrency on top, per-shard pipelines
-// default to sequential).
+// shard engine's commit-pipeline width in Incremental mode, with
+// core.WithParallelism's meaning (below 2: inline).
 func NewMode(s *schema.Schema, shards int, mode engine.Mode, parallelism int) (*Router, error) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	var factory Factory
 	switch mode {
 	case engine.Incremental:
@@ -280,7 +278,7 @@ func (r *Router) Step(t uint64, tx *storage.Transaction) ([]check.Violation, err
 			for _, v := range vs {
 				m.Violations.With(v.Constraint).Inc()
 			}
-			r.refreshAuxGauges(m)
+			r.publishAuxGauges(m)
 		}
 	}
 	if tr != nil {
@@ -340,34 +338,21 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 			}
 		}
 		outs := make([][]check.Violation, r.n)
-		errs := make([]error, r.n)
 		durs := make([]time.Duration, r.n)
-		sps := make([]*obs.Span, r.n)
-		var wg sync.WaitGroup
 		for i := range r.engines {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i], sps[i], durs[i], errs[i] = r.stepOne(i, t, parts[i], m, span != nil)
-			}(i)
-		}
-		wg.Wait()
-		if span != nil {
-			for _, sp := range sps {
-				if sp != nil {
-					span.Children = append(span.Children, sp)
-				}
+			out, sp, d, err := r.stepOne(i, t, parts[i], m, span != nil)
+			if sp != nil {
+				span.Children = append(span.Children, sp)
 			}
+			if err != nil {
+				r.broken = fmt.Errorf("shard %d: %w", i, err)
+				return nil, r.broken
+			}
+			outs[i], durs[i] = out, d
 		}
 		if m != nil {
 			if skew := shardSkew(durs); skew > 0 {
 				m.ShardSkew.Set(skew)
-			}
-		}
-		for i, err := range errs {
-			if err != nil {
-				r.broken = fmt.Errorf("shard %d: %w", i, err)
-				return nil, r.broken
 			}
 		}
 		vs = r.merge(outs)
@@ -380,8 +365,7 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 
 // stepOne commits one shard's sub-transaction, timing it when observed.
 // With wantSpan set it also returns a completed shard.commit span on
-// lane i+1; the caller attaches children after the fan-in, so
-// concurrent shard commits never touch the shared commit span.
+// lane i+1 for the caller to attach to the commit span.
 func (r *Router) stepOne(i int, t uint64, tx *storage.Transaction, m *obs.Metrics, wantSpan bool) ([]check.Violation, *obs.Span, time.Duration, error) {
 	if m == nil && !wantSpan {
 		vs, err := r.engines[i].Step(t, tx)
@@ -525,10 +509,15 @@ func engineState(e engine.Engine) (*storage.State, error) {
 // shard — while Nodes and Bytes count the per-shard copies of
 // partitionable constraints' node structures.
 func (r *Router) Stats() core.Stats {
+	return r.sumStats((*core.Checker).Stats)
+}
+
+// sumStats adds up one per-shard storage report across the shards.
+func (r *Router) sumStats(of func(*core.Checker) core.Stats) core.Stats {
 	var total core.Stats
 	for _, e := range r.engines {
 		if c, ok := e.(*core.Checker); ok {
-			st := c.Stats()
+			st := of(c)
 			total.Nodes += st.Nodes
 			total.Entries += st.Entries
 			total.Timestamps += st.Timestamps
@@ -538,9 +527,11 @@ func (r *Router) Stats() core.Stats {
 	return total
 }
 
-// refreshAuxGauges republishes the summed auxiliary-storage gauges.
-func (r *Router) refreshAuxGauges(m *obs.Metrics) {
-	st := r.Stats()
+// publishAuxGauges republishes the summed auxiliary-storage gauges from
+// the shard engines' running accounts (core.Checker.Totals): no entry
+// walked, nothing allocated.
+func (r *Router) publishAuxGauges(m *obs.Metrics) {
+	st := r.sumStats((*core.Checker).Totals)
 	m.AuxNodes.Set(int64(st.Nodes))
 	m.AuxEntries.Set(int64(st.Entries))
 	m.AuxTimestamps.Set(int64(st.Timestamps))

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -432,5 +433,87 @@ func TestRouterEmptyShardStepsKeepWindowsExact(t *testing.T) {
 		if !reflect.DeepEqual(canon(got), canon(want)) {
 			t.Fatalf("t=%d: violations diverge\ngot  %v\nwant %v", st.t, canon(got), canon(want))
 		}
+	}
+}
+
+// failingEngine is a shard engine whose commits fail from a given
+// timestamp on, standing in for a shard that breaks mid-history.
+type failingEngine struct {
+	engine.Engine
+	failFrom uint64
+}
+
+func (f *failingEngine) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
+	if t >= f.failFrom {
+		return nil, fmt.Errorf("disk on fire at t=%d", t)
+	}
+	return f.Engine.Step(t, tx)
+}
+
+// TestRouterBrokenLatch: a shard failing after validation latches the
+// router — the error names the first failing shard in shard order, and
+// every later commit and snapshot is refused with that cause.
+func TestRouterBrokenLatch(t *testing.T) {
+	s := testSchema(t)
+	built := 0
+	r, err := New(s, 3, func() engine.Engine {
+		built++
+		// AddConstraint probes with one throwaway engine first; of the
+		// three the seal builds, shards 1 and 2 fail from t=2.
+		if built >= 3 {
+			return &failingEngine{Engine: core.New(s), failFrom: 2}
+		}
+		return core.New(s)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddConstraint(parse(t, s, "part", "p(x) -> not once[0,3] q(x)")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Step(1, storage.NewTransaction().Insert("q", tuple.Ints(1))); err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Step(2, storage.NewTransaction().Insert("p", tuple.Ints(1)))
+	if err == nil || !strings.Contains(err.Error(), "shard 1: disk on fire at t=2") {
+		t.Fatalf("failing commit: err = %v, want shard 1's failure", err)
+	}
+	if r.Now() != 1 || r.Len() != 1 {
+		t.Errorf("failed commit advanced the router: now=%d len=%d", r.Now(), r.Len())
+	}
+	_, err = r.Step(3, storage.NewTransaction())
+	if err == nil || !strings.Contains(err.Error(), "router unusable after earlier shard failure: shard 1") {
+		t.Fatalf("commit after failure: err = %v, want the latch", err)
+	}
+	if err := r.SaveSnapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("snapshot after failure: err = %v, want the latch", err)
+	}
+}
+
+// TestRouterAuxGaugeUpkeepAllocationFree pins the per-commit storage
+// gauge upkeep — summed from the shard engines' running accounts — at
+// zero allocations.
+func TestRouterAuxGaugeUpkeepAllocationFree(t *testing.T) {
+	s := testSchema(t)
+	r, err := New(s, 2, coreFactory(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddConstraint(parse(t, s, "part", "p(x) -> not once[0,3] q(x)")); err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics(obs.NewRegistry())
+	r.SetObserver(&obs.Observer{Metrics: m})
+	rng := rand.New(rand.NewSource(5))
+	for i := 1; i <= 50; i++ {
+		if _, err := r.Step(uint64(i), randomTx(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.Stats(); m.AuxEntries.Value() != int64(st.Entries) || m.AuxBytes.Value() != int64(st.Bytes) {
+		t.Fatalf("gauges entries=%d bytes=%d, full walk %d/%d", m.AuxEntries.Value(), m.AuxBytes.Value(), st.Entries, st.Bytes)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.publishAuxGauges(m) }); allocs != 0 {
+		t.Errorf("gauge upkeep allocates %.0f objects per commit, want 0", allocs)
 	}
 }

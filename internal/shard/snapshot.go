@@ -155,9 +155,6 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards, parallelism int) (*Rou
 		return nil, err
 	}
 
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	r, err := NewMode(s, shards, engine.Incremental, parallelism)
 	if err != nil {
 		return nil, err

@@ -52,10 +52,15 @@ func TestParallelismAccessor(t *testing.T) {
 	if got := c.Parallelism(); got != 1 {
 		t.Fatalf("Parallelism() = %d, want 1", got)
 	}
-	// Default: GOMAXPROCS, so at least 1.
+	// Default, and anything below 2: the inline pipeline. Fan-out is
+	// only ever an explicit request.
 	c, _ = NewChecker(s)
-	if got := c.Parallelism(); got < 1 {
-		t.Fatalf("default Parallelism() = %d", got)
+	if got := c.Parallelism(); got != 1 {
+		t.Fatalf("default Parallelism() = %d, want 1", got)
+	}
+	c, _ = NewChecker(s, WithParallelism(0))
+	if got := c.Parallelism(); got != 1 {
+		t.Fatalf("WithParallelism(0): Parallelism() = %d, want 1", got)
 	}
 	// Sequential engines report 1 regardless of the option.
 	n, _ := NewChecker(s, WithMode(Naive), WithParallelism(8))

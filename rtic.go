@@ -170,11 +170,12 @@ func WithMode(m Mode) Option {
 }
 
 // WithParallelism sets the worker-pool width of the incremental
-// engine's commit pipeline: independent auxiliary-node updates and
-// constraint checks of one commit run on at most n goroutines. n=1
-// runs the pipeline inline (the exact sequential algorithm); n<=0 —
-// the default — selects GOMAXPROCS. The other engines check
-// sequentially and ignore the option.
+// engine's commit pipeline. n<=1 — the default — runs the pipeline
+// inline on the committing goroutine (the exact sequential algorithm);
+// n>=2 is an explicit opt-in: independent auxiliary-node updates and
+// constraint checks of one commit run on at most n goroutines, with
+// identical results. The other engines check sequentially and ignore
+// the option.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.par = n }
 }
@@ -182,13 +183,12 @@ func WithParallelism(n int) Option {
 // WithShards partitions the checker's state across n independent shard
 // engines fronted by a router: each relation is hash-partitioned by a
 // column inferred from the constraints' join keys, transactions split
-// by ownership, and the per-shard commits run concurrently. Results
+// by ownership, and the shards commit one after another. Results
 // stay exact — a constraint whose witnesses the static analysis cannot
 // pin to one shard falls back to a designated global shard (see
 // internal/shard). n<=1 selects the plain unsharded engine. Sharding
 // composes with WithMode; WithParallelism then sets each shard
-// engine's internal pipeline width (default 1 when sharded — shard
-// concurrency replaces pipeline concurrency).
+// engine's internal pipeline width, with the same meaning as unsharded.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
