@@ -11,7 +11,7 @@ import (
 	"rtic/internal/workload"
 )
 
-func hrMonitor(t *testing.T) (*Monitor, *schema.Schema) {
+func hrMonitor(t testing.TB) (*Monitor, *schema.Schema) {
 	t.Helper()
 	s := schema.NewBuilder().Relation("hire", 1).Relation("fire", 1).MustBuild()
 	m, err := New(s, []workload.ConstraintSpec{

@@ -40,6 +40,15 @@ const maxLineBytes = 1 << 20
 //	           constraint for spec-level findings), then "ok N"
 //	quit    -> closes the connection
 //
+// Replies leave in order through one buffer per connection, and the
+// server never blocks in a read of the socket while that buffer holds
+// reply bytes: it flushes immediately before every read (and whenever
+// 4 KiB of replies have accumulated, and on every way out of the
+// session). A client that sends one command and waits gets its reply in
+// one write; a client that pipelines gets the acknowledgements of the
+// commands that arrived together in one write — same lines, same order,
+// fewer segments.
+//
 // Lines up to 1 MiB are accepted; a longer line (or any other read
 // error) earns a final "error" reply before the connection closes.
 // Timestamps are global across clients (the monitor serializes commits),
@@ -161,26 +170,37 @@ func (s *Server) handle(conn net.Conn) {
 			m.ConnectionsActive.Dec()
 		}
 	}()
+	// Every reply line goes through w, and nothing flushes it per
+	// command: flushReader does, when the scanner is about to wait on the
+	// socket. The deferred Flush covers every way out (quit, EOF after a
+	// half-close, read errors) and runs before the deferred Close above.
+	w := bufio.NewWriter(conn)
+	defer w.Flush() //rtic:errok the session is over; a client that is gone cannot be told
 	var src io.Reader = conn
 	if s.idleTimeout > 0 {
 		src = &idleReader{conn: conn, timeout: s.idleTimeout}
 	}
-	sc := bufio.NewScanner(src)
+	sc := bufio.NewScanner(&flushReader{w: w, src: src})
 	sc.Buffer(make([]byte, 0, 4096), maxLineBytes)
-	// Every reply line goes through w, flushed once per command after
-	// the terminating line, so a commit with k violations is one
-	// write to the socket, not k+1. Replies are never held across
-	// commands: a pipelined client sees each acknowledgement as soon as
-	// its commit is done.
-	w := bufio.NewWriter(conn)
-	reply := func(format string, args ...interface{}) {
-		fmt.Fprintf(w, format+"\n", args...)
-	}
 	replyError := func(format string, args ...interface{}) {
 		if m != nil {
 			m.ProtocolErrors.Inc()
 		}
-		reply("error "+format, args...)
+		fmt.Fprintf(w, "error "+format+"\n", args...)
+	}
+	// The hot replies skip fmt: "ok N" is appended into the buffer's own
+	// spare room, the other lines are written part by part. Write errors
+	// are sticky in bufio.Writer; the next Flush reports them.
+	replyOK := func(n int) {
+		b := append(w.AvailableBuffer(), "ok "...)
+		b = strconv.AppendInt(b, int64(n), 10)
+		w.Write(append(b, '\n')) //rtic:errok sticky; the next Flush reports it
+	}
+	replyLine := func(parts ...string) {
+		for _, p := range parts {
+			w.WriteString(p) //rtic:errok sticky; the next Flush reports it
+		}
+		w.WriteByte('\n')
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -191,7 +211,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		case line == "stats":
 			st := s.M.Stats()
-			reply("stats nodes=%d entries=%d timestamps=%d bytes=%d",
+			fmt.Fprintf(w, "stats nodes=%d entries=%d timestamps=%d bytes=%d\n",
 				st.Nodes, st.Entries, st.Timestamps, st.Bytes)
 		case line == "metrics":
 			if m == nil {
@@ -199,15 +219,15 @@ func (s *Server) handle(conn net.Conn) {
 				break
 			}
 			// Render the full exposition to memory first: the conn write
-			// below can stall on a slow reader for as long as the idle
-			// timeout allows, and nothing shared with the commit path may
-			// be held while it does.
+			// can stall on a slow reader for as long as the idle timeout
+			// allows, and nothing shared with the commit path may be held
+			// while it does.
 			var expo bytes.Buffer
 			if err := m.Registry().WritePrometheus(&expo); err != nil {
 				return
 			}
 			fmt.Fprintln(&expo, "# EOF")
-			w.Write(expo.Bytes()) //rtic:errok bufio.Writer errors are sticky; the Flush below reports it
+			w.Write(expo.Bytes()) //rtic:errok sticky; the next Flush reports it
 		case line == "lint":
 			ds := s.M.Diagnostics()
 			for _, d := range ds {
@@ -215,9 +235,9 @@ func (s *Server) handle(conn net.Conn) {
 				if name == "" {
 					name = "-"
 				}
-				reply("diag %s %s %s %s", d.Severity, d.Rule, name, d.Message)
+				replyLine("diag ", d.Severity.String(), " ", d.Rule, " ", name, " ", d.Message)
 			}
-			reply("ok %d", len(ds))
+			replyOK(len(ds))
 		case line == "recent" || strings.HasPrefix(line, "recent "):
 			n := 10
 			if rest := strings.TrimSpace(strings.TrimPrefix(line, "recent")); rest != "" {
@@ -230,9 +250,9 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			vs := s.M.Recent(n)
 			for _, v := range vs {
-				reply("violation %s", v.String())
+				replyLine("violation ", v.String())
 			}
-			reply("ok %d", len(vs))
+			replyOK(len(vs))
 		default:
 			t, tx, ok, err := spec.ParseLogLine(line)
 			if err != nil {
@@ -248,18 +268,17 @@ func (s *Server) handle(conn net.Conn) {
 				break
 			}
 			for _, v := range vs {
-				reply("violation %s", v.String())
+				replyLine("violation ", v.String())
 			}
-			reply("ok %d", len(vs))
-		}
-		if w.Flush() != nil {
-			return
+			replyOK(len(vs))
 		}
 	}
 	// A scan error (oversized line, mid-line disconnect) would otherwise
 	// kill the loop silently; tell the client what happened before the
-	// deferred close. bufio reports ErrTooLong for lines over the cap.
-	if err := sc.Err(); err != nil {
+	// deferred flush and close. bufio reports ErrTooLong for lines over
+	// the cap. A failed flush also ends the scan (flushReader passes it
+	// on), and then there is no one left to tell.
+	if err := sc.Err(); err != nil && w.Flush() == nil {
 		switch {
 		case errors.Is(err, bufio.ErrTooLong):
 			replyError("line exceeds %d bytes", maxLineBytes)
@@ -268,8 +287,23 @@ func (s *Server) handle(conn net.Conn) {
 		default:
 			replyError("read: %v", err)
 		}
-		w.Flush() //rtic:errok a last courtesy to a connection that is closing either way
 	}
+}
+
+// flushReader flushes w before every read of src: the scanner asks its
+// source for bytes only when it holds no complete line, so this is the
+// one place the session can wait on its client, and it never does so
+// with replies still in hand.
+type flushReader struct {
+	w   *bufio.Writer
+	src io.Reader
+}
+
+func (r *flushReader) Read(p []byte) (int, error) {
+	if err := r.w.Flush(); err != nil {
+		return 0, err
+	}
+	return r.src.Read(p)
 }
 
 // idleReader refreshes the connection's read deadline before every

@@ -42,10 +42,11 @@ type Factory func() engine.Engine
 // Router is not safe for concurrent Steps (neither are the engines it
 // fronts); the monitor serializes commits above it.
 type Router struct {
-	schema  *schema.Schema
-	n       int
-	factory Factory
-	obs     *obs.Observer
+	schema   *schema.Schema
+	n        int
+	factory  Factory
+	obs      *obs.Observer
+	perShard []shardMetrics // obs's per-shard series, by shard; nil without metrics
 
 	cons  []*check.Constraint
 	names map[string]bool
@@ -133,21 +134,30 @@ func (r *Router) AddConstraint(con *check.Constraint) error {
 	return nil
 }
 
+// shardMetrics is one shard's labelled series, resolved once so that a
+// commit does not pay a label lookup per shard per series.
+type shardMetrics struct {
+	commits       *obs.Counter
+	commitSeconds *obs.Histogram
+	opsRouted     *obs.Counter
+}
+
 // SetObserver attaches (or detaches, with nil) instrumentation. The
 // shard engines themselves stay unobserved — N engines reporting into
 // the one engine section would double-count commits — the router
 // records commit, violation and per-shard routing metrics itself.
 func (r *Router) SetObserver(o *obs.Observer) {
 	r.obs = o
+	r.perShard = nil
 	if m, _ := o.Parts(); m != nil {
 		m.Shards.Set(int64(r.n))
 		r.syncPlanMetrics(m)
 	}
 }
 
-// syncPlanMetrics republishes the plan-derived gauges and pre-registers
-// the per-shard and per-constraint series so a scrape shows them at
-// zero.
+// syncPlanMetrics republishes the plan-derived gauges, resolves the
+// per-shard series the commit path updates, and pre-registers the
+// per-constraint series, so a scrape shows them all at zero.
 func (r *Router) syncPlanMetrics(m *obs.Metrics) {
 	global := 0
 	for _, cp := range r.plan.Cons {
@@ -156,11 +166,14 @@ func (r *Router) syncPlanMetrics(m *obs.Metrics) {
 		}
 	}
 	m.ShardGlobalConstraints.Set(int64(global))
-	for i := 0; i < r.n; i++ {
+	r.perShard = make([]shardMetrics, r.n)
+	for i := range r.perShard {
 		label := strconv.Itoa(i)
-		m.ShardCommits.With(label)
-		m.ShardOpsRouted.With(label)
-		m.ShardCommitSeconds.With(label)
+		r.perShard[i] = shardMetrics{
+			commits:       m.ShardCommits.With(label),
+			commitSeconds: m.ShardCommitSeconds.With(label),
+			opsRouted:     m.ShardOpsRouted.With(label),
+		}
 	}
 	for _, con := range r.cons {
 		m.Violations.With(con.Name)
@@ -315,7 +328,7 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 			return nil, err
 		}
 		if m != nil && tx != nil && tx.Len() > 0 {
-			m.ShardOpsRouted.With("0").Add(uint64(tx.Len()))
+			r.perShard[0].opsRouted.Add(uint64(tx.Len()))
 		}
 	} else {
 		// Validate before any shard applies anything: a rejected
@@ -333,7 +346,7 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 		if m != nil {
 			for i, p := range parts {
 				if n := len(p.Ops()); n > 0 {
-					m.ShardOpsRouted.With(strconv.Itoa(i)).Add(uint64(n))
+					r.perShard[i].opsRouted.Add(uint64(n))
 				}
 			}
 		}
@@ -375,9 +388,8 @@ func (r *Router) stepOne(i int, t uint64, tx *storage.Transaction, m *obs.Metric
 	vs, err := r.engines[i].Step(t, tx)
 	d := time.Since(start)
 	if m != nil && err == nil {
-		label := strconv.Itoa(i)
-		m.ShardCommits.With(label).Inc()
-		m.ShardCommitSeconds.With(label).Observe(d.Seconds())
+		r.perShard[i].commits.Inc()
+		r.perShard[i].commitSeconds.Observe(d.Seconds())
 	}
 	var sp *obs.Span
 	if wantSpan {

@@ -106,13 +106,13 @@ func ParseLogLine(line string) (t uint64, tx *storage.Transaction, ok bool, err 
 	if !strings.HasPrefix(line, "@") {
 		return 0, nil, false, fmt.Errorf("spec: log line must start with \"@time\": %q", line)
 	}
-	fields := splitOps(line)
-	t, err = strconv.ParseUint(strings.TrimPrefix(fields[0], "@"), 10, 64)
+	stamp, ops := nextOp(line)
+	t, err = strconv.ParseUint(strings.TrimPrefix(stamp, "@"), 10, 64)
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("spec: bad timestamp in %q: %v", fields[0], err)
+		return 0, nil, false, fmt.Errorf("spec: bad timestamp in %q: %v", stamp, err)
 	}
 	tx = storage.NewTransaction()
-	for _, f := range fields[1:] {
+	for f, ops := nextOp(ops); f != ""; f, ops = nextOp(ops) {
 		if len(f) < 2 || (f[0] != '+' && f[0] != '-') {
 			return 0, nil, false, fmt.Errorf("spec: bad operation %q (want +rel(...) or -rel(...))", f)
 		}
@@ -130,41 +130,30 @@ func ParseLogLine(line string) (t uint64, tx *storage.Transaction, ok bool, err 
 	return t, tx, true, nil
 }
 
-// splitOps splits on whitespace outside single-quoted strings and
-// outside parentheses, so "+badge('ann', 'red')" stays one token.
-func splitOps(line string) []string {
-	var out []string
-	var cur strings.Builder
-	inStr := false
-	depth := 0
+// nextOp cuts the first token off line: tokens are separated by blanks
+// outside single-quoted strings and outside parentheses, so
+// "+badge('ann', 'red')" stays one token. Both results are substrings of
+// line — this runs once per operation of every commit, and copies
+// nothing. An empty token means the line is used up.
+func nextOp(line string) (tok, rest string) {
+	line = strings.TrimLeft(line, " \t")
+	inStr, depth := false, 0
 	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == '\'' {
+		switch c := line[i]; {
+		case c == '\'':
 			inStr = !inStr
-		}
-		if !inStr {
-			switch c {
-			case '(':
-				depth++
-			case ')':
-				if depth > 0 {
-					depth--
-				}
+		case inStr:
+		case c == '(':
+			depth++
+		case c == ')':
+			if depth > 0 {
+				depth--
 			}
+		case depth == 0 && (c == ' ' || c == '\t'):
+			return line[:i], line[i+1:]
 		}
-		if !inStr && depth == 0 && (c == ' ' || c == '\t') {
-			if cur.Len() > 0 {
-				out = append(out, cur.String())
-				cur.Reset()
-			}
-			continue
-		}
-		cur.WriteByte(c)
 	}
-	if cur.Len() > 0 {
-		out = append(out, cur.String())
-	}
-	return out
+	return line, ""
 }
 
 // parseTupleCall reads "rel(lit, lit, …)".
@@ -178,35 +167,32 @@ func parseTupleCall(s string) (string, tuple.Tuple, error) {
 	if strings.TrimSpace(body) == "" {
 		return rel, tuple.Of(), nil
 	}
-	parts := splitArgs(body)
-	row := make(tuple.Tuple, len(parts))
-	for i, p := range parts {
-		v, err := value.Parse(strings.TrimSpace(p))
+	row := make(tuple.Tuple, 0, strings.Count(body, ",")+1)
+	for more := true; more; {
+		var arg string
+		arg, body, more = nextArg(body)
+		v, err := value.Parse(strings.TrimSpace(arg))
 		if err != nil {
 			return "", nil, fmt.Errorf("spec: tuple %q: %w", s, err)
 		}
-		row[i] = v
+		row = append(row, v)
 	}
 	return rel, row, nil
 }
 
-// splitArgs splits on commas outside single-quoted strings.
-func splitArgs(body string) []string {
-	var out []string
-	var cur strings.Builder
+// nextArg cuts body at its first comma outside single-quoted strings;
+// more reports that there was one, so another argument follows.
+func nextArg(body string) (arg, rest string, more bool) {
 	inStr := false
 	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c == '\'' {
+		switch body[i] {
+		case '\'':
 			inStr = !inStr
+		case ',':
+			if !inStr {
+				return body[:i], body[i+1:], true
+			}
 		}
-		if !inStr && c == ',' {
-			out = append(out, cur.String())
-			cur.Reset()
-			continue
-		}
-		cur.WriteByte(c)
 	}
-	out = append(out, cur.String())
-	return out
+	return body, "", false
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,4 +114,118 @@ func TestParseLogLineErrors(t *testing.T) {
 			t.Errorf("ParseLogLine(%q) err = %v, want containing %q", c.line, err, c.frag)
 		}
 	}
+}
+
+// oldSplitOps and oldSplitArgs are the tokenisers ParseLogLine used
+// before it sliced its input: they rebuild every token byte by byte.
+// They stay here as the reference nextOp and nextArg are held to.
+func oldSplitOps(line string) []string {
+	var out []string
+	var cur strings.Builder
+	inStr := false
+	depth := 0
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		if c == '\'' {
+			inStr = !inStr
+		}
+		if !inStr {
+			switch c {
+			case '(':
+				depth++
+			case ')':
+				if depth > 0 {
+					depth--
+				}
+			}
+		}
+		if !inStr && depth == 0 && (c == ' ' || c == '\t') {
+			if cur.Len() > 0 {
+				out = append(out, cur.String())
+				cur.Reset()
+			}
+			continue
+		}
+		cur.WriteByte(c)
+	}
+	if cur.Len() > 0 {
+		out = append(out, cur.String())
+	}
+	return out
+}
+
+func oldSplitArgs(body string) []string {
+	var out []string
+	var cur strings.Builder
+	inStr := false
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		if c == '\'' {
+			inStr = !inStr
+		}
+		if !inStr && c == ',' {
+			out = append(out, cur.String())
+			cur.Reset()
+			continue
+		}
+		cur.WriteByte(c)
+	}
+	out = append(out, cur.String())
+	return out
+}
+
+func allOps(line string) []string {
+	var out []string
+	for tok, rest := nextOp(line); tok != ""; tok, rest = nextOp(rest) {
+		out = append(out, tok)
+	}
+	return out
+}
+
+func allArgs(body string) []string {
+	var out []string
+	for more := true; more; {
+		var arg string
+		arg, body, more = nextArg(body)
+		out = append(out, arg)
+	}
+	return out
+}
+
+func checkSplitters(t *testing.T, s string) {
+	t.Helper()
+	if got, want := allOps(s), oldSplitOps(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("tokens of %q = %q, want %q", s, got, want)
+	}
+	if got, want := allArgs(s), oldSplitArgs(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("arguments of %q = %q, want %q", s, got, want)
+	}
+}
+
+var splitterCases = []string{
+	"",
+	" ",
+	"@100 -fire(7) +hire(7) +badge('ann', 'red')",
+	"@1\t+p(1)  \t +q(2) ",
+	"  @1 +p(1)",
+	"@2 +name('a b')",
+	"@2 +name('a, b', 'c) d', '(e')",
+	"@3 +p(1, 2) +q((3) 4) +r(5",  // nested and never-closed parentheses
+	"@4 +p(1)) +q(2) ) +r(3)",     // unbalanced ): ignored at depth 0
+	"@5 +p('it''s') +q('unclosed", // doubled and unterminated quotes
+	"@6 +p('a' 'b') ' +q(1)",
+	"1, 'a,b', ,'c''', d,",
+	",",
+	"'",
+	"(",
+	")",
+}
+
+// FuzzSplitters holds the slicing tokenisers to the copying ones: on
+// splitterCases under plain `go test`, on arbitrary input under -fuzz.
+func FuzzSplitters(f *testing.F) {
+	for _, s := range splitterCases {
+		f.Add(s)
+	}
+	f.Fuzz(checkSplitters)
 }
