@@ -120,7 +120,7 @@ func TestLintCostThresholdFlag(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeFile(t, dir, "cost.rtic", `
 relation r/2
-constraint audit: r(x, y) -> not once[0,50000] r(x, y)
+constraint audit: r(x, y) -> not once[1,50000] r(x, y)
 `)
 	var out bytes.Buffer
 	if err := runLint([]string{"-cost-threshold", "1000", "-spec", spec}, &out); err != nil {

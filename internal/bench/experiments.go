@@ -87,28 +87,26 @@ func Figure1Space(quick bool) (Table, error) {
 }
 
 // Table2Window — effect of the metric window size on the incremental
-// checker. Expected shape: auxiliary size grows with the window until it
-// saturates at the history length; the unbounded window costs O(1) per
-// binding (the single-timestamp rule).
+// checker, for each of the three pruning rules. Expected shape: under a
+// window [1,W] auxiliary size grows with W until it saturates at the
+// history length (one timestamp per state inside the window); under
+// [0,W] and under the unbounded window it is O(1) per binding — the
+// newest anchor decides the one, the earliest the other.
 func Table2Window(quick bool) (Table, error) {
 	t := Table{
 		ID:      "Table 2",
 		Title:   "incremental cost and space vs metric window size",
 		Columns: []string{"window", "ns/tx", "aux entries", "aux timestamps", "aux bytes"},
-		Notes:   "constraint: p(x) -> not once[0,W] q(x) (W=inf uses the single-timestamp encoding)",
+		Notes:   "constraint: p(x) -> not once[a,W] q(x); a = 0 keeps the newest timestamp per binding, W = inf the earliest, a = 1 every one inside the window",
 	}
 	n := 2000
 	if quick {
 		n = 600
 	}
-	windows := []string{"10", "100", "1000", "10000", "inf"}
+	windows := []string{"[1,10]", "[1,100]", "[1,1000]", "[1,10000]", "[0,10]", "[0,10000]", "[0,*]"}
 	for _, w := range windows {
-		src := fmt.Sprintf("p(x) -> not once[0,%s] q(x)", w)
-		if w == "inf" {
-			src = "p(x) -> not once q(x)"
-		}
 		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 44, OpsPerTx: 1, Domain: 8})
-		h.Constraints = []workload.ConstraintSpec{{Name: "c", Source: src}}
+		h.Constraints = []workload.ConstraintSpec{{Name: "c", Source: "p(x) -> not once" + w + " q(x)"}}
 		res, stats, err := bestIncremental(h, repeats(quick))
 		if err != nil {
 			return t, err

@@ -64,21 +64,21 @@ type NodeStats struct {
 }
 
 // nodeDeps is the read-set every node derives at registration time: the
-// relations its formulas read directly, its child nodes, and whether the
-// refresh fast path is sound for it (no universal quantification — see
-// domainDependent). srcPlan holds the compiled query plan of the node's
-// update formula when its shape is plannable; nil falls back to the
-// tree-walking evaluator.
+// relations its formulas read directly, its child nodes, and whether
+// "nothing I read changed" is a sound shortcut for it (no universal
+// quantification — see domainDependent).
 type nodeDeps struct {
-	srcRels  []string
+	srcRels  []*relDelta
 	children []auxNode
 	domDep   bool
 }
 
 // clean reports whether nothing the node reads changed in this commit.
+//
+//rtic:noalloc
 func (d *nodeDeps) clean(sc *stepCtx) bool {
-	return sc != nil && sc.planned && !d.domDep &&
-		!sc.relsChanged(d.srcRels) && !anyDirty(d.children)
+	return sc.planned && !d.domDep &&
+		!anyChanged(d.srcRels) && !anyDirty(d.children)
 }
 
 // prevNode implements ⊖_I φ: it stores the enumeration of φ in the
@@ -151,7 +151,7 @@ func (p *prevNode) phaseBCompute(sc *stepCtx, ev *lazyEval, t uint64) error {
 	}
 	var b *fol.Bindings
 	var err error
-	if p.fPlan != nil && sc != nil && sc.planned {
+	if p.fPlan != nil && sc.planned {
 		b, err = p.fPlan.Eval(sc.c.cur, &sc.orc, nil)
 	} else {
 		b, err = ev.get().Eval(p.n.F)
@@ -222,37 +222,117 @@ func (p *prevNode) account() (entries, timestamps, bytes int) {
 
 // sinceEntry is the bounded history the checker keeps for one binding θ
 // of a since/once subformula: the timestamps t_j at which the anchor ψ
-// held with the chain φ unbroken since, pruned to the metric window
-// (a single timestamp suffices when the window is unbounded above).
-// inRB and keep cache the entry's last evaluated recurrence inputs
-// (row ∈ ⟦ψ⟧? and θ ⊨ φ?) so commits that touch nothing the node reads
-// can replay the recurrence without re-evaluating either formula.
+// held with the chain φ unbroken since, pruned by the node's rules.
+// liveIx and keep cache the entry's recurrence inputs as of the node's
+// last commit (row ∈ ⟦ψ⟧? and θ ⊨ φ?), so a commit only has to visit the
+// entries whose inputs moved or whose deadline fell due.
 type sinceEntry struct {
-	row   tuple.Tuple
-	times []uint64 // ascending
-	inRB  bool
-	keep  bool
-	stamp uint64 // t+1 of the commit that created the entry
+	key    string // tuple.Key of row: the entry's key in the node and in its answer
+	row    tuple.Tuple
+	times  []uint64  // ascending
+	first  [1]uint64 // backing store of times while one timestamp suffices
+	liveIx int       // index in sinceNode.live while row ∈ ⟦ψ⟧, else -1
+	keep   bool
+	seen   uint64 // epoch of the commit that last queued the entry for resolve
+	mark   uint64 // epoch of the full enumeration of ⟦ψ⟧ that last produced row
+	gone   bool   // dropped from the node: deadlines still queued for it are stale
 }
 
+// deadline says that e must be looked at by the first commit at or after
+// due: one of its timestamps enters or leaves the metric window then.
+type deadline struct {
+	due uint64
+	e   *sinceEntry
+}
+
+// deadlineQueue is a FIFO of deadlines in ascending due order. Commit
+// times ascend and every deadline is a fixed offset from the commit time
+// it was derived from, so pushing in commit order keeps it sorted with
+// no heap.
+type deadlineQueue struct {
+	ev   []deadline
+	head int
+}
+
+func (q *deadlineQueue) push(due uint64, e *sinceEntry) {
+	if q.head > 32 && q.head*2 > len(q.ev) {
+		n := copy(q.ev, q.ev[q.head:])
+		for i := n; i < len(q.ev); i++ {
+			q.ev[i] = deadline{}
+		}
+		q.ev, q.head = q.ev[:n], 0
+	}
+	q.ev = append(q.ev, deadline{due, e})
+}
+
+//rtic:noalloc
+func (q *deadlineQueue) due(t uint64) bool {
+	return q.head < len(q.ev) && q.ev[q.head].due <= t
+}
+
+func (q *deadlineQueue) pop() deadline {
+	d := q.ev[q.head]
+	q.ev[q.head] = deadline{}
+	q.head++
+	if q.head == len(q.ev) {
+		q.ev, q.head = q.ev[:0], 0
+	}
+	return d
+}
+
+func (q *deadlineQueue) pending() []deadline { return q.ev[q.head:] }
+
 // sinceNode implements φ S_I ψ (and once_I ψ, with φ = true) via the
-// recurrence S_i(θ) = (i ⊨θ φ ? S_{i−1}(θ) : ∅) ∪ (i ⊨θ ψ ? {t_i} : ∅).
+// recurrence S_i(θ) = (i ⊨θ φ ? S_{i−1}(θ) : ∅) ∪ (i ⊨θ ψ ? {t_i} : ∅),
+// with θ satisfied at i iff some t ∈ S_i(θ) has t_i − t ∈ I = [a,b].
+//
+// Three pruning rules keep S small (DESIGN.md): a timestamp older than b
+// never re-enters the window; with b = ∞ the earliest timestamp subsumes
+// the others; and with a = 0 the newest one does (newest) — satisfaction
+// is t_i − max S ≤ b. Under that third rule a live entry, one whose row
+// is in ⟦ψ⟧ now, has max S = t_i by construction: it is satisfied and
+// needs no per-commit touch at all; its single slot is not read until
+// the commit its row leaves ⟦ψ⟧, which stores the previous commit's time.
+//
+// A commit climbs a ladder (phaseA) and costs what moved, not what is
+// stored: nothing the node reads changed and no deadline is due — only
+// the clock advances; otherwise Δ⟦ψ⟧ is derived from the commit's delta
+// (seeded) and only the entries it names, those whose chain broke and
+// those with a due deadline are resolved; the full enumerate-and-walk
+// primes the node (first commit, first commit after LoadSnapshot) and
+// serves the inputs the delta rung cannot: a ψ whose plan is not
+// seedable or reads the active domain, children without exact deltas,
+// tree-walk mode, and the pruning ablation.
 type sinceNode struct {
 	node  mtl.Formula // *mtl.Once or *mtl.Since
 	iv    mtl.Interval
 	left  mtl.Formula // Truth{true} for once
 	right mtl.Formula
+	once  bool
 	vars  []string // fv(node), sorted; equals fv(right) by safety
 	lvars []string
+	lPos  []int // position in vars of each of lvars
 
+	// deps is the node's whole read set, leftRels/leftNodes the chain's
+	// share of it; rhs is ψ's plan with its seed sources (rhs.plan nil
+	// when ψ's shape defeats planning: the tree walk enumerates it).
 	deps      nodeDeps
-	rightPlan *plan.Plan
+	leftRels  []*relDelta
+	leftNodes []auxNode
+	rhs       seeded
 
-	// noPrune disables the bounded-encoding pruning rules (the space
-	// ablation); answers are unchanged, storage grows with history.
+	// noPrune disables all three pruning rules (the space ablation);
+	// answers are unchanged, storage grows with history.
 	noPrune bool
+	newest  bool // a = 0 and pruning on: the third rule applies
 
 	entries map[string]*sinceEntry
+	live    []*sinceEntry // entries whose row is in ⟦ψ⟧ as of lastT
+	// enterQ holds t+a for timestamps that have yet to age into the
+	// window (a > 0 only), leaveQ t+b+1 for timestamps that will age out
+	// of it (finite b only). Neither is filled under noPrune, which walks
+	// every entry on every commit.
+	enterQ, leaveQ deadlineQueue
 	// nTimes and fixedBytes are the running storage account: timestamps
 	// held across all entries, and the entries' footprint apart from
 	// their timestamps (entryFixedBytes, constant while an entry lives).
@@ -262,194 +342,389 @@ type sinceNode struct {
 
 	// The maintained answer: ans holds exactly the rows satisfied at
 	// lastT (valid once primed), added/removed the rows that entered and
-	// left it in the last commit. envBuf and keyBuf are single-goroutine
-	// scratch (one goroutine updates a node per commit).
+	// left it in the last commit — net: an entry is resolved once per
+	// commit, so a row that expires and is re-anchored in one commit is in
+	// neither. touched, envBuf and keyBuf are single-goroutine scratch
+	// (one goroutine updates a node per commit).
 	ans     *fol.Bindings
 	lastT   uint64
 	primed  bool
 	dirtied bool
 	added   []tuple.Tuple
 	removed []tuple.Tuple
+	epoch   uint64
+	touched []*sinceEntry
 	envBuf  fol.Env
 	keyBuf  []byte
+
+	// visited counts the entries phaseA resolved since the node was
+	// built; tests and benchmarks read it, nothing else does.
+	visited int
 }
 
-func newOnceNode(n *mtl.Once) (*sinceNode, error) {
-	return newSinceLike(n, n.I, mtl.Truth{Bool: true}, n.F)
+func newOnceNode(n *mtl.Once, noPrune bool) (*sinceNode, error) {
+	return newSinceLike(n, n.I, mtl.Truth{Bool: true}, n.F, noPrune)
 }
 
-func newSinceNode(n *mtl.Since) (*sinceNode, error) {
-	return newSinceLike(n, n.I, n.L, n.R)
+func newSinceNode(n *mtl.Since, noPrune bool) (*sinceNode, error) {
+	return newSinceLike(n, n.I, n.L, n.R, noPrune)
 }
 
-func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula) (*sinceNode, error) {
+func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula, noPrune bool) (*sinceNode, error) {
 	vars := mtl.FreeVars(node)
 	rvars := mtl.FreeVars(right)
 	if len(vars) != len(rvars) {
 		return nil, fmt.Errorf("core: %q: binding space must be generated by the right-hand side (fv %v vs %v)",
 			node.String(), vars, rvars)
 	}
-	for _, lv := range mtl.FreeVars(left) {
+	lvars := mtl.FreeVars(left)
+	for _, lv := range lvars {
 		if i := sort.SearchStrings(vars, lv); i >= len(vars) || vars[i] != lv {
 			return nil, fmt.Errorf("core: %q: left-hand variable %q not bound by the right-hand side",
 				node.String(), lv)
 		}
 	}
+	truth, isTruth := left.(mtl.Truth)
 	return &sinceNode{
 		node:    node,
 		iv:      iv,
 		left:    left,
 		right:   right,
+		once:    isTruth && truth.Bool,
 		vars:    vars,
-		lvars:   mtl.FreeVars(left),
+		lvars:   lvars,
+		lPos:    varPositions(vars, lvars),
+		noPrune: noPrune,
+		newest:  iv.Lo == 0 && !noPrune,
 		entries: make(map[string]*sinceEntry),
 		ans:     fol.NewBindings(vars),
+		envBuf:  make(fol.Env, len(lvars)),
 	}, nil
 }
 
 func (s *sinceNode) formula() mtl.Formula { return s.node }
 
-func (s *sinceNode) isOnce() bool {
-	t, ok := s.left.(mtl.Truth)
-	return ok && t.Bool
-}
-
 func (s *sinceNode) phaseA(sc *stepCtx, ev *lazyEval, t uint64) error {
 	s.added = s.added[:0]
 	s.removed = s.removed[:0]
-
-	// Refresh fast path: nothing the recurrence reads changed, so each
-	// entry's cached inRB/keep inputs still hold — replay the recurrence
-	// from the cache. Aging (times entering and leaving the metric
-	// window) still runs, so answers stay exact.
-	if s.primed && s.deps.clean(sc) {
-		s.refresh(t)
-		s.finish(t)
+	clean := s.primed && s.deps.clean(sc)
+	if clean && s.nothingDue(t) {
+		s.lastT = t
+		s.dirtied = false
 		return nil
 	}
-
-	for _, e := range s.entries {
-		e.inRB = false
+	prev := s.lastT
+	s.lastT = t
+	s.epoch++
+	if !s.primed {
+		s.loadDeadlines()
 	}
-
-	// Enumerate ⟦ψ⟧ in the new state: mark surviving entries, create
-	// fresh anchors. The compiled plan streams rows without materializing
-	// the binding set; the tree-walking evaluator is the fallback.
-	newRow := func(row tuple.Tuple, key []byte) error {
-		if e, ok := s.entries[string(key)]; ok {
-			e.inRB = true
-			return nil
+	walk := !s.primed || s.noPrune
+	var err error
+	switch {
+	case clean:
+		// Only time passed.
+	case s.primed && !s.noPrune && sc.planned && s.rhs.canSeed && !s.deps.domDep && !s.rhs.inexactDirty():
+		if anyChanged(s.leftRels) || anyDirty(s.leftNodes) {
+			err = s.retestChain(ev)
 		}
-		e := &sinceEntry{row: row.Clone(), times: []uint64{t}, inRB: true, keep: true, stamp: t + 1}
-		s.insert(string(key), e)
-		if s.iv.Contains(0) {
-			if err := s.ans.AddRow(e.row); err != nil {
+		if err == nil {
+			err = s.deltaAnchors(sc, ev, prev)
+		}
+	default:
+		walk = true
+		if err = s.retestChain(ev); err == nil {
+			err = s.enumerateAnchors(sc, ev, prev)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: %q: %w", s.node.String(), err)
+	}
+	switch {
+	case walk:
+		for _, e := range s.entries {
+			s.touch(e)
+		}
+	case !s.newest:
+		// The semantics need every anchor of a window with a > 0: a live
+		// entry takes this commit's timestamp.
+		for _, e := range s.live {
+			s.touch(e)
+		}
+	}
+	s.popDue(&s.enterQ, t)
+	s.popDue(&s.leaveQ, t)
+	for i, e := range s.touched {
+		s.touched[i] = nil
+		if err := s.resolve(e, t); err != nil {
+			return err
+		}
+	}
+	s.touched = s.touched[:0]
+	s.primed = true
+	s.dirtied = len(s.added)+len(s.removed) > 0
+	return nil
+}
+
+// nothingDue completes the ladder's first rung: with nothing the node
+// reads changed, no live entry in need of this commit's timestamp and no
+// deadline due, every entry's recurrence step is the identity and only
+// the clock moves (which is all a live entry under the newest-anchor
+// rule needs).
+//
+//rtic:noalloc
+func (s *sinceNode) nothingDue(t uint64) bool {
+	return !s.noPrune && (s.newest || len(s.live) == 0) && !s.enterQ.due(t) && !s.leaveQ.due(t)
+}
+
+// touch queues e for this commit's resolve, once.
+func (s *sinceNode) touch(e *sinceEntry) {
+	if e.seen != s.epoch {
+		e.seen = s.epoch
+		s.touched = append(s.touched, e)
+	}
+}
+
+// enter records that row is in ⟦ψ⟧ now, creating its entry if need be.
+func (s *sinceNode) enter(row tuple.Tuple, ev *lazyEval) (*sinceEntry, error) {
+	s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
+	e, ok := s.entries[string(s.keyBuf)]
+	if !ok {
+		e = &sinceEntry{key: string(s.keyBuf), row: row.Clone(), liveIx: -1, keep: true}
+		e.times = e.first[:0]
+		if !s.once {
+			keep, err := s.chainHolds(ev.get(), e)
+			if err != nil {
+				return nil, err
+			}
+			e.keep = keep
+		}
+		s.insert(e)
+	}
+	if e.liveIx < 0 {
+		e.liveIx = len(s.live)
+		s.live = append(s.live, e)
+	}
+	// Only a new entry has to be resolved for entering: under the newest-
+	// anchor rule one that was already held is in the answer and stays
+	// there (it would have been dropped by now had its anchor aged out or
+	// its chain broken), and under the other rules phaseA resolves every
+	// live entry anyway.
+	if !ok {
+		s.touch(e)
+	}
+	return e, nil
+}
+
+// leave records that e's row is no longer in ⟦ψ⟧. Under the newest-
+// anchor rule this is where the entry's slot is written: the newest
+// anchor of S_{i−1} is the previous commit, the last one that saw the
+// row — and if that is still inside the window now and the chain holds,
+// the entry stays in the answer with nothing to resolve.
+func (s *sinceNode) leave(e *sinceEntry, prev uint64) {
+	last := s.live[len(s.live)-1]
+	s.live[e.liveIx], last.liveIx = last, e.liveIx
+	s.live[len(s.live)-1] = nil
+	s.live = s.live[:len(s.live)-1]
+	e.liveIx = -1
+	if s.newest {
+		e.times[0] = prev
+		s.schedule(prev, e)
+		if e.keep && s.iv.Contains(s.lastT-prev) {
+			return
+		}
+	}
+	s.touch(e)
+}
+
+// schedule queues the deadlines of timestamp tm of e.
+func (s *sinceNode) schedule(tm uint64, e *sinceEntry) {
+	if s.iv.Lo > 0 {
+		s.enterQ.push(satAdd(tm, s.iv.Lo), e)
+	}
+	if !s.iv.Unbounded {
+		s.leaveQ.push(s.leaveDue(tm), e)
+	}
+}
+
+// leaveDue is the first time at which tm has aged out of a finite window.
+func (s *sinceNode) leaveDue(tm uint64) uint64 { return satAdd(satAdd(tm, s.iv.Hi), 1) }
+
+// loadDeadlines rebuilds both queues from the stored timestamps — the
+// priming step after LoadSnapshot, whose format holds rows and times only.
+func (s *sinceNode) loadDeadlines() {
+	if s.noPrune {
+		return
+	}
+	var all []deadline
+	for _, e := range s.entries {
+		for _, tm := range e.times {
+			all = append(all, deadline{tm, e})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].due < all[j].due })
+	for _, d := range all {
+		s.schedule(d.due, d.e)
+	}
+}
+
+// popDue queues every entry with a deadline at or before t. Stale
+// deadlines — of a dropped entry, or under the newest-anchor rule of a
+// slot that has since gone live or been rewritten — are discarded.
+func (s *sinceNode) popDue(q *deadlineQueue, t uint64) {
+	for q.due(t) {
+		d := q.pop()
+		if d.e.gone || (s.newest && (d.e.liveIx >= 0 || s.leaveDue(d.e.times[0]) != d.due)) {
+			continue
+		}
+		s.touch(d.e)
+	}
+}
+
+// deltaAnchors is the ladder's delta rung: Δ⟦ψ⟧ from the commit's net
+// relation deltas and the children's exact answer deltas. A live row is
+// retested only when some source moved in the direction that can drop
+// an answer; rows that may have entered are derived from the sources
+// that moved the other way.
+func (s *sinceNode) deltaAnchors(sc *stepCtx, ev *lazyEval, prev uint64) error {
+	if len(s.live) > 0 && s.rhs.moved(false) {
+		for i := len(s.live) - 1; i >= 0; i-- {
+			e := s.live[i]
+			ok, err := s.rhs.plan.RetestRow(sc.c.cur, &sc.orc, e.row)
+			if err != nil {
 				return err
 			}
-			s.added = append(s.added, e.row)
+			if !ok {
+				s.leave(e, prev)
+			}
 		}
+	}
+	if !s.rhs.moved(true) {
 		return nil
 	}
-	if s.rightPlan != nil && sc != nil && sc.planned {
-		var emitErr error
-		err := s.rightPlan.Execute(sc.c.cur, &sc.orc, nil, func(row tuple.Tuple) bool {
-			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-			if e := newRow(row, s.keyBuf); e != nil {
-				emitErr = e
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = emitErr
+	var eerr error
+	err := s.rhs.derive(sc, func(row tuple.Tuple) bool {
+		_, eerr = s.enter(row, ev)
+		return eerr == nil
+	})
+	if err == nil {
+		err = eerr
+	}
+	return err
+}
+
+// enumerateAnchors is the full rung: enumerate ⟦ψ⟧ in the new state and
+// diff it against the live entries. The compiled plan streams rows
+// without materializing the binding set; the tree-walking evaluator is
+// the fallback.
+func (s *sinceNode) enumerateAnchors(sc *stepCtx, ev *lazyEval, prev uint64) error {
+	var eerr error
+	visit := func(row tuple.Tuple) bool {
+		var e *sinceEntry
+		if e, eerr = s.enter(row, ev); eerr != nil {
+			return false
 		}
-		if err != nil {
-			return fmt.Errorf("core: %q: %w", s.node.String(), err)
+		e.mark = s.epoch
+		return true
+	}
+	if s.rhs.plan != nil && sc.planned {
+		if err := s.rhs.plan.Execute(sc.c.cur, &sc.orc, nil, visit); err != nil {
+			return err
 		}
 	} else {
 		rb, err := ev.get().Eval(s.right)
 		if err != nil {
-			return fmt.Errorf("core: %q: %w", s.node.String(), err)
-		}
-		if !sameStrings(rb.Vars(), s.vars) {
-			return fmt.Errorf("core: %q: right-hand side bound %v, node needs %v",
-				s.node.String(), rb.Vars(), s.vars)
-		}
-		var rowErr error
-		rb.EachRow(func(row tuple.Tuple) bool {
-			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-			if e := newRow(row, s.keyBuf); e != nil {
-				rowErr = e
-				return false
-			}
-			return true
-		})
-		if rowErr != nil {
-			return rowErr
-		}
-	}
-
-	// Update surviving entries per the recurrence, re-evaluating the
-	// chain φ, and maintain the answer set.
-	once := s.isOnce()
-	lPos := varPositions(s.vars, s.lvars)
-	if s.envBuf == nil {
-		s.envBuf = make(fol.Env, len(s.lvars)+1)
-	}
-	var chain *fol.Evaluator
-	if !once && len(s.entries) > 0 {
-		chain = ev.get()
-	}
-	for key, e := range s.entries {
-		keep := once
-		if !once {
-			for i, p := range lPos {
-				s.envBuf[s.lvars[i]] = e.row[p]
-			}
-			ok, err := chain.Test(s.left, s.envBuf)
-			if err != nil {
-				return fmt.Errorf("core: %q: testing chain: %w", s.node.String(), err)
-			}
-			keep = ok
-		}
-		// Cache the chain's truth for the refresh fast path — fresh
-		// anchors included: their recurrence ignores φ this commit (times
-		// is just {t}), but the next clean commit replays from the cache.
-		e.keep = keep
-		if e.stamp == t+1 {
-			continue // created above; times already [t], answer updated
-		}
-		if err := s.applyRecurrence(key, e, keep, t); err != nil {
 			return err
 		}
+		if !sameStrings(rb.Vars(), s.vars) {
+			return fmt.Errorf("right-hand side bound %v, node needs %v", rb.Vars(), s.vars)
+		}
+		rb.EachRow(visit)
 	}
-	s.finish(t)
+	if eerr != nil {
+		return eerr
+	}
+	for i := len(s.live) - 1; i >= 0; i-- {
+		if e := s.live[i]; e.mark != s.epoch {
+			s.leave(e, prev)
+		}
+	}
 	return nil
 }
 
-// applyRecurrence replays one entry's recurrence step from keep/inRB,
-// prunes, deletes empty entries, and maintains the answer set.
-func (s *sinceNode) applyRecurrence(key string, e *sinceEntry, keep bool, t uint64) error {
-	before := s.ans.ContainsKey(key)
-	held := len(e.times)
-	if !keep {
-		e.times = e.times[:0]
+// chainHolds evaluates θ ⊨ φ for e's binding in the current state.
+func (s *sinceNode) chainHolds(chain *fol.Evaluator, e *sinceEntry) (bool, error) {
+	for i, p := range s.lPos {
+		s.envBuf[s.lvars[i]] = e.row[p]
 	}
-	if e.inRB {
-		e.times = append(e.times, t)
+	ok, err := chain.Test(s.left, s.envBuf)
+	if err != nil {
+		return false, fmt.Errorf("testing chain: %w", err)
 	}
-	s.prune(e, t)
-	after := len(e.times) > 0 && s.satisfied(e, t)
-	s.nTimes += len(e.times) - held
+	return ok, nil
+}
+
+// retestChain re-evaluates φ for every entry — needed only on commits
+// where something φ reads changed — and queues the entries whose chain
+// is broken: their recurrence step drops S_{i−1}.
+func (s *sinceNode) retestChain(ev *lazyEval) error {
+	if s.once || len(s.entries) == 0 {
+		return nil
+	}
+	chain := ev.get()
+	for _, e := range s.entries {
+		keep, err := s.chainHolds(chain, e)
+		if err != nil {
+			return err
+		}
+		if e.keep = keep; !keep {
+			s.touch(e)
+		}
+	}
+	return nil
+}
+
+// resolve applies one entry's recurrence step from its cached inputs,
+// prunes, maintains the answer set, and drops the entry once it holds
+// nothing. It runs at most once per entry per commit, which is what
+// keeps added/removed net.
+func (s *sinceNode) resolve(e *sinceEntry, t uint64) error {
+	s.visited++
+	live := e.liveIx >= 0
+	if s.newest && live {
+		// Satisfied by construction; the slot only has to exist.
+		if len(e.times) == 0 {
+			e.times = append(e.times, t)
+			s.nTimes++
+		}
+	} else {
+		held := len(e.times)
+		if !e.keep {
+			e.times = e.times[:0]
+		}
+		// An unbounded window keeps only its earliest timestamp, so a new
+		// anchor matters to it only when it holds none.
+		if live && (s.noPrune || !s.iv.Unbounded || len(e.times) == 0) {
+			e.times = append(e.times, t)
+			if !s.noPrune {
+				s.schedule(t, e)
+			}
+		}
+		s.prune(e, t)
+		s.nTimes += len(e.times) - held
+	}
+	before := s.ans.ContainsKey(e.key)
+	after := s.satisfied(e, t)
 	if len(e.times) == 0 {
-		delete(s.entries, key)
-		s.fixedBytes -= entryFixedBytes(key, e.row)
+		delete(s.entries, e.key)
+		s.fixedBytes -= entryFixedBytes(e.key, e.row)
+		e.gone = true
 	}
 	if before && !after {
-		s.ans.RemoveKey(key)
+		s.ans.RemoveKey(e.key)
 		s.removed = append(s.removed, e.row)
 	} else if !before && after {
-		if err := s.ans.AddRow(e.row); err != nil {
+		if err := s.ans.AddKeyedRow(e.key, e.row); err != nil {
 			return err
 		}
 		s.added = append(s.added, e.row)
@@ -457,31 +732,12 @@ func (s *sinceNode) applyRecurrence(key string, e *sinceEntry, keep bool, t uint
 	return nil
 }
 
-// refresh replays the recurrence for every entry from the cached
-// inRB/keep flags — no formula evaluation, no fresh anchors (an
-// unchanged ⟦ψ⟧ cannot contain a row without an entry: every ⟦ψ⟧ row is
-// an entry with inRB set, and inRB entries always retain the current
-// timestamp and so are never deleted).
-func (s *sinceNode) refresh(t uint64) {
-	once := s.isOnce()
-	for key, e := range s.entries {
-		// applyRecurrence cannot error here: it only errors on AddRow of
-		// a stable entry row, whose arity matched when first added.
-		_ = s.applyRecurrence(key, e, once || e.keep, t)
-	}
-}
-
-// finish seals the commit: answers now served for time t.
-func (s *sinceNode) finish(t uint64) {
-	s.lastT = t
-	s.primed = true
-	s.dirtied = len(s.added)+len(s.removed) > 0
-}
-
 // prune enforces the bounded history encoding: timestamps older than the
 // upper window bound can never re-enter the window; with an unbounded
 // window, satisfaction is monotone in age so the earliest timestamp
-// subsumes all others.
+// subsumes all others. (The newest-anchor rule needs no step of its own:
+// its entries never hold a second timestamp, and the first rule drops
+// the one they hold when it ages out.)
 func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 	if s.noPrune {
 		return
@@ -504,7 +760,20 @@ func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 func (s *sinceNode) phaseBCompute(*stepCtx, *lazyEval, uint64) error { return nil }
 func (s *sinceNode) phaseBCommit(uint64)                             {}
 
+// anchorsOf returns the timestamps e stands for: the stored ones, or for
+// a live entry under the newest-anchor rule the current time it carries
+// implicitly.
+func (s *sinceNode) anchorsOf(e *sinceEntry) []uint64 {
+	if s.newest && e.liveIx >= 0 {
+		return []uint64{s.lastT}
+	}
+	return e.times
+}
+
 func (s *sinceNode) satisfied(e *sinceEntry, now uint64) bool {
+	if s.newest && e.liveIx >= 0 {
+		return s.iv.Contains(now - s.lastT)
+	}
 	for _, tm := range e.times {
 		if s.iv.Contains(now - tm) {
 			return true
@@ -567,12 +836,12 @@ func (s *sinceNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return s.added, s.removed, true
 }
 
-// insert adds a new entry under its row key (the tuple.Key encoding of
-// e.row) and opens its storage account.
-func (s *sinceNode) insert(key string, e *sinceEntry) {
-	s.entries[key] = e
+// insert adds a new entry under its row key and opens its storage
+// account.
+func (s *sinceNode) insert(e *sinceEntry) {
+	s.entries[e.key] = e
 	s.nTimes += len(e.times)
-	s.fixedBytes += entryFixedBytes(key, e.row)
+	s.fixedBytes += entryFixedBytes(e.key, e.row)
 }
 
 // entryFixedBytes estimates one entry's footprint apart from its
@@ -583,9 +852,9 @@ func entryFixedBytes(key string, row tuple.Tuple) int {
 
 func (s *sinceNode) stats() NodeStats {
 	st := NodeStats{Formula: s.node.String(), Entries: len(s.entries)}
-	for key, e := range s.entries {
+	for _, e := range s.entries {
 		st.Timestamps += len(e.times)
-		st.Bytes += entryFixedBytes(key, e.row) + 8*len(e.times)
+		st.Bytes += entryFixedBytes(e.key, e.row) + 8*len(e.times)
 	}
 	return st
 }
@@ -594,9 +863,10 @@ func (s *sinceNode) account() (entries, timestamps, bytes int) {
 	return len(s.entries), s.nTimes, s.fixedBytes + 8*s.nTimes
 }
 
-// Invariants returns an error if the node's internal invariants are
-// broken; the property tests call it after every step.
-func (s *sinceNode) invariants(now uint64) error {
+// invariants returns an error if the node's internal invariants are
+// broken; the property tests call it after every step. ev evaluates in
+// the current state.
+func (s *sinceNode) invariants(now uint64, ev *fol.Evaluator) error {
 	if s.primed && now == s.lastT {
 		sat := 0
 		for key, e := range s.entries {
@@ -614,27 +884,90 @@ func (s *sinceNode) invariants(now uint64) error {
 				s.node.String(), s.ans.Len(), sat)
 		}
 	}
+	nLive := 0
+	for key, e := range s.entries {
+		if e.key != key || e.gone {
+			return fmt.Errorf("core: %q: entry %s filed under %s (gone=%v)", s.node.String(), e.key, key, e.gone)
+		}
+		if e.liveIx >= 0 {
+			nLive++
+			if e.liveIx >= len(s.live) || s.live[e.liveIx] != e {
+				return fmt.Errorf("core: %q: live entry %s not at its place in the live list", s.node.String(), key)
+			}
+		}
+	}
+	if nLive != len(s.live) {
+		return fmt.Errorf("core: %q: live list has %d entries, %d entries are live", s.node.String(), len(s.live), nLive)
+	}
+	if err := s.liveMatches(ev); err != nil {
+		return err
+	}
 	if s.noPrune {
 		return nil // the ablation deliberately violates the space bounds
+	}
+	queued := make(map[deadline]bool)
+	for _, q := range []*deadlineQueue{&s.enterQ, &s.leaveQ} {
+		pend := q.pending()
+		for i, d := range pend {
+			if i > 0 && pend[i-1].due > d.due {
+				return fmt.Errorf("core: %q: deadline queue out of order: %d before %d", s.node.String(), pend[i-1].due, d.due)
+			}
+			queued[d] = true
+		}
 	}
 	for key, e := range s.entries {
 		if len(e.times) == 0 {
 			return fmt.Errorf("core: %q: empty entry %s retained", s.node.String(), key)
 		}
-		for i := 1; i < len(e.times); i++ {
-			if e.times[i-1] >= e.times[i] {
+		if (s.newest || s.iv.Unbounded) && len(e.times) > 1 {
+			return fmt.Errorf("core: %q: window %s kept %d timestamps", s.node.String(), s.iv.String(), len(e.times))
+		}
+		if s.newest && e.liveIx >= 0 {
+			continue // the slot is not read while the entry is live
+		}
+		for i, tm := range e.times {
+			if i > 0 && e.times[i-1] >= tm {
 				return fmt.Errorf("core: %q: timestamps not strictly ascending: %v", s.node.String(), e.times)
 			}
-		}
-		if s.iv.Unbounded && len(e.times) > 1 {
-			return fmt.Errorf("core: %q: unbounded window kept %d timestamps", s.node.String(), len(e.times))
-		}
-		if !s.iv.Unbounded {
-			for _, tm := range e.times {
+			if !s.iv.Unbounded {
 				if now-tm > s.iv.Hi {
 					return fmt.Errorf("core: %q: stale timestamp %d at now=%d (window %s)", s.node.String(), tm, now, s.iv.String())
 				}
+				if s.primed && !queued[deadline{s.leaveDue(tm), e}] {
+					return fmt.Errorf("core: %q: entry %s: no leave deadline queued for timestamp %d", s.node.String(), key, tm)
+				}
 			}
+			if due := satAdd(tm, s.iv.Lo); s.primed && due > now && !queued[deadline{due, e}] {
+				return fmt.Errorf("core: %q: entry %s: no enter deadline queued for timestamp %d", s.node.String(), key, tm)
+			}
+		}
+	}
+	return nil
+}
+
+// liveMatches holds the live entries equal to ⟦ψ⟧ enumerated afresh. A
+// prev child has by now (after the carry phase) moved on to the answer it
+// serves at the next state, so ψ can no longer be evaluated as the update
+// phase saw it; such nodes are not checked.
+func (s *sinceNode) liveMatches(ev *fol.Evaluator) error {
+	if !s.primed {
+		return nil
+	}
+	for _, child := range s.deps.children {
+		if _, ok := child.(*prevNode); ok {
+			return nil
+		}
+	}
+	rb, err := ev.Eval(s.right)
+	if err != nil {
+		return err
+	}
+	if rb.Len() != len(s.live) {
+		return fmt.Errorf("core: %q: %d live entries, ⟦ψ⟧ has %d rows", s.node.String(), len(s.live), rb.Len())
+	}
+	for _, e := range s.live {
+		if !rb.ContainsKey(e.key) {
+			return fmt.Errorf("core: %q: live entry %s is not in ⟦ψ⟧", s.node.String(), e.key)
 		}
 	}
 	return nil

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"rtic/internal/cdcgen"
 	"rtic/internal/check"
+	"rtic/internal/obs"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
+	"rtic/internal/workload"
 )
 
 // Micro-benchmarks of one Step on a warmed-up checker, per operator.
@@ -85,3 +90,92 @@ func BenchmarkSnapshot(b *testing.B) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// widePolicies is the policy set of the end-to-end benchmark's
+// policy-wide workload (benchmark/workloads.go): cdcgen's three plus 16
+// more validity windows and 16 more derived-row lifetimes over the same
+// relations — 35 constraints over 27 distinct auxiliary nodes.
+func widePolicies(cfg cdcgen.Config) []workload.ConstraintSpec {
+	cons := cdcgen.Constraints(cfg)
+	for i := 0; i < 16; i++ {
+		cons = append(cons,
+			workload.ConstraintSpec{
+				Name:   fmt.Sprintf("fresh_serve_%d", 17+i),
+				Source: fmt.Sprintf("serve(s) -> once[0,%d] reading(s)", 17+i),
+			},
+			workload.ConstraintSpec{
+				Name:   fmt.Sprintf("derived_lineage_%d", 25+i),
+				Source: fmt.Sprintf("derived(d, s) -> once[0,%d] reading(s)", 25+i),
+			})
+	}
+	return cons
+}
+
+// visitedEntries sums the entries every since/once node resolved so far.
+func visitedEntries(c *Checker) int {
+	n := 0
+	for _, node := range c.nodes {
+		if s, ok := node.(*sinceNode); ok {
+			n += s.visited
+		}
+	}
+	return n
+}
+
+// BenchmarkStepWidePolicies steps the policy-wide feed (35 policies,
+// 1,024 sensors, cdcgen seed 7, metrics attached as in rticd) in
+// process. One op is one commit. Before the timed loop a counted pass
+// over gateCommits commits — long enough to average over the feed's
+// stream kinds and burst trains, so the figure does not depend on b.N —
+// reports allocations and entries visited per commit, and fails the
+// benchmark when a commit allocates more than maxAllocs: the update
+// phase is delta-driven and must stay so.
+func BenchmarkStepWidePolicies(b *testing.B) {
+	const (
+		warm        = 2000
+		gateCommits = 4000
+		maxAllocs   = 130
+	)
+	cfg := cdcgen.Config{
+		Steps: warm + gateCommits + b.N, Seed: 7, Sensors: 1024,
+		BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.02,
+	}
+	h, _ := cdcgen.Generate(cfg)
+	c := New(h.Schema)
+	c.SetObserver(&obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())})
+	for _, cs := range widePolicies(cfg) {
+		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.AddConstraint(con); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replay := func(steps []workload.Step) {
+		for _, st := range steps {
+			if _, err := c.Step(st.Time, st.Tx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	replay(h.Steps[:warm])
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	v0 := visitedEntries(c)
+	replay(h.Steps[warm : warm+gateCommits])
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / gateCommits
+	visits := float64(visitedEntries(c)-v0) / gateCommits
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	replay(h.Steps[warm+gateCommits:])
+	b.StopTimer()
+	b.ReportMetric(allocs, "allocs/commit")
+	b.ReportMetric(visits, "visits/commit")
+	if allocs > maxAllocs {
+		b.Fatalf("%.1f allocations per commit over %d commits, want at most %d", allocs, gateCommits, maxAllocs)
+	}
+}

@@ -145,44 +145,28 @@ func WithEvaluation(m EvalMode) Option {
 }
 
 // conState is the per-constraint planning state: the compiled denial
-// plan (nil when the denial's shape is unsupported and the tree-walking
-// evaluator takes over), the read-set index the skip decision consults,
-// and the previous commit's denial answer for reuse and retesting.
+// plan with its seed sources (plan is nil when the denial's shape is
+// unsupported and the tree-walking evaluator takes over), the read-set
+// index the skip decision consults, and the previous commit's denial
+// answer for reuse and retesting.
 type conState struct {
-	plan    *plan.Plan
+	seeded
 	planErr string // why plan compilation fell back, for SkipInfo
-	// readRels are the relations of the denial's first-order skeleton;
-	// nodes the auxiliary nodes of its outermost temporal subformulas;
-	// together they form the constraint's read set.
-	readRels []string
+	// readRels are the delta slots of the relations of the denial's
+	// first-order skeleton; nodes the auxiliary nodes of its outermost
+	// temporal subformulas; together they form the constraint's read set.
+	readRels []*relDelta
 	nodes    []auxNode
 	// domDep marks denials with universal quantification, whose truth
 	// can change with the active domain: never skipped.
 	domDep bool
-	// sources/srcNode are the plan's seedable literal occurrences and,
-	// for temporal sources, their auxiliary nodes; canSeed gates the
-	// semi-naive path.
-	sources []plan.Source
-	srcNode []auxNode
-	canSeed bool
 	// lastB is the denial's answer at the previous commit (planned mode
-	// only); nil until the first check.
+	// only); nil until the first check. Published answers are immutable:
+	// a commit that changes the answer builds a new set.
 	lastB *fol.Bindings
-}
-
-// inexactDirty reports whether any temporal source changed without an
-// exact row-level delta (prev nodes) — semi-naive seeding would miss
-// derivations, so the constraint falls back to full plan execution.
-func (cs *conState) inexactDirty() bool {
-	for _, n := range cs.srcNode {
-		if n == nil {
-			continue
-		}
-		if _, _, exact := n.answerDelta(); !exact && n.dirty() {
-			return true
-		}
-	}
-	return false
+	// lost and keyBuf are seminaive's scratch.
+	lost   []tuple.Tuple
+	keyBuf []byte
 }
 
 // WithParallelism sets the worker-pool width of the commit pipeline.
@@ -205,6 +189,10 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		byShape:  make(map[string]auxNode),
 		levelOf:  make(map[auxNode]int),
 		par:      1,
+		delta:    make(map[string]*relDelta),
+	}
+	for _, name := range s.Names() {
+		c.delta[name] = &relDelta{}
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -251,7 +239,7 @@ func (c *Checker) AddConstraint(con *check.Constraint) error {
 // not raised: the tree-walking evaluator handles every kernel shape.
 func (c *Checker) planConstraint(con *check.Constraint) *conState {
 	cs := &conState{
-		readRels: skeletonRels(con.Denial),
+		readRels: c.skeletonDeltas(con.Denial),
 		nodes:    c.directNodes(con.Denial),
 		domDep:   domainDependent(con.Denial),
 	}
@@ -260,25 +248,7 @@ func (c *Checker) planConstraint(con *check.Constraint) *conState {
 		cs.planErr = err.Error()
 		return cs
 	}
-	cs.plan = p
-	if p.Seedable() {
-		cs.sources = p.Sources()
-		cs.srcNode = make([]auxNode, len(cs.sources))
-		cs.canSeed = true
-		for i, src := range cs.sources {
-			if src.IsRel {
-				continue
-			}
-			node, ok := c.byNode[src.Temp]
-			if !ok {
-				// Unreachable: compile registered every temporal
-				// subformula of the denial. Disable seeding, keep the plan.
-				cs.canSeed = false
-				break
-			}
-			cs.srcNode[i] = node
-		}
-	}
+	cs.seeded = c.seedsOf(p)
 	return cs
 }
 
@@ -349,11 +319,10 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err := c.compile(n.F); err != nil {
 			return err
 		}
-		node, err := newOnceNode(n)
+		node, err := newOnceNode(n, c.pruningDisabled)
 		if err != nil {
 			return err
 		}
-		node.noPrune = c.pruningDisabled
 		c.register(n, node)
 		return nil
 	case *mtl.Since:
@@ -363,11 +332,10 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err := c.compile(n.R); err != nil {
 			return err
 		}
-		node, err := newSinceNode(n)
+		node, err := newSinceNode(n, c.pruningDisabled)
 		if err != nil {
 			return err
 		}
-		node.noPrune = c.pruningDisabled
 		c.register(n, node)
 		return nil
 	default:
@@ -400,18 +368,21 @@ func (c *Checker) bindNode(node auxNode) {
 	switch n := node.(type) {
 	case *prevNode:
 		n.deps = nodeDeps{
-			srcRels:  skeletonRels(n.n.F),
+			srcRels:  c.skeletonDeltas(n.n.F),
 			children: c.directNodes(n.n.F),
 			domDep:   domainDependent(n.n.F),
 		}
 		n.fPlan, _ = plan.Compile(n.n.F, c.cur, nil)
 	case *sinceNode:
 		n.deps = nodeDeps{
-			srcRels:  skeletonRels(n.left, n.right),
+			srcRels:  c.skeletonDeltas(n.left, n.right),
 			children: c.directNodes(n.left, n.right),
 			domDep:   domainDependent(n.left) || domainDependent(n.right),
 		}
-		n.rightPlan, _ = plan.Compile(n.right, c.cur, nil)
+		n.leftRels = c.skeletonDeltas(n.left)
+		n.leftNodes = c.directNodes(n.left)
+		p, _ := plan.Compile(n.right, c.cur, nil)
+		n.rhs = c.seedsOf(p)
 	}
 }
 
@@ -680,7 +651,7 @@ func (c *Checker) applyPhase(sc *stepCtx, tx *storage.Transaction) error {
 		return err
 	}
 	if sc.planned {
-		if err := c.computeDelta(sc, tx); err != nil {
+		if err := c.computeDelta(tx); err != nil {
 			return err
 		}
 	}
@@ -928,12 +899,18 @@ func (c *Checker) checkCon(ev *lazyEval, sc *stepCtx, i int, t uint64) ([]check.
 		return c.checkOne(ev, con, t)
 	}
 	cs := c.conStates[i]
-	clean := !cs.domDep && !sc.relsChanged(cs.readRels) && !anyDirty(cs.nodes)
+	clean := !cs.domDep && !anyChanged(cs.readRels) && !anyDirty(cs.nodes)
 	if clean && cs.lastB != nil {
 		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSkipped, Reason: "read set untouched"}
 		return check.FromBindings(con, c.index, t, cs.lastB)
 	}
 	if cs.canSeed && cs.lastB != nil && !cs.inexactDirty() {
+		if cs.lastB.Empty() && !cs.moved(true) {
+			// Nothing to retest, and no changed source has rows in the
+			// direction that could complete a derivation.
+			c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSkipped, Reason: "delta cannot add an answer"}
+			return nil, nil
+		}
 		b, err := c.seminaive(sc, cs)
 		if err != nil {
 			return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
@@ -977,68 +954,59 @@ func fullEvalReason(clean bool, cs *conState) string {
 }
 
 // seminaive re-derives the denial answer from the previous one and the
-// commit's delta: surviving rows are retested under the new state
-// (changes can only invalidate them), and each changed source literal
-// seeds plan execution with its delta rows — any *new* answer needs a
-// literal that flipped this commit, and every flip appears in a
-// relation delta or an exact node answer delta.
+// commit's delta: surviving rows are retested under the new state when
+// some source moved in the direction that can drop an answer, and each
+// source that moved the other way seeds plan execution with its delta
+// rows — any *new* answer needs a literal that flipped this commit, and
+// every flip appears in a relation delta or an exact node answer delta.
+// The previous set is returned as is when the answer did not move; a new
+// one is only built once a retest fails or a seed emits a new row.
 func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
-	out := fol.NewBindings(cs.plan.Vars())
+	last := cs.lastB
 	var rerr error
-	cs.lastB.EachRow(func(row tuple.Tuple) bool {
-		ok, err := cs.plan.RetestRow(c.cur, &sc.orc, row)
-		if err != nil {
-			rerr = err
-			return false
-		}
-		if ok {
-			rerr = out.AddRow(row)
-		}
-		return rerr == nil
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	emit := func(row tuple.Tuple) bool {
-		rerr = out.AddRow(row)
-		return rerr == nil
-	}
-	for k, src := range cs.sources {
-		var seeds []tuple.Tuple
-		if src.IsRel {
-			d := sc.relDeltaOf(src.Rel)
-			if d == nil {
-				continue
+	cs.lost = cs.lost[:0]
+	if !last.Empty() && cs.moved(false) {
+		last.EachRow(func(row tuple.Tuple) bool {
+			ok, err := cs.plan.RetestRow(c.cur, &sc.orc, row)
+			if err != nil {
+				rerr = err
+				return false
 			}
-			if src.Positive {
-				seeds = d.inserted
-			} else {
-				seeds = d.deleted
+			if !ok {
+				cs.lost = append(cs.lost, row)
 			}
-		} else {
-			node := cs.srcNode[k]
-			if node == nil || !node.dirty() {
-				continue
-			}
-			added, removed, exact := node.answerDelta()
-			if !exact {
-				return nil, fmt.Errorf("core: semi-naive check with inexact source delta for %q", src.Temp.String())
-			}
-			if src.Positive {
-				seeds = added
-			} else {
-				seeds = removed
-			}
-		}
-		if len(seeds) == 0 {
-			continue
-		}
-		if err := cs.plan.ExecuteSeeded(c.cur, &sc.orc, src, seeds, emit); err != nil {
-			return nil, err
-		}
+			return true
+		})
 		if rerr != nil {
 			return nil, rerr
 		}
+	}
+	out := last
+	if len(cs.lost) > 0 {
+		out = last.Clone()
+		for _, row := range cs.lost {
+			out.RemoveKey(row.Key())
+		}
+	}
+	if !cs.moved(true) {
+		return out, nil
+	}
+	err := cs.derive(sc, func(row tuple.Tuple) bool {
+		cs.keyBuf = row.AppendKeyTo(cs.keyBuf[:0])
+		if out.ContainsKeyBytes(cs.keyBuf) {
+			return true
+		}
+		if out == last {
+			out = last.Clone()
+		}
+		rerr = out.AddRow(row)
+		return rerr == nil
+	})
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1106,8 +1074,10 @@ func (c *Checker) Totals() Stats {
 }
 
 // CheckInvariants verifies the internal invariants of every auxiliary
-// node (sorted, in-window, deduplicated timestamp sets) and that each
-// node's running storage account equals its full walk; used by tests.
+// node (sorted, in-window, deduplicated timestamp sets; every pending
+// deadline queued; the live entries equal to ⟦ψ⟧ re-enumerated) and that
+// each node's running storage account equals its full walk; used by
+// tests.
 func (c *Checker) CheckInvariants() error {
 	for _, n := range c.nodes {
 		ns := n.stats()
@@ -1119,9 +1089,11 @@ func (c *Checker) CheckInvariants() error {
 	if !c.started {
 		return nil
 	}
+	orc := oracle{c: c, now: c.now}
+	ev := fol.NewEvaluator(c.cur, &orc)
 	for _, n := range c.nodes {
 		if s, ok := n.(*sinceNode); ok {
-			if err := s.invariants(c.now); err != nil {
+			if err := s.invariants(c.now, ev); err != nil {
 				return err
 			}
 		}

@@ -34,14 +34,16 @@ func TestScheduleCosts(t *testing.T) {
 		weight    uint64
 		wantNodes int
 	}{
-		// Denial keeps once[0,9] p(x): bounded window spans ages 0..9.
-		{`p(x) -> not once[0,9] p(x)`, "", 10, 1, 10, 1},
+		// A window with lower bound 0 is decided by its newest anchor.
+		{`p(x) -> not once[0,9] p(x)`, "", 1, 1, 1, 1},
+		// once[2,9] p(x) needs every anchor of ages 0..9.
+		{`p(x) -> not once[2,9] p(x)`, "", 10, 1, 10, 1},
 		// Unbounded window retains a single timestamp per binding.
 		{`p(x) -> not once q(x)`, "", 1, 1, 1, 1},
 		// prev stores exactly one state.
 		{`p(x) -> prev[1,5] p(x)`, "", 1, 1, 1, 1},
 		// Binary binding space doubles the weight.
-		{`r(x, y) -> not once[0,4] r(x, y)`, "", 5, 2, 10, 1},
+		{`r(x, y) -> not once[1,4] r(x, y)`, "", 5, 2, 10, 1},
 	}
 	for _, tc := range cases {
 		c := costChecker(t, tc.src)

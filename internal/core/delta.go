@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"rtic/internal/mtl"
+	"rtic/internal/plan"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
 )
@@ -13,9 +14,10 @@ import (
 // read-set index decides, per constraint and per auxiliary node, whether
 // anything it reads changed. Untouched constraints reuse their previous
 // denial answer, touched seedable ones re-derive only the answers
-// reachable from the delta (see checkConstraint), and auxiliary nodes
-// with clean sources run a cached-recurrence refresh instead of
-// re-evaluating their formulas (see aux.go).
+// reachable from the delta (see checkCon), and auxiliary nodes touch
+// only the entries whose anchor row entered or left ⟦ψ⟧ or whose
+// deadline fell due (see aux.go). Both re-derivations run through one
+// routine: seeded.
 
 // relDelta is the net change of one relation in one commit: tuples
 // absent before and present after (inserted), and vice versa (deleted).
@@ -35,7 +37,6 @@ type stepCtx struct {
 	c       *Checker
 	t       uint64
 	planned bool
-	delta   map[string]*relDelta
 	orc     oracle
 	// dom and inline serve the tree-walk fallback: the commit's one
 	// active-domain computation and the inline pipeline's evaluator,
@@ -44,18 +45,130 @@ type stepCtx struct {
 	inline lazyEval
 }
 
-// relsChanged reports whether the commit touched any of rels (net).
-func (sc *stepCtx) relsChanged(rels []string) bool {
-	for _, r := range rels {
-		if d := sc.delta[r]; d != nil && d.changed() {
+// anyChanged reports whether the commit touched any of the relations
+// whose delta slots are ds (net).
+//
+//rtic:noalloc
+func anyChanged(ds []*relDelta) bool {
+	for _, d := range ds {
+		if d.changed() {
 			return true
 		}
 	}
 	return false
 }
 
-// relDeltaOf returns the net delta of rel (nil slices when untouched).
-func (sc *stepCtx) relDeltaOf(rel string) *relDelta { return sc.delta[rel] }
+// seeded is a compiled plan with its seedable source literals resolved
+// against the checker: relation sources read the commit's net relation
+// delta, temporal sources the exact answer delta of their auxiliary
+// node. It is the one maintained-answer routine behind a constraint's
+// denial (conState) and a since/once node's anchor formula ψ: a row can
+// enter the plan's answer in a commit only through a source row that
+// moved in the adding direction (insertions/added for a positive
+// literal, deletions/removed for a negated one), and can leave it only
+// if a source row moved the other way. canSeed is false when the plan's
+// shape defeats seeding; callers then evaluate in full.
+type seeded struct {
+	plan    *plan.Plan
+	sources []plan.Source
+	// Parallel to sources: a relation source's delta slot, a temporal
+	// source's node; the other is nil.
+	srcDelta []*relDelta
+	srcNode  []auxNode
+	canSeed  bool
+}
+
+// seedsOf resolves p's sources. Every temporal subformula of a compiled
+// formula is registered before its plan is built, so the lookup only
+// fails on a bug; seeding is then disabled and the plan kept.
+func (c *Checker) seedsOf(p *plan.Plan) seeded {
+	m := seeded{plan: p}
+	if p == nil || !p.Seedable() {
+		return m
+	}
+	m.sources = p.Sources()
+	m.srcDelta = make([]*relDelta, len(m.sources))
+	m.srcNode = make([]auxNode, len(m.sources))
+	m.canSeed = true
+	for i, src := range m.sources {
+		if src.IsRel {
+			m.srcDelta[i] = c.delta[src.Rel]
+			continue
+		}
+		node, ok := c.byNode[src.Temp]
+		if !ok {
+			m.canSeed = false
+			break
+		}
+		m.srcNode[i] = node
+	}
+	return m
+}
+
+// inexactDirty reports whether any temporal source changed without an
+// exact row-level delta (prev nodes) — seeding would miss derivations,
+// so the caller falls back to full evaluation.
+func (m *seeded) inexactDirty() bool {
+	for _, n := range m.srcNode {
+		if n == nil {
+			continue
+		}
+		if _, _, exact := n.answerDelta(); !exact && n.dirty() {
+			return true
+		}
+	}
+	return false
+}
+
+// movedRows returns the rows of source k that moved in this commit in
+// the direction that can add an answer (gain) or, with gain false, in
+// the direction that can drop one.
+func (m *seeded) movedRows(k int, gain bool) []tuple.Tuple {
+	arrivals := m.sources[k].Positive == gain
+	if d := m.srcDelta[k]; d != nil {
+		if arrivals {
+			return d.inserted
+		}
+		return d.deleted
+	}
+	node := m.srcNode[k]
+	if !node.dirty() {
+		return nil
+	}
+	added, removed, _ := node.answerDelta()
+	if arrivals {
+		return added
+	}
+	return removed
+}
+
+// moved reports whether any source has rows in the given direction.
+func (m *seeded) moved(gain bool) bool {
+	for k := range m.sources {
+		if len(m.movedRows(k, gain)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// derive emits every answer of the plan in the new state that uses a
+// source row which moved in the adding direction — a superset of the
+// rows that entered the answer (a row that already held may be
+// re-derived). Only valid when canSeed and !inexactDirty(): an inexact
+// source exposes no rows to seed from.
+func (m *seeded) derive(sc *stepCtx, emit func(tuple.Tuple) bool) error {
+	for k, src := range m.sources {
+		seeds := m.movedRows(k, true)
+		if len(seeds) == 0 {
+			continue
+		}
+		if err := m.plan.ExecuteSeeded(sc.c.cur, &sc.orc, src, seeds, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // anyDirty reports whether any node's answer changed this commit.
 func anyDirty(nodes []auxNode) bool {
@@ -67,19 +180,16 @@ func anyDirty(nodes []auxNode) bool {
 	return false
 }
 
-// computeDelta fills sc.delta with the transaction's net effect on
+// computeDelta fills c.delta with the transaction's net effect on
 // c.cur. Must run before the transaction is applied (it reads
-// pre-membership). The per-relation slots persist across commits so the
-// steady state allocates nothing.
-func (c *Checker) computeDelta(sc *stepCtx, tx *storage.Transaction) error {
-	if c.delta == nil {
-		c.delta = make(map[string]*relDelta)
-	}
+// pre-membership). The per-relation slots live as long as the checker —
+// read sets and seed sources hold pointers to them, so no commit looks a
+// relation up by name — and the steady state allocates nothing.
+func (c *Checker) computeDelta(tx *storage.Transaction) error {
 	for _, d := range c.delta {
 		d.inserted = d.inserted[:0]
 		d.deleted = d.deleted[:0]
 	}
-	sc.delta = c.delta
 	ops := tx.Ops()
 	// Only the last op on a given (relation, tuple) decides its final
 	// membership; earlier ops on the same tuple are shadowed. Small
@@ -120,10 +230,6 @@ func (c *Checker) computeDelta(sc *stepCtx, tx *storage.Transaction) error {
 			continue // no net change
 		}
 		d := c.delta[op.Rel]
-		if d == nil {
-			d = &relDelta{}
-			c.delta[op.Rel] = d
-		}
 		if op.Insert {
 			d.inserted = append(d.inserted, op.Tuple)
 		} else {
@@ -164,24 +270,32 @@ func collectRels(f mtl.Formula, out map[string]bool) {
 	}
 }
 
-// skeletonRels returns collectRels as a sorted slice.
-func skeletonRels(fs ...mtl.Formula) []string {
+// skeletonDeltas returns the delta slots of the relations collectRels
+// finds in fs, in name order.
+func (c *Checker) skeletonDeltas(fs ...mtl.Formula) []*relDelta {
 	set := map[string]bool{}
 	for _, f := range fs {
 		collectRels(f, set)
 	}
-	out := make([]string, 0, len(set))
+	names := make([]string, 0, len(set))
 	for r := range set {
-		out = append(out, r)
+		names = append(names, r)
 	}
-	sort.Strings(out)
+	sort.Strings(names)
+	out := make([]*relDelta, 0, len(names))
+	for _, r := range names {
+		if d := c.delta[r]; d != nil {
+			out = append(out, d)
+		}
+	}
 	return out
 }
 
 // domainDependent reports whether f's first-order skeleton can change
 // truth when the active domain changes — universal quantification ranges
 // over the active domain, so a commit touching *any* relation may flip
-// it. Such formulas are never skipped or refreshed on unrelated commits.
+// it. Such formulas are never skipped, and nodes over them never idle, on
+// unrelated commits.
 func domainDependent(f mtl.Formula) bool {
 	switch n := f.(type) {
 	case *mtl.Forall:

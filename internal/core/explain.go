@@ -22,8 +22,11 @@ import (
 type SkipAction string
 
 const (
-	// ActionSkipped: the commit touched nothing the denial reads; the
-	// previous answer was reused without evaluation.
+	// ActionSkipped: the previous answer was reused without evaluation —
+	// the commit touched nothing the denial reads ("read set untouched"),
+	// or the previous answer was empty and no changed source had rows in
+	// the direction that can add one, insertions for a positive literal,
+	// deletions for a negated one ("delta cannot add an answer").
 	ActionSkipped SkipAction = "skipped"
 	// ActionSeeded: the answer was re-derived semi-naively from the
 	// previous answer and the commit's delta.
@@ -187,7 +190,10 @@ func (c *Checker) explainWalk(f mtl.Formula, env fol.Env, negated bool, ex *Expl
 	}
 }
 
-// witnesses returns the in-window anchor timestamps of a binding.
+// witnesses returns the in-window anchor timestamps of a binding — of
+// those the encoding still holds: a window with a = 0 keeps only the
+// newest anchor, the one that decides it, as an unbounded window keeps
+// only the earliest.
 func (s *sinceNode) witnesses(env fol.Env, now uint64) []uint64 {
 	row, err := s.rowOf(env)
 	if err != nil {
@@ -198,7 +204,7 @@ func (s *sinceNode) witnesses(env fol.Env, now uint64) []uint64 {
 		return nil
 	}
 	var out []uint64
-	for _, tm := range e.times {
+	for _, tm := range s.anchorsOf(e) {
 		if s.iv.Contains(now - tm) {
 			out = append(out, tm)
 		}

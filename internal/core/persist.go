@@ -166,7 +166,7 @@ func encodeNode(node auxNode) (snapNode, error) {
 			e := n.entries[k]
 			sn.Entries = append(sn.Entries, snapEntry{
 				Row:   e.row.Clone(),
-				Times: append([]uint64(nil), e.times...),
+				Times: append([]uint64(nil), n.anchorsOf(e)...),
 			})
 		}
 		return sn, nil
@@ -303,9 +303,20 @@ func decodeNode(node auxNode, sn snapNode) error {
 			if _, dup := n.entries[key]; dup {
 				return fmt.Errorf("core: snapshot repeats entry %s of node %s", key, n.node.String())
 			}
-			n.insert(key, &sinceEntry{
-				row:   e.Row.Clone(),
-				times: append([]uint64(nil), e.Times...),
+			// A snapshot written before the newest-anchor rule holds every
+			// in-window timestamp; keep what this node's rule keeps.
+			times := e.Times
+			if len(times) > 1 && n.newest {
+				times = times[len(times)-1:]
+			} else if len(times) > 1 && n.iv.Unbounded {
+				times = times[:1]
+			}
+			n.insert(&sinceEntry{
+				key:    key,
+				row:    e.Row.Clone(),
+				times:  append([]uint64(nil), times...),
+				liveIx: -1,
+				keep:   true,
 			})
 		}
 		return nil

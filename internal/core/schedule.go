@@ -101,7 +101,8 @@ func (c *Checker) Schedule() [][]string {
 // NodeCost is the worst-case bounded-history estimate for one
 // auxiliary node of the leveled schedule: Span is the number of
 // timestamps a single binding may retain inside the metric window
-// (1 for prev and for unbounded-above windows, Hi−Lo+1 otherwise),
+// (1 for prev, for unbounded-above windows and for windows with lower
+// bound 0, Hi+1 otherwise),
 // Arity the number of free variables spanning the binding space, and
 // Weight their saturating product — the per-binding storage bound the
 // linter's cost pass sums per constraint.
@@ -142,10 +143,11 @@ func (c *Checker) ScheduleCosts() []NodeCost {
 
 // windowSpan bounds how many timestamps one binding of the node can
 // retain: prev stores a single state, an unbounded-above window keeps
-// only its earliest timestamp (satisfaction is monotone in age), and a
-// bounded window prunes ages beyond Hi, leaving at most Hi+1 live
-// timestamps (ages 0..Hi — pruning ignores Lo, young anchors may still
-// age into the window).
+// only its earliest timestamp (satisfaction is monotone in age), a
+// window with lower bound 0 only its newest (satisfaction is "the newest
+// anchor is at most Hi old"), and any other bounded window prunes ages
+// beyond Hi, leaving at most Hi+1 live timestamps (ages 0..Hi — pruning
+// ignores Lo, young anchors may still age into the window).
 func windowSpan(f mtl.Formula) uint64 {
 	var iv mtl.Interval
 	switch n := f.(type) {
@@ -158,7 +160,7 @@ func windowSpan(f mtl.Formula) uint64 {
 	default:
 		return 1
 	}
-	if iv.Unbounded {
+	if iv.Unbounded || iv.Lo == 0 {
 		return 1
 	}
 	return satAdd(iv.Hi, 1)

@@ -106,6 +106,14 @@ func (b *Bindings) AddRow(row tuple.Tuple) error {
 	return err
 }
 
+// AddKeyedRow inserts a tuple aligned with b's variable order under its
+// Key() encoding, sharing both with the caller instead of copying them;
+// the caller must not mutate row afterwards.
+func (b *Bindings) AddKeyedRow(key string, row tuple.Tuple) error {
+	_, err := b.rel.InsertKeyed(key, row)
+	return err
+}
+
 // Each calls f with an Env view of every binding, in unspecified order;
 // iteration stops early when f returns false. The Env passed to f is
 // reused across calls; clone it to retain it.

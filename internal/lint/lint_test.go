@@ -78,7 +78,9 @@ func TestVacuousConstraint(t *testing.T) {
 // TestCostThreshold pins the acceptance case: a huge metric window
 // over a wide binding space blows the worst-case estimate.
 func TestCostThreshold(t *testing.T) {
-	src := `r(x, y) -> not once[0,999999] r(x, y)`
+	// A window with lower bound 0 keeps one timestamp per binding however
+	// wide it is; from lower bound 1 on every in-window anchor is held.
+	src := `r(x, y) -> not once[1,999999] r(x, y)`
 	diags := Source("c", src, testSchema(), Options{})
 	d := hasRule(diags, "cost")
 	if d == nil {
@@ -97,9 +99,12 @@ func TestCostThreshold(t *testing.T) {
 	if ds := Source("c", src, testSchema(), Options{CostThreshold: NoCostCheck}); hasRule(ds, "cost") != nil {
 		t.Errorf("cost fired with NoCostCheck: %v", ds)
 	}
-	// A tight window stays under the default threshold.
-	if ds := Source("c", `r(x, y) -> not once[0,9] r(x, y)`, testSchema(), Options{}); hasRule(ds, "cost") != nil {
-		t.Errorf("cheap constraint flagged: %v", ds)
+	// A tight window stays under the default threshold, and so does a
+	// wide one that its newest anchor decides.
+	for _, cheap := range []string{`r(x, y) -> not once[1,9] r(x, y)`, `r(x, y) -> not once[0,999999] r(x, y)`} {
+		if ds := Source("c", cheap, testSchema(), Options{}); hasRule(ds, "cost") != nil {
+			t.Errorf("cheap constraint %q flagged: %v", cheap, ds)
+		}
 	}
 }
 

@@ -54,24 +54,16 @@ type KeyTester interface {
 // Source identifies a seedable literal occurrence: a base relation or a
 // temporal subformula, with the polarity it occurs under. Positive
 // sources are seeded from net insertions (answer additions), negated
-// sources from net deletions (answer removals).
+// sources from net deletions (answer removals). Sources are comparable
+// with ==: Compile resolves structurally identical temporal subformulas
+// to one Temp (the first occurrence), so within a plan equal sources are
+// equal values and ExecuteSeeded never renders a formula to tell them
+// apart.
 type Source struct {
 	IsRel    bool
 	Rel      string
 	Temp     mtl.Formula // nil for relation sources
 	Positive bool
-}
-
-// Key returns a map key identifying the source.
-func (s Source) Key() string {
-	pol := "+"
-	if !s.Positive {
-		pol = "-"
-	}
-	if s.IsRel {
-		return pol + "r:" + s.Rel
-	}
-	return pol + "t:" + s.Temp.String()
 }
 
 type stepKind uint8
@@ -168,12 +160,10 @@ func (p *Plan) Sources() []Source {
 	if !p.seedable {
 		return nil
 	}
-	seen := map[string]bool{}
 	var out []Source
 	for _, cj := range p.disjuncts {
 		for _, sv := range cj.seeds {
-			if k := sv.source.Key(); !seen[k] {
-				seen[k] = true
+			if !containsSource(out, sv.source) {
 				out = append(out, sv.source)
 			}
 		}
@@ -750,12 +740,11 @@ func (p *Plan) RetestRow(st *storage.State, oracle fol.Oracle, row tuple.Tuple) 
 //
 //rtic:noalloc
 func (p *Plan) ExecuteSeeded(st *storage.State, oracle fol.Oracle, src Source, seeds []tuple.Tuple, emit func(tuple.Tuple) bool) error {
-	srcKey := src.Key() //rtic:allocok one small key string per seed batch, not per row
 	es := p.getState()
 	defer p.putState(es)
 	for _, cj := range p.disjuncts {
 		for _, sv := range cj.seeds {
-			if sv.source.Key() != srcKey { //rtic:allocok one key string per seed variant, not per row
+			if sv.source != src {
 				continue
 			}
 			for _, seed := range seeds {
@@ -1082,6 +1071,15 @@ func dedupSorted(vars []string) []string {
 		}
 	}
 	return out
+}
+
+func containsSource(xs []Source, v Source) bool {
+	for _, x := range xs {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 func containsStr(xs []string, v string) bool {

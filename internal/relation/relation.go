@@ -54,6 +54,24 @@ func (r *Relation) Insert(t tuple.Tuple) (bool, error) {
 	return true, nil
 }
 
+// InsertKeyed adds t under key, which must be t.Key(), without copying
+// either: for callers that already hold both and never mutate t (the
+// checker's auxiliary entries). It reports whether the tuple was newly
+// added and returns an error on arity mismatch.
+func (r *Relation) InsertKeyed(key string, t tuple.Tuple) (bool, error) {
+	if len(t) != r.arity {
+		return false, fmt.Errorf("relation: insert arity %d into relation of arity %d", len(t), r.arity)
+	}
+	if _, ok := r.rows[key]; ok {
+		return false, nil
+	}
+	r.rows[key] = t
+	for _, ix := range r.indexes {
+		ix.insert(t)
+	}
+	return true, nil
+}
+
 // MustInsert inserts and panics on arity mismatch; for tests and
 // generators whose arities are correct by construction.
 func (r *Relation) MustInsert(t tuple.Tuple) bool {
