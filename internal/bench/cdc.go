@@ -40,7 +40,6 @@ func (p *phaseStats) row(name string) []string {
 		share(core.ActionSkipped),
 		share(core.ActionSeeded),
 		share(core.ActionPlanned),
-		share(core.ActionTreeWalk),
 	}
 }
 
@@ -58,7 +57,7 @@ func Table10CDCFreshness(quick bool) (Table, error) {
 		Title: "CDC freshness workload: burst vs steady phases",
 		Columns: []string{
 			"phase", "commits", "ns/tx", "commits/sec", "allocs/tx",
-			"skipped", "seeded", "planned", "tree-walk",
+			"skipped", "seeded", "planned",
 		},
 		Notes: "cdcgen feed: 3 freshness constraints, burst trains of 8 every 20 commits, late arrivals up to 3 commits (25%), 2% planned violations; action columns are each phase's share of LastSkips decisions",
 	}

@@ -12,8 +12,8 @@ import (
 // disjoint relations, so for most commits two of the three constraints
 // have untouched read sets (skipped) and the third usually seeds from
 // the delta. If this test fails, the delta-driven check path has
-// silently degraded to full-plan (or tree-walk) evaluation on exactly
-// the traffic it was built for.
+// silently degraded to full-plan evaluation on exactly the traffic it
+// was built for.
 //
 // Steady config only: MaxReorder must stay 0 here, because displaced
 // ops land in commits of other stream kinds and break the
@@ -41,13 +41,13 @@ func TestSteadyStateTakesSkipPaths(t *testing.T) {
 	}
 
 	cheap := actions[core.ActionSkipped] + actions[core.ActionSeeded]
-	expensive := actions[core.ActionPlanned] + actions[core.ActionTreeWalk]
+	expensive := actions[core.ActionPlanned]
 	t.Logf("skip actions over %d decisions: %v", total, actions)
 
 	// Hard failure mode the issue names: everything fell back to the
 	// expensive paths.
 	if cheap == 0 {
-		t.Fatalf("steady-state CDC traffic degraded to 100%% planned/tree-walk: %v", actions)
+		t.Fatalf("steady-state CDC traffic degraded to 100%% planned: %v", actions)
 	}
 	// Measured headroom: this workload runs ~99%% skipped+seeded
 	// (557/340/3 at this seed). Half is a loose floor — tripping it

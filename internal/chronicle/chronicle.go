@@ -3,12 +3,12 @@
 // A history is the sequence of states D_0, D_1, … produced by committing
 // transactions at strictly increasing integer timestamps t_0 < t_1 < …
 // (one state per committed transaction, per the paper's model). The
-// package offers two recordings:
+// package offers two recordings, both storage models of the naive
+// full-history checker:
 //
-//   - Log: the cheap delta log (timestamp + transaction per step), enough
-//     to replay a history into any consumer;
-//   - SnapshotHistory: full cloned states per step, the storage model of
-//     the naive full-history checker.
+//   - SnapshotHistory: full cloned states per step;
+//   - CheckpointedHistory: a delta log with a full snapshot every few
+//     commits, states reconstructed on lookup.
 package chronicle
 
 import (
@@ -17,56 +17,6 @@ import (
 	"rtic/internal/schema"
 	"rtic/internal/storage"
 )
-
-// Entry is one committed transaction with its timestamp.
-type Entry struct {
-	Time uint64
-	Tx   *storage.Transaction
-}
-
-// Log is an append-only delta log over a schema.
-type Log struct {
-	schema  *schema.Schema
-	entries []Entry
-}
-
-// NewLog returns an empty log over s.
-func NewLog(s *schema.Schema) *Log {
-	return &Log{schema: s}
-}
-
-// Schema returns the schema the log ranges over.
-func (l *Log) Schema() *schema.Schema { return l.schema }
-
-// Append validates and records a transaction at the given timestamp.
-// Timestamps must be strictly increasing.
-func (l *Log) Append(t uint64, tx *storage.Transaction) error {
-	if n := len(l.entries); n > 0 && t <= l.entries[n-1].Time {
-		return fmt.Errorf("chronicle: non-increasing timestamp %d after %d", t, l.entries[n-1].Time)
-	}
-	if err := tx.Validate(l.schema); err != nil {
-		return err
-	}
-	l.entries = append(l.entries, Entry{Time: t, Tx: tx.Clone()})
-	return nil
-}
-
-// Len reports the number of committed transactions.
-func (l *Log) Len() int { return len(l.entries) }
-
-// Entry returns the i-th entry.
-func (l *Log) Entry(i int) Entry { return l.entries[i] }
-
-// Replay feeds every entry in order to step. Replay stops and returns
-// the first error from step.
-func (l *Log) Replay(step func(t uint64, tx *storage.Transaction) error) error {
-	for _, e := range l.entries {
-		if err := step(e.Time, e.Tx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // SnapshotHistory materializes every state of a history — the memory
 // model of the naive checker. State i is the database after the i-th
@@ -118,30 +68,3 @@ func (h *SnapshotHistory) Size() int {
 	}
 	return n
 }
-
-// Clock issues strictly increasing timestamps; a convenience for
-// generators and examples that advance time by variable gaps.
-type Clock struct {
-	now     uint64
-	started bool
-}
-
-// NewClock returns a clock whose first Advance yields start.
-func NewClock(start uint64) *Clock { return &Clock{now: start} }
-
-// Advance moves the clock forward by gap (minimum 1 to preserve strict
-// monotonicity) and returns the new time.
-func (c *Clock) Advance(gap uint64) uint64 {
-	if gap == 0 {
-		gap = 1
-	}
-	if !c.started {
-		c.started = true
-		return c.now
-	}
-	c.now += gap
-	return c.now
-}
-
-// Now returns the last issued timestamp.
-func (c *Clock) Now() uint64 { return c.now }

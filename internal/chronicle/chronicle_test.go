@@ -12,88 +12,6 @@ func testSchema() *schema.Schema {
 	return schema.NewBuilder().Relation("p", 1).MustBuild()
 }
 
-func TestLogAppendAndReplay(t *testing.T) {
-	l := NewLog(testSchema())
-	if err := l.Append(1, storage.NewTransaction().Insert("p", tuple.Ints(1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(5, storage.NewTransaction().Delete("p", tuple.Ints(1))); err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 2 || l.Entry(1).Time != 5 {
-		t.Fatalf("log shape wrong: len=%d", l.Len())
-	}
-	var times []uint64
-	err := l.Replay(func(tm uint64, tx *storage.Transaction) error {
-		times = append(times, tm)
-		return nil
-	})
-	if err != nil || len(times) != 2 || times[0] != 1 || times[1] != 5 {
-		t.Fatalf("replay times = %v err = %v", times, err)
-	}
-}
-
-func TestLogRejectsNonIncreasingTime(t *testing.T) {
-	l := NewLog(testSchema())
-	if err := l.Append(5, storage.NewTransaction()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(5, storage.NewTransaction()); err == nil {
-		t.Fatal("equal timestamp accepted")
-	}
-	if err := l.Append(4, storage.NewTransaction()); err == nil {
-		t.Fatal("decreasing timestamp accepted")
-	}
-}
-
-func TestLogRejectsInvalidTx(t *testing.T) {
-	l := NewLog(testSchema())
-	if err := l.Append(1, storage.NewTransaction().Insert("zz", tuple.Ints(1))); err == nil {
-		t.Fatal("invalid transaction accepted")
-	}
-	if l.Len() != 0 {
-		t.Fatal("failed append still recorded")
-	}
-}
-
-func TestLogAppendCopiesTx(t *testing.T) {
-	l := NewLog(testSchema())
-	tx := storage.NewTransaction().Insert("p", tuple.Ints(1))
-	if err := l.Append(1, tx); err != nil {
-		t.Fatal(err)
-	}
-	tx.Insert("p", tuple.Ints(2))
-	if l.Entry(0).Tx.Len() != 1 {
-		t.Fatal("log aliases caller transaction")
-	}
-}
-
-func TestReplayStopsOnError(t *testing.T) {
-	l := NewLog(testSchema())
-	for i := uint64(1); i <= 3; i++ {
-		if err := l.Append(i, storage.NewTransaction()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := 0
-	err := l.Replay(func(uint64, *storage.Transaction) error {
-		n++
-		if n == 2 {
-			return errStop
-		}
-		return nil
-	})
-	if err != errStop || n != 2 {
-		t.Fatalf("replay n=%d err=%v", n, err)
-	}
-}
-
-var errStop = &stopErr{}
-
-type stopErr struct{}
-
-func (*stopErr) Error() string { return "stop" }
-
 func TestSnapshotHistory(t *testing.T) {
 	h := NewSnapshotHistory(testSchema())
 	if h.Len() != 0 {
@@ -144,21 +62,5 @@ func TestSnapshotHistorySizeGrows(t *testing.T) {
 	}
 	if h.Size() <= s1 {
 		t.Fatal("history size must grow with states")
-	}
-}
-
-func TestClock(t *testing.T) {
-	c := NewClock(100)
-	if got := c.Advance(5); got != 100 {
-		t.Fatalf("first Advance = %d, want 100", got)
-	}
-	if got := c.Advance(5); got != 105 {
-		t.Fatalf("second Advance = %d, want 105", got)
-	}
-	if got := c.Advance(0); got != 106 {
-		t.Fatalf("zero-gap Advance = %d, want 106 (minimum gap 1)", got)
-	}
-	if c.Now() != 106 {
-		t.Fatalf("Now = %d", c.Now())
 	}
 }

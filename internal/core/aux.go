@@ -30,8 +30,8 @@ import (
 // it — the inputs of the checker's delta-driven constraint evaluation.
 type auxNode interface {
 	formula() mtl.Formula
-	phaseA(sc *stepCtx, ev *lazyEval, t uint64) error
-	phaseBCompute(sc *stepCtx, ev *lazyEval, t uint64) error
+	phaseA(sc *stepCtx, t uint64) error
+	phaseBCompute(sc *stepCtx, t uint64) error
 	phaseBCommit(t uint64)
 	enumerate(now uint64) (*fol.Bindings, error)
 	test(env fol.Env, now uint64) (bool, error)
@@ -64,21 +64,17 @@ type NodeStats struct {
 }
 
 // nodeDeps is the read-set every node derives at registration time: the
-// relations its formulas read directly, its child nodes, and whether
-// "nothing I read changed" is a sound shortcut for it (no universal
-// quantification — see domainDependent).
+// relations its formulas read directly and its child nodes.
 type nodeDeps struct {
 	srcRels  []*relDelta
 	children []auxNode
-	domDep   bool
 }
 
 // clean reports whether nothing the node reads changed in this commit.
 //
 //rtic:noalloc
-func (d *nodeDeps) clean(sc *stepCtx) bool {
-	return sc.planned && !d.domDep &&
-		!anyChanged(d.srcRels) && !anyDirty(d.children)
+func (d *nodeDeps) clean() bool {
+	return !anyChanged(d.srcRels) && !anyDirty(d.children)
 }
 
 // prevNode implements ⊖_I φ: it stores the enumeration of φ in the
@@ -118,7 +114,7 @@ func (p *prevNode) formula() mtl.Formula { return p.n }
 
 // phaseA computes the dirty bit: the answer served for this state vs the
 // previous one. The stored enumeration itself only advances in phase B.
-func (p *prevNode) phaseA(sc *stepCtx, ev *lazyEval, t uint64) error {
+func (p *prevNode) phaseA(sc *stepCtx, t uint64) error {
 	cur, err := p.enumerate(t)
 	if err != nil {
 		return err
@@ -141,27 +137,15 @@ func bindingsEqual(a, b *fol.Bindings) bool {
 	return a.Equal(b)
 }
 
-func (p *prevNode) phaseBCompute(sc *stepCtx, ev *lazyEval, t uint64) error {
+func (p *prevNode) phaseBCompute(sc *stepCtx, t uint64) error {
 	// Refresh fast path: when nothing φ reads changed in this commit,
 	// φ's enumeration in the new state equals the stored one — alias it
 	// (bindings are immutable once published).
-	if p.has && p.deps.clean(sc) {
+	if p.has && p.deps.clean() {
 		p.pending, p.pendingTime = p.stored, t
 		return nil
 	}
-	var b *fol.Bindings
-	var err error
-	if p.fPlan != nil && sc.planned {
-		b, err = p.fPlan.Eval(sc.c.cur, &sc.orc, nil)
-	} else {
-		b, err = ev.get().Eval(p.n.F)
-		if err == nil {
-			// The evaluator may hand back a child node's maintained
-			// answer (φ a bare temporal subformula); that set mutates in
-			// place on later commits, so snapshot before retaining.
-			b = b.Clone()
-		}
-	}
+	b, err := p.fPlan.Eval(sc.c.cur, &sc.orc, nil)
 	if err != nil {
 		return fmt.Errorf("core: prev %q: %w", p.n.String(), err)
 	}
@@ -301,8 +285,7 @@ func (q *deadlineQueue) pending() []deadline { return q.ev[q.head:] }
 // those with a due deadline are resolved; the full enumerate-and-walk
 // primes the node (first commit, first commit after LoadSnapshot) and
 // serves the inputs the delta rung cannot: a ψ whose plan is not
-// seedable or reads the active domain, children without exact deltas,
-// tree-walk mode, and the pruning ablation.
+// seedable, children without exact deltas, and the pruning ablation.
 type sinceNode struct {
 	node  mtl.Formula // *mtl.Once or *mtl.Since
 	iv    mtl.Interval
@@ -314,12 +297,13 @@ type sinceNode struct {
 	lPos  []int // position in vars of each of lvars
 
 	// deps is the node's whole read set, leftRels/leftNodes the chain's
-	// share of it; rhs is ψ's plan with its seed sources (rhs.plan nil
-	// when ψ's shape defeats planning: the tree walk enumerates it).
+	// share of it; rhs is ψ's plan with its seed sources, chain φ's plan
+	// with lvars as its inputs (nil for once).
 	deps      nodeDeps
 	leftRels  []*relDelta
 	leftNodes []auxNode
 	rhs       seeded
+	chain     *plan.Plan
 
 	// noPrune disables all three pruning rules (the space ablation);
 	// answers are unchanged, storage grows with history.
@@ -404,10 +388,10 @@ func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula, no
 
 func (s *sinceNode) formula() mtl.Formula { return s.node }
 
-func (s *sinceNode) phaseA(sc *stepCtx, ev *lazyEval, t uint64) error {
+func (s *sinceNode) phaseA(sc *stepCtx, t uint64) error {
 	s.added = s.added[:0]
 	s.removed = s.removed[:0]
-	clean := s.primed && s.deps.clean(sc)
+	clean := s.primed && s.deps.clean()
 	if clean && s.nothingDue(t) {
 		s.lastT = t
 		s.dirtied = false
@@ -424,17 +408,17 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *lazyEval, t uint64) error {
 	switch {
 	case clean:
 		// Only time passed.
-	case s.primed && !s.noPrune && sc.planned && s.rhs.canSeed && !s.deps.domDep && !s.rhs.inexactDirty():
+	case s.primed && !s.noPrune && s.rhs.canSeed && !s.rhs.inexactDirty():
 		if anyChanged(s.leftRels) || anyDirty(s.leftNodes) {
-			err = s.retestChain(ev)
+			err = s.retestChain(sc)
 		}
 		if err == nil {
-			err = s.deltaAnchors(sc, ev, prev)
+			err = s.deltaAnchors(sc, prev)
 		}
 	default:
 		walk = true
-		if err = s.retestChain(ev); err == nil {
-			err = s.enumerateAnchors(sc, ev, prev)
+		if err = s.retestChain(sc); err == nil {
+			err = s.enumerateAnchors(sc, prev)
 		}
 	}
 	if err != nil {
@@ -486,14 +470,14 @@ func (s *sinceNode) touch(e *sinceEntry) {
 }
 
 // enter records that row is in ⟦ψ⟧ now, creating its entry if need be.
-func (s *sinceNode) enter(row tuple.Tuple, ev *lazyEval) (*sinceEntry, error) {
+func (s *sinceNode) enter(sc *stepCtx, row tuple.Tuple) (*sinceEntry, error) {
 	s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
 	e, ok := s.entries[string(s.keyBuf)]
 	if !ok {
 		e = &sinceEntry{key: string(s.keyBuf), row: row.Clone(), liveIx: -1, keep: true}
 		e.times = e.first[:0]
 		if !s.once {
-			keep, err := s.chainHolds(ev.get(), e)
+			keep, err := s.chainHolds(sc, e)
 			if err != nil {
 				return nil, err
 			}
@@ -586,7 +570,7 @@ func (s *sinceNode) popDue(q *deadlineQueue, t uint64) {
 // retested only when some source moved in the direction that can drop
 // an answer; rows that may have entered are derived from the sources
 // that moved the other way.
-func (s *sinceNode) deltaAnchors(sc *stepCtx, ev *lazyEval, prev uint64) error {
+func (s *sinceNode) deltaAnchors(sc *stepCtx, prev uint64) error {
 	if len(s.live) > 0 && s.rhs.moved(false) {
 		for i := len(s.live) - 1; i >= 0; i-- {
 			e := s.live[i]
@@ -604,7 +588,7 @@ func (s *sinceNode) deltaAnchors(sc *stepCtx, ev *lazyEval, prev uint64) error {
 	}
 	var eerr error
 	err := s.rhs.derive(sc, func(row tuple.Tuple) bool {
-		_, eerr = s.enter(row, ev)
+		_, eerr = s.enter(sc, row)
 		return eerr == nil
 	})
 	if err == nil {
@@ -614,35 +598,23 @@ func (s *sinceNode) deltaAnchors(sc *stepCtx, ev *lazyEval, prev uint64) error {
 }
 
 // enumerateAnchors is the full rung: enumerate ⟦ψ⟧ in the new state and
-// diff it against the live entries. The compiled plan streams rows
-// without materializing the binding set; the tree-walking evaluator is
-// the fallback.
-func (s *sinceNode) enumerateAnchors(sc *stepCtx, ev *lazyEval, prev uint64) error {
+// diff it against the live entries. The plan streams rows without
+// materializing the binding set.
+func (s *sinceNode) enumerateAnchors(sc *stepCtx, prev uint64) error {
 	var eerr error
-	visit := func(row tuple.Tuple) bool {
+	err := s.rhs.plan.Execute(sc.c.cur, &sc.orc, nil, func(row tuple.Tuple) bool {
 		var e *sinceEntry
-		if e, eerr = s.enter(row, ev); eerr != nil {
+		if e, eerr = s.enter(sc, row); eerr != nil {
 			return false
 		}
 		e.mark = s.epoch
 		return true
+	})
+	if err == nil {
+		err = eerr
 	}
-	if s.rhs.plan != nil && sc.planned {
-		if err := s.rhs.plan.Execute(sc.c.cur, &sc.orc, nil, visit); err != nil {
-			return err
-		}
-	} else {
-		rb, err := ev.get().Eval(s.right)
-		if err != nil {
-			return err
-		}
-		if !sameStrings(rb.Vars(), s.vars) {
-			return fmt.Errorf("right-hand side bound %v, node needs %v", rb.Vars(), s.vars)
-		}
-		rb.EachRow(visit)
-	}
-	if eerr != nil {
-		return eerr
+	if err != nil {
+		return err
 	}
 	for i := len(s.live) - 1; i >= 0; i-- {
 		if e := s.live[i]; e.mark != s.epoch {
@@ -652,28 +624,32 @@ func (s *sinceNode) enumerateAnchors(sc *stepCtx, ev *lazyEval, prev uint64) err
 	return nil
 }
 
-// chainHolds evaluates θ ⊨ φ for e's binding in the current state.
-func (s *sinceNode) chainHolds(chain *fol.Evaluator, e *sinceEntry) (bool, error) {
+// chainHolds evaluates θ ⊨ φ for e's binding in the current state: φ's
+// plan, its inputs bound from e's row, stopped at the first row it emits.
+func (s *sinceNode) chainHolds(sc *stepCtx, e *sinceEntry) (bool, error) {
 	for i, p := range s.lPos {
 		s.envBuf[s.lvars[i]] = e.row[p]
 	}
-	ok, err := chain.Test(s.left, s.envBuf)
+	holds := false
+	err := s.chain.Execute(sc.c.cur, &sc.orc, s.envBuf, func(tuple.Tuple) bool {
+		holds = true
+		return false
+	})
 	if err != nil {
 		return false, fmt.Errorf("testing chain: %w", err)
 	}
-	return ok, nil
+	return holds, nil
 }
 
 // retestChain re-evaluates φ for every entry — needed only on commits
 // where something φ reads changed — and queues the entries whose chain
 // is broken: their recurrence step drops S_{i−1}.
-func (s *sinceNode) retestChain(ev *lazyEval) error {
-	if s.once || len(s.entries) == 0 {
+func (s *sinceNode) retestChain(sc *stepCtx) error {
+	if s.once {
 		return nil
 	}
-	chain := ev.get()
 	for _, e := range s.entries {
-		keep, err := s.chainHolds(chain, e)
+		keep, err := s.chainHolds(sc, e)
 		if err != nil {
 			return err
 		}
@@ -757,8 +733,8 @@ func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 	}
 }
 
-func (s *sinceNode) phaseBCompute(*stepCtx, *lazyEval, uint64) error { return nil }
-func (s *sinceNode) phaseBCommit(uint64)                             {}
+func (s *sinceNode) phaseBCompute(*stepCtx, uint64) error { return nil }
+func (s *sinceNode) phaseBCommit(uint64)                  {}
 
 // anchorsOf returns the timestamps e stands for: the stored ones, or for
 // a live entry under the newest-anchor rule the current time it carries
@@ -979,16 +955,4 @@ func varPositions(vars, subset []string) []int {
 		out[i] = sort.SearchStrings(vars, v)
 	}
 	return out
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

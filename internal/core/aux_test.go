@@ -128,7 +128,6 @@ type sweepRig struct {
 	t       *testing.T
 	src     string
 	planned *Checker
-	walk    *Checker
 	ref     engine.Engine
 	present map[sweepOp]bool
 	noise   int64
@@ -143,12 +142,11 @@ func newSweepRig(t *testing.T, src string) *sweepRig {
 		t:       t,
 		src:     src,
 		planned: New(s),
-		walk:    New(s, WithEvaluation(EvalTreeWalk)),
 		ref:     naive.New(s),
 		present: map[sweepOp]bool{},
 		answer:  map[string]bool{},
 	}
-	for _, eng := range []engine.Engine{r.planned, r.walk, r.ref} {
+	for _, eng := range []engine.Engine{r.planned, r.ref} {
 		con, err := check.Parse("c", src, s)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
@@ -183,18 +181,14 @@ func (r *sweepRig) tx(op sweepOp) *storage.Transaction {
 	return tx
 }
 
-// commit steps all three engines and checks everything the sweep
-// promises about the commit.
+// commit steps both engines and checks everything the sweep promises
+// about the commit.
 func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
 	r.t.Helper()
 	r.now = tm
 	got, err := r.planned.Step(tm, tx.Clone())
 	if err != nil {
 		r.t.Fatalf("%s: planned: %v", label, err)
-	}
-	walked, err := r.walk.Step(tm, tx.Clone())
-	if err != nil {
-		r.t.Fatalf("%s: tree-walk: %v", label, err)
 	}
 	want, err := r.ref.Step(tm, tx)
 	if err != nil {
@@ -203,13 +197,8 @@ func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
 	if !sameCanon(canon(got), canon(want)) {
 		r.t.Fatalf("%s: planned %v, naive %v", label, canon(got), canon(want))
 	}
-	if !sameCanon(canon(walked), canon(want)) {
-		r.t.Fatalf("%s: tree-walk %v, naive %v", label, canon(walked), canon(want))
-	}
-	for _, c := range []*Checker{r.planned, r.walk} {
-		if err := c.CheckInvariants(); err != nil {
-			r.t.Fatalf("%s: %v", label, err)
-		}
+	if err := r.planned.CheckInvariants(); err != nil {
+		r.t.Fatalf("%s: %v", label, err)
 	}
 
 	// The node's own answer and its delta, against the violations (which
@@ -290,8 +279,8 @@ func (r *sweepRig) restored() *Checker {
 // [0,0] [0,3] [2,5] [2,∞) [0,∞) and the gaps {1, b, b+1, 2b+3}, every
 // script of the case's length over two keys — which covers every shorter
 // script as a prefix, every commit being checked. After every commit
-// the planned checker, the same checker in tree-walk mode and
-// internal/naive agree, the node's answer is theirs, added/removed are
+// the checker and internal/naive agree, the node's answer is theirs,
+// added/removed are
 // disjoint and equal the difference of consecutive answers, and
 // CheckInvariants holds (pending deadlines queued, live set equal to
 // ⟦ψ⟧, running account equal to the walk).
@@ -479,9 +468,7 @@ func TestCleanUpdatePhaseIsFree(t *testing.T) {
 
 	// The update phase of a commit that only writes probe.
 	tm := c.Now()
-	sc := &stepCtx{c: c, planned: true}
-	sc.dom.st = c.cur
-	sc.inline.sc = sc
+	sc := &stepCtx{c: c}
 	if err := c.computeDelta(ins("probe", 9)); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"rtic/internal/check"
@@ -40,7 +39,6 @@ import (
 	"rtic/internal/schema"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
-	"rtic/internal/value"
 )
 
 // Checker is the incremental bounded-history checker.
@@ -71,14 +69,9 @@ type Checker struct {
 	// phases inline, sequentially).
 	par int
 
-	// mode selects the check-phase evaluation strategy: EvalPlanned (the
-	// default) executes compiled query plans delta-driven, EvalTreeWalk
-	// re-evaluates every denial with the tree-walking evaluator — the
-	// reference path kept for differential testing.
-	mode EvalMode
 	// conStates holds the per-constraint planning state, parallel to
 	// constraints; delta holds the reusable per-relation net-delta slots;
-	// lastSkips records what the last planned commit did per constraint.
+	// lastSkips records what the last commit did per constraint.
 	conStates []*conState
 	delta     map[string]*relDelta
 	lastSkips []SkipInfo
@@ -122,46 +115,19 @@ type conMetrics struct {
 // Option configures a Checker at construction time.
 type Option func(*Checker)
 
-// EvalMode selects the check-phase evaluation strategy.
-type EvalMode int
-
-const (
-	// EvalPlanned compiles denials to query plans at AddConstraint time
-	// and evaluates them delta-driven: constraints whose read set a
-	// commit did not touch reuse their previous answer, seedable plans
-	// re-derive only the answers reachable from the commit's net delta,
-	// and the rest execute their full plan. The default.
-	EvalPlanned EvalMode = iota
-	// EvalTreeWalk re-evaluates every denial and auxiliary update
-	// formula with the tree-walking evaluator on every commit — the
-	// original full-evaluation path, kept selectable for differential
-	// testing against the planned path.
-	EvalTreeWalk
-)
-
-// WithEvaluation selects the check-phase evaluation strategy.
-func WithEvaluation(m EvalMode) Option {
-	return func(c *Checker) { c.mode = m }
-}
-
 // conState is the per-constraint planning state: the compiled denial
-// plan with its seed sources (plan is nil when the denial's shape is
-// unsupported and the tree-walking evaluator takes over), the read-set
-// index the skip decision consults, and the previous commit's denial
-// answer for reuse and retesting.
+// plan with its seed sources, the read-set index the skip decision
+// consults, and the previous commit's denial answer for reuse and
+// retesting.
 type conState struct {
 	seeded
-	planErr string // why plan compilation fell back, for SkipInfo
 	// readRels are the delta slots of the relations of the denial's
 	// first-order skeleton; nodes the auxiliary nodes of its outermost
 	// temporal subformulas; together they form the constraint's read set.
 	readRels []*relDelta
 	nodes    []auxNode
-	// domDep marks denials with universal quantification, whose truth
-	// can change with the active domain: never skipped.
-	domDep bool
-	// lastB is the denial's answer at the previous commit (planned mode
-	// only); nil until the first check. Published answers are immutable:
+	// lastB is the denial's answer at the previous commit; nil until the
+	// first check. Published answers are immutable:
 	// a commit that changes the answer builds a new set.
 	lastB *fol.Bindings
 	// lost and keyBuf are seminaive's scratch.
@@ -213,10 +179,13 @@ func (c *Checker) DisablePruning() error {
 	return nil
 }
 
-// AddConstraint installs a compiled constraint and builds auxiliary
-// nodes for its temporal subformulas. Constraints must be installed
-// before the first transaction: the encoding summarizes the history from
-// its beginning.
+// AddConstraint installs a compiled constraint: it compiles the denial
+// to a query plan and builds auxiliary nodes, each with the plans of its
+// own operands, for its temporal subformulas. A formula the planner
+// cannot range-restrict is refused here — the engine has no second
+// evaluator to hand it to. Constraints must be installed before the
+// first transaction: the encoding summarizes the history from its
+// beginning.
 func (c *Checker) AddConstraint(con *check.Constraint) error {
 	if c.started {
 		return fmt.Errorf("core: constraint %q added after the history started; the auxiliary encoding would miss past states", con.Name)
@@ -224,32 +193,22 @@ func (c *Checker) AddConstraint(con *check.Constraint) error {
 	if _, dup := c.conNames[con.Name]; dup {
 		return fmt.Errorf("core: duplicate constraint %q", con.Name)
 	}
+	p, err := plan.Compile(con.Denial, c.cur, nil)
+	if err != nil {
+		return err
+	}
 	if err := c.compile(con.Denial); err != nil {
 		return err
 	}
 	c.constraints = append(c.constraints, con)
 	c.conNames[con.Name] = struct{}{}
-	c.conStates = append(c.conStates, c.planConstraint(con))
-	c.syncConMetrics()
-	return nil
-}
-
-// planConstraint compiles the denial to a query plan and derives the
-// constraint's read-set index. Plan compilation failures are recorded,
-// not raised: the tree-walking evaluator handles every kernel shape.
-func (c *Checker) planConstraint(con *check.Constraint) *conState {
-	cs := &conState{
+	c.conStates = append(c.conStates, &conState{
+		seeded:   c.seedsOf(p),
 		readRels: c.skeletonDeltas(con.Denial),
 		nodes:    c.directNodes(con.Denial),
-		domDep:   domainDependent(con.Denial),
-	}
-	p, err := plan.Compile(con.Denial, c.cur, nil)
-	if err != nil {
-		cs.planErr = err.Error()
-		return cs
-	}
-	cs.seeded = c.seedsOf(p)
-	return cs
+	})
+	c.syncConMetrics()
+	return nil
 }
 
 // SetObserver attaches (or detaches, with nil) the instrumentation
@@ -313,8 +272,7 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err := c.compile(n.F); err != nil {
 			return err
 		}
-		c.register(n, newPrevNode(n))
-		return nil
+		return c.register(n, newPrevNode(n))
 	case *mtl.Once:
 		if err := c.compile(n.F); err != nil {
 			return err
@@ -323,8 +281,7 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err != nil {
 			return err
 		}
-		c.register(n, node)
-		return nil
+		return c.register(n, node)
 	case *mtl.Since:
 		if err := c.compile(n.L); err != nil {
 			return err
@@ -336,54 +293,66 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err != nil {
 			return err
 		}
-		c.register(n, node)
-		return nil
+		return c.register(n, node)
 	default:
 		return fmt.Errorf("core: compile: non-kernel node %T (%q)", f, f.String())
 	}
 }
 
-func (c *Checker) register(f mtl.Formula, node auxNode) {
+func (c *Checker) register(f mtl.Formula, node auxNode) error {
 	if _, ok := c.byNode[f]; ok {
-		return
+		return nil
 	}
 	shape := f.String()
 	if existing, ok := c.byShape[shape]; ok {
 		// Alias this occurrence to the shared node; it is updated once
 		// per transaction and answers for every occurrence.
 		c.byNode[f] = existing
-		return
+		return nil
+	}
+	if err := c.bindNode(node); err != nil {
+		return err
 	}
 	c.byShape[shape] = node
 	c.byNode[f] = node
 	c.nodes = append(c.nodes, node)
 	c.schedule(f, node)
-	c.bindNode(node)
+	return nil
 }
 
-// bindNode derives a freshly registered node's read set and compiles
-// its update formula to a query plan. Children are registered before
-// parents, so directNodes resolves every child.
-func (c *Checker) bindNode(node auxNode) {
+// bindNode derives a new node's read set and compiles its operands to
+// query plans: φ of a prev and ψ of a once/since enumerate, the chain φ
+// of a since is tested per binding and so takes its variables as plan
+// inputs. Children are registered before parents, so directNodes
+// resolves every child.
+func (c *Checker) bindNode(node auxNode) error {
+	var err error
 	switch n := node.(type) {
 	case *prevNode:
 		n.deps = nodeDeps{
 			srcRels:  c.skeletonDeltas(n.n.F),
 			children: c.directNodes(n.n.F),
-			domDep:   domainDependent(n.n.F),
 		}
-		n.fPlan, _ = plan.Compile(n.n.F, c.cur, nil)
+		n.fPlan, err = plan.Compile(n.n.F, c.cur, nil)
 	case *sinceNode:
 		n.deps = nodeDeps{
 			srcRels:  c.skeletonDeltas(n.left, n.right),
 			children: c.directNodes(n.left, n.right),
-			domDep:   domainDependent(n.left) || domainDependent(n.right),
 		}
 		n.leftRels = c.skeletonDeltas(n.left)
 		n.leftNodes = c.directNodes(n.left)
-		p, _ := plan.Compile(n.right, c.cur, nil)
+		if !n.once {
+			if n.chain, err = plan.Compile(n.left, c.cur, n.lvars); err != nil {
+				return err
+			}
+		}
+		p, err := plan.Compile(n.right, c.cur, nil)
+		if err != nil {
+			return err
+		}
 		n.rhs = c.seedsOf(p)
 	}
+	return err
 }
 
 // stepInstr carries one commit's instrumentation through the pipeline
@@ -571,49 +540,15 @@ func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
 	return engine.SerialBatch(c.Step, steps)
 }
 
-// domainCache computes the state's active domain once per commit and
-// shares it across the pipeline's per-goroutine evaluators.
-type domainCache struct {
-	st   *storage.State
-	once sync.Once
-	dom  []value.Value
-}
-
-func (d *domainCache) get() []value.Value {
-	d.once.Do(func() { d.dom = d.st.ActiveDomain() })
-	return d.dom
-}
-
-// lazyEval hands a pipeline task the tree-walking evaluator, built on
-// first use: a commit whose nodes and constraints all take the planned
-// path never constructs one. Evaluators cache the active domain and
-// scratch buffers and so are single-goroutine — the inline pipeline
-// shares stepCtx.inline across its phases (the state is fixed once the
-// apply phase is over), every pool task gets its own.
-type lazyEval struct {
-	sc *stepCtx
-	ev *fol.Evaluator
-}
-
-func (l *lazyEval) get() *fol.Evaluator {
-	if l.ev == nil {
-		sc := l.sc
-		l.ev = fol.NewEvaluatorShared(sc.c.cur, &sc.orc, sc.dom.get)
-	}
-	return l.ev
-}
-
 // step runs the four-phase commit pipeline for one transaction,
 // attributing each phase's time through si (nil = uninstrumented).
 func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]check.Violation, error) {
 	if c.started && t <= c.now {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, c.now)
 	}
-	sc := &stepCtx{c: c, t: t, planned: c.mode == EvalPlanned, orc: oracle{c: c, now: t}}
-	sc.dom.st = c.cur
-	sc.inline.sc = sc
+	sc := &stepCtx{c: c, t: t, orc: oracle{c: c, now: t}}
 	ps := si.phase(phaseApply, obs.SpanApply)
-	err := c.applyPhase(sc, tx)
+	err := c.applyPhase(tx)
 	ps.done(tx.Len(), err)
 	if err != nil {
 		return nil, err
@@ -645,15 +580,13 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 }
 
 // applyPhase validates the transaction, computes its net delta against
-// the pre-state (planned mode), and applies it to the current state.
-func (c *Checker) applyPhase(sc *stepCtx, tx *storage.Transaction) error {
+// the pre-state, and applies it to the current state.
+func (c *Checker) applyPhase(tx *storage.Transaction) error {
 	if err := tx.Validate(c.schema); err != nil {
 		return err
 	}
-	if sc.planned {
-		if err := c.computeDelta(tx); err != nil {
-			return err
-		}
+	if err := c.computeDelta(tx); err != nil {
+		return err
 	}
 	return c.cur.Apply(tx)
 }
@@ -689,11 +622,11 @@ func (c *Checker) carryPhase(sc *stepCtx, si *stepInstr, span *obs.Span) error {
 
 // runNode drives node through one phase: phase A (update), or with
 // carry set the compute half of phase B.
-func (sc *stepCtx) runNode(node auxNode, ev *lazyEval, carry bool) error {
+func (sc *stepCtx) runNode(node auxNode, carry bool) error {
 	if carry {
-		return node.phaseBCompute(sc, ev, sc.t)
+		return node.phaseBCompute(sc, sc.t)
 	}
-	return node.phaseA(sc, ev, sc.t)
+	return node.phaseA(sc, sc.t)
 }
 
 // runNodePhase drives one node phase over nodes, inline when the
@@ -718,21 +651,20 @@ func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, carry bool, si *ste
 
 // runNodesInline is the default pipeline's node loop, on the committing
 // goroutine. The dispatch itself allocates nothing — no closure, no
-// label, and the shared evaluator behind sc.inline is only built if a
-// node falls back to the tree walk (what the nodes allocate behind the
-// auxNode interface is their own account: new entries, answer deltas).
+// label (what the nodes allocate behind the auxNode interface is their
+// own account: new entries, answer deltas).
 //
 //rtic:noalloc
 func runNodesInline(sc *stepCtx, nodes []auxNode, carry bool, tr obs.Tracer) error {
 	for _, node := range nodes {
 		if tr == nil {
-			if err := sc.runNode(node, &sc.inline, carry); err != nil {
+			if err := sc.runNode(node, carry); err != nil {
 				return err
 			}
 			continue
 		}
 		//rtic:allocok DEBUG node tracing renders the formula; off unless a tracer asked for OpNodeUpdate
-		if err := sc.traceNode(node, &sc.inline, carry, tr); err != nil {
+		if err := sc.traceNode(node, carry, tr); err != nil {
 			return err
 		}
 	}
@@ -740,9 +672,9 @@ func runNodesInline(sc *stepCtx, nodes []auxNode, carry bool, tr obs.Tracer) err
 }
 
 // traceNode is runNode wrapped in an OpNodeUpdate trace event.
-func (sc *stepCtx) traceNode(node auxNode, ev *lazyEval, carry bool, tr obs.Tracer) error {
+func (sc *stepCtx) traceNode(node auxNode, carry bool, tr obs.Tracer) error {
 	n0 := time.Now()
-	err := sc.runNode(node, ev, carry)
+	err := sc.runNode(node, carry)
 	tr.Trace(obs.TraceEvent{
 		Op: obs.OpNodeUpdate, Detail: node.formula().String(),
 		Time: sc.t, Duration: time.Since(n0), Err: err,
@@ -761,13 +693,12 @@ func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, tr ob
 	durs := make([]time.Duration, n)
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		ev := lazyEval{sc: sc}
 		if tr == nil {
-			errs[i] = sc.runNode(nodes[i], &ev, carry)
+			errs[i] = sc.runNode(nodes[i], carry)
 			return
 		}
 		n0 := time.Now()
-		errs[i] = sc.runNode(nodes[i], &ev, carry)
+		errs[i] = sc.runNode(nodes[i], carry)
 		durs[i] = time.Since(n0)
 	})
 	si.attributePool(span, batchStart, label, timings)
@@ -799,7 +730,7 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	if n == 0 {
 		return nil, nil
 	}
-	if sc.planned && len(c.lastSkips) != n {
+	if len(c.lastSkips) != n {
 		c.lastSkips = make([]SkipInfo, n)
 	}
 	var m *obs.Metrics
@@ -819,7 +750,7 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 			if instrumented {
 				c0 = time.Now()
 			}
-			vs, err := c.checkCon(&sc.inline, sc, i, t)
+			vs, err := c.checkCon(sc, i, t)
 			if m != nil && i < len(c.conMetrics) {
 				c.conMetrics[i].seconds.Observe(time.Since(c0).Seconds())
 				c.conMetrics[i].violations.Add(uint64(len(vs)))
@@ -842,12 +773,11 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	durs := make([]time.Duration, n)
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		ev := lazyEval{sc: sc}
 		var c0 time.Time
 		if instrumented {
 			c0 = time.Now()
 		}
-		results[i], errs[i] = c.checkCon(&ev, sc, i, t)
+		results[i], errs[i] = c.checkCon(sc, i, t)
 		if instrumented {
 			durs[i] = time.Since(c0)
 		}
@@ -877,29 +807,15 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	return out, nil
 }
 
-// checkOne evaluates one constraint's denial and materializes the
-// violation witnesses.
-func (c *Checker) checkOne(ev *lazyEval, con *check.Constraint, t uint64) ([]check.Violation, error) {
-	b, err := ev.get().Eval(con.Denial)
-	if err != nil {
-		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
-	}
-	return check.FromBindings(con, c.index, t, b)
-}
-
 // checkCon checks constraint i at time t through the cheapest sound
 // strategy: reuse the previous answer when the commit touched nothing
 // the denial reads, re-derive semi-naively from the delta when every
 // changed source has exact row-level changes, otherwise run the
-// compiled plan in full — or the tree-walking evaluator when the
-// denial's shape defeated plan compilation.
-func (c *Checker) checkCon(ev *lazyEval, sc *stepCtx, i int, t uint64) ([]check.Violation, error) {
+// compiled plan in full.
+func (c *Checker) checkCon(sc *stepCtx, i int, t uint64) ([]check.Violation, error) {
 	con := c.constraints[i]
-	if !sc.planned {
-		return c.checkOne(ev, con, t)
-	}
 	cs := c.conStates[i]
-	clean := !cs.domDep && !anyChanged(cs.readRels) && !anyDirty(cs.nodes)
+	clean := !anyChanged(cs.readRels) && !anyDirty(cs.nodes)
 	if clean && cs.lastB != nil {
 		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSkipped, Reason: "read set untouched"}
 		return check.FromBindings(con, c.index, t, cs.lastB)
@@ -919,21 +835,12 @@ func (c *Checker) checkCon(ev *lazyEval, sc *stepCtx, i int, t uint64) ([]check.
 		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSeeded, Reason: "re-derived from delta"}
 		return check.FromBindings(con, c.index, t, b)
 	}
-	if cs.plan != nil {
-		b, err := cs.plan.Eval(c.cur, &sc.orc, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
-		}
-		cs.lastB = b
-		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionPlanned, Reason: fullEvalReason(clean, cs)}
-		return check.FromBindings(con, c.index, t, b)
-	}
-	b, err := ev.get().Eval(con.Denial)
+	b, err := cs.plan.Eval(c.cur, &sc.orc, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
 	}
 	cs.lastB = b
-	c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionTreeWalk, Reason: cs.planErr}
+	c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionPlanned, Reason: fullEvalReason(clean, cs)}
 	return check.FromBindings(con, c.index, t, b)
 }
 
@@ -944,8 +851,6 @@ func fullEvalReason(clean bool, cs *conState) string {
 		return "no previous answer"
 	case clean:
 		return "read set untouched but unseedable" // unreachable with lastB set
-	case cs.domDep:
-		return "domain-dependent denial"
 	case !cs.canSeed:
 		return "plan not seedable"
 	default:

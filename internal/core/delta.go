@@ -30,19 +30,12 @@ type relDelta struct {
 
 func (d *relDelta) changed() bool { return len(d.inserted)+len(d.deleted) > 0 }
 
-// stepCtx carries one commit's delta and mode through the pipeline
-// phases. A ctx with planned=false (tree-walk mode) disables every
-// delta-driven shortcut: nodes and constraints evaluate in full.
+// stepCtx carries one commit through the pipeline phases: the checker,
+// the commit's timestamp and the oracle answering temporal literals at it.
 type stepCtx struct {
-	c       *Checker
-	t       uint64
-	planned bool
-	orc     oracle
-	// dom and inline serve the tree-walk fallback: the commit's one
-	// active-domain computation and the inline pipeline's evaluator,
-	// neither touched by a fully planned commit.
-	dom    domainCache
-	inline lazyEval
+	c   *Checker
+	t   uint64
+	orc oracle
 }
 
 // anyChanged reports whether the commit touched any of the relations
@@ -79,11 +72,11 @@ type seeded struct {
 }
 
 // seedsOf resolves p's sources. Every temporal subformula of a compiled
-// formula is registered before its plan is built, so the lookup only
-// fails on a bug; seeding is then disabled and the plan kept.
+// formula is registered before its sources are resolved, so the lookup
+// only fails on a bug; seeding is then disabled and the plan kept.
 func (c *Checker) seedsOf(p *plan.Plan) seeded {
 	m := seeded{plan: p}
-	if p == nil || !p.Seedable() {
+	if !p.Seedable() {
 		return m
 	}
 	m.sources = p.Sources()
@@ -289,32 +282,6 @@ func (c *Checker) skeletonDeltas(fs ...mtl.Formula) []*relDelta {
 		}
 	}
 	return out
-}
-
-// domainDependent reports whether f's first-order skeleton can change
-// truth when the active domain changes — universal quantification ranges
-// over the active domain, so a commit touching *any* relation may flip
-// it. Such formulas are never skipped, and nodes over them never idle, on
-// unrelated commits.
-func domainDependent(f mtl.Formula) bool {
-	switch n := f.(type) {
-	case *mtl.Forall:
-		return true
-	case *mtl.Not:
-		return domainDependent(n.F)
-	case *mtl.And:
-		return domainDependent(n.L) || domainDependent(n.R)
-	case *mtl.Or:
-		return domainDependent(n.L) || domainDependent(n.R)
-	case *mtl.Exists:
-		return domainDependent(n.F)
-	case *mtl.Implies:
-		return domainDependent(n.L) || domainDependent(n.R)
-	case *mtl.Iff:
-		return domainDependent(n.L) || domainDependent(n.R)
-	default:
-		return false
-	}
 }
 
 // directNodes resolves the outermost temporal subformulas of f to their

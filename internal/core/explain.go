@@ -33,13 +33,14 @@ const (
 	ActionSeeded SkipAction = "seeded"
 	// ActionPlanned: the compiled query plan ran in full.
 	ActionPlanned SkipAction = "planned"
-	// ActionTreeWalk: the denial's shape defeated plan compilation; the
-	// tree-walking evaluator ran in full.
+	// ActionTreeWalk is never emitted: the engine has one evaluator. The
+	// constant survives only because the frozen benchmark/ladder.go names
+	// it (core.treewalk_share); delete it in the next benchmark PR.
 	ActionTreeWalk SkipAction = "tree-walk"
 )
 
-// SkipInfo records what the latest planned commit did for one
-// constraint, and why — the commit-level counterpart of Explain.
+// SkipInfo records what the latest commit did for one constraint, and
+// why — the commit-level counterpart of Explain.
 type SkipInfo struct {
 	Constraint string
 	Action     SkipAction
@@ -55,8 +56,8 @@ func (s SkipInfo) String() string {
 }
 
 // LastSkips returns the per-constraint strategy record of the latest
-// commit, in constraint order. Nil until the first commit in planned
-// mode; callers must not mutate the slice.
+// commit, in constraint order. Nil until the first commit; callers must
+// not mutate the slice.
 func (c *Checker) LastSkips() []SkipInfo { return c.lastSkips }
 
 // Evidence describes one temporal subformula under the violating binding.

@@ -3,17 +3,26 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"rtic/internal/cdcgen"
 	"rtic/internal/check"
+	"rtic/internal/engine"
+	"rtic/internal/formgen"
+	"rtic/internal/naive"
+	"rtic/internal/schema"
+	"rtic/internal/spec"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
+	"rtic/internal/workload"
 )
 
 // The delta-driven check path (compiled plans, skip/seed decisions,
-// node refresh) must be invisible in the answers: a checker in the
-// default planned mode and one forced to full tree-walking evaluation
-// report identical violations on arbitrary histories.
+// node refresh) must be invisible in the answers: the checker and
+// internal/naive, which walks the whole history with the tree-walking
+// evaluator, report identical violations on arbitrary histories.
 
 func TestPlannedMatchesTreeWalk(t *testing.T) {
 	s := equivSchema()
@@ -22,12 +31,12 @@ func TestPlannedMatchesTreeWalk(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		nCons := 1 + r.Intn(3)
 		planned := New(s)
-		walk := New(s, WithEvaluation(EvalTreeWalk))
+		walk := naive.New(s)
 		var names []string
 		for k := 0; k < nCons; k++ {
 			src := constraintPool[r.Intn(len(constraintPool))]
 			name := fmt.Sprintf("c%d", k)
-			for _, c := range []*Checker{planned, walk} {
+			for _, c := range []engine.Engine{planned, walk} {
 				con, err := check.Parse(name, src, s)
 				if err != nil {
 					t.Fatalf("seed %d: constraint %q: %v", seed, src, err)
@@ -49,11 +58,11 @@ func TestPlannedMatchesTreeWalk(t *testing.T) {
 			}
 			want, err := walk.Step(tm, tx)
 			if err != nil {
-				t.Fatalf("seed %d step %d: tree-walk: %v", seed, i, err)
+				t.Fatalf("seed %d step %d: naive: %v", seed, i, err)
 			}
 			cg, cw := canon(got), canon(want)
 			if !sameCanon(cg, cw) {
-				t.Fatalf("seed %d step %d (t=%d, tx=%s):\nplanned:   %v\ntree-walk: %v\nconstraints: %v",
+				t.Fatalf("seed %d step %d (t=%d, tx=%s):\nplanned: %v\nnaive:   %v\nconstraints: %v",
 					seed, i, tm, tx, cg, cw, names)
 			}
 			if err := planned.CheckInvariants(); err != nil {
@@ -62,9 +71,6 @@ func TestPlannedMatchesTreeWalk(t *testing.T) {
 			for _, si := range planned.LastSkips() {
 				actions[si.Action]++
 			}
-		}
-		if len(walk.LastSkips()) != 0 {
-			t.Fatalf("seed %d: tree-walk mode recorded skip decisions", seed)
 		}
 	}
 	// The differential only means something if the cheap strategies
@@ -178,5 +184,88 @@ func TestSkipReemitsViolations(t *testing.T) {
 	}
 	if got := c.LastSkips()[0]; got.Action != ActionSkipped {
 		t.Fatalf("dupQ = %v, want %v", got, ActionSkipped)
+	}
+}
+
+// TestPlannerIsTotal is the planner-coverage table as an assertion:
+// whatever check.Parse admits of 10,000 formgen constraints, the shipped
+// spec files, the five workloads and the cdcgen policies installs — the
+// denial, every node operand and every since chain compile, since the
+// engine has no other evaluator to run them with.
+func TestPlannerIsTotal(t *testing.T) {
+	installed := map[string]int{}
+	install := func(corpus string, s *schema.Schema, src string) {
+		con, err := check.Parse("c", src, s)
+		if err != nil {
+			return // outside the language: not the planner's call
+		}
+		if err := New(s).AddConstraint(con); err != nil {
+			t.Errorf("%s: %q (denial %q): %v", corpus, src, con.Denial.String(), err)
+		}
+		installed[corpus]++
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		install("formgen", formgen.Schema(), formgen.Constraint(r))
+	}
+	paths, err := filepath.Glob("../../examples/specs/*.rtic")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no spec files found: %v", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := spec.ParseSpec(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, cs := range sp.Constraints {
+			install("specs", sp.Schema, cs.Source)
+		}
+	}
+	cdc, _ := cdcgen.Generate(cdcgen.Config{Steps: 1})
+	for _, h := range []workload.History{
+		workload.Uniform(workload.UniformConfig{Steps: 1}),
+		workload.Tickets(workload.TicketsConfig{Steps: 1}),
+		workload.HR(workload.HRConfig{Steps: 1}),
+		workload.Library(workload.LibraryConfig{Steps: 1}),
+		workload.Alarms(workload.AlarmsConfig{Steps: 1}),
+		cdc,
+	} {
+		for _, cs := range h.Constraints {
+			install("workloads", h.Schema, cs.Source)
+		}
+	}
+	if installed["formgen"] != 10000 || installed["specs"] == 0 || installed["workloads"] < 9 {
+		t.Fatalf("installed %v: want 10000 formgen constraints, the spec files' and the nine workload and cdcgen ones", installed)
+	}
+	t.Logf("installed %v", installed)
+}
+
+// A quantified variable that no enumerable literal provides can only be
+// decided by ranging over the active domain, which no read set covers:
+// AddConstraint refuses the constraint instead of answering it wrongly
+// on the commits that extend the domain elsewhere.
+func TestAddConstraintRefusesUnrestrictedQuantifier(t *testing.T) {
+	s := equivSchema()
+	for _, src := range []string{
+		"p(x) -> (forall y: r(x, y))",
+		"p(x) -> not ((exists y: not r(x, y)) since q(x))",
+		"p(x) -> not once[0,4] (q(x) and (exists y: not r(x, y)))",
+	} {
+		con, err := check.Parse("c", src, s)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		c := New(s)
+		if err := c.AddConstraint(con); err == nil {
+			t.Errorf("%q installed; its denial %q quantifies over the active domain", src, con.Denial.String())
+		}
+		if n := len(c.ConstraintNames()); n != 0 {
+			t.Errorf("%q: refused, yet %d constraints are installed", src, n)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rtic/internal/mtl"
+	"rtic/internal/plan"
 )
 
 // The commit pipeline's schedule: auxiliary nodes are grouped into
@@ -137,6 +138,16 @@ func (c *Checker) ScheduleCosts() []NodeCost {
 				Weight:  satMul(span, uint64(w)),
 			})
 		}
+	}
+	return out
+}
+
+// DenialCosts reports the plan-derived evaluation estimate of every
+// installed constraint's denial, in installation order.
+func (c *Checker) DenialCosts() []plan.Cost {
+	out := make([]plan.Cost, len(c.conStates))
+	for i, cs := range c.conStates {
+		out[i] = cs.plan.Cost()
 	}
 	return out
 }

@@ -53,7 +53,7 @@ func cdcCorpus() []struct {
 
 // TestDifferentialCDC replays the CDC freshness corpus (internal/
 // cdcgen) through every engine leg: naive, core at parallelism 1 and
-// 4, tree-walk core, active rules, and the shard router at fan-outs
+// 4, active rules, and the shard router at fan-outs
 // 1, 2 and 8 — the realistic-traffic counterpart to the formgen
 // pairs. All three freshness constraints partition on the sensor
 // variable, so the sharded legs genuinely spread this workload.

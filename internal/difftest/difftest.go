@@ -84,13 +84,6 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 			return nil, err
 		}
 	}
-	// The legacy full-evaluation mode: every delta-driven shortcut of
-	// the planned check path disabled. Divergence between this leg and
-	// core/par=* localizes a bug to plan compilation or the skip/seed
-	// decisions rather than the auxiliary encoding.
-	if err := add("core/treewalk", core.New(s, core.WithEvaluation(core.EvalTreeWalk)), nil); err != nil {
-		return nil, err
-	}
 	if err := add("active", active.New(s), nil); err != nil {
 		return nil, err
 	}

@@ -29,20 +29,17 @@ type Oracle interface {
 //
 // An Evaluator is not safe for concurrent use: the domain cache is
 // written lazily and the atom scan/test paths reuse per-evaluator
-// scratch buffers (row and environment) so the fallback path allocates
-// per result set, not per tuple. Concurrent callers over the same state
-// create one Evaluator per goroutine; NewEvaluatorShared lets them share
-// a single active-domain computation so parallelism does not multiply
-// its cost.
+// scratch buffers (row and environment) so evaluation allocates per
+// result set, not per tuple. Concurrent callers over the same state
+// create one Evaluator per goroutine.
 type Evaluator struct {
 	st     *storage.State
 	oracle Oracle
-	domFn  func() []value.Value // optional shared domain source
 	domain []value.Value
 	hasDom bool
-	// rowBuf and envBuf are reusable scratch buffers for the tree-walk
-	// fallback path (testAtom rows, evalAtom environments); legal because
-	// an Evaluator is single-goroutine by contract.
+	// rowBuf and envBuf are reusable scratch buffers (testAtom rows,
+	// evalAtom environments); legal because an Evaluator is
+	// single-goroutine by contract.
 	rowBuf tuple.Tuple
 	envBuf Env
 	// free recycles intermediate binding sets (atom scans, join inputs)
@@ -102,23 +99,9 @@ func NewEvaluator(st *storage.State, oracle Oracle) *Evaluator {
 	return &Evaluator{st: st, oracle: oracle}
 }
 
-// NewEvaluatorShared returns an evaluator for st whose active domain is
-// read from domFn instead of being computed from the state — the hook
-// per-goroutine evaluators use to share one (sync.Once-guarded) domain
-// computation. domFn must return an equivalent of st.ActiveDomain() and
-// must itself be safe for concurrent use.
-func NewEvaluatorShared(st *storage.State, oracle Oracle, domFn func() []value.Value) *Evaluator {
-	return &Evaluator{st: st, oracle: oracle, domFn: domFn}
-}
-
 func (e *Evaluator) activeDomain() []value.Value {
 	if !e.hasDom {
-		if e.domFn != nil {
-			e.domain = e.domFn()
-		} else {
-			e.domain = e.st.ActiveDomain()
-		}
-		e.hasDom = true
+		e.domain, e.hasDom = e.st.ActiveDomain(), true
 	}
 	return e.domain
 }

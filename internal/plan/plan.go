@@ -1,9 +1,13 @@
 // Package plan compiles kernel formulas — denial kernels and
-// auxiliary-node update formulas — into physical query plans, executed
-// once per commit instead of being re-interpreted by the tree-walking
-// evaluator.
+// auxiliary-node update formulas — into physical query plans. It is the
+// engine's only evaluator: every formula check.Compile admits and the
+// planner can range-restrict compiles, and core refuses the rest at
+// install time.
 //
-// A plan is compiled per disjunct of the kernel. Within a disjunct the
+// A plan is compiled per disjunct of the kernel's disjunctive normal
+// form: conjunction and existential quantification are distributed over
+// disjunction first (see dnf), so every disjunct is a conjunction of
+// literals under existential quantifiers. Within a disjunct the
 // conjuncts are ordered cheapest-first: equality comparisons that bind a
 // variable run as soon as their source is bound, enumerable literals
 // (atoms, temporal answers) are picked greedily by how many of their
@@ -178,7 +182,7 @@ type literal struct {
 	neg  bool
 	rel  string
 	temp int
-	args []mtl.Term // literal columns (atoms: Args; temporal: one Var per sorted free var)
+	args []mtl.Term // literal columns (atoms: Args; temporal: one Var per sorted free var; ¬∃: one Var per sub input)
 	op   mtl.CmpOp
 	l, r mtl.Term
 	sub  *Plan
@@ -190,15 +194,79 @@ type compiler struct {
 	slotOf map[string]int
 	nslots int
 	tempIx map[string]int
+	// nex counts the existentially bound variables of the disjunct being
+	// compiled; each gets a slot name of its own (see scope).
+	nex int
+}
+
+// scope maps the variables bound by the existential quantifiers around
+// a subformula to their slot names. Bound variables are renamed apart —
+// "y" becomes "y#1", which no identifier can spell — so sibling
+// quantifiers may reuse a name and a quantifier may shadow an outer
+// variable. Only literal columns are renamed: a temporal subformula
+// stays the node the oracle knows, its columns stay in the order of its
+// own sorted variable names.
+type scope map[string]string
+
+func (sc scope) term(t mtl.Term) mtl.Term {
+	if v, ok := t.(mtl.Var); ok {
+		return sc.variable(v.Name)
+	}
+	return t
+}
+
+func (sc scope) variable(name string) mtl.Term {
+	if to, ok := sc[name]; ok {
+		name = to
+	}
+	return mtl.Var{Name: name}
+}
+
+func (sc scope) variables(names []string) []mtl.Term {
+	out := make([]mtl.Term, len(names))
+	for i, v := range names {
+		out[i] = sc.variable(v)
+	}
+	return out
+}
+
+// dnf distributes conjunction and existential quantification over
+// disjunction. Each formula returned is free of disjunction down to its
+// literals; the body of a ¬∃ and the operands of a temporal node are
+// literals here and keep their shape (the former is compiled as a plan
+// of its own, the latter is an auxiliary node's business). The result
+// is exponential in the number of disjunctive conjuncts; the linter's
+// cost rule prices the plan that comes out.
+func dnf(f mtl.Formula) []mtl.Formula {
+	switch n := f.(type) {
+	case *mtl.Or:
+		return append(dnf(n.L), dnf(n.R)...)
+	case *mtl.And:
+		var out []mtl.Formula
+		for _, l := range dnf(n.L) {
+			for _, r := range dnf(n.R) {
+				out = append(out, &mtl.And{L: l, R: r})
+			}
+		}
+		return out
+	case *mtl.Exists:
+		out := dnf(n.F)
+		for i, d := range out {
+			out[i] = &mtl.Exists{Vars: n.Vars, F: d}
+		}
+		return out
+	}
+	return []mtl.Formula{f}
 }
 
 // Compile builds a plan for the kernel formula f over st's schema.
 // inputs lists variables that are bound before execution (they may or
 // may not occur free in f). Maintained indexes needed by the plan are
-// registered on st's relations. Formulas outside the supported shape —
-// disjuncts containing nested disjunctions, or existential variables
-// colliding with outer ones — return an error; callers fall back to the
-// tree-walking evaluator.
+// registered on st's relations. The only errors left are the
+// range-restriction backstops: a disjunct that does not bind an output
+// variable, or a negated literal or comparison whose variables no
+// enumerable literal provides (an ∃ over a negation, which only
+// active-domain semantics can decide).
 func Compile(f mtl.Formula, st *storage.State, inputs []string) (*Plan, error) {
 	p := &Plan{
 		formula:  f,
@@ -208,7 +276,7 @@ func Compile(f mtl.Formula, st *storage.State, inputs []string) (*Plan, error) {
 	}
 	p.pool.New = func() interface{} { return &execState{} }
 	c := &compiler{st: st, plan: p, tempIx: map[string]int{}}
-	for _, d := range mtl.Disjuncts(f) {
+	for _, d := range dnf(f) {
 		cj, drop, err := c.compileDisjunct(d)
 		if err != nil {
 			return nil, err
@@ -228,10 +296,9 @@ func Compile(f mtl.Formula, st *storage.State, inputs []string) (*Plan, error) {
 // false disjunct.
 func (c *compiler) compileDisjunct(d mtl.Formula) (*conj, bool, error) {
 	c.slotOf = map[string]int{}
-	c.nslots = 0
+	c.nslots, c.nex = 0, 0
 	var lits []literal
-	exVars := map[string]bool{}
-	drop, err := c.flatten(d, exVars, &lits)
+	drop, err := c.flatten(d, nil, &lits)
 	if err != nil {
 		return nil, false, err
 	}
@@ -285,7 +352,7 @@ func (c *compiler) compileDisjunct(d mtl.Formula) (*conj, bool, error) {
 	// Existential variables or sub-plans disable the delta-driven
 	// variants: a previous row does not bind the inner variables, so the
 	// literal set cannot be re-decided by probes alone.
-	flat := len(exVars) == 0
+	flat := c.nex == 0
 	for _, l := range lits {
 		if l.kind == kSubProbe {
 			flat = false
@@ -371,9 +438,10 @@ func (c *compiler) tempIndex(f mtl.Formula) int {
 }
 
 // flatten classifies the conjuncts of d into literals, inlining
-// existential quantifiers (their variables become extra slots). drop
-// reports that the disjunct is identically false.
-func (c *compiler) flatten(d mtl.Formula, exVars map[string]bool, out *[]literal) (bool, error) {
+// existential quantifiers (their variables become extra slots, named
+// apart through sc). drop reports that the disjunct is identically
+// false.
+func (c *compiler) flatten(d mtl.Formula, sc scope, out *[]literal) (bool, error) {
 	for _, cn := range mtl.Conjuncts(d) {
 		switch n := cn.(type) {
 		case mtl.Truth:
@@ -381,62 +449,68 @@ func (c *compiler) flatten(d mtl.Formula, exVars map[string]bool, out *[]literal
 				return true, nil
 			}
 		case *mtl.Atom:
-			*out = append(*out, literal{f: n, kind: kScanRel, rel: n.Rel, args: n.Args})
+			*out = append(*out, c.atomLiteral(n, false, sc))
 		case *mtl.Cmp:
-			*out = append(*out, literal{f: n, kind: kCmpFilter, op: n.Op, l: n.L, r: n.R})
+			*out = append(*out, literal{f: n, kind: kCmpFilter, op: n.Op, l: sc.term(n.L), r: sc.term(n.R)})
 		case *mtl.Prev, *mtl.Once, *mtl.Since:
-			*out = append(*out, c.tempLiteral(cn, false))
+			*out = append(*out, c.tempLiteral(cn, false, sc))
 		case *mtl.Not:
 			switch in := n.F.(type) {
 			case *mtl.Atom:
-				*out = append(*out, literal{f: in, kind: kScanRel, neg: true, rel: in.Rel, args: in.Args})
+				*out = append(*out, c.atomLiteral(in, true, sc))
 			case *mtl.Cmp:
-				*out = append(*out, literal{f: in, kind: kCmpFilter, op: in.Op.Negate(), l: in.L, r: in.R})
+				*out = append(*out, literal{f: in, kind: kCmpFilter, op: in.Op.Negate(), l: sc.term(in.L), r: sc.term(in.R)})
 			case *mtl.Prev, *mtl.Once, *mtl.Since:
-				*out = append(*out, c.tempLiteral(in, true))
+				*out = append(*out, c.tempLiteral(in, true, sc))
 			case *mtl.Exists:
+				// The body runs as a plan of its own, with the literal's
+				// free variables as its inputs; args are those variables as
+				// this disjunct names them.
 				sub, err := Compile(in.F, c.st, mtl.FreeVars(n))
 				if err != nil {
 					return false, err
 				}
-				*out = append(*out, literal{f: n, kind: kSubProbe, neg: true, sub: sub})
+				*out = append(*out, literal{f: n, kind: kSubProbe, neg: true, sub: sub, args: sc.variables(sub.inputs)})
 			case mtl.Truth:
 				if in.Bool {
 					return true, nil
 				}
 			default:
-				return false, fmt.Errorf("plan: unsupported negated conjunct %q", cn.String())
+				// mtl.Normalize leaves a negation only on the shapes above.
+				return false, fmt.Errorf("plan: negated conjunct %q is not in kernel form", cn.String())
 			}
 		case *mtl.Exists:
-			for _, v := range n.Vars {
-				if exVars[v] {
-					return false, fmt.Errorf("plan: existential variable %q reused in %q", v, d.String())
-				}
-				if containsStr(c.plan.vars, v) || containsStr(c.plan.inputs, v) {
-					return false, fmt.Errorf("plan: existential variable %q shadows an outer variable in %q", v, d.String())
-				}
-				exVars[v] = true
+			inner := make(scope, len(sc)+len(n.Vars))
+			for from, to := range sc {
+				inner[from] = to
 			}
-			if drop, err := c.flatten(n.F, exVars, out); drop || err != nil {
+			for _, v := range n.Vars {
+				c.nex++
+				inner[v] = fmt.Sprintf("%s#%d", v, c.nex)
+			}
+			if drop, err := c.flatten(n.F, inner, out); drop || err != nil {
 				return drop, err
 			}
 		default:
-			// Nested disjunction or any other shape: fall back.
-			return false, fmt.Errorf("plan: unsupported conjunct %q", cn.String())
+			// dnf leaves no disjunction here, mtl.Normalize no sugar.
+			return false, fmt.Errorf("plan: conjunct %q is not in kernel form", cn.String())
 		}
 	}
 	return false, nil
 }
 
+func (c *compiler) atomLiteral(a *mtl.Atom, neg bool, sc scope) literal {
+	args := make([]mtl.Term, len(a.Args))
+	for i, t := range a.Args {
+		args[i] = sc.term(t)
+	}
+	return literal{f: a, kind: kScanRel, neg: neg, rel: a.Rel, args: args}
+}
+
 // tempLiteral builds the literal of a temporal subformula: one column
 // per sorted free variable, matching the node's answer layout.
-func (c *compiler) tempLiteral(f mtl.Formula, neg bool) literal {
-	fv := mtl.FreeVars(f)
-	args := make([]mtl.Term, len(fv))
-	for i, v := range fv {
-		args[i] = mtl.Var{Name: v}
-	}
-	return literal{f: f, kind: kScanTemp, neg: neg, temp: c.tempIndex(f), args: args}
+func (c *compiler) tempLiteral(f mtl.Formula, neg bool, sc scope) literal {
+	return literal{f: f, kind: kScanTemp, neg: neg, temp: c.tempIndex(f), args: sc.variables(mtl.FreeVars(f))}
 }
 
 func (c *compiler) argOf(t mtl.Term, bound []bool) argSpec {
@@ -471,14 +545,6 @@ func (c *compiler) orderSteps(lits []literal, bound []bool) ([]step, error) {
 	termBound := func(t mtl.Term) bool {
 		v, ok := t.(mtl.Var)
 		return !ok || bound[c.slotOf[v.Name]]
-	}
-	subBound := func(l literal) bool {
-		for _, v := range l.sub.inputs {
-			if !bound[c.slotOf[v]] {
-				return false
-			}
-		}
-		return true
 	}
 
 	// flush places every conjunct that is runnable as a filter/probe or
@@ -519,12 +585,12 @@ func (c *compiler) orderSteps(lits []literal, bound []bool) ([]step, error) {
 					}
 					steps = append(steps, step{kind: kProbeTemp, neg: l.neg, temp: l.temp, args: c.argsOf(l.args, bound)})
 				case kSubProbe:
-					if !subBound(l) {
+					if !litBound(l) {
 						continue
 					}
-					subIn := make([]int, len(l.sub.inputs))
-					for j, v := range l.sub.inputs {
-						subIn[j] = c.slotOf[v]
+					subIn := make([]int, len(l.args))
+					for j, t := range l.args {
+						subIn[j] = c.slotOf[t.(mtl.Var).Name]
 					}
 					steps = append(steps, step{kind: kSubProbe, neg: l.neg, sub: l.sub, subIn: subIn})
 				}
@@ -1074,15 +1140,6 @@ func dedupSorted(vars []string) []string {
 }
 
 func containsSource(xs []Source, v Source) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsStr(xs []string, v string) bool {
 	for _, x := range xs {
 		if x == v {
 			return true

@@ -222,12 +222,136 @@ func TestPlanInlinedExists(t *testing.T) {
 	}
 }
 
-func TestPlanUnsupportedShapesFallBack(t *testing.T) {
+// Shapes are safe constraints over formgen.Schema() in forms its grammar
+// does not produce. The first group is what Compile used to reject — a
+// disjunction under and/exists, a bound variable reused or shadowing an
+// outer one; the second is the since chain φ, which compiles with its
+// variables as plan inputs. Exported for TestShapesEndToEnd, which lives
+// in package plan_test because the engines it drives import this one.
+var Shapes = []string{
+	"p(x) -> q(x) and r(x, x)",                                   // or under and
+	"p(x) -> once[0,3] q(x) and not prev q(x)",                   // or of temporal literals under and
+	"p(x) -> (q(x) <-> r(x, x))",                                 // <-> in a consequent
+	"p(x) -> not (exists y: r(x, y) and (q(y) or p(y)))",         // or under exists
+	"p(x) -> (exists y: r(x, y) and (q(y) or p(y)))",             // or under not exists
+	"p(x) -> not (q(x) since[0,4] (p(x) and (q(x) or r(x, x))))", // or inside a since right-hand side
+	"p(x) -> not prev (q(x) and (p(x) or r(x, x)))",              // or inside a prev argument
+	"p(x) -> not ((exists y: r(x, y)) and (exists y: r(y, x)))",  // one name, two sibling quantifiers
+	"p(x) -> not (exists x: q(x))",                               // a quantifier shadowing a free variable
+	"q(x) -> not (exists x: r(x, x) and (exists x: p(x)))",       // and shadowing another quantifier
+	"q(x) -> not (exists a: r(a, x) and once[0,3] r(a, x))",      // a bound variable in a temporal literal's columns
+	"p(x) -> not (exists y: r(x, y) and not once[1,4] r(y, x))",
+
+	"p(x) -> not ((not q(x)) since[1,6] r(x, x))",
+	"p(x) -> not ((x != 1) since q(x))",
+	"p(x) -> not ((once[0,2] q(x)) since[0,8] p(x))",
+	"p(x) -> not ((not q(x) and x != 1 and once[0,3] p(x)) since[0,9] r(x, x))",
+	"p(x) -> not ((q(x) or x = 2) since p(x))",
+	"r(x, y) -> not ((not p(y)) since[0,5] r(x, y))",
+}
+
+// kernel is one formula core compiles for a constraint: the denial, a
+// temporal node's enumerated operand, or (with inputs) a since chain.
+type kernel struct {
+	f      mtl.Formula
+	inputs []string
+}
+
+func kernelsOf(denial mtl.Formula) []kernel {
+	ks := []kernel{{f: denial}}
+	mtl.Walk(denial, func(g mtl.Formula) {
+		switch n := g.(type) {
+		case *mtl.Prev:
+			ks = append(ks, kernel{f: n.F})
+		case *mtl.Once:
+			ks = append(ks, kernel{f: n.F})
+		case *mtl.Since:
+			ks = append(ks, kernel{f: n.R}, kernel{f: n.L, inputs: mtl.FreeVars(n.L)})
+		}
+	})
+	return ks
+}
+
+// TestPlanFormerlyRejectedShapes compiles every kernel of every shape
+// and holds it to the tree-walking evaluator on 50 random states: a
+// kernel without inputs by its answer set, a chain under every binding
+// of its inputs over the domain.
+func TestPlanFormerlyRejectedShapes(t *testing.T) {
+	for _, src := range Shapes {
+		con, err := check.Parse("shape", src, formgen.Schema())
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, k := range kernelsOf(con.Denial) {
+			for ds := int64(0); ds < 50; ds++ {
+				st, domain := randomState(t, ds)
+				oracle := newFakeOracle(ds, domain)
+				if k.inputs == nil {
+					assertAgree(t, st, oracle, k.f)
+					continue
+				}
+				p, err := Compile(k.f, st, k.inputs)
+				if err != nil {
+					t.Fatalf("%s: chain %q: %v", src, k.f.String(), err)
+				}
+				eachEnv(k.inputs, domain, func(env fol.Env) {
+					got := false
+					if err := p.Execute(st, oracle, env, func(tuple.Tuple) bool {
+						got = true
+						return false
+					}); err != nil {
+						t.Fatalf("%s: chain %q under %v: %v", src, k.f.String(), env, err)
+					}
+					want, err := fol.NewEvaluator(st, oracle).Test(k.f, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s: chain %q under %v (data seed %d): plan %v, tree-walk %v", src, k.f.String(), env, ds, got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// eachEnv calls visit with every binding of vars over domain.
+func eachEnv(vars []string, domain []value.Value, visit func(fol.Env)) {
+	env := fol.Env{}
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(vars) {
+			visit(env)
+			return
+		}
+		for _, v := range domain {
+			env[vars[i]] = v
+			rec(i + 1)
+		}
+	}
+	rec(0)
+}
+
+// A disjunction under a conjunction distributes into flat disjuncts, so
+// the plan takes the delta-driven routines, not just full execution.
+func TestPlanDistributedDisjunctionIsSeedable(t *testing.T) {
 	st := storage.NewState(testSchema(t))
-	// Nested disjunction inside a conjunction is out of plan shape.
-	f := mtl.MustParse("p(x) and (q(x) or r(x, x))")
+	p, err := Compile(mtl.MustParse("p(x) and (not q(x) or r(x, x))"), st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Seedable() || len(p.Sources()) != 3 {
+		t.Fatalf("seedable=%v sources=%v, want p, ¬q and r", p.Seedable(), p.Sources())
+	}
+}
+
+// What Compile still refuses is what only active-domain semantics can
+// decide: a quantified variable no enumerable literal provides.
+func TestPlanRejectsUnrestrictedQuantifier(t *testing.T) {
+	st := storage.NewState(testSchema(t))
+	f := mtl.Normalize(mtl.MustParse("p(x) and (exists y: not r(x, y))"))
 	if _, err := Compile(f, st, nil); err == nil {
-		t.Fatal("nested disjunction must fail compilation")
+		t.Fatalf("Compile(%q) must fail: y is bound by no enumerable literal", f.String())
 	}
 }
 
@@ -454,22 +578,12 @@ func TestPlanAllocationFree(t *testing.T) {
 	}
 }
 
-// formulaAgreesWithTreeWalk is the shared body of the fuzz target and
-// its seed-corpus regression test.
-func formulaAgreesWithTreeWalk(t *testing.T, formulaSeed, dataSeed int64) {
+// randomState fills a state over formgen.Schema() with up to ten random
+// rows per relation over a five-value domain.
+func randomState(t *testing.T, seed int64) (*storage.State, []value.Value) {
 	t.Helper()
-	r := rand.New(rand.NewSource(formulaSeed))
-	src := formgen.Constraint(r)
-	f, err := mtl.Parse(src)
-	if err != nil {
-		t.Fatalf("formgen produced unparsable %q: %v", src, err)
-	}
-	con, err := check.Compile("fuzz", f, formgen.Schema())
-	if err != nil {
-		return // not safe; nothing to plan
-	}
 	st := storage.NewState(formgen.Schema())
-	dr := rand.New(rand.NewSource(dataSeed))
+	dr := rand.New(rand.NewSource(seed))
 	domain := make([]value.Value, 5)
 	for i := range domain {
 		domain[i] = value.Int(int64(i))
@@ -488,10 +602,28 @@ func formulaAgreesWithTreeWalk(t *testing.T, formulaSeed, dataSeed int64) {
 			rel.MustInsert(row)
 		}
 	}
+	return st, domain
+}
+
+// formulaAgreesWithTreeWalk is the shared body of the fuzz target and
+// its seed-corpus regression test.
+func formulaAgreesWithTreeWalk(t *testing.T, formulaSeed, dataSeed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(formulaSeed))
+	src := formgen.Constraint(r)
+	f, err := mtl.Parse(src)
+	if err != nil {
+		t.Fatalf("formgen produced unparsable %q: %v", src, err)
+	}
+	con, err := check.Compile("fuzz", f, formgen.Schema())
+	if err != nil {
+		return // not safe; nothing to plan
+	}
+	st, domain := randomState(t, dataSeed)
 	oracle := newFakeOracle(dataSeed, domain)
 	p, err := Compile(con.Denial, st, nil)
 	if err != nil {
-		return // unsupported shape: tree-walk fallback covers it
+		t.Fatalf("Compile rejects %q, which check.Compile admits (seed %d): %v", con.Denial.String(), formulaSeed, err)
 	}
 	got, err := p.Eval(st, oracle, nil)
 	if err != nil {

@@ -196,6 +196,21 @@ func factsFor(s *schema.Schema, con *check.Constraint) (conFacts, string, error)
 	if len(atoms) == 0 {
 		return f, "denial reads no relations", nil
 	}
+	// Keys are matched to atom columns by name, so a quantifier reusing a
+	// constraint variable's name would pass its own variable off as the key.
+	rebound := ""
+	mtl.Walk(con.Denial, func(n mtl.Formula) {
+		if ex, ok := n.(*mtl.Exists); ok {
+			for _, v := range ex.Vars {
+				if containsString(con.Vars, v) {
+					rebound = v
+				}
+			}
+		}
+	})
+	if rebound != "" {
+		return f, fmt.Sprintf("a quantifier rebinds the constraint variable %q", rebound), nil
+	}
 
 	// The compiled schedule tells us which temporal subformulas the
 	// engine will track; a viable key must be free in all of them so

@@ -158,3 +158,17 @@ func TestAnalyzeAtomMissingKeyGoesGlobal(t *testing.T) {
 		t.Fatalf("placement = %+v, want global", cp)
 	}
 }
+
+func TestAnalyzeReboundKeyGoesGlobal(t *testing.T) {
+	s := testSchema(t)
+	// The inner x is not the constraint's x: q's column does not carry
+	// the key, whatever its argument is called.
+	con := parse(t, s, "c", "p(x) -> not (exists x: q(x))")
+	plan, err := Analyze(s, []*check.Constraint{con})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp := plan.Cons[0]; cp.Partitioned || cp.Reason == "" {
+		t.Fatalf("placement = %+v, want global with a reason", cp)
+	}
+}

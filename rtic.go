@@ -459,8 +459,8 @@ func (c *Checker) Explain(v Violation) (*Explanation, error) {
 
 // SkipInfo records which checking strategy the incremental engine chose
 // for one constraint at the latest commit — skipped (previous answer
-// reused), seeded (re-derived from the delta), planned (compiled plan
-// ran in full), or tree-walk — and why.
+// reused), seeded (re-derived from the delta) or planned (compiled plan
+// ran in full) — and why.
 type SkipInfo = core.SkipInfo
 
 // SkipAction is the strategy named in a SkipInfo.
@@ -468,10 +468,9 @@ type SkipAction = core.SkipAction
 
 // The checking strategies LastSkips can report.
 const (
-	ActionSkipped  = core.ActionSkipped
-	ActionSeeded   = core.ActionSeeded
-	ActionPlanned  = core.ActionPlanned
-	ActionTreeWalk = core.ActionTreeWalk
+	ActionSkipped = core.ActionSkipped
+	ActionSeeded  = core.ActionSeeded
+	ActionPlanned = core.ActionPlanned
 )
 
 // LastSkips reports the per-constraint strategy record of the latest
