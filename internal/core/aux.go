@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtic/internal/fol"
@@ -205,70 +206,72 @@ func (p *prevNode) account() (entries, timestamps, bytes int) {
 }
 
 // sinceEntry is the bounded history the checker keeps for one binding θ
-// of a since/once subformula: the timestamps t_j at which the anchor ψ
-// held with the chain φ unbroken since, pruned by the node's rules.
-// liveIx and keep cache the entry's recurrence inputs as of the node's
-// last commit (row ∈ ⟦ψ⟧? and θ ⊨ φ?), so a commit only has to visit the
+// of a since/once family: the timestamps t_j at which the anchor ψ held
+// with the chain φ unbroken since, pruned by the family's rules. liveIx
+// and keep cache the entry's recurrence inputs as of the family's last
+// commit (row ∈ ⟦ψ⟧? and θ ⊨ φ?), so a commit only has to visit the
 // entries whose inputs moved or whose deadline fell due.
 type sinceEntry struct {
-	key    string // tuple.Key of row: the entry's key in the node and in its answer
+	key    string // tuple.Key of row: the entry's key in the family's table
 	row    tuple.Tuple
 	times  []uint64  // ascending
 	first  [1]uint64 // backing store of times while one timestamp suffices
-	liveIx int       // index in sinceNode.live while row ∈ ⟦ψ⟧, else -1
+	liveIx int       // index in sinceFamily.live while row ∈ ⟦ψ⟧, else -1
 	keep   bool
-	seen   uint64 // epoch of the commit that last queued the entry for resolve
-	mark   uint64 // epoch of the full enumeration of ⟦ψ⟧ that last produced row
-	gone   bool   // dropped from the node: deadlines still queued for it are stale
+	// sat is the entry's place in the members' answers as of the last
+	// commit: members[sat:] hold the row, the narrower windows before them
+	// do not (len(members) = nobody).
+	sat  int
+	seen uint64 // epoch of the commit that last queued the entry for resolve
+	mark uint64 // epoch of the full enumeration of ⟦ψ⟧ that last produced row
+	gone bool   // dropped from the table: anchors still logged for it are stale
 }
 
-// deadline says that e must be looked at by the first commit at or after
-// due: one of its timestamps enters or leaves the metric window then.
-type deadline struct {
-	due uint64
-	e   *sinceEntry
+// anchor is one timestamp tm of entry e, logged when it is stored: a
+// window [a,b] must look at e at the first commit at or after tm+a, when
+// tm ages into it, and at the first at or after tm+b+1, when it ages out.
+type anchor struct {
+	tm uint64
+	e  *sinceEntry
 }
 
-// deadlineQueue is a FIFO of deadlines in ascending due order. Commit
-// times ascend and every deadline is a fixed offset from the commit time
-// it was derived from, so pushing in commit order keeps it sorted with
-// no heap.
-type deadlineQueue struct {
-	ev   []deadline
-	head int
+// anchorLog is the FIFO of a family's anchors in ascending tm order —
+// commit times ascend, so appending in commit order keeps it sorted with
+// no heap. It has several readers, each with a cursor of its own: an
+// absolute position, stable while the log drops its consumed prefix.
+type anchorLog struct {
+	ev   []anchor
+	base int // position of ev[0]
 }
 
-func (q *deadlineQueue) push(due uint64, e *sinceEntry) {
-	if q.head > 32 && q.head*2 > len(q.ev) {
-		n := copy(q.ev, q.ev[q.head:])
-		for i := n; i < len(q.ev); i++ {
-			q.ev[i] = deadline{}
-		}
-		q.ev, q.head = q.ev[:n], 0
-	}
-	q.ev = append(q.ev, deadline{due, e})
-}
+func (q *anchorLog) push(tm uint64, e *sinceEntry) { q.ev = append(q.ev, anchor{tm, e}) }
 
+func (q *anchorLog) end() int { return q.base + len(q.ev) }
+
+func (q *anchorLog) at(pos int) anchor { return q.ev[pos-q.base] }
+
+// due reports whether the reader at pos has an anchor that is at least
+// age old at time t.
+//
 //rtic:noalloc
-func (q *deadlineQueue) due(t uint64) bool {
-	return q.head < len(q.ev) && q.ev[q.head].due <= t
+func (q *anchorLog) due(pos int, age, t uint64) bool {
+	return pos < q.end() && satAdd(q.ev[pos-q.base].tm, age) <= t
 }
 
-func (q *deadlineQueue) pop() deadline {
-	d := q.ev[q.head]
-	q.ev[q.head] = deadline{}
-	q.head++
-	if q.head == len(q.ev) {
-		q.ev, q.head = q.ev[:0], 0
+// release drops the anchors before pos, which every reader has consumed.
+func (q *anchorLog) release(pos int) {
+	n := pos - q.base
+	if n == len(q.ev) || (n > 32 && n*2 > len(q.ev)) {
+		kept := copy(q.ev, q.ev[n:])
+		clear(q.ev[kept:])
+		q.ev, q.base = q.ev[:kept], pos
 	}
-	return d
 }
 
-func (q *deadlineQueue) pending() []deadline { return q.ev[q.head:] }
-
-// sinceNode implements φ S_I ψ (and once_I ψ, with φ = true) via the
-// recurrence S_i(θ) = (i ⊨θ φ ? S_{i−1}(θ) : ∅) ∪ (i ⊨θ ψ ? {t_i} : ∅),
-// with θ satisfied at i iff some t ∈ S_i(θ) has t_i − t ∈ I = [a,b].
+// sinceFamily is the auxiliary relation of φ S_I ψ (and once_I ψ, with
+// φ = true): the recurrence S_i(θ) = (i ⊨θ φ ? S_{i−1}(θ) : ∅) ∪
+// (i ⊨θ ψ ? {t_i} : ∅), with θ satisfied at i iff some t ∈ S_i(θ) has
+// t_i − t ∈ I = [a,b].
 //
 // Three pruning rules keep S small (DESIGN.md): a timestamp older than b
 // never re-enters the window; with b = ∞ the earliest timestamp subsumes
@@ -278,17 +281,24 @@ func (q *deadlineQueue) pending() []deadline { return q.ev[q.head:] }
 // needs no per-commit touch at all; its single slot is not read until
 // the commit its row leaves ⟦ψ⟧, which stores the previous commit's time.
 //
-// A commit climbs a ladder (phaseA) and costs what moved, not what is
-// stored: nothing the node reads changed and no deadline is due — only
-// the clock advances; otherwise Δ⟦ψ⟧ is derived from the commit's delta
-// (seeded) and only the entries it names, those whose chain broke and
-// those with a due deadline are resolved; the full enumerate-and-walk
-// primes the node (first commit, first commit after LoadSnapshot) and
-// serves the inputs the delta rung cannot: a ψ whose plan is not
-// seedable, children without exact deltas, and the pruning ablation.
-type sinceNode struct {
-	node  mtl.Formula // *mtl.Once or *mtl.Since
-	iv    mtl.Interval
+// Under that rule the stored state does not depend on b, so every window
+// [0,b] over the same φ and ψ reads one relation: the family's members
+// are those windows, narrowest first, and the table is kept to the widest
+// (its last member). A member owns only what depends on b — its cursor in
+// the anchor log, its answer delta — and answers from the shared table. A
+// window the third rule does not cover (a > 0, or the pruning ablation)
+// is a family of one, its only member the widest.
+//
+// A commit climbs a ladder (update) and costs what moved, not what is
+// stored or how many windows read it: nothing the family reads changed
+// and no deadline is due — only the clock advances; otherwise Δ⟦ψ⟧ is
+// derived from the commit's delta (seeded) and only the entries it
+// names, those whose chain broke and those with a due deadline are
+// resolved; the full enumerate-and-walk primes the family (first commit,
+// first commit after LoadSnapshot) and serves the inputs the delta rung
+// cannot: a ψ whose plan is not seedable, children without exact deltas,
+// and the pruning ablation.
+type sinceFamily struct {
 	left  mtl.Formula // Truth{true} for once
 	right mtl.Formula
 	once  bool
@@ -296,7 +306,12 @@ type sinceNode struct {
 	lvars []string
 	lPos  []int // position in vars of each of lvars
 
-	// deps is the node's whole read set, leftRels/leftNodes the chain's
+	// members are the family's windows in ascending order of b, an
+	// unbounded one last; they share the lower bound lo.
+	members []*sinceNode
+	lo      uint64
+
+	// deps is the family's whole read set, leftRels/leftNodes the chain's
 	// share of it; rhs is ψ's plan with its seed sources, chain φ's plan
 	// with lvars as its inputs (nil for once).
 	deps      nodeDeps
@@ -312,11 +327,12 @@ type sinceNode struct {
 
 	entries map[string]*sinceEntry
 	live    []*sinceEntry // entries whose row is in ⟦ψ⟧ as of lastT
-	// enterQ holds t+a for timestamps that have yet to age into the
-	// window (a > 0 only), leaveQ t+b+1 for timestamps that will age out
-	// of it (finite b only). Neither is filled under noPrune, which walks
-	// every entry on every commit.
-	enterQ, leaveQ deadlineQueue
+	// anchors logs every stored timestamp some window has yet to see age
+	// in (a > 0; enterCur reads those) or out (finite b; each member's
+	// cursor). Nothing is logged under noPrune, which walks every entry
+	// on every commit.
+	anchors  anchorLog
+	enterCur int
 	// nTimes and fixedBytes are the running storage account: timestamps
 	// held across all entries, and the entries' footprint apart from
 	// their timestamps (entryFixedBytes, constant while an entry lives).
@@ -324,26 +340,36 @@ type sinceNode struct {
 	nTimes     int
 	fixedBytes int
 
-	// The maintained answer: ans holds exactly the rows satisfied at
-	// lastT (valid once primed), added/removed the rows that entered and
-	// left it in the last commit — net: an entry is resolved once per
-	// commit, so a row that expires and is re-anchored in one commit is in
-	// neither. touched, envBuf and keyBuf are single-goroutine scratch
-	// (one goroutine updates a node per commit).
-	ans     *fol.Bindings
+	// The table answers for time lastT once primed. epoch numbers the
+	// commits that got past the first rung; touched, envBuf and keyBuf are
+	// single-goroutine scratch (one goroutine updates a family per commit).
 	lastT   uint64
 	primed  bool
-	dirtied bool
-	added   []tuple.Tuple
-	removed []tuple.Tuple
 	epoch   uint64
 	touched []*sinceEntry
 	envBuf  fol.Env
 	keyBuf  []byte
 
-	// visited counts the entries phaseA resolved since the node was
+	// visited counts the entries update resolved since the family was
 	// built; tests and benchmarks read it, nothing else does.
 	visited int
+}
+
+// sinceNode is one window of a family: the auxiliary node of one
+// once/since subformula. Its answer is the shared table read through its
+// window; added/removed are the rows that entered and left that answer in
+// the last commit — net: an entry is resolved once per commit, so a row
+// that expires and is re-anchored in one commit is in neither.
+type sinceNode struct {
+	node mtl.Formula // *mtl.Once or *mtl.Since
+	iv   mtl.Interval
+	fam  *sinceFamily
+	idx  int // position in fam.members
+	// cursor is the first anchor of the family's log that has yet to age
+	// out of this window (finite b only).
+	cursor  int
+	added   []tuple.Tuple
+	removed []tuple.Tuple
 }
 
 func newOnceNode(n *mtl.Once, noPrune bool) (*sinceNode, error) {
@@ -354,6 +380,8 @@ func newSinceNode(n *mtl.Since, noPrune bool) (*sinceNode, error) {
 	return newSinceLike(n, n.I, n.L, n.R, noPrune)
 }
 
+// newSinceLike builds the node as the only member of a family of its
+// own; bindNode moves it to the family of its operands if there is one.
 func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula, noPrune bool) (*sinceNode, error) {
 	vars := mtl.FreeVars(node)
 	rvars := mtl.FreeVars(right)
@@ -369,133 +397,217 @@ func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula, no
 		}
 	}
 	truth, isTruth := left.(mtl.Truth)
-	return &sinceNode{
-		node:    node,
-		iv:      iv,
+	s := &sinceNode{node: node, iv: iv}
+	s.fam = &sinceFamily{
 		left:    left,
 		right:   right,
 		once:    isTruth && truth.Bool,
 		vars:    vars,
 		lvars:   lvars,
 		lPos:    varPositions(vars, lvars),
+		members: []*sinceNode{s},
+		lo:      iv.Lo,
 		noPrune: noPrune,
 		newest:  iv.Lo == 0 && !noPrune,
 		entries: make(map[string]*sinceEntry),
-		ans:     fol.NewBindings(vars),
 		envBuf:  make(fol.Env, len(lvars)),
-	}, nil
+	}
+	return s, nil
 }
+
+// shareKey names the family a window may join — same chain, same anchor,
+// the newest-anchor rule in force — or is empty for a window that shares
+// with nobody.
+func (f *sinceFamily) shareKey() string {
+	if !f.newest {
+		return ""
+	}
+	return f.left.String() + "\x00" + f.right.String()
+}
+
+// bindSince gives a new window its table. One the newest-anchor rule
+// covers joins the family of its operands, if one is installed and has
+// not begun its history: a table that is already primed has been pruned
+// to the windows it had. Any other window keeps the family it was built
+// with, which gets its read set and its plans here.
+func (c *Checker) bindSince(n *sinceNode) error {
+	f := n.fam
+	key := f.shareKey()
+	if shared := c.families[key]; shared != nil && !shared.primed {
+		shared.adopt(n)
+		return nil
+	}
+	f.deps = nodeDeps{
+		srcRels:  c.skeletonDeltas(f.left, f.right),
+		children: c.directNodes(f.left, f.right),
+	}
+	f.leftRels = c.skeletonDeltas(f.left)
+	f.leftNodes = c.directNodes(f.left)
+	var err error
+	if !f.once {
+		if f.chain, err = plan.Compile(f.left, c.cur, f.lvars); err != nil {
+			return err
+		}
+	}
+	p, err := plan.Compile(f.right, c.cur, nil)
+	if err != nil {
+		return err
+	}
+	f.rhs = c.seedsOf(p)
+	if key != "" {
+		c.families[key] = f
+	}
+	return nil
+}
+
+// adopt files s among the members at its window's place.
+func (f *sinceFamily) adopt(s *sinceNode) {
+	at := sort.Search(len(f.members), func(i int) bool { return s.narrowerThan(f.members[i]) })
+	f.members = slices.Insert(f.members, at, s)
+	for i, m := range f.members {
+		m.fam, m.idx = f, i
+	}
+}
+
+func (s *sinceNode) narrowerThan(o *sinceNode) bool {
+	return !s.iv.Unbounded && (o.iv.Unbounded || s.iv.Hi < o.iv.Hi)
+}
+
+// widest is the member whose window decides what the table keeps.
+func (f *sinceFamily) widest() *sinceNode { return f.members[len(f.members)-1] }
+
+// name renders the family as its widest member, for error messages.
+func (f *sinceFamily) name() string { return f.widest().node.String() }
 
 func (s *sinceNode) formula() mtl.Formula { return s.node }
 
+// phaseA updates the family, once per commit: in the task of its first
+// member, which then owns every member's delta until the level's barrier.
 func (s *sinceNode) phaseA(sc *stepCtx, t uint64) error {
-	s.added = s.added[:0]
-	s.removed = s.removed[:0]
-	clean := s.primed && s.deps.clean()
-	if clean && s.nothingDue(t) {
-		s.lastT = t
-		s.dirtied = false
+	if s.idx != 0 {
 		return nil
 	}
-	prev := s.lastT
-	s.lastT = t
-	s.epoch++
-	if !s.primed {
-		s.loadDeadlines()
+	if err := s.fam.update(sc, t); err != nil {
+		return fmt.Errorf("core: %q: %w", s.node.String(), err)
 	}
-	walk := !s.primed || s.noPrune
+	return nil
+}
+
+func (f *sinceFamily) update(sc *stepCtx, t uint64) error {
+	for _, m := range f.members {
+		m.added, m.removed = m.added[:0], m.removed[:0]
+	}
+	clean := f.primed && f.deps.clean()
+	if clean && f.nothingDue(t) {
+		f.lastT = t
+		return nil
+	}
+	prev := f.lastT
+	f.lastT = t
+	f.epoch++
+	if !f.primed {
+		f.loadAnchors()
+	}
+	walk := !f.primed || f.noPrune
 	var err error
 	switch {
 	case clean:
 		// Only time passed.
-	case s.primed && !s.noPrune && s.rhs.canSeed && !s.rhs.inexactDirty():
-		if anyChanged(s.leftRels) || anyDirty(s.leftNodes) {
-			err = s.retestChain(sc)
+	case f.primed && !f.noPrune && f.rhs.canSeed && !f.rhs.inexactDirty():
+		if anyChanged(f.leftRels) || anyDirty(f.leftNodes) {
+			err = f.retestChain(sc)
 		}
 		if err == nil {
-			err = s.deltaAnchors(sc, prev)
+			err = f.deltaAnchors(sc, prev)
 		}
 	default:
 		walk = true
-		if err = s.retestChain(sc); err == nil {
-			err = s.enumerateAnchors(sc, prev)
+		if err = f.retestChain(sc); err == nil {
+			err = f.enumerateAnchors(sc, prev)
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("core: %q: %w", s.node.String(), err)
+		return err
 	}
 	switch {
 	case walk:
-		for _, e := range s.entries {
-			s.touch(e)
+		for _, e := range f.entries {
+			f.touch(e)
 		}
-	case !s.newest:
+	case !f.newest:
 		// The semantics need every anchor of a window with a > 0: a live
 		// entry takes this commit's timestamp.
-		for _, e := range s.live {
-			s.touch(e)
+		for _, e := range f.live {
+			f.touch(e)
 		}
 	}
-	s.popDue(&s.enterQ, t)
-	s.popDue(&s.leaveQ, t)
-	for i, e := range s.touched {
-		s.touched[i] = nil
-		if err := s.resolve(e, t); err != nil {
-			return err
-		}
+	f.popDue(t)
+	for i, e := range f.touched {
+		f.touched[i] = nil
+		f.resolve(e, t)
 	}
-	s.touched = s.touched[:0]
-	s.primed = true
-	s.dirtied = len(s.added)+len(s.removed) > 0
+	f.touched = f.touched[:0]
+	f.primed = true
 	return nil
 }
 
-// nothingDue completes the ladder's first rung: with nothing the node
+// nothingDue completes the ladder's first rung: with nothing the family
 // reads changed, no live entry in need of this commit's timestamp and no
-// deadline due, every entry's recurrence step is the identity and only
-// the clock moves (which is all a live entry under the newest-anchor
-// rule needs).
+// anchor due at any reader, every entry's recurrence step is the identity
+// and only the clock moves (which is all a live entry under the newest-
+// anchor rule needs).
 //
 //rtic:noalloc
-func (s *sinceNode) nothingDue(t uint64) bool {
-	return !s.noPrune && (s.newest || len(s.live) == 0) && !s.enterQ.due(t) && !s.leaveQ.due(t)
+func (f *sinceFamily) nothingDue(t uint64) bool {
+	if f.noPrune || !(f.newest || len(f.live) == 0) || (f.lo > 0 && f.anchors.due(f.enterCur, f.lo, t)) {
+		return false
+	}
+	for _, m := range f.members {
+		if !m.iv.Unbounded && f.anchors.due(m.cursor, m.leaveAge(), t) {
+			return false
+		}
+	}
+	return true
 }
 
+// leaveAge is the age at which an anchor has left a finite window.
+func (s *sinceNode) leaveAge() uint64 { return satAdd(s.iv.Hi, 1) }
+
 // touch queues e for this commit's resolve, once.
-func (s *sinceNode) touch(e *sinceEntry) {
-	if e.seen != s.epoch {
-		e.seen = s.epoch
-		s.touched = append(s.touched, e)
+func (f *sinceFamily) touch(e *sinceEntry) {
+	if e.seen != f.epoch {
+		e.seen = f.epoch
+		f.touched = append(f.touched, e)
 	}
 }
 
 // enter records that row is in ⟦ψ⟧ now, creating its entry if need be.
-func (s *sinceNode) enter(sc *stepCtx, row tuple.Tuple) (*sinceEntry, error) {
-	s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-	e, ok := s.entries[string(s.keyBuf)]
+func (f *sinceFamily) enter(sc *stepCtx, row tuple.Tuple) (*sinceEntry, error) {
+	f.keyBuf = row.AppendKeyTo(f.keyBuf[:0])
+	e, ok := f.entries[string(f.keyBuf)]
 	if !ok {
-		e = &sinceEntry{key: string(s.keyBuf), row: row.Clone(), liveIx: -1, keep: true}
+		e = &sinceEntry{key: string(f.keyBuf), row: row.Clone(), liveIx: -1, keep: true}
 		e.times = e.first[:0]
-		if !s.once {
-			keep, err := s.chainHolds(sc, e)
+		if !f.once {
+			keep, err := f.chainHolds(sc, e)
 			if err != nil {
 				return nil, err
 			}
 			e.keep = keep
 		}
-		s.insert(e)
+		f.insert(e)
 	}
 	if e.liveIx < 0 {
-		e.liveIx = len(s.live)
-		s.live = append(s.live, e)
+		e.liveIx = len(f.live)
+		f.live = append(f.live, e)
 	}
-	// Only a new entry has to be resolved for entering: under the newest-
-	// anchor rule one that was already held is in the answer and stays
-	// there (it would have been dropped by now had its anchor aged out or
-	// its chain broken), and under the other rules phaseA resolves every
-	// live entry anyway.
-	if !ok {
-		s.touch(e)
+	// An entry every member answers already stays in every answer with
+	// nothing to resolve: it would have been dropped by now had its chain
+	// broken. One that is new, or has aged out of the narrower windows,
+	// enters theirs. (Outside the newest-anchor rule update resolves
+	// every live entry anyway.)
+	if e.sat > 0 {
+		f.touch(e)
 	}
 	return e, nil
 }
@@ -503,66 +615,84 @@ func (s *sinceNode) enter(sc *stepCtx, row tuple.Tuple) (*sinceEntry, error) {
 // leave records that e's row is no longer in ⟦ψ⟧. Under the newest-
 // anchor rule this is where the entry's slot is written: the newest
 // anchor of S_{i−1} is the previous commit, the last one that saw the
-// row — and if that is still inside the window now and the chain holds,
-// the entry stays in the answer with nothing to resolve.
-func (s *sinceNode) leave(e *sinceEntry, prev uint64) {
-	last := s.live[len(s.live)-1]
-	s.live[e.liveIx], last.liveIx = last, e.liveIx
-	s.live[len(s.live)-1] = nil
-	s.live = s.live[:len(s.live)-1]
+// row — and if that is still inside the widest window now and the chain
+// holds, the entry stays with nothing to resolve; a narrower window it
+// has already left finds that out from its cursor.
+func (f *sinceFamily) leave(e *sinceEntry, prev uint64) {
+	last := f.live[len(f.live)-1]
+	f.live[e.liveIx], last.liveIx = last, e.liveIx
+	f.live[len(f.live)-1] = nil
+	f.live = f.live[:len(f.live)-1]
 	e.liveIx = -1
-	if s.newest {
+	if f.newest {
 		e.times[0] = prev
-		s.schedule(prev, e)
-		if e.keep && s.iv.Contains(s.lastT-prev) {
+		f.log(prev, e)
+		if e.keep && f.widest().iv.Contains(f.lastT-prev) {
 			return
 		}
 	}
-	s.touch(e)
+	f.touch(e)
 }
 
-// schedule queues the deadlines of timestamp tm of e.
-func (s *sinceNode) schedule(tm uint64, e *sinceEntry) {
-	if s.iv.Lo > 0 {
-		s.enterQ.push(satAdd(tm, s.iv.Lo), e)
-	}
-	if !s.iv.Unbounded {
-		s.leaveQ.push(s.leaveDue(tm), e)
+// log appends timestamp tm of e to the anchor log, if any reader waits
+// for it: the enter cursor, or the narrowest member if its window (and so
+// any window) is finite.
+func (f *sinceFamily) log(tm uint64, e *sinceEntry) {
+	if f.lo > 0 || !f.members[0].iv.Unbounded {
+		f.anchors.push(tm, e)
 	}
 }
 
-// leaveDue is the first time at which tm has aged out of a finite window.
-func (s *sinceNode) leaveDue(tm uint64) uint64 { return satAdd(satAdd(tm, s.iv.Hi), 1) }
-
-// loadDeadlines rebuilds both queues from the stored timestamps — the
-// priming step after LoadSnapshot, whose format holds rows and times only.
-func (s *sinceNode) loadDeadlines() {
-	if s.noPrune {
+// loadAnchors rebuilds the log from the stored timestamps — the priming
+// step after LoadSnapshot, whose format holds rows and times only.
+func (f *sinceFamily) loadAnchors() {
+	if f.noPrune {
 		return
 	}
-	var all []deadline
-	for _, e := range s.entries {
+	var all []anchor
+	for _, e := range f.entries {
 		for _, tm := range e.times {
-			all = append(all, deadline{tm, e})
+			all = append(all, anchor{tm, e})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].due < all[j].due })
-	for _, d := range all {
-		s.schedule(d.due, d.e)
+	sort.Slice(all, func(i, j int) bool { return all[i].tm < all[j].tm })
+	for _, a := range all {
+		f.log(a.tm, a.e)
 	}
 }
 
-// popDue queues every entry with a deadline at or before t. Stale
-// deadlines — of a dropped entry, or under the newest-anchor rule of a
-// slot that has since gone live or been rewritten — are discarded.
-func (s *sinceNode) popDue(q *deadlineQueue, t uint64) {
-	for q.due(t) {
-		d := q.pop()
-		if d.e.gone || (s.newest && (d.e.liveIx >= 0 || s.leaveDue(d.e.times[0]) != d.due)) {
-			continue
+// popDue advances every reader of the anchor log to t. An anchor that
+// aged into the window (a > 0) or out of the widest one queues its entry
+// for resolve. One that aged out of a narrower window changes nothing
+// stored: the row leaves that member's answer and that is all. Stale
+// anchors — of a dropped entry, or under the newest-anchor rule of a slot
+// that has since gone live or been rewritten — are passed over.
+func (f *sinceFamily) popDue(t uint64) {
+	for f.lo > 0 && f.anchors.due(f.enterCur, f.lo, t) {
+		if a := f.anchors.at(f.enterCur); !a.e.gone {
+			f.touch(a.e)
 		}
-		s.touch(d.e)
+		f.enterCur++
 	}
+	slowest := f.enterCur
+	for i, m := range f.members {
+		if m.iv.Unbounded {
+			break
+		}
+		for age := m.leaveAge(); f.anchors.due(m.cursor, age, t); m.cursor++ {
+			a := f.anchors.at(m.cursor)
+			switch e := a.e; {
+			case e.gone || (f.newest && (e.liveIx >= 0 || e.times[0] != a.tm)):
+			case m == f.widest():
+				f.touch(e)
+			case e.sat == i:
+				e.sat++
+				m.removed = append(m.removed, e.row)
+			}
+		}
+		slowest = m.cursor
+	}
+	f.anchors.release(slowest)
 }
 
 // deltaAnchors is the ladder's delta rung: Δ⟦ψ⟧ from the commit's net
@@ -570,25 +700,25 @@ func (s *sinceNode) popDue(q *deadlineQueue, t uint64) {
 // retested only when some source moved in the direction that can drop
 // an answer; rows that may have entered are derived from the sources
 // that moved the other way.
-func (s *sinceNode) deltaAnchors(sc *stepCtx, prev uint64) error {
-	if len(s.live) > 0 && s.rhs.moved(false) {
-		for i := len(s.live) - 1; i >= 0; i-- {
-			e := s.live[i]
-			ok, err := s.rhs.plan.RetestRow(sc.c.cur, &sc.orc, e.row)
+func (f *sinceFamily) deltaAnchors(sc *stepCtx, prev uint64) error {
+	if len(f.live) > 0 && f.rhs.moved(false) {
+		for i := len(f.live) - 1; i >= 0; i-- {
+			e := f.live[i]
+			ok, err := f.rhs.plan.RetestRow(sc.c.cur, &sc.orc, e.row)
 			if err != nil {
 				return err
 			}
 			if !ok {
-				s.leave(e, prev)
+				f.leave(e, prev)
 			}
 		}
 	}
-	if !s.rhs.moved(true) {
+	if !f.rhs.moved(true) {
 		return nil
 	}
 	var eerr error
-	err := s.rhs.derive(sc, func(row tuple.Tuple) bool {
-		_, eerr = s.enter(sc, row)
+	err := f.rhs.derive(sc, func(row tuple.Tuple) bool {
+		_, eerr = f.enter(sc, row)
 		return eerr == nil
 	})
 	if err == nil {
@@ -600,14 +730,14 @@ func (s *sinceNode) deltaAnchors(sc *stepCtx, prev uint64) error {
 // enumerateAnchors is the full rung: enumerate ⟦ψ⟧ in the new state and
 // diff it against the live entries. The plan streams rows without
 // materializing the binding set.
-func (s *sinceNode) enumerateAnchors(sc *stepCtx, prev uint64) error {
+func (f *sinceFamily) enumerateAnchors(sc *stepCtx, prev uint64) error {
 	var eerr error
-	err := s.rhs.plan.Execute(sc.c.cur, &sc.orc, nil, func(row tuple.Tuple) bool {
+	err := f.rhs.plan.Execute(sc.c.cur, &sc.orc, nil, func(row tuple.Tuple) bool {
 		var e *sinceEntry
-		if e, eerr = s.enter(sc, row); eerr != nil {
+		if e, eerr = f.enter(sc, row); eerr != nil {
 			return false
 		}
-		e.mark = s.epoch
+		e.mark = f.epoch
 		return true
 	})
 	if err == nil {
@@ -616,9 +746,9 @@ func (s *sinceNode) enumerateAnchors(sc *stepCtx, prev uint64) error {
 	if err != nil {
 		return err
 	}
-	for i := len(s.live) - 1; i >= 0; i-- {
-		if e := s.live[i]; e.mark != s.epoch {
-			s.leave(e, prev)
+	for i := len(f.live) - 1; i >= 0; i-- {
+		if e := f.live[i]; e.mark != f.epoch {
+			f.leave(e, prev)
 		}
 	}
 	return nil
@@ -626,12 +756,12 @@ func (s *sinceNode) enumerateAnchors(sc *stepCtx, prev uint64) error {
 
 // chainHolds evaluates θ ⊨ φ for e's binding in the current state: φ's
 // plan, its inputs bound from e's row, stopped at the first row it emits.
-func (s *sinceNode) chainHolds(sc *stepCtx, e *sinceEntry) (bool, error) {
-	for i, p := range s.lPos {
-		s.envBuf[s.lvars[i]] = e.row[p]
+func (f *sinceFamily) chainHolds(sc *stepCtx, e *sinceEntry) (bool, error) {
+	for i, p := range f.lPos {
+		f.envBuf[f.lvars[i]] = e.row[p]
 	}
 	holds := false
-	err := s.chain.Execute(sc.c.cur, &sc.orc, s.envBuf, func(tuple.Tuple) bool {
+	err := f.chain.Execute(sc.c.cur, &sc.orc, f.envBuf, func(tuple.Tuple) bool {
 		holds = true
 		return false
 	})
@@ -644,34 +774,34 @@ func (s *sinceNode) chainHolds(sc *stepCtx, e *sinceEntry) (bool, error) {
 // retestChain re-evaluates φ for every entry — needed only on commits
 // where something φ reads changed — and queues the entries whose chain
 // is broken: their recurrence step drops S_{i−1}.
-func (s *sinceNode) retestChain(sc *stepCtx) error {
-	if s.once {
+func (f *sinceFamily) retestChain(sc *stepCtx) error {
+	if f.once {
 		return nil
 	}
-	for _, e := range s.entries {
-		keep, err := s.chainHolds(sc, e)
+	for _, e := range f.entries {
+		keep, err := f.chainHolds(sc, e)
 		if err != nil {
 			return err
 		}
 		if e.keep = keep; !keep {
-			s.touch(e)
+			f.touch(e)
 		}
 	}
 	return nil
 }
 
 // resolve applies one entry's recurrence step from its cached inputs,
-// prunes, maintains the answer set, and drops the entry once it holds
-// nothing. It runs at most once per entry per commit, which is what
-// keeps added/removed net.
-func (s *sinceNode) resolve(e *sinceEntry, t uint64) error {
-	s.visited++
+// prunes to the widest window, moves the row in and out of the members'
+// answers, and drops the entry once it holds nothing. It runs at most
+// once per entry per commit, which is what keeps added/removed net.
+func (f *sinceFamily) resolve(e *sinceEntry, t uint64) {
+	f.visited++
 	live := e.liveIx >= 0
-	if s.newest && live {
+	if f.newest && live {
 		// Satisfied by construction; the slot only has to exist.
 		if len(e.times) == 0 {
 			e.times = append(e.times, t)
-			s.nTimes++
+			f.nTimes++
 		}
 	} else {
 		held := len(e.times)
@@ -680,52 +810,57 @@ func (s *sinceNode) resolve(e *sinceEntry, t uint64) error {
 		}
 		// An unbounded window keeps only its earliest timestamp, so a new
 		// anchor matters to it only when it holds none.
-		if live && (s.noPrune || !s.iv.Unbounded || len(e.times) == 0) {
+		if live && (f.noPrune || !f.widest().iv.Unbounded || len(e.times) == 0) {
 			e.times = append(e.times, t)
-			if !s.noPrune {
-				s.schedule(t, e)
+			if !f.noPrune {
+				f.log(t, e)
 			}
 		}
-		s.prune(e, t)
-		s.nTimes += len(e.times) - held
+		f.prune(e, t)
+		f.nTimes += len(e.times) - held
 	}
-	before := s.ans.ContainsKey(e.key)
-	after := s.satisfied(e, t)
+	// A wider window holds whatever a narrower one does, so the members
+	// that answer the row are those from the first satisfied one on.
+	sat := len(f.members)
+	for i, m := range f.members {
+		if m.satisfied(e, t) {
+			sat = i
+			break
+		}
+	}
+	for _, m := range f.members[min(sat, e.sat):e.sat] {
+		m.added = append(m.added, e.row)
+	}
+	for _, m := range f.members[e.sat:max(sat, e.sat)] {
+		m.removed = append(m.removed, e.row)
+	}
+	e.sat = sat
 	if len(e.times) == 0 {
-		delete(s.entries, e.key)
-		s.fixedBytes -= entryFixedBytes(e.key, e.row)
+		delete(f.entries, e.key)
+		f.fixedBytes -= entryFixedBytes(e.key, e.row)
 		e.gone = true
 	}
-	if before && !after {
-		s.ans.RemoveKey(e.key)
-		s.removed = append(s.removed, e.row)
-	} else if !before && after {
-		if err := s.ans.AddKeyedRow(e.key, e.row); err != nil {
-			return err
-		}
-		s.added = append(s.added, e.row)
-	}
-	return nil
 }
 
 // prune enforces the bounded history encoding: timestamps older than the
-// upper window bound can never re-enter the window; with an unbounded
-// window, satisfaction is monotone in age so the earliest timestamp
-// subsumes all others. (The newest-anchor rule needs no step of its own:
-// its entries never hold a second timestamp, and the first rule drops
-// the one they hold when it ages out.)
-func (s *sinceNode) prune(e *sinceEntry, now uint64) {
-	if s.noPrune {
+// widest window's upper bound can never re-enter any window; with an
+// unbounded window, satisfaction is monotone in age so the earliest
+// timestamp subsumes all others. (The newest-anchor rule needs no step
+// of its own: its entries never hold a second timestamp, and the first
+// rule drops the one they hold when it ages out.)
+func (f *sinceFamily) prune(e *sinceEntry, now uint64) {
+	if f.noPrune {
 		return
 	}
-	if s.iv.Unbounded {
+	iv := f.widest().iv
+	if iv.Unbounded {
 		if len(e.times) > 1 {
 			e.times = e.times[:1]
 		}
 		return
 	}
 	cut := 0
-	for cut < len(e.times) && now-e.times[cut] > s.iv.Hi {
+	for cut < len(e.times) && now-e.times[cut] > iv.Hi {
 		cut++
 	}
 	if cut > 0 {
@@ -739,16 +874,17 @@ func (s *sinceNode) phaseBCommit(uint64)                  {}
 // anchorsOf returns the timestamps e stands for: the stored ones, or for
 // a live entry under the newest-anchor rule the current time it carries
 // implicitly.
-func (s *sinceNode) anchorsOf(e *sinceEntry) []uint64 {
-	if s.newest && e.liveIx >= 0 {
-		return []uint64{s.lastT}
+func (f *sinceFamily) anchorsOf(e *sinceEntry) []uint64 {
+	if f.newest && e.liveIx >= 0 {
+		return []uint64{f.lastT}
 	}
 	return e.times
 }
 
+// satisfied reads e through the member's window.
 func (s *sinceNode) satisfied(e *sinceEntry, now uint64) bool {
-	if s.newest && e.liveIx >= 0 {
-		return s.iv.Contains(now - s.lastT)
+	if s.fam.newest && e.liveIx >= 0 {
+		return s.iv.Contains(now - s.fam.lastT)
 	}
 	for _, tm := range e.times {
 		if s.iv.Contains(now - tm) {
@@ -758,14 +894,14 @@ func (s *sinceNode) satisfied(e *sinceEntry, now uint64) bool {
 	return false
 }
 
+// enumerate builds the answer as a set for a plan that scans the node —
+// work of the order of the scan it serves; probes (testKey) read the
+// table and build nothing.
 func (s *sinceNode) enumerate(now uint64) (*fol.Bindings, error) {
-	if s.primed && now == s.lastT {
-		return s.ans, nil
-	}
-	out := fol.NewBindings(s.vars)
-	for _, e := range s.entries {
+	out := fol.NewBindings(s.fam.vars)
+	for _, e := range s.fam.entries {
 		if s.satisfied(e, now) {
-			if err := out.AddRow(e.row); err != nil {
+			if err := out.AddKeyedRow(e.key, e.row); err != nil {
 				return nil, err
 			}
 		}
@@ -775,8 +911,8 @@ func (s *sinceNode) enumerate(now uint64) (*fol.Bindings, error) {
 
 // rowOf builds the entry row for a full binding of the node's variables.
 func (s *sinceNode) rowOf(env fol.Env) (tuple.Tuple, error) {
-	row := make(tuple.Tuple, len(s.vars))
-	for i, v := range s.vars {
+	row := make(tuple.Tuple, len(s.fam.vars))
+	for i, v := range s.fam.vars {
 		val, ok := env[v]
 		if !ok {
 			return nil, fmt.Errorf("core: test of %q misses variable %q", s.node.String(), v)
@@ -791,33 +927,28 @@ func (s *sinceNode) test(env fol.Env, now uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e, ok := s.entries[row.Key()]
-	if !ok {
-		return false, nil
-	}
-	return s.satisfied(e, now), nil
-}
-
-func (s *sinceNode) testKey(key []byte, now uint64) (bool, error) {
-	if s.primed && now == s.lastT {
-		return s.ans.ContainsKeyBytes(key), nil
-	}
-	e, ok := s.entries[string(key)]
+	e, ok := s.fam.entries[row.Key()]
 	return ok && s.satisfied(e, now), nil
 }
 
-func (s *sinceNode) dirty() bool { return s.dirtied }
+func (s *sinceNode) testKey(key []byte, now uint64) (bool, error) {
+	e, ok := s.fam.entries[string(key)]
+	return ok && s.satisfied(e, now), nil
+}
+
+func (s *sinceNode) dirty() bool { return len(s.added)+len(s.removed) > 0 }
 
 func (s *sinceNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return s.added, s.removed, true
 }
 
-// insert adds a new entry under its row key and opens its storage
-// account.
-func (s *sinceNode) insert(e *sinceEntry) {
-	s.entries[e.key] = e
-	s.nTimes += len(e.times)
-	s.fixedBytes += entryFixedBytes(e.key, e.row)
+// insert adds an entry no member answers yet under its row key and opens
+// its storage account.
+func (f *sinceFamily) insert(e *sinceEntry) {
+	e.sat = len(f.members)
+	f.entries[e.key] = e
+	f.nTimes += len(e.times)
+	f.fixedBytes += entryFixedBytes(e.key, e.row)
 }
 
 // entryFixedBytes estimates one entry's footprint apart from its
@@ -826,9 +957,15 @@ func entryFixedBytes(key string, row tuple.Tuple) int {
 	return len(key) + row.Size() + 48
 }
 
+// stats and account report a family's table once, on the member whose
+// window it is kept to; the narrower members hold nothing of their own.
 func (s *sinceNode) stats() NodeStats {
-	st := NodeStats{Formula: s.node.String(), Entries: len(s.entries)}
-	for _, e := range s.entries {
+	st := NodeStats{Formula: s.node.String()}
+	if s != s.fam.widest() {
+		return st
+	}
+	st.Entries = len(s.fam.entries)
+	for _, e := range s.fam.entries {
 		st.Timestamps += len(e.times)
 		st.Bytes += entryFixedBytes(e.key, e.row) + 8*len(e.times)
 	}
@@ -836,85 +973,101 @@ func (s *sinceNode) stats() NodeStats {
 }
 
 func (s *sinceNode) account() (entries, timestamps, bytes int) {
-	return len(s.entries), s.nTimes, s.fixedBytes + 8*s.nTimes
+	f := s.fam
+	if s != f.widest() {
+		return 0, 0, 0
+	}
+	return len(f.entries), f.nTimes, f.fixedBytes + 8*f.nTimes
 }
 
-// invariants returns an error if the node's internal invariants are
+// invariants returns an error if the family's internal invariants are
 // broken; the property tests call it after every step. ev evaluates in
 // the current state.
-func (s *sinceNode) invariants(now uint64, ev *fol.Evaluator) error {
-	if s.primed && now == s.lastT {
-		sat := 0
-		for key, e := range s.entries {
-			if s.satisfied(e, now) {
-				sat++
-				if !s.ans.ContainsKey(key) {
-					return fmt.Errorf("core: %q: maintained answer misses satisfied entry %s", s.node.String(), key)
-				}
-			} else if s.ans.ContainsKey(key) {
-				return fmt.Errorf("core: %q: maintained answer retains unsatisfied entry %s", s.node.String(), key)
-			}
+func (f *sinceFamily) invariants(now uint64, ev *fol.Evaluator) error {
+	for i, m := range f.members {
+		if m.fam != f || m.idx != i || (i > 0 && !f.members[i-1].narrowerThan(m)) {
+			return fmt.Errorf("core: %q: member %d (%s) is out of place", f.name(), i, m.node.String())
 		}
-		if s.ans.Len() != sat {
-			return fmt.Errorf("core: %q: maintained answer has %d rows, %d entries satisfied",
-				s.node.String(), s.ans.Len(), sat)
+		if m.iv.Lo != f.lo || (len(f.members) > 1 && !f.newest) {
+			return fmt.Errorf("core: %q: window %s shares a table the newest-anchor rule does not cover", f.name(), m.iv.String())
 		}
 	}
 	nLive := 0
-	for key, e := range s.entries {
+	for key, e := range f.entries {
 		if e.key != key || e.gone {
-			return fmt.Errorf("core: %q: entry %s filed under %s (gone=%v)", s.node.String(), e.key, key, e.gone)
+			return fmt.Errorf("core: %q: entry %s filed under %s (gone=%v)", f.name(), e.key, key, e.gone)
 		}
 		if e.liveIx >= 0 {
 			nLive++
-			if e.liveIx >= len(s.live) || s.live[e.liveIx] != e {
-				return fmt.Errorf("core: %q: live entry %s not at its place in the live list", s.node.String(), key)
+			if e.liveIx >= len(f.live) || f.live[e.liveIx] != e {
+				return fmt.Errorf("core: %q: live entry %s not at its place in the live list", f.name(), key)
 			}
 		}
 	}
-	if nLive != len(s.live) {
-		return fmt.Errorf("core: %q: live list has %d entries, %d entries are live", s.node.String(), len(s.live), nLive)
+	if nLive != len(f.live) {
+		return fmt.Errorf("core: %q: live list has %d entries, %d entries are live", f.name(), len(f.live), nLive)
 	}
-	if err := s.liveMatches(ev); err != nil {
+	if err := f.liveMatches(ev); err != nil {
 		return err
 	}
-	if s.noPrune {
+	if f.primed && now == f.lastT {
+		// Every member's answer is the table read through its window.
+		for i, m := range f.members {
+			for key, e := range f.entries {
+				if holds := m.satisfied(e, now); holds != (i >= e.sat) {
+					return fmt.Errorf("core: %q: entry %s satisfied=%v, filed from member %d on", m.node.String(), key, holds, e.sat)
+				}
+			}
+		}
+	}
+	if f.noPrune {
 		return nil // the ablation deliberately violates the space bounds
 	}
-	queued := make(map[deadline]bool)
-	for _, q := range []*deadlineQueue{&s.enterQ, &s.leaveQ} {
-		pend := q.pending()
-		for i, d := range pend {
-			if i > 0 && pend[i-1].due > d.due {
-				return fmt.Errorf("core: %q: deadline queue out of order: %d before %d", s.node.String(), pend[i-1].due, d.due)
-			}
-			queued[d] = true
+	// logged maps each anchor to its last position in the log.
+	logged := make(map[anchor]int)
+	for i, a := range f.anchors.ev {
+		if i > 0 && f.anchors.ev[i-1].tm > a.tm {
+			return fmt.Errorf("core: %q: anchor log out of order: %d before %d", f.name(), f.anchors.ev[i-1].tm, a.tm)
 		}
+		logged[a] = f.anchors.base + i
 	}
-	for key, e := range s.entries {
+	ahead := func(a anchor, cursor int) bool {
+		pos, ok := logged[a]
+		return ok && pos >= cursor
+	}
+	wide := f.widest().iv
+	for key, e := range f.entries {
 		if len(e.times) == 0 {
-			return fmt.Errorf("core: %q: empty entry %s retained", s.node.String(), key)
+			return fmt.Errorf("core: %q: empty entry %s retained", f.name(), key)
 		}
-		if (s.newest || s.iv.Unbounded) && len(e.times) > 1 {
-			return fmt.Errorf("core: %q: window %s kept %d timestamps", s.node.String(), s.iv.String(), len(e.times))
+		if (f.newest || wide.Unbounded) && len(e.times) > 1 {
+			return fmt.Errorf("core: %q: window %s kept %d timestamps", f.name(), wide.String(), len(e.times))
 		}
-		if s.newest && e.liveIx >= 0 {
+		if f.newest && e.liveIx >= 0 {
 			continue // the slot is not read while the entry is live
+		}
+		if f.primed && f.newest && e.sat == len(f.members) {
+			return fmt.Errorf("core: %q: entry %s kept outside the widest window", f.name(), key)
 		}
 		for i, tm := range e.times {
 			if i > 0 && e.times[i-1] >= tm {
-				return fmt.Errorf("core: %q: timestamps not strictly ascending: %v", s.node.String(), e.times)
+				return fmt.Errorf("core: %q: timestamps not strictly ascending: %v", f.name(), e.times)
 			}
-			if !s.iv.Unbounded {
-				if now-tm > s.iv.Hi {
-					return fmt.Errorf("core: %q: stale timestamp %d at now=%d (window %s)", s.node.String(), tm, now, s.iv.String())
-				}
-				if s.primed && !queued[deadline{s.leaveDue(tm), e}] {
-					return fmt.Errorf("core: %q: entry %s: no leave deadline queued for timestamp %d", s.node.String(), key, tm)
-				}
+			if !wide.Unbounded && now-tm > wide.Hi {
+				return fmt.Errorf("core: %q: stale timestamp %d at now=%d (window %s)", f.name(), tm, now, wide.String())
 			}
-			if due := satAdd(tm, s.iv.Lo); s.primed && due > now && !queued[deadline{due, e}] {
-				return fmt.Errorf("core: %q: entry %s: no enter deadline queued for timestamp %d", s.node.String(), key, tm)
+			if !f.primed {
+				continue
+			}
+			// Every reader that has yet to see tm age in or out finds it
+			// at or after its cursor.
+			if satAdd(tm, f.lo) > now && !ahead(anchor{tm, e}, f.enterCur) {
+				return fmt.Errorf("core: %q: entry %s: timestamp %d is not ahead of the enter cursor", f.name(), key, tm)
+			}
+			for _, m := range f.members {
+				if !m.iv.Unbounded && now-tm <= m.iv.Hi && !ahead(anchor{tm, e}, m.cursor) {
+					return fmt.Errorf("core: %q: entry %s: timestamp %d is not ahead of the cursor of %s", f.name(), key, tm, m.node.String())
+				}
 			}
 		}
 	}
@@ -924,26 +1077,26 @@ func (s *sinceNode) invariants(now uint64, ev *fol.Evaluator) error {
 // liveMatches holds the live entries equal to ⟦ψ⟧ enumerated afresh. A
 // prev child has by now (after the carry phase) moved on to the answer it
 // serves at the next state, so ψ can no longer be evaluated as the update
-// phase saw it; such nodes are not checked.
-func (s *sinceNode) liveMatches(ev *fol.Evaluator) error {
-	if !s.primed {
+// phase saw it; such families are not checked.
+func (f *sinceFamily) liveMatches(ev *fol.Evaluator) error {
+	if !f.primed {
 		return nil
 	}
-	for _, child := range s.deps.children {
+	for _, child := range f.deps.children {
 		if _, ok := child.(*prevNode); ok {
 			return nil
 		}
 	}
-	rb, err := ev.Eval(s.right)
+	rb, err := ev.Eval(f.right)
 	if err != nil {
 		return err
 	}
-	if rb.Len() != len(s.live) {
-		return fmt.Errorf("core: %q: %d live entries, ⟦ψ⟧ has %d rows", s.node.String(), len(s.live), rb.Len())
+	if rb.Len() != len(f.live) {
+		return fmt.Errorf("core: %q: %d live entries, ⟦ψ⟧ has %d rows", f.name(), len(f.live), rb.Len())
 	}
-	for _, e := range s.live {
+	for _, e := range f.live {
 		if !rb.ContainsKey(e.key) {
-			return fmt.Errorf("core: %q: live entry %s is not in ⟦ψ⟧", s.node.String(), e.key)
+			return fmt.Errorf("core: %q: live entry %s is not in ⟦ψ⟧", f.name(), e.key)
 		}
 	}
 	return nil

@@ -18,10 +18,13 @@ import (
 	"rtic/internal/tuple"
 )
 
-// The sweep drives one once/since node through every short script and
-// holds it, commit by commit, to the executable specification. The
-// constraint is probe(x) -> not N(x) with probe(0) and probe(1) always
-// present, so its violations are exactly the node's answer.
+// The sweep drives once/since nodes through every short script and holds
+// them, commit by commit, to the executable specification. A constraint
+// is probe(x) -> not N(x) with probe(0) and probe(1) always present, so
+// its violations are exactly the node's answer. The single sweep installs
+// one window at a time; the family sweep installs several over the same
+// operands, which share one table, and also holds each to a checker that
+// has that window alone — the unshared design by construction.
 
 var sweepSchema = schema.NewBuilder().
 	Relation("probe", 1).
@@ -39,13 +42,23 @@ var sweepWindows = []sweepWindow{
 	{"[0,0]", 0}, {"[0,3]", 3}, {"[2,5]", 5}, {"[2,*]", 3}, {"[0,*]", 3},
 }
 
-// sweepGaps are the commit spacings {1, b, b+1, 2b+3}: inside the
-// window, on its edge, one past it, and far past it.
-func sweepGaps(b uint64) []uint64 {
+// familyWindows are four members of one family — the narrowest possible
+// window, two finite ones and the unbounded one — and [2,5] over the same
+// operands, which the newest-anchor rule does not cover and which must
+// stay a family of its own.
+var familyWindows = []sweepWindow{
+	{"[0,0]", 0}, {"[0,3]", 3}, {"[0,7]", 7}, {"[0,*]", 3}, {"[2,5]", 5},
+}
+
+// sweepGaps are the commit spacings {1, b, b+1, 2b+3} of every window:
+// inside it, on its edge, one past it, and far past it.
+func sweepGaps(ws ...sweepWindow) []uint64 {
 	var out []uint64
-	for _, g := range []uint64{1, b, b + 1, 2*b + 3} {
-		if g > 0 && !slices.Contains(out, g) {
-			out = append(out, g)
+	for _, w := range ws {
+		for _, g := range []uint64{1, w.base, w.base + 1, 2*w.base + 3} {
+			if g > 0 && !slices.Contains(out, g) {
+				out = append(out, g)
+			}
 		}
 	}
 	return out
@@ -86,22 +99,26 @@ func (sc sweepCase) source(w sweepWindow) string {
 }
 
 // eachSweepScript calls run with a fresh rig for every script of n ops of
-// every case, window and gap — except those that start on key 1, which
-// mirror the ones starting on key 0. Under the race detector, which
-// looks for something else and is several times slower, scripts are two
-// ops shorter.
-func eachSweepScript(t *testing.T, n func(sweepCase) int, run func(r *sweepRig, ops []sweepOp, script []int, gap uint64)) {
+// every case, group of windows installed together, and gap — except those
+// that start on key 1, which mirror the ones starting on key 0. Under the
+// race detector, which looks for something else and is several times
+// slower, scripts are two ops shorter.
+func eachSweepScript(t *testing.T, groups [][]sweepWindow, n func(sweepCase) int, run func(r *sweepRig, ops []sweepOp, script []int, gap uint64)) {
 	for _, sc := range sweepCases {
 		length := n(sc)
 		if raceEnabled {
 			length -= 2
 		}
-		for _, w := range sweepWindows {
-			for _, gap := range sweepGaps(w.base) {
+		for _, ws := range groups {
+			var srcs []string
+			for _, w := range ws {
+				srcs = append(srcs, sc.source(w))
+			}
+			for _, gap := range sweepGaps(ws...) {
 				script := make([]int, length)
 				for {
 					if script[0] != 1 {
-						run(newSweepRig(t, sc.source(w)), sc.ops, script, gap)
+						run(newSweepRig(t, srcs), sc.ops, script, gap)
 					}
 					if !nextScript(script, len(sc.ops)) {
 						break
@@ -110,6 +127,15 @@ func eachSweepScript(t *testing.T, n func(sweepCase) int, run func(r *sweepRig, 
 			}
 		}
 	}
+}
+
+// oneByOne installs every sweep window alone.
+func oneByOne() [][]sweepWindow {
+	var out [][]sweepWindow
+	for _, w := range sweepWindows {
+		out = append(out, []sweepWindow{w})
+	}
+	return out
 }
 
 // nextScript advances script as a base-n counter; false after the last.
@@ -123,36 +149,47 @@ func nextScript(script []int, n int) bool {
 	return false
 }
 
-// sweepRig is one script's worth of engines over the same constraint.
+// sweepRig is one script's worth of engines over the same constraints,
+// named c0, c1, …: planned and ref have them all, solo[k] only ck.
 type sweepRig struct {
 	t       *testing.T
-	src     string
+	srcs    []string
 	planned *Checker
 	ref     engine.Engine
+	solo    []*Checker // nil when there is one constraint: planned is that checker
 	present map[sweepOp]bool
 	noise   int64
 	now     uint64
-	answer  map[string]bool // the node's answer after the last commit
+	answers []map[string]bool // each constraint's node's answer after the last commit
 }
 
-func newSweepRig(t *testing.T, src string) *sweepRig {
+func sweepName(k int) string { return fmt.Sprintf("c%d", k) }
+
+func newSweepRig(t *testing.T, srcs []string) *sweepRig {
 	t.Helper()
 	s := sweepSchema
 	r := &sweepRig{
 		t:       t,
-		src:     src,
+		srcs:    srcs,
 		planned: New(s),
 		ref:     naive.New(s),
 		present: map[sweepOp]bool{},
-		answer:  map[string]bool{},
+		answers: make([]map[string]bool, len(srcs)),
 	}
-	for _, eng := range []engine.Engine{r.planned, r.ref} {
-		con, err := check.Parse("c", src, s)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
+	for k, src := range srcs {
+		engines := []engine.Engine{r.planned, r.ref}
+		if len(srcs) > 1 {
+			r.solo = append(r.solo, New(s))
+			engines = append(engines, r.solo[k])
 		}
-		if err := eng.AddConstraint(con); err != nil {
-			t.Fatalf("%s: %v", src, err)
+		for _, eng := range engines {
+			con, err := check.Parse(sweepName(k), src, s)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if err := eng.AddConstraint(con); err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
 		}
 	}
 	tx := storage.NewTransaction()
@@ -181,7 +218,7 @@ func (r *sweepRig) tx(op sweepOp) *storage.Transaction {
 	return tx
 }
 
-// commit steps both engines and checks everything the sweep promises
+// commit steps every engine and checks everything the sweep promises
 // about the commit.
 func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
 	r.t.Helper()
@@ -190,7 +227,7 @@ func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
 	if err != nil {
 		r.t.Fatalf("%s: planned: %v", label, err)
 	}
-	want, err := r.ref.Step(tm, tx)
+	want, err := r.ref.Step(tm, tx.Clone())
 	if err != nil {
 		r.t.Fatalf("%s: naive: %v", label, err)
 	}
@@ -200,20 +237,70 @@ func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
 	if err := r.planned.CheckInvariants(); err != nil {
 		r.t.Fatalf("%s: %v", label, err)
 	}
-
-	// The node's own answer and its delta, against the violations (which
-	// are that answer) and the previous answer.
-	node := r.planned.nodes[len(r.planned.nodes)-1].(*sinceNode)
-	next := map[string]bool{}
-	for _, v := range want {
-		next[v.Binding.Key()] = true
+	for k, solo := range r.solo {
+		alone, err := solo.Step(tm, tx.Clone())
+		if err != nil {
+			r.t.Fatalf("%s: %s alone: %v", label, r.srcs[k], err)
+		}
+		r.againstSolo(label+": "+r.srcs[k], sweepName(k), solo, got, alone)
 	}
-	if node.ans.Len() != len(next) {
-		r.t.Fatalf("%s: node answers %v, naive %v", label, node.ans, canon(want))
+	for k := range r.srcs {
+		// The node's own answer and its delta, against the violations
+		// (which are that answer) and the previous answer.
+		next := map[string]bool{}
+		for _, v := range want {
+			if v.Constraint == sweepName(k) {
+				next[v.Binding.Key()] = true
+			}
+		}
+		r.checkDelta(label+": "+r.srcs[k], memberOf(r.t, r.planned, sweepName(k)), r.answers[k], next)
+		r.answers[k] = next
+	}
+}
+
+// againstSolo holds the shared checker's violations of one constraint,
+// and the evidence it gives for each, to the checker that has that
+// constraint alone.
+func (r *sweepRig) againstSolo(label, name string, solo *Checker, got, alone []check.Violation) {
+	r.t.Helper()
+	var mine []check.Violation
+	for _, v := range got {
+		if v.Constraint == name {
+			mine = append(mine, v)
+		}
+	}
+	if !sameCanon(canon(mine), canon(alone)) {
+		r.t.Fatalf("%s: shared %v, alone %v", label, canon(mine), canon(alone))
+	}
+	for _, v := range mine {
+		shared, err := r.planned.Explain(v)
+		if err != nil {
+			r.t.Fatalf("%s: %v", label, err)
+		}
+		own, err := solo.Explain(v)
+		if err != nil {
+			r.t.Fatalf("%s: %v", label, err)
+		}
+		if shared.String() != own.String() {
+			r.t.Fatalf("%s: shared explains\n%s\nalone\n%s", label, shared, own)
+		}
+	}
+}
+
+// checkDelta holds node's answer to next, and its delta to the difference
+// between old and next.
+func (r *sweepRig) checkDelta(label string, node *sinceNode, old, next map[string]bool) {
+	r.t.Helper()
+	ans, err := node.enumerate(r.now)
+	if err != nil {
+		r.t.Fatalf("%s: %v", label, err)
+	}
+	if ans.Len() != len(next) {
+		r.t.Fatalf("%s: node answers %v, naive %v", label, ans, keysOf(next))
 	}
 	for key := range next {
-		if !node.ans.ContainsKey(key) {
-			r.t.Fatalf("%s: node answers %v, naive %v", label, node.ans, canon(want))
+		if !ans.ContainsKey(key) {
+			r.t.Fatalf("%s: node answers %v, naive %v", label, ans, keysOf(next))
 		}
 	}
 	added, removed, exact := node.answerDelta()
@@ -223,33 +310,32 @@ func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
 	seen := map[string]bool{}
 	for _, row := range added {
 		key := row.Key()
-		if seen[key] || r.answer[key] || !next[key] {
-			r.t.Fatalf("%s: added %v is not (new answer − old answer): old %v new %v", label, added, keysOf(r.answer), keysOf(next))
+		if seen[key] || old[key] || !next[key] {
+			r.t.Fatalf("%s: added %v is not (new answer − old answer): old %v new %v", label, added, keysOf(old), keysOf(next))
 		}
 		seen[key] = true
 	}
 	for _, row := range removed {
 		key := row.Key()
-		if seen[key] || !r.answer[key] || next[key] {
-			r.t.Fatalf("%s: removed %v is not (old answer − new answer): old %v new %v", label, removed, keysOf(r.answer), keysOf(next))
+		if seen[key] || !old[key] || next[key] {
+			r.t.Fatalf("%s: removed %v is not (old answer − new answer): old %v new %v", label, removed, keysOf(old), keysOf(next))
 		}
 		seen[key] = true
 	}
 	changed := 0
 	for key := range next {
-		if !r.answer[key] {
+		if !old[key] {
 			changed++
 		}
 	}
-	for key := range r.answer {
+	for key := range old {
 		if !next[key] {
 			changed++
 		}
 	}
 	if changed != len(seen) || node.dirty() != (changed > 0) {
-		r.t.Fatalf("%s: delta +%v −%v (dirty=%v) misses part of old %v → new %v", label, added, removed, node.dirty(), keysOf(r.answer), keysOf(next))
+		r.t.Fatalf("%s: delta +%v −%v (dirty=%v) misses part of old %v → new %v", label, added, removed, node.dirty(), keysOf(old), keysOf(next))
 	}
-	r.answer = next
 }
 
 func keysOf(m map[string]bool) []string {
@@ -275,6 +361,19 @@ func (r *sweepRig) restored() *Checker {
 	return c
 }
 
+// violations is what the planned checker must have reported at the last
+// commit, from the answers the rig verified.
+func (r *sweepRig) violations() []string {
+	var out []string
+	for k, ans := range r.answers {
+		for key := range ans {
+			out = append(out, sweepName(k)+"|"+key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestAuxDeadlineSweep enumerates, for once and since over the windows
 // [0,0] [0,3] [2,5] [2,∞) [0,∞) and the gaps {1, b, b+1, 2b+3}, every
 // script of the case's length over two keys — which covers every shorter
@@ -282,18 +381,32 @@ func (r *sweepRig) restored() *Checker {
 // the checker and internal/naive agree, the node's answer is theirs,
 // added/removed are
 // disjoint and equal the difference of consecutive answers, and
-// CheckInvariants holds (pending deadlines queued, live set equal to
-// ⟦ψ⟧, running account equal to the walk).
+// CheckInvariants holds (anchors ahead of the cursors that wait for them,
+// live set equal to ⟦ψ⟧, running account equal to the walk).
 func TestAuxDeadlineSweep(t *testing.T) {
-	eachSweepScript(t, func(sc sweepCase) int { return sc.length }, func(r *sweepRig, ops []sweepOp, script []int, gap uint64) {
-		for i, o := range script {
-			r.commit(r.label(script, gap, i), r.now+gap, r.tx(ops[o]))
-		}
-	})
+	eachSweepScript(t, oneByOne(), func(sc sweepCase) int { return sc.length }, runSweepScript)
+}
+
+// TestAuxFamilySweep is the same sweep over familyWindows installed
+// together — four windows reading one table, a fifth over the same
+// operands beside them — and the gaps of all of them. On top of the
+// single sweep's promises, which it holds per member, every constraint
+// reports and explains (evidence times included) what a checker that has
+// it alone does, and CheckInvariants holds the family clauses: the table
+// kept to the widest window, each member's answer the table read through
+// its window.
+func TestAuxFamilySweep(t *testing.T) {
+	eachSweepScript(t, [][]sweepWindow{familyWindows}, func(sc sweepCase) int { return sc.length }, runSweepScript)
+}
+
+func runSweepScript(r *sweepRig, ops []sweepOp, script []int, gap uint64) {
+	for i, o := range script {
+		r.commit(r.label(script, gap, i), r.now+gap, r.tx(ops[o]))
+	}
 }
 
 func (r *sweepRig) label(script []int, gap uint64, step int) string {
-	return fmt.Sprintf("%s gap %d script %v step %d", r.src, gap, script, step)
+	return fmt.Sprintf("%s gap %d script %v step %d", r.srcs[0], gap, script, step)
 }
 
 // TestAuxDeadlineSweepSnapshot is the sweep's fourth promise: a snapshot
@@ -302,33 +415,34 @@ func (r *sweepRig) label(script []int, gap uint64, step int) string {
 // saved and loaded, and every copy taken so far is stepped through the
 // rest of the script beside the original.
 func TestAuxDeadlineSweepSnapshot(t *testing.T) {
-	eachSweepScript(t, func(sc sweepCase) int { return sc.snaps }, func(r *sweepRig, ops []sweepOp, script []int, gap uint64) {
-		var copies []*Checker
-		for i, o := range script {
-			copies = append(copies, r.restored())
-			label := r.label(script, gap, i)
-			tx := r.tx(ops[o])
-			tm := r.now + gap
-			r.commit(label, tm, tx.Clone())
-			for from, c := range copies {
-				got := mustStep(t, c, tm, tx.Clone())
-				if !sameCanon(canon(got), keysWithPrefix("c|", r.answer)) {
-					t.Fatalf("%s: snapshot taken at index %d reports %v, original %v", label, from, canon(got), keysOf(r.answer))
-				}
-				if a, b := c.Stats(), r.planned.Stats(); a.Entries != b.Entries || a.Timestamps != b.Timestamps || a.Bytes != b.Bytes {
-					t.Fatalf("%s: snapshot taken at index %d holds %+v, original %+v", label, from, a, b)
-				}
-			}
-		}
-	})
+	eachSweepScript(t, oneByOne(), func(sc sweepCase) int { return sc.snaps }, runSnapshotScript)
 }
 
-func keysWithPrefix(prefix string, m map[string]bool) []string {
-	out := keysOf(m)
-	for i := range out {
-		out[i] = prefix + out[i]
+// TestAuxFamilySweepSnapshot: the members of a family each write the part
+// of the table their window holds, and loading merges the parts back.
+func TestAuxFamilySweepSnapshot(t *testing.T) {
+	eachSweepScript(t, [][]sweepWindow{familyWindows}, func(sc sweepCase) int { return sc.snaps }, runSnapshotScript)
+}
+
+func runSnapshotScript(r *sweepRig, ops []sweepOp, script []int, gap uint64) {
+	t := r.t
+	var copies []*Checker
+	for i, o := range script {
+		copies = append(copies, r.restored())
+		label := r.label(script, gap, i)
+		tx := r.tx(ops[o])
+		tm := r.now + gap
+		r.commit(label, tm, tx.Clone())
+		for from, c := range copies {
+			got := mustStep(t, c, tm, tx.Clone())
+			if !sameCanon(canon(got), r.violations()) {
+				t.Fatalf("%s: snapshot taken at index %d reports %v, original %v", label, from, canon(got), r.violations())
+			}
+			if a, b := c.Stats(), r.planned.Stats(); a.Entries != b.Entries || a.Timestamps != b.Timestamps || a.Bytes != b.Bytes {
+				t.Fatalf("%s: snapshot taken at index %d holds %+v, original %+v", label, from, a, b)
+			}
+		}
 	}
-	return out
 }
 
 // TestAuxExpiryAndReanchorSameCommit is the case a first delta-driven
@@ -349,7 +463,7 @@ func TestAuxExpiryAndReanchorSameCommit(t *testing.T) {
 	step(22, storage.NewTransaction().Insert("reading", tuple.Ints(1)))
 	step(26, del("reading", 0))
 	node := c.nodes[0].(*sinceNode)
-	if !node.ans.ContainsKey(tuple.Ints(0).Key()) {
+	if ok, _ := node.testKey([]byte(tuple.Ints(0).Key()), 26); !ok {
 		t.Fatal("reading(0) is 4 old at t=26 and must still answer once[0,4]")
 	}
 	vs := step(28, ins("reading", 0))
@@ -385,7 +499,9 @@ var fixtureSpecs = []struct{ name, src string }{
 // commits into a cdcgen feed, 28 entries holding 63 timestamps, every
 // in-window anchor as that encoding kept them — and continues the feed.
 // The format did not change: the file loads, entries under the
-// newest-anchor rule shrink to one timestamp, and the remaining 60
+// newest-anchor rule shrink to one timestamp, the three windows over
+// reading(s) — [0,16], [0,24], [0,∞) — merge what each wrote into one
+// table counted once (28 entries become 16), and the remaining 60
 // commits report what internal/naive reports over the whole feed.
 func TestLoadParentSnapshot(t *testing.T) {
 	const at = 100
@@ -405,8 +521,8 @@ func TestLoadParentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Entries != 28 || st.Timestamps >= 63 {
-		t.Fatalf("loaded %d entries with %d timestamps; the parent wrote 28 with 63 and the new rule keeps fewer", st.Entries, st.Timestamps)
+	if st.Entries != 16 || st.Timestamps != 23 {
+		t.Fatalf("loaded %d entries with %d timestamps; the parent wrote 28 with 63, of which one table per family and one timestamp per [0,b] entry leave 16 with 23", st.Entries, st.Timestamps)
 	}
 	for _, ns := range st.PerNode {
 		if strings.Contains(ns.Formula, "[0,") && ns.Timestamps != ns.Entries {
@@ -487,8 +603,8 @@ func TestCleanUpdatePhaseIsFree(t *testing.T) {
 		t.Errorf("clean update phase visited %d entries, want 0", n)
 	}
 	for _, node := range c.nodes {
-		if sn := node.(*sinceNode); sn.lastT != tm || sn.dirty() {
-			t.Errorf("%s: at t=%d dirty=%v after clean commits up to t=%d", sn.node, sn.lastT, sn.dirty(), tm)
+		if sn := node.(*sinceNode); sn.fam.lastT != tm || sn.dirty() {
+			t.Errorf("%s: at t=%d dirty=%v after clean commits up to t=%d", sn.node, sn.fam.lastT, sn.dirty(), tm)
 		}
 	}
 	// The skipped commits were real ones as far as the answers go.

@@ -94,7 +94,8 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // widePolicies is the policy set of the end-to-end benchmark's
 // policy-wide workload (benchmark/workloads.go): cdcgen's three plus 16
 // more validity windows and 16 more derived-row lifetimes over the same
-// relations — 35 constraints over 27 distinct auxiliary nodes.
+// relations — 35 constraints over 26 distinct auxiliary nodes, 25 of them
+// windows [0,b] over reading(s): one family.
 func widePolicies(cfg cdcgen.Config) []workload.ConstraintSpec {
 	cons := cdcgen.Constraints(cfg)
 	for i := 0; i < 16; i++ {
@@ -111,12 +112,12 @@ func widePolicies(cfg cdcgen.Config) []workload.ConstraintSpec {
 	return cons
 }
 
-// visitedEntries sums the entries every since/once node resolved so far.
+// visitedEntries sums the entries every since/once family resolved so far.
 func visitedEntries(c *Checker) int {
 	n := 0
 	for _, node := range c.nodes {
-		if s, ok := node.(*sinceNode); ok {
-			n += s.visited
+		if s, ok := node.(*sinceNode); ok && s.idx == 0 {
+			n += s.fam.visited
 		}
 	}
 	return n
@@ -128,13 +129,15 @@ func visitedEntries(c *Checker) int {
 // over gateCommits commits — long enough to average over the feed's
 // stream kinds and burst trains, so the figure does not depend on b.N —
 // reports allocations and entries visited per commit, and fails the
-// benchmark when a commit allocates more than maxAllocs: the update
-// phase is delta-driven and must stay so.
+// benchmark when a commit allocates more than maxAllocs or resolves more
+// than maxVisits entries: the update phase is delta-driven, the 25
+// windows over reading(s) read one table, and both must stay so.
 func BenchmarkStepWidePolicies(b *testing.B) {
 	const (
 		warm        = 2000
 		gateCommits = 4000
-		maxAllocs   = 130
+		maxAllocs   = 45
+		maxVisits   = 8
 	)
 	cfg := cdcgen.Config{
 		Steps: warm + gateCommits + b.N, Seed: 7, Sensors: 1024,
@@ -177,5 +180,8 @@ func BenchmarkStepWidePolicies(b *testing.B) {
 	b.ReportMetric(visits, "visits/commit")
 	if allocs > maxAllocs {
 		b.Fatalf("%.1f allocations per commit over %d commits, want at most %d", allocs, gateCommits, maxAllocs)
+	}
+	if visits > maxVisits {
+		b.Fatalf("%.2f entries resolved per commit over %d commits, want at most %d", visits, gateCommits, maxVisits)
 	}
 }

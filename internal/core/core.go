@@ -55,6 +55,9 @@ type Checker struct {
 	// same canonical form (the form includes variable names and
 	// intervals, so equal shape means equal semantics).
 	byShape map[string]auxNode
+	// families files every once/since family other windows may join under
+	// its shareKey.
+	families map[string]*sinceFamily
 
 	// The leveled update schedule: levels[0] holds nodes with no nested
 	// temporal subformulas, levels[k] nodes whose deepest child sits at
@@ -153,6 +156,7 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		conNames: make(map[string]struct{}),
 		byNode:   make(map[mtl.Formula]auxNode),
 		byShape:  make(map[string]auxNode),
+		families: make(map[string]*sinceFamily),
 		levelOf:  make(map[auxNode]int),
 		par:      1,
 		delta:    make(map[string]*relDelta),
@@ -335,22 +339,7 @@ func (c *Checker) bindNode(node auxNode) error {
 		}
 		n.fPlan, err = plan.Compile(n.n.F, c.cur, nil)
 	case *sinceNode:
-		n.deps = nodeDeps{
-			srcRels:  c.skeletonDeltas(n.left, n.right),
-			children: c.directNodes(n.left, n.right),
-		}
-		n.leftRels = c.skeletonDeltas(n.left)
-		n.leftNodes = c.directNodes(n.left)
-		if !n.once {
-			if n.chain, err = plan.Compile(n.left, c.cur, n.lvars); err != nil {
-				return err
-			}
-		}
-		p, err := plan.Compile(n.right, c.cur, nil)
-		if err != nil {
-			return err
-		}
-		n.rhs = c.seedsOf(p)
+		err = c.bindSince(n)
 	}
 	return err
 }
@@ -718,13 +707,22 @@ func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, tr ob
 	return nil
 }
 
+// checkSampleEvery is the stride of the per-constraint latency series:
+// checks are timed on one commit in this many (keyed on the commit index,
+// so every constraint is sampled on the same commits). Two clock reads
+// and a histogram observation per constraint per commit cost a wide
+// policy set a fifth of its step; the phase and commit histograms, which
+// time every commit, carry the totals.
+const checkSampleEvery = 16
+
 // checkPhase evaluates every constraint's denial against the new state,
 // concurrently when the pipeline is parallel. Violations are collected
 // per constraint and flattened in installation order, and per-
 // constraint metrics and trace events are emitted in that same order,
-// so results are identical to the sequential pipeline's. Per-check
-// trace events are gated on the tracer wanting OpConstraintCheck (the
-// DEBUG-frequency op); metrics are recorded regardless.
+// so results are identical to the sequential pipeline's. Violation
+// counts are exact; check latency is observed on sampled commits only,
+// and on every commit for a tracer that wants OpConstraintCheck (the
+// DEBUG-frequency op), which reports each check with its duration.
 func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
@@ -741,26 +739,39 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	if !obs.TraceEnabled(tr, obs.OpConstraintCheck) {
 		tr = nil
 	}
-	instrumented := m != nil || tr != nil
+	sampled := m != nil && c.index%checkSampleEvery == 0
+	timed := sampled || tr != nil
 	t := sc.t
+	// report books check i after it ran for d (zero when untimed).
+	report := func(i int, d time.Duration, found int, err error) {
+		if m != nil && i < len(c.conMetrics) {
+			if sampled {
+				c.conMetrics[i].seconds.Observe(d.Seconds())
+			}
+			if found > 0 {
+				c.conMetrics[i].violations.Add(uint64(found))
+			}
+		}
+		if tr != nil {
+			tr.Trace(obs.TraceEvent{
+				Op: obs.OpConstraintCheck, Detail: c.constraints[i].Name,
+				Time: t, Duration: d, Err: err,
+			})
+		}
+	}
 	if c.par <= 1 || n == 1 {
 		var out []check.Violation
-		for i, con := range c.constraints {
+		for i := range c.constraints {
 			var c0 time.Time
-			if instrumented {
+			if timed {
 				c0 = time.Now()
 			}
 			vs, err := c.checkCon(sc, i, t)
-			if m != nil && i < len(c.conMetrics) {
-				c.conMetrics[i].seconds.Observe(time.Since(c0).Seconds())
-				c.conMetrics[i].violations.Add(uint64(len(vs)))
+			var d time.Duration
+			if timed {
+				d = time.Since(c0)
 			}
-			if tr != nil {
-				tr.Trace(obs.TraceEvent{
-					Op: obs.OpConstraintCheck, Detail: con.Name,
-					Time: t, Duration: time.Since(c0), Err: err,
-				})
-			}
+			report(i, d, len(vs), err)
 			if err != nil {
 				return nil, err
 			}
@@ -774,27 +785,18 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
 		var c0 time.Time
-		if instrumented {
+		if timed {
 			c0 = time.Now()
 		}
 		results[i], errs[i] = c.checkCon(sc, i, t)
-		if instrumented {
+		if timed {
 			durs[i] = time.Since(c0)
 		}
 	})
 	si.attributePool(span, batchStart, "", timings)
 	var out []check.Violation
-	for i, con := range c.constraints {
-		if m != nil && i < len(c.conMetrics) {
-			c.conMetrics[i].seconds.Observe(durs[i].Seconds())
-			c.conMetrics[i].violations.Add(uint64(len(results[i])))
-		}
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpConstraintCheck, Detail: con.Name,
-				Time: t, Duration: durs[i], Err: errs[i],
-			})
-		}
+	for i := range c.constraints {
+		report(i, durs[i], len(results[i]), errs[i])
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -978,11 +980,12 @@ func (c *Checker) Totals() Stats {
 	return s
 }
 
-// CheckInvariants verifies the internal invariants of every auxiliary
-// node (sorted, in-window, deduplicated timestamp sets; every pending
-// deadline queued; the live entries equal to ⟦ψ⟧ re-enumerated) and that
-// each node's running storage account equals its full walk; used by
-// tests.
+// CheckInvariants verifies the internal invariants of every once/since
+// family (sorted, deduplicated timestamp sets inside the widest window;
+// every member's answer equal to the table read through its window;
+// every anchor a reader still waits for ahead of its cursor; the live
+// entries equal to ⟦ψ⟧ re-enumerated) and that each node's running
+// storage account equals its full walk; used by tests.
 func (c *Checker) CheckInvariants() error {
 	for _, n := range c.nodes {
 		ns := n.stats()
@@ -997,8 +1000,8 @@ func (c *Checker) CheckInvariants() error {
 	orc := oracle{c: c, now: c.now}
 	ev := fol.NewEvaluator(c.cur, &orc)
 	for _, n := range c.nodes {
-		if s, ok := n.(*sinceNode); ok {
-			if err := s.invariants(c.now, ev); err != nil {
+		if s, ok := n.(*sinceNode); ok && s.idx == 0 {
+			if err := s.fam.invariants(c.now, ev); err != nil {
 				return err
 			}
 		}

@@ -200,12 +200,12 @@ func (s *sinceNode) witnesses(env fol.Env, now uint64) []uint64 {
 	if err != nil {
 		return nil
 	}
-	e, ok := s.entries[row.Key()]
+	e, ok := s.fam.entries[row.Key()]
 	if !ok {
 		return nil
 	}
 	var out []uint64
-	for _, tm := range s.anchorsOf(e) {
+	for _, tm := range s.fam.anchorsOf(e) {
 		if s.iv.Contains(now - tm) {
 			out = append(out, tm)
 		}

@@ -1,0 +1,274 @@
+package core
+
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+
+	"rtic/internal/cdcgen"
+	"rtic/internal/check"
+	"rtic/internal/engine"
+	"rtic/internal/naive"
+	"rtic/internal/storage"
+	"rtic/internal/tuple"
+)
+
+// memberOf returns the once/since node of constraint name, which must be
+// probe-shaped: one temporal subformula directly under the denial.
+func memberOf(t *testing.T, c *Checker, name string) *sinceNode {
+	t.Helper()
+	for i, con := range c.constraints {
+		if con.Name == name {
+			return c.conStates[i].nodes[0].(*sinceNode)
+		}
+	}
+	t.Fatalf("no constraint %s", name)
+	return nil
+}
+
+// TestFamilyMembership pins which windows share a table: the same
+// operands, a = 0 and pruning on — whatever b is — and nothing else.
+func TestFamilyMembership(t *testing.T) {
+	s := sweepSchema
+	c := New(s)
+	for name, src := range map[string]string{
+		"w3":    "probe(x) -> not once[0,3] q(x)",
+		"w0":    "probe(x) -> not once[0,0] q(x)",
+		"winf":  "probe(x) -> not once q(x)",
+		"w7":    "probe(x) -> not once[0,7] q(x)",
+		"a2":    "probe(x) -> not once[2,5] q(x)",
+		"other": "probe(x) -> not once[0,3] noise(x)",
+		"s3":    "probe(x) -> not (p(x) since[0,3] q(x))",
+		"s9":    "probe(x) -> not (p(x) since[0,9] q(x))",
+	} {
+		addConstraint(t, c, s, name, src)
+	}
+	fam := memberOf(t, c, "w0").fam
+	var got []string
+	for _, m := range fam.members {
+		got = append(got, m.node.String())
+	}
+	if want := "once[0,0] q(x), once[0,3] q(x), once[0,7] q(x), once q(x)"; strings.Join(got, ", ") != want {
+		t.Fatalf("once … q(x) family is %v, want %s", got, want)
+	}
+	for _, name := range []string{"w3", "w7", "winf"} {
+		if memberOf(t, c, name).fam != fam {
+			t.Errorf("%s is not in the family of w0", name)
+		}
+	}
+	for _, name := range []string{"a2", "other", "s3"} {
+		if m := memberOf(t, c, name); m.fam == fam {
+			t.Errorf("%s shares the table of once[0,b] q(x)", name)
+		}
+	}
+	if a, b := memberOf(t, c, "a2"), memberOf(t, c, "other"); len(a.fam.members) != 1 || len(b.fam.members) != 1 {
+		t.Errorf("once[2,5] q(x) and once[0,3] noise(x) must be families of one, have %d and %d members", len(a.fam.members), len(b.fam.members))
+	}
+	if a, b := memberOf(t, c, "s3"), memberOf(t, c, "s9"); a.fam != b.fam || len(a.fam.members) != 2 {
+		t.Errorf("p(x) since[0,3] q(x) and p(x) since[0,9] q(x) must be one family of two")
+	}
+
+	// The pruning ablation covers no window.
+	abl := New(s)
+	if err := abl.DisablePruning(); err != nil {
+		t.Fatal(err)
+	}
+	addConstraint(t, abl, s, "w3", "probe(x) -> not once[0,3] q(x)")
+	addConstraint(t, abl, s, "w7", "probe(x) -> not once[0,7] q(x)")
+	if a, b := memberOf(t, abl, "w3"), memberOf(t, abl, "w7"); a.fam == b.fam {
+		t.Error("windows share a table under DisablePruning")
+	}
+
+	// A family's history is stored, priced and counted once, on its
+	// widest window.
+	mustStep(t, c, 1, ins("q", 1).Insert("noise", tuple.Ints(1)))
+	for _, ns := range c.Stats().PerNode {
+		want := 0
+		switch ns.Formula {
+		case "once q(x)", "once[2,5] q(x)", "once[0,3] noise(x)", "p(x) since[0,9] q(x)":
+			want = 1
+		}
+		if ns.Entries != want {
+			t.Errorf("%s reports %d entries, want %d", ns.Formula, ns.Entries, want)
+		}
+	}
+	for _, nc := range c.ScheduleCosts() {
+		want := uint64(0)
+		switch nc.Formula {
+		case "once q(x)", "once[0,3] noise(x)", "p(x) since[0,9] q(x)":
+			want = 1
+		case "once[2,5] q(x)":
+			want = 6
+		}
+		if nc.Weight != want {
+			t.Errorf("%s priced at %d, want %d", nc.Formula, nc.Weight, want)
+		}
+	}
+}
+
+// TestFamilyExpiryAndReanchorSameCommit is TestAuxExpiryAndReanchorSameCommit
+// per member: reading(0) last held at t=22, is deleted at t=26 and comes
+// back at t=28. Under [0,1] it had aged out by 26 and re-enters at 28;
+// under [0,4] it ages out and is re-anchored in the same commit, which is
+// no change; [0,9] never lost it.
+func TestFamilyExpiryAndReanchorSameCommit(t *testing.T) {
+	s := cdcgen.Schema()
+	c := New(s)
+	addConstraint(t, c, s, "w4", "serve(s) -> once[0,4] reading(s)")
+	addConstraint(t, c, s, "w1", "serve(s) -> once[0,1] reading(s)")
+	addConstraint(t, c, s, "w9", "serve(s) -> once[0,9] reading(s)")
+	delta := func(name string) (int, int) {
+		added, removed, _ := memberOf(t, c, name).answerDelta()
+		return len(added), len(removed)
+	}
+	mustStep(t, c, 20, ins("reading", 0).Insert("serve", tuple.Ints(0)))
+	mustStep(t, c, 22, ins("reading", 1))
+	vs := mustStep(t, c, 26, del("reading", 0))
+	if got := canon(vs); !sameCanon(got, []string{"w1|" + tuple.Ints(0).Key()}) {
+		t.Fatalf("t=26, reading(0) last held at 22: %v", got)
+	}
+	if a, r := delta("w1"); a != 0 || r != 1 {
+		t.Fatalf("t=26: [0,1] delta +%d −%d, want −1", a, r)
+	}
+	vs = mustStep(t, c, 28, ins("reading", 0))
+	if len(vs) != 0 {
+		t.Fatalf("serve(0) with reading(0) re-captured at t=28: %v", vs)
+	}
+	for name, want := range map[string][2]int{"w1": {1, 0}, "w4": {0, 0}, "w9": {0, 0}} {
+		if a, r := delta(name); a != want[0] || r != want[1] {
+			t.Errorf("t=28: %s delta +%d −%d, want +%d −%d", name, a, r, want[0], want[1])
+		}
+	}
+	// t=34: reading(0) last held at 28 (deleted at 29) is 6 old.
+	mustStep(t, c, 29, del("reading", 0))
+	vs = mustStep(t, c, 34, storage.NewTransaction())
+	if got := canon(vs); !sameCanon(got, []string{"w1|" + tuple.Ints(0).Key(), "w4|" + tuple.Ints(0).Key()}) {
+		t.Fatalf("t=34: %v", got)
+	}
+}
+
+// TestFamilyClosedOncePrimed: a table that has begun its history is
+// pruned to the windows it had, so no window joins it afterwards.
+// AddConstraint refuses any constraint once the history started — also
+// on a checker loaded from a snapshot — and leaves the family as it was;
+// and a node registered behind AddConstraint's back becomes a family of
+// one and disturbs nothing.
+func TestFamilyClosedOncePrimed(t *testing.T) {
+	s := sweepSchema
+	srcs := []string{"probe(x) -> not once[0,0] q(x)", "probe(x) -> not once[0,3] q(x)"}
+	r := newSweepRig(t, srcs)
+	r.commit("t=2", 2, ins("q", 0))
+	c := r.restored()
+	tx := del("q", 0)
+	r.commit("t=3", 3, tx.Clone())
+	mustStep(t, c, 3, tx)
+
+	fam := memberOf(t, c, "c0").fam
+	wider, err := check.Parse("late", "probe(x) -> not once[0,7] q(x)", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddConstraint(wider); err == nil || !strings.Contains(err.Error(), "after the history started") {
+		t.Fatalf("AddConstraint after the first commit: %v", err)
+	}
+	if len(fam.members) != 2 || len(c.nodes) != 2 {
+		t.Fatalf("refused constraint left %d members, %d nodes", len(fam.members), len(c.nodes))
+	}
+	if err := c.compile(wider.Denial); err != nil {
+		t.Fatal(err)
+	}
+	late := c.nodes[len(c.nodes)-1].(*sinceNode)
+	if late.fam == fam || len(late.fam.members) != 1 || len(fam.members) != 2 {
+		t.Fatalf("a window registered after priming joined the primed family (%d members)", len(fam.members))
+	}
+	for tm := uint64(4); tm < 12; tm++ {
+		tx := storage.NewTransaction()
+		if tm == 8 {
+			tx = ins("q", 0)
+		}
+		r.commit("continue", tm, tx.Clone())
+		got := mustStep(t, c, tm, tx)
+		if !sameCanon(canon(got), r.violations()) {
+			t.Fatalf("t=%d: loaded checker %v, original %v", tm, canon(got), r.violations())
+		}
+	}
+}
+
+// TestParentWideSnapshot holds the snapshot format both ways against the
+// parent commit, which kept one relation per node: its snapshot of the
+// policy-wide set (35 policies over 26 nodes, 400 commits into cdcgen
+// seed 5) loads and continues as internal/naive does over the whole
+// feed, and this checker's snapshot at the same commit of the same feed
+// is that file, byte for byte.
+func TestParentWideSnapshot(t *testing.T) {
+	const at, more = 400, 200
+	cfg := cdcgen.Config{
+		Steps: at + more, Seed: 5, Sensors: 1024,
+		BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.02,
+	}
+	h, _ := cdcgen.Generate(cfg)
+	want, err := os.ReadFile("testdata/pr18_wide_seed5_step400.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(h.Schema, bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The parent counted 148 entries: the reading(s) table once per window.
+	if st := loaded.Stats(); st.Nodes != 26 || st.Entries >= 148 {
+		t.Fatalf("loaded %d nodes with %d entries", st.Nodes, st.Entries)
+	}
+
+	own := New(h.Schema)
+	ref := naive.New(h.Schema)
+	for _, cs := range widePolicies(cfg) {
+		for _, eng := range []engine.Engine{own, ref} {
+			con, err := check.Parse(cs.Name, cs.Source, h.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AddConstraint(con); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	violations := 0
+	for i, step := range h.Steps {
+		expect, err := ref.Step(step.Time, step.Tx.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == at {
+			var buf bytes.Buffer
+			if err := own.SaveSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("snapshot after %d commits is %d bytes and differs from the parent's %d", at, buf.Len(), len(want))
+			}
+			if a, b := own.Stats(), loaded.Stats(); a.Entries != b.Entries || a.Timestamps != b.Timestamps || a.Bytes != b.Bytes {
+				t.Fatalf("loaded checker holds %+v, the one that ran the feed %+v", b, a)
+			}
+		}
+		got := mustStep(t, own, step.Time, step.Tx.Clone())
+		if !sameCanon(canon(got), canon(expect)) {
+			t.Fatalf("commit %d (t=%d): checker %v, naive %v", i, step.Time, canon(got), canon(expect))
+		}
+		if i < at {
+			continue
+		}
+		got = mustStep(t, loaded, step.Time, step.Tx)
+		if !sameCanon(canon(got), canon(expect)) {
+			t.Fatalf("commit %d (t=%d): loaded checker %v, naive %v", i, step.Time, canon(got), canon(expect))
+		}
+		violations += len(got)
+	}
+	if violations == 0 {
+		t.Fatal("the continued feed reported no violation: the comparison checked nothing")
+	}
+}

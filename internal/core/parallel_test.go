@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rtic/internal/cdcgen"
 	"rtic/internal/check"
 	"rtic/internal/engine"
 	"rtic/internal/formgen"
@@ -137,6 +138,51 @@ func TestParallelEquivalenceRandomConstraints(t *testing.T) {
 					seed, i, tm, tx, cg, cw, names)
 			}
 		}
+	}
+}
+
+// TestParallelFamilyOnCDCFeed is the race leg of the shared table: four
+// windows over reading(s) are one family, updated by one task of its
+// level while the tasks of its other members — and of the unrelated
+// since node beside them — run on other workers; then four check tasks
+// probe the one table at once. Run under -race (tier 1 does); the pool
+// must report what the inline pipeline reports and hold what it holds.
+func TestParallelFamilyOnCDCFeed(t *testing.T) {
+	cfg := cdcgen.Config{Steps: 400, Seed: 11, Sensors: 16, BurstLen: 4, BurstEvery: 10, MaxReorder: 2, ViolationRate: 0.05}
+	h, _ := cdcgen.Generate(cfg)
+	h.Constraints = append(h.Constraints,
+		workload.ConstraintSpec{Name: "fresh_serve_3", Source: "serve(s) -> once[0,3] reading(s)"},
+		workload.ConstraintSpec{Name: "ever_read", Source: "serve(s) -> once reading(s)"},
+	)
+	seq := newFromHistory(t, h)
+	par := newFromHistory(t, h, WithParallelism(4))
+	if fam := memberOf(t, par, "fresh_serve").fam; len(fam.members) != 4 || len(par.nodes) != 5 {
+		t.Fatalf("want a family of four and one more node, have %d members among %d nodes", len(fam.members), len(par.nodes))
+	}
+	violations := 0
+	for i, s := range h.Steps {
+		want, err := seq.Step(s.Time, s.Tx.Clone())
+		if err != nil {
+			t.Fatalf("step %d: inline: %v", i, err)
+		}
+		got, err := par.Step(s.Time, s.Tx)
+		if err != nil {
+			t.Fatalf("step %d: pool: %v", i, err)
+		}
+		if cg, cw := canon(got), canon(want); !sameCanon(cg, cw) {
+			t.Fatalf("step %d (t=%d):\npool:   %v\ninline: %v", i, s.Time, cg, cw)
+		}
+		ss, ps := seq.Stats(), par.Stats()
+		if ss.Entries != ps.Entries || ss.Timestamps != ps.Timestamps || ss.Bytes != ps.Bytes {
+			t.Fatalf("step %d: auxiliary state diverged: inline %+v, pool %+v", i, ss, ps)
+		}
+		violations += len(got)
+	}
+	if err := par.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if violations == 0 {
+		t.Fatal("the feed reported no violation: the comparison checked nothing")
 	}
 }
 

@@ -126,7 +126,7 @@ func (c *Checker) saveSnapshot(w io.Writer) error {
 		snap.Relations = append(snap.Relations, snapRelation{Name: name, Rows: rel.Tuples()})
 	}
 	for _, node := range c.nodes {
-		sn, err := encodeNode(node)
+		sn, err := encodeNode(node, c.now)
 		if err != nil {
 			return err
 		}
@@ -147,7 +147,10 @@ func (c *Checker) saveSnapshot(w io.Writer) error {
 	return err
 }
 
-func encodeNode(node auxNode) (snapNode, error) {
+// encodeNode writes each node as if it kept a relation of its own — the
+// format predates shared tables: a once/since node writes the family's
+// entries its window still holds at now.
+func encodeNode(node auxNode, now uint64) (snapNode, error) {
 	switch n := node.(type) {
 	case *prevNode:
 		sn := snapNode{Kind: "prev", Formula: n.n.String(), Has: n.has, StoredTime: n.storedTime}
@@ -157,16 +160,19 @@ func encodeNode(node auxNode) (snapNode, error) {
 		return sn, nil
 	case *sinceNode:
 		sn := snapNode{Kind: "since", Formula: n.node.String()}
-		keys := make([]string, 0, len(n.entries))
-		for k := range n.entries {
-			keys = append(keys, k)
+		f := n.fam
+		keys := make([]string, 0, len(f.entries))
+		for k, e := range f.entries {
+			if !f.newest || n.satisfied(e, now) {
+				keys = append(keys, k)
+			}
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			e := n.entries[k]
+			e := f.entries[k]
 			sn.Entries = append(sn.Entries, snapEntry{
 				Row:   e.row.Clone(),
-				Times: append([]uint64(nil), n.anchorsOf(e)...),
+				Times: append([]uint64(nil), f.anchorsOf(e)...),
 			})
 		}
 		return sn, nil
@@ -294,30 +300,37 @@ func decodeNode(node auxNode, sn snapNode) error {
 		if sn.Kind != "since" {
 			return fmt.Errorf("core: snapshot node kind %q, compiled node is since (%s)", sn.Kind, n.node.String())
 		}
+		// The members of a family each wrote the part of one table their
+		// window held; the table is their union, an entry's anchor the
+		// newest any of them wrote. An epoch per node tells an entry another
+		// member brought from one this node repeats.
+		f := n.fam
+		f.epoch++
 		for _, e := range sn.Entries {
-			if len(e.Row) != len(n.vars) {
+			if len(e.Row) != len(f.vars) {
 				return fmt.Errorf("core: snapshot entry arity %d for node %s (want %d)",
-					len(e.Row), n.node.String(), len(n.vars))
-			}
-			key := e.Row.Key()
-			if _, dup := n.entries[key]; dup {
-				return fmt.Errorf("core: snapshot repeats entry %s of node %s", key, n.node.String())
+					len(e.Row), n.node.String(), len(f.vars))
 			}
 			// A snapshot written before the newest-anchor rule holds every
-			// in-window timestamp; keep what this node's rule keeps.
+			// in-window timestamp; keep what this family's rule keeps.
 			times := e.Times
-			if len(times) > 1 && n.newest {
+			if len(times) > 1 && f.newest {
 				times = times[len(times)-1:]
 			} else if len(times) > 1 && n.iv.Unbounded {
 				times = times[:1]
 			}
-			n.insert(&sinceEntry{
-				key:    key,
-				row:    e.Row.Clone(),
-				times:  append([]uint64(nil), times...),
-				liveIx: -1,
-				keep:   true,
-			})
+			key := e.Row.Key()
+			have, ok := f.entries[key]
+			switch {
+			case !ok:
+				have = &sinceEntry{key: key, row: e.Row.Clone(), times: append([]uint64(nil), times...), liveIx: -1, keep: true}
+				f.insert(have)
+			case have.seen == f.epoch || !f.newest:
+				return fmt.Errorf("core: snapshot repeats entry %s of node %s", key, n.node.String())
+			case len(times) == 1 && len(have.times) == 1 && times[0] > have.times[0]:
+				have.times[0] = times[0]
+			}
+			have.seen = f.epoch
 		}
 		return nil
 	default:

@@ -103,7 +103,9 @@ func (c *Checker) Schedule() [][]string {
 // auxiliary node of the leveled schedule: Span is the number of
 // timestamps a single binding may retain inside the metric window
 // (1 for prev, for unbounded-above windows and for windows with lower
-// bound 0, Hi+1 otherwise),
+// bound 0, Hi+1 otherwise; 0 for a window that reads the table of a wider
+// one over the same operands — a family's history is stored, and priced,
+// once, on its widest window),
 // Arity the number of free variables spanning the binding space, and
 // Weight their saturating product — the per-binding storage bound the
 // linter's cost pass sums per constraint.
@@ -124,6 +126,9 @@ func (c *Checker) ScheduleCosts() []NodeCost {
 		for _, n := range level {
 			f := n.formula()
 			span := windowSpan(f)
+			if sn, ok := n.(*sinceNode); ok && sn != sn.fam.widest() {
+				span = 0
+			}
 			arity := len(mtl.FreeVars(f))
 			w := arity
 			if w < 1 {
