@@ -16,8 +16,9 @@
 // from stdin when none are given; each line is "@time ±rel(args) …".
 // Violations are printed to stdout as they are detected; the exit code
 // is 2 when any violation occurred, 1 on errors, 0 otherwise. With
-// -trace every engine operation (step, per-node update, constraint
-// check) is logged as a structured line on stderr.
+// -trace every span of every commit (the commit, its phases, each
+// auxiliary node's update, each constraint's check) is logged as a
+// structured line on stderr.
 //
 // "rtic lint" statically analyzes the spec without replaying a log;
 // see lint.go and docs/LINTING.md.
@@ -68,7 +69,7 @@ func main() {
 		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers; incremental engine only)")
 	quiet := flag.Bool("quiet", false, "suppress per-violation output; print only the summary")
 	explain := flag.Bool("explain", false, "print evidence trails for violations (incremental mode only)")
-	trace := flag.Bool("trace", false, "log engine trace events (structured, stderr)")
+	trace := flag.Bool("trace", false, "log every commit's span tree (structured, stderr)")
 	flag.Parse()
 
 	if err := run4(*specPath, *mode, *parallelism, *quiet, *explain, *trace, flag.Args(), os.Stdout); err != nil {
@@ -129,7 +130,7 @@ func run4(specPath, mode string, parallelism int, quiet, explain, trace bool, lo
 		return fmt.Errorf("-explain requires -mode incremental")
 	}
 	if trace {
-		eng.SetObserver(&obs.Observer{Tracer: obs.NewSlogTracer(slog.New(
+		eng.SetObserver(&obs.Observer{Spans: obs.NewSlogSink(slog.New(
 			slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}),
 		))})
 	}

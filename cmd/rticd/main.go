@@ -80,14 +80,17 @@
 //
 // Engine metrics are always collected (the line-protocol "metrics"
 // command scrapes them without the HTTP listener); -metrics only
-// controls the HTTP endpoint. With -trace every engine operation
-// (parse, step, per-node update, constraint check, snapshot
-// save/restore) is logged as a structured line on stderr.
+// controls the HTTP endpoint. With -trace every span (each commit's
+// monitor.apply tree down to per-node updates and constraint checks,
+// WAL appends, snapshot save/restore) is logged as a structured line on
+// stderr.
 //
 // Three commit-path attribution switches (see docs/OBSERVABILITY.md):
 // -pprof mounts net/http/pprof under /debug/pprof/ on the -metrics
 // listener (block and mutex profiling enabled); -slow-commit logs the
-// full span tree of every commit slower than the threshold to stderr;
+// span tree of every commit slower than the threshold to stderr — one
+// tree per acknowledged commit, rooted at monitor.apply, with the
+// engine's commit and the journal's wal.append beneath it;
 // -trace-out records every commit's span tree and writes a Chrome
 // trace-event file at shutdown, loadable in chrome://tracing or
 // Perfetto.
@@ -165,7 +168,7 @@ func main() {
 	flag.IntVar(&opts.maxConns, "max-conns", 0, "cap on concurrently open line-protocol connections (0 = unlimited)")
 	flag.DurationVar(&opts.idleTimeout, "idle-timeout", 0, "close line-protocol connections idle for this long (0 = never)")
 	flag.StringVar(&opts.metricsAddr, "metrics", "", "HTTP listen address for /metrics and /healthz (empty: disabled)")
-	flag.BoolVar(&opts.trace, "trace", false, "log engine trace events (structured, stderr)")
+	flag.BoolVar(&opts.trace, "trace", false, "log every span tree (structured, stderr)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics listener (enables block and mutex profiling)")
 	flag.DurationVar(&opts.slowCommit, "slow-commit", 0, "log the span tree of commits slower than this (0 = disabled)")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "record commit span trees and write Chrome trace-event JSON here at shutdown")
@@ -258,17 +261,18 @@ func start(opts options) (*daemon, error) {
 	// only optional part.
 	o := &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())}
 	o.Metrics.BuildInfo.With(runtime.Version(), buildRev()).Set(1)
-	if opts.trace {
-		o.Tracer = obs.NewSlogTracer(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
-			Level: slog.LevelDebug,
-		})))
-	}
 
-	// Span sinks: an in-memory ring for -trace-out (exported as a Chrome
-	// trace at shutdown) and a slow-commit logger. Both see every commit
-	// span the engine, monitor, and WAL emit.
+	// Span sinks: structured lines for -trace, an in-memory ring for
+	// -trace-out (exported as a Chrome trace at shutdown) and a
+	// slow-commit logger. All see one tree per acknowledged commit — the
+	// monitor adopts what the engine and the WAL emit under its lock.
 	var rec *obs.SpanRecorder
 	var sinks []obs.SpanSink
+	if opts.trace {
+		sinks = append(sinks, obs.NewSlogSink(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
+			Level: slog.LevelDebug,
+		}))))
+	}
 	if opts.traceOut != "" {
 		rec = obs.NewSpanRecorder(0)
 		sinks = append(sinks, rec)
@@ -525,8 +529,11 @@ func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.
 		}
 		// The factory also hands the re-arm loop fresh segments with the
 		// same sync policy and instrumentation as the original journals.
+		// It runs under the commit lock there, so the monitor's sink is
+		// taken once, here.
+		spans := m.SpanSink()
 		openWAL := func(path string) (*wal.Log, error) {
-			return wal.Open(path, wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(o.Spans), wal.WithFS(fsys))
+			return wal.Open(path, wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(spans), wal.WithFS(fsys))
 		}
 		durOpts = append(durOpts, monitor.WithLogFactory(openWAL))
 		for _, path := range monitor.JournalPaths(opts.walPath, m.Shards()) {

@@ -3,7 +3,6 @@ package active
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"rtic/internal/check"
 	"rtic/internal/engine"
@@ -99,7 +98,7 @@ func (c *Checker) build() error {
 // reports the tuples held in engine-managed relations.
 func (c *Checker) SetObserver(o *obs.Observer) {
 	c.obs = o
-	if m, _ := o.Parts(); m != nil {
+	if m := o.MetricSink(); m != nil {
 		// Rule programs run sequentially; publish the pool width so
 		// dashboards read a truthful 1 rather than a stale value.
 		m.ParallelWorkers.Set(1)
@@ -115,26 +114,15 @@ func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
 // Step commits a transaction at time t, runs the rule programs, and
 // returns the violation witnesses the rules derived.
 func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
-	m, tr := c.obs.Parts()
-	if m == nil && tr == nil {
+	cs := c.obs.BeginCommit(t, tx.Len())
+	if cs.Idle() {
 		return c.step(t, tx, nil)
 	}
-	start := time.Now()
-	vs, err := c.step(t, tx, m)
-	d := time.Since(start)
-	if m != nil {
-		if err != nil {
-			m.CommitErrors.Inc()
-		} else {
-			m.Commits.Inc()
-			m.CommitSeconds.Observe(d.Seconds())
-			if aux, auxErr := c.AuxTuples(); auxErr == nil {
-				m.AuxEntries.Set(int64(aux))
-			}
+	vs, err := c.step(t, tx, cs.Metrics)
+	if cs.End(err) {
+		if aux, auxErr := c.AuxTuples(); auxErr == nil {
+			cs.Metrics.AuxEntries.Set(int64(aux))
 		}
-	}
-	if tr != nil {
-		tr.Trace(obs.TraceEvent{Op: obs.OpStep, Time: t, Duration: d, Err: err})
 	}
 	return vs, err
 }

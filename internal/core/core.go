@@ -224,7 +224,7 @@ func (c *Checker) SetObserver(o *obs.Observer) {
 	c.syncConMetrics()
 	c.phaseHist = [numPhases]*obs.Histogram{}
 	c.poolWait, c.poolUtil = nil, nil
-	if m, _ := o.Parts(); m != nil {
+	if m := o.MetricSink(); m != nil {
 		m.ParallelWorkers.Set(int64(c.par))
 		for i, name := range phaseNames {
 			c.phaseHist[i] = m.StepPhaseSeconds.With(name)
@@ -237,7 +237,7 @@ func (c *Checker) SetObserver(o *obs.Observer) {
 // syncConMetrics extends the cached per-constraint handles to cover
 // every installed constraint.
 func (c *Checker) syncConMetrics() {
-	m, _ := c.obs.Parts()
+	m := c.obs.MetricSink()
 	if m == nil {
 		return
 	}
@@ -344,21 +344,23 @@ func (c *Checker) bindNode(node auxNode) error {
 	return err
 }
 
-// stepInstr carries one commit's instrumentation through the pipeline
-// phases: the metric and trace sinks plus the commit span under
+// stepInstr carries one commit's instrumentation (its obs.CommitScope)
+// through the pipeline phases: the metric set plus the commit span under
 // construction. A nil *stepInstr is the fully disabled path.
 type stepInstr struct {
-	c    *Checker
-	m    *obs.Metrics
-	tr   obs.Tracer
-	span *obs.Span // commit span; phases append children. May be nil.
+	c      *Checker
+	m      *obs.Metrics
+	span   *obs.Span // commit span; phases append children. May be nil.
+	detail bool      // the sink wants node.update / constraint.check children
 }
 
-func (si *stepInstr) tracer() obs.Tracer {
-	if si == nil {
+// detailUnder returns phase span ps as the parent of detail children,
+// nil when the sink did not ask for them.
+func (si *stepInstr) detailUnder(ps *obs.Span) *obs.Span {
+	if si == nil || !si.detail {
 		return nil
 	}
-	return si.tr
+	return ps
 }
 
 // phaseScope times one pipeline phase: a histogram observation plus a
@@ -473,38 +475,17 @@ func (si *stepInstr) attributePool(parent *obs.Span, batchStart time.Time, label
 // Step commits a transaction at time t, updates every auxiliary node,
 // and checks every constraint in the resulting state. With an observer
 // attached it also records commit/phase/constraint timing, violation
-// counts and auxiliary-storage gauges, emits step/node-update trace
-// events, and hands a completed commit span tree to the span sink;
-// without one the instrumentation path is a few nil checks.
+// counts and auxiliary-storage gauges, and hands a completed commit span
+// tree to the span sink; without one the instrumentation path is a few
+// nil checks.
 func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
-	m, tr := c.obs.Parts()
-	sink := c.obs.SpanSink()
-	if m == nil && tr == nil && sink == nil {
+	cs := c.obs.BeginCommit(t, tx.Len())
+	if cs.Idle() {
 		return c.step(t, tx, nil)
 	}
-	si := &stepInstr{c: c, m: m, tr: tr}
-	if sink != nil {
-		si.span = &obs.Span{Name: obs.SpanCommit, Time: t, Start: time.Now(), Ops: tx.Len()}
-	}
-	start := time.Now()
-	vs, err := c.step(t, tx, si)
-	d := time.Since(start)
-	if m != nil {
-		if err != nil {
-			m.CommitErrors.Inc()
-		} else {
-			m.Commits.Inc()
-			m.CommitSeconds.Observe(d.Seconds())
-			c.publishAuxGauges(m)
-		}
-	}
-	if tr != nil {
-		tr.Trace(obs.TraceEvent{Op: obs.OpStep, Time: t, Duration: d, Err: err})
-	}
-	if sink != nil {
-		si.span.Dur = d
-		si.span.Err = err
-		sink.ObserveSpan(si.span)
+	vs, err := c.step(t, tx, &stepInstr{c: c, m: cs.Metrics, span: cs.Span, detail: cs.Detail})
+	if cs.End(err) {
+		c.publishAuxGauges(cs.Metrics)
 	}
 	return vs, err
 }
@@ -620,22 +601,22 @@ func (sc *stepCtx) runNode(node auxNode, carry bool) error {
 
 // runNodePhase drives one node phase over nodes, inline when the
 // pipeline is sequential and on the worker pool otherwise. Per-node
-// trace events fire only in the update phase AND when the tracer wants
-// OpNodeUpdate — the Enabled gate keeps formula rendering off the hot
-// path when the sink would discard DEBUG events anyway. span/label feed
-// the worker-pool attribution of parallel batches.
+// node.update spans are built only in the update phase AND when the
+// sink asked for detail — the gate keeps formula rendering off the hot
+// path when nobody reads it. span/label feed the worker-pool attribution
+// of parallel batches.
 func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, carry bool, si *stepInstr, span *obs.Span, label string) error {
 	if len(nodes) == 0 {
 		return nil
 	}
-	tr := si.tracer()
-	if carry || !obs.TraceEnabled(tr, obs.OpNodeUpdate) {
-		tr = nil
+	var detail *obs.Span
+	if !carry {
+		detail = si.detailUnder(span)
 	}
 	if c.par <= 1 || len(nodes) == 1 {
-		return runNodesInline(sc, nodes, carry, tr)
+		return runNodesInline(sc, nodes, carry, detail)
 	}
-	return c.runNodesPooled(sc, nodes, carry, tr, si, span, label)
+	return c.runNodesPooled(sc, nodes, carry, detail, si, span, label)
 }
 
 // runNodesInline is the default pipeline's node loop, on the committing
@@ -644,59 +625,57 @@ func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, carry bool, si *ste
 // own account: new entries, answer deltas).
 //
 //rtic:noalloc
-func runNodesInline(sc *stepCtx, nodes []auxNode, carry bool, tr obs.Tracer) error {
+func runNodesInline(sc *stepCtx, nodes []auxNode, carry bool, detail *obs.Span) error {
 	for _, node := range nodes {
-		if tr == nil {
+		if detail == nil {
 			if err := sc.runNode(node, carry); err != nil {
 				return err
 			}
 			continue
 		}
-		//rtic:allocok DEBUG node tracing renders the formula; off unless a tracer asked for OpNodeUpdate
-		if err := sc.traceNode(node, carry, tr); err != nil {
+		//rtic:allocok a node.update span renders the formula; off unless the span sink asked for detail
+		if err := sc.spanNode(node, detail); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// traceNode is runNode wrapped in an OpNodeUpdate trace event.
-func (sc *stepCtx) traceNode(node auxNode, carry bool, tr obs.Tracer) error {
-	n0 := time.Now()
-	err := sc.runNode(node, carry)
-	tr.Trace(obs.TraceEvent{
-		Op: obs.OpNodeUpdate, Detail: node.formula().String(),
-		Time: sc.t, Duration: time.Since(n0), Err: err,
-	})
+// spanNode is a node's phase-A update wrapped in a node.update span
+// under parent.
+func (sc *stepCtx) spanNode(node auxNode, parent *obs.Span) error {
+	sp := parent.Child(obs.SpanNodeUpdate, node.formula().String())
+	err := sc.runNode(node, false)
+	sp.End()
+	sp.Err = err
 	return err
 }
 
+// taskSpan renders one pool task as a detail span on its worker's lane.
+func taskSpan(name, detail string, t uint64, batchStart time.Time, tt taskTiming, err error) *obs.Span {
+	return &obs.Span{
+		Name: name, Detail: detail, Time: t, Track: tt.worker + 1,
+		Start: batchStart.Add(tt.start), Dur: tt.dur, Err: err,
+	}
+}
+
 // runNodesPooled is the explicit WithParallelism(n>1) node loop. Runs
-// record per-node durations and errors in per-index slots and emit
-// trace events afterwards in schedule order, so output and the returned
-// error (the first node's, in schedule order) are deterministic
-// regardless of interleaving.
-func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, tr obs.Tracer, si *stepInstr, span *obs.Span, label string) error {
+// record errors in per-index slots, and node.update spans are built
+// afterwards from the pool's task timings in schedule order, so the tree
+// and the returned error (the first node's, in schedule order) are
+// deterministic regardless of interleaving.
+func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, detail *obs.Span, si *stepInstr, span *obs.Span, label string) error {
 	n := len(nodes)
 	errs := make([]error, n)
-	durs := make([]time.Duration, n)
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		if tr == nil {
-			errs[i] = sc.runNode(nodes[i], carry)
-			return
-		}
-		n0 := time.Now()
 		errs[i] = sc.runNode(nodes[i], carry)
-		durs[i] = time.Since(n0)
 	})
 	si.attributePool(span, batchStart, label, timings)
-	for i, node := range nodes {
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpNodeUpdate, Detail: node.formula().String(),
-				Time: sc.t, Duration: durs[i], Err: errs[i],
-			})
+	if detail != nil {
+		for i, node := range nodes {
+			detail.Children = append(detail.Children,
+				taskSpan(obs.SpanNodeUpdate, node.formula().String(), sc.t, batchStart, timings[i], errs[i]))
 		}
 	}
 	for _, err := range errs {
@@ -718,11 +697,11 @@ const checkSampleEvery = 16
 // checkPhase evaluates every constraint's denial against the new state,
 // concurrently when the pipeline is parallel. Violations are collected
 // per constraint and flattened in installation order, and per-
-// constraint metrics and trace events are emitted in that same order,
-// so results are identical to the sequential pipeline's. Violation
-// counts are exact; check latency is observed on sampled commits only,
-// and on every commit for a tracer that wants OpConstraintCheck (the
-// DEBUG-frequency op), which reports each check with its duration.
+// constraint metrics and constraint.check spans are emitted in that same
+// order, so results are identical to the sequential pipeline's.
+// Violation counts are exact; check latency is observed on sampled
+// commits only, and on every commit for a span sink that asked for
+// detail, which gets each check as a child of the phase span.
 func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
@@ -735,15 +714,13 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	if si != nil {
 		m = si.m
 	}
-	tr := si.tracer()
-	if !obs.TraceEnabled(tr, obs.OpConstraintCheck) {
-		tr = nil
-	}
+	detail := si.detailUnder(span)
 	sampled := m != nil && c.index%checkSampleEvery == 0
-	timed := sampled || tr != nil
+	timed := sampled || detail != nil
 	t := sc.t
-	// report books check i after it ran for d (zero when untimed).
-	report := func(i int, d time.Duration, found int, err error) {
+	// count books check i's violations and, on sampled commits, its
+	// duration d.
+	count := func(i int, d time.Duration, found int) {
 		if m != nil && i < len(c.conMetrics) {
 			if sampled {
 				c.conMetrics[i].seconds.Observe(d.Seconds())
@@ -751,12 +728,6 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 			if found > 0 {
 				c.conMetrics[i].violations.Add(uint64(found))
 			}
-		}
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpConstraintCheck, Detail: c.constraints[i].Name,
-				Time: t, Duration: d, Err: err,
-			})
 		}
 	}
 	if c.par <= 1 || n == 1 {
@@ -771,7 +742,13 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 			if timed {
 				d = time.Since(c0)
 			}
-			report(i, d, len(vs), err)
+			count(i, d, len(vs))
+			if detail != nil {
+				detail.Children = append(detail.Children, &obs.Span{
+					Name: obs.SpanConstraintCheck, Detail: c.constraints[i].Name,
+					Time: t, Start: c0, Dur: d, Err: err,
+				})
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -781,22 +758,22 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	}
 	results := make([][]check.Violation, n)
 	errs := make([]error, n)
-	durs := make([]time.Duration, n)
 	batchStart := time.Now()
 	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		var c0 time.Time
-		if timed {
-			c0 = time.Now()
-		}
 		results[i], errs[i] = c.checkCon(sc, i, t)
-		if timed {
-			durs[i] = time.Since(c0)
-		}
 	})
 	si.attributePool(span, batchStart, "", timings)
 	var out []check.Violation
 	for i := range c.constraints {
-		report(i, durs[i], len(results[i]), errs[i])
+		var tt taskTiming // zero when nothing observes the commit
+		if timings != nil {
+			tt = timings[i]
+		}
+		count(i, tt.dur, len(results[i]))
+		if detail != nil {
+			detail.Children = append(detail.Children,
+				taskSpan(obs.SpanConstraintCheck, c.constraints[i].Name, t, batchStart, tt, errs[i]))
+		}
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -75,21 +75,20 @@ type snapshot struct {
 	Nodes       []snapNode
 }
 
-// SaveSnapshot writes the checker's complete state to w, emitting an
-// OpSnapshotSave trace event when a tracer is attached.
+// SaveSnapshot writes the checker's complete state to w, handing a
+// snapshot.save root span to the span sink when one is attached.
 func (c *Checker) SaveSnapshot(w io.Writer) error {
-	_, tr := c.obs.Parts()
-	if tr == nil {
+	sink := c.obs.SpanSink()
+	if sink == nil {
 		return c.saveSnapshot(w)
 	}
 	cw := &countingWriter{w: w}
-	start := time.Now()
-	err := c.saveSnapshot(cw)
-	tr.Trace(obs.TraceEvent{
-		Op: obs.OpSnapshotSave, Detail: fmt.Sprintf("%d bytes", cw.n),
-		Time: c.now, Duration: time.Since(start), Err: err,
-	})
-	return err
+	sp := &obs.Span{Name: obs.SpanSnapshotSave, Time: c.now, Start: time.Now()}
+	sp.Err = c.saveSnapshot(cw)
+	sp.End()
+	sp.Detail = fmt.Sprintf("%d bytes", cw.n)
+	sink.ObserveSpan(sp)
+	return sp.Err
 }
 
 type countingWriter struct {
@@ -191,25 +190,18 @@ func LoadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, erro
 
 // LoadSnapshotObserved is LoadSnapshot with the observer attached to
 // the restored checker before it starts answering; the restore itself
-// is traced as OpSnapshotRestore.
+// goes to the span sink as a snapshot.restore root span.
 func LoadSnapshotObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Option) (*Checker, error) {
-	_, tr := o.Parts()
-	if tr == nil {
-		c, err := loadSnapshot(s, r, opts...)
-		if err != nil {
-			return nil, err
-		}
-		c.SetObserver(o)
-		return c, nil
-	}
 	start := time.Now()
 	c, err := loadSnapshot(s, r, opts...)
-	ev := obs.TraceEvent{Op: obs.OpSnapshotRestore, Duration: time.Since(start), Err: err}
-	if c != nil {
-		ev.Time = c.now
-		ev.Detail = fmt.Sprintf("%d states", c.index)
+	if sink := o.SpanSink(); sink != nil {
+		sp := &obs.Span{Name: obs.SpanSnapshotRestore, Start: start, Dur: time.Since(start), Err: err}
+		if c != nil {
+			sp.Time = c.now
+			sp.Detail = fmt.Sprintf("%d states", c.index)
+		}
+		sink.ObserveSpan(sp)
 	}
-	tr.Trace(ev)
 	if err != nil {
 		return nil, err
 	}

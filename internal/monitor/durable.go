@@ -430,7 +430,7 @@ func (d *Durable) Recover() (int, error) {
 // run under the commit lock never have to call Observer (which takes
 // that same lock).
 func (d *Durable) captureMetrics() {
-	if mm, _ := d.m.Observer().Parts(); mm != nil {
+	if mm := d.m.Observer().MetricSink(); mm != nil {
 		d.mu.Lock()
 		d.mm = mm
 		d.mu.Unlock()
@@ -831,7 +831,7 @@ func (d *Durable) Checkpoint() error {
 	if d.snapPath == "" {
 		return fmt.Errorf("monitor: no checkpoint path configured")
 	}
-	mm, _ := d.m.Observer().Parts()
+	mm := d.m.Observer().MetricSink()
 	start := time.Now()
 	err := d.checkpointLocked()
 	if errors.Is(err, errCheckpointSkipped) {

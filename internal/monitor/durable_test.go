@@ -362,7 +362,7 @@ func TestCheckpointFailureReportsDegraded(t *testing.T) {
 		if h.LastCheckpointAgeSeconds != -1 {
 			t.Errorf("LastCheckpointAgeSeconds = %v, want -1 (never)", h.LastCheckpointAgeSeconds)
 		}
-		mm, _ := m.Observer().Parts()
+		mm := m.Observer().MetricSink()
 		if mm.CheckpointErrors.Value() != 1 {
 			t.Errorf("CheckpointErrors = %d, want 1", mm.CheckpointErrors.Value())
 		}

@@ -38,6 +38,11 @@ type Monitor struct {
 	schema *schema.Schema
 	obs    *obs.Observer
 
+	// open is the monitor.apply span of the Apply holding the commit
+	// lock (nil outside one, or without a span sink): root spans reaching
+	// commitSink meanwhile become its children.
+	open *obs.Span
+
 	// journal, when set, receives every accepted transaction under the
 	// commit lock — the write-ahead hook of the durability layer.
 	journal func(t uint64, tx *storage.Transaction)
@@ -171,12 +176,12 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 		if err != nil {
 			return nil, err
 		}
-		rtr.SetObserver(o)
+		rtr.SetObserver(m.engineObserver(o))
 		m.rtr, m.eng = rtr, rtr
 		m.states, m.now = rtr.Len(), rtr.Now()
 		return m, nil
 	}
-	c, err := core.LoadSnapshotObserved(s, r, o, core.WithParallelism(op.par))
+	c, err := core.LoadSnapshotObserved(s, r, m.engineObserver(o), core.WithParallelism(op.par))
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +191,53 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 }
 
 // SetObserver attaches instrumentation to the monitor and its engine:
-// the engine records commit/constraint metrics and trace events, the
+// the engine records commit/constraint metrics and span trees, the
 // monitor counts subscriber drops, and the server (if any) counts
 // connections and protocol errors. Attach before serving traffic.
 func (m *Monitor) SetObserver(o *obs.Observer) {
 	m.mu.Lock()
 	m.obs = o
-	m.eng.SetObserver(o)
+	m.eng.SetObserver(m.engineObserver(o))
 	m.mu.Unlock()
+}
+
+// commitSink is the span sink of every layer that runs under the
+// monitor's commit lock — its engine, and the journals the durability
+// manager appends to. A root span arriving while an Apply is open is
+// adopted by that Apply's monitor.apply span, so the observer's sink
+// sees one tree per acknowledged commit; anything else (a checkpoint's
+// snapshot.save, a re-arm drain's wal.append) passes through as its own
+// root. Only code holding the commit lock may emit through it.
+type commitSink struct{ m *Monitor }
+
+func (s commitSink) ObserveSpan(sp *obs.Span) {
+	if s.m.open != nil {
+		s.m.open.Adopt(sp)
+	} else if sink := s.m.obs.SpanSink(); sink != nil {
+		sink.ObserveSpan(sp)
+	}
+}
+
+func (s commitSink) WantsDetail() bool { return s.m.obs.WantsDetail() }
+
+// engineObserver is o as the engine sees it: the same metric set, and —
+// when o has a span sink — the monitor's commitSink in front of it.
+func (m *Monitor) engineObserver(o *obs.Observer) *obs.Observer {
+	if o.SpanSink() == nil {
+		return o
+	}
+	return &obs.Observer{Metrics: o.Metrics, Spans: commitSink{m}}
+}
+
+// SpanSink returns the sink the monitor's journals must emit through
+// (see commitSink), nil when the attached observer has no span sink. It
+// takes the commit lock: fetch it once, not from a journal factory the
+// re-arm loop calls under that lock.
+func (m *Monitor) SpanSink() obs.SpanSink {
+	if m.Observer().SpanSink() == nil {
+		return nil
+	}
+	return commitSink{m}
 }
 
 // SetJournal attaches a hook invoked under the commit lock for every
@@ -232,12 +276,12 @@ func (m *Monitor) Observer() *obs.Observer {
 // Apply commits a transaction at time t and returns its violations.
 // Calls are serialized; timestamps must be strictly increasing across
 // all callers. With an observer attached, the wait for the commit lock
-// is recorded (rtic_commit_lock_wait_seconds) and a monitor.apply span
-// — enclosing the engine's commit span and the journal hook, carrying
-// the lock wait — goes to the span sink.
+// is recorded (rtic_commit_lock_wait_seconds) and one span tree goes to
+// the span sink: a monitor.apply root carrying the lock wait, with the
+// engine's commit span and the journal hook's wal.append spans beneath.
 func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
 	obsv := m.Observer()
-	mm, _ := obsv.Parts()
+	mm := obsv.MetricSink()
 	sink := obsv.SpanSink()
 	var sp *obs.Span
 	var lockStart time.Time
@@ -252,6 +296,7 @@ func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, e
 		}
 		if sink != nil {
 			sp = &obs.Span{Name: obs.SpanMonitorApply, Time: t, Start: lockStart, Wait: wait}
+			m.open = sp
 		}
 	}
 	vs, err := m.eng.Step(t, tx)
@@ -262,6 +307,7 @@ func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, e
 			m.journal(t, tx)
 		}
 	}
+	m.open = nil
 	m.mu.Unlock()
 	if sp != nil {
 		sp.Dur = time.Since(sp.Start)
@@ -278,7 +324,7 @@ func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, e
 }
 
 func (m *Monitor) publish(vs []check.Violation) {
-	mm, _ := m.Observer().Parts()
+	mm := m.Observer().MetricSink()
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
 	for _, v := range vs {

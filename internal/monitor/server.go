@@ -135,7 +135,7 @@ func (s *Server) Serve(l net.Listener) error {
 
 // reject tells a connection the server is at capacity and closes it.
 func (s *Server) reject(conn net.Conn) {
-	if m, _ := s.M.Observer().Parts(); m != nil {
+	if m := s.M.Observer().MetricSink(); m != nil {
 		m.ConnectionsRejected.Inc()
 	}
 	go func() {
@@ -156,7 +156,7 @@ func (s *Server) Close() {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	m, _ := s.M.Observer().Parts()
+	m := s.M.Observer().MetricSink()
 	if m != nil {
 		m.Connections.Inc()
 		m.ConnectionsActive.Inc()

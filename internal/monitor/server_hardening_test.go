@@ -116,7 +116,7 @@ func TestServerMaxConns(t *testing.T) {
 	if _, err := second.r.ReadString('\n'); err == nil {
 		t.Fatal("over-cap connection left open")
 	}
-	mm, _ := srv.M.Observer().Parts()
+	mm := srv.M.Observer().MetricSink()
 	if mm.ConnectionsRejected.Value() != 1 {
 		t.Errorf("ConnectionsRejected = %d, want 1", mm.ConnectionsRejected.Value())
 	}

@@ -126,7 +126,7 @@ func (c *Checker) State() *storage.State {
 // gauge reports the stored history's footprint instead.
 func (c *Checker) SetObserver(o *obs.Observer) {
 	c.obs = o
-	if m, _ := o.Parts(); m != nil {
+	if m := o.MetricSink(); m != nil {
 		// The naive route checks sequentially; publish the pool width so
 		// dashboards read a truthful 1 rather than a stale value.
 		m.ParallelWorkers.Set(1)
@@ -142,30 +142,25 @@ func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
 // Step commits a transaction at time t and checks every constraint in
 // the resulting state, returning all violations.
 func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
-	m, tr := c.obs.Parts()
-	if m == nil && tr == nil {
+	cs := c.obs.BeginCommit(t, tx.Len())
+	if cs.Idle() {
 		return c.step(t, tx, nil, nil)
 	}
-	start := time.Now()
-	vs, err := c.step(t, tx, m, tr)
-	d := time.Since(start)
-	if m != nil {
-		if err != nil {
-			m.CommitErrors.Inc()
-		} else {
-			m.Commits.Inc()
-			m.CommitSeconds.Observe(d.Seconds())
-			m.AuxEntries.Set(int64(c.hist.Len()))
-			m.AuxBytes.Set(int64(c.hist.Size()))
-		}
+	var detail *obs.Span
+	if cs.Detail {
+		detail = cs.Span
 	}
-	if tr != nil {
-		tr.Trace(obs.TraceEvent{Op: obs.OpStep, Time: t, Duration: d, Err: err})
+	vs, err := c.step(t, tx, cs.Metrics, detail)
+	if cs.End(err) {
+		cs.Metrics.AuxEntries.Set(int64(c.hist.Len()))
+		cs.Metrics.AuxBytes.Set(int64(c.hist.Size()))
 	}
 	return vs, err
 }
 
-func (c *Checker) step(t uint64, tx *storage.Transaction, m *obs.Metrics, tr obs.Tracer) ([]check.Violation, error) {
+// step commits and checks; detail (the commit span, when the sink asked
+// for detail) collects one constraint.check child per constraint.
+func (c *Checker) step(t uint64, tx *storage.Transaction, m *obs.Metrics, detail *obs.Span) ([]check.Violation, error) {
 	if err := c.hist.Commit(t, tx); err != nil {
 		return nil, err
 	}
@@ -173,7 +168,7 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, m *obs.Metrics, tr obs
 	var out []check.Violation
 	for _, con := range c.constraints {
 		var c0 time.Time
-		if m != nil || tr != nil {
+		if m != nil || detail != nil {
 			c0 = time.Now()
 		}
 		b, err := c.evalAt(con.Denial, i)
@@ -187,10 +182,10 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, m *obs.Metrics, tr obs
 			m.ConstraintSeconds.With(con.Name).Observe(time.Since(c0).Seconds())
 			m.Violations.With(con.Name).Add(uint64(len(vs)))
 		}
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpConstraintCheck, Detail: con.Name,
-				Time: t, Duration: time.Since(c0), Err: err,
+		if detail != nil {
+			detail.Children = append(detail.Children, &obs.Span{
+				Name: obs.SpanConstraintCheck, Detail: con.Name,
+				Time: t, Start: c0, Dur: time.Since(c0), Err: err,
 			})
 		}
 		if err != nil {

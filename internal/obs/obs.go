@@ -1,7 +1,9 @@
 // Package obs is the instrumentation layer of the checker stack:
 // dependency-free counters, gauges and fixed-bucket latency histograms
 // with atomic updates, a Prometheus text-format exposition writer, and
-// a trace hook the engines call around their hot operations.
+// one tracing model: trees of timed Spans that the engines, the monitor
+// and the WAL hand to a SpanSink (recorder, slow-commit logger, slog
+// lines, Chrome trace export).
 //
 // The package deliberately has no third-party dependencies so every
 // layer (core engine, monitor, daemons) can import it freely. All

@@ -2,11 +2,10 @@ package obs
 
 import (
 	"bytes"
-	"log/slog"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -214,46 +213,19 @@ func TestNewMetricsIdempotent(t *testing.T) {
 
 func TestObserverNilSafety(t *testing.T) {
 	var o *Observer
-	if o.Enabled() {
-		t.Error("nil observer should be disabled")
+	if o.MetricSink() != nil || o.SpanSink() != nil || o.WantsDetail() {
+		t.Error("nil observer sinks should be nil")
 	}
-	m, tr := o.Parts()
-	if m != nil || tr != nil {
-		t.Error("nil observer parts should be nil")
+	if cs := o.BeginCommit(1, 0); !cs.Idle() {
+		t.Error("nil observer should open the idle commit scope")
 	}
 	o = &Observer{}
-	if o.Enabled() {
-		t.Error("empty observer should be disabled")
+	if cs := o.BeginCommit(1, 0); !cs.Idle() {
+		t.Error("empty observer should open the idle commit scope")
 	}
 	o.Metrics = NewMetrics(NewRegistry())
-	if !o.Enabled() {
-		t.Error("observer with metrics should be enabled")
-	}
-}
-
-type recordingTracer struct {
-	mu  sync.Mutex
-	evs []TraceEvent
-}
-
-func (t *recordingTracer) Trace(ev TraceEvent) {
-	t.mu.Lock()
-	t.evs = append(t.evs, ev)
-	t.mu.Unlock()
-}
-
-func TestSlogTracer(t *testing.T) {
-	var buf bytes.Buffer
-	l := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	tr := NewSlogTracer(l)
-	tr.Trace(TraceEvent{Op: OpStep, Time: 100, Duration: 42 * time.Microsecond})
-	tr.Trace(TraceEvent{Op: OpNodeUpdate, Detail: "once[0,365] fire(e)", Duration: time.Microsecond})
-	tr.Trace(TraceEvent{Op: OpParse, Detail: "c1", Err: errFake})
-	out := buf.String()
-	for _, want := range []string{"msg=step", "t=100", "level=DEBUG", "node.update", "level=ERROR", "err=fake"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("slog output missing %q:\n%s", want, out)
-		}
+	if cs := o.BeginCommit(1, 0); cs.Idle() {
+		t.Error("observer with metrics should observe its commits")
 	}
 }
 
@@ -264,14 +236,13 @@ type fakeErr struct{}
 func (*fakeErr) Error() string { return "fake" }
 
 // BenchmarkObserverDisabled measures the guard an uninstrumented engine
-// pays per commit: the nil-safe Parts() call plus sink checks. This is
+// pays per commit: opening the commit scope on a nil observer. This is
 // the "observer hooks add no measurable overhead when unset" criterion.
 func BenchmarkObserverDisabled(b *testing.B) {
 	var o *Observer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, tr := o.Parts()
-		if m != nil || tr != nil {
+		if cs := o.BeginCommit(uint64(i), 1); !cs.Idle() {
 			b.Fatal("unreachable")
 		}
 	}
@@ -299,5 +270,99 @@ func BenchmarkCounterVecWith(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v.With("constraint_name").Inc()
+	}
+}
+
+func TestFloatGauge(t *testing.T) {
+	r := NewRegistry()
+	g := r.FloatGauge("rtic_pool_utilization", "Worker-pool busy fraction.")
+	g.Set(0.75)
+	if got := g.Value(); got != 0.75 {
+		t.Errorf("Value = %v, want 0.75", got)
+	}
+	if g2 := r.FloatGauge("rtic_pool_utilization", "Worker-pool busy fraction."); g2 != g {
+		t.Error("re-registration should return the same gauge")
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "# TYPE rtic_pool_utilization gauge") {
+		t.Errorf("float gauge must expose as TYPE gauge:\n%s", out)
+	}
+	if !strings.Contains(out, "rtic_pool_utilization 0.75") {
+		t.Errorf("float gauge sample missing:\n%s", out)
+	}
+}
+
+// TestConcurrentScrape scrapes the registry while every metric kind is
+// being written — the situation the rticd /metrics endpoint is in. Run
+// under -race this is the exposition thread-safety check.
+func TestConcurrentScrape(t *testing.T) {
+	r := NewRegistry()
+	m := NewMetrics(r)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m.Commits.Inc()
+				m.Violations.With(fmt.Sprintf("c%d", w)).Inc()
+				m.CommitSeconds.Observe(0.001)
+				m.StepPhaseSeconds.With("check").Observe(0.0005)
+				m.PoolQueueWaitSeconds.Observe(0.0001)
+				m.PoolUtilization.Set(float64(i%100) / 100)
+				m.ShardSkew.Set(1.5)
+				m.AuxBytes.Set(int64(i))
+			}
+		}(w)
+	}
+	for i := 0; i < 50; i++ {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "rtic_commits_total") {
+			t.Fatal("scrape lost the commits family")
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+func TestMetricsIncludesAttributionFamilies(t *testing.T) {
+	r := NewRegistry()
+	m := NewMetrics(r)
+	m.StepPhaseSeconds.With("apply").Observe(0.001)
+	m.PoolQueueWaitSeconds.Observe(0.0001)
+	m.PoolUtilization.Set(0.5)
+	m.ShardSkew.Set(2)
+	m.LockWaitSeconds.Observe(0.0002)
+	m.BuildInfo.With("go1.24.0", "abc123").Set(1)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE rtic_step_phase_seconds histogram",
+		`rtic_step_phase_seconds_bucket{phase="apply",le=`,
+		"# TYPE rtic_pool_queue_wait_seconds histogram",
+		"# TYPE rtic_pool_utilization gauge",
+		"# TYPE rtic_shard_commit_skew gauge",
+		"# TYPE rtic_commit_lock_wait_seconds histogram",
+		`rtic_build_info{go_version="go1.24.0",rev="abc123"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

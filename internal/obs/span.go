@@ -7,21 +7,30 @@ import (
 	"time"
 )
 
-// Span names emitted by the commit path. A commit span decomposes into
-// per-phase children (apply/update/check/carry); parallel phases add
-// per-worker children, the shard router adds per-shard sub-commit
-// children, and the durability layer adds WAL append/fsync spans.
+// Span names: the one vocabulary of the tracing model. A commit span
+// decomposes into per-phase children (apply/update/check/carry); a sink
+// that asks for detail gets one node.update child per auxiliary node
+// under phase.update and one constraint.check child per constraint
+// under phase.check; parallel phases add per-worker children, the shard
+// router adds per-shard sub-commit children, and the durability layer
+// adds WAL append/fsync spans. Parse and the snapshot operations are
+// roots of their own.
 const (
-	SpanCommit       = "commit"        // one committed transaction, end to end
-	SpanApply        = "phase.apply"   // transaction applied to storage
-	SpanUpdate       = "phase.update"  // auxiliary node updates (all levels)
-	SpanCheck        = "phase.check"   // constraint denial evaluations
-	SpanCarry        = "phase.carry"   // deferred window advance bookkeeping
-	SpanWorker       = "worker"        // one worker's share of a parallel phase
-	SpanShardCommit  = "shard.commit"  // one shard engine's sub-commit
-	SpanWALAppend    = "wal.append"    // one record framed and written
-	SpanWALFsync     = "wal.fsync"     // fsync issued by the append
-	SpanMonitorApply = "monitor.apply" // monitor's serialized commit section
+	SpanCommit          = "commit"           // one committed transaction, end to end
+	SpanApply           = "phase.apply"      // transaction applied to storage
+	SpanUpdate          = "phase.update"     // auxiliary node updates (all levels)
+	SpanCheck           = "phase.check"      // constraint denial evaluations
+	SpanCarry           = "phase.carry"      // deferred window advance bookkeeping
+	SpanNodeUpdate      = "node.update"      // one auxiliary node's update; Detail = subformula
+	SpanConstraintCheck = "constraint.check" // one denial evaluation; Detail = constraint name
+	SpanWorker          = "worker"           // one worker's share of a parallel phase
+	SpanShardCommit     = "shard.commit"     // one shard engine's sub-commit
+	SpanWALAppend       = "wal.append"       // one record framed and written
+	SpanWALFsync        = "wal.fsync"        // fsync issued by the append
+	SpanMonitorApply    = "monitor.apply"    // monitor's serialized commit section
+	SpanParse           = "parse"            // constraint source -> compiled constraint; Detail = name
+	SpanSnapshotSave    = "snapshot.save"    // checker state serialized; Detail = byte count
+	SpanSnapshotRestore = "snapshot.restore" // checker state rebuilt; Detail = state count
 )
 
 // Span is one timed section of the commit path. Spans form a tree: the
@@ -51,6 +60,16 @@ func (s *Span) Child(name, detail string) *Span {
 	c := &Span{Name: name, Detail: detail, Time: s.Time, Track: s.Track, Start: time.Now()}
 	s.Children = append(s.Children, c)
 	return c
+}
+
+// Adopt appends the completed tree c as a child of s. A tree whose root
+// carries no engine timestamp takes s's throughout: a layer below the
+// commit (the WAL frames bytes) does not know which commit it serves.
+func (s *Span) Adopt(c *Span) {
+	if c.Time == 0 {
+		c.Walk(func(d *Span) { d.Time = s.Time })
+	}
+	s.Children = append(s.Children, c)
 }
 
 // Walk visits the span and all descendants, parents first.
@@ -101,17 +120,25 @@ func (s *Span) render(b *strings.Builder, depth int) {
 // for concurrent use; they run on the commit path after the commit's
 // timing has been taken, so a slow sink delays the caller but not the
 // measurement.
+//
+// A sink that also has a method WantsDetail() bool is asked once per
+// commit whether to build the high-frequency children (node.update,
+// constraint.check): each costs two clock reads and a rendered subject,
+// so they exist only while some sink answers yes. Sinks without the
+// method get none.
 type SpanSink interface {
 	ObserveSpan(*Span)
 }
 
-// SpanSinkFunc adapts a function to a SpanSink.
-type SpanSinkFunc func(*Span)
+// wantsDetail asks sink the optional WantsDetail question; nil sinks
+// and sinks without the method answer no.
+func wantsDetail(sink SpanSink) bool {
+	d, ok := sink.(interface{ WantsDetail() bool })
+	return ok && d.WantsDetail()
+}
 
-// ObserveSpan calls f.
-func (f SpanSinkFunc) ObserveSpan(s *Span) { f(s) }
-
-// MultiSpanSink fans a span out to several sinks, skipping nils.
+// MultiSpanSink fans a span out to several sinks, skipping nils. The
+// fan-out wants detail when any member does.
 func MultiSpanSink(sinks ...SpanSink) SpanSink {
 	kept := make([]SpanSink, 0, len(sinks))
 	for _, s := range sinks {
@@ -134,6 +161,15 @@ func (m multiSink) ObserveSpan(s *Span) {
 	for _, sink := range m {
 		sink.ObserveSpan(s)
 	}
+}
+
+func (m multiSink) WantsDetail() bool {
+	for _, sink := range m {
+		if wantsDetail(sink) {
+			return true
+		}
+	}
+	return false
 }
 
 // SpanRecorder keeps the last cap root spans in a ring buffer, for the
@@ -192,33 +228,22 @@ func (r *SpanRecorder) Snapshot() []*Span {
 	return out
 }
 
-// NewSlowSpanLogger returns a sink that renders any root span slower
-// than threshold through out (one multi-line string per slow commit) —
-// the rticd -slow-commit hook.
-func NewSlowSpanLogger(threshold time.Duration, out func(string)) SpanSink {
-	return SpanSinkFunc(func(s *Span) {
-		if s.Dur >= threshold {
-			out(fmt.Sprintf("slow commit t=%d took %v (threshold %v)\n%s", s.Time, s.Dur, threshold, s.Render()))
-		}
-	})
+// slowSpanLogger renders roots at or above threshold through out.
+type slowSpanLogger struct {
+	threshold time.Duration
+	out       func(string)
 }
 
-// NewSpanTracerAdapter bridges the span stream onto the PR-1 Tracer
-// interface: every span in the tree is flattened to one TraceEvent, so
-// existing tracers (slog, test collectors) keep working unchanged. The
-// commit span maps to OpStep; other spans keep their span name as the
-// event op.
-func NewSpanTracerAdapter(t Tracer) SpanSink {
-	if t == nil {
-		return nil
+// NewSlowSpanLogger returns a sink that renders any root span slower
+// than threshold through out (one multi-line string per slow tree,
+// headed by the root's name and timestamp) — the rticd -slow-commit
+// hook.
+func NewSlowSpanLogger(threshold time.Duration, out func(string)) SpanSink {
+	return slowSpanLogger{threshold: threshold, out: out}
+}
+
+func (l slowSpanLogger) ObserveSpan(s *Span) {
+	if s.Dur >= l.threshold {
+		l.out(fmt.Sprintf("slow %s t=%d took %v (threshold %v)\n%s", s.Name, s.Time, s.Dur, l.threshold, s.Render()))
 	}
-	return SpanSinkFunc(func(root *Span) {
-		root.Walk(func(s *Span) {
-			op := s.Name
-			if op == SpanCommit {
-				op = OpStep
-			}
-			t.Trace(TraceEvent{Op: op, Detail: s.Detail, Time: s.Time, Duration: s.Dur, Err: s.Err})
-		})
-	})
 }

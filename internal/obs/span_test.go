@@ -131,24 +131,109 @@ func TestSlowSpanLogger(t *testing.T) {
 	}
 }
 
-func TestSpanTracerAdapter(t *testing.T) {
-	if NewSpanTracerAdapter(nil) != nil {
-		t.Error("nil tracer should collapse to nil sink")
+func TestSlowSpanLoggerNamesTheRoot(t *testing.T) {
+	var logged []string
+	sink := NewSlowSpanLogger(0, func(s string) { logged = append(logged, s) })
+	sink.ObserveSpan(&Span{Name: SpanMonitorApply, Time: 9, Dur: time.Millisecond})
+	sink.ObserveSpan(&Span{Name: SpanSnapshotSave, Time: 9, Dur: time.Millisecond})
+	if len(logged) != 2 || !strings.HasPrefix(logged[0], "slow monitor.apply t=9 took 1ms") ||
+		!strings.HasPrefix(logged[1], "slow snapshot.save t=9 took 1ms") {
+		t.Errorf("headlines do not name their roots:\n%s", strings.Join(logged, "\n"))
 	}
-	rt := &recordingTracer{}
-	sink := NewSpanTracerAdapter(rt)
-	sink.ObserveSpan(tree(time.Now()))
-	if len(rt.evs) != 3 {
-		t.Fatalf("flattened to %d events, want 3", len(rt.evs))
+}
+
+// TestSpanAdopt checks the hand-over the monitor does for layers below
+// the commit: the adopted tree becomes a child, and its spans without an
+// engine timestamp take the parent's.
+func TestSpanAdopt(t *testing.T) {
+	parent := &Span{Name: SpanMonitorApply, Time: 42}
+	commit := &Span{Name: SpanCommit, Time: 42}
+	app := &Span{Name: SpanWALAppend}
+	app.Child(SpanWALFsync, "")
+	parent.Adopt(commit)
+	parent.Adopt(app)
+	if len(parent.Children) != 2 || parent.Children[0] != commit || parent.Children[1] != app {
+		t.Fatalf("children = %v, want [commit wal.append] in hand-over order", parent.Children)
 	}
-	if rt.evs[0].Op != OpStep {
-		t.Errorf("commit span mapped to %q, want %q", rt.evs[0].Op, OpStep)
+	if app.Time != 42 || app.Children[0].Time != 42 {
+		t.Errorf("wal.append t=%d, wal.fsync t=%d, want the commit's 42", app.Time, app.Children[0].Time)
 	}
-	if rt.evs[1].Op != SpanCheck || rt.evs[2].Op != SpanWorker {
-		t.Errorf("child ops = %q, %q", rt.evs[1].Op, rt.evs[2].Op)
+}
+
+// detailSink is a recorder that asks for detail spans.
+type detailSink struct{ *SpanRecorder }
+
+func (detailSink) WantsDetail() bool { return true }
+
+// TestWantsDetailDefaults pins who gets detail spans: only a sink with
+// a WantsDetail method answering yes, and a fan-out holding one.
+func TestWantsDetailDefaults(t *testing.T) {
+	rec := NewSpanRecorder(4)
+	slow := NewSlowSpanLogger(time.Hour, func(string) {})
+	yes := detailSink{NewSpanRecorder(4)}
+	for _, tc := range []struct {
+		name string
+		sink SpanSink
+		want bool
+	}{
+		{"nil", nil, false},
+		{"recorder", rec, false},
+		{"slow logger", slow, false},
+		{"asking sink", yes, true},
+		{"fan-out without", MultiSpanSink(rec, slow), false},
+		{"fan-out with", MultiSpanSink(rec, yes), true},
+	} {
+		if got := (&Observer{Spans: tc.sink}).WantsDetail(); got != tc.want {
+			t.Errorf("%s: WantsDetail = %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	if rt.evs[0].Time != 7 || rt.evs[0].Duration != 10*time.Millisecond {
-		t.Errorf("commit event lost context: %+v", rt.evs[0])
+}
+
+// TestCommitScope drives the one implementation of the commit
+// bookkeeping the engines share.
+func TestCommitScope(t *testing.T) {
+	m := NewMetrics(NewRegistry())
+	rec := NewSpanRecorder(4)
+	o := &Observer{Metrics: m, Spans: rec}
+
+	cs := o.BeginCommit(7, 3)
+	if cs.Idle() || cs.Metrics != m || cs.Span == nil || cs.Detail {
+		t.Fatalf("scope = %+v, want metrics, a root span and no detail", cs)
+	}
+	if !cs.End(nil) {
+		t.Error("End(nil) with metrics should cue the gauge publish")
+	}
+	if m.Commits.Value() != 1 || m.CommitSeconds.Count() != 1 || m.CommitErrors.Value() != 0 {
+		t.Errorf("after success: commits=%d latencies=%d errors=%d, want 1 1 0",
+			m.Commits.Value(), m.CommitSeconds.Count(), m.CommitErrors.Value())
+	}
+	cs = o.BeginCommit(8, 1)
+	if cs.End(errFake) {
+		t.Error("End(err) must not cue the gauge publish")
+	}
+	if m.Commits.Value() != 1 || m.CommitSeconds.Count() != 1 || m.CommitErrors.Value() != 1 {
+		t.Errorf("after failure: commits=%d latencies=%d errors=%d, want 1 1 1",
+			m.Commits.Value(), m.CommitSeconds.Count(), m.CommitErrors.Value())
+	}
+	roots := rec.Snapshot()
+	if len(roots) != 2 {
+		t.Fatalf("sink saw %d roots, want one per commit", len(roots))
+	}
+	if r := roots[0]; r.Name != SpanCommit || r.Time != 7 || r.Ops != 3 || r.Err != nil {
+		t.Errorf("first root = %+v", r)
+	}
+	if r := roots[1]; r.Name != SpanCommit || r.Time != 8 || r.Err != errFake {
+		t.Errorf("failed root = %+v, want the error on it", r)
+	}
+
+	// Spans alone: a root, nothing to publish. Metrics alone: no root.
+	spansOnly := (&Observer{Spans: detailSink{NewSpanRecorder(4)}}).BeginCommit(1, 0)
+	if spansOnly.Span == nil || !spansOnly.Detail || spansOnly.End(nil) {
+		t.Errorf("spans-only scope = %+v", spansOnly)
+	}
+	metricsOnly := (&Observer{Metrics: m}).BeginCommit(1, 0)
+	if metricsOnly.Idle() || metricsOnly.Span != nil || !metricsOnly.End(nil) {
+		t.Errorf("metrics-only scope = %+v", metricsOnly)
 	}
 }
 

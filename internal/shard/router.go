@@ -149,7 +149,7 @@ type shardMetrics struct {
 func (r *Router) SetObserver(o *obs.Observer) {
 	r.obs = o
 	r.perShard = nil
-	if m, _ := o.Parts(); m != nil {
+	if m := o.MetricSink(); m != nil {
 		m.Shards.Set(int64(r.n))
 		r.syncPlanMetrics(m)
 	}
@@ -266,41 +266,20 @@ func (r *Router) Split(tx *storage.Transaction) []*storage.Transaction {
 // leaves every shard untouched; an engine failure after that point
 // latches the router broken, because the shards may have diverged.
 func (r *Router) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
-	m, tr := r.obs.Parts()
-	sink := r.obs.SpanSink()
-	if m == nil && tr == nil && sink == nil {
+	ops := 0
+	if tx != nil {
+		ops = tx.Len()
+	}
+	cs := r.obs.BeginCommit(t, ops)
+	if cs.Idle() {
 		return r.step(t, tx, nil, nil)
 	}
-	var span *obs.Span
-	if sink != nil {
-		ops := 0
-		if tx != nil {
-			ops = tx.Len()
+	vs, err := r.step(t, tx, cs.Metrics, cs.Span)
+	if cs.End(err) {
+		for _, v := range vs {
+			cs.Metrics.Violations.With(v.Constraint).Inc()
 		}
-		span = &obs.Span{Name: obs.SpanCommit, Time: t, Start: time.Now(), Ops: ops}
-	}
-	start := time.Now()
-	vs, err := r.step(t, tx, m, span)
-	d := time.Since(start)
-	if m != nil {
-		if err != nil {
-			m.CommitErrors.Inc()
-		} else {
-			m.Commits.Inc()
-			m.CommitSeconds.Observe(d.Seconds())
-			for _, v := range vs {
-				m.Violations.With(v.Constraint).Inc()
-			}
-			r.publishAuxGauges(m)
-		}
-	}
-	if tr != nil {
-		tr.Trace(obs.TraceEvent{Op: obs.OpStep, Time: t, Duration: d, Err: err})
-	}
-	if sink != nil {
-		span.Dur = d
-		span.Err = err
-		sink.ObserveSpan(span)
+		r.publishAuxGauges(cs.Metrics)
 	}
 	return vs, err
 }

@@ -144,9 +144,11 @@ func WithMetrics(m *obs.Metrics) Option {
 	return func(o *logOptions) { o.metrics = m }
 }
 
-// WithSpans attaches a span sink: every Append emits a wal.append span
-// (Ops = framed bytes) with a wal.fsync child under SyncAlways, so the
-// durability cost of a commit shows up in the same trace as its
+// WithSpans attaches a span sink: every Append emits a wal.append root
+// span (Ops = framed bytes) with a wal.fsync child under SyncAlways. The
+// log does not know which commit a record belongs to; a journal behind a
+// monitor takes monitor.Monitor.SpanSink, which files the span in that
+// commit's tree, so the durability cost of a commit shows up beside its
 // engine phases.
 func WithSpans(s obs.SpanSink) Option {
 	return func(o *logOptions) { o.spans = s }

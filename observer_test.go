@@ -36,7 +36,8 @@ func TestWithObserverMetricsAllModes(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			reg := NewRegistry()
 			m := NewMetrics(reg)
-			c, err := NewChecker(obsSchema(t), WithMode(mode), WithObserver(&Observer{Metrics: m}))
+			rec := NewSpanRecorder(8)
+			c, err := NewChecker(obsSchema(t), WithMode(mode), WithObserver(&Observer{Metrics: m, Spans: rec}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,6 +45,13 @@ func TestWithObserverMetricsAllModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveRehire(t, c)
+
+			// Every engine's commit is one root span named commit.
+			roots := rec.Snapshot()[1:] // [0] is the parse root
+			if len(roots) != 2 || roots[0].Name != "commit" || roots[1].Name != "commit" ||
+				roots[0].Time != 0 || roots[1].Time != 100 || roots[1].Ops != 2 {
+				t.Errorf("2 commits yielded roots %v, want one commit root each (t=0, t=100 ops=2)", roots)
+			}
 
 			if got := m.Commits.Value(); got != 2 {
 				t.Errorf("commits = %d, want 2", got)
@@ -83,31 +91,50 @@ func TestWithObserverMetricsAllModes(t *testing.T) {
 	}
 }
 
-type recTracer struct {
-	mu  sync.Mutex
-	ops map[string]int
+// recSink is a span sink that asks for detail and counts every span it
+// is handed, by name, across whole trees.
+type recSink struct {
+	mu    sync.Mutex
+	names map[string]int
+	errs  map[string]error // last error seen per span name
 }
 
-func (r *recTracer) Trace(ev TraceEvent) {
+func (r *recSink) WantsDetail() bool { return true }
+
+func (r *recSink) ObserveSpan(root *Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ops == nil {
-		r.ops = make(map[string]int)
+	if r.names == nil {
+		r.names = make(map[string]int)
+		r.errs = make(map[string]error)
 	}
-	r.ops[ev.Op]++
+	root.Walk(func(s *Span) {
+		r.names[s.Name]++
+		if s.Err != nil {
+			r.errs[s.Name] = s.Err
+		}
+	})
 }
 
-func (r *recTracer) count(op string) int {
+func (r *recSink) count(name string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ops[op]
+	return r.names[name]
 }
 
-func TestWithObserverTracer(t *testing.T) {
-	tr := &recTracer{}
-	c, err := NewChecker(obsSchema(t), WithObserver(&Observer{Tracer: tr}))
+func TestWithObserverSpans(t *testing.T) {
+	rec := &recSink{}
+	c, err := NewChecker(obsSchema(t), WithObserver(&Observer{Spans: rec}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A constraint that does not parse still yields its parse span,
+	// carrying the error.
+	if err := c.AddConstraint("broken", "hire(e) ->"); err == nil {
+		t.Fatal("malformed constraint accepted")
+	}
+	if got := rec.count("parse"); got != 1 || rec.errs["parse"] == nil {
+		t.Errorf("failing parse: %d parse spans, err %v; want 1 and the parse error", got, rec.errs["parse"])
 	}
 	if err := c.AddConstraint("no_quick_rehire", "hire(e) -> not once[0,365] fire(e)"); err != nil {
 		t.Fatal(err)
@@ -117,36 +144,36 @@ func TestWithObserverTracer(t *testing.T) {
 	if err := c.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.count("parse"); got != 1 {
-		t.Errorf("parse events = %d, want 1", got)
+	if got := rec.count("parse"); got != 2 {
+		t.Errorf("parse spans = %d, want 2 (one failed, one installed)", got)
 	}
-	if got := tr.count("step"); got != 2 {
-		t.Errorf("step events = %d, want 2", got)
+	if got := rec.count("commit"); got != 2 {
+		t.Errorf("commit spans = %d, want 2", got)
 	}
-	if got := tr.count("node.update"); got != 2 { // one temporal node, two commits
-		t.Errorf("node.update events = %d, want 2", got)
+	if got := rec.count("node.update"); got != 2 { // one temporal node, two commits
+		t.Errorf("node.update spans = %d, want 2", got)
 	}
-	if got := tr.count("constraint.check"); got != 2 {
-		t.Errorf("constraint.check events = %d, want 2", got)
+	if got := rec.count("constraint.check"); got != 2 {
+		t.Errorf("constraint.check spans = %d, want 2", got)
 	}
-	if got := tr.count("snapshot.save"); got != 1 {
-		t.Errorf("snapshot.save events = %d, want 1", got)
+	if got := rec.count("snapshot.save"); got != 1 {
+		t.Errorf("snapshot.save spans = %d, want 1", got)
 	}
 
-	// Restoring with the observer traces the restore and keeps
+	// Restoring with the observer emits the restore span and keeps
 	// instrumenting the restored checker.
-	c2, err := RestoreChecker(obsSchema(t), &snap, WithObserver(&Observer{Tracer: tr}))
+	c2, err := RestoreChecker(obsSchema(t), &snap, WithObserver(&Observer{Spans: rec}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.count("snapshot.restore"); got != 1 {
-		t.Errorf("snapshot.restore events = %d, want 1", got)
+	if got := rec.count("snapshot.restore"); got != 1 {
+		t.Errorf("snapshot.restore spans = %d, want 1", got)
 	}
 	if _, err := c2.Begin().Insert("fire", Int(9)).Commit(200); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.count("step"); got != 3 {
-		t.Errorf("step events after restore = %d, want 3", got)
+	if got := rec.count("commit"); got != 3 {
+		t.Errorf("commit spans after restore = %d, want 3", got)
 	}
 }
 

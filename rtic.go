@@ -195,8 +195,9 @@ func WithShards(n int) Option {
 
 // Observer bundles the instrumentation sinks a checker can carry: a
 // metric set (counters, gauges, latency histograms behind a
-// Prometheus-format registry) and a trace hook. See NewRegistry,
-// NewMetrics and NewSlogTracer.
+// Prometheus-format registry) and a span sink receiving one tree of
+// timed spans per commit. See NewRegistry, NewMetrics, NewSlogSink and
+// NewSpanRecorder.
 type Observer = obs.Observer
 
 // Metrics is the standard engine/monitor metric set; see NewMetrics.
@@ -205,13 +206,6 @@ type Metrics = obs.Metrics
 // Registry holds metrics and writes the Prometheus text exposition.
 type Registry = obs.Registry
 
-// Tracer receives engine trace events (parse, step, per-node update,
-// constraint check, snapshot save/restore).
-type Tracer = obs.Tracer
-
-// TraceEvent is one completed engine operation delivered to a Tracer.
-type TraceEvent = obs.TraceEvent
-
 // NewRegistry returns an empty metrics registry; expose it with its
 // WritePrometheus method.
 func NewRegistry() *Registry { return obs.NewRegistry() }
@@ -219,23 +213,25 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // NewMetrics registers the standard metric set on r.
 func NewMetrics(r *Registry) *Metrics { return obs.NewMetrics(r) }
 
-// NewSlogTracer returns a Tracer logging one structured line per event
-// through l (nil means slog.Default()).
-func NewSlogTracer(l *slog.Logger) Tracer { return obs.NewSlogTracer(l) }
-
-// NewSamplingTracer wraps t so only one in every n high-frequency
-// events (per-node updates, per-constraint checks) reaches it; errors
-// and low-frequency events always pass through.
-func NewSamplingTracer(t Tracer, n int) Tracer { return obs.NewSamplingTracer(t, n) }
-
 // Span is one timed section of the commit path. Spans form a tree
 // rooted at a commit: per-phase children (apply, update, check,
 // carry), per-worker and per-shard sub-spans, WAL append/fsync spans.
+// Constraint parsing and snapshot save/restore are root spans of their
+// own.
 type Span = obs.Span
 
-// SpanSink receives completed commit span trees; set it on
-// Observer.Spans. See NewSpanRecorder and WriteChromeTrace.
+// SpanSink receives completed span trees; set it on Observer.Spans. A
+// sink that also has a method WantsDetail() bool returning true gets
+// one node.update child per auxiliary node and one constraint.check
+// child per constraint in every commit tree. See NewSlogSink,
+// NewSpanRecorder and WriteChromeTrace.
 type SpanSink = obs.SpanSink
+
+// NewSlogSink returns a SpanSink logging one structured line per span
+// through l (nil means slog.Default()): ERROR for spans carrying an
+// error, DEBUG for the per-node and per-constraint detail spans — built
+// only while l's handler accepts DEBUG — and INFO for the rest.
+func NewSlogSink(l *slog.Logger) SpanSink { return obs.NewSlogSink(l) }
 
 // SpanRecorder is a SpanSink keeping the last N commit span trees in a
 // ring buffer.
@@ -251,7 +247,7 @@ func NewSpanRecorder(capacity int) *SpanRecorder { return obs.NewSpanRecorder(ca
 func WriteChromeTrace(w io.Writer, roots []*Span) error { return obs.WriteChromeTrace(w, roots) }
 
 // WithObserver attaches instrumentation to the checker: metric updates
-// and trace events from the engine's hot paths. A nil observer (or one
+// and span trees from the engine's hot paths. A nil observer (or one
 // with nil sinks) costs nothing beyond pointer checks per commit.
 func WithObserver(o *Observer) Option {
 	return func(c *config) { c.obs = o }
@@ -342,14 +338,14 @@ func (c *Checker) AddConstraint(name, src string) error {
 	if c.started {
 		return fmt.Errorf("rtic: constraint %q added after the first commit", name)
 	}
-	_, tr := c.obs.Parts()
+	sink := c.obs.SpanSink()
 	var p0 time.Time
-	if tr != nil {
+	if sink != nil {
 		p0 = time.Now()
 	}
 	con, err := check.Parse(name, src, c.schema)
-	if tr != nil {
-		tr.Trace(TraceEvent{Op: obs.OpParse, Detail: name, Duration: time.Since(p0), Err: err})
+	if sink != nil {
+		sink.ObserveSpan(&Span{Name: obs.SpanParse, Detail: name, Start: p0, Dur: time.Since(p0), Err: err})
 	}
 	if err != nil {
 		return err
@@ -586,8 +582,8 @@ func (c *Checker) SaveSnapshot(w io.Writer) error {
 // RestoreChecker rebuilds an Incremental checker from a snapshot written
 // by SaveSnapshot; the snapshot carries its constraints. The meaningful
 // options are WithObserver and WithParallelism (restored checkers are
-// always Incremental); the restore itself is traced when a tracer is
-// attached.
+// always Incremental); the restore itself is a snapshot.restore span
+// when a span sink is attached.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	cfg := config{mode: Incremental}
 	for _, o := range opts {
