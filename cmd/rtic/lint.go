@@ -15,15 +15,13 @@ package main
 // Warning-or-worse with -strict), 1 on operational errors, 0 otherwise.
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"rtic/internal/lint"
-	"rtic/internal/spec"
+	"rtic/internal/storage"
 )
 
 var errLintFindings = fmt.Errorf("lint findings at failing severity")
@@ -38,15 +36,7 @@ func runLint(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *specPath == "" {
-		return fmt.Errorf("-spec is required")
-	}
-	f, err := os.Open(*specPath)
-	if err != nil {
-		return err
-	}
-	sp, err := spec.ParseSpec(f)
-	f.Close()
+	sp, err := loadSpec(*specPath)
 	if err != nil {
 		return err
 	}
@@ -115,32 +105,11 @@ func runLint(args []string, out io.Writer) error {
 // workload touches (insertions and deletions both count as writes).
 func writtenRelations(logs []string) (map[string]bool, error) {
 	written := make(map[string]bool)
-	for _, path := range logs {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
+	err := replay(logs, func(_ uint64, tx *storage.Transaction) error {
+		for _, op := range tx.Ops() {
+			written[op.Rel] = true
 		}
-		sc := bufio.NewScanner(f)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
-			_, tx, ok, err := spec.ParseLogLine(sc.Text())
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
-			}
-			if !ok {
-				continue
-			}
-			for _, op := range tx.Ops() {
-				written[op.Rel] = true
-			}
-		}
-		err = sc.Err()
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return written, nil
+		return nil
+	})
+	return written, err
 }

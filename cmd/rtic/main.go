@@ -34,13 +34,13 @@ import (
 	"strings"
 
 	"rtic"
-	"rtic/internal/active"
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
-	"rtic/internal/naive"
 	"rtic/internal/obs"
+	"rtic/internal/shard"
 	"rtic/internal/spec"
+	"rtic/internal/storage"
 )
 
 func main() {
@@ -62,17 +62,19 @@ func main() {
 		return
 	}
 
-	specPath := flag.String("spec", "", "spec file with relations and constraints (required)")
-	mode := flag.String("mode", "incremental",
+	var o options
+	flag.StringVar(&o.spec, "spec", "", "spec file with relations and constraints (required)")
+	flag.StringVar(&o.mode, "mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
-	parallelism := flag.Int("parallelism", 0,
+	flag.IntVar(&o.parallelism, "parallelism", 0,
 		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers; incremental engine only)")
-	quiet := flag.Bool("quiet", false, "suppress per-violation output; print only the summary")
-	explain := flag.Bool("explain", false, "print evidence trails for violations (incremental mode only)")
-	trace := flag.Bool("trace", false, "log every commit's span tree (structured, stderr)")
+	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-violation output; print only the summary")
+	flag.BoolVar(&o.explain, "explain", false, "print evidence trails for violations (incremental mode only)")
+	flag.BoolVar(&o.trace, "trace", false, "log every commit's span tree (structured, stderr)")
 	flag.Parse()
+	o.logs = flag.Args()
 
-	if err := run4(*specPath, *mode, *parallelism, *quiet, *explain, *trace, flag.Args(), os.Stdout); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		if err == errViolations {
 			os.Exit(2)
 		}
@@ -83,57 +85,90 @@ func main() {
 
 var errViolations = fmt.Errorf("violations detected")
 
-// run keeps the original signature for tests; run2 adds -explain,
-// run3 adds -trace, run4 adds -parallelism.
-func run(specPath, mode string, quiet bool, logs []string, out io.Writer) error {
-	return run4(specPath, mode, 0, quiet, false, false, logs, out)
+// options are the check command's flags and arguments.
+type options struct {
+	spec, mode            string
+	parallelism           int
+	quiet, explain, trace bool
+	logs                  []string // transaction logs; none means stdin
 }
 
-func run2(specPath, mode string, quiet, explain bool, logs []string, out io.Writer) error {
-	return run4(specPath, mode, 0, quiet, explain, false, logs, out)
-}
-
-func run3(specPath, mode string, quiet, explain, trace bool, logs []string, out io.Writer) error {
-	return run4(specPath, mode, 0, quiet, explain, trace, logs, out)
-}
-
-func run4(specPath, mode string, parallelism int, quiet, explain, trace bool, logs []string, out io.Writer) error {
-	if specPath == "" {
-		return fmt.Errorf("-spec is required")
-	}
-	f, err := os.Open(specPath)
+func run(o options, out io.Writer) error {
+	sp, err := loadSpec(o.spec)
 	if err != nil {
 		return err
 	}
-	sp, err := spec.ParseSpec(f)
-	f.Close()
+	m, err := rtic.ParseMode(o.mode)
 	if err != nil {
 		return err
 	}
-
-	m, err := rtic.ParseMode(mode)
+	factory, err := shard.ModeFactory(sp.Schema, m, o.parallelism)
 	if err != nil {
 		return err
 	}
-	var eng engine.Engine
-	var inc *core.Checker
-	switch m {
-	case rtic.Incremental:
-		inc = core.New(sp.Schema, core.WithParallelism(parallelism))
-		eng = inc
-	case rtic.Naive:
-		eng = naive.New(sp.Schema)
-	case rtic.ActiveRules:
-		eng = active.New(sp.Schema)
-	}
-	if explain && inc == nil {
+	eng := factory()
+	inc, _ := eng.(*core.Checker)
+	if o.explain && inc == nil {
 		return fmt.Errorf("-explain requires -mode incremental")
 	}
-	if trace {
+	if o.trace {
 		eng.SetObserver(&obs.Observer{Spans: obs.NewSlogSink(slog.New(
 			slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}),
 		))})
 	}
+	if err := install(eng, sp); err != nil {
+		return err
+	}
+
+	total, states := 0, 0
+	err = replay(o.logs, func(t uint64, tx *storage.Transaction) error {
+		vs, err := eng.Step(t, tx)
+		if err != nil {
+			return err
+		}
+		states++
+		total += len(vs)
+		for _, v := range vs {
+			switch {
+			case o.quiet:
+			case o.explain:
+				ex, err := inc.Explain(v)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(out, ex.String())
+			default:
+				fmt.Fprintln(out, v.String())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "checked %d transactions: %d violations\n", states, total)
+	if total > 0 {
+		return errViolations
+	}
+	return nil
+}
+
+// loadSpec reads the spec file every subcommand takes.
+func loadSpec(path string) (*spec.Spec, error) {
+	if path == "" {
+		return nil, fmt.Errorf("-spec is required")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return spec.ParseSpec(f)
+}
+
+// install compiles the spec's constraints and adds them to eng.
+func install(eng engine.Engine, sp *spec.Spec) error {
 	for _, cs := range sp.Constraints {
 		con, err := check.Parse(cs.Name, cs.Source, sp.Schema)
 		if err != nil {
@@ -143,47 +178,28 @@ func run4(specPath, mode string, parallelism int, quiet, explain, trace bool, lo
 			return err
 		}
 	}
+	return nil
+}
 
-	total, states := 0, 0
+// replay reads the transaction logs (stdin when none is named) and
+// calls commit for every line that holds a transaction; errors carry
+// the file and line.
+func replay(logs []string, commit func(uint64, *storage.Transaction) error) error {
 	process := func(r io.Reader, name string) error {
 		sc := bufio.NewScanner(r)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
+		for lineNo := 1; sc.Scan(); lineNo++ {
 			t, tx, ok, err := spec.ParseLogLine(sc.Text())
+			if err == nil && ok {
+				err = commit(t, tx)
+			}
 			if err != nil {
 				return fmt.Errorf("%s:%d: %w", name, lineNo, err)
-			}
-			if !ok {
-				continue
-			}
-			vs, err := eng.Step(t, tx)
-			if err != nil {
-				return fmt.Errorf("%s:%d: %w", name, lineNo, err)
-			}
-			states++
-			total += len(vs)
-			if !quiet {
-				for _, v := range vs {
-					if explain && inc != nil {
-						ex, err := inc.Explain(v)
-						if err != nil {
-							return err
-						}
-						fmt.Fprint(out, ex.String())
-					} else {
-						fmt.Fprintln(out, v.String())
-					}
-				}
 			}
 		}
 		return sc.Err()
 	}
-
 	if len(logs) == 0 {
-		if err := process(os.Stdin, "stdin"); err != nil {
-			return err
-		}
+		return process(os.Stdin, "stdin")
 	}
 	for _, path := range logs {
 		lf, err := os.Open(path)
@@ -195,11 +211,6 @@ func run4(specPath, mode string, parallelism int, quiet, explain, trace bool, lo
 		if err != nil {
 			return err
 		}
-	}
-
-	fmt.Fprintf(out, "checked %d transactions: %d violations\n", states, total)
-	if total > 0 {
-		return errViolations
 	}
 	return nil
 }

@@ -30,7 +30,7 @@ func TestRunDetectsViolations(t *testing.T) {
 
 	for _, mode := range []string{"incremental", "naive", "active"} {
 		var out bytes.Buffer
-		err := run(spec, mode, false, []string{log}, &out)
+		err := run(options{spec: spec, mode: mode, logs: []string{log}}, &out)
 		if err != errViolations {
 			t.Fatalf("mode %s: err = %v, want errViolations", mode, err)
 		}
@@ -49,7 +49,7 @@ func TestRunCleanLog(t *testing.T) {
 	spec := writeFile(t, dir, "hr.rtic", hrSpec)
 	log := writeFile(t, dir, "log.txt", "@0 +fire(7)\n@400 -fire(7)\n")
 	var out bytes.Buffer
-	if err := run(spec, "incremental", false, []string{log}, &out); err != nil {
+	if err := run(options{spec: spec, mode: "incremental", logs: []string{log}}, &out); err != nil {
 		t.Fatalf("err = %v", err)
 	}
 	if !strings.Contains(out.String(), "0 violations") {
@@ -62,7 +62,7 @@ func TestRunQuiet(t *testing.T) {
 	spec := writeFile(t, dir, "hr.rtic", hrSpec)
 	log := writeFile(t, dir, "log.txt", "@0 +fire(7)\n@1 +hire(7)\n")
 	var out bytes.Buffer
-	err := run(spec, "incremental", true, []string{log}, &out)
+	err := run(options{spec: spec, mode: "incremental", quiet: true, logs: []string{log}}, &out)
 	if err != errViolations {
 		t.Fatalf("err = %v", err)
 	}
@@ -77,19 +77,19 @@ func TestRunErrors(t *testing.T) {
 	badLog := writeFile(t, dir, "bad.txt", "@1 +nosuch(1)\n")
 	var out bytes.Buffer
 
-	if err := run("", "incremental", false, nil, &out); err == nil {
+	if err := run(options{mode: "incremental"}, &out); err == nil {
 		t.Fatal("missing -spec accepted")
 	}
-	if err := run(spec, "warp", false, nil, &out); err == nil {
+	if err := run(options{spec: spec, mode: "warp"}, &out); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	if err := run(filepath.Join(dir, "nope.rtic"), "incremental", false, nil, &out); err == nil {
+	if err := run(options{spec: filepath.Join(dir, "nope.rtic"), mode: "incremental"}, &out); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
-	if err := run(spec, "incremental", false, []string{badLog}, &out); err == nil {
+	if err := run(options{spec: spec, mode: "incremental", logs: []string{badLog}}, &out); err == nil {
 		t.Fatal("log referencing unknown relation accepted")
 	}
-	if err := run(spec, "incremental", false, []string{filepath.Join(dir, "nope.txt")}, &out); err == nil {
+	if err := run(options{spec: spec, mode: "incremental", logs: []string{filepath.Join(dir, "nope.txt")}}, &out); err == nil {
 		t.Fatal("missing log file accepted")
 	}
 
@@ -98,7 +98,7 @@ func TestRunErrors(t *testing.T) {
 	// Denial of "not hire(e)" is hire(e): actually safe. Use an unsafe one.
 	_ = badSpec
 	unsafeSpec := writeFile(t, dir, "unsafe.rtic", "relation hire/1\nconstraint c: hire(e)\n")
-	if err := run(unsafeSpec, "incremental", false, []string{goodLog}, &out); err == nil {
+	if err := run(options{spec: unsafeSpec, mode: "incremental", logs: []string{goodLog}}, &out); err == nil {
 		t.Fatal("unsafe constraint accepted")
 	}
 }
@@ -108,7 +108,7 @@ func TestRunExplain(t *testing.T) {
 	spec := writeFile(t, dir, "hr.rtic", hrSpec)
 	log := writeFile(t, dir, "log.txt", "@0 +fire(7)\n@100 -fire(7) +hire(7)\n")
 	var out bytes.Buffer
-	err := run2(spec, "incremental", false, true, []string{log}, &out)
+	err := run(options{spec: spec, mode: "incremental", explain: true, logs: []string{log}}, &out)
 	if err != errViolations {
 		t.Fatalf("err = %v", err)
 	}
@@ -119,7 +119,42 @@ func TestRunExplain(t *testing.T) {
 		}
 	}
 	// -explain with other modes is rejected.
-	if err := run2(spec, "naive", false, true, []string{log}, &out); err == nil {
+	if err := run(options{spec: spec, mode: "naive", explain: true, logs: []string{log}}, &out); err == nil {
 		t.Fatal("explain with naive mode accepted")
+	}
+}
+
+// TestUnsafeQuantifierRefusedEverywhere: a quantified variable nothing
+// inside its quantifier enumerates is outside the language — not outside
+// one engine. Every -mode refuses the spec with the same positioned
+// reason (exit status 1: an error, not a violation), and rtic lint
+// reports that reason as its [unsafe] finding at the quantifier.
+func TestUnsafeQuantifierRefusedEverywhere(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeFile(t, dir, "q.rtic", "relation p/1\nrelation r/2\nconstraint c: p(x) -> forall y: r(x, y)\n")
+	log := writeFile(t, dir, "log.txt", "@1 +p(1)\n")
+	const reason = `mtl: unsafe formula "exists y: not r(x, y)" (at position 9): ` +
+		`quantified variables [y] must be bound by an enumerable conjunct inside their quantifier`
+
+	for _, mode := range []string{"incremental", "naive", "active"} {
+		var out bytes.Buffer
+		err := run(options{spec: spec, mode: mode, logs: []string{log}}, &out)
+		if err == nil || err == errViolations {
+			t.Fatalf("mode %s: err = %v, want the spec refused (exit status 1)", mode, err)
+		}
+		if want := "check: constraint c: denial is not range-restricted: " + reason; err.Error() != want {
+			t.Errorf("mode %s:\n got %s\nwant %s", mode, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("mode %s: checked a log against a refused spec:\n%s", mode, out.String())
+		}
+	}
+
+	var out bytes.Buffer
+	if err := runLint([]string{"-spec", spec}, &out); err != errLintFindings {
+		t.Fatalf("lint: err = %v, want errLintFindings", err)
+	}
+	if s := out.String(); !strings.Contains(s, "c:3:9: error: [unsafe] ") || !strings.Contains(s, reason) {
+		t.Errorf("lint does not report the engines' reason at the quantifier:\n%s", s)
 	}
 }

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -16,12 +15,10 @@ import (
 	"sort"
 	"time"
 
-	"rtic/internal/check"
-	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/shard"
-	"rtic/internal/spec"
+	"rtic/internal/storage"
 )
 
 func runTrace(args []string, out io.Writer) error {
@@ -37,16 +34,7 @@ func runTrace(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *specPath == "" {
-		return fmt.Errorf("-spec is required")
-	}
-
-	f, err := os.Open(*specPath)
-	if err != nil {
-		return err
-	}
-	sp, err := spec.ParseSpec(f)
-	f.Close()
+	sp, err := loadSpec(*specPath)
 	if err != nil {
 		return err
 	}
@@ -55,25 +43,21 @@ func runTrace(args []string, out io.Writer) error {
 	// naive and active engines have no phases to attribute, so trace
 	// always replays incrementally (sharded when -shards > 1).
 	rec := obs.NewSpanRecorder(0)
+	factory, err := shard.ModeFactory(sp.Schema, engine.Incremental, *parallelism)
+	if err != nil {
+		return err
+	}
 	var eng engine.Engine
 	if *shards > 1 {
-		r, err := shard.NewMode(sp.Schema, *shards, engine.Incremental, *parallelism)
-		if err != nil {
+		if eng, err = shard.New(sp.Schema, *shards, factory); err != nil {
 			return err
 		}
-		eng = r
 	} else {
-		eng = core.New(sp.Schema, core.WithParallelism(*parallelism))
+		eng = factory()
 	}
 	eng.SetObserver(&obs.Observer{Spans: rec})
-	for _, cs := range sp.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, sp.Schema)
-		if err != nil {
-			return err
-		}
-		if err := eng.AddConstraint(con); err != nil {
-			return err
-		}
+	if err := install(eng, sp); err != nil {
+		return err
 	}
 
 	if *cpuProfile != "" {
@@ -92,42 +76,17 @@ func runTrace(args []string, out io.Writer) error {
 	}
 
 	states, violations := 0, 0
-	process := func(r io.Reader, name string) error {
-		sc := bufio.NewScanner(r)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
-			t, tx, ok, err := spec.ParseLogLine(sc.Text())
-			if err != nil {
-				return fmt.Errorf("%s:%d: %w", name, lineNo, err)
-			}
-			if !ok {
-				continue
-			}
-			vs, err := eng.Step(t, tx)
-			if err != nil {
-				return fmt.Errorf("%s:%d: %w", name, lineNo, err)
-			}
-			states++
-			violations += len(vs)
-		}
-		return sc.Err()
-	}
-	if fs.NArg() == 0 {
-		if err := process(os.Stdin, "stdin"); err != nil {
-			return err
-		}
-	}
-	for _, path := range fs.Args() {
-		lf, err := os.Open(path)
+	err = replay(fs.Args(), func(t uint64, tx *storage.Transaction) error {
+		vs, err := eng.Step(t, tx)
 		if err != nil {
 			return err
 		}
-		err = process(lf, path)
-		lf.Close()
-		if err != nil {
-			return err
-		}
+		states++
+		violations += len(vs)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	if *memProfile != "" {

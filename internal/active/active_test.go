@@ -111,6 +111,10 @@ func TestEngineRejects(t *testing.T) {
 	}); err == nil {
 		t.Fatal("action on unknown relation accepted")
 	}
+	if err := e.AddRule(&Rule{Name: "temporal", Priority: 1, Condition: mtl.MustParse("once src(x)")}); err == nil ||
+		!strings.Contains(err.Error(), "temporal operator") {
+		t.Fatalf("temporal condition: err = %v", err)
+	}
 	if err := e.Commit(1, storage.NewTransaction().Insert("rtic_x", tuple.Ints(1))); err == nil {
 		t.Fatal("user transaction on reserved relation accepted")
 	}
@@ -122,6 +126,92 @@ func TestEngineRejects(t *testing.T) {
 	}
 	if err := e.AddRule(&Rule{Name: "late", Priority: 1, Condition: mtl.MustParse("src(x)")}); err == nil {
 		t.Fatal("rule added after start accepted")
+	}
+}
+
+// A condition the planner refuses is the rule's error, at install and in
+// the planner's words: there is no second evaluator to hand it to.
+func TestEngineRefusesUnplannableCondition(t *testing.T) {
+	s := schema.NewBuilder().Relation("src", 1).Relation("pair", 2).Relation("rtic_d", 1).MustBuild()
+	for _, tc := range []struct{ cond, want string }{
+		{"src(x) and exists y: not pair(x, y)", "plan: conjuncts [pair(x, y)] have unbound variables no enumerable literal provides"},
+		{"src(x) and y < 3", "plan: conjuncts [y < 3] have unbound variables no enumerable literal provides"},
+		{"src(x) or pair(x, y)", `plan: disjunct "src(x)" does not bind output variable "y"`},
+	} {
+		e := NewEngine(s)
+		err := e.AddRule(&Rule{
+			Name: "bad", Priority: 1,
+			Condition: mtl.MustParse(tc.cond),
+			Actions:   []Action{{Insert: true, Rel: "rtic_d", Args: []mtl.Term{mtl.Var{Name: "x"}}}},
+		})
+		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("AddRule(%q) = %v, want the planner's %q", tc.cond, err, tc.want)
+		}
+		if err := e.Commit(1, ins("src", 1)); err != nil {
+			t.Errorf("%q: the refused rule was installed: %v", tc.cond, err)
+		}
+	}
+}
+
+// Conditions are normalized before they are planned, so a rule may be
+// written with sugar and with negation over a conjunction; parameters
+// bind free occurrences only — a quantifier that reuses a parameter's
+// name shadows it.
+func TestEngineConditionNormalizedAndParamsShadowed(t *testing.T) {
+	s := schema.NewBuilder().Relation("src", 1).Relation("pair", 2).Relation("rtic_d", 1).MustBuild()
+	e := NewEngine(s)
+	err := e.AddRule(&Rule{
+		Name: "r", Priority: 1,
+		// k is a parameter outside the quantifiers, a bound variable in them.
+		Condition: mtl.MustParse("src(x) and not (pair(x, k) and k = 1) and (exists k: pair(k, x)) and forall k: (pair(k, x) -> k != 2)"),
+		BindParams: func(now, _ uint64, _ bool) map[string]value.Value {
+			return map[string]value.Value{"k": value.Int(1)}
+		},
+		Actions: []Action{{Insert: true, Rel: "rtic_d", Args: []mtl.Term{mtl.Var{Name: "x"}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 fires: ∃k ranges past the parameter's value. 6 does not:
+	// pair(6, k) with k = 1 blocks it. Nor does 7: ∀k meets k = 2, which
+	// the parameter's value 1 in k's place would have let through.
+	tx := storage.NewTransaction().
+		Insert("src", tuple.Ints(5)).Insert("pair", tuple.Ints(9, 5)).
+		Insert("src", tuple.Ints(6)).Insert("pair", tuple.Ints(6, 1)).Insert("pair", tuple.Ints(9, 6)).
+		Insert("src", tuple.Ints(7)).Insert("pair", tuple.Ints(2, 7))
+	if err := e.Commit(1, tx); err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := e.State().Relation("rtic_d")
+	if !rel.Contains(tuple.Ints(5)) || rel.Contains(tuple.Ints(6)) || rel.Len() != 1 {
+		t.Fatalf("rtic_d = %s, want exactly (5)", rel)
+	}
+}
+
+// The parameter names are part of the compiled condition: a binder that
+// changes them between firings is an error, not a silent zero value.
+func TestEngineParamNamesFixed(t *testing.T) {
+	s := schema.NewBuilder().Relation("src", 1).Relation("rtic_d", 1).MustBuild()
+	e := NewEngine(s)
+	err := e.AddRule(&Rule{
+		Name: "drift", Priority: 1,
+		Condition: mtl.MustParse("src(x) and x < lim"),
+		BindParams: func(now, _ uint64, started bool) map[string]value.Value {
+			if started {
+				return map[string]value.Value{"limit": value.Int(9)}
+			}
+			return map[string]value.Value{"lim": value.Int(9)}
+		},
+		Actions: []Action{{Insert: true, Rel: "rtic_d", Args: []mtl.Term{mtl.Var{Name: "x"}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(1, ins("src", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(2, ins("src", 2)); err == nil || !strings.Contains(err.Error(), "compiled for [lim]") {
+		t.Fatalf("err = %v, want a parameter-name mismatch", err)
 	}
 }
 

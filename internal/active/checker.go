@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rtic/internal/check"
-	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/storage"
@@ -105,12 +104,6 @@ func (c *Checker) SetObserver(o *obs.Observer) {
 	}
 }
 
-// StepBatch commits a sequence of transactions one at a time; the rule
-// engine has no amortizable per-commit overhead.
-func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
-	return engine.SerialBatch(c.Step, steps)
-}
-
 // Step commits a transaction at time t, runs the rule programs, and
 // returns the violation witnesses the rules derived.
 func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
@@ -128,17 +121,16 @@ func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, er
 }
 
 func (c *Checker) step(t uint64, tx *storage.Transaction, m *obs.Metrics) ([]check.Violation, error) {
-	if c.engine == nil {
-		if err := c.build(); err != nil {
-			return nil, err
-		}
+	st, err := c.State()
+	if err != nil {
+		return nil, err
 	}
 	if err := c.engine.Commit(t, tx); err != nil {
 		return nil, err
 	}
 	var out []check.Violation
 	for _, prog := range c.programs {
-		rel, err := c.engine.State().Relation(prog.violRel)
+		rel, err := st.Relation(prog.violRel)
 		if err != nil {
 			return nil, err
 		}
@@ -173,10 +165,6 @@ func (c *Checker) State() (*storage.State, error) {
 	}
 	return c.engine.State(), nil
 }
-
-// Engine exposes the underlying rule engine (nil before the first Step);
-// used by tests and the overhead experiments.
-func (c *Checker) Engine() *Engine { return c.engine }
 
 // RuleCount reports the number of generated rules across constraints.
 func (c *Checker) RuleCount() int {

@@ -7,11 +7,18 @@
 // rules.
 //
 // The engine is generic: a rule has a priority, a first-order condition
-// (a safe kernel formula over the database, with per-firing parameters
-// substituted as constants), and a list of insert/delete actions whose
-// arguments are resolved against each binding the condition produced.
-// Rules fire in ascending priority order with immediate coupling — each
-// rule sees the effects of the rules before it.
+// (a safe formula over the database, whose per-firing parameters are
+// the inputs of its compiled plan), and a list of insert/delete actions
+// whose arguments are resolved against each binding the condition
+// produced. Rules fire in ascending priority order with immediate
+// coupling — each rule sees the effects of the rules before it.
+//
+// Conditions have one evaluator, internal/plan — the one the
+// incremental engine runs. AddRule puts the condition in kernel form
+// and compiles it; a condition the planner refuses is refused there,
+// with the planner's message. The tree-walking evaluator of
+// internal/fol is the specification (internal/naive) and runs nothing
+// here.
 package active
 
 import (
@@ -45,25 +52,24 @@ type Action struct {
 type Rule struct {
 	Name     string
 	Priority int
-	// Condition is a safe kernel formula; its satisfying bindings drive
-	// the actions. Variables listed in Params are replaced by the
-	// values BindParams produces before evaluation.
+	// Condition is a safe first-order formula; its satisfying bindings
+	// drive the actions. The variables BindParams names are bound to the
+	// values it produces before evaluation.
 	Condition mtl.Formula
 	// BindParams computes the per-firing parameters from the commit
 	// time and the previous commit time (started reports whether a
-	// previous commit exists). May be nil for parameterless rules.
+	// previous commit exists). May be nil for parameterless rules. It
+	// must name the same parameters at every call: AddRule calls it
+	// once, with zero arguments, to learn the names the condition's
+	// plan takes as inputs.
 	BindParams func(now, last uint64, started bool) map[string]value.Value
 	Actions    []Action
 
-	// Compiled-condition state, built lazily at the first firing (the
-	// parameter names are only known then). Conditions whose shape
-	// defeats plan compilation, or whose parameter set varies across
-	// firings, evaluate through Substitute plus the tree-walking
-	// evaluator instead.
-	planTried bool
-	plan      *plan.Plan
-	planIn    []string
-	envBuf    fol.Env
+	// The compiled condition: its plan, the sorted parameter names the
+	// plan was compiled with, and the buffer they are passed in.
+	plan   *plan.Plan
+	params []string
+	env    fol.Env
 }
 
 // Engine is the active database: a state over base+managed relations and
@@ -94,11 +100,23 @@ func (e *Engine) AddRule(r *Rule) error {
 	if r.Condition == nil {
 		return fmt.Errorf("active: rule %q has no condition", r.Name)
 	}
+	if mtl.TemporalDepth(r.Condition) > 0 {
+		// Conditions are first-order formulas over base and auxiliary relations.
+		return fmt.Errorf("active: rule %q: condition %q contains a temporal operator", r.Name, r.Condition.String())
+	}
 	for _, a := range r.Actions {
 		if _, err := e.full.Arity(a.Rel); err != nil {
 			return fmt.Errorf("active: rule %q: %w", r.Name, err)
 		}
 	}
+	if r.BindParams != nil {
+		r.params = paramNames(r.BindParams(0, 0, false))
+	}
+	p, err := plan.Compile(mtl.Normalize(r.Condition), e.st, r.params)
+	if err != nil {
+		return fmt.Errorf("active: rule %q: %w", r.Name, err)
+	}
+	r.plan, r.env = p, make(fol.Env, len(r.params))
 	e.rules = append(e.rules, r)
 	sort.SliceStable(e.rules, func(i, j int) bool { return e.rules[i].Priority < e.rules[j].Priority })
 	return nil
@@ -141,51 +159,22 @@ func (e *Engine) Commit(t uint64, tx *storage.Transaction) error {
 	return nil
 }
 
-// nullOracle rejects temporal nodes: rule conditions are pure first-order
-// formulas over base and auxiliary relations.
-type nullOracle struct{}
-
-func (nullOracle) Enumerate(f mtl.Formula) (*fol.Bindings, error) {
-	return nil, fmt.Errorf("active: rule condition contains temporal node %q", f.String())
-}
-
-func (nullOracle) Test(f mtl.Formula, _ fol.Env) (bool, error) {
-	return false, fmt.Errorf("active: rule condition contains temporal node %q", f.String())
-}
-
 func (e *Engine) fire(r *Rule, now uint64) error {
 	e.firings++
 	var params map[string]value.Value
 	if r.BindParams != nil {
 		params = r.BindParams(now, e.now, e.started)
 	}
-	if !r.planTried {
-		r.planTried = true
-		in := paramNames(params)
-		if p, err := plan.Compile(r.Condition, e.st, in); err == nil {
-			r.plan, r.planIn = p, in
-		}
+	same := len(params) == len(r.params)
+	for _, name := range r.params {
+		v, ok := params[name]
+		same = same && ok
+		r.env[name] = v
 	}
-	var b *fol.Bindings
-	var err error
-	if r.plan != nil && sameParamNames(params, r.planIn) {
-		// Compiled path: the parameters are the plan's inputs, so the
-		// same plan serves every firing without re-substitution.
-		if r.envBuf == nil {
-			r.envBuf = make(fol.Env, len(params))
-		}
-		for k, v := range params {
-			r.envBuf[k] = v
-		}
-		b, err = r.plan.Eval(e.st, nullOracle{}, r.envBuf)
-	} else {
-		cond := r.Condition
-		if params != nil {
-			cond = mtl.Substitute(cond, params)
-		}
-		ev := fol.NewEvaluator(e.st, nullOracle{})
-		b, err = ev.Eval(cond)
+	if !same {
+		return fmt.Errorf("BindParams named %v, the condition was compiled for %v", paramNames(params), r.params)
 	}
+	b, err := r.plan.Eval(e.st, nil, r.env) // no oracle: AddRule admits no temporal operator
 	if err != nil {
 		return err
 	}
@@ -241,20 +230,6 @@ func paramNames(params map[string]value.Value) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// sameParamNames reports whether params covers exactly the names the
-// rule's plan was compiled with.
-func sameParamNames(params map[string]value.Value, in []string) bool {
-	if len(params) != len(in) {
-		return false
-	}
-	for _, k := range in {
-		if _, ok := params[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func resolveActionTerm(t mtl.Term, env fol.Env, params map[string]value.Value) (value.Value, error) {

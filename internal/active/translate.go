@@ -118,86 +118,31 @@ type compiler struct {
 
 // translate rewrites a kernel formula, replacing every temporal node by
 // its satisfaction view and collecting node infos post-order.
-func (cp *compiler) translate(f mtl.Formula, nodes *[]*nodeInfo) (mtl.Formula, error) {
+func (cp *compiler) translate(f mtl.Formula, nodes *[]*nodeInfo) mtl.Formula {
+	node := func(info *nodeInfo) mtl.Formula {
+		info.id, info.node, info.vars = cp.nextID, f, mtl.FreeVars(f)
+		cp.nextID++
+		*nodes = append(*nodes, info)
+		return info.view()
+	}
 	switch n := f.(type) {
-	case mtl.Truth, *mtl.Cmp:
-		return f, nil
-	case *mtl.Atom:
-		return f, nil
 	case *mtl.Not:
-		inner, err := cp.translate(n.F, nodes)
-		if err != nil {
-			return nil, err
-		}
-		return &mtl.Not{F: inner}, nil
+		return &mtl.Not{F: cp.translate(n.F, nodes)}
 	case *mtl.And:
-		l, err := cp.translate(n.L, nodes)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.translate(n.R, nodes)
-		if err != nil {
-			return nil, err
-		}
-		return &mtl.And{L: l, R: r}, nil
+		return &mtl.And{L: cp.translate(n.L, nodes), R: cp.translate(n.R, nodes)}
 	case *mtl.Or:
-		l, err := cp.translate(n.L, nodes)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.translate(n.R, nodes)
-		if err != nil {
-			return nil, err
-		}
-		return &mtl.Or{L: l, R: r}, nil
+		return &mtl.Or{L: cp.translate(n.L, nodes), R: cp.translate(n.R, nodes)}
 	case *mtl.Exists:
-		inner, err := cp.translate(n.F, nodes)
-		if err != nil {
-			return nil, err
-		}
-		return &mtl.Exists{Vars: n.Vars, F: inner}, nil
+		return &mtl.Exists{Vars: n.Vars, F: cp.translate(n.F, nodes)}
 	case *mtl.Once:
-		argT, err := cp.translate(n.F, nodes)
-		if err != nil {
-			return nil, err
-		}
-		info := &nodeInfo{
-			id: cp.nextID, kind: kindSince, node: n, vars: mtl.FreeVars(n),
-			iv: n.I, leftT: mtl.Truth{Bool: true}, rightT: argT, isOnce: true,
-		}
-		cp.nextID++
-		*nodes = append(*nodes, info)
-		return info.view(), nil
+		return node(&nodeInfo{kind: kindSince, iv: n.I, leftT: mtl.Truth{Bool: true}, rightT: cp.translate(n.F, nodes), isOnce: true})
 	case *mtl.Since:
-		leftT, err := cp.translate(n.L, nodes)
-		if err != nil {
-			return nil, err
-		}
-		rightT, err := cp.translate(n.R, nodes)
-		if err != nil {
-			return nil, err
-		}
-		info := &nodeInfo{
-			id: cp.nextID, kind: kindSince, node: n, vars: mtl.FreeVars(n),
-			iv: n.I, leftT: leftT, rightT: rightT,
-		}
-		cp.nextID++
-		*nodes = append(*nodes, info)
-		return info.view(), nil
+		leftT := cp.translate(n.L, nodes)
+		return node(&nodeInfo{kind: kindSince, iv: n.I, leftT: leftT, rightT: cp.translate(n.R, nodes)})
 	case *mtl.Prev:
-		argT, err := cp.translate(n.F, nodes)
-		if err != nil {
-			return nil, err
-		}
-		info := &nodeInfo{
-			id: cp.nextID, kind: kindPrev, node: n, vars: mtl.FreeVars(n),
-			iv: n.I, argT: argT, fvars: mtl.FreeVars(n.F),
-		}
-		cp.nextID++
-		*nodes = append(*nodes, info)
-		return info.view(), nil
-	default:
-		return nil, fmt.Errorf("active: translate: non-kernel node %T (%q)", f, f.String())
+		return node(&nodeInfo{kind: kindPrev, iv: n.I, argT: cp.translate(n.F, nodes), fvars: mtl.FreeVars(n.F)})
+	default: // Truth, Atom, Cmp: the kernel has no other node
+		return f
 	}
 }
 
@@ -211,11 +156,11 @@ func (cp *compiler) translate(f mtl.Formula, nodes *[]*nodeInfo) (mtl.Formula, e
 //	2e6+   prev staging (reads the pre-refresh views)
 //	3e6+   prev swap
 func (cp *compiler) compileConstraint(con *check.Constraint) (*compiled, error) {
-	var nodes []*nodeInfo
-	denialT, err := cp.translate(con.Denial, &nodes)
-	if err != nil {
-		return nil, err
+	if !mtl.IsKernel(con.Denial) {
+		return nil, fmt.Errorf("active: constraint %q: denial %q is not in kernel form", con.Name, con.Denial.String())
 	}
+	var nodes []*nodeInfo
+	denialT := cp.translate(con.Denial, &nodes)
 	c := &compiled{
 		con:     con,
 		nodes:   nodes,
@@ -264,23 +209,18 @@ func (n *nodeInfo) sinceRules(base int, params func(uint64, uint64, bool) map[st
 		rules = append(rules, &Rule{
 			Name:       fmt.Sprintf("break_%s", n.auxRel()),
 			Priority:   base,
-			Condition:  &mtl.And{L: aux, R: mtl.Normalize(&mtl.Not{F: n.leftT})},
+			Condition:  &mtl.And{L: aux, R: &mtl.Not{F: n.leftT}},
 			BindParams: params,
 			Actions:    []Action{{Insert: false, Rel: n.auxRel(), Args: aux.Args}},
 		})
 	}
 
-	anchorArgs := make([]mtl.Term, 0, len(n.vars)+1)
-	for _, v := range n.vars {
-		anchorArgs = append(anchorArgs, mtl.Var{Name: v})
-	}
-	anchorArgs = append(anchorArgs, mtl.Var{Name: "__now"})
 	rules = append(rules, &Rule{
 		Name:       fmt.Sprintf("anchor_%s", n.auxRel()),
 		Priority:   base + 1,
 		Condition:  n.rightT,
 		BindParams: params,
-		Actions:    []Action{{Insert: true, Rel: n.auxRel(), Args: anchorArgs}},
+		Actions:    []Action{{Insert: true, Rel: n.auxRel(), Args: n.auxAtom("__now").Args}},
 	})
 
 	if n.iv.Unbounded {

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"rtic/internal/check"
-	"rtic/internal/engine"
 	"rtic/internal/fol"
 	"rtic/internal/mtl"
 	"rtic/internal/obs"
@@ -503,13 +502,6 @@ func (c *Checker) publishAuxGauges(m *obs.Metrics) {
 	m.AuxBytes.Set(int64(st.Bytes))
 }
 
-// StepBatch commits a sequence of transactions in order. On error the
-// committed prefix stays committed and its violations are returned
-// alongside the error.
-func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
-	return engine.SerialBatch(c.Step, steps)
-}
-
 // step runs the four-phase commit pipeline for one transaction,
 // attributing each phase's time through si (nil = uninstrumented).
 func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]check.Violation, error) {
@@ -896,7 +888,7 @@ func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
 }
 
 // State returns the current database state; callers must not mutate it.
-func (c *Checker) State() *storage.State { return c.cur }
+func (c *Checker) State() (*storage.State, error) { return c.cur, nil }
 
 // Len reports the number of committed states.
 func (c *Checker) Len() int { return c.index }

@@ -260,7 +260,11 @@ func TestStateAccessors(t *testing.T) {
 	if c.Len() != 1 || c.Now() != 7 {
 		t.Fatalf("Len=%d Now=%d", c.Len(), c.Now())
 	}
-	ok, err := c.State().Contains("p", tuple.Ints(1))
+	st, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := st.Contains("p", tuple.Ints(1))
 	if err != nil || !ok {
 		t.Fatalf("state lost insert: %v %v", ok, err)
 	}

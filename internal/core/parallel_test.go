@@ -329,6 +329,9 @@ func FuzzLevelSchedule(f *testing.F) {
 	})
 }
 
+// engine.SerialBatch over Step is the batch commit of every engine
+// (rtic.Batch calls it): same violations as stepping one at a time, and
+// on a failing step the committed prefix stays committed.
 func TestStepBatchMatchesSteps(t *testing.T) {
 	h := workload.Tickets(workload.TicketsConfig{Steps: 120, Seed: 21, ViolationRate: 0.1})
 	single := newFromHistory(t, h)
@@ -344,7 +347,7 @@ func TestStepBatchMatchesSteps(t *testing.T) {
 		}
 		want = append(want, vs)
 	}
-	got, err := batch.StepBatch(steps)
+	got, err := engine.SerialBatch(batch.Step, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +374,7 @@ func TestStepBatchPrefixOnError(t *testing.T) {
 		{Time: h.Steps[0].Time, Tx: h.Steps[2].Tx}, // non-increasing: fails
 		{Time: h.Steps[3].Time, Tx: h.Steps[3].Tx},
 	}
-	out, err := c.StepBatch(steps)
+	out, err := engine.SerialBatch(c.Step, steps)
 	if err == nil {
 		t.Fatal("batch with a non-increasing timestamp committed")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"rtic/internal/check"
 	"rtic/internal/engine"
 	"rtic/internal/formgen"
+	"rtic/internal/mtl"
 	"rtic/internal/naive"
 	"rtic/internal/schema"
 	"rtic/internal/spec"
@@ -188,15 +190,19 @@ func TestSkipReemitsViolations(t *testing.T) {
 }
 
 // TestPlannerIsTotal is the planner-coverage table as an assertion:
-// whatever check.Parse admits of 10,000 formgen constraints, the shipped
-// spec files, the five workloads and the cdcgen policies installs — the
-// denial, every node operand and every since chain compile, since the
-// engine has no other evaluator to run them with.
+// whatever check.Parse admits of 10,000 formgen constraints, 10,000
+// formulas from the edge of the safe fragment, the shipped spec files,
+// the five workloads and the cdcgen policies installs — the denial,
+// every node operand and every since chain compile, since the engine
+// has no other evaluator to run them with. mtl.CheckSafe is the one
+// definition of the language; plan.Compile's range-restriction errors
+// are unreachable from anything it admits.
 func TestPlannerIsTotal(t *testing.T) {
-	installed := map[string]int{}
+	installed, refused := map[string]int{}, map[string]int{}
 	install := func(corpus string, s *schema.Schema, src string) {
 		con, err := check.Parse("c", src, s)
 		if err != nil {
+			refused[corpus]++
 			return // outside the language: not the planner's call
 		}
 		if err := New(s).AddConstraint(con); err != nil {
@@ -207,6 +213,7 @@ func TestPlannerIsTotal(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
 		install("formgen", formgen.Schema(), formgen.Constraint(r))
+		install("nearly-safe", formgen.Schema(), formgen.NearlySafe(r))
 	}
 	paths, err := filepath.Glob("../../examples/specs/*.rtic")
 	if err != nil || len(paths) == 0 {
@@ -242,13 +249,20 @@ func TestPlannerIsTotal(t *testing.T) {
 	if installed["formgen"] != 10000 || installed["specs"] == 0 || installed["workloads"] < 9 {
 		t.Fatalf("installed %v: want 10000 formgen constraints, the spec files' and the nine workload and cdcgen ones", installed)
 	}
-	t.Logf("installed %v", installed)
+	// The edge generator is only a test of the line if it lands on both
+	// sides of it.
+	if installed["nearly-safe"] < 2000 || refused["nearly-safe"] < 2000 {
+		t.Fatalf("nearly-safe: %d installed, %d refused of 10000: want at least 2000 of each", installed["nearly-safe"], refused["nearly-safe"])
+	}
+	t.Logf("installed %v, refused by check.Parse %v", installed, refused)
 }
 
 // A quantified variable that no enumerable literal provides can only be
-// decided by ranging over the active domain, which no read set covers:
-// AddConstraint refuses the constraint instead of answering it wrongly
-// on the commits that extend the domain elsewhere.
+// decided by ranging over the active domain, which no read set covers.
+// The language refuses it (mtl.CheckSafe, for every engine), so
+// check.Parse never hands one to AddConstraint; a denial built around
+// the compiler still meets the planner's backstop and leaves nothing
+// installed.
 func TestAddConstraintRefusesUnrestrictedQuantifier(t *testing.T) {
 	s := equivSchema()
 	for _, src := range []string{
@@ -256,9 +270,18 @@ func TestAddConstraintRefusesUnrestrictedQuantifier(t *testing.T) {
 		"p(x) -> not ((exists y: not r(x, y)) since q(x))",
 		"p(x) -> not once[0,4] (q(x) and (exists y: not r(x, y)))",
 	} {
-		con, err := check.Parse("c", src, s)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
+		var se *mtl.SafetyError
+		if _, err := check.Parse("c", src, s); !errors.As(err, &se) {
+			t.Errorf("check.Parse(%q) = %v, want a *mtl.SafetyError", src, err)
+		} else if _, ok := se.Node.(*mtl.Exists); !ok || se.Pos == 0 {
+			t.Errorf("check.Parse(%q) blames %q at position %d, want the quantifier", src, se.Node, se.Pos)
+		}
+		f := mtl.MustParse(src)
+		con := &check.Constraint{
+			Name:    "c",
+			Formula: f,
+			Denial:  mtl.Simplify(mtl.Normalize(&mtl.Not{F: f})),
+			Vars:    mtl.FreeVars(f),
 		}
 		c := New(s)
 		if err := c.AddConstraint(con); err == nil {

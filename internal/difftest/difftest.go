@@ -164,20 +164,7 @@ func baseRels(st *storage.State, s *schema.Schema) (map[string][]string, error) 
 
 // finalState extracts an engine's current base state.
 func finalState(v variant, s *schema.Schema) (map[string][]string, error) {
-	var st *storage.State
-	var err error
-	switch eng := v.eng.(type) {
-	case *naive.Checker:
-		st = eng.State()
-	case *core.Checker:
-		st = eng.State()
-	case *active.Checker:
-		st, err = eng.State()
-	case *shard.Router:
-		st, err = eng.State()
-	default:
-		return nil, fmt.Errorf("difftest: %s: unknown engine type %T", v.label, v.eng)
-	}
+	st, err := v.eng.State()
 	if err != nil {
 		return nil, fmt.Errorf("difftest: %s state: %w", v.label, err)
 	}

@@ -5,10 +5,18 @@
 // Three engines satisfy the contract today: the paper's incremental
 // bounded-history checker (internal/core), the naive full-history
 // evaluator (internal/naive) and the active-DBMS rule route
-// (internal/active). Everything above the engines — rtic.Checker, the
+// (internal/active); the shard router (internal/shard) satisfies it
+// over any of them. Everything above the engines — rtic.Checker, the
 // network monitor, the CLIs, the experiment harness — programs against
-// this interface, so scaling work (sharding, batching, parallel
-// checking) lands behind one seam instead of three.
+// this interface and never asks which engine it holds. The contract
+// carries what those callers use: install, commit, read the state,
+// observe. What every engine would implement as the same line —
+// committing a batch — is a function over Step (SerialBatch), not a
+// method each one copies.
+//
+// The engines also share one language: a constraint compiled by
+// check.Compile is accepted, and planned, by every one of them
+// (mtl.CheckSafe is the only safety rule).
 package engine
 
 import (
@@ -34,12 +42,10 @@ type Engine interface {
 	// increasing across commits) and returns the violation witnesses of
 	// the resulting state.
 	Step(uint64, *storage.Transaction) ([]check.Violation, error)
-	// StepBatch commits a sequence of transactions in order and returns
-	// per-transaction violations, amortizing fixed per-commit overhead
-	// where the engine can. On error the committed prefix stays
-	// committed (the detection-oriented model never rolls back) and the
-	// violations of that prefix are returned alongside the error.
-	StepBatch([]Step) ([][]check.Violation, error)
+	// State returns the current database: the base relations every
+	// engine holds, plus whatever relations the engine manages beside
+	// them. Callers must not mutate it.
+	State() (*storage.State, error)
 	// SetObserver attaches (or detaches, with nil) instrumentation.
 	SetObserver(*obs.Observer)
 }
@@ -50,14 +56,12 @@ type Step struct {
 	Tx   *storage.Transaction
 }
 
-// StepFunc is the single-transaction commit signature of an Engine.
-type StepFunc func(uint64, *storage.Transaction) ([]check.Violation, error)
-
-// SerialBatch implements StepBatch for engines without an amortized
-// batch path: steps commit one at a time through step. It carries the
-// contract's error semantics — the violations of the committed prefix
-// are returned with the error of the failing step.
-func SerialBatch(step StepFunc, steps []Step) ([][]check.Violation, error) {
+// SerialBatch commits a sequence of transactions in order through step
+// and returns per-transaction violations. On error the committed prefix
+// stays committed (the detection-oriented model never rolls back) and
+// the violations of that prefix are returned with the error of the
+// failing step.
+func SerialBatch(step func(uint64, *storage.Transaction) ([]check.Violation, error), steps []Step) ([][]check.Violation, error) {
 	out := make([][]check.Violation, 0, len(steps))
 	for i, s := range steps {
 		vs, err := step(s.Time, s.Tx)

@@ -9,6 +9,7 @@ package formgen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"rtic/internal/check"
 	"rtic/internal/schema"
@@ -169,5 +170,95 @@ func candidate(r *rand.Rand) string {
 		return fmt.Sprintf("%s -> not %s", g, temporal(r, vars, 1))
 	default:
 		return fmt.Sprintf("%s -> %s", g, temporal(r, vars, 1))
+	}
+}
+
+// NearlySafe returns a constraint drawn from the edge of the safe
+// fragment: a safe shape around a quantifier, a filter or a disjunction
+// from which, about half the time, the one guard that made it safe has
+// been removed — a quantified variable nothing inside its quantifier
+// enumerates, a filter variable left unbound, disjuncts over different
+// variables. Unlike Constraint it is not filtered through the compiler:
+// callers check that every engine draws the line in the same place.
+func NearlySafe(r *rand.Rand) string {
+	g, vars := guard(r)
+	// A quantified variable: usually fresh, sometimes one that shadows a
+	// variable bound outside the quantifier.
+	z := "z"
+	if r.Intn(6) == 0 {
+		z = pick(r, vars...)
+	}
+	body := quantBody(r, vars, z, 1)
+	q := z + ": " + body
+	other := pick(r, "x", "y", "w") // a variable the guard may not bind
+	switch r.Intn(10) {
+	case 0: // g ∧ ∃z ¬body
+		return g + " -> forall " + q
+	case 1: // g ∧ ∃z (body ∧ ¬lit)
+		return fmt.Sprintf("%s -> forall %s: (%s -> %s)", g, z, body, quantLit(r, vars, z))
+	case 2: // g ∧ ¬∃z body
+		return g + " -> exists " + q
+	case 3: // g ∧ ∃z body
+		return g + " -> not exists " + q
+	case 4: // a quantifier inside a temporal operand
+		return fmt.Sprintf("%s -> %s%s (exists %s)", g, pick(r, "once", "not once", "prev", "always"), interval(r), q)
+	case 5: // a quantifier on the left of since
+		return fmt.Sprintf("%s -> not ((exists %s) since%s %s)", g, q, interval(r), anchor(r, vars))
+	case 6: // and on its right
+		return fmt.Sprintf("%s -> not (%s since%s (exists %s))", g, atom(r, vars, true), interval(r), q)
+	case 7: // a filter over a variable the guard may not bind
+		return g + " -> " + pick(r, other+" < 3", "not q("+other+")", other+" != "+vars[0], "not once"+interval(r)+" p("+other+")")
+	case 8: // a disjunctive denial whose sides may bind different variables
+		return fmt.Sprintf("not (%s or %s)", anchor(r, vars[:1]), anchor(r, []string{other}))
+	default: // a disjunctive antecedent
+		return fmt.Sprintf("(%s or %s) -> %s", g, anchor(r, []string{other}), atom(r, vars, true))
+	}
+}
+
+func pick(r *rand.Rand, from ...string) string { return from[r.Intn(len(from))] }
+
+// quantBody builds the parenthesized body of a quantifier over z inside
+// a context that binds outer: a conjunction of something that
+// enumerates z and filters over z and outer — or, with the guard
+// removed, the filters alone.
+func quantBody(r *rand.Rand, outer []string, z string, depth int) string {
+	x := pick(r, outer...)
+	var parts []string
+	if r.Intn(2) == 0 {
+		parts = append(parts, pick(r,
+			"q("+z+")", "r("+x+", "+z+")", "r("+z+", "+x+")", z+" = 1",
+			"once"+interval(r)+" q("+z+")",
+			"(p("+z+") or r("+x+", "+z+"))", // both sides bind z
+			"(p("+x+") or r("+x+", "+z+"))", // only one does
+			"(p("+z+") since"+interval(r)+" r("+x+", "+z+"))"))
+	}
+	for n := 1 + r.Intn(2); n > 0; n-- {
+		parts = append(parts, quantFilter(r, outer, z, depth))
+	}
+	r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+	return "(" + strings.Join(parts, " and ") + ")"
+}
+
+// quantLit is one literal over z and the outer variables.
+func quantLit(r *rand.Rand, outer []string, z string) string {
+	x := pick(r, outer...)
+	return pick(r, "p("+z+")", "r("+x+", "+z+")", z+" != "+x, x+" < "+z, z+" = "+x,
+		"once"+interval(r)+" r("+z+", "+x+")")
+}
+
+// quantFilter is a conjunct that tests z without enumerating it: a
+// literal, usually negated, a disjunction, or (below the depth limit) a
+// quantifier of its own.
+func quantFilter(r *rand.Rand, outer []string, z string, depth int) string {
+	switch k := r.Intn(6); {
+	case k == 0:
+		return quantLit(r, outer, z)
+	case k == 1:
+		return "(" + quantLit(r, outer, z) + " or " + atom(r, outer, true) + ")"
+	case k <= 3 && depth > 0:
+		in := append(append([]string(nil), outer...), z)
+		return pick(r, "", "not ") + "exists w: " + quantBody(r, in, "w", depth-1)
+	default:
+		return "not " + quantLit(r, outer, z)
 	}
 }

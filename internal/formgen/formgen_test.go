@@ -46,3 +46,28 @@ func TestConstraintDeterministic(t *testing.T) {
 		t.Fatalf("same seed produced %q and %q", a, b)
 	}
 }
+
+// NearlySafe formulas always parse; whether they compile is the question
+// they exist to ask, and a useful share falls on each side of it.
+func TestNearlySafeStraddlesTheLine(t *testing.T) {
+	s := Schema()
+	r := rand.New(rand.NewSource(3))
+	safe, seen := 0, map[string]bool{}
+	for i := 0; i < 2000; i++ {
+		src := NearlySafe(r)
+		seen[src] = true
+		f, err := mtl.Parse(src)
+		if err != nil {
+			t.Fatalf("unparsable %q: %v", src, err)
+		}
+		if _, err := check.Compile("c", f, s); err == nil {
+			safe++
+		}
+	}
+	if safe < 400 || safe > 1600 || len(seen) < 1000 {
+		t.Fatalf("%d of 2000 safe, %d distinct: want both sides well represented", safe, len(seen))
+	}
+	if a, b := NearlySafe(rand.New(rand.NewSource(7))), NearlySafe(rand.New(rand.NewSource(7))); a != b {
+		t.Fatalf("same seed produced %q and %q", a, b)
+	}
+}

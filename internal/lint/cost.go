@@ -22,14 +22,10 @@ func lintCost(name string, con *check.Constraint, s *schema.Schema, threshold ui
 	}
 	c := core.New(s)
 	if err := c.AddConstraint(con); err != nil {
-		// Core rejects a few denials the compiler admits (e.g. binding
-		// spaces not generated by the anchor); that is a real finding.
-		*out = append(*out, Diagnostic{
-			Rule:       "unsafe",
-			Severity:   Error,
-			Constraint: name,
-			Message:    err.Error(),
-		})
+		// The compiler admits only what the planner compiles, so this is
+		// unreachable for a compiled constraint; a hand-built one that
+		// the engine refuses is reported the way the compiler would.
+		*out = append(*out, unsafeDiag(name, err))
 		return
 	}
 	costs := c.ScheduleCosts()

@@ -207,6 +207,23 @@ func TestUnsafeDiagnostic(t *testing.T) {
 	if d.Severity != Error {
 		t.Errorf("severity = %s, want error", d.Severity)
 	}
+
+	// A quantified variable nothing enumerates is refused by the
+	// language itself, so the finding comes with the safety analyzer's
+	// position — the quantifier — rather than as a planner error from the
+	// cost pass.
+	src := `p(x) -> forall y: r(x, y)`
+	diags = Source("c", src, testSchema(), Options{})
+	d = hasRule(diags, "unsafe")
+	if d == nil || len(diags) != 1 {
+		t.Fatalf("want exactly the unsafe finding; got %v", diags)
+	}
+	if want := strings.Index(src, "forall") + 1; d.Pos != want || d.Node != "exists y: not r(x, y)" {
+		t.Errorf("unsafe finding at %d on %q, want %d on the quantifier", d.Pos, d.Node, want)
+	}
+	if !strings.Contains(d.Message, `quantified variables [y] must be bound`) || strings.Contains(d.Message, "plan:") {
+		t.Errorf("message = %q, want the safety analyzer's reason", d.Message)
+	}
 }
 
 func TestParseDiagnostic(t *testing.T) {

@@ -12,12 +12,10 @@ import (
 	"sync"
 	"time"
 
-	"rtic/internal/active"
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/lint"
-	"rtic/internal/naive"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/shard"
@@ -106,23 +104,19 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 		opt(&o)
 	}
 	m := &Monitor{mode: o.mode, schema: s, subs: make(map[int]chan check.Violation)}
-	switch {
-	case o.shards > 1:
-		rtr, err := shard.NewMode(s, o.shards, o.mode, o.par)
+	factory, err := shard.ModeFactory(s, o.mode, o.par)
+	if err != nil {
+		return nil, fmt.Errorf("monitor: %w", err)
+	}
+	if o.shards > 1 {
+		rtr, err := shard.New(s, o.shards, factory)
 		if err != nil {
 			return nil, fmt.Errorf("monitor: %w", err)
 		}
-		m.rtr = rtr
-		m.eng = rtr
-	case o.mode == engine.Incremental:
-		m.inc = core.New(s, core.WithParallelism(o.par))
-		m.eng = m.inc
-	case o.mode == engine.Naive:
-		m.eng = naive.New(s)
-	case o.mode == engine.ActiveRules:
-		m.eng = active.New(s)
-	default:
-		return nil, fmt.Errorf("monitor: unknown mode %v", o.mode)
+		m.rtr, m.eng = rtr, rtr
+	} else {
+		m.eng = factory()
+		m.inc, _ = m.eng.(*core.Checker)
 	}
 	for _, cs := range constraints {
 		con, err := check.Parse(cs.Name, cs.Source, s)

@@ -110,9 +110,9 @@ func (op CmpOp) Apply(a, b value.Value) bool {
 //
 // Every pointer node carries a Pos: the 1-based byte offset of the
 // node's first token in the source the parser read (0 when the node was
-// built programmatically). Normalize, Simplify and Substitute propagate
-// positions, so diagnostics on rewritten formulas still point into the
-// original source. Pos never participates in Equal.
+// built programmatically). Normalize and Simplify propagate positions,
+// so diagnostics on rewritten formulas still point into the original
+// source. Pos never participates in Equal.
 type Formula interface {
 	isFormula()
 	String() string

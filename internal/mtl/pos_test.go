@@ -80,6 +80,21 @@ func TestSafetyErrorPosition(t *testing.T) {
 	}
 }
 
+// TestSafetyErrorPositionAtQuantifier: a quantified variable nothing
+// binds is reported at its quantifier — here the forall the user wrote,
+// whose position the exists of the denial inherits.
+func TestSafetyErrorPositionAtQuantifier(t *testing.T) {
+	src := `p(x) -> forall y: r(x, y)`
+	err := CheckSafe(Simplify(Normalize(&Not{F: MustParse(src)})))
+	var se *SafetyError
+	if !errors.As(err, &se) {
+		t.Fatalf("got %v, want *SafetyError", err)
+	}
+	if _, ok := se.Node.(*Exists); !ok || se.Pos != strings.Index(src, "forall")+1 {
+		t.Errorf("blames %q at %d, want the quantifier at %d", se.Node, se.Pos, strings.Index(src, "forall")+1)
+	}
+}
+
 // TestNodePosProgrammatic checks that hand-built formulas report
 // position zero (unknown) rather than a bogus offset.
 func TestNodePosProgrammatic(t *testing.T) {

@@ -29,6 +29,21 @@ func TestCheckSafeAccepts(t *testing.T) {
 		"once (p(x) and not q(x))",
 		"p(x) and not (exists y: r(x, y))",
 		"once p(x) and q(x)",
+		// A quantified variable bound inside its quantifier, with the
+		// variables bound outside it counting as bound there.
+		"p(x) and exists y: (r(x, y) and not q(y))",
+		"p(x) and not (exists y: (q(y) and not r(x, y)))",
+		"p(x) and not (exists y: (r(x, y) and x < y))",
+		"p(x) and exists y: (q(y) and (r(x, y) or x = y))",
+		"p(x) and not (exists y: ((r(x, y) and x > 0) or r(y, x)))",
+		"p(x) and not (exists x: q(x))",
+		"p(x) and not (q(x) since (p(x) and exists y: (r(x, y) and not q(y))))",
+		"p(x) and not ((exists y: (q(y) and not r(x, y))) since p(x))",
+		// A temporal operator may bind a quantified variable where the
+		// quantifier is enumerated, and may filter one anywhere.
+		"p(x) and exists y: (once q(y) and r(x, y))",
+		"p(x) and not (exists y: (r(x, y) and not once[0,3] q(y)))",
+		"p(x) and not (exists y: (r(x, y) and x < y and once q(y)))",
 	}
 	for _, src := range safe {
 		f := Normalize(mustParse(t, src))
@@ -52,6 +67,24 @@ func TestCheckSafeRejects(t *testing.T) {
 		{"p(x, y) since q(x)", "do not occur"},
 		{"p(x) and not once not q(x)", "negation"},
 		{"q(y) and (p(x) or not p(x))", "not bound"},
+		// Nothing inside the quantifier enumerates y; that x is bound
+		// outside it does not help.
+		{"p(x) and exists y: not r(x, y)", "quantified variables [y]"},
+		{"p(x) and not (exists y: not r(x, y))", "quantified variables [y]"},
+		{"p(x) and exists y: (x < y)", "quantified variables [y]"},
+		{"p(x) and not (exists y: (q(x) or r(x, y)))", "quantified variables [y]"},
+		{"p(x) and once (q(x) and exists y: not r(x, y))", "quantified variables [y]"},
+		{"p(x) and not ((exists y: not r(x, y)) since p(x))", "quantified variables [y]"},
+		{"p(x) and not (exists y: (q(y) and exists z: not r(y, z)))", "quantified variables [z]"},
+		// A quantifier that reuses an outer name hides the outer binding.
+		{"p(x) and exists x: not q(x)", "quantified variables [x]"},
+		// In a quantifier that filters, only the current state binds: what
+		// once remembers may have left the database.
+		{"p(x) and exists y: (once q(y) and x < y)", "only a temporal operator binds"},
+		{"p(x) and not (exists y: (once q(y) and x < y))", "only a temporal operator binds"},
+		{"p(x) and not (exists y: ((q(y) or prev q(y)) and x < y))", "only a temporal operator binds"},
+		// The fault is z's, not the quantifier's.
+		{"p(x) and exists y: (q(y) and not r(y, z))", "not bound"},
 	}
 	for _, c := range cases {
 		f := mustParse(t, c.src)

@@ -16,7 +16,6 @@ import (
 
 	"rtic/internal/check"
 	"rtic/internal/chronicle"
-	"rtic/internal/engine"
 	"rtic/internal/fol"
 	"rtic/internal/mtl"
 	"rtic/internal/obs"
@@ -113,11 +112,11 @@ func (c *Checker) HistoryBytes() int { return c.hist.Size() }
 
 // State returns the current (latest) database state, or the empty
 // instance before the first commit. Callers must not mutate it.
-func (c *Checker) State() *storage.State {
+func (c *Checker) State() (*storage.State, error) {
 	if c.hist.Len() == 0 {
-		return storage.NewState(c.schema)
+		return storage.NewState(c.schema), nil
 	}
-	return c.hist.State(c.hist.Len() - 1)
+	return c.hist.State(c.hist.Len() - 1), nil
 }
 
 // SetObserver attaches (or detaches, with nil) the instrumentation
@@ -131,12 +130,6 @@ func (c *Checker) SetObserver(o *obs.Observer) {
 		// dashboards read a truthful 1 rather than a stale value.
 		m.ParallelWorkers.Set(1)
 	}
-}
-
-// StepBatch commits a sequence of transactions one at a time; the naive
-// route has no amortizable per-commit overhead.
-func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
-	return engine.SerialBatch(c.Step, steps)
 }
 
 // Step commits a transaction at time t and checks every constraint in

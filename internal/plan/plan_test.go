@@ -657,3 +657,55 @@ func FuzzPlanExec(f *testing.F) {
 		formulaAgreesWithTreeWalk(t, formulaSeed, dataSeed)
 	})
 }
+
+// TestCheckSafeAdmitsOnlyWhatCompiles: mtl.CheckSafe is the one definition
+// of a range-restricted formula, and Compile's own range-restriction
+// errors guard hand-built input only. Whatever CheckSafe admits of
+// 10,000 formulas from the edge of the safe fragment compiles — the
+// denial, every temporal operand, every since chain — and the first few
+// hundred agree with the tree-walking evaluator on random states, which
+// decides their quantifiers over the active domain. Around the
+// compiler the backstop still stands.
+func TestCheckSafeAdmitsOnlyWhatCompiles(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	st, _ := randomState(t, 1)
+	admitted, refused := 0, 0
+	for i := 0; i < 10000; i++ {
+		src := formgen.NearlySafe(r)
+		denial := mtl.Simplify(mtl.Normalize(&mtl.Not{F: mtl.MustParse(src)}))
+		if mtl.CheckSafe(denial) != nil {
+			refused++
+			continue
+		}
+		admitted++
+		for _, k := range kernelsOf(denial) {
+			if _, err := Compile(k.f, st, k.inputs); err != nil {
+				t.Errorf("CheckSafe admits the denial of %q, Compile refuses its kernel %q: %v", src, k.f.String(), err)
+			}
+		}
+		if admitted <= 300 {
+			for ds := int64(0); ds < 3; ds++ {
+				rst, rdomain := randomState(t, ds)
+				assertAgree(t, rst, newFakeOracle(ds, rdomain), denial)
+			}
+		}
+	}
+	if admitted < 2000 || refused < 2000 {
+		t.Fatalf("%d admitted, %d refused: the generator should land on both sides of the line", admitted, refused)
+	}
+	t.Logf("CheckSafe admitted %d of 10000, every kernel compiled; refused %d", admitted, refused)
+
+	for _, tc := range []struct{ src, want string }{
+		{"p(x) and exists y: not r(x, y)", "unbound variables no enumerable literal provides"},
+		{"p(x) and not exists y: (q(x) or r(x, y))", "does not bind output variable"},
+		{"p(x) or q(y)", "does not bind output variable"},
+	} {
+		f := mtl.Normalize(mtl.MustParse(tc.src))
+		if mtl.CheckSafe(f) == nil {
+			t.Errorf("CheckSafe admits %q", tc.src)
+		}
+		if _, err := Compile(f, st, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Compile(%q) = %v, want the backstop %q", tc.src, err, tc.want)
+		}
+	}
+}

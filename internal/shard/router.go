@@ -79,21 +79,30 @@ func New(s *schema.Schema, shards int, factory Factory) (*Router, error) {
 	return &Router{schema: s, n: shards, factory: factory, names: make(map[string]bool), plan: plan}, nil
 }
 
-// NewMode is New with the factory derived from an engine mode, the
-// shape the public checker and the monitor use. Parallelism sets each
-// shard engine's commit-pipeline width in Incremental mode, with
-// core.WithParallelism's meaning (below 2: inline).
-func NewMode(s *schema.Schema, shards int, mode engine.Mode, parallelism int) (*Router, error) {
-	var factory Factory
+// ModeFactory returns the factory of an engine mode: the one place a
+// mode name becomes a constructor, for the router's shards and for
+// everything that runs one engine unsharded (the public checker, the
+// monitor, the CLIs). Parallelism sets the commit-pipeline width in
+// Incremental mode, with core.WithParallelism's meaning (below 2:
+// inline); the other engines check sequentially.
+func ModeFactory(s *schema.Schema, mode engine.Mode, parallelism int) (Factory, error) {
 	switch mode {
 	case engine.Incremental:
-		factory = func() engine.Engine { return core.New(s, core.WithParallelism(parallelism)) }
+		return func() engine.Engine { return core.New(s, core.WithParallelism(parallelism)) }, nil
 	case engine.Naive:
-		factory = func() engine.Engine { return naive.New(s) }
+		return func() engine.Engine { return naive.New(s) }, nil
 	case engine.ActiveRules:
-		factory = func() engine.Engine { return active.New(s) }
+		return func() engine.Engine { return active.New(s) }, nil
 	default:
 		return nil, fmt.Errorf("shard: unknown engine mode %v", mode)
+	}
+}
+
+// NewMode is New over ModeFactory's engines.
+func NewMode(s *schema.Schema, shards int, mode engine.Mode, parallelism int) (*Router, error) {
+	factory, err := ModeFactory(s, mode, parallelism)
+	if err != nil {
+		return nil, err
 	}
 	return New(s, shards, factory)
 }
@@ -423,11 +432,6 @@ func (r *Router) merge(outs [][]check.Violation) []check.Violation {
 	return vs
 }
 
-// StepBatch commits steps in order, stopping at the first error.
-func (r *Router) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
-	return engine.SerialBatch(r.Step, steps)
-}
-
 // Now returns the timestamp of the last committed transaction.
 func (r *Router) Now() uint64 { return r.now }
 
@@ -454,7 +458,7 @@ func (r *Router) State() (*storage.State, error) {
 		return merged, nil
 	}
 	for i, e := range r.engines {
-		st, err := engineState(e)
+		st, err := e.State()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -478,20 +482,6 @@ func (r *Router) State() (*storage.State, error) {
 		}
 	}
 	return merged, nil
-}
-
-// engineState extracts the current database from one shard engine.
-func engineState(e engine.Engine) (*storage.State, error) {
-	switch c := e.(type) {
-	case *core.Checker:
-		return c.State(), nil
-	case *naive.Checker:
-		return c.State(), nil
-	case *active.Checker:
-		return c.State()
-	default:
-		return nil, fmt.Errorf("shard: engine %T does not expose its state", e)
-	}
 }
 
 // Stats sums the incremental auxiliary-storage statistics across the

@@ -126,7 +126,7 @@ func TestRouterMatchesUnsharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !st.Equal(ref.State()) {
+				if want, _ := ref.State(); !st.Equal(want) {
 					t.Fatalf("seed %d shards %d: final states diverge", seed, r.Shards())
 				}
 				rs, ws := r.Stats(), ref.Stats()

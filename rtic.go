@@ -37,14 +37,12 @@ import (
 	"log/slog"
 	"time"
 
-	"rtic/internal/active"
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/fol"
 	"rtic/internal/lint"
 	"rtic/internal/mtl"
-	"rtic/internal/naive"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/shard"
@@ -278,22 +276,19 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 		o(&cfg)
 	}
 	c := &Checker{schema: s, mode: cfg.mode, obs: cfg.obs, lintMode: cfg.lint}
-	switch {
-	case cfg.shards > 1:
-		rtr, err := shard.NewMode(s, cfg.shards, cfg.mode, cfg.par)
+	factory, err := shard.ModeFactory(s, cfg.mode, cfg.par)
+	if err != nil {
+		return nil, fmt.Errorf("rtic: %w", err)
+	}
+	if cfg.shards > 1 {
+		rtr, err := shard.New(s, cfg.shards, factory)
 		if err != nil {
 			return nil, fmt.Errorf("rtic: %w", err)
 		}
 		c.eng, c.rtr = rtr, rtr
-	case cfg.mode == Incremental:
-		inc := core.New(s, core.WithParallelism(cfg.par))
-		c.eng, c.inc = inc, inc
-	case cfg.mode == Naive:
-		c.eng = naive.New(s)
-	case cfg.mode == ActiveRules:
-		c.eng = active.New(s)
-	default:
-		return nil, fmt.Errorf("rtic: unknown mode %v", cfg.mode)
+	} else {
+		c.eng = factory()
+		c.inc, _ = c.eng.(*core.Checker)
 	}
 	if cfg.obs != nil {
 		c.eng.SetObserver(cfg.obs)
@@ -517,11 +512,10 @@ func (t *Tx) Commit(time uint64) ([]Violation, error) {
 	return vs, nil
 }
 
-// Batch accumulates transactions for one amortized multi-commit: each
-// added transaction still commits atomically at its own timestamp, but
-// fixed per-commit overhead (for the incremental engine, the
-// auxiliary-storage gauge refresh) is paid once per batch — the bulk
-// path for replaying a backlog or ingesting a high-rate feed.
+// Batch accumulates transactions for one multi-commit call: each added
+// transaction commits atomically at its own timestamp, in order, and
+// the call stops at the first that fails — the bulk path for replaying
+// a backlog.
 type Batch struct {
 	c     *Checker
 	steps []engine.Step
@@ -558,7 +552,7 @@ func (b *Batch) Commit() ([][]Violation, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	out, err := b.c.eng.StepBatch(b.steps)
+	out, err := engine.SerialBatch(b.c.eng.Step, b.steps)
 	if len(out) > 0 {
 		b.c.started = true
 	}
@@ -636,7 +630,7 @@ func (c *Checker) Query(src string) (*QueryResult, error) {
 	if err := mtl.CheckSafe(kernel); err != nil {
 		return nil, err
 	}
-	st, err := c.currentState()
+	st, err := c.eng.State()
 	if err != nil {
 		return nil, err
 	}
@@ -645,21 +639,6 @@ func (c *Checker) Query(src string) (*QueryResult, error) {
 		return nil, err
 	}
 	return &QueryResult{Vars: b.Vars(), Rows: b.Rows()}, nil
-}
-
-func (c *Checker) currentState() (*storage.State, error) {
-	switch eng := c.eng.(type) {
-	case *core.Checker:
-		return eng.State(), nil
-	case *naive.Checker:
-		return eng.State(), nil
-	case *active.Checker:
-		return eng.State()
-	case *shard.Router:
-		return eng.State()
-	default:
-		return nil, fmt.Errorf("rtic: unknown engine %T", c.eng)
-	}
 }
 
 // queryOracle rejects temporal nodes; queries are pure first-order.
