@@ -11,6 +11,8 @@ package check
 import (
 	"fmt"
 	"regexp"
+	"slices"
+	"strconv"
 
 	"rtic/internal/fol"
 	"rtic/internal/mtl"
@@ -101,57 +103,87 @@ type Violation struct {
 	Index int
 	Time  uint64
 	// Vars and Binding give the witness: Binding[i] is the value of
-	// Vars[i]. Both are empty for closed constraints.
+	// Vars[i]. Both are empty for closed constraints. Binding may share
+	// storage with the checker's answer set: read it, do not modify it.
 	Vars    []string
 	Binding tuple.Tuple
 }
 
 // String renders the violation for reports and logs.
-func (v Violation) String() string {
-	if len(v.Vars) == 0 {
-		return fmt.Sprintf("%s violated at state %d (time %d)", v.Constraint, v.Index, v.Time)
-	}
-	s := fmt.Sprintf("%s violated at state %d (time %d) by ", v.Constraint, v.Index, v.Time)
+func (v Violation) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the String() rendering of v to dst and returns the
+// extended slice — how a server writes a violation line into its reply
+// buffer without building a string.
+func (v Violation) AppendTo(dst []byte) []byte {
+	dst = append(dst, v.Constraint...)
+	dst = append(dst, " violated at state "...)
+	dst = strconv.AppendInt(dst, int64(v.Index), 10)
+	dst = append(dst, " (time "...)
+	dst = strconv.AppendUint(dst, v.Time, 10)
+	dst = append(dst, ')')
 	for i, name := range v.Vars {
-		if i > 0 {
-			s += ", "
+		if i == 0 {
+			dst = append(dst, " by "...)
+		} else {
+			dst = append(dst, ", "...)
 		}
-		s += name + "=" + v.Binding[i].String()
+		dst = append(dst, name...)
+		dst = append(dst, '=')
+		dst = v.Binding[i].AppendTo(dst)
 	}
-	return s
+	return dst
+}
+
+// Columns returns the column of each of c's variables in rows aligned
+// with vars — the sorted free variables of an answer of c's denial —
+// or nil when those columns are c's variables in order, which
+// check.Compile makes the case for every denial that can answer at all.
+func (c *Constraint) Columns(vars []string) ([]int, error) {
+	cols := make([]int, len(c.Vars))
+	same := len(vars) == len(c.Vars)
+	for i, v := range c.Vars {
+		cols[i] = slices.Index(vars, v)
+		if cols[i] < 0 {
+			return nil, fmt.Errorf("check: denial binding misses constraint variable %q", v)
+		}
+		same = same && cols[i] == i
+	}
+	if same {
+		return nil, nil
+	}
+	return cols, nil
+}
+
+// AppendViolations appends the violation each row of b witnesses, in b's
+// iteration order; cols are c.Columns(b.Vars()). With cols nil the row
+// itself is the violation's Binding: answer sets are immutable once
+// published, so nothing is copied.
+func AppendViolations(dst []Violation, c *Constraint, cols []int, index int, t uint64, b *fol.Bindings) []Violation {
+	if b.Empty() {
+		return dst
+	}
+	b.EachRow(func(row tuple.Tuple) bool {
+		if cols != nil {
+			row = row.Project(cols)
+		}
+		dst = append(dst, Violation{Constraint: c.Name, Index: index, Time: t, Vars: c.Vars, Binding: row})
+		return true
+	})
+	return dst
 }
 
 // FromBindings converts the satisfying bindings of a constraint's denial
-// into violation reports. The binding set must range over a subset of
+// into violation reports. The binding set must range over a superset of
 // the constraint's variables (denial and constraint share free
 // variables).
 func FromBindings(c *Constraint, index int, t uint64, b *fol.Bindings) ([]Violation, error) {
 	if b.Empty() {
 		return nil, nil
 	}
-	var out []Violation
-	var convErr error
-	b.Each(func(env fol.Env) bool {
-		row := make(tuple.Tuple, len(c.Vars))
-		for i, v := range c.Vars {
-			val, ok := env[v]
-			if !ok {
-				convErr = fmt.Errorf("check: denial binding misses constraint variable %q", v)
-				return false
-			}
-			row[i] = val
-		}
-		out = append(out, Violation{
-			Constraint: c.Name,
-			Index:      index,
-			Time:       t,
-			Vars:       c.Vars,
-			Binding:    row,
-		})
-		return true
-	})
-	if convErr != nil {
-		return nil, convErr
+	cols, err := c.Columns(b.Vars())
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return AppendViolations(nil, c, cols, index, t, b), nil
 }

@@ -7,6 +7,7 @@ import (
 	"rtic/internal/fol"
 	"rtic/internal/mtl"
 	"rtic/internal/schema"
+	"rtic/internal/tuple"
 	"rtic/internal/value"
 )
 
@@ -71,6 +72,15 @@ func TestViolationString(t *testing.T) {
 	if got := v.String(); !strings.Contains(got, "e=9") {
 		t.Fatalf("open violation = %q", got)
 	}
+	v.Vars = []string{"e", "n"}
+	v.Binding = append(v.Binding, value.Str("o'k"))
+	want := "c violated at state 3 (time 77) by e=9, n='o''k'"
+	if got := v.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got := string(v.AppendTo([]byte("violation "))); got != "violation "+want {
+		t.Fatalf("AppendTo = %q", got)
+	}
 }
 
 func TestFromBindings(t *testing.T) {
@@ -89,6 +99,13 @@ func TestFromBindings(t *testing.T) {
 		if v.Constraint != "no_quick_rehire" || v.Index != 2 || v.Time != 50 {
 			t.Fatalf("violation fields wrong: %+v", v)
 		}
+	}
+	// Rows over more variables than the constraint's are projected.
+	wide := fol.NewBindings([]string{"a", "e"})
+	_ = wide.Add(fol.Env{"a": value.Int(1), "e": value.Int(7)})
+	vs, err = FromBindings(c, 2, 50, wide)
+	if err != nil || len(vs) != 1 || !vs[0].Binding.Equal(tuple.Ints(7)) {
+		t.Fatalf("FromBindings over (a, e) = %v err=%v", vs, err)
 	}
 	// Empty bindings yield no violations.
 	empty := fol.NewBindings([]string{"e"})

@@ -717,7 +717,7 @@ func (f *sinceFamily) deltaAnchors(sc *stepCtx, prev uint64) error {
 		return nil
 	}
 	var eerr error
-	err := f.rhs.derive(sc, func(row tuple.Tuple) bool {
+	_, err := f.rhs.derive(sc, func(row tuple.Tuple) bool {
 		_, eerr = f.enter(sc, row)
 		return eerr == nil
 	})
@@ -934,6 +934,17 @@ func (s *sinceNode) test(env fol.Env, now uint64) (bool, error) {
 func (s *sinceNode) testKey(key []byte, now uint64) (bool, error) {
 	e, ok := s.fam.entries[string(key)]
 	return ok && s.satisfied(e, now), nil
+}
+
+// place returns the place of the row whose key is key in the members'
+// answers as of the last commit: members[place:] hold it.
+//
+//rtic:noalloc
+func (f *sinceFamily) place(key []byte) int {
+	if e, ok := f.entries[string(key)]; ok {
+		return e.sat
+	}
+	return len(f.members)
 }
 
 func (s *sinceNode) dirty() bool { return len(s.added)+len(s.removed) > 0 }

@@ -14,7 +14,9 @@ import (
 	"rtic/internal/workload"
 )
 
-// Micro-benchmarks of one Step on a warmed-up checker, per operator.
+// Micro-benchmarks of one Step on a warmed-up checker, per operator —
+// each a denial family of one, so plan-execs/commit watches the path every
+// denial no other resembles takes.
 func BenchmarkStep(b *testing.B) {
 	cases := []struct{ name, src string }{
 		{"once-bounded", "p(x) -> not once[0,100] q(x)"},
@@ -44,6 +46,7 @@ func BenchmarkStep(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			e0 := planExecs(c)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -58,6 +61,8 @@ func BenchmarkStep(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(planExecs(c)-e0)/float64(b.N), "plan-execs/commit")
 		})
 	}
 }
@@ -123,21 +128,33 @@ func visitedEntries(c *Checker) int {
 	return n
 }
 
+// planExecs sums the plan executions every denial family ran so far.
+func planExecs(c *Checker) int {
+	n := 0
+	for _, df := range c.denials {
+		n += df.execs
+	}
+	return n
+}
+
 // BenchmarkStepWidePolicies steps the policy-wide feed (35 policies,
 // 1,024 sensors, cdcgen seed 7, metrics attached as in rticd) in
 // process. One op is one commit. Before the timed loop a counted pass
 // over gateCommits commits — long enough to average over the feed's
 // stream kinds and burst trains, so the figure does not depend on b.N —
-// reports allocations and entries visited per commit, and fails the
-// benchmark when a commit allocates more than maxAllocs or resolves more
-// than maxVisits entries: the update phase is delta-driven, the 25
-// windows over reading(s) read one table, and both must stay so.
+// reports allocations, entries visited and check-phase plan executions
+// per commit, and fails the benchmark when a commit allocates more than
+// maxAllocs, resolves more than maxVisits entries or runs more than
+// maxExecs plans: the update phase is delta-driven, the 25 windows over
+// reading(s) read one table, the 34 policies over them are checked as two
+// denial families, and all three must stay so.
 func BenchmarkStepWidePolicies(b *testing.B) {
 	const (
 		warm        = 2000
 		gateCommits = 4000
 		maxAllocs   = 45
 		maxVisits   = 8
+		maxExecs    = 2
 	)
 	cfg := cdcgen.Config{
 		Steps: warm + gateCommits + b.N, Seed: 7, Sensors: 1024,
@@ -166,11 +183,12 @@ func BenchmarkStepWidePolicies(b *testing.B) {
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	v0 := visitedEntries(c)
+	v0, e0 := visitedEntries(c), planExecs(c)
 	replay(h.Steps[warm : warm+gateCommits])
 	runtime.ReadMemStats(&m1)
 	allocs := float64(m1.Mallocs-m0.Mallocs) / gateCommits
 	visits := float64(visitedEntries(c)-v0) / gateCommits
+	execs := float64(planExecs(c)-e0) / gateCommits
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -178,10 +196,14 @@ func BenchmarkStepWidePolicies(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(allocs, "allocs/commit")
 	b.ReportMetric(visits, "visits/commit")
+	b.ReportMetric(execs, "plan-execs/commit")
 	if allocs > maxAllocs {
 		b.Fatalf("%.1f allocations per commit over %d commits, want at most %d", allocs, gateCommits, maxAllocs)
 	}
 	if visits > maxVisits {
 		b.Fatalf("%.2f entries resolved per commit over %d commits, want at most %d", visits, gateCommits, maxVisits)
+	}
+	if execs > maxExecs {
+		b.Fatalf("%.2f plan executions per commit over %d commits, want at most %d", execs, gateCommits, maxExecs)
 	}
 }

@@ -77,6 +77,11 @@ type Checker struct {
 	conStates []*conState
 	delta     map[string]*relDelta
 	lastSkips []SkipInfo
+	// denials are the check phase's units of work, in the order of their
+	// first constraints; denialKeys files those other denials may join
+	// under their denialKey.
+	denials    []*denialFamily
+	denialKeys map[string]*denialFamily
 
 	index   int
 	now     uint64
@@ -119,8 +124,8 @@ type Option func(*Checker)
 
 // conState is the per-constraint planning state: the compiled denial
 // plan with its seed sources, the read-set index the skip decision
-// consults, and the previous commit's denial answer for reuse and
-// retesting.
+// consults, the previous commit's denial answer for reuse and
+// retesting, and the denial family the constraint is checked in.
 type conState struct {
 	seeded
 	// readRels are the delta slots of the relations of the denial's
@@ -128,13 +133,19 @@ type conState struct {
 	// temporal subformulas; together they form the constraint's read set.
 	readRels []*relDelta
 	nodes    []auxNode
+	// cols places the constraint's variables in the answer's rows (nil:
+	// in order, see check.Constraint.Columns).
+	cols []int
 	// lastB is the denial's answer at the previous commit; nil until the
 	// first check. Published answers are immutable:
 	// a commit that changes the answer builds a new set.
-	lastB *fol.Bindings
-	// lost and keyBuf are seminaive's scratch.
-	lost   []tuple.Tuple
-	keyBuf []byte
+	lastB  *fol.Bindings
+	family *denialFamily
+	// vary is the window of the conjunct that sets the denial apart in its
+	// family, nil when no other denial can join it.
+	vary *sinceNode
+	// lost is seedFamily's scratch.
+	lost []tuple.Tuple
 }
 
 // WithParallelism sets the worker-pool width of the commit pipeline.
@@ -159,6 +170,8 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		levelOf:  make(map[auxNode]int),
 		par:      1,
 		delta:    make(map[string]*relDelta),
+
+		denialKeys: make(map[string]*denialFamily),
 	}
 	for _, name := range s.Names() {
 		c.delta[name] = &relDelta{}
@@ -183,12 +196,12 @@ func (c *Checker) DisablePruning() error {
 }
 
 // AddConstraint installs a compiled constraint: it compiles the denial
-// to a query plan and builds auxiliary nodes, each with the plans of its
-// own operands, for its temporal subformulas. A formula the planner
-// cannot range-restrict is refused here — the engine has no second
-// evaluator to hand it to. Constraints must be installed before the
-// first transaction: the encoding summarizes the history from its
-// beginning.
+// to a query plan, builds auxiliary nodes, each with the plans of its
+// own operands, for its temporal subformulas, and files the denial in
+// its denial family. A formula the planner cannot range-restrict is
+// refused here — the engine has no second evaluator to hand it to.
+// Constraints must be installed before the first transaction: the
+// encoding summarizes the history from its beginning.
 func (c *Checker) AddConstraint(con *check.Constraint) error {
 	if c.started {
 		return fmt.Errorf("core: constraint %q added after the history started; the auxiliary encoding would miss past states", con.Name)
@@ -200,6 +213,12 @@ func (c *Checker) AddConstraint(con *check.Constraint) error {
 	if err != nil {
 		return err
 	}
+	// check.Compile has the denial bind every constraint variable unless it
+	// is identically false, and then it never answers.
+	cols, err := con.Columns(p.Vars())
+	if f, ok := con.Denial.(mtl.Truth); err != nil && (!ok || f.Bool) {
+		return err
+	}
 	if err := c.compile(con.Denial); err != nil {
 		return err
 	}
@@ -209,7 +228,9 @@ func (c *Checker) AddConstraint(con *check.Constraint) error {
 		seeded:   c.seedsOf(p),
 		readRels: c.skeletonDeltas(con.Denial),
 		nodes:    c.directNodes(con.Denial),
+		cols:     cols,
 	})
+	c.joinFamily(len(c.constraints) - 1)
 	c.syncConMetrics()
 	return nil
 }
@@ -686,14 +707,15 @@ func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, detai
 // time every commit, carry the totals.
 const checkSampleEvery = 16
 
-// checkPhase evaluates every constraint's denial against the new state,
-// concurrently when the pipeline is parallel. Violations are collected
-// per constraint and flattened in installation order, and per-
-// constraint metrics and constraint.check spans are emitted in that same
-// order, so results are identical to the sequential pipeline's.
-// Violation counts are exact; check latency is observed on sampled
-// commits only, and on every commit for a span sink that asked for
-// detail, which gets each check as a child of the phase span.
+// checkPhase evaluates every constraint's denial against the new state:
+// once per denial family, concurrently when the pipeline is parallel.
+// Violations are then read off each constraint's answer in installation
+// order, and per-constraint metrics and constraint.check spans are
+// emitted in that same order, so results are identical to the sequential
+// pipeline's. Violation counts are exact; check latency is observed on
+// sampled commits only, and on every commit for a span sink that asked
+// for detail, which gets each check as a child of the phase span. A
+// constraint's latency is its family's: the one run that answered it.
 func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
@@ -701,6 +723,9 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	}
 	if len(c.lastSkips) != n {
 		c.lastSkips = make([]SkipInfo, n)
+		for i, con := range c.constraints {
+			c.lastSkips[i].Constraint = con.Name
+		}
 	}
 	var m *obs.Metrics
 	if si != nil {
@@ -708,120 +733,104 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	}
 	detail := si.detailUnder(span)
 	sampled := m != nil && c.index%checkSampleEvery == 0
-	timed := sampled || detail != nil
-	t := sc.t
-	// count books check i's violations and, on sampled commits, its
-	// duration d.
-	count := func(i int, d time.Duration, found int) {
+	if err := c.runFamilies(sc, si, span, sampled || detail != nil); err != nil {
+		return nil, err
+	}
+	var out []check.Violation
+	for i, con := range c.constraints {
+		cs := c.conStates[i]
+		found := len(out)
+		out = check.AppendViolations(out, con, cs.cols, c.index, sc.t, cs.lastB)
+		found = len(out) - found
+		df := cs.family
 		if m != nil && i < len(c.conMetrics) {
 			if sampled {
-				c.conMetrics[i].seconds.Observe(d.Seconds())
+				c.conMetrics[i].seconds.Observe(df.dur.Seconds())
 			}
 			if found > 0 {
 				c.conMetrics[i].violations.Add(uint64(found))
 			}
 		}
-	}
-	if c.par <= 1 || n == 1 {
-		var out []check.Violation
-		for i := range c.constraints {
-			var c0 time.Time
-			if timed {
-				c0 = time.Now()
-			}
-			vs, err := c.checkCon(sc, i, t)
-			var d time.Duration
-			if timed {
-				d = time.Since(c0)
-			}
-			count(i, d, len(vs))
-			if detail != nil {
-				detail.Children = append(detail.Children, &obs.Span{
-					Name: obs.SpanConstraintCheck, Detail: c.constraints[i].Name,
-					Time: t, Start: c0, Dur: d, Err: err,
-				})
-			}
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, vs...)
-		}
-		return out, nil
-	}
-	results := make([][]check.Violation, n)
-	errs := make([]error, n)
-	batchStart := time.Now()
-	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		results[i], errs[i] = c.checkCon(sc, i, t)
-	})
-	si.attributePool(span, batchStart, "", timings)
-	var out []check.Violation
-	for i := range c.constraints {
-		var tt taskTiming // zero when nothing observes the commit
-		if timings != nil {
-			tt = timings[i]
-		}
-		count(i, tt.dur, len(results[i]))
 		if detail != nil {
-			detail.Children = append(detail.Children,
-				taskSpan(obs.SpanConstraintCheck, c.constraints[i].Name, t, batchStart, tt, errs[i]))
+			detail.Children = append(detail.Children, &obs.Span{
+				Name: obs.SpanConstraintCheck, Detail: con.Name,
+				Time: sc.t, Track: df.track, Start: df.start, Dur: df.dur,
+			})
 		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, vs := range results {
-		out = append(out, vs...)
 	}
 	return out, nil
 }
 
-// checkCon checks constraint i at time t through the cheapest sound
-// strategy: reuse the previous answer when the commit touched nothing
-// the denial reads, re-derive semi-naively from the delta when every
-// changed source has exact row-level changes, otherwise run the
-// compiled plan in full.
-func (c *Checker) checkCon(sc *stepCtx, i int, t uint64) ([]check.Violation, error) {
-	con := c.constraints[i]
-	cs := c.conStates[i]
-	clean := !anyChanged(cs.readRels) && !anyDirty(cs.nodes)
-	if clean && cs.lastB != nil {
-		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSkipped, Reason: "read set untouched"}
-		return check.FromBindings(con, c.index, t, cs.lastB)
+// runFamilies checks every denial family, inline or on the worker pool;
+// with timed set each family records when it ran and for how long. The
+// returned error is the first family's, in family order.
+func (c *Checker) runFamilies(sc *stepCtx, si *stepInstr, span *obs.Span, timed bool) error {
+	if c.par <= 1 || len(c.denials) == 1 {
+		for _, df := range c.denials {
+			if timed {
+				df.start = time.Now()
+			}
+			err := c.checkFamily(sc, df)
+			if timed {
+				df.dur = time.Since(df.start)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if cs.canSeed && cs.lastB != nil && !cs.inexactDirty() {
+	errs := make([]error, len(c.denials))
+	batchStart := time.Now()
+	timings := c.runTasksTimed(len(c.denials), si != nil, func(k int) {
+		errs[k] = c.checkFamily(sc, c.denials[k])
+	})
+	si.attributePool(span, batchStart, "", timings)
+	for k, df := range c.denials {
+		if timings != nil {
+			tt := timings[k]
+			df.start, df.dur, df.track = batchStart.Add(tt.start), tt.dur, tt.worker+1
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decide records in lastSkips what constraint i needs this commit: the
+// cheapest sound strategy, as a checker holding it alone picks it from
+// its own read set — reuse the previous answer when the commit touched
+// nothing the denial reads, re-derive semi-naively from the delta when
+// every changed source has exact row-level changes, otherwise run the
+// compiled plan in full.
+func (c *Checker) decide(i int) {
+	cs := c.conStates[i]
+	si := &c.lastSkips[i]
+	clean := !anyChanged(cs.readRels) && !anyDirty(cs.nodes)
+	switch {
+	case clean && cs.lastB != nil:
+		si.Action, si.Reason = ActionSkipped, "read set untouched"
+	case cs.canSeed && cs.lastB != nil && !cs.inexactDirty():
 		if cs.lastB.Empty() && !cs.moved(true) {
 			// Nothing to retest, and no changed source has rows in the
 			// direction that could complete a derivation.
-			c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSkipped, Reason: "delta cannot add an answer"}
-			return nil, nil
+			si.Action, si.Reason = ActionSkipped, "delta cannot add an answer"
+		} else {
+			si.Action, si.Reason = ActionSeeded, "re-derived from delta"
 		}
-		b, err := c.seminaive(sc, cs)
-		if err != nil {
-			return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
-		}
-		cs.lastB = b
-		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSeeded, Reason: "re-derived from delta"}
-		return check.FromBindings(con, c.index, t, b)
+	default:
+		si.Action, si.Reason = ActionPlanned, fullEvalReason(cs)
 	}
-	b, err := cs.plan.Eval(c.cur, &sc.orc, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
-	}
-	cs.lastB = b
-	c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionPlanned, Reason: fullEvalReason(clean, cs)}
-	return check.FromBindings(con, c.index, t, b)
 }
 
 // fullEvalReason explains why a planned constraint ran in full.
-func fullEvalReason(clean bool, cs *conState) string {
+func fullEvalReason(cs *conState) string {
 	switch {
 	case cs.lastB == nil:
 		return "no previous answer"
-	case clean:
-		return "read set untouched but unseedable" // unreachable with lastB set
 	case !cs.canSeed:
 		return "plan not seedable"
 	default:
@@ -829,63 +838,8 @@ func fullEvalReason(clean bool, cs *conState) string {
 	}
 }
 
-// seminaive re-derives the denial answer from the previous one and the
-// commit's delta: surviving rows are retested under the new state when
-// some source moved in the direction that can drop an answer, and each
-// source that moved the other way seeds plan execution with its delta
-// rows — any *new* answer needs a literal that flipped this commit, and
-// every flip appears in a relation delta or an exact node answer delta.
-// The previous set is returned as is when the answer did not move; a new
-// one is only built once a retest fails or a seed emits a new row.
-func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
-	last := cs.lastB
-	var rerr error
-	cs.lost = cs.lost[:0]
-	if !last.Empty() && cs.moved(false) {
-		last.EachRow(func(row tuple.Tuple) bool {
-			ok, err := cs.plan.RetestRow(c.cur, &sc.orc, row)
-			if err != nil {
-				rerr = err
-				return false
-			}
-			if !ok {
-				cs.lost = append(cs.lost, row)
-			}
-			return true
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-	}
-	out := last
-	if len(cs.lost) > 0 {
-		out = last.Clone()
-		for _, row := range cs.lost {
-			out.RemoveKey(row.Key())
-		}
-	}
-	if !cs.moved(true) {
-		return out, nil
-	}
-	err := cs.derive(sc, func(row tuple.Tuple) bool {
-		cs.keyBuf = row.AppendKeyTo(cs.keyBuf[:0])
-		if out.ContainsKeyBytes(cs.keyBuf) {
-			return true
-		}
-		if out == last {
-			out = last.Clone()
-		}
-		rerr = out.AddRow(row)
-		return rerr == nil
-	})
-	if err == nil {
-		err = rerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// running reports whether constraint i's answer is re-derived this commit.
+func (c *Checker) running(i int) bool { return c.lastSkips[i].Action != ActionSkipped }
 
 // State returns the current database state; callers must not mutate it.
 func (c *Checker) State() (*storage.State, error) { return c.cur, nil }

@@ -14,7 +14,7 @@ import (
 // read-set index decides, per constraint and per auxiliary node, whether
 // anything it reads changed. Untouched constraints reuse their previous
 // denial answer, touched seedable ones re-derive only the answers
-// reachable from the delta (see checkCon), and auxiliary nodes touch
+// reachable from the delta (see seedFamily), and auxiliary nodes touch
 // only the entries whose anchor row entered or left ⟦ψ⟧ or whose
 // deadline fell due (see aux.go). Both re-derivations run through one
 // routine: seeded.
@@ -148,19 +148,22 @@ func (m *seeded) moved(gain bool) bool {
 // derive emits every answer of the plan in the new state that uses a
 // source row which moved in the adding direction — a superset of the
 // rows that entered the answer (a row that already held may be
-// re-derived). Only valid when canSeed and !inexactDirty(): an inexact
-// source exposes no rows to seed from.
-func (m *seeded) derive(sc *stepCtx, emit func(tuple.Tuple) bool) error {
+// re-derived) — and returns how many seed rows it ran. Only valid when
+// canSeed and !inexactDirty(): an inexact source exposes no rows to seed
+// from.
+func (m *seeded) derive(sc *stepCtx, emit func(tuple.Tuple) bool) (int, error) {
+	n := 0
 	for k, src := range m.sources {
 		seeds := m.movedRows(k, true)
 		if len(seeds) == 0 {
 			continue
 		}
+		n += len(seeds)
 		if err := m.plan.ExecuteSeeded(sc.c.cur, &sc.orc, src, seeds, emit); err != nil {
-			return err
+			return n, err
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // anyDirty reports whether any node's answer changed this commit.

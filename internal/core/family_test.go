@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -270,5 +271,105 @@ func TestParentWideSnapshot(t *testing.T) {
 	}
 	if violations == 0 {
 		t.Fatal("the continued feed reported no violation: the comparison checked nothing")
+	}
+}
+
+// TestDenialFamilyEqualsSolo replays the policy-wide set over a cdcgen
+// feed through one checker, which checks 34 of its 35 denials as two
+// denial families, and through one checker per constraint, where every
+// denial is a family of one. At every step each constraint reports the
+// same violations, takes the same LastSkips action (with the solo
+// checker's reason, or "answered by family") and explains every
+// violation the same way — inline and on the worker pool, and across a
+// snapshot round trip of every checker mid-history.
+func TestDenialFamilyEqualsSolo(t *testing.T) {
+	const steps, reload = 1200, 500
+	cfg := cdcgen.Config{
+		Steps: steps, Seed: 11, Sensors: 64,
+		BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.05,
+	}
+	h, _ := cdcgen.Generate(cfg)
+	policies := widePolicies(cfg)
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			shared := New(h.Schema, WithParallelism(par))
+			solo := make([]*Checker, len(policies))
+			for k, p := range policies {
+				addConstraint(t, shared, h.Schema, p.Name, p.Source)
+				solo[k] = New(h.Schema, WithParallelism(par))
+				addConstraint(t, solo[k], h.Schema, p.Name, p.Source)
+			}
+			families, members := 0, 0
+			for _, f := range shared.Families() {
+				if len(f) > 1 {
+					families++
+					members += len(f)
+				}
+			}
+			if families != 2 || members != 34 || len(shared.Families()) != 3 {
+				t.Fatalf("denial families %v: want the serve and derived windows as two families, stale_escalation alone", shared.Families())
+			}
+			roundTrip := func(c *Checker) *Checker {
+				var buf bytes.Buffer
+				if err := c.SaveSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				r, err := LoadSnapshot(h.Schema, &buf, WithParallelism(par))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			violations, answered := 0, 0
+			actions := map[SkipAction]int{}
+			for i, st := range h.Steps {
+				if i == reload {
+					shared = roundTrip(shared)
+					for k := range solo {
+						solo[k] = roundTrip(solo[k])
+					}
+				}
+				got := mustStep(t, shared, st.Time, st.Tx.Clone())
+				for k, p := range policies {
+					alone := mustStep(t, solo[k], st.Time, st.Tx.Clone())
+					var mine []check.Violation
+					for _, v := range got {
+						if v.Constraint == p.Name {
+							mine = append(mine, v)
+						}
+					}
+					if !sameCanon(canon(mine), canon(alone)) {
+						t.Fatalf("step %d (t=%d): %s in its family %v, alone %v", i, st.Time, p.Name, canon(mine), canon(alone))
+					}
+					si, want := shared.LastSkips()[k], solo[k].LastSkips()[0]
+					if si.Action != want.Action || (si.Reason != want.Reason && si.Reason != "answered by family") {
+						t.Fatalf("step %d (t=%d): %s %v in its family, %v alone", i, st.Time, p.Name, si, want)
+					}
+					if si.Reason == "answered by family" {
+						answered++
+					}
+					actions[si.Action]++
+					for _, v := range mine {
+						a, err := shared.Explain(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := solo[k].Explain(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if a.String() != b.String() {
+							t.Fatalf("step %d: in its family %s explains\n%s\nalone\n%s", i, p.Name, a, b)
+						}
+					}
+					violations += len(mine)
+				}
+			}
+			if violations == 0 || answered == 0 || actions[ActionSkipped] == 0 || actions[ActionSeeded] == 0 || actions[ActionPlanned] == 0 {
+				t.Fatalf("the feed exercised too little: %d violations, %d answers by family, actions %v", violations, answered, actions)
+			}
+			t.Logf("%d families of %d members, %d steps, %d violations, %d answers by family, actions %v, 0 divergences",
+				families, members, len(h.Steps), violations, answered, actions)
+		})
 	}
 }

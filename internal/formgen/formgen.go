@@ -173,6 +173,53 @@ func candidate(r *rand.Rand) string {
 	}
 }
 
+// familyWindows are the windows Family varies a literal over: [0,b] for
+// b ∈ {0, 1, 2, 5, ∞}, which share one table and so one denial family,
+// and [2,5] and [2,∞), which the newest-anchor rule does not cover and
+// which stay families of one.
+var familyWindows = []string{"[0,0]", "[0,1]", "[0,2]", "[0,5]", "", "[2,5]", "[2,*]"}
+
+// Family returns constraints over Schema() whose denials differ only in
+// the window of one once or since literal over the same operands — one
+// per window, in the order [0,0] [0,1] [0,2] [0,5] [0,∞) [2,5] [2,∞):
+// the first five are one denial family, the last two families of one.
+// The literal is negated in the denial or positive, and the denial may
+// carry a non-temporal conjunct beside the guard. Like Constraint it
+// always terminates, falling back to a known-safe template.
+func Family(r *rand.Rand) []string {
+	for attempt := 0; attempt < 32; attempt++ {
+		g, vars := guard(r)
+		lit := "once%s " + anchor(r, vars)
+		if r.Intn(3) == 0 {
+			lit = "(" + atom(r, vars, true) + " since%s " + anchor(r, vars) + ")"
+		}
+		if r.Intn(2) == 0 {
+			lit = "not " + lit // a positive literal in the denial
+		}
+		if r.Intn(2) == 0 {
+			lit += " or " + atom(r, vars, true) // its negation joins the denial
+		}
+		if out, ok := family(g + " -> " + lit); ok {
+			return out
+		}
+	}
+	out, _ := family("p(x) -> once%s q(x)")
+	return out
+}
+
+// family instantiates template at every window of familyWindows; ok
+// reports that the compiler accepts each.
+func family(template string) ([]string, bool) {
+	out := make([]string, len(familyWindows))
+	for i, w := range familyWindows {
+		out[i] = strings.Replace(template, "%s", w, 1)
+		if _, err := check.Parse("fuzz", out[i], Schema()); err != nil {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
 // NearlySafe returns a constraint drawn from the edge of the safe
 // fragment: a safe shape around a quantifier, a filter or a disjunction
 // from which, about half the time, the one guard that made it safe has

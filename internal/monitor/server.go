@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"rtic/internal/check"
 	"rtic/internal/spec"
 )
 
@@ -188,9 +189,10 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		fmt.Fprintf(w, "error "+format+"\n", args...)
 	}
-	// The hot replies skip fmt: "ok N" is appended into the buffer's own
-	// spare room, the other lines are written part by part. Write errors
-	// are sticky in bufio.Writer; the next Flush reports them.
+	// The hot replies skip fmt: "ok N" and violation lines are appended
+	// into the buffer's own spare room, the other lines are written part
+	// by part. Write errors are sticky in bufio.Writer; the next Flush
+	// reports them.
 	replyOK := func(n int) {
 		b := append(w.AvailableBuffer(), "ok "...)
 		b = strconv.AppendInt(b, int64(n), 10)
@@ -201,6 +203,10 @@ func (s *Server) handle(conn net.Conn) {
 			w.WriteString(p) //rtic:errok sticky; the next Flush reports it
 		}
 		w.WriteByte('\n')
+	}
+	replyViolation := func(v check.Violation) {
+		b := v.AppendTo(append(w.AvailableBuffer(), "violation "...))
+		w.Write(append(b, '\n')) //rtic:errok sticky; the next Flush reports it
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -250,7 +256,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			vs := s.M.Recent(n)
 			for _, v := range vs {
-				replyLine("violation ", v.String())
+				replyViolation(v)
 			}
 			replyOK(len(vs))
 		default:
@@ -268,7 +274,7 @@ func (s *Server) handle(conn net.Conn) {
 				break
 			}
 			for _, v := range vs {
-				replyLine("violation ", v.String())
+				replyViolation(v)
 			}
 			replyOK(len(vs))
 		}

@@ -148,11 +148,24 @@ func (v Value) KeyLen() int {
 
 // String renders the value as it appears in the constraint language:
 // integers bare, strings single-quoted with quote doubling.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the String() rendering of v to dst and returns the
+// extended slice.
+//
+//rtic:noalloc
+func (v Value) AppendTo(dst []byte) []byte {
 	if v.kind == KindInt {
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	}
-	return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	dst = append(dst, '\'')
+	for i := 0; i < len(v.s); i++ {
+		if v.s[i] == '\'' {
+			dst = append(dst, '\'')
+		}
+		dst = append(dst, v.s[i])
+	}
+	return append(dst, '\'')
 }
 
 // Parse reads a constraint-language literal: a decimal integer

@@ -127,6 +127,9 @@ func TestStringRendering(t *testing.T) {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
 		}
+		if got := string(c.v.AppendTo([]byte("x"))); got != "x"+c.want {
+			t.Errorf("AppendTo(%#v) = %q, want %q", c.v, got, "x"+c.want)
+		}
 	}
 }
 

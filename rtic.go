@@ -65,7 +65,8 @@ type Tuple = tuple.Tuple
 
 // Violation reports one witness of a constraint failure: the constraint
 // name, the state (index and timestamp) and the binding of the
-// constraint's free variables.
+// constraint's free variables. The binding may share storage with the
+// checker: read it, do not modify it.
 type Violation = check.Violation
 
 // Schema describes the database relations a checker ranges over.
