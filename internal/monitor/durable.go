@@ -215,9 +215,8 @@ type Durable struct {
 	// logs[i], so the order is load-bearing across restarts. A
 	// fresh-segment re-arm replaces the slice; it is never edited in place.
 	logs            []*wal.Log
-	mm              *obs.Metrics // captured at Attach/Recover; safe under the commit lock
-	last            time.Time    // last successful checkpoint
-	lastErr         error        // latest durability failure, nil when healthy
+	last            time.Time // last successful checkpoint
+	lastErr         error     // latest durability failure, nil when healthy
 	replayed        int
 	degraded        bool
 	degradedSince   time.Time
@@ -332,7 +331,6 @@ type journalRec struct {
 // plan change between runs (new constraint set) re-routes old data
 // correctly instead of resurrecting a stale layout.
 func (d *Durable) Recover() (int, error) {
-	d.captureMetrics()
 	logs := d.currentLogs()
 	if len(logs) == 0 {
 		return 0, nil
@@ -404,9 +402,8 @@ func (d *Durable) Recover() (int, error) {
 	})
 	d.mu.Lock()
 	d.replayed = applied
-	mm := d.mm
 	d.mu.Unlock()
-	if mm != nil {
+	if mm := d.metrics(); mm != nil {
 		mm.ReplayedRecords.Add(uint64(applied))
 	}
 	if err != nil {
@@ -426,16 +423,9 @@ func (d *Durable) Recover() (int, error) {
 	return applied, nil
 }
 
-// captureMetrics snapshots the monitor's metric handles so hooks that
-// run under the commit lock never have to call Observer (which takes
-// that same lock).
-func (d *Durable) captureMetrics() {
-	if mm := d.m.Observer().MetricSink(); mm != nil {
-		d.mu.Lock()
-		d.mm = mm
-		d.mu.Unlock()
-	}
-}
+// metrics returns the monitor's metric set (nil when uninstrumented);
+// it takes no lock, so every hook may call it.
+func (d *Durable) metrics() *obs.Metrics { return d.m.Observer().MetricSink() }
 
 // Attach starts journaling: every subsequently accepted transaction is
 // appended to the journals under the commit lock, one record per
@@ -443,7 +433,6 @@ func (d *Durable) captureMetrics() {
 // failure, surfaced through the log's failure handler at the point of
 // failure — trigger the configured FailurePolicy.
 func (d *Durable) Attach() {
-	d.captureMetrics()
 	logs := d.currentLogs()
 	if len(logs) == 0 {
 		return
@@ -516,8 +505,8 @@ func (d *Durable) pushBacklogLocked(t uint64, parts []*storage.Transaction, need
 	if len(d.backlog) >= d.backlogCap {
 		d.backlog = nil
 		d.backlogOverflow = true
-		if d.mm != nil {
-			d.mm.JournalBacklog.Set(0)
+		if mm := d.metrics(); mm != nil {
+			mm.JournalBacklog.Set(0)
 		}
 		return
 	}
@@ -532,8 +521,8 @@ func (d *Durable) pushBacklogLocked(t uint64, parts []*storage.Transaction, need
 		}
 	}
 	d.backlog = append(d.backlog, pendingRec{t: t, payloads: payloads, need: need})
-	if d.mm != nil {
-		d.mm.JournalBacklog.Set(int64(len(d.backlog)))
+	if mm := d.metrics(); mm != nil {
+		mm.JournalBacklog.Set(int64(len(d.backlog)))
 	}
 }
 
@@ -567,9 +556,8 @@ func (d *Durable) degrade(err error) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	d.rearmStop, d.rearmDone = stop, done
-	mm := d.mm
 	d.mu.Unlock()
-	if mm != nil {
+	if mm := d.metrics(); mm != nil {
 		mm.DurabilityDegraded.Set(1)
 	}
 	go runRearmLoop(stop, done, d.backoffMin, d.backoffMax, d.tryRearm)
@@ -613,9 +601,8 @@ func rearmJitter(d time.Duration) time.Duration {
 func (d *Durable) tryRearm() bool {
 	d.mu.Lock()
 	d.rearmAttempts++
-	mm := d.mm
 	d.mu.Unlock()
-	if mm != nil {
+	if mm := d.metrics(); mm != nil {
 		mm.RearmAttempts.Inc()
 	}
 
@@ -671,8 +658,8 @@ drain:
 	defer d.mu.Unlock()
 	d.backlog = d.backlog[drained:]
 	if !ok {
-		if d.mm != nil {
-			d.mm.JournalBacklog.Set(int64(len(d.backlog)))
+		if mm := d.metrics(); mm != nil {
+			mm.JournalBacklog.Set(int64(len(d.backlog)))
 		}
 		return false
 	}
@@ -726,10 +713,9 @@ func (d *Durable) rearmFresh(old []*wal.Log) bool {
 	d.mu.Lock()
 	d.logs = fresh
 	d.last = time.Now()
-	mm := d.mm
 	d.finishRearmLocked()
 	d.mu.Unlock()
-	if mm != nil {
+	if mm := d.metrics(); mm != nil {
 		mm.Checkpoints.Inc()
 		mm.CheckpointLastUnix.Set(time.Now().Unix())
 	}
@@ -754,10 +740,10 @@ func (d *Durable) finishRearmLocked() {
 	d.backlogOverflow = false
 	d.rearms++
 	d.rearmStop = nil
-	if d.mm != nil {
-		d.mm.DurabilityDegraded.Set(0)
-		d.mm.JournalBacklog.Set(0)
-		d.mm.Rearms.Inc()
+	if mm := d.metrics(); mm != nil {
+		mm.DurabilityDegraded.Set(0)
+		mm.JournalBacklog.Set(0)
+		mm.Rearms.Inc()
 	}
 }
 
@@ -831,7 +817,7 @@ func (d *Durable) Checkpoint() error {
 	if d.snapPath == "" {
 		return fmt.Errorf("monitor: no checkpoint path configured")
 	}
-	mm := d.m.Observer().MetricSink()
+	mm := d.metrics()
 	start := time.Now()
 	err := d.checkpointLocked()
 	if errors.Is(err, errCheckpointSkipped) {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rtic/internal/check"
@@ -34,7 +35,10 @@ type Monitor struct {
 	states int
 	now    uint64
 	schema *schema.Schema
-	obs    *obs.Observer
+	// obs is read without the commit lock — Apply, publish, the server and
+	// the durability hooks all load it — and stored under it, beside the
+	// engine's own observer (SetObserver).
+	obs atomic.Pointer[obs.Observer]
 
 	// open is the monitor.apply span of the Apply holding the commit
 	// lock (nil outside one, or without a span sink): root spans reaching
@@ -164,7 +168,8 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 	if op.mode != engine.Incremental {
 		return nil, fmt.Errorf("monitor: snapshots restore the incremental engine; mode %v is not restorable", op.mode)
 	}
-	m := &Monitor{mode: engine.Incremental, schema: s, obs: o, subs: make(map[int]chan check.Violation)}
+	m := &Monitor{mode: engine.Incremental, schema: s, subs: make(map[int]chan check.Violation)}
+	m.obs.Store(o)
 	if op.shards > 1 {
 		rtr, err := shard.LoadSnapshot(s, r, op.shards, op.par)
 		if err != nil {
@@ -190,7 +195,7 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 // connections and protocol errors. Attach before serving traffic.
 func (m *Monitor) SetObserver(o *obs.Observer) {
 	m.mu.Lock()
-	m.obs = o
+	m.obs.Store(o)
 	m.eng.SetObserver(m.engineObserver(o))
 	m.mu.Unlock()
 }
@@ -207,12 +212,12 @@ type commitSink struct{ m *Monitor }
 func (s commitSink) ObserveSpan(sp *obs.Span) {
 	if s.m.open != nil {
 		s.m.open.Adopt(sp)
-	} else if sink := s.m.obs.SpanSink(); sink != nil {
+	} else if sink := s.m.obs.Load().SpanSink(); sink != nil {
 		sink.ObserveSpan(sp)
 	}
 }
 
-func (s commitSink) WantsDetail() bool { return s.m.obs.WantsDetail() }
+func (s commitSink) WantsDetail() bool { return s.m.obs.Load().WantsDetail() }
 
 // engineObserver is o as the engine sees it: the same metric set, and —
 // when o has a span sink — the monitor's commitSink in front of it.
@@ -224,9 +229,7 @@ func (m *Monitor) engineObserver(o *obs.Observer) *obs.Observer {
 }
 
 // SpanSink returns the sink the monitor's journals must emit through
-// (see commitSink), nil when the attached observer has no span sink. It
-// takes the commit lock: fetch it once, not from a journal factory the
-// re-arm loop calls under that lock.
+// (see commitSink), nil when the attached observer has no span sink.
 func (m *Monitor) SpanSink() obs.SpanSink {
 	if m.Observer().SpanSink() == nil {
 		return nil
@@ -260,12 +263,9 @@ func (m *Monitor) Shards() int {
 // says where each constraint and relation lives.
 func (m *Monitor) Router() *shard.Router { return m.rtr }
 
-// Observer returns the attached observer (nil when uninstrumented).
-func (m *Monitor) Observer() *obs.Observer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.obs
-}
+// Observer returns the attached observer (nil when uninstrumented). It
+// takes no lock, so code holding the commit lock may call it.
+func (m *Monitor) Observer() *obs.Observer { return m.obs.Load() }
 
 // Apply commits a transaction at time t and returns its violations.
 // Calls are serialized; timestamps must be strictly increasing across

@@ -175,11 +175,14 @@ func (s *Server) handle(conn net.Conn) {
 	// command: flushReader does, when the scanner is about to wait on the
 	// socket. The deferred Flush covers every way out (quit, EOF after a
 	// half-close, read errors) and runs before the deferred Close above.
-	w := bufio.NewWriter(conn)
+	// Socket I/O goes through sessionIO; conn stays the handle for
+	// deadlines, Close and s.conns.
+	rd, wr := sessionIO(conn)
+	w := bufio.NewWriter(wr)
 	defer w.Flush() //rtic:errok the session is over; a client that is gone cannot be told
-	var src io.Reader = conn
+	src := rd
 	if s.idleTimeout > 0 {
-		src = &idleReader{conn: conn, timeout: s.idleTimeout}
+		src = &idleReader{conn: conn, src: rd, timeout: s.idleTimeout}
 	}
 	sc := bufio.NewScanner(&flushReader{w: w, src: src})
 	sc.Buffer(make([]byte, 0, 4096), maxLineBytes)
@@ -313,9 +316,11 @@ func (r *flushReader) Read(p []byte) (int, error) {
 }
 
 // idleReader refreshes the connection's read deadline before every
-// socket read, so the deadline measures idle time, not connection age.
+// socket read through src, so the deadline measures idle time, not
+// connection age.
 type idleReader struct {
 	conn    net.Conn
+	src     io.Reader
 	timeout time.Duration
 }
 
@@ -323,5 +328,5 @@ func (r *idleReader) Read(p []byte) (int, error) {
 	if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
 		return 0, err
 	}
-	return r.conn.Read(p)
+	return r.src.Read(p)
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -511,6 +512,9 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return countingConn{conn, l.writes}, nil
 }
 
+// countingConn counts writes on whichever path the session takes: its
+// own Write, or — forwarded through SyscallConn, as production sockets
+// offer it — the raw path's RawConn.Write calls.
 type countingConn struct {
 	net.Conn
 	writes *atomic.Int64
@@ -519,6 +523,24 @@ type countingConn struct {
 func (c countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
 	return c.Conn.Write(p)
+}
+
+func (c countingConn) SyscallConn() (syscall.RawConn, error) {
+	rc, err := c.Conn.(syscall.Conn).SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	return countingRawConn{rc, c.writes}, nil
+}
+
+type countingRawConn struct {
+	syscall.RawConn
+	writes *atomic.Int64
+}
+
+func (c countingRawConn) Write(f func(fd uintptr) bool) error {
+	c.writes.Add(1)
+	return c.RawConn.Write(f)
 }
 
 // BenchmarkServerTrain measures the acknowledged commit over loopback

@@ -11,6 +11,10 @@ import (
 	"rtic/internal/tuple"
 )
 
+// keyBufSize is the stack buffer a probe builds its key in; a longer key
+// spills to the heap and still probes correctly.
+const keyBufSize = 64
+
 // Relation is a mutable set of tuples of a fixed arity. Query plans may
 // register maintained hash indexes over column subsets (EnsureIndex);
 // registered indexes are kept current by Insert/Delete and shared by
@@ -42,12 +46,13 @@ func (r *Relation) Insert(t tuple.Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("relation: insert arity %d into relation of arity %d", len(t), r.arity)
 	}
-	k := t.Key()
-	if _, ok := r.rows[k]; ok {
+	var buf [keyBufSize]byte
+	k := t.AppendKeyTo(buf[:0])
+	if _, ok := r.rows[string(k)]; ok {
 		return false, nil
 	}
 	c := t.Clone()
-	r.rows[k] = c
+	r.rows[string(k)] = c
 	for _, ix := range r.indexes {
 		ix.insert(c)
 	}
@@ -84,12 +89,13 @@ func (r *Relation) MustInsert(t tuple.Tuple) bool {
 
 // Delete removes t; it reports whether the tuple was present.
 func (r *Relation) Delete(t tuple.Tuple) bool {
-	k := t.Key()
-	stored, ok := r.rows[k]
+	var buf [keyBufSize]byte
+	k := t.AppendKeyTo(buf[:0])
+	stored, ok := r.rows[string(k)]
 	if !ok {
 		return false
 	}
-	delete(r.rows, k)
+	delete(r.rows, string(k))
 	for _, ix := range r.indexes {
 		ix.remove(stored)
 	}
@@ -98,7 +104,8 @@ func (r *Relation) Delete(t tuple.Tuple) bool {
 
 // Contains reports membership of t.
 func (r *Relation) Contains(t tuple.Tuple) bool {
-	_, ok := r.rows[t.Key()]
+	var buf [keyBufSize]byte
+	_, ok := r.rows[string(t.AppendKeyTo(buf[:0]))]
 	return ok
 }
 
