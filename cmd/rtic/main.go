@@ -4,11 +4,10 @@
 // Usage:
 //
 //	rtic -spec constraints.rtic [-mode incremental|naive|active]
-//	     [-parallelism N] [-trace] [log...]
+//	     [-trace] [log...]
 //	rtic lint -spec constraints.rtic [-json] [-strict]
 //	     [-cost-threshold N] [log...]
-//	rtic trace -spec constraints.rtic [-out trace.json]
-//	     [-parallelism N] [-shards N]
+//	rtic trace -spec constraints.rtic [-out trace.json] [-shards N]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [log...]
 //
 // The spec file declares relations and constraints (see package
@@ -66,8 +65,6 @@ func main() {
 	flag.StringVar(&o.spec, "spec", "", "spec file with relations and constraints (required)")
 	flag.StringVar(&o.mode, "mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
-	flag.IntVar(&o.parallelism, "parallelism", 0,
-		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers; incremental engine only)")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-violation output; print only the summary")
 	flag.BoolVar(&o.explain, "explain", false, "print evidence trails for violations (incremental mode only)")
 	flag.BoolVar(&o.trace, "trace", false, "log every commit's span tree (structured, stderr)")
@@ -88,7 +85,6 @@ var errViolations = fmt.Errorf("violations detected")
 // options are the check command's flags and arguments.
 type options struct {
 	spec, mode            string
-	parallelism           int
 	quiet, explain, trace bool
 	logs                  []string // transaction logs; none means stdin
 }
@@ -102,7 +98,7 @@ func run(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	factory, err := shard.ModeFactory(sp.Schema, m, o.parallelism)
+	factory, err := shard.ModeFactory(sp.Schema, m)
 	if err != nil {
 		return err
 	}

@@ -49,8 +49,8 @@ func dialLine(t *testing.T, d *daemon) *lineClient {
 
 // commit sends one transaction line and returns every reply line up to
 // and including the closing "ok N" (or "error ..."). The violation
-// lines are sorted: within one commit the parallel pipeline reports
-// them in nondeterministic order.
+// lines are sorted: within one constraint the binding order follows
+// plan enumeration and is unspecified.
 func (c *lineClient) commit(t *testing.T, line string) []string {
 	t.Helper()
 	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rticd -spec constraints.rtic [-listen 127.0.0.1:7411]
-//	      [-mode incremental] [-parallelism N] [-shards N]
+//	      [-mode incremental] [-shards N]
 //	      [-snapshot state.snap] [-restore]
 //	      [-wal state.wal] [-wal-sync always|batch]
 //	      [-checkpoint-interval 30s]
@@ -127,7 +127,6 @@ type options struct {
 	specPath     string
 	listen       string
 	mode         string
-	parallelism  int
 	shards       int
 	snapPath     string
 	restore      bool
@@ -154,8 +153,6 @@ func main() {
 	flag.StringVar(&opts.listen, "listen", "127.0.0.1:7411", "TCP listen address")
 	flag.StringVar(&opts.mode, "mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
-	flag.IntVar(&opts.parallelism, "parallelism", 0,
-		"commit-pipeline worker-pool width (<=1 = inline on the committing goroutine, the default; N>=2 = explicit fan-out over N workers; incremental engine only)")
 	flag.IntVar(&opts.shards, "shards", 1,
 		"hash-partition state across N shard engines behind a router (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
 	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval)")
@@ -363,8 +360,7 @@ func start(opts options) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err = monitor.RestoreObserved(sp.Schema, sf, o,
-			monitor.WithParallelism(opts.parallelism), monitor.WithShards(opts.shards))
+		m, err = monitor.RestoreObserved(sp.Schema, sf, o, monitor.WithShards(opts.shards))
 		sf.Close()
 		if err != nil {
 			return nil, fmt.Errorf("restoring %s (-shards %d): %w", opts.snapPath, max(opts.shards, 1), err)
@@ -375,8 +371,7 @@ func start(opts options) (*daemon, error) {
 		return nil, err
 	default:
 		m, err = monitor.New(sp.Schema, sp.Constraints,
-			monitor.WithMode(mode), monitor.WithParallelism(opts.parallelism),
-			monitor.WithShards(opts.shards))
+			monitor.WithMode(mode), monitor.WithShards(opts.shards))
 		if err != nil {
 			return nil, err
 		}

@@ -97,11 +97,6 @@ func (c *Checker) build() error {
 // reports the tuples held in engine-managed relations.
 func (c *Checker) SetObserver(o *obs.Observer) {
 	c.obs = o
-	if m := o.MetricSink(); m != nil {
-		// Rule programs run sequentially; publish the pool width so
-		// dashboards read a truthful 1 rather than a stale value.
-		m.ParallelWorkers.Set(1)
-	}
 }
 
 // Step commits a transaction at time t, runs the rule programs, and

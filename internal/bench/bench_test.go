@@ -76,8 +76,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 14 {
-		t.Fatalf("got %d tables, want 14", len(tables))
+	if len(tables) != 13 {
+		t.Fatalf("got %d tables, want 13", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {

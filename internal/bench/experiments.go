@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
-	"rtic/internal/core"
 	"rtic/internal/workload"
 )
 
@@ -332,7 +330,6 @@ func Experiments() []struct {
 		{"Table 6", Table6Ablation},
 		{"Figure 4", Figure4Storage},
 		{"Table 7", Table7SinceChain},
-		{"Table 8", Table8Parallelism},
 		{"Table 9", Table9ShardScaling},
 		{"Table 10", Table10CDCFreshness},
 	}
@@ -371,15 +368,15 @@ func Table9ShardScaling(quick bool) (Table, error) {
 		n = 150
 	}
 	part := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
-	part.Constraints = parallelismConstraints(32)
+	part.Constraints = onceWindowConstraints(32)
 	cross := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 59, OpsPerTx: 4, Domain: 16})
 	cross.Constraints = crossShardConstraints(32)
 
-	basePart, _, err := bestIncremental(part, repeats(quick), core.WithParallelism(1))
+	basePart, _, err := bestIncremental(part, repeats(quick))
 	if err != nil {
 		return t, err
 	}
-	baseCross, _, err := bestIncremental(cross, repeats(quick), core.WithParallelism(1))
+	baseCross, _, err := bestIncremental(cross, repeats(quick))
 	if err != nil {
 		return t, err
 	}
@@ -415,12 +412,10 @@ func Table9ShardScaling(quick bool) (Table, error) {
 	return t, nil
 }
 
-// parallelismConstraints builds a constraint-heavy spec: count distinct
-// once-window denials over the uniform workload's relations. Distinct
-// windows give every constraint its own auxiliary node, so both the
-// node-update and the constraint-check phase have count-wide levels for
-// the worker pool to spread.
-func parallelismConstraints(count int) []workload.ConstraintSpec {
+// onceWindowConstraints builds a constraint-heavy spec: count distinct
+// once-window denials over the uniform workload's relations, each keyed
+// by its one variable.
+func onceWindowConstraints(count int) []workload.ConstraintSpec {
 	out := make([]workload.ConstraintSpec, 0, count)
 	for i := 0; i < count; i++ {
 		out = append(out, workload.ConstraintSpec{
@@ -429,61 +424,6 @@ func parallelismConstraints(count int) []workload.ConstraintSpec {
 		})
 	}
 	return out
-}
-
-// Table8Parallelism — the commit pipeline's worker pool against the
-// inline default, on two legs: the 32 once-window constraints whose
-// delta-driven commits cost a few hundred microseconds (the pool's
-// wake-ups cost about as much as they save), and the 32 cross-join
-// denials of Table 9 whose commits cost milliseconds (the leg where
-// fan-out has something to divide). Violations are identical at every
-// width — the equivalence the core test suite also proves.
-func Table8Parallelism(quick bool) (Table, error) {
-	t := Table{
-		ID:      "Table 8",
-		Title:   "commit-pipeline worker pool vs per-transaction cost (32 constraints)",
-		Columns: []string{"workers", "once-window ns/tx", "speedup vs inline", "cross-join ns/tx", "speedup vs inline", "violations"},
-		Notes:   "once-window: 32 distinct once-window constraints; cross-join: 32 self-join denials r(x, y) -> not once[…] r(y, x); width 1 is the inline default; all widths report identical violations",
-	}
-	n := 400
-	if quick {
-		n = 150
-	}
-	once := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
-	once.Constraints = parallelismConstraints(32)
-	cross := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 59, OpsPerTx: 4, Domain: 16})
-	cross.Constraints = crossShardConstraints(32)
-
-	widths := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		widths = append(widths, p)
-	}
-	var seqOnce, seqCross replayResult
-	for i, w := range widths {
-		resOnce, _, err := bestIncremental(once, repeats(quick), core.WithParallelism(w))
-		if err != nil {
-			return t, err
-		}
-		resCross, _, err := bestIncremental(cross, repeats(quick), core.WithParallelism(w))
-		if err != nil {
-			return t, err
-		}
-		if i == 0 {
-			seqOnce, seqCross = resOnce, resCross
-		} else if resOnce.violations != seqOnce.violations || resCross.violations != seqCross.violations {
-			return t, fmt.Errorf("bench: width %d reported %d+%d violations, inline %d+%d",
-				w, resOnce.violations, resCross.violations, seqOnce.violations, seqCross.violations)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", w),
-			ns(resOnce.nsPerStepAll),
-			ratio(seqOnce.nsPerStepAll, resOnce.nsPerStepAll),
-			ns(resCross.nsPerStepAll),
-			ratio(seqCross.nsPerStepAll, resCross.nsPerStepAll),
-			fmt.Sprintf("%d", resOnce.violations+resCross.violations),
-		})
-	}
-	return t, nil
 }
 
 // All runs every experiment in report order.

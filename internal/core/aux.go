@@ -342,7 +342,7 @@ type sinceFamily struct {
 
 	// The table answers for time lastT once primed. epoch numbers the
 	// commits that got past the first rung; touched, envBuf and keyBuf are
-	// single-goroutine scratch (one goroutine updates a family per commit).
+	// the update's scratch.
 	lastT   uint64
 	primed  bool
 	epoch   uint64

@@ -11,19 +11,13 @@
 // data that flowed through the database — independent of history length
 // — and so is per-transaction checking time.
 //
-// A commit runs as an explicit four-phase pipeline:
+// A commit runs as an explicit four-phase pipeline, on the committing
+// goroutine:
 //
 //	apply   — validate and apply the transaction to the current state
 //	update  — phase A of every auxiliary node, by dependency level
 //	check   — evaluate every constraint's denial in the new state
 //	carry   — phase B: compute then commit next-state carry-over
-//
-// By default the phases run inline on the committing goroutine — the
-// exact sequential algorithm. The update, check and carry phases are
-// also data-parallel: nodes within one dependency level (see
-// schedule.go) and constraints against one state are independent, so a
-// checker built WithParallelism(n>1) runs them on a bounded worker
-// pool, with identical results.
 package core
 
 import (
@@ -63,13 +57,6 @@ type Checker struct {
 	// k-1. Built incrementally by register/schedule.
 	levels  [][]auxNode
 	levelOf map[auxNode]int
-	// levelLabels[k] is the worker-span label prefix of level k ("L0."),
-	// rendered when the level is created so no commit formats one.
-	levelLabels []string
-
-	// par is the worker-pool width of the commit pipeline (1 = run the
-	// phases inline, sequentially).
-	par int
 
 	// conStates holds the per-constraint planning state, parallel to
 	// constraints; delta holds the reusable per-relation net-delta slots;
@@ -95,12 +82,9 @@ type Checker struct {
 	// commit path never does a labelled lookup.
 	conMetrics []conMetrics
 	// phaseHist caches the per-phase commit histograms
-	// (rtic_step_phase_seconds) and poolWait/poolUtil the worker-pool
-	// attribution handles, so phase accounting never does a labelled
-	// lookup either. All nil when no metrics are attached.
+	// (rtic_step_phase_seconds), so phase accounting never does a
+	// labelled lookup either. All nil when no metrics are attached.
 	phaseHist [numPhases]*obs.Histogram
-	poolWait  *obs.Histogram
-	poolUtil  *obs.FloatGauge
 }
 
 // Pipeline phase indices and their metric label values.
@@ -148,14 +132,10 @@ type conState struct {
 	lost []tuple.Tuple
 }
 
-// WithParallelism sets the worker-pool width of the commit pipeline.
-// n<=1 — the default — runs the pipeline inline on the committing
-// goroutine (the exact sequential algorithm); n>1 is an explicit
-// opt-in that updates independent auxiliary nodes and checks
-// constraints concurrently on at most n goroutines.
-func WithParallelism(n int) Option {
-	return func(c *Checker) { c.par = resolveParallelism(n) }
-}
+// WithParallelism returns an Option that does nothing: the commit
+// pipeline has one width. It survives only because the frozen
+// benchmark/ladder.go names it; delete it in the next benchmark PR.
+func WithParallelism(int) Option { return func(*Checker) {} }
 
 // New returns an empty checker over s. Install constraints with
 // AddConstraint before the first Step.
@@ -168,7 +148,6 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		byShape:  make(map[string]auxNode),
 		families: make(map[string]*sinceFamily),
 		levelOf:  make(map[auxNode]int),
-		par:      1,
 		delta:    make(map[string]*relDelta),
 
 		denialKeys: make(map[string]*denialFamily),
@@ -243,14 +222,10 @@ func (c *Checker) SetObserver(o *obs.Observer) {
 	c.conMetrics = nil
 	c.syncConMetrics()
 	c.phaseHist = [numPhases]*obs.Histogram{}
-	c.poolWait, c.poolUtil = nil, nil
 	if m := o.MetricSink(); m != nil {
-		m.ParallelWorkers.Set(int64(c.par))
 		for i, name := range phaseNames {
 			c.phaseHist[i] = m.StepPhaseSeconds.With(name)
 		}
-		c.poolWait = m.PoolQueueWaitSeconds
-		c.poolUtil = m.PoolUtilization
 	}
 }
 
@@ -421,77 +396,6 @@ func (ps phaseScope) done(ops int, err error) {
 	}
 }
 
-// attributePool digests one parallel batch's task timings into the
-// worker-pool attribution: queue-wait observations, the utilization
-// gauge, and per-worker child spans under the phase span (one lane per
-// worker, carrying busy time, task count and idle wait).
-func (si *stepInstr) attributePool(parent *obs.Span, batchStart time.Time, label string, timings []taskTiming) {
-	if si == nil || len(timings) == 0 {
-		return
-	}
-	if si.c.poolWait != nil {
-		for _, tt := range timings {
-			si.c.poolWait.Observe(tt.start.Seconds())
-		}
-	}
-	type workerAgg struct {
-		busy        time.Duration
-		tasks       int
-		first, last time.Duration // active window offsets from batch start
-	}
-	agg := map[int]*workerAgg{}
-	var wall time.Duration
-	for _, tt := range timings {
-		end := tt.start + tt.dur
-		if end > wall {
-			wall = end
-		}
-		a := agg[tt.worker]
-		if a == nil {
-			a = &workerAgg{first: tt.start}
-			agg[tt.worker] = a
-		}
-		a.busy += tt.dur
-		a.tasks++
-		if tt.start < a.first {
-			a.first = tt.start
-		}
-		if end > a.last {
-			a.last = end
-		}
-	}
-	if si.c.poolUtil != nil && wall > 0 {
-		workers := si.c.par
-		if workers > len(timings) {
-			workers = len(timings)
-		}
-		var busy time.Duration
-		for _, a := range agg {
-			busy += a.busy
-		}
-		si.c.poolUtil.Set(float64(busy) / (float64(workers) * float64(wall)))
-	}
-	if parent == nil {
-		return
-	}
-	for w := 0; w < si.c.par; w++ {
-		a := agg[w]
-		if a == nil {
-			continue
-		}
-		parent.Children = append(parent.Children, &obs.Span{
-			Name:   obs.SpanWorker,
-			Detail: fmt.Sprintf("%sw%d", label, w),
-			Time:   parent.Time,
-			Track:  w + 1,
-			Start:  batchStart.Add(a.first),
-			Dur:    a.last - a.first,
-			Ops:    a.tasks,
-			Wait:   a.last - a.first - a.busy,
-		})
-	}
-}
-
 // Step commits a transaction at time t, updates every auxiliary node,
 // and checks every constraint in the resulting state. With an observer
 // attached it also records commit/phase/constraint timing, violation
@@ -550,7 +454,7 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 		return nil, err
 	}
 	ps = si.phase(phaseCarry, obs.SpanCarry)
-	err = c.carryPhase(sc, si, ps.span)
+	err = c.carryPhase(sc)
 	ps.done(len(c.nodes), err)
 	if err != nil {
 		return nil, err
@@ -574,14 +478,16 @@ func (c *Checker) applyPhase(tx *storage.Transaction) error {
 	return c.cur.Apply(tx)
 }
 
-// updatePhase brings every auxiliary node's answer up to the new state:
-// levels run in order (children before parents), nodes within a level
-// concurrently when the pipeline is parallel. span (the update phase
-// span, may be nil) collects per-worker attribution children, one batch
-// per level.
+// updatePhase brings every auxiliary node's answer up to the new state,
+// level by level (children before parents). The order matters beyond
+// nesting: a family's table is updated by its idx == 0 member, which may
+// register after a node that reads the family. span is the update phase
+// span (nil when untraced); node.update children go under it when the
+// sink asked for detail.
 func (c *Checker) updatePhase(sc *stepCtx, si *stepInstr, span *obs.Span) error {
-	for lvl, level := range c.levels {
-		if err := c.runNodePhase(sc, level, false, si, span, c.levelLabels[lvl]); err != nil {
+	detail := si.detailUnder(span)
+	for _, level := range c.levels {
+		if err := runNodes(sc, level, false, detail); err != nil {
 			return err
 		}
 	}
@@ -590,11 +496,9 @@ func (c *Checker) updatePhase(sc *stepCtx, si *stepInstr, span *obs.Span) error 
 
 // carryPhase computes the carry-over state for the next transition
 // (all computations first, so nodes keep answering for this state),
-// then commits it. Computations only read this-state answers and write
-// the node's own pending slot, so they may run concurrently; commits
-// are a cheap sequential sweep.
-func (c *Checker) carryPhase(sc *stepCtx, si *stepInstr, span *obs.Span) error {
-	if err := c.runNodePhase(sc, c.nodes, true, si, span, ""); err != nil {
+// then commits it.
+func (c *Checker) carryPhase(sc *stepCtx) error {
+	if err := runNodes(sc, c.nodes, true, nil); err != nil {
 		return err
 	}
 	for _, node := range c.nodes {
@@ -612,33 +516,14 @@ func (sc *stepCtx) runNode(node auxNode, carry bool) error {
 	return node.phaseA(sc, sc.t)
 }
 
-// runNodePhase drives one node phase over nodes, inline when the
-// pipeline is sequential and on the worker pool otherwise. Per-node
-// node.update spans are built only in the update phase AND when the
-// sink asked for detail — the gate keeps formula rendering off the hot
-// path when nobody reads it. span/label feed the worker-pool attribution
-// of parallel batches.
-func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, carry bool, si *stepInstr, span *obs.Span, label string) error {
-	if len(nodes) == 0 {
-		return nil
-	}
-	var detail *obs.Span
-	if !carry {
-		detail = si.detailUnder(span)
-	}
-	if c.par <= 1 || len(nodes) == 1 {
-		return runNodesInline(sc, nodes, carry, detail)
-	}
-	return c.runNodesPooled(sc, nodes, carry, detail, si, span, label)
-}
-
-// runNodesInline is the default pipeline's node loop, on the committing
-// goroutine. The dispatch itself allocates nothing — no closure, no
-// label (what the nodes allocate behind the auxNode interface is their
-// own account: new entries, answer deltas).
+// runNodes drives nodes through one phase, in order: phase A
+// (update), or with carry set the compute half of phase B. detail, when
+// set, receives a node.update span per node. The dispatch itself
+// allocates nothing (what the nodes allocate behind the auxNode
+// interface is their own account: new entries, answer deltas).
 //
 //rtic:noalloc
-func runNodesInline(sc *stepCtx, nodes []auxNode, carry bool, detail *obs.Span) error {
+func runNodes(sc *stepCtx, nodes []auxNode, carry bool, detail *obs.Span) error {
 	for _, node := range nodes {
 		if detail == nil {
 			if err := sc.runNode(node, carry); err != nil {
@@ -664,41 +549,6 @@ func (sc *stepCtx) spanNode(node auxNode, parent *obs.Span) error {
 	return err
 }
 
-// taskSpan renders one pool task as a detail span on its worker's lane.
-func taskSpan(name, detail string, t uint64, batchStart time.Time, tt taskTiming, err error) *obs.Span {
-	return &obs.Span{
-		Name: name, Detail: detail, Time: t, Track: tt.worker + 1,
-		Start: batchStart.Add(tt.start), Dur: tt.dur, Err: err,
-	}
-}
-
-// runNodesPooled is the explicit WithParallelism(n>1) node loop. Runs
-// record errors in per-index slots, and node.update spans are built
-// afterwards from the pool's task timings in schedule order, so the tree
-// and the returned error (the first node's, in schedule order) are
-// deterministic regardless of interleaving.
-func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, detail *obs.Span, si *stepInstr, span *obs.Span, label string) error {
-	n := len(nodes)
-	errs := make([]error, n)
-	batchStart := time.Now()
-	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		errs[i] = sc.runNode(nodes[i], carry)
-	})
-	si.attributePool(span, batchStart, label, timings)
-	if detail != nil {
-		for i, node := range nodes {
-			detail.Children = append(detail.Children,
-				taskSpan(obs.SpanNodeUpdate, node.formula().String(), sc.t, batchStart, timings[i], errs[i]))
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkSampleEvery is the stride of the per-constraint latency series:
 // checks are timed on one commit in this many (keyed on the commit index,
 // so every constraint is sampled on the same commits). Two clock reads
@@ -707,15 +557,14 @@ func (c *Checker) runNodesPooled(sc *stepCtx, nodes []auxNode, carry bool, detai
 // time every commit, carry the totals.
 const checkSampleEvery = 16
 
-// checkPhase evaluates every constraint's denial against the new state:
-// once per denial family, concurrently when the pipeline is parallel.
-// Violations are then read off each constraint's answer in installation
-// order, and per-constraint metrics and constraint.check spans are
-// emitted in that same order, so results are identical to the sequential
-// pipeline's. Violation counts are exact; check latency is observed on
-// sampled commits only, and on every commit for a span sink that asked
-// for detail, which gets each check as a child of the phase span. A
-// constraint's latency is its family's: the one run that answered it.
+// checkPhase evaluates every constraint's denial against the new state,
+// once per denial family. Violations are then read off each constraint's
+// answer in installation order, and per-constraint metrics and
+// constraint.check spans are emitted in that same order. Violation
+// counts are exact; check latency is observed on sampled commits only,
+// and on every commit for a span sink that asked for detail, which gets
+// each check as a child of the phase span. A constraint's latency is its
+// family's: the one run that answered it.
 func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
@@ -733,7 +582,7 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	}
 	detail := si.detailUnder(span)
 	sampled := m != nil && c.index%checkSampleEvery == 0
-	if err := c.runFamilies(sc, si, span, sampled || detail != nil); err != nil {
+	if err := c.runFamilies(sc, sampled || detail != nil); err != nil {
 		return nil, err
 	}
 	var out []check.Violation
@@ -754,45 +603,25 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 		if detail != nil {
 			detail.Children = append(detail.Children, &obs.Span{
 				Name: obs.SpanConstraintCheck, Detail: con.Name,
-				Time: sc.t, Track: df.track, Start: df.start, Dur: df.dur,
+				Time: sc.t, Start: df.start, Dur: df.dur,
 			})
 		}
 	}
 	return out, nil
 }
 
-// runFamilies checks every denial family, inline or on the worker pool;
-// with timed set each family records when it ran and for how long. The
-// returned error is the first family's, in family order.
-func (c *Checker) runFamilies(sc *stepCtx, si *stepInstr, span *obs.Span, timed bool) error {
-	if c.par <= 1 || len(c.denials) == 1 {
-		for _, df := range c.denials {
-			if timed {
-				df.start = time.Now()
-			}
-			err := c.checkFamily(sc, df)
-			if timed {
-				df.dur = time.Since(df.start)
-			}
-			if err != nil {
-				return err
-			}
+// runFamilies checks every denial family in family order, stopping at
+// the first error; with timed set each family records when it ran and
+// for how long.
+func (c *Checker) runFamilies(sc *stepCtx, timed bool) error {
+	for _, df := range c.denials {
+		if timed {
+			df.start = time.Now()
 		}
-		return nil
-	}
-	errs := make([]error, len(c.denials))
-	batchStart := time.Now()
-	timings := c.runTasksTimed(len(c.denials), si != nil, func(k int) {
-		errs[k] = c.checkFamily(sc, c.denials[k])
-	})
-	si.attributePool(span, batchStart, "", timings)
-	for k, df := range c.denials {
-		if timings != nil {
-			tt := timings[k]
-			df.start, df.dur, df.track = batchStart.Add(tt.start), tt.dur, tt.worker+1
+		err := c.checkFamily(sc, df)
+		if timed {
+			df.dur = time.Since(df.start)
 		}
-	}
-	for _, err := range errs {
 		if err != nil {
 			return err
 		}
@@ -933,8 +762,7 @@ func (c *Checker) CheckInvariants() error {
 }
 
 // oracle resolves temporal nodes from the auxiliary state at the
-// current evaluation time. Its lookups are read-only over maps frozen
-// at AddConstraint time, so one oracle may serve concurrent evaluators.
+// current evaluation time.
 type oracle struct {
 	c   *Checker
 	now uint64

@@ -37,16 +37,14 @@ type denialFamily struct {
 	// literal's row.
 	tPos []int
 
-	// Scratch of the one goroutine that checks the family in a commit.
+	// Scratch of the family's check.
 	keyBuf, placeBuf []byte
 	drop             []tuple.Tuple
 	work             []*fol.Bindings
 
-	// start, dur and track time the family's last timed run (track is
-	// the worker lane plus one; zero inline).
+	// start and dur time the family's last timed run.
 	start time.Time
 	dur   time.Duration
-	track int
 
 	// execs counts the plan executions the family ran — full runs,
 	// retested rows, seeded derivations; tests and benchmarks read it,

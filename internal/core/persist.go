@@ -182,18 +182,17 @@ func encodeNode(node auxNode, now uint64) (snapNode, error) {
 
 // LoadSnapshot rebuilds a checker over s from a snapshot written by
 // SaveSnapshot. The schema must define every relation the snapshot
-// references. Options (e.g. WithParallelism) configure the restored
-// checker; the snapshot format does not record them.
-func LoadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, error) {
-	return LoadSnapshotObserved(s, r, nil, opts...)
+// references.
+func LoadSnapshot(s *schema.Schema, r io.Reader) (*Checker, error) {
+	return LoadSnapshotObserved(s, r, nil)
 }
 
 // LoadSnapshotObserved is LoadSnapshot with the observer attached to
 // the restored checker before it starts answering; the restore itself
 // goes to the span sink as a snapshot.restore root span.
-func LoadSnapshotObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Option) (*Checker, error) {
+func LoadSnapshotObserved(s *schema.Schema, r io.Reader, o *obs.Observer) (*Checker, error) {
 	start := time.Now()
-	c, err := loadSnapshot(s, r, opts...)
+	c, err := loadSnapshot(s, r)
 	if sink := o.SpanSink(); sink != nil {
 		sp := &obs.Span{Name: obs.SpanSnapshotRestore, Start: start, Dur: time.Since(start), Err: err}
 		if c != nil {
@@ -209,7 +208,7 @@ func LoadSnapshotObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts .
 	return c, nil
 }
 
-func loadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, error) {
+func loadSnapshot(s *schema.Schema, r io.Reader) (*Checker, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
@@ -236,7 +235,7 @@ func loadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, erro
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
 	}
-	c := New(s, opts...)
+	c := New(s)
 	for _, sc := range snap.Constraints {
 		con, err := check.Parse(sc.Name, sc.Source, s)
 		if err != nil {

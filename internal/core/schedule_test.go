@@ -1,27 +1,23 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
-	"rtic/internal/cdcgen"
 	"rtic/internal/check"
 	"rtic/internal/engine"
 	"rtic/internal/formgen"
 	"rtic/internal/mtl"
+	"rtic/internal/storage"
 	"rtic/internal/workload"
 )
 
-// The parallel commit pipeline must be observationally identical to the
-// sequential one: same violations, same auxiliary state, same errors —
-// on every trace. These tests hold WithParallelism(4) to
-// WithParallelism(1) the same way the equivalence suite holds the
-// incremental checker to the naive semantics.
-
-func newFromHistory(t *testing.T, h workload.History, opts ...Option) *Checker {
+func newFromHistory(t *testing.T, h workload.History) *Checker {
 	t.Helper()
-	c := New(h.Schema, opts...)
+	c := New(h.Schema)
 	for _, cs := range h.Constraints {
 		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
 		if err != nil {
@@ -46,168 +42,81 @@ func workloadTraces() map[string]workload.History {
 	}
 }
 
+// TestParallelEquivalentToSequentialOnWorkloads steps several checkers
+// of one workload at once, each on its own goroutine as the shard router
+// runs its shards, and holds every one to a checker stepped alone: the
+// same violations in the same constraint order at every step, the
+// invariants after every step and the same auxiliary state at the end.
+// Checkers share nothing mutable, so running side by side changes nothing.
 func TestParallelEquivalentToSequentialOnWorkloads(t *testing.T) {
+	const side = 3
 	for name, h := range workloadTraces() {
 		t.Run(name, func(t *testing.T) {
-			seq := newFromHistory(t, h, WithParallelism(1))
-			par := newFromHistory(t, h, WithParallelism(4))
-			if got := seq.Parallelism(); got != 1 {
-				t.Fatalf("sequential checker reports parallelism %d", got)
-			}
-			if got := par.Parallelism(); got != 4 {
-				t.Fatalf("parallel checker reports parallelism %d", got)
-			}
+			seq := newFromHistory(t, h)
+			want := make([][]check.Violation, len(h.Steps))
 			for i, s := range h.Steps {
-				want, err := seq.Step(s.Time, s.Tx)
-				if err != nil {
-					t.Fatalf("step %d: sequential: %v", i, err)
-				}
-				got, err := par.Step(s.Time, s.Tx)
-				if err != nil {
-					t.Fatalf("step %d: parallel: %v", i, err)
-				}
-				if cg, cw := canon(got), canon(want); !sameCanon(cg, cw) {
-					t.Fatalf("step %d (t=%d):\nparallel:   %v\nsequential: %v", i, s.Time, cg, cw)
-				}
-				// Binding order within one constraint is unspecified (it
-				// follows evaluator enumeration), but the parallel check
-				// phase must still flatten per-constraint blocks in
-				// installation order.
-				if len(got) != len(want) {
-					t.Fatalf("step %d: %d vs %d violations", i, len(got), len(want))
-				}
-				for k := range got {
-					if got[k].Constraint != want[k].Constraint {
-						t.Fatalf("step %d: constraint order diverged at %d: %s vs %s",
-							i, k, got[k].Constraint, want[k].Constraint)
-					}
-				}
-				if err := par.CheckInvariants(); err != nil {
-					t.Fatalf("step %d: parallel invariants: %v", i, err)
+				want[i] = mustStep(t, seq, s.Time, s.Tx.Clone())
+			}
+			par := make([]*Checker, side)
+			txs := make([][]*storage.Transaction, side)
+			for k := range par {
+				par[k] = newFromHistory(t, h)
+				for _, s := range h.Steps {
+					txs[k] = append(txs[k], s.Tx.Clone())
 				}
 			}
-			ss, ps := seq.Stats(), par.Stats()
-			if ss.Nodes != ps.Nodes || ss.Entries != ps.Entries || ss.Timestamps != ps.Timestamps || ss.Bytes != ps.Bytes {
-				t.Fatalf("auxiliary state diverged: sequential %+v, parallel %+v", ss, ps)
+			errs := make([]error, side)
+			var wg sync.WaitGroup
+			for k, c := range par {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i, s := range h.Steps {
+						got, err := c.Step(s.Time, txs[k][i])
+						if err != nil {
+							errs[k] = fmt.Errorf("step %d: %v", i, err)
+							return
+						}
+						if cg, cw := canon(got), canon(want[i]); !sameCanon(cg, cw) {
+							errs[k] = fmt.Errorf("step %d (t=%d):\nside by side: %v\nalone:        %v", i, s.Time, cg, cw)
+							return
+						}
+						// Binding order within one constraint is unspecified,
+						// but per-constraint blocks come in installation order.
+						for j := range got {
+							if got[j].Constraint != want[i][j].Constraint {
+								errs[k] = fmt.Errorf("step %d: constraint order diverged at %d: %s vs %s",
+									i, j, got[j].Constraint, want[i][j].Constraint)
+								return
+							}
+						}
+						if err := c.CheckInvariants(); err != nil {
+							errs[k] = fmt.Errorf("step %d: invariants: %v", i, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			ss := seq.Stats()
+			for k, c := range par {
+				if errs[k] != nil {
+					t.Fatalf("checker %d of %d: %v", k, side, errs[k])
+				}
+				ps := c.Stats()
+				if ss.Nodes != ps.Nodes || ss.Entries != ps.Entries || ss.Timestamps != ps.Timestamps || ss.Bytes != ps.Bytes {
+					t.Fatalf("checker %d: auxiliary state diverged: alone %+v, side by side %+v", k, ss, ps)
+				}
 			}
 		})
-	}
-}
-
-// TestParallelEquivalenceRandomConstraints drives the width comparison
-// over the full operator pool instead of the scenario constraints, with
-// several constraints installed so the check phase actually fans out.
-func TestParallelEquivalenceRandomConstraints(t *testing.T) {
-	s := equivSchema()
-	for seed := int64(0); seed < 15; seed++ {
-		r := rand.New(rand.NewSource(3000 + seed))
-		seq := New(s, WithParallelism(1))
-		par := New(s, WithParallelism(4))
-		nCons := 2 + r.Intn(4)
-		var names []string
-		for k := 0; k < nCons; k++ {
-			src := constraintPool[r.Intn(len(constraintPool))]
-			name := fmt.Sprintf("c%d", k)
-			con, err := check.Parse(name, src, s)
-			if err != nil {
-				t.Fatalf("seed %d: %q: %v", seed, src, err)
-			}
-			if err := seq.AddConstraint(con); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			con2, _ := check.Parse(name, src, s)
-			if err := par.AddConstraint(con2); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			names = append(names, src)
-		}
-		tm := uint64(0)
-		for i := 0; i < 40; i++ {
-			tm += uint64(1 + r.Intn(3))
-			tx := randomTx(r, 4)
-			want, err := seq.Step(tm, tx.Clone())
-			if err != nil {
-				t.Fatalf("seed %d step %d: sequential: %v\nconstraints: %q", seed, i, err, names)
-			}
-			got, err := par.Step(tm, tx)
-			if err != nil {
-				t.Fatalf("seed %d step %d: parallel: %v\nconstraints: %q", seed, i, err, names)
-			}
-			if cg, cw := canon(got), canon(want); !sameCanon(cg, cw) {
-				t.Fatalf("seed %d step %d (t=%d, tx=%s):\nparallel:   %v\nsequential: %v\nconstraints: %q",
-					seed, i, tm, tx, cg, cw, names)
-			}
-		}
-	}
-}
-
-// TestParallelFamilyOnCDCFeed is the race leg of the shared table: four
-// windows over reading(s) are one family, updated by one task of its
-// level while the tasks of its other members — and of the unrelated
-// since node beside them — run on other workers; then four check tasks
-// probe the one table at once. Run under -race (tier 1 does); the pool
-// must report what the inline pipeline reports and hold what it holds.
-func TestParallelFamilyOnCDCFeed(t *testing.T) {
-	cfg := cdcgen.Config{Steps: 400, Seed: 11, Sensors: 16, BurstLen: 4, BurstEvery: 10, MaxReorder: 2, ViolationRate: 0.05}
-	h, _ := cdcgen.Generate(cfg)
-	h.Constraints = append(h.Constraints,
-		workload.ConstraintSpec{Name: "fresh_serve_3", Source: "serve(s) -> once[0,3] reading(s)"},
-		workload.ConstraintSpec{Name: "ever_read", Source: "serve(s) -> once reading(s)"},
-	)
-	seq := newFromHistory(t, h)
-	par := newFromHistory(t, h, WithParallelism(4))
-	if fam := memberOf(t, par, "fresh_serve").fam; len(fam.members) != 4 || len(par.nodes) != 5 {
-		t.Fatalf("want a family of four and one more node, have %d members among %d nodes", len(fam.members), len(par.nodes))
-	}
-	violations := 0
-	for i, s := range h.Steps {
-		want, err := seq.Step(s.Time, s.Tx.Clone())
-		if err != nil {
-			t.Fatalf("step %d: inline: %v", i, err)
-		}
-		got, err := par.Step(s.Time, s.Tx)
-		if err != nil {
-			t.Fatalf("step %d: pool: %v", i, err)
-		}
-		if cg, cw := canon(got), canon(want); !sameCanon(cg, cw) {
-			t.Fatalf("step %d (t=%d):\npool:   %v\ninline: %v", i, s.Time, cg, cw)
-		}
-		ss, ps := seq.Stats(), par.Stats()
-		if ss.Entries != ps.Entries || ss.Timestamps != ps.Timestamps || ss.Bytes != ps.Bytes {
-			t.Fatalf("step %d: auxiliary state diverged: inline %+v, pool %+v", i, ss, ps)
-		}
-		violations += len(got)
-	}
-	if err := par.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if violations == 0 {
-		t.Fatal("the feed reported no violation: the comparison checked nothing")
-	}
-}
-
-// TestParallelPropagatesErrors: a failing constraint check must surface
-// the same error at every pool width, and the checker must refuse the
-// same malformed inputs.
-func TestParallelPropagatesErrors(t *testing.T) {
-	h := workload.Uniform(workload.UniformConfig{Steps: 5, Seed: 1, OpsPerTx: 1, Domain: 4})
-	for _, par := range []int{1, 4} {
-		c := newFromHistory(t, h, WithParallelism(par))
-		if _, err := c.Step(h.Steps[0].Time, h.Steps[0].Tx); err != nil {
-			t.Fatalf("par %d: %v", par, err)
-		}
-		// Non-increasing timestamp: rejected before any phase runs.
-		if _, err := c.Step(h.Steps[0].Time, h.Steps[1].Tx); err == nil {
-			t.Fatalf("par %d: non-increasing timestamp accepted", par)
-		}
 	}
 }
 
 // scheduleInvariants checks the leveled schedule's structural
 // guarantees: every registered node appears in exactly one level, and
 // every node's level is strictly above all its direct temporal
-// children's levels (so a level barrier is a correct dependency
-// barrier).
+// children's levels (so running the levels in order updates every child
+// before its parents).
 func scheduleInvariants(c *Checker) error {
 	seen := make(map[auxNode]int, len(c.nodes))
 	count := 0
@@ -327,6 +236,36 @@ func FuzzLevelSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// failNode is an auxiliary node whose update fails with err.
+type failNode struct {
+	auxNode
+	err error
+}
+
+func (f failNode) phaseA(*stepCtx, uint64) error { return f.err }
+
+// TestStepReturnsFirstErrorInScheduleOrder: when several node updates
+// of one commit fail, Step returns the error of the first in schedule
+// order — level by level — and commits nothing.
+func TestStepReturnsFirstErrorInScheduleOrder(t *testing.T) {
+	s := equivSchema()
+	c := New(s)
+	addConstraint(t, c, s, "c0", "p(x) -> not once[0,3] q(x)")
+	addConstraint(t, c, s, "c1", "p(x) -> not once[0,4] prev q(x)")
+	if got := c.Schedule(); len(got) != 2 || len(got[0]) != 2 || len(got[1]) != 1 {
+		t.Fatalf("schedule %v, want two nodes on level 0 and one on level 1", got)
+	}
+	first := errors.New("level 0, second node")
+	c.levels[1][0] = failNode{c.levels[1][0], errors.New("level 1")}
+	c.levels[0][1] = failNode{c.levels[0][1], first}
+	if _, err := c.Step(1, ins("p", 1)); err != first {
+		t.Fatalf("Step returned %v, want %v", err, first)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("a failed commit counted: Len() = %d", c.Len())
+	}
 }
 
 // engine.SerialBatch over Step is the batch commit of every engine

@@ -56,7 +56,7 @@ func TestInstallAgreement(t *testing.T) {
 	accepted, refused := map[string]int{}, map[string]int{}
 	agree := func(corpus string, s *schema.Schema, src string) bool {
 		t.Helper()
-		rtr, err := shard.NewMode(s, 2, engine.Incremental, 1)
+		rtr, err := shard.NewMode(s, 2, engine.Incremental)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestInstallAgreement(t *testing.T) {
 			Steps: 16, OpsPerTx: 1 + r.Intn(3), Domain: int64(3 + r.Intn(3)), GapMax: 1 + r.Intn(3), Seed: r.Int63(),
 		})
 		h.Constraints = []workload.ConstraintSpec{{Name: "edge", Source: src}}
-		if err := Run(h, Config{Parallelism: []int{1}, ShardCounts: []int{2}}); err != nil {
+		if err := Run(h, Config{ShardCounts: []int{2}}); err != nil {
 			t.Errorf("nearly-safe %q: %v", src, err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package difftest is the cross-engine differential harness: it runs
-// one history through every checking engine — naive, incremental at
-// several pipeline widths, active rules, and the shard router at
-// several shard counts — and asserts they report identical per-step
-// violations and identical final base state. The naive checker is the
+// one history through every checking engine — naive, incremental,
+// active rules, and the shard router at several shard counts — and
+// asserts they report identical per-step violations and identical
+// final base state. The naive checker is the
 // executable specification (a direct transcription of the paper's
 // semantics), so any divergence is a bug in one of the optimized
 // engines, and the harness says which step and which engine.
@@ -35,20 +35,13 @@ import (
 // hide).
 var DefaultShardCounts = []int{1, 2, 8}
 
-// DefaultParallelism are the incremental pipeline widths compared.
-var DefaultParallelism = []int{1, 4}
-
 // Config tunes which engine variants a Run compares. Zero values mean
 // the defaults above.
 type Config struct {
-	Parallelism []int // incremental pipeline widths
 	ShardCounts []int // router fan-outs (incremental engine inside)
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Parallelism) == 0 {
-		c.Parallelism = DefaultParallelism
-	}
 	if len(c.ShardCounts) == 0 {
 		c.ShardCounts = DefaultShardCounts
 	}
@@ -79,16 +72,14 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 	if err := add("naive", naive.New(s), nil); err != nil {
 		return nil, err
 	}
-	for _, par := range cfg.Parallelism {
-		if err := add(fmt.Sprintf("core/par=%d", par), core.New(s, core.WithParallelism(par)), nil); err != nil {
-			return nil, err
-		}
+	if err := add("core", core.New(s), nil); err != nil {
+		return nil, err
 	}
 	if err := add("active", active.New(s), nil); err != nil {
 		return nil, err
 	}
 	for _, n := range cfg.ShardCounts {
-		rtr, err := shard.NewMode(s, n, engine.Incremental, 1)
+		rtr, err := shard.NewMode(s, n, engine.Incremental)
 		if err := add(fmt.Sprintf("core/shards=%d", n), rtr, err); err != nil {
 			return nil, err
 		}
@@ -96,11 +87,11 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 	}
 	// One sharded leg each for the baseline engines: the router must be
 	// exact no matter what runs inside it.
-	rtr, err := shard.NewMode(s, 2, engine.Naive, 1)
+	rtr, err := shard.NewMode(s, 2, engine.Naive)
 	if err := add("naive/shards=2", rtr, err); err != nil {
 		return nil, err
 	}
-	rtr, err = shard.NewMode(s, 2, engine.ActiveRules, 1)
+	rtr, err = shard.NewMode(s, 2, engine.ActiveRules)
 	if err := add("active/shards=2", rtr, err); err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func TestRestoreRejectsNonIncrementalMode(t *testing.T) {
 	if _, err := Restore(s, bytes.NewReader(buf.Bytes()), WithMode(engine.Naive)); err == nil {
 		t.Fatal("restore into naive mode accepted")
 	}
-	m2, err := Restore(s, bytes.NewReader(buf.Bytes()), WithParallelism(2))
+	m2, err := Restore(s, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,6 @@ type Option func(*options)
 
 type options struct {
 	mode   engine.Mode
-	par    int
 	shards int
 }
 
@@ -80,14 +79,6 @@ type options struct {
 // and Stats are only available in Incremental mode.
 func WithMode(m engine.Mode) Option {
 	return func(o *options) { o.mode = m }
-}
-
-// WithParallelism sets the worker-pool width of the incremental
-// engine's commit pipeline (n<=1, the default, runs it inline; n>=2 is
-// an explicit fan-out over n workers — see core.WithParallelism); the
-// other engines check sequentially and ignore it.
-func WithParallelism(n int) Option {
-	return func(o *options) { o.par = n }
 }
 
 // WithShards partitions the engine's state across n shard engines
@@ -108,7 +99,7 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 		opt(&o)
 	}
 	m := &Monitor{mode: o.mode, schema: s, subs: make(map[int]chan check.Violation)}
-	factory, err := shard.ModeFactory(s, o.mode, o.par)
+	factory, err := shard.ModeFactory(s, o.mode)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: %w", err)
 	}
@@ -171,7 +162,7 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 	m := &Monitor{mode: engine.Incremental, schema: s, subs: make(map[int]chan check.Violation)}
 	m.obs.Store(o)
 	if op.shards > 1 {
-		rtr, err := shard.LoadSnapshot(s, r, op.shards, op.par)
+		rtr, err := shard.LoadSnapshot(s, r, op.shards)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +171,7 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 		m.states, m.now = rtr.Len(), rtr.Now()
 		return m, nil
 	}
-	c, err := core.LoadSnapshotObserved(s, r, m.engineObserver(o), core.WithParallelism(op.par))
+	c, err := core.LoadSnapshotObserved(s, r, m.engineObserver(o))
 	if err != nil {
 		return nil, err
 	}

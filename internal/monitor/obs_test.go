@@ -67,23 +67,6 @@ func TestMonitorCountersAdvance(t *testing.T) {
 	}
 }
 
-// TestDefaultMonitorRunsInline: a monitor built without WithParallelism
-// reports a one-wide pipeline and never wakes the worker pool.
-func TestDefaultMonitorRunsInline(t *testing.T) {
-	m, metrics := observedMonitor(t)
-	for i := uint64(0); i < 50; i++ {
-		if _, err := m.Apply(i, ins("fire", int64(i%5))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := metrics.ParallelWorkers.Value(); got != 1 {
-		t.Errorf("rtic_parallel_workers = %d, want 1", got)
-	}
-	if got := metrics.PoolQueueWaitSeconds.Count(); got != 0 {
-		t.Errorf("50 default commits observed %d pool queue waits", got)
-	}
-}
-
 // TestAuxGaugesExactEveryStep replays the five workload traces and one
 // CDC history through an unsharded and a two-shard monitor and holds
 // the exposed rtic_aux_* gauges — kept from running accounts, not from a

@@ -125,11 +125,6 @@ func (c *Checker) State() (*storage.State, error) {
 // gauge reports the stored history's footprint instead.
 func (c *Checker) SetObserver(o *obs.Observer) {
 	c.obs = o
-	if m := o.MetricSink(); m != nil {
-		// The naive route checks sequentially; publish the pool width so
-		// dashboards read a truthful 1 rather than a stale value.
-		m.ParallelWorkers.Set(1)
-	}
 }
 
 // Step commits a transaction at time t and checks every constraint in

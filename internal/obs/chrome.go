@@ -26,9 +26,9 @@ type chromeTrace struct {
 
 // WriteChromeTrace writes the span trees as Chrome trace_event JSON —
 // the format chrome://tracing and ui.perfetto.dev open directly. Each
-// span becomes one complete slice; Track selects the tid lane, so
-// worker and shard spans render as parallel timelines under the serial
-// commit lane (tid 0). Timestamps are microseconds relative to the
+// span becomes one complete slice; Track selects the tid lane, so shard
+// spans render as timelines of their own under the serial commit lane
+// (tid 0). Timestamps are microseconds relative to the
 // earliest root's start.
 func WriteChromeTrace(w io.Writer, roots []*Span) error {
 	var epoch time.Time

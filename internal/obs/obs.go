@@ -67,8 +67,8 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 //rtic:noalloc
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// FloatGauge is a gauge holding a float64 — for ratios like pool
-// utilization and shard skew, where an int64 gauge would truncate.
+// FloatGauge is a gauge holding a float64 — for ratios like shard
+// skew, where an int64 gauge would truncate.
 type FloatGauge struct {
 	v atomic.Uint64 // float64 bits
 }

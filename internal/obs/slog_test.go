@@ -91,7 +91,7 @@ func TestSlogSinkWalksTree(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("flattened to %d lines, want 3:\n%s", len(lines), buf)
 	}
-	for i, want := range []string{"msg=commit t=7 dur=10ms", "msg=phase.check", "msg=worker detail=w0 t=7 dur=6ms"} {
+	for i, want := range []string{"msg=monitor.apply t=7 dur=10ms", "msg=commit t=7 dur=8ms", "msg=shard.commit detail=0 t=7 dur=6ms"} {
 		if !strings.Contains(lines[i], want) {
 			t.Errorf("line %d = %s, want it to contain %q", i, lines[i], want)
 		}

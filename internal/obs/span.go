@@ -11,9 +11,8 @@ import (
 // decomposes into per-phase children (apply/update/check/carry); a sink
 // that asks for detail gets one node.update child per auxiliary node
 // under phase.update and one constraint.check child per constraint
-// under phase.check; parallel phases add per-worker children, the shard
-// router adds per-shard sub-commit children, and the durability layer
-// adds WAL append/fsync spans. Parse and the snapshot operations are
+// under phase.check; the shard router adds per-shard sub-commit
+// children, and the durability layer adds WAL append/fsync spans. Parse and the snapshot operations are
 // roots of their own.
 const (
 	SpanCommit          = "commit"           // one committed transaction, end to end
@@ -23,7 +22,6 @@ const (
 	SpanCarry           = "phase.carry"      // deferred window advance bookkeeping
 	SpanNodeUpdate      = "node.update"      // one auxiliary node's update; Detail = subformula
 	SpanConstraintCheck = "constraint.check" // one denial evaluation; Detail = constraint name
-	SpanWorker          = "worker"           // one worker's share of a parallel phase
 	SpanShardCommit     = "shard.commit"     // one shard engine's sub-commit
 	SpanWALAppend       = "wal.append"       // one record framed and written
 	SpanWALFsync        = "wal.fsync"        // fsync issued by the append
@@ -42,11 +40,11 @@ type Span struct {
 	Name   string        // one of the Span* constants
 	Detail string        // subject (constraint, shard index, level, ...)
 	Time   uint64        // engine timestamp of the enclosing commit
-	Track  int           // timeline lane: 0 = serial path, 1..n = worker/shard n
+	Track  int           // timeline lane: 0 = serial path, 1..n = shard n-1
 	Start  time.Time     // wall-clock begin
 	Dur    time.Duration // wall-clock length
 	Ops    int           // operations attributed (nodes, checks, tuples, ...)
-	Wait   time.Duration // queue-wait or lock-wait included in Dur's span
+	Wait   time.Duration // lock wait included in Dur
 	Err    error         // nil on success
 
 	Children []*Span

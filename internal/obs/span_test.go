@@ -9,17 +9,17 @@ import (
 	"time"
 )
 
-// tree builds a commit span with a phase child and a worker grandchild,
-// the shape the core engine emits.
+// tree builds a monitor.apply span with a commit child and a
+// shard.commit grandchild, the shape a sharded monitor emits.
 func tree(t0 time.Time) *Span {
-	root := &Span{Name: SpanCommit, Time: 7, Start: t0, Dur: 10 * time.Millisecond, Ops: 3}
-	check := &Span{Name: SpanCheck, Time: 7, Start: t0.Add(time.Millisecond), Dur: 8 * time.Millisecond, Ops: 5}
-	worker := &Span{
-		Name: SpanWorker, Detail: "w0", Time: 7, Track: 1,
-		Start: t0.Add(2 * time.Millisecond), Dur: 6 * time.Millisecond, Ops: 5, Wait: time.Millisecond,
+	root := &Span{Name: SpanMonitorApply, Time: 7, Start: t0, Dur: 10 * time.Millisecond, Wait: time.Millisecond}
+	commit := &Span{Name: SpanCommit, Time: 7, Start: t0.Add(time.Millisecond), Dur: 8 * time.Millisecond, Ops: 3}
+	shard := &Span{
+		Name: SpanShardCommit, Detail: "0", Time: 7, Track: 1,
+		Start: t0.Add(2 * time.Millisecond), Dur: 6 * time.Millisecond, Ops: 5,
 	}
-	check.Children = append(check.Children, worker)
-	root.Children = append(root.Children, check)
+	commit.Children = append(commit.Children, shard)
+	root.Children = append(root.Children, commit)
 	return root
 }
 
@@ -27,7 +27,7 @@ func TestSpanWalkAndRender(t *testing.T) {
 	s := tree(time.Now())
 	var names []string
 	s.Walk(func(sp *Span) { names = append(names, sp.Name) })
-	want := []string{SpanCommit, SpanCheck, SpanWorker}
+	want := []string{SpanMonitorApply, SpanCommit, SpanShardCommit}
 	if len(names) != len(want) {
 		t.Fatalf("walked %v, want %v", names, want)
 	}
@@ -37,7 +37,7 @@ func TestSpanWalkAndRender(t *testing.T) {
 		}
 	}
 	r := s.Render()
-	for _, want := range []string{"commit 10ms ops=3", "  phase.check", "    worker(w0)", "wait=1ms", "track=1"} {
+	for _, want := range []string{"monitor.apply 10ms wait=1ms", "  commit 8ms ops=3", "    shard.commit(0) 6ms ops=5 track=1"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("render missing %q:\n%s", want, r)
 		}
@@ -124,7 +124,7 @@ func TestSlowSpanLogger(t *testing.T) {
 	if len(logged) != 1 {
 		t.Fatalf("slow commit not logged (%d entries)", len(logged))
 	}
-	for _, want := range []string{"slow commit t=7 took 10ms", "phase.check", "worker(w0)"} {
+	for _, want := range []string{"slow monitor.apply t=7 took 10ms", "commit", "shard.commit(0)"} {
 		if !strings.Contains(logged[0], want) {
 			t.Errorf("slow log missing %q:\n%s", want, logged[0])
 		}
@@ -272,18 +272,18 @@ func TestWriteChromeTrace(t *testing.T) {
 	if ev.Dur != 10_000 {
 		t.Errorf("root dur = %v µs, want 10000", ev.Dur)
 	}
-	worker := trace.TraceEvents[2]
-	if worker.Name != SpanWorker || worker.Tid != 1 {
-		t.Errorf("worker event on tid %d: %+v", worker.Tid, worker)
+	if ev.Args["wait_us"] != 1000.0 {
+		t.Errorf("root wait_us = %v", ev.Args["wait_us"])
 	}
-	if worker.Args["wait_us"] != 1000.0 {
-		t.Errorf("worker wait_us = %v", worker.Args["wait_us"])
+	shard := trace.TraceEvents[2]
+	if shard.Name != SpanShardCommit || shard.Tid != 1 {
+		t.Errorf("shard event on tid %d: %+v", shard.Tid, shard)
 	}
 	// Child slices must nest inside the parent on the timeline.
 	parent := trace.TraceEvents[1]
-	if worker.Ts < parent.Ts || worker.Ts+worker.Dur > parent.Ts+parent.Dur {
-		t.Errorf("worker [%v,%v] escapes parent [%v,%v]",
-			worker.Ts, worker.Ts+worker.Dur, parent.Ts, parent.Ts+parent.Dur)
+	if shard.Ts < parent.Ts || shard.Ts+shard.Dur > parent.Ts+parent.Dur {
+		t.Errorf("shard [%v,%v] escapes parent [%v,%v]",
+			shard.Ts, shard.Ts+shard.Dur, parent.Ts, parent.Ts+parent.Dur)
 	}
 	errEv := trace.TraceEvents[3]
 	if errEv.Args["err"] != "fake" {

@@ -82,13 +82,11 @@ func New(s *schema.Schema, shards int, factory Factory) (*Router, error) {
 // ModeFactory returns the factory of an engine mode: the one place a
 // mode name becomes a constructor, for the router's shards and for
 // everything that runs one engine unsharded (the public checker, the
-// monitor, the CLIs). Parallelism sets the commit-pipeline width in
-// Incremental mode, with core.WithParallelism's meaning (below 2:
-// inline); the other engines check sequentially.
-func ModeFactory(s *schema.Schema, mode engine.Mode, parallelism int) (Factory, error) {
+// monitor, the CLIs).
+func ModeFactory(s *schema.Schema, mode engine.Mode) (Factory, error) {
 	switch mode {
 	case engine.Incremental:
-		return func() engine.Engine { return core.New(s, core.WithParallelism(parallelism)) }, nil
+		return func() engine.Engine { return core.New(s) }, nil
 	case engine.Naive:
 		return func() engine.Engine { return naive.New(s) }, nil
 	case engine.ActiveRules:
@@ -99,8 +97,8 @@ func ModeFactory(s *schema.Schema, mode engine.Mode, parallelism int) (Factory, 
 }
 
 // NewMode is New over ModeFactory's engines.
-func NewMode(s *schema.Schema, shards int, mode engine.Mode, parallelism int) (*Router, error) {
-	factory, err := ModeFactory(s, mode, parallelism)
+func NewMode(s *schema.Schema, shards int, mode engine.Mode) (*Router, error) {
+	factory, err := ModeFactory(s, mode)
 	if err != nil {
 		return nil, err
 	}

@@ -359,7 +359,7 @@ func TestRouterModes(t *testing.T) {
 		} else {
 			ref = active.New(s)
 		}
-		r, err := NewMode(s, 2, mode, 1)
+		r, err := NewMode(s, 2, mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,9 +100,8 @@ func (r *Router) SaveSnapshot(w io.Writer) error {
 // LoadSnapshot rebuilds a sealed router over s from a snapshot written
 // by SaveSnapshot. shards must equal the snapshot's shard count, and
 // the partition plan re-derived from the snapshot's constraints over s
-// must equal the one the snapshot was taken under; parallelism is each
-// shard engine's pipeline width, as in NewMode.
-func LoadSnapshot(s *schema.Schema, rd io.Reader, shards, parallelism int) (*Router, error) {
+// must equal the one the snapshot was taken under.
+func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return nil, fmt.Errorf("shard: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
@@ -155,7 +154,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards, parallelism int) (*Rou
 		return nil, err
 	}
 
-	r, err := NewMode(s, shards, engine.Incremental, parallelism)
+	r, err := NewMode(s, shards, engine.Incremental)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +164,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards, parallelism int) (*Rou
 		if err != nil {
 			return nil, err
 		}
-		c, err := core.LoadSnapshot(s, bytes.NewReader(blob), core.WithParallelism(parallelism))
+		c, err := core.LoadSnapshot(s, bytes.NewReader(blob))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

@@ -32,7 +32,7 @@ func cdcFeed() workload.History {
 // and commits the first steps of the feed.
 func feedRouter(t *testing.T, h workload.History, n, steps int) *Router {
 	t.Helper()
-	r, err := NewMode(h.Schema, n, engine.Incremental, 1)
+	r, err := NewMode(h.Schema, n, engine.Incremental)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		for _, at := range []int{0, 1, len(h.Steps) / 2} {
 			live := feedRouter(t, h, n, at)
-			restored, err := LoadSnapshot(h.Schema, bytes.NewReader(saveRouter(t, live)), n, 1)
+			restored, err := LoadSnapshot(h.Schema, bytes.NewReader(saveRouter(t, live)), n)
 			if err != nil {
 				t.Fatalf("shards=%d at=%d: %v", n, at, err)
 			}
@@ -124,14 +124,14 @@ func TestRouterSnapshotRejectsDamage(t *testing.T) {
 	h := cdcFeed()
 	raw := saveRouter(t, feedRouter(t, h, 2, 20))
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := LoadSnapshot(h.Schema, bytes.NewReader(raw[:cut]), 2, 1); err == nil {
+		if _, err := LoadSnapshot(h.Schema, bytes.NewReader(raw[:cut]), 2); err == nil {
 			t.Fatalf("snapshot truncated to %d of %d bytes loaded", cut, len(raw))
 		}
 	}
 	for i := range raw {
 		dam := append([]byte(nil), raw...)
 		dam[i] ^= 0x10
-		if _, err := LoadSnapshot(h.Schema, bytes.NewReader(dam), 2, 1); err == nil {
+		if _, err := LoadSnapshot(h.Schema, bytes.NewReader(dam), 2); err == nil {
 			t.Fatalf("snapshot with a bit flipped in byte %d of %d loaded", i, len(raw))
 		}
 	}
@@ -145,7 +145,7 @@ func TestRouterSnapshotMismatches(t *testing.T) {
 	live := feedRouter(t, h, 2, 20)
 	raw := saveRouter(t, live)
 
-	_, err := LoadSnapshot(h.Schema, bytes.NewReader(raw), 4, 1)
+	_, err := LoadSnapshot(h.Schema, bytes.NewReader(raw), 4)
 	if err == nil || !strings.Contains(err.Error(), "written by 2 shards") || !strings.Contains(err.Error(), "configured with 4") {
 		t.Fatalf("shard-count mismatch: err = %v, want both counts named", err)
 	}
@@ -157,14 +157,14 @@ func TestRouterSnapshotMismatches(t *testing.T) {
 		b.Relation(name, arity)
 	}
 	wider := b.Relation("zz_extra", 1).MustBuild()
-	_, err = LoadSnapshot(wider, bytes.NewReader(raw), 2, 1)
+	_, err = LoadSnapshot(wider, bytes.NewReader(raw), 2)
 	if err == nil || !strings.Contains(err.Error(), live.planFingerprint()) || !strings.Contains(err.Error(), "zz_extra/0") {
 		t.Fatalf("plan mismatch: err = %v, want both fingerprints named", err)
 	}
 
 	// Shards that disagree on the clock are not a consistent cut.
 	behind := saveRouter(t, feedRouter(t, h, 2, 19))
-	if _, err := LoadSnapshot(h.Schema, bytes.NewReader(spliceShard(t, raw, behind, 1)), 2, 1); err == nil || !strings.Contains(err.Error(), "consistent cut") {
+	if _, err := LoadSnapshot(h.Schema, bytes.NewReader(spliceShard(t, raw, behind, 1)), 2); err == nil || !strings.Contains(err.Error(), "consistent cut") {
 		t.Fatalf("mixed-clock shards: err = %v, want a consistent-cut complaint", err)
 	}
 }
@@ -210,7 +210,7 @@ func spliceShard(t *testing.T, a, b []byte, i int) []byte {
 // as a router's.
 func TestRouterSnapshotPreconditions(t *testing.T) {
 	h := cdcFeed()
-	r, err := NewMode(h.Schema, 2, engine.Naive, 1)
+	r, err := NewMode(h.Schema, 2, engine.Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRouterSnapshotPreconditions(t *testing.T) {
 	if err := feedRouter(t, h, 1, 5).engines[0].(*core.Checker).SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(h.Schema, &buf, 2, 1); err == nil || !strings.Contains(err.Error(), "not a sharded rtic snapshot") {
+	if _, err := LoadSnapshot(h.Schema, &buf, 2); err == nil || !strings.Contains(err.Error(), "not a sharded rtic snapshot") {
 		t.Fatalf("checker snapshot as a router's: err = %v, want a file-type complaint", err)
 	}
 }

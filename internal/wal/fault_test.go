@@ -413,17 +413,17 @@ func TestLiveBatchFlusherFailureSurfacesAtPointOfFailure(t *testing.T) {
 		WithFS(ffs),
 		WithSyncPolicy(SyncBatch),
 		WithBatchInterval(time.Millisecond),
-		WithFailureHandler(func(err error) {
-			select {
-			case failed <- err:
-			default:
-			}
-		}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	l.SetFailureHandler(func(err error) {
+		select {
+		case failed <- err:
+		default:
+		}
+	})
 	if err := l.Append([]byte("buffered")); err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,6 @@ type logOptions struct {
 	metrics  *obs.Metrics
 	spans    obs.SpanSink
 	fs       vfs.FS
-	onFail   func(error)
 }
 
 // WithSyncPolicy selects the sync policy (default SyncAlways).
@@ -160,15 +159,6 @@ func WithSpans(s obs.SpanSink) Option {
 // sits behind an interface).
 func WithFS(fsys vfs.FS) Option {
 	return func(o *logOptions) { o.fs = fsys }
-}
-
-// WithFailureHandler registers a callback fired (outside the log lock)
-// the moment the log latches broken — a failed fsync, rollback,
-// truncate or reset — so a durability manager learns about a
-// background-flusher failure at the point of failure, not on the next
-// append. See also SetFailureHandler.
-func WithFailureHandler(h func(error)) Option {
-	return func(o *logOptions) { o.onFail = h }
 }
 
 // Log is an append-only, checksummed record log. All methods are safe
@@ -235,7 +225,7 @@ func newLog(f file, path string, size int64, o logOptions) (*Log, error) {
 	if o.fs == nil {
 		o.fs = vfs.OS
 	}
-	l := &Log{path: path, policy: o.policy, metrics: o.metrics, spans: o.spans, fs: o.fs, onFail: o.onFail, f: f, size: size}
+	l := &Log{path: path, policy: o.policy, metrics: o.metrics, spans: o.spans, fs: o.fs, f: f, size: size}
 	if size == 0 {
 		if _, err := f.Write(magic[:]); err != nil {
 			return nil, fmt.Errorf("wal: writing header: %w", err)
@@ -645,9 +635,11 @@ func (l *Log) Err() error {
 	return l.broken
 }
 
-// SetFailureHandler registers (or, with nil, clears) the callback fired
-// when the log latches broken; see WithFailureHandler. A latch that
-// already happened is not re-fired.
+// SetFailureHandler registers (or, with nil, clears) a callback fired
+// (outside the log lock) the moment the log latches broken — a failed
+// fsync, rollback, truncate or reset — so a durability manager learns
+// about a background-flusher failure at the point of failure, not on
+// the next append. A latch that already happened is not re-fired.
 func (l *Log) SetFailureHandler(h func(error)) {
 	l.mu.Lock()
 	l.onFail = h

@@ -122,7 +122,6 @@ type Option func(*config)
 
 type config struct {
 	mode   Mode
-	par    int
 	shards int
 	obs    *obs.Observer
 	lint   LintMode
@@ -168,17 +167,6 @@ func WithMode(m Mode) Option {
 	return func(c *config) { c.mode = m }
 }
 
-// WithParallelism sets the worker-pool width of the incremental
-// engine's commit pipeline. n<=1 — the default — runs the pipeline
-// inline on the committing goroutine (the exact sequential algorithm);
-// n>=2 is an explicit opt-in: independent auxiliary-node updates and
-// constraint checks of one commit run on at most n goroutines, with
-// identical results. The other engines check sequentially and ignore
-// the option.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.par = n }
-}
-
 // WithShards partitions the checker's state across n independent shard
 // engines fronted by a router: each relation is hash-partitioned by a
 // column inferred from the constraints' join keys, transactions split
@@ -186,8 +174,7 @@ func WithParallelism(n int) Option {
 // stay exact — a constraint whose witnesses the static analysis cannot
 // pin to one shard falls back to a designated global shard (see
 // internal/shard). n<=1 selects the plain unsharded engine. Sharding
-// composes with WithMode; WithParallelism then sets each shard
-// engine's internal pipeline width, with the same meaning as unsharded.
+// composes with WithMode.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -214,7 +201,7 @@ func NewMetrics(r *Registry) *Metrics { return obs.NewMetrics(r) }
 
 // Span is one timed section of the commit path. Spans form a tree
 // rooted at a commit: per-phase children (apply, update, check,
-// carry), per-worker and per-shard sub-spans, WAL append/fsync spans.
+// carry), per-shard sub-spans, WAL append/fsync spans.
 // Constraint parsing and snapshot save/restore are root spans of their
 // own.
 type Span = obs.Span
@@ -277,7 +264,7 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 		o(&cfg)
 	}
 	c := &Checker{schema: s, mode: cfg.mode, obs: cfg.obs, lintMode: cfg.lint}
-	factory, err := shard.ModeFactory(s, cfg.mode, cfg.par)
+	factory, err := shard.ModeFactory(s, cfg.mode)
 	if err != nil {
 		return nil, fmt.Errorf("rtic: %w", err)
 	}
@@ -304,16 +291,6 @@ func (c *Checker) Mode() Mode { return c.mode }
 func (c *Checker) Shards() int {
 	if c.rtr != nil {
 		return c.rtr.Shards()
-	}
-	return 1
-}
-
-// Parallelism reports the worker-pool width of the commit pipeline: the
-// incremental engine's configured width, or 1 for the other engines,
-// which check sequentially.
-func (c *Checker) Parallelism() int {
-	if c.inc != nil {
-		return c.inc.Parallelism()
 	}
 	return 1
 }
@@ -576,15 +553,15 @@ func (c *Checker) SaveSnapshot(w io.Writer) error {
 
 // RestoreChecker rebuilds an Incremental checker from a snapshot written
 // by SaveSnapshot; the snapshot carries its constraints. The meaningful
-// options are WithObserver and WithParallelism (restored checkers are
-// always Incremental); the restore itself is a snapshot.restore span
-// when a span sink is attached.
+// option is WithObserver (restored checkers are always Incremental); the
+// restore itself is a snapshot.restore span when a span sink is
+// attached.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	cfg := config{mode: Incremental}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	inc, err := core.LoadSnapshotObserved(s, r, cfg.obs, core.WithParallelism(cfg.par))
+	inc, err := core.LoadSnapshotObserved(s, r, cfg.obs)
 	if err != nil {
 		return nil, err
 	}
