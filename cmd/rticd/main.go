@@ -5,8 +5,8 @@
 //
 //	rticd -spec constraints.rtic [-listen 127.0.0.1:7411]
 //	      [-mode incremental] [-shards N]
-//	      [-snapshot state.snap] [-restore]
 //	      [-wal state.wal] [-wal-sync always|batch]
+//	      [-snapshot state.snap (default <wal>.ckpt)] [-restore]
 //	      [-checkpoint-interval 30s]
 //	      [-on-durability-failure degrade|halt]
 //	      [-max-conns N] [-idle-timeout 5m]
@@ -38,20 +38,23 @@
 // per-commit fsync or batched flushing), and startup recovers crash
 // state automatically: load the newest valid checkpoint, replay the
 // journal tail (tolerating a torn final record), continue. Periodic
-// checkpoints truncate the replayed journal prefix. See
-// docs/DURABILITY.md for the format and recovery semantics.
+// checkpoints truncate the replayed journal prefix. -wal without
+// -snapshot checkpoints to <wal>.ckpt, exactly as if -snapshot
+// <wal>.ckpt had been given. See docs/DURABILITY.md for the format and
+// recovery semantics.
 //
 // -on-durability-failure selects what happens when journaling fails at
 // runtime (disk full, I/O error, failed fsync). The default, degrade,
-// keeps the daemon checking and acknowledging commits — as non-durable
-// — while /healthz reports "degraded", rtic_durability_degraded flips
-// to 1, and a background re-arm loop (exponential backoff with jitter)
-// retries restoring durability: transient failures are healed by
-// draining the buffered backlog into the journal; a broken journal is
-// replaced by a fresh segment behind an atomic checkpoint that covers
-// the degraded window. halt shuts the daemon down on the first
-// durability failure instead. See docs/DURABILITY.md for the failure
-// matrix.
+// keeps the daemon checking and acknowledging commits — as non-durable,
+// and unjournaled — while /healthz reports "degraded",
+// rtic_durability_degraded flips to 1, and a background re-arm loop
+// (exponential backoff with jitter) retries one rotation: an atomic
+// checkpoint that covers the degraded window, then every journal reset
+// in place or, if it latched broken, replaced by a fresh segment. A
+// shutdown while degraded is one more such attempt, and fails rather
+// than report a checkpoint it could not write. halt shuts the daemon
+// down on the first durability failure instead. See docs/DURABILITY.md
+// for the failure matrix.
 //
 // With -shards N the monitor hash-partitions its state across N shard
 // engines behind a router (see docs/ARCHITECTURE.md): the shards commit
@@ -155,7 +158,7 @@ func main() {
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
 	flag.IntVar(&opts.shards, "shards", 1,
 		"hash-partition state across N shard engines behind a router (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
-	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval)")
+	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval); default <wal>.ckpt with -wal")
 	flag.BoolVar(&opts.restore, "restore", false, "start from the -snapshot checkpoint")
 	flag.StringVar(&opts.walPath, "wal", "", "write-ahead log journaling every commit; startup recovers checkpoint + WAL tail automatically")
 	flag.StringVar(&opts.walSync, "wal-sync", "always", "WAL sync policy: always (fsync per commit) or batch (background flush)")
@@ -290,6 +293,12 @@ func start(opts options) (*daemon, error) {
 	if opts.onDurFailure == "" {
 		opts.onDurFailure = "degrade"
 	}
+	// A journal always has a checkpoint beside it: the rotation that
+	// re-arms a failed journal writes one, and shutdown leaves one to
+	// restart from.
+	if opts.walPath != "" && opts.snapPath == "" {
+		opts.snapPath = opts.walPath + ".ckpt"
+	}
 	fsys := opts.fsys
 	if fsys == nil {
 		fsys = vfs.OS
@@ -313,7 +322,7 @@ func start(opts options) (*daemon, error) {
 		return nil, fmt.Errorf("-checkpoint-interval %v is below the 1ms floor (0 disables periodic checkpoints)", opts.ckptInterval)
 	}
 	if opts.ckptInterval > 0 && opts.snapPath == "" {
-		return nil, fmt.Errorf("-checkpoint-interval requires -snapshot")
+		return nil, fmt.Errorf("-checkpoint-interval requires -snapshot or -wal")
 	}
 	if opts.maxConns < 0 {
 		return nil, fmt.Errorf("-max-conns must not be negative, got %d", opts.maxConns)
@@ -562,9 +571,11 @@ func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.
 }
 
 // shutdown stops both listeners, closes open connections, and writes a
-// final atomic checkpoint when -snapshot is set. The checkpoint goes to
-// a temp file first and is renamed into place, so even a crash here
-// cannot destroy the previous good checkpoint.
+// final atomic checkpoint when -snapshot or -wal is set. The checkpoint
+// goes to a temp file first and is renamed into place, so even a crash
+// here cannot destroy the previous good checkpoint. While degraded the
+// checkpoint is the last re-arm attempt: if it cannot be written,
+// shutdown fails instead of discarding the degraded window's commits.
 func (d *daemon) shutdown() error {
 	d.l.Close()
 	d.srv.Close()

@@ -327,7 +327,12 @@ func slowCommitLogWAL(t *testing.T, shards int, inner []string, journal ...strin
 		commitN(t, d, 3)
 		roots = d.rec.Snapshot()
 	})
+	// -wal alone checkpoints to <wal>.ckpt at shutdown; an unsharded
+	// snapshot is a snapshot.save root of its own after the commits.
 	blocks := parseSlowDump(t, out)
+	if len(blocks) == 4 && blocks[3].headRoot == "snapshot.save" {
+		blocks = blocks[:3]
+	}
 	if len(blocks) != 3 {
 		t.Fatalf("%d blocks for 3 commits:\n%s", len(blocks), out)
 	}

@@ -41,6 +41,10 @@ type Config struct {
 	Window  uint64 // op window the schedule draws from (default 4*Commits)
 	Faults  int    // injections in the window (default Commits/3+2; <0: none)
 
+	// NoCheckpoints drops the explicit checkpoint every five commits, so
+	// only the re-arm loop can heal a degraded episode.
+	NoCheckpoints bool
+
 	// Plan, when non-nil, replaces the seeded schedule entirely —
 	// for deterministic single-fault scenarios.
 	Plan []vfs.Injection
@@ -232,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 	// being acknowledged no matter what the disk does. A commit counts
 	// toward MaxDurableT only when durability reports ok after it —
 	// under SyncAlways that means the record (and every record before
-	// it, drained or checkpointed by a re-arm) reached stable storage.
+	// it, journaled or checkpointed by a re-arm) reached stable storage.
 	for i, st := range trace {
 		if _, err := m.Apply(st.t, st.tx); err != nil {
 			return res, fmt.Errorf("seed %d: commit at t=%d rejected during fault episode: %w", cfg.Seed, st.t, err)
@@ -241,7 +245,7 @@ func Run(cfg Config) (*Result, error) {
 		if h := d.Health(); h.Status == "ok" {
 			res.MaxDurableT = st.t
 		}
-		if (i+1)%5 == 0 {
+		if !cfg.NoCheckpoints && (i+1)%5 == 0 {
 			if err := d.Checkpoint(); err != nil {
 				res.CheckpointErrs++
 			}
@@ -259,7 +263,7 @@ func Run(cfg Config) (*Result, error) {
 		time.Sleep(time.Millisecond)
 	}
 	if h := d.Health(); h.Status == "ok" {
-		// Everything degraded was drained or checkpointed: the whole
+		// The re-arm's checkpoint covers everything degraded: the whole
 		// trace is now durable.
 		res.MaxDurableT = trace[len(trace)-1].t
 	}

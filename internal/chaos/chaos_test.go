@@ -24,24 +24,35 @@ func TestChaosBaselineNoFaults(t *testing.T) {
 }
 
 // TestChaosUnshardedSeeds runs the manager over one journal (WAL +
-// checkpoints + drain and fresh-segment re-arm) under seeded fault
-// schedules mixing ENOSPC, EIO, short writes, fsync failures, and
-// whole-disk crash latches.
+// checkpoints + the re-arm rotation, resetting usable journals and
+// replacing latched ones) under seeded fault schedules mixing ENOSPC,
+// EIO, short writes, fsync failures, and whole-disk crash latches.
 func TestChaosUnshardedSeeds(t *testing.T) {
-	seeds(t, 30, 1)
+	seeds(t, 30, 1, false)
 }
 
 // TestChaosShardedSeeds runs the same manager over one journal per
-// shard — same checkpoints, same two re-arm classes — under seeded
-// fault schedules.
+// shard — same checkpoints, same rotation — under seeded fault
+// schedules.
 func TestChaosShardedSeeds(t *testing.T) {
-	seeds(t, 10, 3)
+	seeds(t, 10, 3, false)
 }
 
-func seeds(t *testing.T, n int64, shards int) {
+// TestChaosRearmLoopSeeds never calls Checkpoint, so a degraded episode
+// heals only if the re-arm loop's own rotation does: a broken loop
+// cannot hide behind the every-five-commits checkpoint of the suites
+// above.
+func TestChaosRearmLoopSeeds(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { seeds(t, 20, shards, true) })
+	}
+}
+
+// seeds runs n seeded schedules at the given shard count.
+func seeds(t *testing.T, n int64, shards int, noCheckpoints bool) {
 	fired, rearms := 0, uint64(0)
 	for seed := int64(1); seed <= n; seed++ {
-		res, err := Run(Config{Dir: t.TempDir(), Seed: seed, Commits: 24, Shards: shards})
+		res, err := Run(Config{Dir: t.TempDir(), Seed: seed, Commits: 24, Shards: shards, NoCheckpoints: noCheckpoints})
 		if err != nil {
 			t.Errorf("%+v: %v", res, err)
 			continue
@@ -58,6 +69,7 @@ func seeds(t *testing.T, n int64, shards int) {
 	if rearms == 0 {
 		t.Errorf("shards=%d: no re-arm succeeded across any seed", shards)
 	}
+	t.Logf("shards=%d: %d runs, %d faults fired, %d re-arms", shards, n, fired, rearms)
 }
 
 // TestChaosConfigValidation covers the one hard requirement.

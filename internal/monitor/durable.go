@@ -22,12 +22,11 @@ type FailurePolicy int
 
 const (
 	// Degrade keeps the monitor serving: commits are still checked and
-	// acknowledged — as non-durable — while a bounded in-memory backlog
-	// buffers them and a background re-arm loop (exponential backoff
-	// with jitter) retries restoring durability. A transient failure is
-	// healed by draining the backlog into the journal; a broken journal
-	// is replaced by a fresh segment plus an atomic checkpoint covering
-	// the degraded window (requires a checkpoint path).
+	// acknowledged — as non-durable, and no longer journaled — while a
+	// background re-arm loop (exponential backoff with jitter) retries
+	// the rotation that restores durability: an atomic checkpoint that
+	// covers the degraded window, then every journal emptied. Without a
+	// checkpoint path nothing can rotate, so the manager stays degraded.
 	Degrade FailurePolicy = iota
 	// Halt invokes the configured halt function (see WithHaltFunc) on
 	// the first durability failure, so a daemon that must never
@@ -70,7 +69,6 @@ type durableOptions struct {
 	openLog    func(path string) (*wal.Log, error)
 	backoffMin time.Duration
 	backoffMax time.Duration
-	backlogCap int
 }
 
 func defaultDurableOptions() durableOptions {
@@ -79,12 +77,11 @@ func defaultDurableOptions() durableOptions {
 		policy:     Degrade,
 		backoffMin: 50 * time.Millisecond,
 		backoffMax: 5 * time.Second,
-		backlogCap: 4096,
 	}
 }
 
-// WithDurableFS selects the filesystem checkpoints and re-arm segment
-// rotation go through (default vfs.OS). Fault-injection tests
+// WithDurableFS selects the filesystem checkpoints and fresh journal
+// segments go through (default vfs.OS). Fault-injection tests
 // substitute a vfs.FaultFS.
 func WithDurableFS(fsys vfs.FS) DurableOption {
 	return func(o *durableOptions) {
@@ -107,7 +104,7 @@ func WithHaltFunc(h func(error)) DurableOption {
 	return func(o *durableOptions) { o.halt = h }
 }
 
-// WithLogFactory sets how the re-arm loop opens a fresh WAL segment,
+// WithLogFactory sets how a rotation opens a fresh WAL segment,
 // so the replacement inherits the daemon's sync policy, metrics and
 // filesystem. The default opens a plain SyncAlways log through the
 // manager's filesystem.
@@ -128,27 +125,6 @@ func WithRearmBackoff(min, max time.Duration) DurableOption {
 	}
 }
 
-// WithBacklogLimit caps the in-memory record backlog kept while
-// degraded (default 4096). Past the cap the backlog is discarded and
-// only a checkpoint-class re-arm can restore durability.
-func WithBacklogLimit(n int) DurableOption {
-	return func(o *durableOptions) {
-		if n > 0 {
-			o.backlogCap = n
-		}
-	}
-}
-
-// pendingRec is one commit buffered while degraded: its timestamp, the
-// encoded record of every journal, and the journals still missing
-// theirs — so a commit that reached only some journals is completed by
-// the drain, never duplicated. With one journal need is {0}.
-type pendingRec struct {
-	t        uint64
-	payloads [][]byte // indexed like Durable.logs
-	need     []int    // journals missing the record, ascending
-}
-
 // Durable is the durability manager around a monitor: it journals every
 // accepted transaction to write-ahead logs — one for an unsharded
 // monitor, one per shard (each receiving that shard's slice of the
@@ -164,11 +140,11 @@ type pendingRec struct {
 // accepted transaction since the last checkpoint, record j of every
 // journal carries the same timestamp, and a crash can tear that
 // alignment only at the tail — some journals got the last commit,
-// others did not. A checkpoint writes the snapshot to a temp file,
-// fsyncs, renames it over the live path, and only then resets the
+// others did not. A rotation writes the snapshot to a temp file,
+// fsyncs, renames it over the live path, and only then empties the
 // journals one by one — a crash before the rename leaves the old
 // checkpoint plus journals that cover everything after it; a crash
-// after the rename, before or between the resets, leaves records the
+// after the rename, before or between the journals, leaves records the
 // recovery skips by timestamp (timestamps are strictly increasing, so
 // "t at or before the checkpoint's clock" identifies them exactly).
 // Recovery therefore drops the covered records of each journal first,
@@ -177,20 +153,22 @@ type pendingRec struct {
 // back to that prefix — discarding at most the final, partially
 // journaled commit.
 //
+// One rotation is the only code that empties journals: it writes the
+// snapshot atomically, then empties every journal — Reset in place
+// while the log is usable, so a caller's *wal.Log handle keeps working,
+// or a fresh <journal>.rearm segment renamed over it once the log
+// latched broken. The periodic checkpointer, Checkpoint and every
+// attempt of the re-arm loop run it.
+//
 // Journaling failures follow the configured FailurePolicy. Under
 // Degrade (the default) the manager enters degraded mode: commits keep
-// being checked and acknowledged — as non-durable — while a re-arm loop
-// retries in the background. Re-arm has two classes. If no journal
-// latched broken (a transient append failure, e.g. ENOSPC that
-// cleared), the buffered backlog is drained into the journals missing
-// it and fsynced. If a journal is broken or the backlog overflowed, a
-// fresh segment is opened beside every live path, an atomic checkpoint
-// capturing the whole state — degraded-window commits included — is
-// written, and the fresh segments are renamed over the old paths;
-// either way no acknowledged-durable commit is ever lost, and commits
-// acknowledged during the degraded window become durable again at
-// re-arm. Journal-only managers (no checkpoint path) can only drain; if
-// a journal breaks they stay degraded until restart.
+// being checked and acknowledged — as non-durable — and the journal
+// hook stops appending, so the journals end at the failure and nothing
+// is buffered. The first rotation that succeeds re-arms: its checkpoint
+// captures the whole state, degraded-window commits included, so no
+// acknowledged-durable commit is ever lost and the degraded window
+// becomes durable again. A manager without a checkpoint path cannot
+// rotate: it starts no re-arm loop and stays degraded until restart.
 type Durable struct {
 	m        *Monitor
 	snapPath string // "": journal-only durability
@@ -202,7 +180,6 @@ type Durable struct {
 
 	backoffMin time.Duration
 	backoffMax time.Duration
-	backlogCap int
 
 	// one is the journal hook's parts slice when there is one journal:
 	// the transaction passes whole, with no Split and no allocation. The
@@ -212,20 +189,19 @@ type Durable struct {
 	mu sync.Mutex
 	// logs holds no journal (checkpoint-only durability), one (unsharded)
 	// or one per shard, index == shard id — record i of a commit goes to
-	// logs[i], so the order is load-bearing across restarts. A
-	// fresh-segment re-arm replaces the slice; it is never edited in place.
-	logs            []*wal.Log
-	last            time.Time // last successful checkpoint
-	lastErr         error     // latest durability failure, nil when healthy
-	replayed        int
-	degraded        bool
-	degradedSince   time.Time
-	backlog         []pendingRec
-	backlogOverflow bool
-	rearmAttempts   uint64
-	rearms          uint64
-	rearmStop       chan struct{}
-	rearmDone       chan struct{}
+	// logs[i], so the order is load-bearing across restarts. A rotation
+	// that swaps in a fresh segment replaces the slice; it is never edited
+	// in place.
+	logs          []*wal.Log
+	last          time.Time // last successful checkpoint
+	lastErr       error     // latest durability failure, nil when healthy
+	replayed      int
+	degraded      bool
+	degradedSince time.Time
+	rearmAttempts uint64
+	rearms        uint64
+	rearmStop     chan struct{} // closed to end the re-arm loop
+	rearmDone     chan struct{} // closed when the re-arm loop has ended
 
 	stop chan struct{}
 	done chan struct{}
@@ -276,7 +252,7 @@ func NewDurableLogs(m *Monitor, logs []*wal.Log, snapPath string, opts ...Durabl
 	d := &Durable{
 		m: m, logs: logs, snapPath: snapPath,
 		fs: o.fs, policy: o.policy, halt: o.halt, openLog: o.openLog,
-		backoffMin: o.backoffMin, backoffMax: o.backoffMax, backlogCap: o.backlogCap,
+		backoffMin: o.backoffMin, backoffMax: o.backoffMax,
 	}
 	if d.openLog == nil {
 		fsys := o.fs
@@ -437,15 +413,15 @@ func (d *Durable) Attach() {
 	if len(logs) == 0 {
 		return
 	}
-	d.watch(logs)
+	for i, l := range logs {
+		d.watch(i, len(logs), l)
+	}
 	d.m.SetJournal(d.journalHook)
 }
 
-// watch routes the journals' failure notifications to onFailure.
-func (d *Durable) watch(logs []*wal.Log) {
-	for i, l := range logs {
-		l.SetFailureHandler(func(err error) { d.onFailure(journalErr(len(logs), i, err)) })
-	}
+// watch routes the failure notifications of journal i of n to onFailure.
+func (d *Durable) watch(i, n int, l *wal.Log) {
+	l.SetFailureHandler(func(err error) { d.onFailure(journalErr(n, i, err)) })
 }
 
 // journalErr names the failing journal when there are several.
@@ -457,72 +433,29 @@ func journalErr(n, i int, err error) error {
 }
 
 // journalHook runs under the commit lock for every accepted commit.
+// While degraded it journals nothing: the rotation that re-arms writes
+// a checkpoint covering the commit instead.
 func (d *Durable) journalHook(t uint64, tx *storage.Transaction) {
 	d.mu.Lock()
 	logs, degraded := d.logs, d.degraded
 	d.mu.Unlock()
+	if degraded {
+		return
+	}
 	parts := d.one[:]
 	if rtr := d.m.rtr; rtr == nil {
 		parts[0] = tx
 	} else {
 		parts = rtr.Split(tx)
 	}
-	var failed []int // nil while degraded: every journal misses the record
-	if !degraded {
-		var firstErr error
-		for i, part := range parts {
-			if err := logs[i].AppendTx(t, part); err != nil {
-				failed = append(failed, i)
-				if firstErr == nil {
-					firstErr = journalErr(len(logs), i, err)
-				}
-			}
-		}
-		if firstErr == nil {
-			return
-		}
-		d.onFailure(firstErr)
-	}
-	d.mu.Lock()
-	if d.degraded {
-		// The commit joins the backlog so a drain re-arm still covers it.
-		// After a failed append only the failed journals need its record:
-		// the others hold it, and a duplicate would misalign the journals.
-		d.pushBacklogLocked(t, parts, failed)
-	}
-	d.mu.Unlock()
-}
-
-// pushBacklogLocked buffers one degraded-window commit (caller holds
-// d.mu). need lists the journals missing their record; nil means all.
-// Past the cap the backlog is dropped wholesale: it can no longer be
-// replayed into the journals, so only a checkpoint-class re-arm — which
-// captures the state directly — can recover.
-func (d *Durable) pushBacklogLocked(t uint64, parts []*storage.Transaction, need []int) {
-	if d.backlogOverflow {
-		return
-	}
-	if len(d.backlog) >= d.backlogCap {
-		d.backlog = nil
-		d.backlogOverflow = true
-		if mm := d.metrics(); mm != nil {
-			mm.JournalBacklog.Set(0)
-		}
-		return
-	}
-	payloads := make([][]byte, len(parts))
+	var firstErr error
 	for i, part := range parts {
-		payloads[i] = wal.EncodeTx(t, part)
-	}
-	if need == nil {
-		need = make([]int, len(parts))
-		for i := range need {
-			need[i] = i
+		if err := logs[i].AppendTx(t, part); err != nil && firstErr == nil {
+			firstErr = journalErr(len(logs), i, err)
 		}
 	}
-	d.backlog = append(d.backlog, pendingRec{t: t, payloads: payloads, need: need})
-	if mm := d.metrics(); mm != nil {
-		mm.JournalBacklog.Set(int64(len(d.backlog)))
+	if firstErr != nil {
+		d.onFailure(firstErr)
 	}
 }
 
@@ -542,8 +475,8 @@ func (d *Durable) onFailure(err error) {
 	d.degrade(err)
 }
 
-// degrade flips the manager into degraded mode (idempotent) and starts
-// the re-arm loop.
+// degrade flips the manager into degraded mode (idempotent) and, when
+// it has a checkpoint path to rotate to, starts the re-arm loop.
 func (d *Durable) degrade(err error) {
 	d.mu.Lock()
 	d.lastErr = err
@@ -553,14 +486,18 @@ func (d *Durable) degrade(err error) {
 	}
 	d.degraded = true
 	d.degradedSince = time.Now()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	d.rearmStop, d.rearmDone = stop, done
+	var stop, done chan struct{}
+	if d.snapPath != "" {
+		stop, done = make(chan struct{}), make(chan struct{})
+		d.rearmStop, d.rearmDone = stop, done
+	}
 	d.mu.Unlock()
 	if mm := d.metrics(); mm != nil {
 		mm.DurabilityDegraded.Set(1)
 	}
-	go runRearmLoop(stop, done, d.backoffMin, d.backoffMax, d.tryRearm)
+	if stop != nil {
+		go runRearmLoop(stop, done, d.backoffMin, d.backoffMax, d.tryRearm)
+	}
 }
 
 // runRearmLoop retries try with exponential backoff until it reports
@@ -595,9 +532,7 @@ func rearmJitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2))) //nolint:gosec — jitter, not crypto
 }
 
-// tryRearm attempts to restore durability. It holds the commit lock
-// throughout so no commit can slip between the drain (or checkpoint)
-// and journaling being live again.
+// tryRearm is one attempt of the re-arm loop: a rotation.
 func (d *Durable) tryRearm() bool {
 	d.mu.Lock()
 	d.rearmAttempts++
@@ -605,144 +540,25 @@ func (d *Durable) tryRearm() bool {
 	if mm := d.metrics(); mm != nil {
 		mm.RearmAttempts.Inc()
 	}
-
-	d.m.mu.Lock()
-	defer d.m.mu.Unlock()
-
-	d.mu.Lock()
-	if !d.degraded {
-		d.mu.Unlock()
-		return true
-	}
-	logs := d.logs
-	backlog := d.backlog
-	drainable := len(logs) > 0 && !d.backlogOverflow
-	d.mu.Unlock()
-
-	for _, l := range logs {
-		if l.Err() != nil {
-			drainable = false
-		}
-	}
-	if drainable {
-		return d.rearmDrain(logs, backlog)
-	}
-	return d.rearmFresh(logs)
+	return d.Checkpoint() == nil
 }
 
-// rearmDrain re-appends the degraded window's commits to the still
-// healthy journals (the failure was transient) and fsyncs: each
-// buffered record goes to exactly the journals missing it, restoring
-// the one-record-per-journal-per-commit alignment. Caller holds the
-// commit lock, which also freezes the backlog — so records are edited
-// in place, and a partial drain leaves each knowing which journals it
-// still needs.
-func (d *Durable) rearmDrain(logs []*wal.Log, backlog []pendingRec) bool {
-	drained := 0
-drain:
-	for ; drained < len(backlog); drained++ {
-		rec := &backlog[drained]
-		for len(rec.need) > 0 {
-			i := rec.need[0]
-			if err := logs[i].Append(rec.payloads[i]); err != nil {
-				break drain
-			}
-			rec.need = rec.need[1:]
-		}
-	}
-	ok := drained == len(backlog)
-	for _, l := range logs {
-		ok = ok && l.Sync() == nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.backlog = d.backlog[drained:]
-	if !ok {
-		if mm := d.metrics(); mm != nil {
-			mm.JournalBacklog.Set(int64(len(d.backlog)))
-		}
-		return false
-	}
-	d.finishRearmLocked()
-	return true
-}
-
-// rearmFresh replaces broken (or overflowed-past) journals: open a
-// fresh segment beside every live path, write an atomic checkpoint
-// covering every commit — the degraded window included — and rotate the
-// fresh segments over the old paths. A crash at any point leaves a
-// recoverable set: before the checkpoint rename, the old checkpoint and
-// old journals; after it, a checkpoint that supersedes every old
-// journal record, whichever of the journals were already rotated
-// (replay skips covered records by timestamp, journal by journal).
-// Caller holds the commit lock.
-func (d *Durable) rearmFresh(old []*wal.Log) bool {
-	if d.snapPath == "" || len(old) == 0 {
-		return false // journal-only managers cannot rebuild a broken log
-	}
-	fresh := make([]*wal.Log, 0, len(old))
-	abort := func() bool {
-		for i, l := range fresh {
-			l.Close()                                //rtic:errok aborting a failed re-arm; the segment is removed on the next line
-			d.fs.Remove(old[i].Path() + rearmSuffix) //rtic:errok best-effort cleanup; a leftover segment is overwritten by the next attempt
-		}
-		return false
-	}
-	for _, o := range old {
-		rearmPath := o.Path() + rearmSuffix
-		// A leftover segment from an earlier failed attempt would make the
-		// fresh open replay stale records; clear it first.
-		if err := d.fs.Remove(rearmPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return abort()
-		}
-		l, err := d.openLog(rearmPath)
-		if err != nil {
-			return abort()
-		}
-		fresh = append(fresh, l)
-	}
-	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, d.m.snapshotLocked); err != nil {
-		return abort()
-	}
-	for i, l := range fresh {
-		if err := l.Rename(old[i].Path()); err != nil {
-			return abort()
-		}
-	}
-	d.watch(fresh)
-	d.mu.Lock()
-	d.logs = fresh
-	d.last = time.Now()
-	d.finishRearmLocked()
-	d.mu.Unlock()
-	if mm := d.metrics(); mm != nil {
-		mm.Checkpoints.Inc()
-		mm.CheckpointLastUnix.Set(time.Now().Unix())
-	}
-	for _, o := range old {
-		o.Close() //rtic:errok the replaced journals are superseded by the checkpoint; a broken one's latched error has been reported
-	}
-	return true
-}
-
-// rearmSuffix names the staging segment a fresh-segment re-arm opens
-// beside each live journal.
+// rearmSuffix names the staging segment a rotation opens beside each
+// latched journal.
 const rearmSuffix = ".rearm"
 
 // finishRearmLocked clears the degraded state (caller holds d.mu and
-// the commit lock). The re-arm loop exits once its attempt reports
-// success, so rearmStop is dropped here.
+// the commit lock) and ends the re-arm loop; Stop still waits for it.
 func (d *Durable) finishRearmLocked() {
 	d.degraded = false
-	d.lastErr = nil
 	d.degradedSince = time.Time{}
-	d.backlog = nil
-	d.backlogOverflow = false
 	d.rearms++
-	d.rearmStop = nil
+	if d.rearmStop != nil {
+		close(d.rearmStop)
+		d.rearmStop = nil
+	}
 	if mm := d.metrics(); mm != nil {
 		mm.DurabilityDegraded.Set(0)
-		mm.JournalBacklog.Set(0)
 		mm.Rearms.Inc()
 	}
 }
@@ -770,10 +586,9 @@ func (d *Durable) Start(interval time.Duration) {
 	}()
 }
 
-// Stop halts the background checkpointer and, if one is running, the
-// re-arm loop — a manager stopped while degraded stays degraded
-// (without a final checkpoint; call Checkpoint explicitly for a clean
-// shutdown).
+// Stop halts the background checkpointer and the re-arm loop. A manager
+// stopped while degraded stays degraded until a Checkpoint re-arms it —
+// call Checkpoint for a clean shutdown.
 func (d *Durable) Stop() {
 	if d.stop != nil {
 		close(d.stop)
@@ -782,17 +597,19 @@ func (d *Durable) Stop() {
 	}
 	d.mu.Lock()
 	stop, done := d.rearmStop, d.rearmDone
-	d.rearmStop = nil
+	d.rearmStop, d.rearmDone = nil, nil
 	d.mu.Unlock()
 	if stop != nil {
 		close(stop)
+	}
+	if done != nil {
 		<-done
 	}
 }
 
 // CloseLogs flushes and closes the manager's current journals — which a
-// fresh-segment re-arm may have swapped since the caller opened them —
-// and returns the first error. Call it after Stop.
+// rotation may have swapped since the caller opened them — and returns
+// the first error. Call it after Stop.
 func (d *Durable) CloseLogs() error {
 	var first error
 	for _, l := range d.currentLogs() {
@@ -803,26 +620,19 @@ func (d *Durable) CloseLogs() error {
 	return first
 }
 
-// errCheckpointSkipped marks a checkpoint attempt that found the
-// manager degraded — the re-arm loop owns recovery then.
-var errCheckpointSkipped = errors.New("monitor: checkpoint skipped while degraded")
-
-// Checkpoint atomically rotates a snapshot into the checkpoint path and
-// resets the journals. Commits are held out for the duration — bounded
-// history encoding keeps the state (and so the pause) small. While
-// degraded, Checkpoint is a no-op: the re-arm loop writes the
-// checkpoint that covers the degraded window, and a competing rotation
-// here could reset journals the drain path still needs.
+// Checkpoint rotates: it atomically writes a snapshot to the checkpoint
+// path and empties the journals, holding commits out for the duration —
+// bounded history encoding keeps the state (and so the pause) small.
+// While degraded, a Checkpoint that returns nil has re-armed.
 func (d *Durable) Checkpoint() error {
 	if d.snapPath == "" {
 		return fmt.Errorf("monitor: no checkpoint path configured")
 	}
 	mm := d.metrics()
 	start := time.Now()
-	err := d.checkpointLocked()
-	if errors.Is(err, errCheckpointSkipped) {
-		return nil
-	}
+	d.m.mu.Lock()
+	defer d.m.mu.Unlock()
+	err := d.rotateLocked()
 	if mm != nil {
 		mm.CheckpointSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -833,34 +643,89 @@ func (d *Durable) Checkpoint() error {
 		}
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err != nil {
 		d.lastErr = err
-	} else {
-		d.last = time.Now()
-		d.lastErr = nil
-	}
-	d.mu.Unlock()
-	return err
-}
-
-func (d *Durable) checkpointLocked() error {
-	d.m.mu.Lock()
-	defer d.m.mu.Unlock()
-	d.mu.Lock()
-	logs, degraded := d.logs, d.degraded
-	d.mu.Unlock()
-	if degraded {
-		return errCheckpointSkipped
-	}
-	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, d.m.snapshotLocked); err != nil {
 		return err
 	}
-	// Every journal is reset even if one fails: whatever stays behind is
-	// covered by the checkpoint and skipped by Recover.
+	d.last = time.Now()
+	d.lastErr = nil
+	if d.degraded {
+		d.finishRearmLocked()
+	}
+	return nil
+}
+
+// rotateLocked is the rotation (caller holds the commit lock). A fresh
+// segment is staged beside every latched journal before the snapshot is
+// written, so a failure up to the snapshot's rename leaves the old
+// checkpoint and journals in place. After it, the checkpoint supersedes
+// every journaled record, so a crash leaves a recoverable set however
+// many journals were already emptied: Recover skips covered records by
+// timestamp, journal by journal.
+func (d *Durable) rotateLocked() error {
+	logs := d.currentLogs()
+	fresh := make([]*wal.Log, len(logs))
+	drop := func(i int) {
+		fresh[i].Close()                          //rtic:errok discarding an unused segment; the failure that caused it is reported
+		d.fs.Remove(logs[i].Path() + rearmSuffix) //rtic:errok best-effort cleanup; the next rotation clears a leftover segment
+		fresh[i] = nil
+	}
+	abort := func(err error) error {
+		for i := range fresh {
+			if fresh[i] != nil {
+				drop(i)
+			}
+		}
+		return err
+	}
+	for i, l := range logs {
+		if l.Err() == nil {
+			continue
+		}
+		p := l.Path() + rearmSuffix
+		// A leftover segment from an earlier failed attempt would make the
+		// fresh open replay stale records; clear it first.
+		if err := d.fs.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return abort(err)
+		}
+		seg, err := d.openLog(p)
+		if err != nil {
+			return abort(err)
+		}
+		fresh[i] = seg
+	}
+	if err := wal.WriteFileAtomicFS(d.fs, d.snapPath, d.m.snapshotLocked); err != nil {
+		return abort(err)
+	}
+	// Every journal is emptied even if one fails: whatever stays behind is
+	// covered by the checkpoint. A journal whose fresh segment did not
+	// rename stays latched, so the next rotation replaces it again.
 	var first error
-	for _, l := range logs {
-		if err := l.Reset(); err != nil && first == nil {
-			first = err
+	next := append([]*wal.Log(nil), logs...)
+	for i, l := range logs {
+		if fresh[i] == nil {
+			if err := l.Reset(); err != nil && first == nil {
+				first = err
+			}
+			continue
+		}
+		if err := fresh[i].Rename(l.Path()); err != nil {
+			if first == nil {
+				first = err
+			}
+			drop(i)
+			continue
+		}
+		next[i] = fresh[i]
+	}
+	d.mu.Lock()
+	d.logs = next
+	d.mu.Unlock()
+	for i, l := range logs {
+		if next[i] != l {
+			d.watch(i, len(next), next[i])
+			l.Close() //rtic:errok the replaced journal is superseded by the checkpoint; its latched error has been reported
 		}
 	}
 	return first
@@ -883,15 +748,10 @@ type DurabilityHealth struct {
 	// DegradedSeconds is how long the current degraded episode has
 	// lasted (0 when not in degraded mode).
 	DegradedSeconds float64 `json:"degraded_seconds,omitempty"`
-	// RearmAttempts counts re-arm attempts this run; Rearms counts the
-	// successful ones.
+	// RearmAttempts counts re-arm loop attempts this run; Rearms counts
+	// the rotations that ended a degraded episode.
 	RearmAttempts uint64 `json:"rearm_attempts,omitempty"`
 	Rearms        uint64 `json:"rearms,omitempty"`
-	// BacklogRecords is the number of commits buffered while degraded;
-	// BacklogOverflow reports the backlog blew its cap (only a
-	// checkpoint-class re-arm can recover).
-	BacklogRecords  int  `json:"backlog_records,omitempty"`
-	BacklogOverflow bool `json:"backlog_overflow,omitempty"`
 	// LastError describes the failure behind a degraded status.
 	LastError string `json:"last_error,omitempty"`
 }
@@ -907,8 +767,6 @@ func (d *Durable) Health() DurabilityHealth {
 		ReplayedRecords:          d.replayed,
 		RearmAttempts:            d.rearmAttempts,
 		Rearms:                   d.rearms,
-		BacklogRecords:           len(d.backlog),
-		BacklogOverflow:          d.backlogOverflow,
 	}
 	if !d.last.IsZero() {
 		h.LastCheckpointAgeSeconds = time.Since(d.last).Seconds()

@@ -196,8 +196,8 @@ func (m *Monitor) SetObserver(o *obs.Observer) {
 // manager appends to. A root span arriving while an Apply is open is
 // adopted by that Apply's monitor.apply span, so the observer's sink
 // sees one tree per acknowledged commit; anything else (a checkpoint's
-// snapshot.save, a re-arm drain's wal.append) passes through as its own
-// root. Only code holding the commit lock may emit through it.
+// snapshot.save) passes through as its own root. Only code holding the
+// commit lock may emit through it.
 type commitSink struct{ m *Monitor }
 
 func (s commitSink) ObserveSpan(sp *obs.Span) {

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -44,14 +45,14 @@ func insertAt(t *testing.T, m *Monitor, ts uint64, e int64) {
 	}
 }
 
-// TestDrainRearmAfterTransientFailure fires one transient ENOSPC at a
-// journal append: the commit is still acknowledged, the manager
-// degrades with the record in its backlog, and the re-arm loop drains
-// it back into the (never broken) journal — into exactly the journal
-// that missed it, so several journals end up aligned again. A post-crash
+// TestRearmAfterTransientFailureResetsInPlace fires one transient ENOSPC
+// at a journal append: the commit is still acknowledged, the manager
+// degrades and stops journaling, and the re-arm loop's rotation writes
+// a checkpoint covering the degraded window and resets every journal in
+// place — the caller's handles stay the live journals. A post-crash
 // replay must see every commit, including the one from the degraded
 // window.
-func TestDrainRearmAfterTransientFailure(t *testing.T) {
+func TestRearmAfterTransientFailureResetsInPlace(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		snapPath := snapshotPath(dir)
@@ -64,36 +65,32 @@ func TestDrainRearmAfterTransientFailure(t *testing.T) {
 		insertAt(t, m1, 10, 1)
 		insertAt(t, m1, 20, 2) // the last journal's append fails, commit still acknowledged
 		h := waitHealthy(t, d1.Health)
-		if h.Rearms != 1 || h.BacklogRecords != 0 {
-			t.Fatalf("health after drain re-arm = %+v, want 1 re-arm and an empty backlog", h)
+		if h.Rearms != 1 || h.LastCheckpointAgeSeconds < 0 {
+			t.Fatalf("health after re-arm = %+v, want 1 re-arm and a checkpoint", h)
 		}
 		insertAt(t, m1, 30, 3)
 		for i, l := range logs1 {
-			if err := l.Err(); err != nil {
-				t.Fatalf("journal %d latched broken after a transient failure: %v", i, err)
+			if got := d1.currentLogs()[i]; got != l {
+				t.Fatalf("journal %d was replaced; a usable journal must be reset in place", i)
 			}
-			if got := l.Records(); got != 3 {
-				t.Fatalf("journal %d holds %d records after drain, want 3 (journals misaligned)", i, got)
+			if got := l.Records(); got != 1 {
+				t.Fatalf("journal %d holds %d records after the re-arm, want the 1 commit since", i, got)
 			}
 		}
 		d1.Stop()
 		// Crash without closing; recover over the real filesystem.
 		m2, _, replayed := recoverFrom(t, dir, n, snapPath)
-		if replayed != 3 {
-			t.Fatalf("Recover replayed %d commits; want all 3 (degraded-window commit included)", replayed)
-		}
-		if m2.Now() != 30 {
-			t.Fatalf("recovered Now = %d, want 30", m2.Now())
+		if replayed != 1 || m2.Now() != 30 || m2.Len() != 3 {
+			t.Fatalf("recovered to Len=%d Now=%d (+%d replayed), want 3/30 with 1 replayed", m2.Len(), m2.Now(), replayed)
 		}
 	})
 }
 
 // TestFreshSegmentRearmAfterBrokenLog latches a journal broken (fsync
-// failure) and verifies the checkpoint-class re-arm: a fresh segment is
-// rotated over every journal — the healthy ones too, the checkpoint
-// supersedes them all — behind an atomic checkpoint that covers the
-// degraded window, and recovery from checkpoint + fresh journals
-// reproduces the full state.
+// failure) and verifies the rotation's other arm: a fresh segment is
+// renamed over the latched journal — the healthy ones are reset in
+// place — behind an atomic checkpoint that covers the degraded window,
+// and recovery from checkpoint + journals reproduces the full state.
 func TestFreshSegmentRearmAfterBrokenLog(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
@@ -118,14 +115,19 @@ func TestFreshSegmentRearmAfterBrokenLog(t *testing.T) {
 		if h.LastCheckpointAgeSeconds < 0 {
 			t.Fatalf("re-arm did not record its checkpoint: %+v", h)
 		}
-		insertAt(t, m1, 30, 3) // lands in the fresh segments
+		for i, l := range d1.currentLogs() {
+			if replaced := l != logs1[i]; replaced != (i == n-1) {
+				t.Fatalf("journal %d replaced=%v; only the latched journal takes a fresh segment", i, replaced)
+			}
+		}
+		insertAt(t, m1, 30, 3) // lands in the emptied journals
 		for i := 0; i < n; i++ {
 			if _, err := os.Stat(journalPath(dir, n, i) + ".rearm"); !os.IsNotExist(err) {
 				t.Fatalf("re-arm staging segment %d left behind: %v", i, err)
 			}
 		}
 
-		// Crash; recover from checkpoint + fresh journals over the real FS.
+		// Crash; recover from checkpoint + journals over the real FS.
 		m2, _, replayed := recoverFrom(t, dir, n, snapPath)
 		if replayed != 1 {
 			t.Fatalf("Recover replayed %d commits; want the 1 post-re-arm record", replayed)
@@ -136,72 +138,165 @@ func TestFreshSegmentRearmAfterBrokenLog(t *testing.T) {
 	})
 }
 
-// TestBacklogOverflowForcesCheckpointRearm caps the backlog at one
-// record and commits past it during a degraded window: the overflow
-// rules out a drain, so the re-arm must go through the checkpoint
-// class even though no journal latched broken.
-func TestBacklogOverflowForcesCheckpointRearm(t *testing.T) {
+// degradedFaults are the two ways a journal failure leaves the manager
+// degraded: a transient ENOSPC on the first append's write (the journal
+// stays usable and is reset in place) and a failed fsync on it (the
+// journal latches and takes a fresh segment).
+var degradedFaults = []struct {
+	name string
+	inj  vfs.Injection
+}{
+	{"enospc", vfs.Injection{AtOp: 4, Op: vfs.OpWrite, Kind: vfs.ENOSPC}},
+	{"fsync", vfs.Injection{AtOp: 5, Op: vfs.OpSync, Kind: vfs.SyncFailure}},
+}
+
+// TestCheckpointWhileDegradedRearms pins that Checkpoint is a re-arm
+// attempt while degraded: one that cannot write the snapshot returns
+// the error and leaves the manager degraded, one that can re-arms — it
+// never returns nil without writing a snapshot. Journaling resumes
+// behind it.
+func TestCheckpointWhileDegradedRearms(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
-		dir := t.TempDir()
-		snapPath := snapshotPath(dir)
-		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 4, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
+		for _, f := range degradedFaults {
+			t.Run(f.name, func(t *testing.T) {
+				dir := t.TempDir()
+				snapPath := snapshotPath(dir)
+				m1 := durableMonitor(t, n)
+				logs1 := openJournals(t, dir, n, wal.WithFS(vfs.NewFaultFS(vfs.OS, f.inj)))
+				// An hour of backoff keeps the re-arm loop asleep: only
+				// Checkpoint can heal.
+				d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(time.Hour, time.Hour))
+				defer d1.Stop()
+				insertAt(t, m1, 10, 1)
+				if h := d1.Health(); h.Status != "degraded" || h.DegradedSeconds <= 0 {
+					t.Fatalf("health = %+v, want degraded", h)
+				}
+				insertAt(t, m1, 20, 2) // degraded: journaled nowhere
+				for i, l := range d1.currentLogs() {
+					if l.Records() > 1 {
+						t.Fatalf("journal %d holds %d records; a degraded manager must stop journaling", i, l.Records())
+					}
+				}
 
-		m1 := durableMonitor(t, n)
-		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
-		d1 := attachDurable(t, m1, logs1, snapPath,
-			WithBacklogLimit(1),
-			WithRearmBackoff(200*time.Millisecond, time.Second))
+				d1.snapPath = filepath.Join(dir, "no-such-dir", "state.snap")
+				if err := d1.Checkpoint(); err == nil {
+					t.Fatal("degraded checkpoint into a missing directory returned nil")
+				}
+				if h := d1.Health(); h.Status != "degraded" || h.Rearms != 0 {
+					t.Fatalf("health after a failed degraded checkpoint = %+v, want still degraded", h)
+				}
 
-		// All three commits land before the first re-arm attempt (the
-		// backoff floor is 100ms of jittered delay): the first fails its
-		// append and fills the one-record backlog, the next two overflow it.
-		insertAt(t, m1, 10, 1)
-		insertAt(t, m1, 20, 2)
-		insertAt(t, m1, 30, 3)
-		if h := d1.Health(); !h.BacklogOverflow || h.Status != "degraded" {
-			t.Fatalf("health before re-arm = %+v, want a degraded overflowed backlog", h)
-		}
-		h := waitHealthy(t, d1.Health)
-		if h.Rearms != 1 || h.BacklogOverflow {
-			t.Fatalf("health after overflow re-arm = %+v", h)
-		}
-
-		// The checkpoint must cover every commit; the fresh journals are
-		// empty.
-		m2, _, replayed := recoverFrom(t, dir, n, snapPath)
-		if replayed != 0 || m2.Now() != 30 || m2.Len() != 3 {
-			t.Fatalf("checkpoint covers Len=%d Now=%d (+%d replayed), want 3/30 with nothing to replay", m2.Len(), m2.Now(), replayed)
+				d1.snapPath = snapPath
+				if err := d1.Checkpoint(); err != nil {
+					t.Fatalf("degraded checkpoint on a healed disk: %v", err)
+				}
+				if h := d1.Health(); h.Status != "ok" || h.Rearms != 1 || h.LastCheckpointAgeSeconds < 0 {
+					t.Fatalf("health after a degraded checkpoint = %+v, want ok with 1 re-arm", h)
+				}
+				insertAt(t, m1, 30, 3)
+				for i, l := range d1.currentLogs() {
+					if l.Records() != 1 {
+						t.Fatalf("journal %d holds %d records after the re-arm, want 1", i, l.Records())
+					}
+				}
+			})
 		}
 	})
 }
 
-// TestCheckpointSkippedWhileDegraded pins that the periodic checkpointer
-// defers to the re-arm loop: while degraded, Checkpoint is a no-op that
-// neither rotates a snapshot nor resets the journals the drain needs.
-func TestCheckpointSkippedWhileDegraded(t *testing.T) {
+// TestShutdownCheckpointWhileDegraded is a daemon's shutdown while
+// degraded: the re-arm loop is asleep (an hour of backoff), the disk
+// heals, then Stop and a final Checkpoint. The checkpoint must be
+// written and cover the degraded window, and Health must read ok — a
+// shutdown must not report success while discarding those commits.
+func TestShutdownCheckpointWhileDegraded(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
-		dir := t.TempDir()
-		snapPath := snapshotPath(dir)
-		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 4, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
+		for _, f := range degradedFaults {
+			t.Run(f.name, func(t *testing.T) {
+				dir := t.TempDir()
+				snapPath := snapshotPath(dir)
+				m1 := durableMonitor(t, n)
+				// The one-shot injection is the whole outage: the disk has
+				// healed once it fired.
+				logs1 := openJournals(t, dir, n, wal.WithFS(vfs.NewFaultFS(vfs.OS, f.inj)))
+				d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(time.Hour, time.Hour))
+				insertAt(t, m1, 10, 1) // journaling fails: degraded
+				insertAt(t, m1, 20, 2)
+				if h := d1.Health(); h.Status != "degraded" {
+					t.Fatalf("health = %+v, want degraded", h)
+				}
 
-		m1 := durableMonitor(t, n)
-		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
-		// An hour of backoff keeps the manager degraded for the whole test.
-		d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(time.Hour, time.Hour))
-		insertAt(t, m1, 10, 1)
-		if h := d1.Health(); h.Status != "degraded" || h.BacklogRecords != 1 || h.DegradedSeconds <= 0 {
-			t.Fatalf("health = %+v, want degraded with 1 backlog record", h)
+				d1.Stop()
+				if err := d1.Checkpoint(); err != nil {
+					t.Fatalf("shutdown checkpoint while degraded: %v", err)
+				}
+				if _, err := os.Stat(snapPath); err != nil {
+					t.Fatalf("shutdown checkpoint wrote no snapshot: %v", err)
+				}
+				if h := d1.Health(); h.Status != "ok" || h.Rearms != 1 {
+					t.Fatalf("health after the shutdown checkpoint = %+v, want ok with 1 re-arm", h)
+				}
+
+				// Crash (no CloseLogs) and recover over the real filesystem.
+				m2, _, _ := recoverFrom(t, dir, n, snapPath)
+				if m2.Now() != 20 || m2.Len() != 2 {
+					t.Fatalf("recovered to Len=%d Now=%d, want the degraded window's 2/20", m2.Len(), m2.Now())
+				}
+			})
 		}
-		if err := d1.Checkpoint(); err != nil {
-			t.Fatalf("degraded checkpoint should be a silent no-op, got %v", err)
+	})
+}
+
+// TestRotationDirSyncFailure fails the directory fsync behind a fresh
+// segment's rename: the segment sits at the live path, but a power cut
+// could restore the old journal's name, so the rotation must report
+// failure and keep the manager degraded — and the next attempt, which
+// renames a new segment over it, must succeed. The op index of that
+// directory sync is found by a calibration run: a rotation ends with
+// the segment's rename, the directory's open, sync and close, and the
+// replaced journal's close.
+func TestRotationDirSyncFailure(t *testing.T) {
+	forJournalCounts(t, func(t *testing.T, n int) {
+		latch := vfs.Injection{AtOp: 5, Op: vfs.OpSync, Kind: vfs.SyncFailure}
+		run := func(plan ...vfs.Injection) (*vfs.FaultFS, *Durable, string, uint64, error) {
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(vfs.OS, plan...)
+			m := durableMonitor(t, n)
+			logs := openJournals(t, dir, n, wal.WithFS(ffs))
+			d := attachDurable(t, m, logs, snapshotPath(dir), WithDurableFS(ffs),
+				WithRearmBackoff(time.Hour, time.Hour))
+			t.Cleanup(d.Stop)
+			insertAt(t, m, 10, 1) // fsync fails: the last journal latches
+			before := ffs.OpCount()
+			err := d.Checkpoint()
+			return ffs, d, dir, ffs.OpCount() - before, err
 		}
-		if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
-			t.Fatalf("degraded checkpoint rotated a snapshot: %v", err)
+		ffs, _, _, ops, err := run(latch)
+		if err != nil {
+			t.Fatalf("calibration rotation: %v", err)
 		}
-		if h := d1.Health(); h.Status != "degraded" || h.BacklogRecords != 1 {
-			t.Fatalf("health changed across a skipped checkpoint: %+v", h)
+		dirSync := ffs.OpCount() - 2
+		ffs, d, dir, _, err := run(latch, vfs.Injection{AtOp: dirSync, Op: vfs.OpSync, Kind: vfs.SyncFailure})
+		if fired := ffs.Fired(); len(fired) != 2 || fired[1].Path != dir {
+			t.Fatalf("the injection missed the directory sync (rotation of %d ops): fired %+v", ops, fired)
 		}
-		d1.Stop() // must cleanly stop the still-sleeping re-arm loop
+		if err == nil {
+			t.Fatal("rotation reported success with its segment's directory entry unsynced")
+		}
+		if h := d.Health(); h.Status != "degraded" || h.Rearms != 0 {
+			t.Fatalf("health after the failed rotation = %+v, want degraded", h)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("second rotation: %v", err)
+		}
+		if h := d.Health(); h.Status != "ok" || h.Rearms != 1 {
+			t.Fatalf("health after the second rotation = %+v, want ok with 1 re-arm", h)
+		}
+		insertAt(t, d.m, 20, 2)
+		m2, _, replayed := recoverFrom(t, dir, n, snapshotPath(dir))
+		if replayed != 1 || m2.Now() != 20 || m2.Len() != 2 {
+			t.Fatalf("recovered to Len=%d Now=%d (+%d replayed), want 2/20 with 1 replayed", m2.Len(), m2.Now(), replayed)
+		}
 	})
 }
 
@@ -321,10 +416,11 @@ func TestCheckpointCrashSweep(t *testing.T) {
 	})
 }
 
-// TestFreshRearmCrashSweep does the same for one fresh-segment re-arm:
-// the last journal's final fsync fails (the record itself landed), the
-// re-arm opens a staging segment per journal, writes the checkpoint and
-// renames each segment into place — and the disk crashes at every op of
+// TestFreshRearmCrashSweep does the same for one re-arm over a latched
+// journal: the last journal's final fsync fails (the record itself
+// landed), the rotation opens a staging segment beside it, writes the
+// checkpoint, resets the other journals in place and renames the
+// segment over the latched one — and the disk crashes at every op of
 // that sequence in turn.
 func TestFreshRearmCrashSweep(t *testing.T) {
 	const steps = 5

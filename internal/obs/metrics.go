@@ -59,7 +59,6 @@ type Metrics struct {
 	DurabilityDegraded *Gauge     // 1 while journaling runs degraded
 	RearmAttempts      *Counter   // durability re-arm attempts
 	Rearms             *Counter   // successful durability re-arms
-	JournalBacklog     *Gauge     // commits buffered while degraded
 }
 
 // NewMetrics registers the standard metric set on r and returns the
@@ -150,8 +149,6 @@ func NewMetrics(r *Registry) *Metrics {
 			"Attempts by the re-arm loop to restore durability after a failure."),
 		Rearms: r.Counter("rtic_durability_rearms_total",
 			"Successful durability re-arms (journaling restored after a degraded episode)."),
-		JournalBacklog: r.Gauge("rtic_durability_backlog_records",
-			"Commits buffered in memory while degraded, awaiting a drain re-arm."),
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -647,10 +648,13 @@ func (l *Log) SetFailureHandler(h func(error)) {
 }
 
 // Rename atomically moves the log file to newPath through the log's
-// filesystem; subsequent Path calls report the new location. The open
-// file handle survives the rename, so appends continue uninterrupted.
-// The durability re-arm path uses it to rotate a freshly opened
-// segment over a broken one.
+// filesystem, then fsyncs newPath's directory so the new name survives a
+// power cut (as WriteFileAtomicFS does); subsequent Path calls report
+// the new location. The open file handle survives the rename, so
+// appends continue uninterrupted. A failed directory sync is returned
+// after the move: the log is at newPath, but a power cut may still
+// restore whatever the name held before. The durability manager uses
+// Rename to rotate a freshly opened segment over a broken journal.
 func (l *Log) Rename(newPath string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -658,6 +662,9 @@ func (l *Log) Rename(newPath string) error {
 		return fmt.Errorf("wal: renaming %s to %s: %w", l.path, newPath, err)
 	}
 	l.path = newPath
+	if err := vfs.SyncDir(l.fs, filepath.Dir(newPath)); err != nil {
+		return fmt.Errorf("wal: syncing directory of %s: %w", newPath, err)
+	}
 	return nil
 }
 
