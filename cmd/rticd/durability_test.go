@@ -188,6 +188,47 @@ func TestDaemonKillAndRecover(t *testing.T) {
 	}
 }
 
+// TestDaemonSnapshotRestart restarts a -snapshot daemon with the same
+// flags: the second run must start from the first run's shutdown
+// checkpoint, so a fire before the restart still forbids a rehire after
+// it.
+func TestDaemonSnapshotRestart(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := options{
+				specPath: writeSpec(t, dir, "hr.rtic", hrSpec),
+				listen:   "127.0.0.1:0",
+				shards:   shards,
+				snapPath: filepath.Join(dir, "state.snap"),
+			}
+			a, err := start(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := dialLine(t, a).commit(t, "@0 +fire(7)"); got[len(got)-1] != "ok 0" {
+				t.Fatalf("first run replies %q", got)
+			}
+			if err := a.shutdown(); err != nil {
+				t.Fatal(err)
+			}
+
+			b, err := start(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.shutdown()
+			got := dialLine(t, b).commit(t, "@100 +hire(7)")
+			if len(got) != 2 || !strings.HasPrefix(got[0], "violation no_quick_rehire") || got[1] != "ok 1" {
+				t.Fatalf("rehire after restart replies %q, want one no_quick_rehire violation", got)
+			}
+			if b.m.Len() != 2 {
+				t.Fatalf("restarted daemon has %d states, want 2", b.m.Len())
+			}
+		})
+	}
+}
+
 // TestDaemonWALTruncationSweep cuts the crashed daemon's WAL at every
 // byte offset of the final record and restarts: every cut must recover
 // without error, losing at most the torn final record.
@@ -308,12 +349,6 @@ func TestDurabilityArgValidation(t *testing.T) {
 		opts options
 		want string
 	}{
-		{"wal without incremental",
-			options{specPath: spec, listen: "127.0.0.1:0", mode: "naive", walPath: filepath.Join(dir, "w.wal")},
-			"require -mode incremental"},
-		{"snapshot without incremental",
-			options{specPath: spec, listen: "127.0.0.1:0", mode: "active", snapPath: filepath.Join(dir, "s.snap")},
-			"require -mode incremental"},
 		{"checkpoint interval without snapshot",
 			options{specPath: spec, listen: "127.0.0.1:0", ckptInterval: time.Second},
 			"-checkpoint-interval requires -snapshot"},

@@ -3,10 +3,9 @@
 //
 // Usage:
 //
-//	rticd -spec constraints.rtic [-listen 127.0.0.1:7411]
-//	      [-mode incremental] [-shards N]
+//	rticd -spec constraints.rtic [-listen 127.0.0.1:7411] [-shards N]
 //	      [-wal state.wal] [-wal-sync always|batch]
-//	      [-snapshot state.snap (default <wal>.ckpt)] [-restore]
+//	      [-snapshot state.snap (default <wal>.ckpt)]
 //	      [-checkpoint-interval 30s]
 //	      [-on-durability-failure degrade|halt]
 //	      [-max-conns N] [-idle-timeout 5m]
@@ -28,10 +27,11 @@
 // With -snapshot the monitor checkpoints its (small, bounded) state to
 // the given file on shutdown — atomically (tmp + fsync + rename), so a
 // crash mid-checkpoint never destroys the previous good checkpoint —
-// and, with -checkpoint-interval, periodically in the background;
-// -restore starts from that checkpoint instead of an empty history.
-// Shutdown triggers on SIGINT or SIGTERM, so the checkpoint is also
-// written under container/systemd stops.
+// and, with -checkpoint-interval, periodically in the background. A
+// daemon starts from its checkpoint whenever the file exists, and from
+// an empty history otherwise, so a restart with the same flags keeps
+// every window's past. Shutdown triggers on SIGINT or SIGTERM, so the
+// checkpoint is also written under container/systemd stops.
 //
 // With -wal every committed transaction is journaled to a checksummed
 // write-ahead log before the next commit is accepted (-wal-sync selects
@@ -61,9 +61,9 @@
 // one after another and results stay exact. Durability is the same
 // manager over N journals: -wal names one WAL per shard at <path>.0 ..
 // <path>.N-1, startup recovers the journals' common prefix past the
-// checkpoint, and -snapshot/-restore/-checkpoint-interval work as
-// unsharded — one checkpoint file holds every shard and must be
-// restored with the -shards it was written with.
+// checkpoint, and -snapshot and -checkpoint-interval work as unsharded
+// — one checkpoint file holds every shard, and a restart must pass the
+// -shards it was written with.
 //
 // With -metrics the daemon serves HTTP on the given address:
 //
@@ -101,8 +101,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -115,9 +117,6 @@ import (
 	"syscall"
 	"time"
 
-	"strings"
-
-	"rtic"
 	"rtic/internal/lint"
 	"rtic/internal/monitor"
 	"rtic/internal/obs"
@@ -129,10 +128,8 @@ import (
 type options struct {
 	specPath     string
 	listen       string
-	mode         string
 	shards       int
 	snapPath     string
-	restore      bool
 	walPath      string
 	walSync      string
 	ckptInterval time.Duration
@@ -154,12 +151,9 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.specPath, "spec", "", "spec file with relations and constraints (required)")
 	flag.StringVar(&opts.listen, "listen", "127.0.0.1:7411", "TCP listen address")
-	flag.StringVar(&opts.mode, "mode", "incremental",
-		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
 	flag.IntVar(&opts.shards, "shards", 1,
 		"hash-partition state across N shard engines behind a router (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
-	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval); default <wal>.ckpt with -wal")
-	flag.BoolVar(&opts.restore, "restore", false, "start from the -snapshot checkpoint")
+	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, restored at startup when present and written atomically on shutdown (and periodically with -checkpoint-interval); default <wal>.ckpt with -wal")
 	flag.StringVar(&opts.walPath, "wal", "", "write-ahead log journaling every commit; startup recovers checkpoint + WAL tail automatically")
 	flag.StringVar(&opts.walSync, "wal-sync", "always", "WAL sync policy: always (fsync per commit) or batch (background flush)")
 	flag.DurationVar(&opts.ckptInterval, "checkpoint-interval", 0, "background checkpoint period truncating the WAL (0 = checkpoint only on shutdown)")
@@ -205,13 +199,12 @@ type daemon struct {
 	opts  options
 	m     *monitor.Monitor
 	srv   *monitor.Server
-	dur   *monitor.Durable // nil without -wal or -checkpoint-interval; owns the journals
+	dur   *monitor.Durable // nil without a checkpoint path; owns the checkpoint and the journals
 	l     net.Listener
 	hl    net.Listener // nil without -metrics
 	hsrv  *http.Server
 	diags []lint.Diagnostic // startup lint findings over the spec
 	rec   *obs.SpanRecorder // nil without -trace-out
-	fsys  vfs.FS
 	done  chan error
 }
 
@@ -284,9 +277,6 @@ func start(opts options) (*daemon, error) {
 	}
 	o.Spans = obs.MultiSpanSink(sinks...)
 
-	if opts.mode == "" {
-		opts.mode = "incremental"
-	}
 	if opts.walSync == "" {
 		opts.walSync = "always"
 	}
@@ -303,18 +293,11 @@ func start(opts options) (*daemon, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	mode, err := rtic.ParseMode(opts.mode)
-	if err != nil {
-		return nil, err
-	}
 	fpol, err := monitor.ParseFailurePolicy(opts.onDurFailure)
 	if err != nil {
 		return nil, err
 	}
 
-	if mode != rtic.Incremental && (opts.snapPath != "" || opts.walPath != "") {
-		return nil, fmt.Errorf("-snapshot and -wal require -mode incremental (only the incremental engine is durable)")
-	}
 	if opts.ckptInterval < 0 {
 		return nil, fmt.Errorf("-checkpoint-interval must not be negative, got %v", opts.ckptInterval)
 	}
@@ -349,39 +332,25 @@ func start(opts options) (*daemon, error) {
 		}
 	}
 
-	// -wal implies recovery: load the newest valid checkpoint if one
-	// exists, then replay the journal tail. Plain -restore keeps its
-	// strict behavior (the checkpoint file must exist).
-	snapExists := false
+	// One start rule: restore the checkpoint when the file exists (the
+	// journal tail past it is replayed below), otherwise start from the
+	// spec with an empty history.
+	var sf vfs.File
 	if opts.snapPath != "" {
-		if _, err := fsys.Stat(opts.snapPath); err == nil {
-			snapExists = true
+		if sf, err = fsys.OpenFile(opts.snapPath, os.O_RDONLY, 0); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
 		}
 	}
 	var m *monitor.Monitor
-	switch {
-	case opts.restore && opts.snapPath == "":
-		return nil, fmt.Errorf("-restore requires -snapshot")
-	case opts.restore && mode != rtic.Incremental:
-		return nil, fmt.Errorf("-restore requires -mode incremental (snapshots restore the incremental engine)")
-	case (opts.restore || opts.walPath != "") && snapExists:
-		sf, err := fsys.OpenFile(opts.snapPath, os.O_RDONLY, 0)
-		if err != nil {
-			return nil, err
-		}
+	if sf != nil {
 		m, err = monitor.RestoreObserved(sp.Schema, sf, o, monitor.WithShards(opts.shards))
 		sf.Close()
 		if err != nil {
 			return nil, fmt.Errorf("restoring %s (-shards %d): %w", opts.snapPath, max(opts.shards, 1), err)
 		}
 		fmt.Printf("restored checkpoint: %d states, t=%d\n", m.Len(), m.Now())
-	case opts.restore && opts.walPath == "":
-		_, err := fsys.OpenFile(opts.snapPath, os.O_RDONLY, 0) // surface the underlying error
-		return nil, err
-	default:
-		m, err = monitor.New(sp.Schema, sp.Constraints,
-			monitor.WithMode(mode), monitor.WithShards(opts.shards))
-		if err != nil {
+	} else {
+		if m, err = monitor.New(sp.Schema, sp.Constraints, monitor.WithShards(opts.shards)); err != nil {
 			return nil, err
 		}
 		m.SetObserver(o)
@@ -429,8 +398,10 @@ func start(opts options) (*daemon, error) {
 		monitor.WithDurableFS(fsys),
 	}
 
+	// Every checkpoint path (-snapshot, or <wal>.ckpt) gets the manager,
+	// which writes every checkpoint: periodic, re-arm and shutdown.
 	var dur *monitor.Durable
-	if opts.walPath != "" || opts.ckptInterval > 0 {
+	if opts.snapPath != "" {
 		if dur, err = openDurability(opts, m, o, fsys, durOpts); err != nil {
 			return nil, err
 		}
@@ -451,7 +422,7 @@ func start(opts options) (*daemon, error) {
 	}
 	srv := monitor.NewServer(m,
 		monitor.WithMaxConns(opts.maxConns), monitor.WithIdleTimeout(opts.idleTimeout))
-	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, diags: diags, rec: rec, fsys: fsys, done: done}
+	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, diags: diags, rec: rec, done: done}
 
 	if opts.metricsAddr != "" {
 		hl, err := net.Listen("tcp", opts.metricsAddr)
@@ -511,12 +482,13 @@ func start(opts options) (*daemon, error) {
 	return d, nil
 }
 
-// openDurability opens the -wal journals (monitor.JournalPaths: the
-// path itself for one shard, <path>.0 .. <path>.N-1 for N, so journals
-// written by earlier versions are found), builds the durability manager
-// over them, replays whatever the checkpoint m was restored from does
-// not cover, and starts journaling and the periodic checkpointer. On
-// failure the journals are closed again.
+// openDurability opens the -wal journals, if any (monitor.JournalPaths:
+// the path itself for one shard, <path>.0 .. <path>.N-1 for N, so
+// journals written by earlier versions are found), builds the
+// durability manager over them and the checkpoint path, replays
+// whatever the checkpoint m was restored from does not cover, and
+// starts journaling and the periodic checkpointer. On failure the
+// journals are closed again.
 func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.FS, durOpts []monitor.DurableOption) (dur *monitor.Durable, err error) {
 	var logs []*wal.Log
 	defer func() {
@@ -570,12 +542,12 @@ func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.
 	return dur, nil
 }
 
-// shutdown stops both listeners, closes open connections, and writes a
-// final atomic checkpoint when -snapshot or -wal is set. The checkpoint
-// goes to a temp file first and is renamed into place, so even a crash
-// here cannot destroy the previous good checkpoint. While degraded the
-// checkpoint is the last re-arm attempt: if it cannot be written,
-// shutdown fails instead of discarding the degraded window's commits.
+// shutdown stops both listeners, closes open connections, and, with a
+// checkpoint path, writes a final checkpoint through the durability
+// manager — atomically, so even a crash here cannot destroy the
+// previous good checkpoint. While degraded the checkpoint is the last
+// re-arm attempt: if it cannot be written, shutdown fails instead of
+// discarding the degraded window's commits.
 func (d *daemon) shutdown() error {
 	d.l.Close()
 	d.srv.Close()
@@ -586,18 +558,9 @@ func (d *daemon) shutdown() error {
 	var err error
 	if d.dur != nil {
 		d.dur.Stop()
-	}
-	if d.opts.snapPath != "" {
-		if d.dur != nil {
-			err = d.dur.Checkpoint()
-		} else {
-			err = wal.WriteFileAtomicFS(d.fsys, d.opts.snapPath, d.m.Snapshot)
-		}
-		if err == nil {
+		if err = d.dur.Checkpoint(); err == nil {
 			fmt.Printf("checkpoint written to %s (%d states)\n", d.opts.snapPath, d.m.Len())
 		}
-	}
-	if d.dur != nil {
 		// Close through the manager: a fresh-segment re-arm may have
 		// swapped the live journals since startup.
 		if cerr := d.dur.CloseLogs(); err == nil {

@@ -33,8 +33,6 @@ func TestStartArgValidation(t *testing.T) {
 	}{
 		{"missing spec", options{listen: "127.0.0.1:0"}, "-spec"},
 		{"missing spec file", options{specPath: filepath.Join(dir, "nope.rtic"), listen: "127.0.0.1:0"}, ""},
-		{"restore without snapshot", options{specPath: spec, listen: "127.0.0.1:0", restore: true}, "-snapshot"},
-		{"missing snapshot file", options{specPath: spec, listen: "127.0.0.1:0", restore: true, snapPath: filepath.Join(dir, "nope.snap")}, ""},
 		{"bad listen address", options{specPath: spec, listen: "500.500.500.500:99999"}, ""},
 		{"bad metrics address", options{specPath: spec, listen: "127.0.0.1:0", metricsAddr: "500.500.500.500:99999"}, ""},
 	}
@@ -192,7 +190,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Error("line-protocol metrics reply missing rtic_commits_total")
 	}
 
-	// Shutdown writes the checkpoint; a restored daemon continues.
+	// Shutdown writes the checkpoint; a daemon started over it continues.
 	conn.Close()
 	if err := d.shutdown(); err != nil {
 		t.Fatal(err)
@@ -200,7 +198,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	d2, err := start(options{specPath: spec, listen: "127.0.0.1:0", snapPath: snap, restore: true})
+	d2, err := start(options{specPath: spec, listen: "127.0.0.1:0", snapPath: snap})
 	if err != nil {
 		t.Fatal(err)
 	}

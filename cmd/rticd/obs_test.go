@@ -47,6 +47,42 @@ func commitN(t *testing.T, d *daemon, n int) {
 	}
 }
 
+// TestDaemonSnapshotCheckpointObserved: a -snapshot daemon without
+// -checkpoint-interval reports its durability on /healthz and writes its
+// shutdown checkpoint through the durability manager, so the checkpoint
+// metrics count it.
+func TestDaemonSnapshotCheckpointObserved(t *testing.T) {
+	dir := t.TempDir()
+	d, err := start(options{
+		specPath:    writeSpec(t, dir, "hr.rtic", hrSpec),
+		listen:      "127.0.0.1:0",
+		metricsAddr: "127.0.0.1:0",
+		snapPath:    filepath.Join(dir, "state.snap"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialLine(t, d).commit(t, "@0 +fire(7)")
+	health := httpGet(t, "http://"+d.hl.Addr().String()+"/healthz")
+	var report struct{ Durability *struct{ Status string } }
+	if err := json.Unmarshal([]byte(health), &report); err != nil {
+		t.Fatalf("/healthz: %v: %s", err, health)
+	}
+	if report.Durability == nil || report.Durability.Status != "ok" {
+		t.Fatalf("/healthz has no ok durability section: %s", health)
+	}
+	if err := d.shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	mm := d.m.Observer().Metrics
+	if got := mm.Checkpoints.Value(); got != 1 {
+		t.Errorf("rtic_checkpoints_total = %d after shutdown, want 1", got)
+	}
+	if got := mm.CheckpointSeconds.Count(); got != 1 {
+		t.Errorf("rtic_checkpoint_duration_seconds_count = %d after shutdown, want 1", got)
+	}
+}
+
 func TestMetricsContentTypeAndBuildInfo(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir, "s.rtic", "relation p/1\nconstraint c: p(x) -> not once p(x)\n")

@@ -306,7 +306,8 @@ func TestDaemonShardedCheckpointBoundsRecovery(t *testing.T) {
 }
 
 // TestDaemonShardedArgValidation covers what a sharded daemon rejects
-// at startup now that it checkpoints like an unsharded one.
+// at startup now that it checkpoints like an unsharded one, and what it
+// starts fresh from.
 func TestDaemonShardedArgValidation(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir, "hr.rtic", hrSpec)
@@ -321,28 +322,25 @@ func TestDaemonShardedArgValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cases := []struct {
-		name string
-		opts options
-		want string
-	}{
-		{"unsharded checkpoint under -shards",
-			options{specPath: spec, listen: "127.0.0.1:0", shards: 2, restore: true, snapPath: snap},
-			"not a sharded rtic snapshot"},
-		{"restore without a checkpoint file",
-			options{specPath: spec, listen: "127.0.0.1:0", shards: 2, restore: true, snapPath: filepath.Join(dir, "nope.snap")},
-			"nope.snap"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d, err := start(tc.opts)
-			if err == nil {
-				d.shutdown()
-				t.Fatal("start accepted bad options")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error = %v, want substring %q", err, tc.want)
-			}
-		})
-	}
+	t.Run("unsharded checkpoint under -shards", func(t *testing.T) {
+		d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: 2, snapPath: snap})
+		if err == nil {
+			d.shutdown()
+			t.Fatal("start accepted bad options")
+		}
+		if want := "not a sharded rtic snapshot"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error = %v, want substring %q", err, want)
+		}
+	})
+	// A missing checkpoint file is a fresh start, as under -wal.
+	t.Run("restore without a checkpoint file", func(t *testing.T) {
+		d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: 2, snapPath: filepath.Join(dir, "nope.snap")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.shutdown()
+		if d.m.Len() != 0 || d.m.Shards() != 2 {
+			t.Fatalf("fresh start has %d states on %d shards, want 0 on 2", d.m.Len(), d.m.Shards())
+		}
+	})
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/storage"
 	"rtic/internal/vfs"
@@ -130,9 +129,7 @@ func WithRearmBackoff(min, max time.Duration) DurableOption {
 // monitor, one per shard (each receiving that shard's slice of the
 // transaction) for a sharded one — periodically rotates an atomic
 // checkpoint that truncates the journals, and replays the journal tails
-// over the newest checkpoint on startup. Checkpoints need the
-// incremental engine (it is the only one with snapshot support);
-// journal-only durability works over any engine.
+// over the newest checkpoint on startup.
 //
 // Crash-safety argument: a commit appends exactly one record to every
 // journal (empty sub-transactions included) under the commit lock,
@@ -233,9 +230,6 @@ func NewShardedDurable(m *Monitor, logs []*wal.Log, opts ...DurableOption) (*Dur
 func NewDurableLogs(m *Monitor, logs []*wal.Log, snapPath string, opts ...DurableOption) (*Durable, error) {
 	if len(logs) == 0 && snapPath == "" {
 		return nil, fmt.Errorf("monitor: durability needs a WAL, a checkpoint path, or both")
-	}
-	if snapPath != "" && m.mode != engine.Incremental {
-		return nil, fmt.Errorf("monitor: checkpoints require the incremental engine (current: %v)", m.mode)
 	}
 	if len(logs) != 0 && len(logs) != m.Shards() {
 		return nil, fmt.Errorf("monitor: durability wants %d journals (one per shard), got %d", m.Shards(), len(logs))

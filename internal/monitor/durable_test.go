@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rtic/internal/check"
-	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/storage"
@@ -382,22 +381,4 @@ func TestCheckpointFailureReportsDegraded(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestDurableRequiresIncremental rejects checkpointing the baseline
-// engines, which cannot snapshot.
-func TestDurableRequiresIncremental(t *testing.T) {
-	s := schema.NewBuilder().Relation("p", 1).MustBuild()
-	m, err := New(s, []workload.ConstraintSpec{{Name: "c", Source: "p(x) -> not once p(x)"}},
-		WithMode(engine.Naive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDurable(m, nil, "x.snap"); err == nil {
-		t.Error("durability accepted a non-incremental engine")
-	}
-	m2 := durableMonitor(t, 1)
-	if _, err := NewDurable(m2, nil, ""); err == nil {
-		t.Error("durability accepted neither WAL nor checkpoint path")
-	}
 }

@@ -2,8 +2,8 @@
 // serialized concurrent commits, violation fan-out to subscribers,
 // snapshot/restore, and a line-protocol network server so external
 // producers can stream transactions to one shared checker. The engine
-// defaults to the paper's incremental checker; WithMode selects the
-// baselines for comparison deployments.
+// is the paper's incremental checker (bounded history encoding), alone
+// or as the shards of a router (WithShards).
 package monitor
 
 import (
@@ -28,12 +28,8 @@ import (
 // engine. Commits are serialized; subscribers receive every violation.
 type Monitor struct {
 	mu     sync.Mutex
-	eng    engine.Engine
-	inc    *core.Checker // non-nil in unsharded Incremental mode: snapshots, stats
-	rtr    *shard.Router // non-nil when sharded
-	mode   engine.Mode
-	states int
-	now    uint64
+	eng    checker
+	rtr    *shard.Router // non-nil when sharded: Split, Shards, Router
 	schema *schema.Schema
 	// obs is read without the commit lock — Apply, publish, the server and
 	// the durability hooks all load it — and stored under it, beside the
@@ -67,18 +63,22 @@ type Monitor struct {
 // recentCapacity bounds the violation ring buffer.
 const recentCapacity = 128
 
+// checker is what the monitor needs of its engine: commit, plus the
+// clock, the storage report and the snapshot. *core.Checker and a
+// *shard.Router over core checkers both satisfy it.
+type checker interface {
+	engine.Engine
+	Len() int
+	Now() uint64
+	Stats() core.Stats
+	SaveSnapshot(io.Writer) error
+}
+
 // Option configures a monitor at construction time.
 type Option func(*options)
 
 type options struct {
-	mode   engine.Mode
 	shards int
-}
-
-// WithMode selects the checking engine (default Incremental). Snapshot
-// and Stats are only available in Incremental mode.
-func WithMode(m engine.Mode) Option {
-	return func(o *options) { o.mode = m }
 }
 
 // WithShards partitions the engine's state across n shard engines
@@ -98,20 +98,15 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 	for _, opt := range opts {
 		opt(&o)
 	}
-	m := &Monitor{mode: o.mode, schema: s, subs: make(map[int]chan check.Violation)}
-	factory, err := shard.ModeFactory(s, o.mode)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: %w", err)
-	}
+	m := &Monitor{schema: s, subs: make(map[int]chan check.Violation)}
 	if o.shards > 1 {
-		rtr, err := shard.New(s, o.shards, factory)
+		rtr, err := shard.New(s, o.shards, func() engine.Engine { return core.New(s) })
 		if err != nil {
 			return nil, fmt.Errorf("monitor: %w", err)
 		}
 		m.rtr, m.eng = rtr, rtr
 	} else {
-		m.eng = factory()
-		m.inc, _ = m.eng.(*core.Checker)
+		m.eng = core.New(s)
 	}
 	for _, cs := range constraints {
 		con, err := check.Parse(cs.Name, cs.Source, s)
@@ -141,9 +136,9 @@ func (m *Monitor) Diagnostics() []lint.Diagnostic {
 
 // Restore rebuilds a monitor from a snapshot written by Snapshot — a
 // checker snapshot (core.SaveSnapshot), or with WithShards a router
-// snapshot (shard.Router.SaveSnapshot); either carries its constraints.
-// Restored monitors always run the incremental engine (it is the only
-// one with snapshot support), so WithMode is rejected here.
+// snapshot (shard.Router.SaveSnapshot); either carries its constraints
+// and the clock, so the restored monitor continues where the snapshot
+// was taken.
 func Restore(s *schema.Schema, r io.Reader, opts ...Option) (*Monitor, error) {
 	return RestoreObserved(s, r, nil, opts...)
 }
@@ -156,10 +151,7 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 	for _, opt := range opts {
 		opt(&op)
 	}
-	if op.mode != engine.Incremental {
-		return nil, fmt.Errorf("monitor: snapshots restore the incremental engine; mode %v is not restorable", op.mode)
-	}
-	m := &Monitor{mode: engine.Incremental, schema: s, subs: make(map[int]chan check.Violation)}
+	m := &Monitor{schema: s, subs: make(map[int]chan check.Violation)}
 	m.obs.Store(o)
 	if op.shards > 1 {
 		rtr, err := shard.LoadSnapshot(s, r, op.shards)
@@ -168,15 +160,13 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 		}
 		rtr.SetObserver(m.engineObserver(o))
 		m.rtr, m.eng = rtr, rtr
-		m.states, m.now = rtr.Len(), rtr.Now()
 		return m, nil
 	}
 	c, err := core.LoadSnapshotObserved(s, r, m.engineObserver(o))
 	if err != nil {
 		return nil, err
 	}
-	m.inc, m.eng = c, c
-	m.states, m.now = c.Len(), c.Now()
+	m.eng = c
 	return m, nil
 }
 
@@ -239,9 +229,6 @@ func (m *Monitor) SetJournal(j func(t uint64, tx *storage.Transaction)) {
 	m.mu.Unlock()
 }
 
-// Mode reports the engine the monitor runs.
-func (m *Monitor) Mode() engine.Mode { return m.mode }
-
 // Shards reports the shard count of the routing layer (1 = unsharded).
 func (m *Monitor) Shards() int {
 	if m.rtr != nil {
@@ -285,12 +272,8 @@ func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, e
 		}
 	}
 	vs, err := m.eng.Step(t, tx)
-	if err == nil {
-		m.states++
-		m.now = t
-		if m.journal != nil {
-			m.journal(t, tx)
-		}
+	if err == nil && m.journal != nil {
+		m.journal(t, tx)
 	}
 	m.open = nil
 	m.mu.Unlock()
@@ -386,7 +369,7 @@ func (m *Monitor) Dropped() int {
 }
 
 // Snapshot checkpoints the checker state — of every shard, on a sharded
-// monitor. Only the incremental engine supports snapshots.
+// monitor.
 func (m *Monitor) Snapshot(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -395,44 +378,28 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 
 // snapshotLocked is Snapshot for callers already holding the commit
 // lock (the durability manager's checkpoint and re-arm).
-func (m *Monitor) snapshotLocked(w io.Writer) error {
-	switch {
-	case m.mode != engine.Incremental:
-		return fmt.Errorf("monitor: snapshots are only available in incremental mode (current: %v)", m.mode)
-	case m.rtr != nil:
-		return m.rtr.SaveSnapshot(w)
-	default:
-		return m.inc.SaveSnapshot(w)
-	}
-}
+func (m *Monitor) snapshotLocked(w io.Writer) error { return m.eng.SaveSnapshot(w) }
 
-// Stats reports the incremental engine's auxiliary storage; it returns
-// zeros for the other engines.
+// Stats reports the checker's auxiliary storage, summed over the shards
+// of a sharded monitor.
 func (m *Monitor) Stats() core.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch {
-	case m.inc != nil:
-		return m.inc.Stats()
-	case m.rtr != nil:
-		return m.rtr.Stats()
-	default:
-		return core.Stats{}
-	}
+	return m.eng.Stats()
 }
 
 // Len reports the number of committed transactions.
 func (m *Monitor) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.states
+	return m.eng.Len()
 }
 
 // Now returns the latest committed timestamp.
 func (m *Monitor) Now() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.now
+	return m.eng.Now()
 }
 
 // String describes the monitor for logs.

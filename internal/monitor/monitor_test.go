@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -97,31 +98,54 @@ func TestSlowSubscriberDrops(t *testing.T) {
 }
 
 func TestConcurrentApplySerialized(t *testing.T) {
-	m, _ := hrMonitor(t)
-	// Concurrent commits with pre-assigned increasing timestamps: all
-	// must succeed or fail only due to out-of-order arrival (which the
-	// monitor must reject cleanly, never corrupt).
-	var wg sync.WaitGroup
-	errs := make([]error, 50)
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = m.Apply(uint64(i+1), storage.NewTransaction())
-		}(i)
-	}
-	wg.Wait()
-	okCount := 0
-	for _, err := range errs {
-		if err == nil {
-			okCount++
-		}
-	}
-	if okCount == 0 {
-		t.Fatal("no commit succeeded")
-	}
-	if m.Len() != okCount {
-		t.Fatalf("Len=%d, successes=%d", m.Len(), okCount)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m := durableMonitor(t, shards)
+			// Concurrent commits with pre-assigned increasing timestamps: all
+			// must succeed or fail only due to out-of-order arrival (which the
+			// monitor must reject cleanly, never corrupt).
+			var wg sync.WaitGroup
+			errs := make([]error, 50)
+			for i := 0; i < 50; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = m.Apply(uint64(i+1), storage.NewTransaction())
+				}(i)
+			}
+			wg.Wait()
+			okCount, latest := 0, uint64(0)
+			for i, err := range errs {
+				if err == nil {
+					okCount++
+					latest = max(latest, uint64(i+1))
+				}
+			}
+			if okCount == 0 {
+				t.Fatal("no commit succeeded")
+			}
+			if m.Len() != okCount || m.Now() != latest {
+				t.Fatalf("Len=%d Now=%d, want %d successes ending at t=%d", m.Len(), m.Now(), okCount, latest)
+			}
+
+			// A rejected commit — a stale clock, or an undeclared relation —
+			// leaves the clock and the count where they were.
+			for _, bad := range []struct {
+				t  uint64
+				tx *storage.Transaction
+			}{
+				{latest, ins("fire", 1)},
+				{latest - 1, ins("fire", 1)},
+				{latest + 1, ins("nope", 1)},
+			} {
+				if _, err := m.Apply(bad.t, bad.tx); err == nil {
+					t.Fatalf("commit at t=%d after t=%d accepted", bad.t, latest)
+				}
+				if m.Len() != okCount || m.Now() != latest {
+					t.Fatalf("after a rejected commit at t=%d: Len=%d Now=%d, want %d/%d", bad.t, m.Len(), m.Now(), okCount, latest)
+				}
+			}
+		})
 	}
 }
 

@@ -81,8 +81,9 @@ func New(s *schema.Schema, shards int, factory Factory) (*Router, error) {
 
 // ModeFactory returns the factory of an engine mode: the one place a
 // mode name becomes a constructor, for the router's shards and for
-// everything that runs one engine unsharded (the public checker, the
-// monitor, the CLIs).
+// everything that lets a caller pick the engine (the public checker,
+// the rtic CLI, the differential harness and the bench harness). The
+// monitor runs the incremental checker only and does not go through it.
 func ModeFactory(s *schema.Schema, mode engine.Mode) (Factory, error) {
 	switch mode {
 	case engine.Incremental:
