@@ -150,7 +150,7 @@ func BenchmarkCommit(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, s := range h.Steps {
-			if _, err := c.inc.Step(s.Time, s.Tx); err != nil {
+			if _, err := c.eng.Step(s.Time, s.Tx); err != nil {
 				b.Fatal(err)
 			}
 		}

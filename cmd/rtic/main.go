@@ -33,8 +33,6 @@ import (
 	"strings"
 
 	"rtic"
-	"rtic/internal/check"
-	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/shard"
@@ -103,8 +101,8 @@ func run(o options, out io.Writer) error {
 		return err
 	}
 	eng := factory()
-	inc, _ := eng.(*core.Checker)
-	if o.explain && inc == nil {
+	paper, _ := eng.(shard.Checker)
+	if o.explain && paper == nil {
 		return fmt.Errorf("-explain requires -mode incremental")
 	}
 	if o.trace {
@@ -112,7 +110,7 @@ func run(o options, out io.Writer) error {
 			slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}),
 		))})
 	}
-	if err := install(eng, sp); err != nil {
+	if err := engine.Install(eng, sp.Schema, sp.Constraints); err != nil {
 		return err
 	}
 
@@ -128,7 +126,7 @@ func run(o options, out io.Writer) error {
 			switch {
 			case o.quiet:
 			case o.explain:
-				ex, err := inc.Explain(v)
+				ex, err := paper.Explain(v)
 				if err != nil {
 					return err
 				}
@@ -161,20 +159,6 @@ func loadSpec(path string) (*spec.Spec, error) {
 	}
 	defer f.Close()
 	return spec.ParseSpec(f)
-}
-
-// install compiles the spec's constraints and adds them to eng.
-func install(eng engine.Engine, sp *spec.Spec) error {
-	for _, cs := range sp.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, sp.Schema)
-		if err != nil {
-			return err
-		}
-		if err := eng.AddConstraint(con); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // replay reads the transaction logs (stdin when none is named) and

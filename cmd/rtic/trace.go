@@ -39,22 +39,18 @@ func runTrace(args []string, out io.Writer) error {
 
 	// Span tracing decomposes the incremental commit pipeline; the
 	// naive and active engines have no phases to attribute, so trace
-	// always replays incrementally (sharded when -shards > 1).
+	// always replays the paper's checker, sharded as -shards says.
 	rec := obs.NewSpanRecorder(0)
 	factory, err := shard.ModeFactory(sp.Schema, engine.Incremental)
 	if err != nil {
 		return err
 	}
-	var eng engine.Engine
-	if *shards > 1 {
-		if eng, err = shard.New(sp.Schema, *shards, factory); err != nil {
-			return err
-		}
-	} else {
-		eng = factory()
+	eng, err := shard.Build(sp.Schema, *shards, factory)
+	if err != nil {
+		return err
 	}
 	eng.SetObserver(&obs.Observer{Spans: rec})
-	if err := install(eng, sp); err != nil {
+	if err := engine.Install(eng, sp.Schema, sp.Constraints); err != nil {
 		return err
 	}
 

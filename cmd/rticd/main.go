@@ -293,9 +293,8 @@ func start(opts options) (*daemon, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	fpol, err := monitor.ParseFailurePolicy(opts.onDurFailure)
-	if err != nil {
-		return nil, err
+	if opts.onDurFailure != "degrade" && opts.onDurFailure != "halt" {
+		return nil, fmt.Errorf("monitor: unknown durability failure policy %q (want degrade or halt)", opts.onDurFailure)
 	}
 
 	if opts.ckptInterval < 0 {
@@ -382,20 +381,18 @@ func start(opts options) (*daemon, error) {
 			n, opts.specPath, opts.specPath)
 	}
 
-	// done is created before the durability layer so the halt policy can
-	// signal the main loop; the send never blocks (capacity 1, and only
-	// the first failure matters).
+	// done is created before the durability layer so the halt function
+	// can signal the main loop; the send never blocks (capacity 1, and
+	// only the first failure matters).
 	done := make(chan error, 1)
-	halt := func(err error) {
-		select {
-		case done <- fmt.Errorf("durability failure (-on-durability-failure=halt): %w", err):
-		default:
-		}
-	}
-	durOpts := []monitor.DurableOption{
-		monitor.WithFailurePolicy(fpol),
-		monitor.WithHaltFunc(halt),
-		monitor.WithDurableFS(fsys),
+	durOpts := []monitor.DurableOption{monitor.WithDurableFS(fsys)}
+	if opts.onDurFailure == "halt" {
+		durOpts = append(durOpts, monitor.WithHaltFunc(func(err error) {
+			select {
+			case done <- fmt.Errorf("durability failure (-on-durability-failure=halt): %w", err):
+			default:
+			}
+		}))
 	}
 
 	// Every checkpoint path (-snapshot, or <wal>.ckpt) gets the manager,

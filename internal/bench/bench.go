@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rtic/internal/active"
-	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/naive"
@@ -92,9 +91,8 @@ type replayResult struct {
 	totalNs           int64
 }
 
-type stepFn func(t uint64, s workload.Step) ([]check.Violation, error)
-
-func replay(h workload.History, step stepFn) (replayResult, error) {
+// replay commits h's steps on eng, one at a time, timing each.
+func replay(h workload.History, eng engine.Engine) (replayResult, error) {
 	// Settle the heap so one experiment's garbage does not tax the next
 	// experiment's timings.
 	runtime.GC()
@@ -114,7 +112,7 @@ func replay(h workload.History, step stepFn) (replayResult, error) {
 			runtime.ReadMemStats(&m0)
 		}
 		t0 := time.Now()
-		vs, err := step(s.Time, s)
+		vs, err := eng.Step(s.Time, s.Tx)
 		d := time.Since(t0).Nanoseconds()
 		if err != nil {
 			return res, fmt.Errorf("step %d: %w", i, err)
@@ -139,45 +137,25 @@ func replay(h workload.History, step stepFn) (replayResult, error) {
 
 func newIncremental(h workload.History) (*core.Checker, error) {
 	c := core.New(h.Schema)
-	for _, cs := range h.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.AddConstraint(con); err != nil {
-			return nil, err
-		}
+	if err := engine.Install(c, h.Schema, h.Constraints); err != nil {
+		return nil, err
 	}
 	observeEngine(c)
 	return c, nil
 }
 
-func newNaive(h workload.History) (*naive.Checker, error) {
-	c := naive.New(h.Schema)
-	for _, cs := range h.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.AddConstraint(con); err != nil {
-			return nil, err
-		}
+// newSharded builds a shard router over h's schema (incremental
+// engines inside) with h's constraints installed.
+func newSharded(h workload.History, shards int) (*shard.Router, error) {
+	r, err := shard.NewMode(h.Schema, shards, engine.Incremental)
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
-}
-
-func newActive(h workload.History) (*active.Checker, error) {
-	c := active.New(h.Schema)
-	for _, cs := range h.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.AddConstraint(con); err != nil {
-			return nil, err
-		}
+	if err := engine.Install(r, h.Schema, h.Constraints); err != nil {
+		return nil, err
 	}
-	return c, nil
+	observeEngine(r)
+	return r, nil
 }
 
 // repeats is how many fresh replays the timing experiments take the
@@ -189,78 +167,44 @@ func repeats(quick bool) int {
 	return 3
 }
 
+// best replays h n times through run, each on a fresh engine, and
+// keeps the fastest run with what run reported beside it.
+func best[T any](h workload.History, n int, run func(workload.History) (replayResult, T, error)) (replayResult, T, error) {
+	var fastest replayResult
+	var side T
+	for i := 0; i < n; i++ {
+		res, v, err := run(h)
+		if err != nil {
+			return res, v, err
+		}
+		if i == 0 || res.totalNs < fastest.totalNs {
+			fastest, side = res, v
+		}
+	}
+	return fastest, side, nil
+}
+
+// runIncremental replays h on the incremental checker and returns its
+// auxiliary storage stats.
 func runIncremental(h workload.History) (replayResult, core.Stats, error) {
 	c, err := newIncremental(h)
 	if err != nil {
 		return replayResult{}, core.Stats{}, err
 	}
-	res, err := replay(h, func(t uint64, s workload.Step) ([]check.Violation, error) {
-		return c.Step(t, s.Tx)
-	})
+	res, err := replay(h, c)
 	return res, c.Stats(), err
 }
 
-// newSharded builds a shard router over h's schema (incremental
-// engines inside) with h's constraints installed.
-func newSharded(h workload.History, shards int) (*shard.Router, error) {
-	r, err := shard.NewMode(h.Schema, shards, engine.Incremental)
-	if err != nil {
-		return nil, err
-	}
-	for _, cs := range h.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
+// runSharded is runIncremental on a router over shards engines.
+func runSharded(shards int) func(workload.History) (replayResult, core.Stats, error) {
+	return func(h workload.History) (replayResult, core.Stats, error) {
+		r, err := newSharded(h, shards)
 		if err != nil {
-			return nil, err
+			return replayResult{}, core.Stats{}, err
 		}
-		if err := r.AddConstraint(con); err != nil {
-			return nil, err
-		}
+		res, err := replay(h, r)
+		return res, r.Stats(), err
 	}
-	observeEngine(r)
-	return r, nil
-}
-
-func runSharded(h workload.History, shards int) (replayResult, error) {
-	r, err := newSharded(h, shards)
-	if err != nil {
-		return replayResult{}, err
-	}
-	return replay(h, func(t uint64, s workload.Step) ([]check.Violation, error) {
-		return r.Step(t, s.Tx)
-	})
-}
-
-// bestSharded replays n times on fresh routers and keeps the fastest
-// run.
-func bestSharded(h workload.History, n, shards int) (replayResult, error) {
-	var best replayResult
-	for i := 0; i < n; i++ {
-		res, err := runSharded(h, shards)
-		if err != nil {
-			return res, err
-		}
-		if i == 0 || res.totalNs < best.totalNs {
-			best = res
-		}
-	}
-	return best, nil
-}
-
-// bestIncremental replays n times on fresh checkers and keeps the
-// fastest run (stats are identical across runs).
-func bestIncremental(h workload.History, n int) (replayResult, core.Stats, error) {
-	var best replayResult
-	var stats core.Stats
-	for i := 0; i < n; i++ {
-		res, st, err := runIncremental(h)
-		if err != nil {
-			return res, st, err
-		}
-		if i == 0 || res.totalNs < best.totalNs {
-			best, stats = res, st
-		}
-	}
-	return best, stats, nil
 }
 
 // runUnpruned replays h on an incremental checker with the pruning
@@ -270,95 +214,43 @@ func runUnpruned(h workload.History) (core.Stats, error) {
 	if err := c.DisablePruning(); err != nil {
 		return core.Stats{}, err
 	}
-	for _, cs := range h.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		if err := c.AddConstraint(con); err != nil {
-			return core.Stats{}, err
-		}
-	}
-	if _, err := replay(h, func(t uint64, s workload.Step) ([]check.Violation, error) {
-		return c.Step(t, s.Tx)
-	}); err != nil {
+	if err := engine.Install(c, h.Schema, h.Constraints); err != nil {
 		return core.Stats{}, err
 	}
-	return c.Stats(), nil
+	_, err := replay(h, c)
+	return c.Stats(), err
 }
 
 // runCheckpointedNaive replays h on the checkpointed-history naive
 // checker and returns its storage footprint.
 func runCheckpointedNaive(h workload.History, interval int) (int, error) {
 	c := naive.NewCheckpointed(h.Schema, interval)
-	for _, cs := range h.Constraints {
-		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
-		if err != nil {
-			return 0, err
-		}
-		if err := c.AddConstraint(con); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := replay(h, func(t uint64, s workload.Step) ([]check.Violation, error) {
-		return c.Step(t, s.Tx)
-	}); err != nil {
+	if err := engine.Install(c, h.Schema, h.Constraints); err != nil {
 		return 0, err
 	}
-	return c.HistoryBytes(), nil
+	_, err := replay(h, c)
+	return c.HistoryBytes(), err
 }
 
+// runNaive replays h on the naive checker and returns its history
+// footprint.
 func runNaive(h workload.History) (replayResult, int, error) {
-	c, err := newNaive(h)
-	if err != nil {
+	c := naive.New(h.Schema)
+	if err := engine.Install(c, h.Schema, h.Constraints); err != nil {
 		return replayResult{}, 0, err
 	}
-	res, err := replay(h, func(t uint64, s workload.Step) ([]check.Violation, error) {
-		return c.Step(t, s.Tx)
-	})
+	res, err := replay(h, c)
 	return res, c.HistoryBytes(), err
 }
 
-// bestNaive replays n times on fresh checkers and keeps the fastest run.
-func bestNaive(h workload.History, n int) (replayResult, int, error) {
-	var best replayResult
-	var bytes int
-	for i := 0; i < n; i++ {
-		res, b, err := runNaive(h)
-		if err != nil {
-			return res, b, err
-		}
-		if i == 0 || res.totalNs < best.totalNs {
-			best, bytes = res, b
-		}
-	}
-	return best, bytes, nil
-}
-
-// bestActive replays n times on fresh checkers and keeps the fastest run.
-func bestActive(h workload.History, n int) (replayResult, int, error) {
-	var best replayResult
-	var aux int
-	for i := 0; i < n; i++ {
-		res, a, err := runActive(h)
-		if err != nil {
-			return res, a, err
-		}
-		if i == 0 || res.totalNs < best.totalNs {
-			best, aux = res, a
-		}
-	}
-	return best, aux, nil
-}
-
+// runActive replays h on the active-rules checker and returns its
+// auxiliary tuple count.
 func runActive(h workload.History) (replayResult, int, error) {
-	c, err := newActive(h)
-	if err != nil {
+	c := active.New(h.Schema)
+	if err := engine.Install(c, h.Schema, h.Constraints); err != nil {
 		return replayResult{}, 0, err
 	}
-	res, err := replay(h, func(t uint64, s workload.Step) ([]check.Violation, error) {
-		return c.Step(t, s.Tx)
-	})
+	res, err := replay(h, c)
 	if err != nil {
 		return res, 0, err
 	}

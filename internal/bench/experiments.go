@@ -31,11 +31,11 @@ func Table1HistoryLength(quick bool) (Table, error) {
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "no_q_ever", Source: "p(x) -> not once q(x)"},
 		}
-		inc, _, err := bestIncremental(h, repeats(quick))
+		inc, _, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := bestNaive(h, repeats(quick))
+		nv, _, err := best(h, repeats(quick), runNaive)
 		if err != nil {
 			return t, err
 		}
@@ -105,7 +105,7 @@ func Table2Window(quick bool) (Table, error) {
 	for _, w := range windows {
 		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 44, OpsPerTx: 1, Domain: 8})
 		h.Constraints = []workload.ConstraintSpec{{Name: "c", Source: "p(x) -> not once" + w + " q(x)"}}
-		res, stats, err := bestIncremental(h, repeats(quick))
+		res, stats, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
@@ -139,11 +139,11 @@ func Table3UpdateRate(quick bool) (Table, error) {
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "c", Source: "p(x) -> not once[0,100] q(x)"},
 		}
-		inc, _, err := bestIncremental(h, repeats(quick))
+		inc, _, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := bestNaive(h, repeats(quick))
+		nv, _, err := best(h, repeats(quick), runNaive)
 		if err != nil {
 			return t, err
 		}
@@ -182,11 +182,11 @@ func Table4Depth(quick bool) (Table, error) {
 	for d, cs := range depthConstraints {
 		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 46, OpsPerTx: 1, Domain: 8})
 		h.Constraints = []workload.ConstraintSpec{cs}
-		inc, _, err := bestIncremental(h, repeats(quick))
+		inc, _, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := bestNaive(h, repeats(quick))
+		nv, _, err := best(h, repeats(quick), runNaive)
 		if err != nil {
 			return t, err
 		}
@@ -219,11 +219,11 @@ func Figure2Crossover(quick bool) (Table, error) {
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "c", Source: "p(x) -> not once q(x)"},
 		}
-		inc, _, err := bestIncremental(h, repeats(quick))
+		inc, _, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := bestNaive(h, repeats(quick))
+		nv, _, err := best(h, repeats(quick), runNaive)
 		if err != nil {
 			return t, err
 		}
@@ -253,11 +253,11 @@ func Table5Active(quick bool) (Table, error) {
 		n = 200
 	}
 	h := workload.Tickets(workload.TicketsConfig{Steps: n, Seed: 48, ViolationRate: 0.01})
-	inc, stats, err := bestIncremental(h, repeats(quick))
+	inc, stats, err := best(h, repeats(quick), runIncremental)
 	if err != nil {
 		return t, err
 	}
-	act, auxTuples, err := bestActive(h, repeats(quick))
+	act, auxTuples, err := best(h, repeats(quick), runActive)
 	if err != nil {
 		return t, err
 	}
@@ -289,11 +289,11 @@ func Figure3Violations(quick bool) (Table, error) {
 	}
 	for _, rate := range []float64{0, 0.001, 0.01, 0.1} {
 		h := workload.Tickets(workload.TicketsConfig{Steps: n, Seed: 49, ViolationRate: rate})
-		inc, _, err := bestIncremental(h, repeats(quick))
+		inc, _, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := bestNaive(h, repeats(quick))
+		nv, _, err := best(h, repeats(quick), runNaive)
 		if err != nil {
 			return t, err
 		}
@@ -372,11 +372,11 @@ func Table9ShardScaling(quick bool) (Table, error) {
 	cross := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 59, OpsPerTx: 4, Domain: 16})
 	cross.Constraints = crossShardConstraints(32)
 
-	basePart, _, err := bestIncremental(part, repeats(quick))
+	basePart, _, err := best(part, repeats(quick), runIncremental)
 	if err != nil {
 		return t, err
 	}
-	baseCross, _, err := bestIncremental(cross, repeats(quick))
+	baseCross, _, err := best(cross, repeats(quick), runIncremental)
 	if err != nil {
 		return t, err
 	}
@@ -385,7 +385,7 @@ func Table9ShardScaling(quick bool) (Table, error) {
 	})
 
 	for _, shards := range []int{2, 4, 8} {
-		resPart, err := bestSharded(part, repeats(quick), shards)
+		resPart, _, err := best(part, repeats(quick), runSharded(shards))
 		if err != nil {
 			return t, err
 		}
@@ -393,7 +393,7 @@ func Table9ShardScaling(quick bool) (Table, error) {
 			return t, fmt.Errorf("bench: %d shards reported %d violations on the partitionable leg, unsharded %d",
 				shards, resPart.violations, basePart.violations)
 		}
-		resCross, err := bestSharded(cross, repeats(quick), shards)
+		resCross, _, err := best(cross, repeats(quick), runSharded(shards))
 		if err != nil {
 			return t, err
 		}
@@ -535,11 +535,11 @@ func Table7SinceChain(quick bool) (Table, error) {
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "ack_before_clear", Source: "clear(a) -> (ack(a) since[0,50] raisd(a))"},
 		}
-		inc, _, err := bestIncremental(h, repeats(quick))
+		inc, _, err := best(h, repeats(quick), runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := bestNaive(h, repeats(quick))
+		nv, _, err := best(h, repeats(quick), runNaive)
 		if err != nil {
 			return t, err
 		}

@@ -2,7 +2,9 @@
 // one history through every checking engine — naive, incremental,
 // active rules, and the shard router at several shard counts — and
 // asserts they report identical per-step violations and identical
-// final base state. The naive checker is the
+// final base state; routers over the incremental engine must also
+// explain every violation as the unsharded engine does. The naive
+// checker is the
 // executable specification (a direct transcription of the paper's
 // semantics), so any divergence is a bug in one of the optimized
 // engines, and the harness says which step and which engine.
@@ -97,14 +99,8 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 	}
 
 	for _, v := range vars {
-		for _, cs := range specs {
-			con, err := check.Parse(cs.Name, cs.Source, s)
-			if err != nil {
-				return nil, fmt.Errorf("difftest: parsing %q: %w", cs.Source, err)
-			}
-			if err := v.eng.AddConstraint(con); err != nil {
-				return nil, fmt.Errorf("difftest: installing %q on %s: %w", cs.Source, v.label, err)
-			}
+		if err := engine.Install(v.eng, s, specs); err != nil {
+			return nil, fmt.Errorf("difftest: installing on %s: %w", v.label, err)
 		}
 	}
 	return vars, nil
@@ -166,21 +162,28 @@ func finalState(v variant, s *schema.Schema) (map[string][]string, error) {
 // error describing the first divergence: a step where some engine's
 // violation set differs from the naive reference, an engine error the
 // others did not report, a final-state mismatch, or a sharded
-// incremental engine whose summed aux entry/timestamp counts differ
-// from the unsharded incremental engine's.
+// incremental engine that explains a violation differently from the
+// unsharded incremental engine or whose summed aux entry/timestamp
+// counts differ from it.
 func Run(h workload.History, cfg Config) error {
 	cfg = cfg.withDefaults()
 	vars, err := build(h.Schema, h.Constraints, cfg)
 	if err != nil {
 		return err
 	}
-	ref := vars[0] // naive, the executable specification
+	// build puts naive, the executable specification, first and the
+	// unsharded paper's checker, labelled "core", second.
+	ref, inc := vars[0], vars[1].eng.(*core.Checker)
 
 	for i, st := range h.Steps {
 		want, refErr := ref.eng.Step(st.Time, st.Tx)
 		wantCanon := canon(want)
+		var incVs []check.Violation
 		for _, v := range vars[1:] {
 			got, gotErr := v.eng.Step(st.Time, st.Tx)
+			if v.label == "core" {
+				incVs = got
+			}
 			if (refErr == nil) != (gotErr == nil) {
 				return fmt.Errorf("difftest: step %d (t=%d): %s error %v, %s error %v",
 					i, st.Time, ref.label, refErr, v.label, gotErr)
@@ -195,6 +198,9 @@ func Run(h workload.History, cfg Config) error {
 		}
 		if refErr != nil {
 			return fmt.Errorf("difftest: step %d (t=%d): reference rejected the step: %w", i, st.Time, refErr)
+		}
+		if err := sameExplanations(vars, inc, incVs); err != nil {
+			return fmt.Errorf("difftest: step %d (t=%d): %w", i, st.Time, err)
 		}
 	}
 
@@ -221,23 +227,41 @@ func Run(h workload.History, cfg Config) error {
 	// splits the auxiliary history, it must never duplicate or drop any
 	// of it. (Node and byte counts legitimately differ — every shard
 	// compiles its own node tree.)
-	var unsharded *core.Checker
+	want := inc.Stats()
 	for _, v := range vars {
-		if c, ok := v.eng.(*core.Checker); ok {
-			unsharded = c
-			break
+		if !v.shardedCore {
+			continue
+		}
+		got := v.eng.(*shard.Router).Stats()
+		if got.Entries != want.Entries || got.Timestamps != want.Timestamps {
+			return fmt.Errorf("difftest: aux sums of %s = {entries=%d, timestamps=%d}, unsharded = {entries=%d, timestamps=%d}",
+				v.label, got.Entries, got.Timestamps, want.Entries, want.Timestamps)
 		}
 	}
-	if unsharded != nil {
-		want := unsharded.Stats()
+	return nil
+}
+
+// sameExplanations holds every sharded incremental variant's Explain
+// to the unsharded checker inc's, for each violation inc reported at
+// the step just taken: a router must answer from the shard that
+// derived the witness, whose encoding restricted to the witness's key
+// is the unsharded one.
+func sameExplanations(vars []variant, inc *core.Checker, vs []check.Violation) error {
+	for _, viol := range vs {
+		want, err := inc.Explain(viol)
+		if err != nil {
+			return fmt.Errorf("core cannot explain %s: %w", viol, err)
+		}
 		for _, v := range vars {
 			if !v.shardedCore {
 				continue
 			}
-			got := v.eng.(*shard.Router).Stats()
-			if got.Entries != want.Entries || got.Timestamps != want.Timestamps {
-				return fmt.Errorf("difftest: aux sums of %s = {entries=%d, timestamps=%d}, unsharded = {entries=%d, timestamps=%d}",
-					v.label, got.Entries, got.Timestamps, want.Entries, want.Timestamps)
+			got, err := v.eng.(*shard.Router).Explain(viol)
+			if err != nil {
+				return fmt.Errorf("%s cannot explain %s: %w", v.label, viol, err)
+			}
+			if got.String() != want.String() {
+				return fmt.Errorf("%s explains\n%s, core explains\n%s", v.label, got, want)
 			}
 		}
 	}

@@ -10,9 +10,9 @@
 // network monitor, the CLIs, the experiment harness — programs against
 // this interface and never asks which engine it holds. The contract
 // carries what those callers use: install, commit, read the state,
-// observe. What every engine would implement as the same line —
-// committing a batch — is a function over Step (SerialBatch), not a
-// method each one copies.
+// observe. What every engine would implement as the same lines —
+// committing a batch, installing a spec's constraints — are functions
+// over the contract (SerialBatch, Install), not methods each one copies.
 //
 // The engines also share one language: a constraint compiled by
 // check.Compile is accepted, and planned, by every one of them
@@ -25,7 +25,9 @@ import (
 
 	"rtic/internal/check"
 	"rtic/internal/obs"
+	"rtic/internal/schema"
 	"rtic/internal/storage"
+	"rtic/internal/workload"
 )
 
 // Engine is the interface all checking routes implement.
@@ -48,6 +50,21 @@ type Engine interface {
 	State() (*storage.State, error)
 	// SetObserver attaches (or detaches, with nil) instrumentation.
 	SetObserver(*obs.Observer)
+}
+
+// Install compiles each of specs over s and adds it to eng, in order,
+// stopping at the first constraint that fails to parse or install.
+func Install(eng Engine, s *schema.Schema, specs []workload.ConstraintSpec) error {
+	for _, cs := range specs {
+		con, err := check.Parse(cs.Name, cs.Source, s)
+		if err != nil {
+			return err
+		}
+		if err := eng.AddConstraint(con); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Step is one transaction of a batch commit.

@@ -15,55 +15,11 @@ import (
 	"rtic/internal/wal"
 )
 
-// FailurePolicy selects what a durability manager does when journaling
-// fails (a failed append, fsync, or background flush).
-type FailurePolicy int
-
-const (
-	// Degrade keeps the monitor serving: commits are still checked and
-	// acknowledged — as non-durable, and no longer journaled — while a
-	// background re-arm loop (exponential backoff with jitter) retries
-	// the rotation that restores durability: an atomic checkpoint that
-	// covers the degraded window, then every journal emptied. Without a
-	// checkpoint path nothing can rotate, so the manager stays degraded.
-	Degrade FailurePolicy = iota
-	// Halt invokes the configured halt function (see WithHaltFunc) on
-	// the first durability failure, so a daemon that must never
-	// acknowledge a non-durable commit can shut down instead of serving
-	// degraded.
-	Halt
-)
-
-// String returns the flag spelling of the policy.
-func (p FailurePolicy) String() string {
-	switch p {
-	case Degrade:
-		return "degrade"
-	case Halt:
-		return "halt"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParseFailurePolicy reads an -on-durability-failure flag value.
-func ParseFailurePolicy(s string) (FailurePolicy, error) {
-	switch s {
-	case "degrade":
-		return Degrade, nil
-	case "halt":
-		return Halt, nil
-	default:
-		return 0, fmt.Errorf("monitor: unknown durability failure policy %q (want degrade or halt)", s)
-	}
-}
-
 // DurableOption configures a durability manager at construction time.
 type DurableOption func(*durableOptions)
 
 type durableOptions struct {
 	fs         vfs.FS
-	policy     FailurePolicy
 	halt       func(error)
 	openLog    func(path string) (*wal.Log, error)
 	backoffMin time.Duration
@@ -73,7 +29,6 @@ type durableOptions struct {
 func defaultDurableOptions() durableOptions {
 	return durableOptions{
 		fs:         vfs.OS,
-		policy:     Degrade,
 		backoffMin: 50 * time.Millisecond,
 		backoffMax: 5 * time.Second,
 	}
@@ -90,15 +45,12 @@ func WithDurableFS(fsys vfs.FS) DurableOption {
 	}
 }
 
-// WithFailurePolicy selects the reaction to a journaling failure
-// (default Degrade).
-func WithFailurePolicy(p FailurePolicy) DurableOption {
-	return func(o *durableOptions) { o.policy = p }
-}
-
-// WithHaltFunc registers the function the Halt policy invokes (at most
-// once) on a durability failure. It may be called from the commit path
-// or a background goroutine and must not block.
+// WithHaltFunc makes a journaling failure halt instead of degrade: the
+// manager calls h (at most once) on the first durability failure, so a
+// daemon that must never acknowledge a non-durable commit can shut down
+// instead of serving degraded. h may be called from the commit path or
+// a background goroutine and must not block. Without it a failure
+// degrades (see Durable).
 func WithHaltFunc(h func(error)) DurableOption {
 	return func(o *durableOptions) { o.halt = h }
 }
@@ -157,8 +109,8 @@ func WithRearmBackoff(min, max time.Duration) DurableOption {
 // latched broken. The periodic checkpointer, Checkpoint and every
 // attempt of the re-arm loop run it.
 //
-// Journaling failures follow the configured FailurePolicy. Under
-// Degrade (the default) the manager enters degraded mode: commits keep
+// A journaling failure halts when a halt function is configured (see
+// WithHaltFunc). Otherwise the manager enters degraded mode: commits keep
 // being checked and acknowledged — as non-durable — and the journal
 // hook stops appending, so the journals end at the failure and nothing
 // is buffered. The first rotation that succeeds re-arms: its checkpoint
@@ -170,8 +122,7 @@ type Durable struct {
 	m        *Monitor
 	snapPath string // "": journal-only durability
 	fs       vfs.FS
-	policy   FailurePolicy
-	halt     func(error)
+	halt     func(error) // nil: a failure degrades
 	haltOnce sync.Once
 	openLog  func(path string) (*wal.Log, error)
 
@@ -245,7 +196,7 @@ func NewDurableLogs(m *Monitor, logs []*wal.Log, snapPath string, opts ...Durabl
 	}
 	d := &Durable{
 		m: m, logs: logs, snapPath: snapPath,
-		fs: o.fs, policy: o.policy, halt: o.halt, openLog: o.openLog,
+		fs: o.fs, halt: o.halt, openLog: o.openLog,
 		backoffMin: o.backoffMin, backoffMax: o.backoffMax,
 	}
 	if d.openLog == nil {
@@ -401,7 +352,7 @@ func (d *Durable) metrics() *obs.Metrics { return d.m.Observer().MetricSink() }
 // appended to the journals under the commit lock, one record per
 // journal per commit. Failures — including a background-flusher fsync
 // failure, surfaced through the log's failure handler at the point of
-// failure — trigger the configured FailurePolicy.
+// failure — halt or degrade (see onFailure).
 func (d *Durable) Attach() {
 	logs := d.currentLogs()
 	if len(logs) == 0 {
@@ -453,20 +404,19 @@ func (d *Durable) journalHook(t uint64, tx *storage.Transaction) {
 	}
 }
 
-// onFailure reacts to a journaling failure per the configured policy.
-// It is called from the commit path and from WAL failure handlers
-// (possibly a flusher goroutine); it only takes d.mu.
+// onFailure reacts to a journaling failure: it calls the halt function
+// once when there is one, and degrades otherwise. It is called from the
+// commit path and from WAL failure handlers (possibly a flusher
+// goroutine); it only takes d.mu.
 func (d *Durable) onFailure(err error) {
-	if d.policy == Halt {
-		d.mu.Lock()
-		d.lastErr = err
-		d.mu.Unlock()
-		if d.halt != nil {
-			d.haltOnce.Do(func() { d.halt(err) })
-		}
+	if d.halt == nil {
+		d.degrade(err)
 		return
 	}
-	d.degrade(err)
+	d.mu.Lock()
+	d.lastErr = err
+	d.mu.Unlock()
+	d.haltOnce.Do(func() { d.halt(err) })
 }
 
 // degrade flips the manager into degraded mode (idempotent) and, when
@@ -730,7 +680,8 @@ type DurabilityHealth struct {
 	// Status is "ok", or "degraded" when the latest journal append or
 	// checkpoint failed and has not been recovered from.
 	Status string `json:"status"`
-	// Policy is the configured failure policy ("degrade" or "halt").
+	// Policy is the reaction to a journaling failure: "halt" with a
+	// halt function (WithHaltFunc), "degrade" without.
 	Policy string `json:"policy"`
 	// LastCheckpointAgeSeconds is the age of the newest successful
 	// checkpoint, -1 when none has been written this run.
@@ -756,11 +707,14 @@ func (d *Durable) Health() DurabilityHealth {
 	defer d.mu.Unlock()
 	h := DurabilityHealth{
 		Status:                   "ok",
-		Policy:                   d.policy.String(),
+		Policy:                   "degrade",
 		LastCheckpointAgeSeconds: -1,
 		ReplayedRecords:          d.replayed,
 		RearmAttempts:            d.rearmAttempts,
 		Rearms:                   d.rearms,
+	}
+	if d.halt != nil {
+		h.Policy = "halt"
 	}
 	if !d.last.IsZero() {
 		h.LastCheckpointAgeSeconds = time.Since(d.last).Seconds()

@@ -28,8 +28,8 @@ import (
 // engine. Commits are serialized; subscribers receive every violation.
 type Monitor struct {
 	mu     sync.Mutex
-	eng    checker
-	rtr    *shard.Router // non-nil when sharded: Split, Shards, Router
+	eng    shard.Checker
+	rtr    *shard.Router // eng when sharded, else nil: Split, Shards, Router
 	schema *schema.Schema
 	// obs is read without the commit lock — Apply, publish, the server and
 	// the durability hooks all load it — and stored under it, beside the
@@ -63,17 +63,6 @@ type Monitor struct {
 // recentCapacity bounds the violation ring buffer.
 const recentCapacity = 128
 
-// checker is what the monitor needs of its engine: commit, plus the
-// clock, the storage report and the snapshot. *core.Checker and a
-// *shard.Router over core checkers both satisfy it.
-type checker interface {
-	engine.Engine
-	Len() int
-	Now() uint64
-	Stats() core.Stats
-	SaveSnapshot(io.Writer) error
-}
-
 // Option configures a monitor at construction time.
 type Option func(*options)
 
@@ -98,25 +87,15 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 	for _, opt := range opts {
 		opt(&o)
 	}
+	eng, err := shard.Build(s, o.shards, func() engine.Engine { return core.New(s) })
+	if err != nil {
+		return nil, fmt.Errorf("monitor: %w", err)
+	}
+	if err := engine.Install(eng, s, constraints); err != nil {
+		return nil, err
+	}
 	m := &Monitor{schema: s, subs: make(map[int]chan check.Violation)}
-	if o.shards > 1 {
-		rtr, err := shard.New(s, o.shards, func() engine.Engine { return core.New(s) })
-		if err != nil {
-			return nil, fmt.Errorf("monitor: %w", err)
-		}
-		m.rtr, m.eng = rtr, rtr
-	} else {
-		m.eng = core.New(s)
-	}
-	for _, cs := range constraints {
-		con, err := check.Parse(cs.Name, cs.Source, s)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.eng.AddConstraint(con); err != nil {
-			return nil, err
-		}
-	}
+	m.setEngine(eng.(shard.Checker))
 	// Lint the spec the monitor now enforces. Findings never block
 	// construction (the constraints above parsed and compiled), but they
 	// are kept for the lint protocol command, the daemon's startup log
@@ -153,21 +132,19 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 	}
 	m := &Monitor{schema: s, subs: make(map[int]chan check.Violation)}
 	m.obs.Store(o)
-	if op.shards > 1 {
-		rtr, err := shard.LoadSnapshot(s, r, op.shards)
-		if err != nil {
-			return nil, err
-		}
-		rtr.SetObserver(m.engineObserver(o))
-		m.rtr, m.eng = rtr, rtr
-		return m, nil
-	}
-	c, err := core.LoadSnapshotObserved(s, r, m.engineObserver(o))
+	eng, err := shard.Restore(s, r, op.shards, m.engineObserver(o))
 	if err != nil {
 		return nil, err
 	}
-	m.eng = c
+	m.setEngine(eng)
 	return m, nil
+}
+
+// setEngine installs the monitor's checker, as built by shard.Build or
+// shard.Restore; rtr is the same checker when it is a router.
+func (m *Monitor) setEngine(eng shard.Checker) {
+	m.eng = eng
+	m.rtr, _ = eng.(*shard.Router)
 }
 
 // SetObserver attaches instrumentation to the monitor and its engine:

@@ -300,7 +300,7 @@ func TestRotationDirSyncFailure(t *testing.T) {
 	})
 }
 
-// TestHaltPolicyCallsHaltOnce wires the Halt policy and verifies the
+// TestHaltPolicyCallsHaltOnce wires a halt function and verifies the
 // halt function fires exactly once across repeated failures while
 // commits keep succeeding (the engine has already applied them).
 func TestHaltPolicyCallsHaltOnce(t *testing.T) {
@@ -314,7 +314,6 @@ func TestHaltPolicyCallsHaltOnce(t *testing.T) {
 		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
 		var halts atomic.Int64
 		d1 := attachDurable(t, m1, logs1, "",
-			WithFailurePolicy(Halt),
 			WithHaltFunc(func(error) { halts.Add(1) }))
 
 		insertAt(t, m1, 10, 1) // fsync fails: halt fires

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"rtic/internal/obs"
@@ -71,5 +72,54 @@ func TestApplySpansAndLockWait(t *testing.T) {
 	}
 	if last := rec.Snapshot()[3]; last.Name != obs.SpanSnapshotSave || len(last.Children) != 0 {
 		t.Errorf("snapshot outside an Apply arrived as %s, want a snapshot.save root", last.Render())
+	}
+}
+
+// TestSnapshotSpansSharded holds a sharded monitor's checkpoint and
+// restore to the unsharded ones' trace: one snapshot.save root per
+// Snapshot and one snapshot.restore root per RestoreObserved, named and
+// detailed as core writes them — not one per shard, and not none.
+func TestSnapshotSpansSharded(t *testing.T) {
+	s := rschema.NewBuilder().Relation("hire", 1).Relation("fire", 1).MustBuild()
+	for _, n := range []int{1, 2} {
+		m, err := New(s, []workload.ConstraintSpec{
+			{Name: "no_quick_rehire", Source: "hire(e) -> not once[0,365] fire(e)"},
+		}, WithShards(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range []int64{7, 8, 9} {
+			if _, err := m.Apply(uint64(10*(i+1)), ins("fire", e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := obs.NewSpanRecorder(16)
+		m.SetObserver(&obs.Observer{Spans: rec})
+		var snap bytes.Buffer
+		if err := m.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		size := snap.Len()
+		m2, err := RestoreObserved(s, &snap, &obs.Observer{Spans: rec}, WithShards(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := rec.Snapshot()
+		if len(roots) != 2 {
+			t.Fatalf("shards=%d: sink saw %d roots for one save and one restore, want 2", n, len(roots))
+		}
+		for i, want := range []struct{ name, detail string }{
+			{obs.SpanSnapshotSave, fmt.Sprintf("%d bytes", size)},
+			{obs.SpanSnapshotRestore, "3 states"},
+		} {
+			sp := roots[i]
+			if sp.Name != want.name || sp.Detail != want.detail || sp.Time != 30 || sp.Err != nil || len(sp.Children) != 0 {
+				t.Errorf("shards=%d: root %d = %s, want a bare %s span at t=30 with detail %q",
+					n, i, sp.Render(), want.name, want.detail)
+			}
+		}
+		if m2.Shards() != n || m2.Len() != 3 {
+			t.Fatalf("shards=%d: restored %d shards after %d commits", n, m2.Shards(), m2.Len())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"strconv"
 	"time"
@@ -102,6 +103,31 @@ func NewMode(s *schema.Schema, shards int, mode engine.Mode) (*Router, error) {
 	factory, err := ModeFactory(s, mode)
 	if err != nil {
 		return nil, err
+	}
+	return New(s, shards, factory)
+}
+
+// Checker is the paper's checker as its front doors hold it — the
+// public rtic.Checker, the monitor and the daemon: one bounded-history
+// encoding, whole (*core.Checker) or partitioned by key across the
+// shards of a Router. Beyond the engine contract it answers for its
+// clock, its storage, its snapshot and its violations.
+type Checker interface {
+	engine.Engine
+	Len() int
+	Now() uint64
+	Stats() core.Stats
+	SaveSnapshot(io.Writer) error
+	ConstraintNames() []string
+	Explain(check.Violation) (*core.Explanation, error)
+}
+
+// Build is the one place a shard count becomes a shape: the factory's
+// bare engine for shards <= 1, a Router over its engines otherwise.
+// Over the incremental factory either shape is a Checker.
+func Build(s *schema.Schema, shards int, factory Factory) (engine.Engine, error) {
+	if shards <= 1 {
+		return factory(), nil
 	}
 	return New(s, shards, factory)
 }
@@ -429,6 +455,34 @@ func (r *Router) merge(outs [][]check.Violation) []check.Violation {
 		return vs[i].Binding.Compare(vs[j].Binding) < 0
 	})
 	return vs
+}
+
+// Explain builds the evidence trail of a violation from the shard that
+// derived it: the one its key value hashes to (as ShardFor routes the
+// tuples carrying that value) for a partitioned constraint, the global
+// shard otherwise. The owning shard's encoding is the unsharded one
+// restricted to its keys, so the trail is the unsharded engine's.
+func (r *Router) Explain(v check.Violation) (*core.Explanation, error) {
+	i, ok := r.conIndex[v.Constraint]
+	if !ok {
+		return nil, fmt.Errorf("shard: unknown constraint %q", v.Constraint)
+	}
+	owner := GlobalShard
+	if cp := r.plan.Cons[i]; cp.Partitioned {
+		k := 0
+		for k < len(v.Vars) && v.Vars[k] != cp.KeyVar {
+			k++
+		}
+		if k >= len(v.Binding) {
+			return nil, fmt.Errorf("shard: violation of %q does not bind its partition key %s", v.Constraint, cp.KeyVar)
+		}
+		owner = shardOf(v.Binding[k], r.n)
+	}
+	c, ok := r.engines[owner].(*core.Checker)
+	if !ok {
+		return nil, fmt.Errorf("shard: Explain needs the incremental engine, shard %d runs %T", owner, r.engines[owner])
+	}
+	return c.Explain(v)
 }
 
 // Now returns the timestamp of the last committed transaction.

@@ -9,9 +9,11 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"time"
 
 	"rtic/internal/core"
 	"rtic/internal/engine"
+	"rtic/internal/obs"
 	"rtic/internal/schema"
 )
 
@@ -61,13 +63,29 @@ func (r *Router) planFingerprint() string {
 // SaveSnapshot writes the router's complete state to w. It seals the
 // router (like a first commit would), needs every shard engine to be
 // the incremental checker, and refuses a router latched broken — its
-// shards may have diverged. The caller serializes it with Step.
+// shards may have diverged. With a span sink attached the save is one
+// snapshot.save root span, as on core.Checker: the shard engines are
+// unobserved, so none of theirs appears. The caller serializes it with
+// Step.
 func (r *Router) SaveSnapshot(w io.Writer) error {
+	sp := &obs.Span{Name: obs.SpanSnapshotSave, Time: r.now, Start: time.Now()}
+	n, err := r.saveSnapshot(w)
+	if sink := r.obs.SpanSink(); sink != nil {
+		sp.End()
+		sp.Detail, sp.Err = fmt.Sprintf("%d bytes", n), err
+		sink.ObserveSpan(sp)
+	}
+	return err
+}
+
+// saveSnapshot is SaveSnapshot without the span; it returns the bytes
+// written.
+func (r *Router) saveSnapshot(w io.Writer) (int, error) {
 	if r.broken != nil {
-		return fmt.Errorf("shard: cannot snapshot after earlier shard failure: %w", r.broken)
+		return 0, fmt.Errorf("shard: cannot snapshot after earlier shard failure: %w", r.broken)
 	}
 	if err := r.seal(); err != nil {
-		return err
+		return 0, err
 	}
 	payload := binary.AppendUvarint(nil, uint64(r.n))
 	fp := r.planFingerprint()
@@ -77,11 +95,11 @@ func (r *Router) SaveSnapshot(w io.Writer) error {
 	for i, e := range r.engines {
 		c, ok := e.(*core.Checker)
 		if !ok {
-			return fmt.Errorf("shard: snapshots need the incremental engine, shard %d runs %T", i, e)
+			return 0, fmt.Errorf("shard: snapshots need the incremental engine, shard %d runs %T", i, e)
 		}
 		one.Reset()
 		if err := c.SaveSnapshot(&one); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return 0, fmt.Errorf("shard %d: %w", i, err)
 		}
 		payload = binary.AppendUvarint(payload, uint64(one.Len()))
 		payload = append(payload, one.Bytes()...)
@@ -90,11 +108,41 @@ func (r *Router) SaveSnapshot(w io.Writer) error {
 	copy(hdr[:8], snapshotMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(payload, snapshotCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n, err := w.Write(hdr[:])
+	if err != nil {
+		return n, err
 	}
-	_, err := w.Write(payload)
-	return err
+	m, err := w.Write(payload)
+	return n + m, err
+}
+
+// Restore is Build's counterpart for a snapshot: it reads what the
+// checker Build would make for shards wrote — a core snapshot for
+// shards <= 1, a router snapshot (LoadSnapshot) otherwise — and
+// attaches o before the checker answers. With a span sink on o the
+// restore is one snapshot.restore root span, either shape.
+func Restore(s *schema.Schema, rd io.Reader, shards int, o *obs.Observer) (Checker, error) {
+	if shards <= 1 {
+		c, err := core.LoadSnapshotObserved(s, rd, o)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	start := time.Now()
+	r, err := LoadSnapshot(s, rd, shards)
+	if sink := o.SpanSink(); sink != nil {
+		sp := &obs.Span{Name: obs.SpanSnapshotRestore, Start: start, Dur: time.Since(start), Err: err}
+		if r != nil {
+			sp.Time, sp.Detail = r.now, fmt.Sprintf("%d states", r.index)
+		}
+		sink.ObserveSpan(sp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.SetObserver(o)
+	return r, nil
 }
 
 // LoadSnapshot rebuilds a sealed router over s from a snapshot written

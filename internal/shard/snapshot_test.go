@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/schema"
+	"rtic/internal/tuple"
 	"rtic/internal/workload"
 )
 
@@ -71,10 +73,11 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		for _, at := range []int{0, 1, len(h.Steps) / 2} {
 			live := feedRouter(t, h, n, at)
-			restored, err := LoadSnapshot(h.Schema, bytes.NewReader(saveRouter(t, live)), n)
+			c, err := Restore(h.Schema, bytes.NewReader(saveRouter(t, live)), n, nil)
 			if err != nil {
 				t.Fatalf("shards=%d at=%d: %v", n, at, err)
 			}
+			restored := c.(*Router)
 			if restored.Now() != live.Now() || restored.Len() != live.Len() || restored.Shards() != n {
 				t.Fatalf("shards=%d at=%d: restored at (t=%d, len=%d), live at (t=%d, len=%d)",
 					n, at, restored.Now(), restored.Len(), live.Now(), live.Len())
@@ -226,5 +229,58 @@ func TestRouterSnapshotPreconditions(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(h.Schema, &buf, 2); err == nil || !strings.Contains(err.Error(), "not a sharded rtic snapshot") {
 		t.Fatalf("checker snapshot as a router's: err = %v, want a file-type complaint", err)
+	}
+	// A failed Restore returns no checker at either shape: not a nil
+	// *core.Checker or *Router inside a non-nil interface.
+	for _, n := range []int{1, 2} {
+		if c, err := Restore(h.Schema, strings.NewReader("not a snapshot"), n, nil); err == nil || c != nil {
+			t.Fatalf("Restore(shards=%d) of garbage = (%v, %v), want (nil, error)", n, c, err)
+		}
+	}
+}
+
+// TestBuildAndExplainRefusals covers the shape rule — Build returns the
+// factory's bare engine for one shard and a router for more — and what
+// a router refuses to explain: an unknown constraint, a witness that
+// does not bind the constraint's partition key, and a shard that is not
+// the incremental engine.
+func TestBuildAndExplainRefusals(t *testing.T) {
+	h := cdcFeed()
+	for n, want := range map[int]string{0: "*core.Checker", 1: "*core.Checker", 2: "*shard.Router"} {
+		e, err := Build(h.Schema, n, func() engine.Engine { return core.New(h.Schema) })
+		if got := fmt.Sprintf("%T", e); err != nil || got != want {
+			t.Fatalf("Build(shards=%d) = (%s, %v), want a %s", n, got, err, want)
+		}
+	}
+	r := feedRouter(t, h, 2, 5)
+	key := check.Violation{Constraint: "fresh_serve", Time: r.Now(), Vars: []string{"s"}, Binding: tuple.Ints(3)}
+	for _, c := range []struct {
+		v    check.Violation
+		want string
+	}{
+		{check.Violation{Constraint: "nope", Time: r.Now()}, "unknown constraint"},
+		{check.Violation{Constraint: "fresh_serve", Time: r.Now()}, "does not bind its partition key s"},
+	} {
+		if _, err := r.Explain(c.v); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Explain(%+v): err = %v, want %q", c.v, err, c.want)
+		}
+	}
+	if _, err := r.Explain(key); err != nil {
+		t.Fatalf("Explain of a bound key on an incremental router: %v", err)
+	}
+	naive, err := NewMode(h.Schema, 2, engine.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range h.Constraints {
+		if err := naive.AddConstraint(parse(t, h.Schema, cs.Name, cs.Source)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := naive.Step(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := naive.Explain(key); err == nil || !strings.Contains(err.Error(), "needs the incremental engine") {
+		t.Fatalf("Explain on a naive router: err = %v, want an incremental-engine complaint", err)
 	}
 }

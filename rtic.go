@@ -174,7 +174,9 @@ func WithMode(m Mode) Option {
 // stay exact — a constraint whose witnesses the static analysis cannot
 // pin to one shard falls back to a designated global shard (see
 // internal/shard). n<=1 selects the plain unsharded engine. Sharding
-// composes with WithMode.
+// composes with WithMode, and a sharded Incremental checker explains,
+// snapshots and restores like an unsharded one: pass RestoreChecker the
+// n its snapshot was written with.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -244,9 +246,7 @@ func WithObserver(o *Observer) Option {
 type Checker struct {
 	schema   *Schema
 	mode     Mode
-	eng      engine.Engine
-	inc      *core.Checker // non-nil in unsharded Incremental mode, for Stats
-	rtr      *shard.Router // non-nil when sharded
+	eng      engine.Engine // a shard.Checker in Incremental mode
 	obs      *obs.Observer
 	started  bool
 	names    []string
@@ -263,25 +263,18 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &Checker{schema: s, mode: cfg.mode, obs: cfg.obs, lintMode: cfg.lint}
 	factory, err := shard.ModeFactory(s, cfg.mode)
 	if err != nil {
 		return nil, fmt.Errorf("rtic: %w", err)
 	}
-	if cfg.shards > 1 {
-		rtr, err := shard.New(s, cfg.shards, factory)
-		if err != nil {
-			return nil, fmt.Errorf("rtic: %w", err)
-		}
-		c.eng, c.rtr = rtr, rtr
-	} else {
-		c.eng = factory()
-		c.inc, _ = c.eng.(*core.Checker)
+	eng, err := shard.Build(s, cfg.shards, factory)
+	if err != nil {
+		return nil, fmt.Errorf("rtic: %w", err)
 	}
 	if cfg.obs != nil {
-		c.eng.SetObserver(cfg.obs)
+		eng.SetObserver(cfg.obs)
 	}
-	return c, nil
+	return &Checker{schema: s, mode: cfg.mode, eng: eng, obs: cfg.obs, lintMode: cfg.lint}, nil
 }
 
 // Mode reports the engine in use.
@@ -289,8 +282,8 @@ func (c *Checker) Mode() Mode { return c.mode }
 
 // Shards reports the shard count of the routing layer (1 = unsharded).
 func (c *Checker) Shards() int {
-	if c.rtr != nil {
-		return c.rtr.Shards()
+	if r, ok := c.eng.(*shard.Router); ok {
+		return r.Shards()
 	}
 	return 1
 }
@@ -395,16 +388,21 @@ type Stats struct {
 // and Bytes count the per-shard copies of partitionable constraints'
 // node structures.
 func (c *Checker) Stats() Stats {
-	var s core.Stats
-	switch {
-	case c.inc != nil:
-		s = c.inc.Stats()
-	case c.rtr != nil && c.mode == Incremental:
-		s = c.rtr.Stats()
-	default:
+	p, err := c.paper()
+	if err != nil {
 		return Stats{}
 	}
+	s := p.Stats()
 	return Stats{Nodes: s.Nodes, Entries: s.Entries, Timestamps: s.Timestamps, Bytes: s.Bytes}
+}
+
+// paper returns the engine as the paper's checker, whole or sharded; the
+// Naive and ActiveRules engines keep no auxiliary encoding.
+func (c *Checker) paper() (shard.Checker, error) {
+	if p, ok := c.eng.(shard.Checker); ok {
+		return p, nil
+	}
+	return nil, fmt.Errorf("rtic: the %v engine keeps no auxiliary encoding; Explain and snapshots need Incremental mode", c.mode)
 }
 
 // Explanation is the evidence trail of a violation: for every temporal
@@ -415,15 +413,15 @@ type Explanation = core.Explanation
 // Explain answers "why was this violation flagged?" from the auxiliary
 // encoding. Only the Incremental engine supports it, and only for
 // violations of the most recent commit (the encoding answers for the
-// current state only).
+// current state only). A sharded checker asks the shard that derived
+// the violation, whose encoding is the unsharded one restricted to its
+// keys, so the explanation is the one an unsharded checker gives.
 func (c *Checker) Explain(v Violation) (*Explanation, error) {
-	if c.rtr != nil {
-		return nil, fmt.Errorf("rtic: Explain is not available on a sharded checker")
+	p, err := c.paper()
+	if err != nil {
+		return nil, err
 	}
-	if c.inc == nil {
-		return nil, fmt.Errorf("rtic: Explain is only available in Incremental mode (current: %v)", c.mode)
-	}
-	return c.inc.Explain(v)
+	return p.Explain(v)
 }
 
 // SkipInfo records which checking strategy the incremental engine chose
@@ -445,12 +443,12 @@ const (
 // LastSkips reports the per-constraint strategy record of the latest
 // commit, in constraint-installation order: the commit-level
 // counterpart of Explain. Only the unsharded Incremental engine records
-// it; other configurations return nil.
+// it (each shard decides for itself); other configurations return nil.
 func (c *Checker) LastSkips() []SkipInfo {
-	if c.inc == nil {
-		return nil
+	if inc, ok := c.eng.(*core.Checker); ok {
+		return inc.LastSkips()
 	}
-	return c.inc.LastSkips()
+	return nil
 }
 
 // Tx is a transaction under construction: an ordered list of tuple
@@ -540,39 +538,34 @@ func (b *Batch) Commit() ([][]Violation, error) {
 // SaveSnapshot checkpoints the checker's complete state — the current
 // database, clock and (small) auxiliary encoding — so a monitor can
 // restart without replaying its history. Only the Incremental engine
-// supports snapshots.
+// supports snapshots; a sharded checker writes every shard into one
+// snapshot, which RestoreChecker reads back under the same WithShards.
 func (c *Checker) SaveSnapshot(w io.Writer) error {
-	if c.rtr != nil {
-		return fmt.Errorf("rtic: snapshots are not available on a sharded checker; use per-shard WAL journals for durability")
+	p, err := c.paper()
+	if err != nil {
+		return err
 	}
-	if c.inc == nil {
-		return fmt.Errorf("rtic: snapshots are only available in Incremental mode (current: %v)", c.mode)
-	}
-	return c.inc.SaveSnapshot(w)
+	return p.SaveSnapshot(w)
 }
 
 // RestoreChecker rebuilds an Incremental checker from a snapshot written
-// by SaveSnapshot; the snapshot carries its constraints. The meaningful
-// option is WithObserver (restored checkers are always Incremental); the
-// restore itself is a snapshot.restore span when a span sink is
-// attached.
+// by SaveSnapshot; the snapshot carries its constraints. WithShards must
+// give the shard count the snapshot was written with (a mismatch is an
+// error), and WithObserver attaches instrumentation; restored checkers
+// are always Incremental. The restore itself is one snapshot.restore
+// span when a span sink is attached.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
-	cfg := config{mode: Incremental}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	inc, err := core.LoadSnapshotObserved(s, r, cfg.obs)
+	p, err := shard.Restore(s, r, cfg.shards, cfg.obs)
 	if err != nil {
 		return nil, err
 	}
-	c := &Checker{schema: s, mode: Incremental, eng: inc, inc: inc, obs: cfg.obs, started: inc.Len() > 0, lintMode: cfg.lint}
-	for _, name := range incConstraintNames(inc) {
-		c.names = append(c.names, name)
-	}
-	return c, nil
+	return &Checker{schema: s, mode: Incremental, eng: p, obs: cfg.obs, started: p.Len() > 0,
+		names: p.ConstraintNames(), lintMode: cfg.lint}, nil
 }
-
-func incConstraintNames(inc *core.Checker) []string { return inc.ConstraintNames() }
 
 // QueryResult holds the satisfying bindings of an ad-hoc query: Rows[i]
 // assigns values to Vars positionally.

@@ -2,9 +2,15 @@ package rtic
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+
+	"rtic/internal/cdcgen"
+	"rtic/internal/shard"
+	"rtic/internal/workload"
 )
 
 func TestShardsAccessor(t *testing.T) {
@@ -101,24 +107,115 @@ func TestShardedCheckerEquivalence(t *testing.T) {
 	}
 }
 
-func TestShardedCheckerUnsupported(t *testing.T) {
-	c, err := NewChecker(hrSchema(t), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
+// parityFeeds are the histories the sharded checker is held to the
+// unsharded one on: hr, whose one constraint partitions by employee,
+// and a cdcgen feed plus a closed constraint the shard analysis must
+// place on the global shard, which drags the staleness policy there
+// with it while the freshness policies stay partitioned.
+func parityFeeds() map[string]workload.History {
+	hr := workload.HR(workload.HRConfig{Steps: 300, Seed: 5, ViolationRate: 0.3, Employees: 12})
+	cdc, _ := cdcgen.Generate(cdcgen.Config{Steps: 400, Seed: 9, MaxReorder: 2, ViolationRate: 0.05})
+	cdc.Constraints = append(cdc.Constraints, workload.ConstraintSpec{
+		Name:   "escalation_marked",
+		Source: "(exists s: escalate(s)) -> once[0,64] (exists m: mark(m))",
+	})
+	return map[string]workload.History{"hr": hr, "cdc": cdc}
+}
+
+// explained renders the Explain of each violation in vs, sorted.
+func explained(t *testing.T, c *Checker, vs []Violation) []string {
+	t.Helper()
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		ex, err := c.Explain(v)
+		if err != nil {
+			t.Fatalf("Explain(%s) on %d shards: %v", v, c.Shards(), err)
+		}
+		out[i] = ex.String()
 	}
-	c.MustAddConstraint("no_quick_rehire", "hire(e) -> not once[0,365] fire(e)")
-	if _, err := c.Begin().Insert("fire", Int(7)).Commit(10); err != nil {
-		t.Fatal(err)
-	}
-	vs, err := c.Begin().Insert("hire", Int(7)).Commit(20)
-	if err != nil || len(vs) != 1 {
-		t.Fatalf("vs=%v err=%v", vs, err)
-	}
-	if _, err := c.Explain(vs[0]); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("Explain on sharded checker: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := c.SaveSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("SaveSnapshot on sharded checker: %v", err)
+	sort.Strings(out)
+	return out
+}
+
+// TestShardedCheckerParity holds a sharded checker to the unsharded one
+// on everything the paper's checker answers: at every commit the same
+// violations, each explained the same; and a snapshot taken mid-run,
+// restored under the same shard count, continues to the uninterrupted
+// run's violations. A restore under another shard count is an error.
+func TestShardedCheckerParity(t *testing.T) {
+	for name, h := range parityFeeds() {
+		build := func(opts ...Option) *Checker {
+			c, err := NewChecker(h.Schema, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cs := range h.Constraints {
+				c.MustAddConstraint(cs.Name, cs.Source)
+			}
+			return c
+		}
+		for _, n := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, n), func(t *testing.T) {
+				plain, sharded := build(), build(WithShards(n))
+				// partitioned says where the router placed each constraint
+				// (false: the global shard); hits counts violations by it.
+				partitioned := map[string]bool{}
+				if r, ok := sharded.eng.(*shard.Router); ok {
+					for i, cp := range r.Plan().Cons {
+						partitioned[h.Constraints[i].Name] = cp.Partitioned
+					}
+				}
+				hits := map[bool]int{}
+				cut := len(h.Steps) / 2
+				for i, st := range h.Steps {
+					if i == cut {
+						var snap bytes.Buffer
+						if err := sharded.SaveSnapshot(&snap); err != nil {
+							t.Fatalf("SaveSnapshot at step %d: %v", i, err)
+						}
+						raw := snap.Bytes()
+						other := 1 + n%4 // 2 for 1, 3 for 2, 1 for 4
+						if _, err := RestoreChecker(h.Schema, bytes.NewReader(raw), WithShards(other)); err == nil {
+							t.Fatalf("a %d-shard snapshot restored under WithShards(%d)", n, other)
+						}
+						restored, err := RestoreChecker(h.Schema, bytes.NewReader(raw), WithShards(n))
+						if err != nil {
+							t.Fatalf("RestoreChecker(WithShards(%d)): %v", n, err)
+						}
+						if restored.Shards() != n || len(restored.Constraints()) != len(h.Constraints) {
+							t.Fatalf("restored %d shards running %v, want %d running all of %v", restored.Shards(), restored.Constraints(), n, h.Constraints)
+						}
+						sharded = restored
+					}
+					want, err := (&Tx{c: plain, tx: st.Tx}).Commit(st.Time)
+					if err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+					got, err := (&Tx{c: sharded, tx: st.Tx}).Commit(st.Time)
+					if err != nil {
+						t.Fatalf("step %d on %d shards: %v", i, n, err)
+					}
+					if g, w := canonViolations(got), canonViolations(want); strings.Join(g, " ") != strings.Join(w, " ") {
+						t.Fatalf("step %d: %d shards report %v, unsharded %v", i, n, g, w)
+					}
+					g, w := explained(t, sharded, got), explained(t, plain, want)
+					for k := range w {
+						if g[k] != w[k] {
+							t.Fatalf("step %d: %d shards explain\n%s\nunsharded\n%s", i, n, g[k], w[k])
+						}
+					}
+					for _, v := range want {
+						hits[partitioned[v.Constraint]]++
+					}
+				}
+				if hits[true]+hits[false] == 0 {
+					t.Fatal("the feed produced no violations to explain")
+				}
+				if name == "cdc" && n > 1 && (hits[true] == 0 || hits[false] == 0) {
+					t.Fatalf("plan %v: %d violations of partitioned constraints, %d of global ones; want some of each",
+						partitioned, hits[true], hits[false])
+				}
+			})
+		}
 	}
 }
