@@ -2,12 +2,23 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+// suspectSpec draws three findings: an unsatisfiable window, a vacuous
+// constraint and an unused relation.
+const suspectSpec = `
+relation p/1
+relation ghost/1
+constraint dead_window: p(x) -> prev[0,0] p(x)
+constraint tautology: p(x) or not p(x)
+`
 
 // TestDaemonStartupLint: a suspicious (but installable) spec starts
 // fine, and the findings surface through every channel — the lint
@@ -15,12 +26,7 @@ import (
 // command.
 func TestDaemonStartupLint(t *testing.T) {
 	dir := t.TempDir()
-	spec := writeSpec(t, dir, "suspect.rtic", `
-relation p/1
-relation ghost/1
-constraint dead_window: p(x) -> prev[0,0] p(x)
-constraint tautology: p(x) or not p(x)
-`)
+	spec := writeSpec(t, dir, "suspect.rtic", suspectSpec)
 	d, err := start(options{
 		specPath:    spec,
 		listen:      "127.0.0.1:0",
@@ -103,5 +109,48 @@ func TestDaemonCleanSpecLint(t *testing.T) {
 	}
 	if health := httpGet(t, base+"/healthz"); !strings.Contains(health, `"findings":0`) {
 		t.Errorf("/healthz lint section not clean: %s", health)
+	}
+}
+
+// TestDaemonRestartedLint: a daemon restarted from the checkpoint its
+// shutdown wrote serves the spec's findings as the fresh start did — on
+// the line protocol, in /healthz and in the lint counters — from the one
+// lint of each start.
+func TestDaemonRestartedLint(t *testing.T) {
+	dir := t.TempDir()
+	opts := options{
+		specPath:    writeSpec(t, dir, "suspect.rtic", suspectSpec),
+		listen:      "127.0.0.1:0",
+		metricsAddr: "127.0.0.1:0",
+		snapPath:    filepath.Join(dir, "state.snap"),
+	}
+	var seen [2]string
+	for run := range seen {
+		d, err := start(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply := dialLine(t, d).commit(t, "lint")
+		base := "http://" + d.hl.Addr().String()
+		var health struct{ Lint map[string]any }
+		if err := json.Unmarshal([]byte(httpGet(t, base+"/healthz")), &health); err != nil {
+			t.Fatal(err)
+		}
+		var counters []string
+		for _, line := range strings.Split(httpGet(t, base+"/metrics"), "\n") {
+			if strings.HasPrefix(line, "rtic_lint_") {
+				counters = append(counters, line)
+			}
+		}
+		seen[run] = fmt.Sprintf("lint replies %q\n/healthz lint %v\n%s", reply, health.Lint, strings.Join(counters, "\n"))
+		if len(reply) != 4 || reply[3] != "ok 3" {
+			t.Errorf("run %d: lint replies %q, want three diag lines", run, reply)
+		}
+		if err := d.shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen[0] != seen[1] {
+		t.Fatalf("fresh start:\n%s\nrestarted from its checkpoint:\n%s", seen[0], seen[1])
 	}
 }

@@ -196,16 +196,15 @@ func main() {
 // daemon holds the running pieces so tests can drive a full lifecycle
 // without signals.
 type daemon struct {
-	opts  options
-	m     *monitor.Monitor
-	srv   *monitor.Server
-	dur   *monitor.Durable // nil without a checkpoint path; owns the checkpoint and the journals
-	l     net.Listener
-	hl    net.Listener // nil without -metrics
-	hsrv  *http.Server
-	diags []lint.Diagnostic // startup lint findings over the spec
-	rec   *obs.SpanRecorder // nil without -trace-out
-	done  chan error
+	opts options
+	m    *monitor.Monitor
+	srv  *monitor.Server
+	dur  *monitor.Durable // nil without a checkpoint path; owns the checkpoint and the journals
+	l    net.Listener
+	hl   net.Listener // nil without -metrics
+	hsrv *http.Server
+	rec  *obs.SpanRecorder // nil without -trace-out
+	done chan error
 }
 
 // lintSummary condenses the startup findings for /healthz.
@@ -342,7 +341,7 @@ func start(opts options) (*daemon, error) {
 	}
 	var m *monitor.Monitor
 	if sf != nil {
-		m, err = monitor.RestoreObserved(sp.Schema, sf, o, monitor.WithShards(opts.shards))
+		m, err = monitor.RestoreObserved(sp.Schema, sp.Constraints, sf, o, monitor.WithShards(opts.shards))
 		sf.Close()
 		if err != nil {
 			return nil, fmt.Errorf("restoring %s (-shards %d): %w", opts.snapPath, max(opts.shards, 1), err)
@@ -365,10 +364,10 @@ func start(opts options) (*daemon, error) {
 			rtr.Shards(), global, len(sp.Constraints))
 	}
 
-	// Lint the spec at startup: log every finding and feed the lint
-	// counters. The restored path installs the snapshot's constraints,
-	// but the operator's spec file is what the report is about.
-	diags := lint.Constraints(sp.Constraints, sp.Schema, lint.Options{})
+	// Log the spec's lint findings and feed the lint counters. The
+	// monitor linted the spec once, on either start path; the lint
+	// command and /healthz read the same findings.
+	diags := m.Diagnostics()
 	for _, dg := range diags {
 		fmt.Printf("lint: %s\n", dg.String())
 		o.Metrics.LintFindings.With(dg.Rule).Inc()
@@ -419,7 +418,7 @@ func start(opts options) (*daemon, error) {
 	}
 	srv := monitor.NewServer(m,
 		monitor.WithMaxConns(opts.maxConns), monitor.WithIdleTimeout(opts.idleTimeout))
-	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, diags: diags, rec: rec, done: done}
+	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, rec: rec, done: done}
 
 	if opts.metricsAddr != "" {
 		hl, err := net.Listen("tcp", opts.metricsAddr)
@@ -439,7 +438,7 @@ func start(opts options) (*daemon, error) {
 				"status": "ok",
 				"states": m.Len(),
 				"now":    m.Now(),
-				"lint":   lintSummary(d.diags),
+				"lint":   lintSummary(diags),
 			}
 			if s := m.Shards(); s > 1 {
 				resp["shards"] = s

@@ -280,7 +280,7 @@ func Run(cfg Config) (*Result, error) {
 	// would: newest checkpoint (if any) plus journal tails.
 	var m2 *monitor.Monitor
 	if sf, err := os.Open(snapPath); err == nil {
-		m2, err = monitor.RestoreObserved(sch, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())},
+		m2, err = monitor.RestoreObserved(sch, nil, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())},
 			monitor.WithShards(cfg.Shards))
 		sf.Close()
 		if err != nil {

@@ -4,445 +4,117 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"rtic/internal/cdcgen"
 	"rtic/internal/check"
-	"rtic/internal/engine"
+	"rtic/internal/formgen"
 	"rtic/internal/naive"
 	"rtic/internal/schema"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
+	"rtic/internal/workload"
 )
 
-// The sweep drives once/since nodes through every short script and holds
-// them, commit by commit, to the executable specification. A constraint
-// is probe(x) -> not N(x) with probe(0) and probe(1) always present, so
-// its violations are exactly the node's answer. The single sweep installs
-// one window at a time; the family sweep installs several over the same
-// operands, which share one table, and also holds each to a checker that
-// has that window alone — the unshared design by construction.
-
-var sweepSchema = schema.NewBuilder().
+// probeSchema is the vocabulary of the hand-written node tests: probe
+// is the guard, q the anchor ψ, p the chain φ, noise a relation no
+// constraint reads.
+var probeSchema = schema.NewBuilder().
 	Relation("probe", 1).
-	Relation("q", 1). // ψ
-	Relation("p", 1). // φ
+	Relation("q", 1).
+	Relation("p", 1).
 	Relation("noise", 1).
 	MustBuild()
 
-type sweepWindow struct {
-	name string // as the parser reads it
-	base uint64 // the b the timestamp gaps are derived from
-}
-
-var sweepWindows = []sweepWindow{
-	{"[0,0]", 0}, {"[0,3]", 3}, {"[2,5]", 5}, {"[2,*]", 3}, {"[0,*]", 3},
-}
-
-// familyWindows are four members of one family — the narrowest possible
-// window, two finite ones and the unbounded one — and [2,5] over the same
-// operands, which the newest-anchor rule does not cover and which must
-// stay a family of its own.
-var familyWindows = []sweepWindow{
-	{"[0,0]", 0}, {"[0,3]", 3}, {"[0,7]", 7}, {"[0,*]", 3}, {"[2,5]", 5},
-}
-
-// sweepGaps are the commit spacings {1, b, b+1, 2b+3} of every window:
-// inside it, on its edge, one past it, and far past it.
-func sweepGaps(ws ...sweepWindow) []uint64 {
-	var out []uint64
-	for _, w := range ws {
-		for _, g := range []uint64{1, w.base, w.base + 1, 2*w.base + 3} {
-			if g > 0 && !slices.Contains(out, g) {
-				out = append(out, g)
-			}
-		}
-	}
-	return out
-}
-
-// A sweep op toggles one row: inserting a ψ-row that is absent or
-// deleting one that is present, breaking a chain that holds or restoring
-// a broken one. Ops that would not change the state (insert a present
-// row, delete an absent one) are left out: their net delta is empty, so
-// the node cannot tell them from the unrelated commit, which is an op.
-type sweepOp struct {
-	rel string // "" = unrelated commit
-	key int64
-}
-
-// sweepCase is one operator's share of the sweep: its ops and how long
-// its scripts are, in the main sweep and in the snapshot sweep (which
-// loads a snapshot per commit and is an order of magnitude dearer). The
-// since scripts are one op shorter and break only key 0's chain, or the
-// sweep would take minutes: 5 ops over 6 commits are 12,500 scripts per
-// window and gap, and there are 18 of those.
-type sweepCase struct {
-	since         bool
-	ops           []sweepOp
-	length, snaps int
-}
-
-var sweepCases = []sweepCase{
-	{false, []sweepOp{{"q", 0}, {"q", 1}, {"", 0}}, 6, 4},
-	{true, []sweepOp{{"q", 0}, {"q", 1}, {"p", 0}, {"", 0}}, 5, 4},
-}
-
-func (sc sweepCase) source(w sweepWindow) string {
-	if sc.since {
-		return "probe(x) -> not (p(x) since" + w.name + " q(x))"
-	}
-	return "probe(x) -> not once" + w.name + " q(x)"
-}
-
-// eachSweepScript calls run with a fresh rig for every script of n ops of
-// every case, group of windows installed together, and gap — except those
-// that start on key 1, which mirror the ones starting on key 0. Under the
-// race detector, which looks for something else and is several times
-// slower, scripts are two ops shorter.
-func eachSweepScript(t *testing.T, groups [][]sweepWindow, n func(sweepCase) int, run func(r *sweepRig, ops []sweepOp, script []int, gap uint64)) {
-	for _, sc := range sweepCases {
-		length := n(sc)
-		if raceEnabled {
-			length -= 2
-		}
-		for _, ws := range groups {
-			var srcs []string
-			for _, w := range ws {
-				srcs = append(srcs, sc.source(w))
-			}
-			for _, gap := range sweepGaps(ws...) {
-				script := make([]int, length)
-				for {
-					if script[0] != 1 {
-						run(newSweepRig(t, srcs), sc.ops, script, gap)
+// TestEnumeratedNodes is core's configuration of the exhaustive
+// enumerator (difftest holds the same runs to naive): the node-level
+// promises no engine comparison sees. After every commit CheckInvariants
+// holds — anchors logged in order and ahead of their cursors, live set
+// equal to ⟦ψ⟧, account equal to the walk, one timestamp per [0,b]
+// entry, no stale one, each member's answer the table read through its
+// window — on the checker and on a copy loaded from its snapshot of the
+// commit before, whose anchor log the load rebuilt; and every once/since
+// node's delta is exact (checkDelta).
+func TestEnumeratedNodes(t *testing.T) {
+	runs := 0
+	for _, set := range formgen.KernelSets() {
+		formgen.Histories(set, func(h workload.History) {
+			runs++
+			c := newFromHistory(t, h)
+			var loaded *Checker
+			answers := map[*sinceNode]map[string]bool{}
+			for i, st := range h.Steps {
+				label := func() string { return fmt.Sprintf("%v, step %d of %v", h.Constraints, i, h.Steps) }
+				for _, ck := range []*Checker{c, loaded} {
+					if ck == nil {
+						continue
 					}
-					if !nextScript(script, len(sc.ops)) {
-						break
+					if _, err := ck.Step(st.Time, st.Tx); err != nil {
+						t.Fatalf("%s: %v", label(), err)
+					}
+					if err := ck.CheckInvariants(); err != nil {
+						t.Fatalf("%s (loaded=%v): %v", label(), ck == loaded, err)
 					}
 				}
+				for _, n := range c.nodes {
+					if s, ok := n.(*sinceNode); ok {
+						answers[s] = checkDelta(t, label, s, st.Time, answers[s])
+					}
+				}
+				if i < len(h.Steps)-1 {
+					loaded = snapshotRoundTrip(t, c, h.Schema)
+				}
 			}
-		}
+		})
 	}
+	t.Logf("%d runs of %d commits, every node's delta exact, invariants held", runs, formgen.HistoryLen)
 }
 
-// oneByOne installs every sweep window alone.
-func oneByOne() [][]sweepWindow {
-	var out [][]sweepWindow
-	for _, w := range sweepWindows {
-		out = append(out, []sweepWindow{w})
-	}
-	return out
-}
-
-// nextScript advances script as a base-n counter; false after the last.
-func nextScript(script []int, n int) bool {
-	for i := len(script) - 1; i >= 0; i-- {
-		if script[i]++; script[i] < n {
-			return true
-		}
-		script[i] = 0
-	}
-	return false
-}
-
-// sweepRig is one script's worth of engines over the same constraints,
-// named c0, c1, …: planned and ref have them all, solo[k] only ck.
-type sweepRig struct {
-	t       *testing.T
-	srcs    []string
-	planned *Checker
-	ref     engine.Engine
-	solo    []*Checker // nil when there is one constraint: planned is that checker
-	present map[sweepOp]bool
-	noise   int64
-	now     uint64
-	answers []map[string]bool // each constraint's node's answer after the last commit
-}
-
-func sweepName(k int) string { return fmt.Sprintf("c%d", k) }
-
-func newSweepRig(t *testing.T, srcs []string) *sweepRig {
+// checkDelta holds node's delta to the difference between its answer
+// before the commit, old, and its answer now, which it returns: added
+// and removed are exactly the rows that entered and left it, each once,
+// and the node is dirty exactly when they are not empty.
+func checkDelta(t *testing.T, label func() string, node *sinceNode, now uint64, old map[string]bool) map[string]bool {
 	t.Helper()
-	s := sweepSchema
-	r := &sweepRig{
-		t:       t,
-		srcs:    srcs,
-		planned: New(s),
-		ref:     naive.New(s),
-		present: map[sweepOp]bool{},
-		answers: make([]map[string]bool, len(srcs)),
-	}
-	for k, src := range srcs {
-		engines := []engine.Engine{r.planned, r.ref}
-		if len(srcs) > 1 {
-			r.solo = append(r.solo, New(s))
-			engines = append(engines, r.solo[k])
-		}
-		for _, eng := range engines {
-			con, err := check.Parse(sweepName(k), src, s)
-			if err != nil {
-				t.Fatalf("%s: %v", src, err)
-			}
-			if err := eng.AddConstraint(con); err != nil {
-				t.Fatalf("%s: %v", src, err)
-			}
-		}
-	}
-	tx := storage.NewTransaction()
-	for k := int64(0); k < 2; k++ {
-		tx.Insert("probe", tuple.Ints(k)).Insert("p", tuple.Ints(k))
-		r.present[sweepOp{"p", k}] = true
-	}
-	r.commit("setup", 1, tx)
-	return r
-}
-
-// tx builds the transaction of op against the rig's model of the state.
-func (r *sweepRig) tx(op sweepOp) *storage.Transaction {
-	tx := storage.NewTransaction()
-	switch {
-	case op.rel == "":
-		r.noise++
-		tx.Insert("noise", tuple.Ints(r.noise))
-	case r.present[op]:
-		tx.Delete(op.rel, tuple.Ints(op.key))
-		r.present[op] = false
-	default:
-		tx.Insert(op.rel, tuple.Ints(op.key))
-		r.present[op] = true
-	}
-	return tx
-}
-
-// commit steps every engine and checks everything the sweep promises
-// about the commit.
-func (r *sweepRig) commit(label string, tm uint64, tx *storage.Transaction) {
-	r.t.Helper()
-	r.now = tm
-	got, err := r.planned.Step(tm, tx.Clone())
+	ans, err := node.enumerate(now)
 	if err != nil {
-		r.t.Fatalf("%s: planned: %v", label, err)
+		t.Fatalf("%s: %s: %v", label(), node.node, err)
 	}
-	want, err := r.ref.Step(tm, tx.Clone())
-	if err != nil {
-		r.t.Fatalf("%s: naive: %v", label, err)
-	}
-	if !sameCanon(canon(got), canon(want)) {
-		r.t.Fatalf("%s: planned %v, naive %v", label, canon(got), canon(want))
-	}
-	if err := r.planned.CheckInvariants(); err != nil {
-		r.t.Fatalf("%s: %v", label, err)
-	}
-	for k, solo := range r.solo {
-		alone, err := solo.Step(tm, tx.Clone())
-		if err != nil {
-			r.t.Fatalf("%s: %s alone: %v", label, r.srcs[k], err)
-		}
-		r.againstSolo(label+": "+r.srcs[k], sweepName(k), solo, got, alone)
-	}
-	for k := range r.srcs {
-		// The node's own answer and its delta, against the violations
-		// (which are that answer) and the previous answer.
-		next := map[string]bool{}
-		for _, v := range want {
-			if v.Constraint == sweepName(k) {
-				next[v.Binding.Key()] = true
-			}
-		}
-		r.checkDelta(label+": "+r.srcs[k], memberOf(r.t, r.planned, sweepName(k)), r.answers[k], next)
-		r.answers[k] = next
-	}
-}
-
-// againstSolo holds the shared checker's violations of one constraint,
-// and the evidence it gives for each, to the checker that has that
-// constraint alone.
-func (r *sweepRig) againstSolo(label, name string, solo *Checker, got, alone []check.Violation) {
-	r.t.Helper()
-	var mine []check.Violation
-	for _, v := range got {
-		if v.Constraint == name {
-			mine = append(mine, v)
-		}
-	}
-	if !sameCanon(canon(mine), canon(alone)) {
-		r.t.Fatalf("%s: shared %v, alone %v", label, canon(mine), canon(alone))
-	}
-	for _, v := range mine {
-		shared, err := r.planned.Explain(v)
-		if err != nil {
-			r.t.Fatalf("%s: %v", label, err)
-		}
-		own, err := solo.Explain(v)
-		if err != nil {
-			r.t.Fatalf("%s: %v", label, err)
-		}
-		if shared.String() != own.String() {
-			r.t.Fatalf("%s: shared explains\n%s\nalone\n%s", label, shared, own)
-		}
-	}
-}
-
-// checkDelta holds node's answer to next, and its delta to the difference
-// between old and next.
-func (r *sweepRig) checkDelta(label string, node *sinceNode, old, next map[string]bool) {
-	r.t.Helper()
-	ans, err := node.enumerate(r.now)
-	if err != nil {
-		r.t.Fatalf("%s: %v", label, err)
-	}
-	if ans.Len() != len(next) {
-		r.t.Fatalf("%s: node answers %v, naive %v", label, ans, keysOf(next))
-	}
-	for key := range next {
-		if !ans.ContainsKey(key) {
-			r.t.Fatalf("%s: node answers %v, naive %v", label, ans, keysOf(next))
-		}
-	}
+	next := map[string]bool{}
+	ans.EachRow(func(row tuple.Tuple) bool {
+		next[row.Key()] = true
+		return true
+	})
 	added, removed, exact := node.answerDelta()
-	if !exact {
-		r.t.Fatalf("%s: since node reports an inexact delta", label)
+	got, want := [2][]string{keysOf(added), keysOf(removed)}, [2][]string{minus(next, old), minus(old, next)}
+	if !exact || fmt.Sprint(got) != fmt.Sprint(want) || node.dirty() != (len(want[0])+len(want[1]) > 0) {
+		t.Fatalf("%s: %s: delta +%v −%v (exact=%v, dirty=%v), answer %v → %v", label(), node.node, got[0], got[1], exact, node.dirty(), minus(old, nil), minus(next, nil))
 	}
-	seen := map[string]bool{}
-	for _, row := range added {
-		key := row.Key()
-		if seen[key] || old[key] || !next[key] {
-			r.t.Fatalf("%s: added %v is not (new answer − old answer): old %v new %v", label, added, keysOf(old), keysOf(next))
-		}
-		seen[key] = true
-	}
-	for _, row := range removed {
-		key := row.Key()
-		if seen[key] || !old[key] || next[key] {
-			r.t.Fatalf("%s: removed %v is not (old answer − new answer): old %v new %v", label, removed, keysOf(old), keysOf(next))
-		}
-		seen[key] = true
-	}
-	changed := 0
-	for key := range next {
-		if !old[key] {
-			changed++
-		}
-	}
-	for key := range old {
-		if !next[key] {
-			changed++
-		}
-	}
-	if changed != len(seen) || node.dirty() != (changed > 0) {
-		r.t.Fatalf("%s: delta +%v −%v (dirty=%v) misses part of old %v → new %v", label, added, removed, node.dirty(), keysOf(old), keysOf(next))
-	}
+	return next
 }
 
-func keysOf(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// keysOf returns the rows' keys, sorted, repeats kept.
+func keysOf(rows []tuple.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = row.Key()
 	}
 	sort.Strings(out)
 	return out
 }
 
-// restored round-trips the planned checker through a snapshot.
-func (r *sweepRig) restored() *Checker {
-	r.t.Helper()
-	var buf bytes.Buffer
-	if err := r.planned.SaveSnapshot(&buf); err != nil {
-		r.t.Fatal(err)
-	}
-	c, err := LoadSnapshot(sweepSchema, &buf)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	return c
-}
-
-// violations is what the planned checker must have reported at the last
-// commit, from the answers the rig verified.
-func (r *sweepRig) violations() []string {
-	var out []string
-	for k, ans := range r.answers {
-		for key := range ans {
-			out = append(out, sweepName(k)+"|"+key)
+// minus returns the keys of a that are not in b, sorted.
+func minus(a, b map[string]bool) []string {
+	out := []string{}
+	for k := range a {
+		if !b[k] {
+			out = append(out, k)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TestAuxDeadlineSweep enumerates, for once and since over the windows
-// [0,0] [0,3] [2,5] [2,∞) [0,∞) and the gaps {1, b, b+1, 2b+3}, every
-// script of the case's length over two keys — which covers every shorter
-// script as a prefix, every commit being checked. After every commit
-// the checker and internal/naive agree, the node's answer is theirs,
-// added/removed are
-// disjoint and equal the difference of consecutive answers, and
-// CheckInvariants holds (anchors ahead of the cursors that wait for them,
-// live set equal to ⟦ψ⟧, running account equal to the walk).
-func TestAuxDeadlineSweep(t *testing.T) {
-	eachSweepScript(t, oneByOne(), func(sc sweepCase) int { return sc.length }, runSweepScript)
-}
-
-// TestAuxFamilySweep is the same sweep over familyWindows installed
-// together — four windows reading one table, a fifth over the same
-// operands beside them — and the gaps of all of them. On top of the
-// single sweep's promises, which it holds per member, every constraint
-// reports and explains (evidence times included) what a checker that has
-// it alone does, and CheckInvariants holds the family clauses: the table
-// kept to the widest window, each member's answer the table read through
-// its window.
-func TestAuxFamilySweep(t *testing.T) {
-	eachSweepScript(t, [][]sweepWindow{familyWindows}, func(sc sweepCase) int { return sc.length }, runSweepScript)
-}
-
-func runSweepScript(r *sweepRig, ops []sweepOp, script []int, gap uint64) {
-	for i, o := range script {
-		r.commit(r.label(script, gap, i), r.now+gap, r.tx(ops[o]))
-	}
-}
-
-func (r *sweepRig) label(script []int, gap uint64, step int) string {
-	return fmt.Sprintf("%s gap %d script %v step %d", r.srcs[0], gap, script, step)
-}
-
-// TestAuxDeadlineSweepSnapshot is the sweep's fourth promise: a snapshot
-// taken at any index of any script loads into a checker that continues
-// as the original does. At every index of every script the checker is
-// saved and loaded, and every copy taken so far is stepped through the
-// rest of the script beside the original.
-func TestAuxDeadlineSweepSnapshot(t *testing.T) {
-	eachSweepScript(t, oneByOne(), func(sc sweepCase) int { return sc.snaps }, runSnapshotScript)
-}
-
-// TestAuxFamilySweepSnapshot: the members of a family each write the part
-// of the table their window holds, and loading merges the parts back.
-func TestAuxFamilySweepSnapshot(t *testing.T) {
-	eachSweepScript(t, [][]sweepWindow{familyWindows}, func(sc sweepCase) int { return sc.snaps }, runSnapshotScript)
-}
-
-func runSnapshotScript(r *sweepRig, ops []sweepOp, script []int, gap uint64) {
-	t := r.t
-	var copies []*Checker
-	for i, o := range script {
-		copies = append(copies, r.restored())
-		label := r.label(script, gap, i)
-		tx := r.tx(ops[o])
-		tm := r.now + gap
-		r.commit(label, tm, tx.Clone())
-		for from, c := range copies {
-			got := mustStep(t, c, tm, tx.Clone())
-			if !sameCanon(canon(got), r.violations()) {
-				t.Fatalf("%s: snapshot taken at index %d reports %v, original %v", label, from, canon(got), r.violations())
-			}
-			if a, b := c.Stats(), r.planned.Stats(); a.Entries != b.Entries || a.Timestamps != b.Timestamps || a.Bytes != b.Bytes {
-				t.Fatalf("%s: snapshot taken at index %d holds %+v, original %+v", label, from, a, b)
-			}
-		}
-	}
 }
 
 // TestAuxExpiryAndReanchorSameCommit is the case a first delta-driven
@@ -570,7 +242,7 @@ func TestCleanUpdatePhaseIsFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	s := sweepSchema
+	s := probeSchema
 	c := New(s)
 	addConstraint(t, c, s, "once", "probe(x) -> not once[0,1000] q(x)")
 	addConstraint(t, c, s, "since", "probe(x) -> not (p(x) since[0,1000] q(x))")

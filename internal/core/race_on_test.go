@@ -2,7 +2,6 @@
 
 package core
 
-// raceEnabled reports that the race detector is active: enumerating
-// sweeps shorten their scripts, allocation-count tests are skipped (its
-// instrumentation allocates).
+// raceEnabled reports that the race detector is active: allocation
+// counts are not measured (its instrumentation allocates).
 const raceEnabled = true

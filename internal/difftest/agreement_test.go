@@ -41,9 +41,10 @@ func installOutcome(eng engine.Engine, s *schema.Schema, src string) string {
 // TestInstallAgreement is the accept/reject leg: the engines must draw
 // the edge of the language in the same place and describe it in the
 // same words. Over 10,000 formulas from the edge of the safe fragment
-// (formgen.NearlySafe), formgen's safe constraints, the shipped spec
-// files, the workloads, the cdcgen policies and the benchmark's wide
-// policy set, naive, core, active and a two-shard router must return
+// (formgen.NearlySafe), formgen's safe constraints, every enumerated
+// kernel (formgen.Kernels, safe or not), the shipped spec files, the
+// workloads, the cdcgen policies and the benchmark's wide policy set,
+// naive, core, active and a two-shard router must return
 // byte-identical install outcomes. Every accepted edge formula also goes
 // through Run, so the shapes formgen.Constraint never draws —
 // quantifiers under negation, inside temporal operands, beside since —
@@ -53,6 +54,7 @@ func installOutcome(eng engine.Engine, s *schema.Schema, src string) string {
 // the values the state still holds, and by a plan over everything the
 // operator remembers.)
 func TestInstallAgreement(t *testing.T) {
+	t.Parallel()
 	accepted, refused := map[string]int{}, map[string]int{}
 	agree := func(corpus string, s *schema.Schema, src string) bool {
 		t.Helper()
@@ -99,6 +101,9 @@ func TestInstallAgreement(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		agree("formgen", formgen.Schema(), formgen.Constraint(r))
+	}
+	for _, k := range formgen.Kernels() {
+		agree("enumerated", formgen.SmallSchema(), k.Source())
 	}
 
 	paths, err := filepath.Glob("../../examples/specs/*.rtic")

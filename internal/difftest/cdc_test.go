@@ -57,6 +57,7 @@ func cdcCorpus() []struct {
 // counterpart to the formgen pairs. All three freshness constraints partition on the sensor
 // variable, so the sharded legs genuinely spread this workload.
 func TestDifferentialCDC(t *testing.T) {
+	t.Parallel()
 	for _, tc := range cdcCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			h, _ := cdcgen.Generate(tc.cfg)

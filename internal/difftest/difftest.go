@@ -1,22 +1,26 @@
 // Package difftest is the cross-engine differential harness: it runs
-// one history through every checking engine — naive, incremental,
-// active rules, and the shard router at several shard counts — and
-// asserts they report identical per-step violations and identical
-// final base state; routers over the incremental engine must also
-// explain every violation as the unsharded engine does. The naive
-// checker is the
-// executable specification (a direct transcription of the paper's
-// semantics), so any divergence is a bug in one of the optimized
-// engines, and the harness says which step and which engine.
+// one history through every checking engine — naive, incremental (whole
+// and behind the shard router at several shard counts) and active rules
+// — and asserts they report identical per-step violations and identical
+// final base state, and that every router over the incremental checker
+// explains a violation as the whole one does. Config.Exhaustive adds the
+// incremental checker with one checker per constraint, held to the same
+// explanations, and a copy of every variant loaded from its snapshot of
+// every step. The naive checker is the executable specification (a
+// direct transcription of the paper's semantics), so any divergence is
+// a bug in one of the optimized engines, and the harness says which
+// step and which engine.
 //
-// The harness is deliberately engine-agnostic: tests feed it
-// hand-written traces, the five reconstructed workload scenarios, and
-// (via the fuzzer) random constraints from internal/formgen over random
-// traces from internal/workload.
+// The harness is deliberately engine-agnostic: tests feed it the five
+// reconstructed workload scenarios, random constraints from
+// internal/formgen over random traces from internal/workload, CDC feeds,
+// and formgen's exhaustive enumeration of small kernels and histories.
 package difftest
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtic/internal/active"
@@ -24,6 +28,7 @@ import (
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/naive"
+	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/shard"
 	"rtic/internal/storage"
@@ -41,6 +46,16 @@ var DefaultShardCounts = []int{1, 2, 8}
 // the defaults above.
 type Config struct {
 	ShardCounts []int // router fan-outs (incremental engine inside)
+	// Exhaustive is the configuration formgen's enumerator runs: it adds
+	// the paper's checker with one checker per constraint, loads a copy
+	// of every variant of the paper's checker from its snapshot after
+	// every step — of the routers, the two-shard one: a one-shard
+	// router's snapshot is core's in the same envelope, and a wider one
+	// only adds shards empty on the enumerator's two values, whose loads
+	// would be most of the cost — holding each copy to naive and to the
+	// original's Stats to the end of the history, and drops the routers
+	// over the baseline engines, which cannot snapshot.
+	Exhaustive bool
 }
 
 func (c Config) withDefaults() Config {
@@ -54,48 +69,75 @@ func (c Config) withDefaults() Config {
 type variant struct {
 	label string
 	eng   engine.Engine
-	// shardedCore marks routers running incremental engines inside —
-	// the ones whose aux sums are compared against the unsharded
-	// incremental checker.
-	shardedCore bool
+	// paper marks the variants of the paper's checker — whole, routed or
+	// one per constraint — which explain their violations and snapshot.
+	paper  bool
+	shards int     // a router's; 0 for the rest
+	twin   checker // what a loaded copy was saved from; nil for the rest
+}
+
+// checker is a variant of the paper's checker.
+type checker interface {
+	engine.Engine
+	Stats() core.Stats
+	Explain(check.Violation) (*core.Explanation, error)
+}
+
+// reload round-trips c, a variant of the paper's checker, through its
+// snapshot.
+func reload(s *schema.Schema, c checker) (checker, error) {
+	var buf bytes.Buffer
+	switch c := c.(type) {
+	case *shard.Router:
+		if err := c.SaveSnapshot(&buf); err != nil {
+			return nil, err
+		}
+		return shard.LoadSnapshot(s, &buf, c.Shards())
+	case *core.Checker:
+		if err := c.SaveSnapshot(&buf); err != nil {
+			return nil, err
+		}
+		return core.LoadSnapshot(s, &buf)
+	}
+	out := &solo{s: s}
+	for _, one := range c.(*solo).alone {
+		c, err := reload(s, one)
+		if err != nil {
+			return nil, err
+		}
+		out.alone = append(out.alone, c.(*core.Checker))
+	}
+	return out, nil
 }
 
 // build constructs every engine variant for the history's schema and
 // installs the constraints on each.
 func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]variant, error) {
-	var vars []variant
-	add := func(label string, eng engine.Engine, err error) error {
+	vars := []variant{{label: "naive", eng: naive.New(s)}, {label: "core", eng: core.New(s), paper: true}, {label: "active", eng: active.New(s)}}
+	router := func(label string, n int, mode engine.Mode) error {
+		rtr, err := shard.NewMode(s, n, mode)
 		if err != nil {
 			return fmt.Errorf("difftest: building %s: %w", label, err)
 		}
-		vars = append(vars, variant{label: label, eng: eng})
+		vars = append(vars, variant{label: label, eng: rtr, paper: mode == engine.Incremental, shards: n})
 		return nil
 	}
-	if err := add("naive", naive.New(s), nil); err != nil {
-		return nil, err
-	}
-	if err := add("core", core.New(s), nil); err != nil {
-		return nil, err
-	}
-	if err := add("active", active.New(s), nil); err != nil {
-		return nil, err
-	}
 	for _, n := range cfg.ShardCounts {
-		rtr, err := shard.NewMode(s, n, engine.Incremental)
-		if err := add(fmt.Sprintf("core/shards=%d", n), rtr, err); err != nil {
+		if err := router(fmt.Sprintf("core/shards=%d", n), n, engine.Incremental); err != nil {
 			return nil, err
 		}
-		vars[len(vars)-1].shardedCore = true
 	}
-	// One sharded leg each for the baseline engines: the router must be
-	// exact no matter what runs inside it.
-	rtr, err := shard.NewMode(s, 2, engine.Naive)
-	if err := add("naive/shards=2", rtr, err); err != nil {
-		return nil, err
-	}
-	rtr, err = shard.NewMode(s, 2, engine.ActiveRules)
-	if err := add("active/shards=2", rtr, err); err != nil {
-		return nil, err
+	if cfg.Exhaustive {
+		vars = append(vars, variant{label: "core/solo", eng: &solo{s: s}, paper: true})
+	} else {
+		// One sharded leg each for the baseline engines: the router must
+		// be exact no matter what runs inside it.
+		if err := router("naive/shards=2", 2, engine.Naive); err != nil {
+			return nil, err
+		}
+		if err := router("active/shards=2", 2, engine.ActiveRules); err != nil {
+			return nil, err
+		}
 	}
 
 	for _, v := range vars {
@@ -116,18 +158,6 @@ func canon(vs []check.Violation) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sameCanon(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // baseRels projects a state onto the schema's base relations as sorted
@@ -161,10 +191,12 @@ func finalState(v variant, s *schema.Schema) (map[string][]string, error) {
 // Run drives the history through every engine variant and returns an
 // error describing the first divergence: a step where some engine's
 // violation set differs from the naive reference, an engine error the
-// others did not report, a final-state mismatch, or a sharded
-// incremental engine that explains a violation differently from the
-// unsharded incremental engine or whose summed aux entry/timestamp
-// counts differ from it.
+// others did not report, a final-state mismatch, a variant of the
+// paper's checker (routed, one checker per constraint) that explains a
+// violation differently from the unsharded checker, a router whose
+// summed aux entry/timestamp counts differ from it, or — with
+// cfg.Exhaustive — a loaded copy that continues differently from the
+// variant it was saved from.
 func Run(h workload.History, cfg Config) error {
 	cfg = cfg.withDefaults()
 	vars, err := build(h.Schema, h.Constraints, cfg)
@@ -191,7 +223,7 @@ func Run(h workload.History, cfg Config) error {
 			if refErr != nil {
 				continue
 			}
-			if gotCanon := canon(got); !sameCanon(gotCanon, wantCanon) {
+			if gotCanon := canon(got); !slices.Equal(gotCanon, wantCanon) {
 				return fmt.Errorf("difftest: step %d (t=%d): %s reports %v, %s reports %v",
 					i, st.Time, v.label, gotCanon, ref.label, wantCanon)
 			}
@@ -201,6 +233,29 @@ func Run(h workload.History, cfg Config) error {
 		}
 		if err := sameExplanations(vars, inc, incVs); err != nil {
 			return fmt.Errorf("difftest: step %d (t=%d): %w", i, st.Time, err)
+		}
+		if !cfg.Exhaustive {
+			continue
+		}
+		for _, v := range vars {
+			if v.twin == nil {
+				continue
+			}
+			if a, b := v.eng.(checker).Stats(), v.twin.Stats(); a.Entries != b.Entries || a.Timestamps != b.Timestamps || a.Bytes != b.Bytes {
+				return fmt.Errorf("difftest: step %d (t=%d): %s holds %+v, the original %+v", i, st.Time, v.label, a, b)
+			}
+		}
+		if i == len(h.Steps)-1 {
+			continue // no step left to continue a copy with
+		}
+		for _, v := range vars {
+			if v.paper && v.twin == nil && (v.shards == 0 || v.shards == 2) {
+				eng, err := reload(h.Schema, v.eng.(checker))
+				if err != nil {
+					return fmt.Errorf("difftest: step %d (t=%d): %s snapshot: %w", i, st.Time, v.label, err)
+				}
+				vars = append(vars, variant{label: fmt.Sprintf("%s loaded after step %d", v.label, i), eng: eng, paper: true, shards: v.shards, twin: v.eng.(checker)})
+			}
 		}
 	}
 
@@ -215,7 +270,7 @@ func Run(h workload.History, cfg Config) error {
 			return err
 		}
 		for _, name := range h.Schema.Names() {
-			if !sameCanon(gotState[name], wantState[name]) {
+			if !slices.Equal(gotState[name], wantState[name]) {
 				return fmt.Errorf("difftest: final state of %q: %s holds %v, %s holds %v",
 					name, v.label, gotState[name], ref.label, wantState[name])
 			}
@@ -229,10 +284,11 @@ func Run(h workload.History, cfg Config) error {
 	// compiles its own node tree.)
 	want := inc.Stats()
 	for _, v := range vars {
-		if !v.shardedCore {
+		rtr, ok := v.eng.(*shard.Router)
+		if !ok || !v.paper {
 			continue
 		}
-		got := v.eng.(*shard.Router).Stats()
+		got := rtr.Stats()
 		if got.Entries != want.Entries || got.Timestamps != want.Timestamps {
 			return fmt.Errorf("difftest: aux sums of %s = {entries=%d, timestamps=%d}, unsharded = {entries=%d, timestamps=%d}",
 				v.label, got.Entries, got.Timestamps, want.Entries, want.Timestamps)
@@ -241,22 +297,24 @@ func Run(h workload.History, cfg Config) error {
 	return nil
 }
 
-// sameExplanations holds every sharded incremental variant's Explain
-// to the unsharded checker inc's, for each violation inc reported at
-// the step just taken: a router must answer from the shard that
-// derived the witness, whose encoding restricted to the witness's key
-// is the unsharded one.
+// sameExplanations holds the Explain of every other variant of the
+// paper's checker to the unsharded checker inc's, for each violation
+// inc reported at the step just taken. A router must answer from the
+// shard that derived the witness, whose encoding restricted to the
+// witness's key is the unsharded one; one checker per constraint shares
+// no table and no denial family, so inc must explain each constraint as
+// a checker that holds it alone does.
 func sameExplanations(vars []variant, inc *core.Checker, vs []check.Violation) error {
 	for _, viol := range vs {
 		want, err := inc.Explain(viol)
 		if err != nil {
 			return fmt.Errorf("core cannot explain %s: %w", viol, err)
 		}
-		for _, v := range vars {
-			if !v.shardedCore {
+		for _, v := range vars[2:] {
+			if !v.paper || v.twin != nil {
 				continue
 			}
-			got, err := v.eng.(*shard.Router).Explain(viol)
+			got, err := v.eng.(checker).Explain(viol)
 			if err != nil {
 				return fmt.Errorf("%s cannot explain %s: %w", v.label, viol, err)
 			}
@@ -266,4 +324,59 @@ func sameExplanations(vars []variant, inc *core.Checker, vs []check.Violation) e
 		}
 	}
 	return nil
+}
+
+// solo is the paper's checker with one core.Checker per constraint, so
+// no constraint shares a table or a denial family with another: it
+// answers and explains each constraint the way a checker holding it
+// alone does. Its state is its first checker's: it needs a constraint.
+type solo struct {
+	s     *schema.Schema
+	alone []*core.Checker
+}
+
+func (o *solo) AddConstraint(con *check.Constraint) error {
+	c := core.New(o.s)
+	if err := c.AddConstraint(con); err != nil {
+		return err
+	}
+	o.alone = append(o.alone, c)
+	return nil
+}
+
+func (o *solo) Step(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
+	var out []check.Violation
+	for _, c := range o.alone {
+		vs, err := c.Step(t, tx)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vs...)
+	}
+	return out, nil
+}
+
+func (o *solo) State() (*storage.State, error) { return o.alone[0].State() }
+
+func (o *solo) SetObserver(*obs.Observer) {}
+
+// Stats sums the checkers' storage.
+func (o *solo) Stats() core.Stats {
+	var st core.Stats
+	for _, c := range o.alone {
+		cs := c.Stats()
+		st.Entries += cs.Entries
+		st.Timestamps += cs.Timestamps
+		st.Bytes += cs.Bytes
+	}
+	return st
+}
+
+func (o *solo) Explain(v check.Violation) (*core.Explanation, error) {
+	for _, c := range o.alone {
+		if c.ConstraintNames()[0] == v.Constraint {
+			return c.Explain(v)
+		}
+	}
+	return nil, fmt.Errorf("no constraint %s", v.Constraint)
 }

@@ -12,6 +12,7 @@ import (
 // workload scenarios, with violation rates high enough that the
 // violation streams being compared are non-trivial.
 func TestDifferentialCorpus(t *testing.T) {
+	t.Parallel()
 	corpus := []struct {
 		name string
 		h    workload.History
@@ -57,6 +58,7 @@ func generatedPair(seed int64) workload.History {
 // generated (constraint, trace) pairs, every engine variant in
 // agreement on each. This is the bounded CI face of FuzzDifferential.
 func TestDifferentialGenerated(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long differential sweep")
 	}

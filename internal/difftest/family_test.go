@@ -19,6 +19,7 @@ import (
 // shuffled order and runs it through every engine variant against naive
 // over a random update stream.
 func TestDifferentialFamilies(t *testing.T) {
+	t.Parallel()
 	seeds := 150
 	if testing.Short() {
 		seeds = 30

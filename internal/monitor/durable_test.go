@@ -128,7 +128,7 @@ func recoverFrom(t *testing.T, dir string, n int, snapPath string) (*Monitor, *D
 	t.Helper()
 	var m *Monitor
 	if sf, err := os.Open(snapPath); err == nil {
-		m, err = RestoreObserved(hrSchema(), sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())}, WithShards(n))
+		m, err = RestoreObserved(hrSchema(), nil, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())}, WithShards(n))
 		sf.Close()
 		if err != nil {
 			t.Fatalf("restoring checkpoint: %v", err)

@@ -45,9 +45,11 @@ type Monitor struct {
 	// commit lock — the write-ahead hook of the durability layer.
 	journal func(t uint64, tx *storage.Transaction)
 
-	// diags holds the linter findings recorded while the constraints
-	// were installed (New only; restored monitors carry none — their
-	// constraints were vetted when first installed).
+	// diags holds the linter findings over the spec the monitor was
+	// built or restored for (none for a restore given no spec), linted
+	// once per start: the lint protocol command, the daemon's startup
+	// log, /healthz and the lint metrics all read them. Findings never
+	// block a start (the constraints parsed and compiled).
 	diags []lint.Diagnostic
 
 	subMu   sync.Mutex
@@ -96,19 +98,14 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 	}
 	m := &Monitor{schema: s, subs: make(map[int]chan check.Violation)}
 	m.setEngine(eng.(shard.Checker))
-	// Lint the spec the monitor now enforces. Findings never block
-	// construction (the constraints above parsed and compiled), but they
-	// are kept for the lint protocol command, the daemon's startup log
-	// and the lint metrics.
 	m.diags = lint.Constraints(constraints, s, lint.Options{})
 	return m, nil
 }
 
-// Diagnostics returns the linter findings recorded when the monitor's
-// constraints were installed (nil for restored monitors). The slice is
-// a copy; callers may reorder it. diags is immutable after New, so
-// this never takes the commit lock — a slow lint reader cannot stall
-// commits.
+// Diagnostics returns the linter findings recorded when the monitor was
+// built or restored. The slice is a copy; callers may reorder it. diags
+// is immutable after New and RestoreObserved, so this never takes the
+// commit lock — a slow lint reader cannot stall commits.
 func (m *Monitor) Diagnostics() []lint.Diagnostic {
 	return append([]lint.Diagnostic(nil), m.diags...)
 }
@@ -119,13 +116,15 @@ func (m *Monitor) Diagnostics() []lint.Diagnostic {
 // and the clock, so the restored monitor continues where the snapshot
 // was taken.
 func Restore(s *schema.Schema, r io.Reader, opts ...Option) (*Monitor, error) {
-	return RestoreObserved(s, r, nil, opts...)
+	return RestoreObserved(s, nil, r, nil, opts...)
 }
 
 // RestoreObserved is Restore with the observer attached before the
 // checker starts answering, so the restore itself is traced and the
-// restored monitor is instrumented from its first commit.
-func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Option) (*Monitor, error) {
+// restored monitor is instrumented from its first commit. constraints
+// is the spec the snapshot was taken under, linted as New lints it
+// (nil: no findings); the snapshot alone decides what is enforced.
+func RestoreObserved(s *schema.Schema, constraints []workload.ConstraintSpec, r io.Reader, o *obs.Observer, opts ...Option) (*Monitor, error) {
 	var op options
 	for _, opt := range opts {
 		opt(&op)
@@ -137,6 +136,9 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 		return nil, err
 	}
 	m.setEngine(eng)
+	if constraints != nil {
+		m.diags = lint.Constraints(constraints, s, lint.Options{})
+	}
 	return m, nil
 }
 

@@ -100,7 +100,7 @@ func TestSnapshotSpansSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := snap.Len()
-		m2, err := RestoreObserved(s, &snap, &obs.Observer{Spans: rec}, WithShards(n))
+		m2, err := RestoreObserved(s, nil, &snap, &obs.Observer{Spans: rec}, WithShards(n))
 		if err != nil {
 			t.Fatal(err)
 		}

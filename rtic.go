@@ -44,6 +44,7 @@ import (
 	"rtic/internal/lint"
 	"rtic/internal/mtl"
 	"rtic/internal/obs"
+	"rtic/internal/plan"
 	"rtic/internal/schema"
 	"rtic/internal/shard"
 	"rtic/internal/storage"
@@ -605,22 +606,17 @@ func (c *Checker) Query(src string) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := fol.NewEvaluator(st, queryOracle{}).Eval(kernel)
+	// Planned over a scratch state, the query registers no maintained
+	// index on the live relations; where it would probe one it scans.
+	p, err := plan.Compile(kernel, storage.NewState(c.schema), nil)
+	if err != nil {
+		return nil, err
+	}
+	b, err := p.Eval(st, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &QueryResult{Vars: b.Vars(), Rows: b.Rows()}, nil
-}
-
-// queryOracle rejects temporal nodes; queries are pure first-order.
-type queryOracle struct{}
-
-func (queryOracle) Enumerate(f mtl.Formula) (*fol.Bindings, error) {
-	return nil, fmt.Errorf("rtic: temporal node %q in query", f.String())
-}
-
-func (queryOracle) Test(f mtl.Formula, _ fol.Env) (bool, error) {
-	return false, fmt.Errorf("rtic: temporal node %q in query", f.String())
 }
 
 // ParseFormula parses a Past MTL formula and returns its canonical

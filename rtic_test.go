@@ -2,6 +2,7 @@ package rtic
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -269,6 +270,46 @@ func TestQuery(t *testing.T) {
 				t.Fatalf("rows = %v", res.Rows)
 			}
 		})
+	}
+}
+
+// TestQueryRegistersNoIndex: a partially bound query — r probed by the
+// x that p binds — answers from a scan and leaves the live relations'
+// maintained indexes as they were.
+func TestQueryRegistersNoIndex(t *testing.T) {
+	s, err := NewSchema().Relation("p", 1).Relation("r", 2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := NewChecker(s)
+	c.MustAddConstraint("c", "p(x) -> not once r(x, x)")
+	if _, err := c.Begin().Insert("p", Int(1)).Insert("r", Int(1), Int(2)).Insert("r", Int(3), Int(4)).Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.eng.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := st.Relation("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := func() (out []bool) {
+		for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+			out = append(out, r.FindIndex(cols) != nil)
+		}
+		return out
+	}
+	before := indexed()
+	res, err := c.Query("p(x) and r(x, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || !res.Rows[0][0].Equal(Int(1)) || !res.Rows[0][1].Equal(Int(2)) {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+	if after := indexed(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("r's indexes on columns {0}, {1}, {0,1}: %v before the query, %v after", before, after)
 	}
 }
 
