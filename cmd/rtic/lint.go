@@ -2,8 +2,7 @@ package main
 
 // The lint subcommand:
 //
-//	rtic lint -spec constraints.rtic [-json] [-strict]
-//	     [-cost-threshold N] [log...]
+//	rtic lint -spec constraints.rtic [-json] [-strict] [log...]
 //
 // runs the static analyzer over every constraint of the spec and
 // prints the findings, one per line (or as one JSON document with
@@ -31,8 +30,6 @@ func runLint(args []string, out io.Writer) error {
 	specPath := fs.String("spec", "", "spec file with relations and constraints (required)")
 	asJSON := fs.Bool("json", false, "emit findings as one JSON document")
 	strict := fs.Bool("strict", false, "fail (exit 2) on warnings, not just errors")
-	costThreshold := fs.Uint64("cost-threshold", lint.DefaultCostThreshold,
-		"per-constraint worst-case cost above which the cost rule warns (0 disables the pass)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -41,10 +38,7 @@ func runLint(args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := lint.Options{CostThreshold: *costThreshold}
-	if *costThreshold == 0 {
-		opts.CostThreshold = lint.NoCostCheck
-	}
+	var opts lint.Options
 	if logs := fs.Args(); len(logs) > 0 {
 		written, err := writtenRelations(logs)
 		if err != nil {

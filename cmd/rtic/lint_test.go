@@ -114,30 +114,6 @@ constraint w: p(x) or not p(x)
 	}
 }
 
-// TestLintCostThresholdFlag: the threshold is tunable and 0 disables
-// the pass.
-func TestLintCostThresholdFlag(t *testing.T) {
-	dir := t.TempDir()
-	spec := writeFile(t, dir, "cost.rtic", `
-relation r/2
-constraint audit: r(x, y) -> not once[1,50000] r(x, y)
-`)
-	var out bytes.Buffer
-	if err := runLint([]string{"-cost-threshold", "1000", "-spec", spec}, &out); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if !strings.Contains(out.String(), "[cost]") {
-		t.Errorf("cost not flagged at threshold 1000:\n%s", out.String())
-	}
-	out.Reset()
-	if err := runLint([]string{"-cost-threshold", "0", "-spec", spec}, &out); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if strings.Contains(out.String(), "[cost]") {
-		t.Errorf("cost flagged with the pass disabled:\n%s", out.String())
-	}
-}
-
 // TestLintWrittenRelations: giving a log arms never-written-relation.
 func TestLintWrittenRelations(t *testing.T) {
 	dir := t.TempDir()

@@ -5,8 +5,7 @@
 //
 //	rtic -spec constraints.rtic [-mode incremental|naive|active]
 //	     [-trace] [log...]
-//	rtic lint -spec constraints.rtic [-json] [-strict]
-//	     [-cost-threshold N] [log...]
+//	rtic lint -spec constraints.rtic [-json] [-strict] [log...]
 //	rtic trace -spec constraints.rtic [-out trace.json] [-shards N]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [log...]
 //

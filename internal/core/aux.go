@@ -481,10 +481,12 @@ func (f *sinceFamily) name() string { return f.widest().node.String() }
 
 func (s *sinceNode) formula() mtl.Formula { return s.node }
 
-// phaseA updates the family, once per commit: in the task of its first
-// member, which then owns every member's delta until the level's barrier.
+// phaseA updates the family once per commit, in whichever member runs
+// first. That is the member registered first, ahead of every node that
+// reads any member; it need not be the narrowest (idx 0), which may join
+// after a node reading a wider window.
 func (s *sinceNode) phaseA(sc *stepCtx, t uint64) error {
-	if s.idx != 0 {
+	if s.fam.primed && s.fam.lastT == t {
 		return nil
 	}
 	if err := s.fam.update(sc, t); err != nil {
@@ -1047,12 +1049,13 @@ func (f *sinceFamily) invariants(now uint64, ev *fol.Evaluator) error {
 		return ok && pos >= cursor
 	}
 	wide := f.widest().iv
+	bound := windowSpan(f.widest().node)
 	for key, e := range f.entries {
 		if len(e.times) == 0 {
 			return fmt.Errorf("core: %q: empty entry %s retained", f.name(), key)
 		}
-		if (f.newest || wide.Unbounded) && len(e.times) > 1 {
-			return fmt.Errorf("core: %q: window %s kept %d timestamps", f.name(), wide.String(), len(e.times))
+		if uint64(len(e.times)) > bound {
+			return fmt.Errorf("core: %q: window %s kept %d timestamps, bound %d", f.name(), wide.String(), len(e.times), bound)
 		}
 		if f.newest && e.liveIx >= 0 {
 			continue // the slot is not read while the entry is live

@@ -15,7 +15,7 @@
 // goroutine:
 //
 //	apply   — validate and apply the transaction to the current state
-//	update  — phase A of every auxiliary node, by dependency level
+//	update  — phase A of every auxiliary node, in registration order
 //	check   — evaluate every constraint's denial in the new state
 //	carry   — phase B: compute then commit next-state carry-over
 package core
@@ -51,12 +51,6 @@ type Checker struct {
 	// families files every once/since family other windows may join under
 	// its shareKey.
 	families map[string]*sinceFamily
-
-	// The leveled update schedule: levels[0] holds nodes with no nested
-	// temporal subformulas, levels[k] nodes whose deepest child sits at
-	// k-1. Built incrementally by register/schedule.
-	levels  [][]auxNode
-	levelOf map[auxNode]int
 
 	// conStates holds the per-constraint planning state, parallel to
 	// constraints; delta holds the reusable per-relation net-delta slots;
@@ -147,7 +141,6 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		byNode:   make(map[mtl.Formula]auxNode),
 		byShape:  make(map[string]auxNode),
 		families: make(map[string]*sinceFamily),
-		levelOf:  make(map[auxNode]int),
 		delta:    make(map[string]*relDelta),
 
 		denialKeys: make(map[string]*denialFamily),
@@ -315,7 +308,6 @@ func (c *Checker) register(f mtl.Formula, node auxNode) error {
 	c.byShape[shape] = node
 	c.byNode[f] = node
 	c.nodes = append(c.nodes, node)
-	c.schedule(f, node)
 	return nil
 }
 
@@ -479,19 +471,13 @@ func (c *Checker) applyPhase(tx *storage.Transaction) error {
 }
 
 // updatePhase brings every auxiliary node's answer up to the new state,
-// level by level (children before parents). The order matters beyond
-// nesting: a family's table is updated by its idx == 0 member, which may
-// register after a node that reads the family. span is the update phase
-// span (nil when untraced); node.update children go under it when the
-// sink asked for detail.
+// in registration order: compile registers every node after its temporal
+// operands, so children update before their parents. A once/since family
+// updates in whichever of its members runs first (see sinceNode.phaseA).
+// span is the update phase span (nil when untraced); node.update children
+// go under it when the sink asked for detail.
 func (c *Checker) updatePhase(sc *stepCtx, si *stepInstr, span *obs.Span) error {
-	detail := si.detailUnder(span)
-	for _, level := range c.levels {
-		if err := runNodes(sc, level, false, detail); err != nil {
-			return err
-		}
-	}
-	return nil
+	return runNodes(sc, c.nodes, false, si.detailUnder(span))
 }
 
 // carryPhase computes the carry-over state for the next transition

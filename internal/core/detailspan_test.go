@@ -50,14 +50,14 @@ func detailsOf(parent *obs.Span, name string) []string {
 
 // TestDetailSpans: a sink that asks for detail gets, in every commit
 // tree, one node.update child per auxiliary node under phase.update in
-// schedule order (Detail = the subformula) and one constraint.check
+// registration order (Detail = the subformula) and one constraint.check
 // child per constraint under phase.check in installation order (Detail
 // = the constraint name). The subtest keeps the name it had when the
 // pipeline came in two widths.
 func TestDetailSpans(t *testing.T) {
 	t.Run("parallelism=1", func(t *testing.T) {
 		c, steps := newWide(t, 60)
-		// One nested window, so the schedule has a second level.
+		// One nested window, so one node reads another.
 		nested, err := check.Parse("nested", "serve(s) -> once[0,50] once[0,3] reading(s)", c.schema)
 		if err != nil {
 			t.Fatal(err)
@@ -68,17 +68,15 @@ func TestDetailSpans(t *testing.T) {
 		rec := detailRecorder{obs.NewSpanRecorder(len(steps))}
 		c.SetObserver(&obs.Observer{Spans: rec})
 		var wantNodes, wantCons []string
-		for _, level := range c.levels {
-			for _, node := range level {
-				wantNodes = append(wantNodes, node.formula().String())
-			}
+		for _, node := range c.nodes {
+			wantNodes = append(wantNodes, node.formula().String())
 		}
 		for _, con := range c.constraints {
 			wantCons = append(wantCons, con.Name)
 		}
-		if len(c.levels) < 2 || len(wantNodes) < 10 || len(wantCons) != 36 {
-			t.Fatalf("feed too narrow to order anything: %d levels, %d nodes, %d constraints",
-				len(c.levels), len(wantNodes), len(wantCons))
+		if len(wantNodes) < 10 || len(wantCons) != 36 {
+			t.Fatalf("feed too narrow to order anything: %d nodes, %d constraints",
+				len(wantNodes), len(wantCons))
 		}
 		for _, s := range steps {
 			if _, err := c.Step(s.Time, s.Tx); err != nil {
@@ -91,7 +89,7 @@ func TestDetailSpans(t *testing.T) {
 			}
 			update, chk, carry := root.Children[1], root.Children[2], root.Children[3]
 			if got := detailsOf(update, obs.SpanNodeUpdate); !reflect.DeepEqual(got, wantNodes) {
-				t.Fatalf("commit %d: node.update children\n got %q\nwant %q (schedule order)", i, got, wantNodes)
+				t.Fatalf("commit %d: node.update children\n got %q\nwant %q (registration order)", i, got, wantNodes)
 			}
 			if got := detailsOf(chk, obs.SpanConstraintCheck); !reflect.DeepEqual(got, wantCons) {
 				t.Fatalf("commit %d: constraint.check children\n got %q\nwant %q (installation order)", i, got, wantCons)

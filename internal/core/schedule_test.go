@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,34 +113,37 @@ func TestParallelEquivalentToSequentialOnWorkloads(t *testing.T) {
 	}
 }
 
-// scheduleInvariants checks the leveled schedule's structural
-// guarantees: every registered node appears in exactly one level, and
-// every node's level is strictly above all its direct temporal
-// children's levels (so running the levels in order updates every child
-// before its parents).
+// operands returns the immediate subformulas of a temporal operator.
+func operands(f mtl.Formula) []mtl.Formula {
+	switch n := f.(type) {
+	case *mtl.Prev:
+		return []mtl.Formula{n.F}
+	case *mtl.Once:
+		return []mtl.Formula{n.F}
+	case *mtl.Since:
+		return []mtl.Formula{n.L, n.R}
+	default:
+		return nil
+	}
+}
+
+// scheduleInvariants checks what the update phase relies on when it runs
+// c.nodes in order: every node sits there exactly once, after each of its
+// direct temporal children (so every child updates before its parents).
 func scheduleInvariants(c *Checker) error {
-	seen := make(map[auxNode]int, len(c.nodes))
-	count := 0
-	for lvl, level := range c.levels {
-		for _, n := range level {
-			if prev, dup := seen[n]; dup {
-				return fmt.Errorf("node %q scheduled twice (levels %d and %d)", n.formula().String(), prev, lvl)
-			}
-			if c.levelOf[n] != lvl {
-				return fmt.Errorf("node %q: levelOf says %d, scheduled at %d", n.formula().String(), c.levelOf[n], lvl)
-			}
-			seen[n] = lvl
-			count++
+	pos := make(map[auxNode]int, len(c.nodes))
+	for i, n := range c.nodes {
+		if prev, dup := pos[n]; dup {
+			return fmt.Errorf("node %q registered twice (at %d and %d)", n.formula().String(), prev, i)
+		}
+		pos[n] = i
+	}
+	for f, n := range c.byNode {
+		if _, ok := pos[n]; !ok {
+			return fmt.Errorf("node of %q missing from the registration order", f.String())
 		}
 	}
-	if count != len(c.nodes) {
-		return fmt.Errorf("schedule covers %d nodes, checker has %d", count, len(c.nodes))
-	}
-	for _, n := range c.nodes {
-		lvl, ok := seen[n]
-		if !ok {
-			return fmt.Errorf("node %q missing from the schedule", n.formula().String())
-		}
+	for i, n := range c.nodes {
 		var kids []mtl.Formula
 		for _, op := range operands(n.formula()) {
 			directTemporal(op, &kids)
@@ -149,9 +153,9 @@ func scheduleInvariants(c *Checker) error {
 			if !ok {
 				return fmt.Errorf("child %q of %q unregistered", k.String(), n.formula().String())
 			}
-			if seen[child] >= lvl {
-				return fmt.Errorf("child %q (level %d) not strictly below parent %q (level %d)",
-					k.String(), seen[child], n.formula().String(), lvl)
+			if pos[child] >= i {
+				return fmt.Errorf("child %q (at %d) not before parent %q (at %d)",
+					k.String(), pos[child], n.formula().String(), i)
 			}
 		}
 	}
@@ -161,48 +165,52 @@ func scheduleInvariants(c *Checker) error {
 func TestScheduleShapes(t *testing.T) {
 	s := equivSchema()
 	cases := []struct {
-		srcs   []string
-		levels []int // nodes per level
+		srcs  []string
+		nodes []string // registration order
 	}{
-		{[]string{"p(x) -> not once[0,3] q(x)"}, []int{1}},
-		{[]string{"p(x) -> not once[0,4] prev q(x)"}, []int{1, 1}},
-		{[]string{"p(x) -> not once[0,50] prev once[0,50] q(x)"}, []int{1, 1, 1}},
+		{[]string{"p(x) -> not once[0,3] q(x)"}, []string{"once[0,3] q(x)"}},
+		{[]string{"p(x) -> not once[0,4] prev q(x)"}, []string{"prev q(x)", "once[0,4] prev q(x)"}},
 		{
-			// Independent windows land on one level; shared shapes dedup.
+			[]string{"p(x) -> not once[0,50] prev once[0,50] q(x)"},
+			[]string{"once[0,50] q(x)", "prev once[0,50] q(x)", "once[0,50] prev once[0,50] q(x)"},
+		},
+		{
+			// Shared shapes dedup.
 			[]string{
 				"p(x) -> not once[0,3] q(x)",
 				"p(x) -> not once[0,5] q(x)",
 				"q(x) -> not once[0,3] q(x)", // same shape as the first: shared node
 			},
-			[]int{2},
+			[]string{"once[0,3] q(x)", "once[0,5] q(x)"},
 		},
 		{
 			[]string{
 				"p(x) -> not once[0,3] q(x)",
 				"p(x) -> not once[0,4] prev q(x)",
 			},
-			[]int{2, 1},
+			[]string{"once[0,3] q(x)", "prev q(x)", "once[0,4] prev q(x)"},
+		},
+		{
+			// A narrower window joins its family after a reader of a
+			// wider member: registration order, not window order.
+			[]string{
+				"q(x) -> once[0,3] once[0,5] p(x)",
+				"q(x) -> once[0,2] p(x)",
+			},
+			[]string{"once[0,5] p(x)", "once[0,3] once[0,5] p(x)", "once[0,2] p(x)"},
 		},
 	}
 	for _, tc := range cases {
 		c := New(s)
 		for i, src := range tc.srcs {
-			con, err := check.Parse(fmt.Sprintf("c%d", i), src, s)
-			if err != nil {
-				t.Fatalf("%q: %v", src, err)
-			}
-			if err := c.AddConstraint(con); err != nil {
-				t.Fatalf("%q: %v", src, err)
-			}
+			addConstraint(t, c, s, fmt.Sprintf("c%d", i), src)
 		}
-		sched := c.Schedule()
-		if len(sched) != len(tc.levels) {
-			t.Fatalf("%v: %d levels, want %d (%v)", tc.srcs, len(sched), len(tc.levels), sched)
+		var got []string
+		for _, n := range c.nodes {
+			got = append(got, n.formula().String())
 		}
-		for i, want := range tc.levels {
-			if len(sched[i]) != want {
-				t.Fatalf("%v: level %d has %d nodes, want %d (%v)", tc.srcs, i, len(sched[i]), want, sched)
-			}
+		if !slices.Equal(got, tc.nodes) {
+			t.Fatalf("%v: nodes %q, want %q", tc.srcs, got, tc.nodes)
 		}
 		if err := scheduleInvariants(c); err != nil {
 			t.Fatalf("%v: %v", tc.srcs, err)
@@ -211,7 +219,7 @@ func TestScheduleShapes(t *testing.T) {
 }
 
 // FuzzLevelSchedule draws random safe constraints from formgen's
-// grammar and checks the scheduler's ordering invariant after every
+// grammar and checks the registration order's invariant after every
 // installation.
 func FuzzLevelSchedule(f *testing.F) {
 	for _, seed := range []int64{1, 42, 777, 9000} {
@@ -247,19 +255,19 @@ type failNode struct {
 func (f failNode) phaseA(*stepCtx, uint64) error { return f.err }
 
 // TestStepReturnsFirstErrorInScheduleOrder: when several node updates
-// of one commit fail, Step returns the error of the first in schedule
-// order — level by level — and commits nothing.
+// of one commit fail, Step returns the error of the first in
+// registration order and commits nothing.
 func TestStepReturnsFirstErrorInScheduleOrder(t *testing.T) {
 	s := equivSchema()
 	c := New(s)
 	addConstraint(t, c, s, "c0", "p(x) -> not once[0,3] q(x)")
 	addConstraint(t, c, s, "c1", "p(x) -> not once[0,4] prev q(x)")
-	if got := c.Schedule(); len(got) != 2 || len(got[0]) != 2 || len(got[1]) != 1 {
-		t.Fatalf("schedule %v, want two nodes on level 0 and one on level 1", got)
+	if len(c.nodes) != 3 {
+		t.Fatalf("%d nodes, want once[0,3] q(x), prev q(x) and once[0,4] prev q(x)", len(c.nodes))
 	}
-	first := errors.New("level 0, second node")
-	c.levels[1][0] = failNode{c.levels[1][0], errors.New("level 1")}
-	c.levels[0][1] = failNode{c.levels[0][1], first}
+	first := errors.New("second node")
+	c.nodes[2] = failNode{c.nodes[2], errors.New("third node")}
+	c.nodes[1] = failNode{c.nodes[1], first}
 	if _, err := c.Step(1, ins("p", 1)); err != first {
 		t.Fatalf("Step returned %v, want %v", err, first)
 	}

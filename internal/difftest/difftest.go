@@ -194,7 +194,9 @@ func finalState(v variant, s *schema.Schema) (map[string][]string, error) {
 // others did not report, a final-state mismatch, a variant of the
 // paper's checker (routed, one checker per constraint) that explains a
 // violation differently from the unsharded checker, a router whose
-// summed aux entry/timestamp counts differ from it, or — with
+// summed aux entry/timestamp counts differ from it, an unsharded checker
+// that breaks its invariants (core.Checker.CheckInvariants; without
+// cfg.Exhaustive), or — with
 // cfg.Exhaustive — a loaded copy that continues differently from the
 // variant it was saved from.
 func Run(h workload.History, cfg Config) error {
@@ -235,6 +237,11 @@ func Run(h workload.History, cfg Config) error {
 			return fmt.Errorf("difftest: step %d (t=%d): %w", i, st.Time, err)
 		}
 		if !cfg.Exhaustive {
+			// core's configuration of the enumerator holds the exhaustive
+			// runs to the invariants already.
+			if err := inc.CheckInvariants(); err != nil {
+				return fmt.Errorf("difftest: step %d (t=%d): %w", i, st.Time, err)
+			}
 			continue
 		}
 		for _, v := range vars {

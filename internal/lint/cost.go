@@ -9,17 +9,18 @@ import (
 	"rtic/internal/schema"
 )
 
-// The cost pass estimates the worst-case bounded-history footprint of
-// a compiled constraint. It installs the constraint on a throwaway
-// core checker — so the estimate is computed from the *actual* leveled
-// schedule the engine would run, not a re-derivation — and sums the
-// per-node weights (window span × binding arity, see
-// core.ScheduleCosts). Constraints whose total exceeds the threshold
-// get a Warning naming the dominant node.
-func lintCost(name string, con *check.Constraint, s *schema.Schema, threshold uint64, out *[]Diagnostic) {
-	if threshold == NoCostCheck {
-		return
-	}
+// maxBound is the per-binding space bound above which the cost pass
+// warns.
+const maxBound = 100_000
+
+// The cost pass states the paper's space bound: the most timestamps one
+// binding of an auxiliary node retains, whatever the history's length
+// (core.NodeBounds, DESIGN.md's pruning rules). It installs the
+// constraint on a throwaway core checker, so the bound is the one the
+// engine keeps, not a re-derivation, and warns when a node's bound
+// exceeds maxBound. Only a window [a,b] with a > 0 can: it keeps every
+// anchor aged 0..b, b+1 of them; prev, [0,b] and [a,∞) keep one.
+func lintCost(name string, con *check.Constraint, s *schema.Schema, out *[]Diagnostic) {
 	c := core.New(s)
 	if err := c.AddConstraint(con); err != nil {
 		// The compiler admits only what the planner compiles, so this is
@@ -28,43 +29,24 @@ func lintCost(name string, con *check.Constraint, s *schema.Schema, threshold ui
 		*out = append(*out, unsafeDiag(name, err))
 		return
 	}
-	costs := c.ScheduleCosts()
-	var total uint64
-	var dom core.NodeCost
-	for _, nc := range costs {
-		total = satAdd(total, nc.Weight)
-		if nc.Weight > dom.Weight {
-			dom = nc
+	var worst core.NodeBound
+	for _, nb := range c.NodeBounds() {
+		if nb.Bound > worst.Bound {
+			worst = nb
 		}
 	}
-	// The evaluation-side weight comes from the denial plan the checker
-	// compiled — the physical operators it actually runs, with indexed
-	// joins priced below cross-products and temporal scans in between.
-	pc := c.DenialCosts()[0]
-	total = satAdd(total, pc.Weight)
-	evalDetail := fmt.Sprintf("denial plan weight %d: %s", pc.Weight, pc.Shape)
-	if total <= threshold {
+	if worst.Bound <= maxBound {
 		return
 	}
-	d := Diagnostic{
+	node := worst.Node.String()
+	*out = append(*out, Diagnostic{
 		Rule:       "cost",
 		Severity:   Warning,
 		Constraint: name,
-		Node:       dom.Formula,
-		Message: fmt.Sprintf("worst-case bounded-history weight %d exceeds threshold %d (%d aux nodes; dominant node %q: window span %d × arity %d; %s)",
-			total, threshold, len(costs), dom.Formula, dom.Span, dom.Arity, evalDetail),
-		Suggestion: "tighten the metric window or reduce the number of free variables carried through it",
-	}
-	if dom.Node != nil {
-		d.Pos = mtl.NodePos(dom.Node)
-	}
-	*out = append(*out, d)
-}
-
-func satAdd(a, b uint64) uint64 {
-	s := a + b
-	if s < a {
-		return ^uint64(0)
-	}
-	return s
+		Node:       node,
+		Pos:        mtl.NodePos(worst.Node),
+		Message: fmt.Sprintf("%q keeps up to %d timestamps per binding, above %d: a window [a,b] with a > 0 keeps every anchor aged 0..b",
+			node, worst.Bound, maxBound),
+		Suggestion: "tighten the metric window",
+	})
 }

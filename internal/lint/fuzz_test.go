@@ -45,7 +45,7 @@ func TestLintGeneratedConstraints(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		src := formgen.Constraint(r)
-		diags := Source("gen", src, formgen.Schema(), Options{CostThreshold: NoCostCheck})
+		diags := Source("gen", src, formgen.Schema(), Options{})
 		for _, d := range diags {
 			if d.Severity == Error && d.Rule != "interval-unsatisfiable" {
 				t.Errorf("%q: unexpected error finding %v", src, d)

@@ -94,31 +94,12 @@ func (d Diagnostic) String() string {
 	return out
 }
 
-// DefaultCostThreshold is the per-constraint worst-case weight above
-// which the cost pass warns; see Options.CostThreshold.
-const DefaultCostThreshold = 100_000
-
 // Options tunes the analyzer.
 type Options struct {
-	// CostThreshold is the per-constraint worst-case bounded-history
-	// weight (sum over aux nodes of window span × binding arity) above
-	// which the cost rule warns. Zero means DefaultCostThreshold;
-	// use NoCostCheck to disable the pass.
-	CostThreshold uint64
 	// Written, when non-nil, is the set of relations observed written
 	// (by a log or workload); constraints reading relations outside it
 	// trigger the never-written-relation rule.
 	Written map[string]bool
-}
-
-// NoCostCheck as a CostThreshold disables the cost pass.
-const NoCostCheck = ^uint64(0)
-
-func (o Options) costThreshold() uint64 {
-	if o.CostThreshold == 0 {
-		return DefaultCostThreshold
-	}
-	return o.CostThreshold
 }
 
 // MaxSeverity returns the highest severity among diags, or -1 when
@@ -156,7 +137,7 @@ func Constraint(name string, f mtl.Formula, s *schema.Schema, opts Options) []Di
 		out = append(out, unsafeDiag(name, err))
 		return out
 	}
-	lintCost(name, con, s, opts.costThreshold(), &out)
+	lintCost(name, con, s, &out)
 	return out
 }
 

@@ -17,7 +17,7 @@ import (
 const (
 	SpanCommit          = "commit"           // one committed transaction, end to end
 	SpanApply           = "phase.apply"      // transaction applied to storage
-	SpanUpdate          = "phase.update"     // auxiliary node updates (all levels)
+	SpanUpdate          = "phase.update"     // auxiliary node updates, in registration order
 	SpanCheck           = "phase.check"      // constraint denial evaluations
 	SpanCarry           = "phase.carry"      // deferred window advance bookkeeping
 	SpanNodeUpdate      = "node.update"      // one auxiliary node's update; Detail = subformula

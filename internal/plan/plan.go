@@ -37,7 +37,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"rtic/internal/fol"
@@ -1052,79 +1051,6 @@ func (p *Plan) probeTemp(s *step, es *execState, oracle fol.Oracle) (bool, error
 		return false, err
 	}
 	return ans.ContainsKeyBytes(es.buildKey(s.args)), nil
-}
-
-// Cost is the plan-derived worst-case evaluation estimate the linter's
-// cost pass folds in: index-supported joins are priced below
-// cross-products, probes and comparisons are free.
-type Cost struct {
-	Weight uint64
-	Shape  string
-}
-
-// Per-step cost factors: a full relation scan fans out worst-case, an
-// index-supported scan touches one bucket, temporal scans enumerate a
-// bounded answer set, probes and filters are unit work.
-const (
-	costScan    = 8
-	costIdxScan = 3
-	costTemp    = 4
-)
-
-// Cost estimates the plan's worst-case join weight and renders its shape.
-func (p *Plan) Cost() Cost {
-	var total uint64
-	var shapes []string
-	for _, cj := range p.disjuncts {
-		w := uint64(1)
-		var parts []string
-		for i := range cj.steps {
-			s := &cj.steps[i]
-			switch s.kind {
-			case kScanRel:
-				if len(s.idxCols) > 0 {
-					w = satMul(w, costIdxScan)
-					parts = append(parts, "idx("+s.rel+")")
-				} else {
-					w = satMul(w, costScan)
-					parts = append(parts, "scan("+s.rel+")")
-				}
-			case kScanTemp:
-				w = satMul(w, costTemp)
-				parts = append(parts, "tscan("+p.temps[s.temp].String()+")")
-			case kProbeRel:
-				parts = append(parts, "probe("+s.rel+")")
-			case kProbeTemp:
-				parts = append(parts, "tprobe("+p.temps[s.temp].String()+")")
-			case kSubProbe:
-				sc := s.sub.Cost()
-				w = satMul(w, sc.Weight)
-				parts = append(parts, "sub["+sc.Shape+"]")
-			}
-		}
-		total = satAdd(total, w)
-		shapes = append(shapes, strings.Join(parts, "⨝"))
-	}
-	return Cost{Weight: total, Shape: strings.Join(shapes, " ∪ ")}
-}
-
-func satAdd(a, b uint64) uint64 {
-	s := a + b
-	if s < a {
-		return ^uint64(0)
-	}
-	return s
-}
-
-func satMul(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/a != b {
-		return ^uint64(0)
-	}
-	return p
 }
 
 func dedupSorted(vars []string) []string {

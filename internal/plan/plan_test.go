@@ -370,21 +370,6 @@ func TestPlanUsesIndex(t *testing.T) {
 	if r.FindIndex([]int{0}) == nil {
 		t.Fatal("compiling p(x) ∧ r(x,y) must register an index on r's first column")
 	}
-	c, err2 := Compile(f, st, nil)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	cost := c.Cost()
-	if !strings.Contains(cost.Shape, "idx(r)") {
-		t.Fatalf("cost shape must show the indexed join, got %q", cost.Shape)
-	}
-	full, err := Compile(mtl.MustParse("p(x) and r(y, z)"), st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Cost().Weight <= cost.Weight {
-		t.Fatalf("cross product (%d) must be priced above indexed join (%d)", full.Cost().Weight, cost.Weight)
-	}
 }
 
 func TestPlanRetestRow(t *testing.T) {

@@ -18,7 +18,7 @@
 //  1. v appears as a direct argument of every relation atom in C's
 //     denial kernel, and
 //  2. v is free in every temporal subformula of the denial (read off
-//     the compiled schedule via core.Checker.ScheduleCosts), and
+//     the compiled nodes via core.Checker.NodeBounds), and
 //  3. every relation C reads can be assigned a single partition column
 //     that carries v in all of C's atoms — consistently with the
 //     columns other partitionable constraints already claimed.
@@ -212,7 +212,7 @@ func factsFor(s *schema.Schema, con *check.Constraint) (conFacts, string, error)
 		return f, fmt.Sprintf("a quantifier rebinds the constraint variable %q", rebound), nil
 	}
 
-	// The compiled schedule tells us which temporal subformulas the
+	// The compiled nodes tell us which temporal subformulas the
 	// engine will track; a viable key must be free in all of them so
 	// each shard's auxiliary state stays a clean restriction of the
 	// unsharded one.
@@ -220,12 +220,12 @@ func factsFor(s *schema.Schema, con *check.Constraint) (conFacts, string, error)
 	if err := probe.AddConstraint(con); err != nil {
 		return f, fmt.Sprintf("engine rejects the denial: %v", err), nil
 	}
-	temporal := probe.ScheduleCosts()
+	temporal := probe.NodeBounds()
 
 vars:
 	for _, v := range con.Vars {
-		for _, nc := range temporal {
-			if !containsString(mtl.FreeVars(nc.Node), v) {
+		for _, nb := range temporal {
+			if !containsString(mtl.FreeVars(nb.Node), v) {
 				continue vars
 			}
 		}
