@@ -20,6 +20,7 @@ import (
 	"io"
 
 	"rtic/internal/lint"
+	"rtic/internal/schema"
 	"rtic/internal/storage"
 )
 
@@ -40,7 +41,7 @@ func runLint(args []string, out io.Writer) error {
 
 	var opts lint.Options
 	if logs := fs.Args(); len(logs) > 0 {
-		written, err := writtenRelations(logs)
+		written, err := writtenRelations(logs, sp.Schema)
 		if err != nil {
 			return err
 		}
@@ -97,9 +98,9 @@ func runLint(args []string, out io.Writer) error {
 
 // writtenRelations scans transaction logs for the relations the
 // workload touches (insertions and deletions both count as writes).
-func writtenRelations(logs []string) (map[string]bool, error) {
+func writtenRelations(logs []string, s *schema.Schema) (map[string]bool, error) {
 	written := make(map[string]bool)
-	err := replay(logs, func(_ uint64, tx *storage.Transaction) error {
+	err := replay(logs, s, func(_ uint64, tx *storage.Transaction) error {
 		for _, op := range tx.Ops() {
 			written[op.Rel] = true
 		}

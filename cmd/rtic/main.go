@@ -34,6 +34,7 @@ import (
 	"rtic"
 	"rtic/internal/engine"
 	"rtic/internal/obs"
+	"rtic/internal/schema"
 	"rtic/internal/shard"
 	"rtic/internal/spec"
 	"rtic/internal/storage"
@@ -114,7 +115,7 @@ func run(o options, out io.Writer) error {
 	}
 
 	total, states := 0, 0
-	err = replay(o.logs, func(t uint64, tx *storage.Transaction) error {
+	err = replay(o.logs, sp.Schema, func(t uint64, tx *storage.Transaction) error {
 		vs, err := eng.Step(t, tx)
 		if err != nil {
 			return err
@@ -162,12 +163,14 @@ func loadSpec(path string) (*spec.Spec, error) {
 
 // replay reads the transaction logs (stdin when none is named) and
 // calls commit for every line that holds a transaction; errors carry
-// the file and line.
-func replay(logs []string, commit func(uint64, *storage.Transaction) error) error {
+// the file and line. Every line is parsed into one transaction, as the
+// server's sessions do, so commit borrows it until it returns.
+func replay(logs []string, s *schema.Schema, commit func(uint64, *storage.Transaction) error) error {
+	tx := storage.NewTransaction()
 	process := func(r io.Reader, name string) error {
 		sc := bufio.NewScanner(r)
 		for lineNo := 1; sc.Scan(); lineNo++ {
-			t, tx, ok, err := spec.ParseLogLine(sc.Text())
+			t, ok, err := spec.ParseLogLineInto(sc.Bytes(), s, tx)
 			if err == nil && ok {
 				err = commit(t, tx)
 			}

@@ -70,7 +70,7 @@ func runTrace(args []string, out io.Writer) error {
 	}
 
 	states, violations := 0, 0
-	err = replay(fs.Args(), func(t uint64, tx *storage.Transaction) error {
+	err = replay(fs.Args(), sp.Schema, func(t uint64, tx *storage.Transaction) error {
 		vs, err := eng.Step(t, tx)
 		if err != nil {
 			return err

@@ -54,10 +54,13 @@ type Checker struct {
 
 	// conStates holds the per-constraint planning state, parallel to
 	// constraints; delta holds the reusable per-relation net-delta slots;
-	// lastSkips records what the last commit did per constraint.
+	// lastSkips records what the last commit did per constraint; sc is
+	// the commit's context, reset by every step (the phases take its
+	// address, so a fresh one per step would escape to the heap).
 	conStates []*conState
 	delta     map[string]*relDelta
 	lastSkips []SkipInfo
+	sc        stepCtx
 	// denials are the check phase's units of work, in the order of their
 	// first constraints; denialKeys files those other denials may join
 	// under their denialKey.
@@ -425,7 +428,8 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 	if c.started && t <= c.now {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, c.now)
 	}
-	sc := &stepCtx{c: c, t: t, orc: oracle{c: c, now: t}}
+	sc := &c.sc
+	*sc = stepCtx{c: c, t: t, orc: oracle{c: c, now: t}}
 	ps := si.phase(phaseApply, obs.SpanApply)
 	err := c.applyPhase(tx)
 	ps.done(tx.Len(), err)

@@ -43,6 +43,13 @@ type Engine interface {
 	// Step commits one transaction at the given timestamp (strictly
 	// increasing across commits) and returns the violation witnesses of
 	// the resulting state.
+	//
+	// The engine borrows the transaction for the call only: the caller
+	// may reset and refill it as soon as Step returns (the server's
+	// sessions and cmd/rtic parse every line into one transaction). What
+	// an engine keeps past Step, rows it stores and the witnesses it
+	// returns, it copies; state it reads only within Step, such as
+	// core's per-commit delta, may point into the transaction.
 	Step(uint64, *storage.Transaction) ([]check.Violation, error)
 	// State returns the current database: the base relations every
 	// engine holds, plus whatever relations the engine manages beside

@@ -15,6 +15,7 @@ import (
 
 	"rtic/internal/check"
 	"rtic/internal/spec"
+	"rtic/internal/storage"
 )
 
 // maxLineBytes caps one protocol line (a transaction can carry many
@@ -211,18 +212,22 @@ func (s *Server) handle(conn net.Conn) {
 		b := v.AppendTo(append(w.AvailableBuffer(), "violation "...))
 		w.Write(append(b, '\n')) //rtic:errok sticky; the next Flush reports it
 	}
+	// One transaction serves every commit of the session: each line is
+	// parsed into it in place, straight from the scanner's buffer, and
+	// the engine borrows it for the one Step (engine.Engine's contract).
+	tx := storage.NewTransaction()
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		line := bytes.TrimSpace(sc.Bytes())
 		switch {
-		case line == "" || strings.HasPrefix(line, "--"):
+		case len(line) == 0 || bytes.HasPrefix(line, []byte("--")):
 			continue
-		case line == "quit":
+		case string(line) == "quit":
 			return
-		case line == "stats":
+		case string(line) == "stats":
 			st := s.M.Stats()
 			fmt.Fprintf(w, "stats nodes=%d entries=%d timestamps=%d bytes=%d\n",
 				st.Nodes, st.Entries, st.Timestamps, st.Bytes)
-		case line == "metrics":
+		case string(line) == "metrics":
 			if m == nil {
 				replyError("metrics not enabled")
 				break
@@ -237,7 +242,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			fmt.Fprintln(&expo, "# EOF")
 			w.Write(expo.Bytes()) //rtic:errok sticky; the next Flush reports it
-		case line == "lint":
+		case string(line) == "lint":
 			ds := s.M.Diagnostics()
 			for _, d := range ds {
 				name := d.Constraint
@@ -247,9 +252,9 @@ func (s *Server) handle(conn net.Conn) {
 				replyLine("diag ", d.Severity.String(), " ", d.Rule, " ", name, " ", d.Message)
 			}
 			replyOK(len(ds))
-		case line == "recent" || strings.HasPrefix(line, "recent "):
+		case string(line) == "recent" || bytes.HasPrefix(line, []byte("recent ")):
 			n := 10
-			if rest := strings.TrimSpace(strings.TrimPrefix(line, "recent")); rest != "" {
+			if rest := strings.TrimSpace(string(line[len("recent"):])); rest != "" {
 				parsed, err := strconv.Atoi(rest)
 				if err != nil || parsed < 1 {
 					replyError("recent wants a positive count, got %q", rest)
@@ -263,7 +268,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			replyOK(len(vs))
 		default:
-			t, tx, ok, err := spec.ParseLogLine(line)
+			t, ok, err := spec.ParseLogLineInto(line, s.M.schema, tx)
 			if err != nil {
 				replyError("%v", err)
 				break

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -545,10 +547,20 @@ func (c countingRawConn) Write(f func(fd uintptr) bool) error {
 
 // BenchmarkServerTrain measures the acknowledged commit over loopback
 // when commits arrive alone and in trains of 12 (one client write, as a
-// CDC connector delivers a poll), and guards the flush rule where CI
-// runs benchmarks: a train that reached the server in one segment is
-// acknowledged in one write.
+// CDC connector delivers a poll), and guards two counts where CI runs
+// benchmarks. A train that reached the server in one segment is
+// acknowledged in one write (the server's flush rule). And over a fixed
+// window after warm-up, a commit in a train of 12 allocates at most
+// maxAllocs objects, counting the client's side: the session parses
+// every line into one reused transaction, so what remains is core's
+// per-row keys and entries. GC cycles per 1k commits over the timed
+// loop are reported, not gated.
 func BenchmarkServerTrain(b *testing.B) {
+	const (
+		warmTrains = 50
+		gateTrains = 200
+		maxAllocs  = 6 // per commit, at train=12
+	)
 	for _, train := range []int{1, 12} {
 		b.Run(fmt.Sprintf("train=%d", train), func(b *testing.B) {
 			m, _ := hrMonitor(b)
@@ -572,38 +584,58 @@ func BenchmarkServerTrain(b *testing.B) {
 
 			var out []byte
 			t := uint64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = out[:0]
-				for j := 0; j < train; j++ {
-					t++
-					out = append(out, '@')
-					out = strconv.AppendUint(out, t, 10)
-					out = append(out, " -fire("...)
-					out = strconv.AppendUint(out, t-1, 10)
-					out = append(out, ") +fire("...)
-					out = strconv.AppendUint(out, t, 10)
-					out = append(out, ")\n"...)
-				}
-				if _, err := conn.Write(out); err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < train; j++ {
-					reply, err := r.ReadSlice('\n')
-					if err != nil {
+			sendTrains := func(n int) {
+				for i := 0; i < n; i++ {
+					out = out[:0]
+					for j := 0; j < train; j++ {
+						t++
+						out = append(out, '@')
+						out = strconv.AppendUint(out, t, 10)
+						out = append(out, " -fire("...)
+						out = strconv.AppendUint(out, t-1, 10)
+						out = append(out, ") +fire("...)
+						out = strconv.AppendUint(out, t, 10)
+						out = append(out, ")\n"...)
+					}
+					if _, err := conn.Write(out); err != nil {
 						b.Fatal(err)
 					}
-					if string(reply) != "ok 0\n" {
-						b.Fatalf("reply = %q", reply)
+					for j := 0; j < train; j++ {
+						reply, err := r.ReadSlice('\n')
+						if err != nil {
+							b.Fatal(err)
+						}
+						if string(reply) != "ok 0\n" {
+							b.Fatalf("reply = %q", reply)
+						}
 					}
 				}
 			}
+			sendTrains(warmTrains)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			sendTrains(gateTrains)
+			runtime.ReadMemStats(&m1)
+			allocs := float64(m1.Mallocs-m0.Mallocs) / float64(gateTrains*train)
+
+			gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+			metrics.Read(gc)
+			gc0 := gc[0].Value.Uint64()
+			writes.Store(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			sendTrains(b.N)
 			b.StopTimer()
+			metrics.Read(gc)
 			if got := writes.Load(); got > int64(b.N) {
 				b.Fatalf("%d socket writes for %d trains of %d commits: replies are being flushed per command", got, b.N, train)
 			}
 			b.ReportMetric(float64(writes.Load())/float64(b.N*train), "writes/commit")
+			b.ReportMetric(allocs, "allocs/commit")
+			b.ReportMetric(float64(gc[0].Value.Uint64()-gc0)*1000/float64(b.N*train), "gc/1k-commits")
+			if train == 12 && allocs > maxAllocs {
+				b.Fatalf("%.2f allocations per commit over %d trains of %d, want at most %d", allocs, gateTrains, train, maxAllocs)
+			}
 		})
 	}
 }

@@ -100,6 +100,13 @@ func (b *Builder) MustBuild() *Schema {
 	return s
 }
 
+// Name returns the schema's own copy of the relation name spelled by b,
+// so a parser can name a relation without copying its input.
+func (s *Schema) Name(b []byte) (string, bool) {
+	d, ok := s.rels[string(b)]
+	return d.Name, ok
+}
+
 // Lookup returns the definition of name.
 func (s *Schema) Lookup(name string) (RelDef, bool) {
 	d, ok := s.rels[name]

@@ -4,8 +4,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"rtic/internal/schema"
+	"rtic/internal/storage"
 	"rtic/internal/tuple"
+	"rtic/internal/value"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -116,6 +120,119 @@ func TestParseLogLineErrors(t *testing.T) {
 	}
 }
 
+// TestQuotedDoubleDash: "--" opens a comment only outside a quoted
+// string, in log lines and in spec files alike.
+func TestQuotedDoubleDash(t *testing.T) {
+	cases := []struct {
+		line string
+		want tuple.Tuple
+	}{
+		{"@1 +badge('a--b')", tuple.Strs("a--b")},
+		{"@1 +badge('a--b') -- trailing comment", tuple.Strs("a--b")},
+		{"@1 +badge('x', 'y') -- it's a 'comment'", tuple.Strs("x", "y")},
+		{"@1 +badge('it''s')", tuple.Strs("it's")},
+		{"@1 +badge('it''s--') --", tuple.Strs("it's--")},
+		{"@1 +badge('--')", tuple.Strs("--")},
+	}
+	for _, c := range cases {
+		_, tx, ok, err := ParseLogLine(c.line)
+		if err != nil || !ok || tx.Len() != 1 {
+			t.Errorf("ParseLogLine(%q): ok=%v err=%v", c.line, ok, err)
+			continue
+		}
+		if got := tx.Ops()[0].Tuple; !got.Equal(c.want) {
+			t.Errorf("ParseLogLine(%q) tuple = %v, want %v", c.line, got, c.want)
+		}
+	}
+	src := "relation badge/1 -- one column\nconstraint c: badge(p) -> p != 'a--b' -- trailing\n"
+	sp, err := ParseSpec(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sp.Constraints[0].Source, "badge(p) -> p != 'a--b'"; got != want {
+		t.Fatalf("constraint source = %q, want %q", got, want)
+	}
+}
+
+// TestParseLogLineIntoReuse parses lines of different shapes into one
+// transaction: each parse replaces the last, declared relations are
+// named by the schema's own strings, and nothing in the transaction
+// aliases the line's buffer.
+func TestParseLogLineIntoReuse(t *testing.T) {
+	s := schema.NewBuilder().Relation("fire", 1).Relation("badge", 2).MustBuild()
+	tx := storage.NewTransaction()
+	lines := []string{
+		"@1 +fire(1) +badge('ann', 'red')",
+		"@2 -fire(1)",
+		"-- nothing",
+		"@3 +badge(-4, '') +fire(+5) +nope(6)",
+	}
+	want := []string{"+fire(1) +badge('ann', 'red')", "-fire(1)", "", "+badge(-4, '') +fire(5) +nope(6)"}
+	for i, line := range lines {
+		buf := []byte(line)
+		_, ok, err := ParseLogLineInto(buf, s, tx)
+		if err != nil || ok != (want[i] != "") {
+			t.Fatalf("line %q: ok=%v err=%v", line, ok, err)
+		}
+		for j := range buf {
+			buf[j] = '#'
+		}
+		if !ok {
+			continue
+		}
+		if got := tx.String(); got != want[i] {
+			t.Fatalf("line %q: tx = %s, want %s", line, got, want[i])
+		}
+		for _, op := range tx.Ops() {
+			if def, declared := s.Lookup(op.Rel); declared && unsafe.StringData(op.Rel) != unsafe.StringData(def.Name) {
+				t.Errorf("line %q: relation %s is not the schema's string", line, op.Rel)
+			}
+		}
+	}
+}
+
+// TestParseValueMatchesValueParse holds the log parser's literal reader
+// to value.Parse: the same value or the same error text.
+func TestParseValueMatchesValueParse(t *testing.T) {
+	for _, lit := range []string{
+		"", "0", "7", "-7", "+7", "-0", "007", "-", "+", "--1", "1-",
+		"123456789012345678", "1234567890123456789", "9223372036854775807",
+		"9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"99999999999999999999", "1_000", "0x10", " 1", "1.5", "abc",
+		"'a'", "''", "'", "'a", "a'", "'it''s'", "'a'b'", "'''", "'a b'", "'--'",
+	} {
+		got, gerr := parseValue([]byte(lit))
+		want, werr := value.Parse(lit)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Errorf("%q: error %v, value.Parse says %v", lit, gerr, werr)
+		} else if gerr == nil && !got.Equal(want) {
+			t.Errorf("%q: %v, value.Parse says %v", lit, got, want)
+		}
+	}
+}
+
+// BenchmarkParseLogLineInto parses the line protocol's common case,
+// integer tuples of declared relations, into one reused transaction,
+// and fails if that allocates.
+func BenchmarkParseLogLineInto(b *testing.B) {
+	s := schema.NewBuilder().Relation("reading", 2).Relation("fire", 1).MustBuild()
+	line := []byte("@1700000000 -reading(17, 1699999990) +reading(17, 1700000000) +fire(3)")
+	tx := storage.NewTransaction()
+	parse := func() {
+		if _, ok, err := ParseLogLineInto(line, s, tx); !ok || err != nil {
+			b.Fatalf("ok=%v err=%v", ok, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, parse); allocs != 0 {
+		b.Fatalf("ParseLogLineInto allocates %v times per int-only line, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parse()
+	}
+}
+
 // oldSplitOps and oldSplitArgs are the tokenisers ParseLogLine used
 // before it sliced its input: they rebuild every token byte by byte.
 // They stay here as the reference nextOp and nextArg are held to.
@@ -176,18 +293,19 @@ func oldSplitArgs(body string) []string {
 
 func allOps(line string) []string {
 	var out []string
-	for tok, rest := nextOp(line); tok != ""; tok, rest = nextOp(rest) {
-		out = append(out, tok)
+	for tok, rest := nextOp([]byte(line)); len(tok) > 0; tok, rest = nextOp(rest) {
+		out = append(out, string(tok))
 	}
 	return out
 }
 
-func allArgs(body string) []string {
+func allArgs(s string) []string {
 	var out []string
+	body := []byte(s)
 	for more := true; more; {
-		var arg string
+		var arg []byte
 		arg, body, more = nextArg(body)
-		out = append(out, arg)
+		out = append(out, string(arg))
 	}
 	return out
 }
