@@ -3,20 +3,20 @@
 //
 // Usage:
 //
-//	rtic -spec constraints.rtic [-mode incremental|naive|active]
-//	     [-trace] [log...]
+//	rtic -spec constraints.rtic [-quiet] [-explain] [-trace] [log...]
 //	rtic lint -spec constraints.rtic [-json] [-strict] [log...]
 //	rtic trace -spec constraints.rtic [-out trace.json] [-shards N]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [log...]
 //
 // The spec file declares relations and constraints (see package
 // internal/spec). Transaction logs are read from the given files, or
-// from stdin when none are given; each line is "@time ±rel(args) …".
-// Violations are printed to stdout as they are detected; the exit code
-// is 2 when any violation occurred, 1 on errors, 0 otherwise. With
-// -trace every span of every commit (the commit, its phases, each
-// auxiliary node's update, each constraint's check) is logged as a
-// structured line on stderr.
+// from stdin when none are given; each line is "@time ±rel(args) …",
+// at most spec.MaxLineBytes long, as rticd accepts it. The paper's
+// incremental checker checks the log. Violations are printed to stdout
+// as they are detected; the exit code is 2 when any violation occurred,
+// 1 on errors, 0 otherwise. With -trace every span of every commit
+// (the commit, its phases, each auxiliary node's update, each
+// constraint's check) is logged as a structured line on stderr.
 //
 // "rtic lint" statically analyzes the spec without replaying a log;
 // see lint.go and docs/LINTING.md.
@@ -24,14 +24,13 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
-	"strings"
 
-	"rtic"
 	"rtic/internal/engine"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
@@ -61,10 +60,8 @@ func main() {
 
 	var o options
 	flag.StringVar(&o.spec, "spec", "", "spec file with relations and constraints (required)")
-	flag.StringVar(&o.mode, "mode", "incremental",
-		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-violation output; print only the summary")
-	flag.BoolVar(&o.explain, "explain", false, "print evidence trails for violations (incremental mode only)")
+	flag.BoolVar(&o.explain, "explain", false, "print evidence trails for violations")
 	flag.BoolVar(&o.trace, "trace", false, "log every commit's span tree (structured, stderr)")
 	flag.Parse()
 	o.logs = flag.Args()
@@ -82,7 +79,7 @@ var errViolations = fmt.Errorf("violations detected")
 
 // options are the check command's flags and arguments.
 type options struct {
-	spec, mode            string
+	spec                  string
 	quiet, explain, trace bool
 	logs                  []string // transaction logs; none means stdin
 }
@@ -92,18 +89,9 @@ func run(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := rtic.ParseMode(o.mode)
+	eng, err := shard.Build(sp.Schema, 1)
 	if err != nil {
 		return err
-	}
-	factory, err := shard.ModeFactory(sp.Schema, m)
-	if err != nil {
-		return err
-	}
-	eng := factory()
-	paper, _ := eng.(shard.Checker)
-	if o.explain && paper == nil {
-		return fmt.Errorf("-explain requires -mode incremental")
 	}
 	if o.trace {
 		eng.SetObserver(&obs.Observer{Spans: obs.NewSlogSink(slog.New(
@@ -126,7 +114,7 @@ func run(o options, out io.Writer) error {
 			switch {
 			case o.quiet:
 			case o.explain:
-				ex, err := paper.Explain(v)
+				ex, err := eng.Explain(v)
 				if err != nil {
 					return err
 				}
@@ -164,12 +152,15 @@ func loadSpec(path string) (*spec.Spec, error) {
 // replay reads the transaction logs (stdin when none is named) and
 // calls commit for every line that holds a transaction; errors carry
 // the file and line. Every line is parsed into one transaction, as the
-// server's sessions do, so commit borrows it until it returns.
+// server's sessions do, so commit borrows it until it returns; a line
+// over spec.MaxLineBytes is an error, as it is on the server.
 func replay(logs []string, s *schema.Schema, commit func(uint64, *storage.Transaction) error) error {
 	tx := storage.NewTransaction()
 	process := func(r io.Reader, name string) error {
 		sc := bufio.NewScanner(r)
-		for lineNo := 1; sc.Scan(); lineNo++ {
+		sc.Buffer(nil, spec.MaxLineBytes)
+		lineNo := 1
+		for ; sc.Scan(); lineNo++ {
 			t, ok, err := spec.ParseLogLineInto(sc.Bytes(), s, tx)
 			if err == nil && ok {
 				err = commit(t, tx)
@@ -178,7 +169,13 @@ func replay(logs []string, s *schema.Schema, commit func(uint64, *storage.Transa
 				return fmt.Errorf("%s:%d: %w", name, lineNo, err)
 			}
 		}
-		return sc.Err()
+		if err := sc.Err(); err != nil {
+			if errors.Is(err, bufio.ErrTooLong) {
+				err = fmt.Errorf("line exceeds %d bytes", spec.MaxLineBytes)
+			}
+			return fmt.Errorf("%s:%d: %w", name, lineNo, err)
+		}
+		return nil
 	}
 	if len(logs) == 0 {
 		return process(os.Stdin, "stdin")

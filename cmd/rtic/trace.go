@@ -37,15 +37,10 @@ func runTrace(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Span tracing decomposes the incremental commit pipeline; the
-	// naive and active engines have no phases to attribute, so trace
-	// always replays the paper's checker, sharded as -shards says.
+	// Span tracing decomposes the paper's commit pipeline, sharded as
+	// -shards says.
 	rec := obs.NewSpanRecorder(0)
-	factory, err := shard.ModeFactory(sp.Schema, engine.Incremental)
-	if err != nil {
-		return err
-	}
-	eng, err := shard.Build(sp.Schema, *shards, factory)
+	eng, err := shard.Build(sp.Schema, *shards)
 	if err != nil {
 		return err
 	}

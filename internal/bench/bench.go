@@ -147,7 +147,7 @@ func newIncremental(h workload.History) (*core.Checker, error) {
 // newSharded builds a shard router over h's schema (incremental
 // engines inside) with h's constraints installed.
 func newSharded(h workload.History, shards int) (*shard.Router, error) {
-	r, err := shard.NewMode(h.Schema, shards, engine.Incremental)
+	r, err := shard.New(h.Schema, shards, func() engine.Engine { return core.New(h.Schema) })
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func TestInstallAgreement(t *testing.T) {
 	accepted, refused := map[string]int{}, map[string]int{}
 	agree := func(corpus string, s *schema.Schema, src string) bool {
 		t.Helper()
-		rtr, err := shard.NewMode(s, 2, engine.Incremental)
+		rtr, err := shard.Build(s, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

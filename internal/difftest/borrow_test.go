@@ -48,7 +48,7 @@ func TestBorrowedTransaction(t *testing.T) {
 		make  func(*schema.Schema) (engine.Engine, error)
 	}{
 		{"core", func(s *schema.Schema) (engine.Engine, error) { return core.New(s), nil }},
-		{"core/shards=2", func(s *schema.Schema) (engine.Engine, error) { return shard.NewMode(s, 2, engine.Incremental) }},
+		{"core/shards=2", func(s *schema.Schema) (engine.Engine, error) { return shard.Build(s, 2) }},
 		{"naive", func(s *schema.Schema) (engine.Engine, error) { return naive.New(s), nil }},
 	}
 	for _, e := range engines {

@@ -114,16 +114,16 @@ func reload(s *schema.Schema, c checker) (checker, error) {
 // installs the constraints on each.
 func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]variant, error) {
 	vars := []variant{{label: "naive", eng: naive.New(s)}, {label: "core", eng: core.New(s), paper: true}, {label: "active", eng: active.New(s)}}
-	router := func(label string, n int, mode engine.Mode) error {
-		rtr, err := shard.NewMode(s, n, mode)
+	router := func(label string, n int, factory shard.Factory, paper bool) error {
+		rtr, err := shard.New(s, n, factory)
 		if err != nil {
 			return fmt.Errorf("difftest: building %s: %w", label, err)
 		}
-		vars = append(vars, variant{label: label, eng: rtr, paper: mode == engine.Incremental, shards: n})
+		vars = append(vars, variant{label: label, eng: rtr, paper: paper, shards: n})
 		return nil
 	}
 	for _, n := range cfg.ShardCounts {
-		if err := router(fmt.Sprintf("core/shards=%d", n), n, engine.Incremental); err != nil {
+		if err := router(fmt.Sprintf("core/shards=%d", n), n, func() engine.Engine { return core.New(s) }, true); err != nil {
 			return nil, err
 		}
 	}
@@ -132,10 +132,10 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 	} else {
 		// One sharded leg each for the baseline engines: the router must
 		// be exact no matter what runs inside it.
-		if err := router("naive/shards=2", 2, engine.Naive); err != nil {
+		if err := router("naive/shards=2", 2, func() engine.Engine { return naive.New(s) }, false); err != nil {
 			return nil, err
 		}
-		if err := router("active/shards=2", 2, engine.ActiveRules); err != nil {
+		if err := router("active/shards=2", 2, func() engine.Engine { return active.New(s) }, false); err != nil {
 			return nil, err
 		}
 	}

@@ -2,13 +2,15 @@
 // and the commit-pipeline vocabulary shared by the public API, the
 // monitor, the daemons and the bench harness.
 //
-// Three engines satisfy the contract today: the paper's incremental
+// Three engines satisfy the contract: the paper's incremental
 // bounded-history checker (internal/core), the naive full-history
-// evaluator (internal/naive) and the active-DBMS rule route
-// (internal/active); the shard router (internal/shard) satisfies it
-// over any of them. Everything above the engines — rtic.Checker, the
-// network monitor, the CLIs, the experiment harness — programs against
-// this interface and never asks which engine it holds. The contract
+// evaluator that is its executable specification (internal/naive) and
+// the active-DBMS rule route, Table 5's baseline (internal/active); the
+// shard router (internal/shard) satisfies it over any of them. The
+// front doors — rtic.Checker, the network monitor, the CLIs — run the
+// paper's checker only, as internal/shard builds it; the differential
+// and experiment harnesses drive all three through this interface and
+// never ask which engine they hold. The contract
 // carries what those callers use: install, commit, read the state,
 // observe. What every engine would implement as the same lines —
 // committing a batch, installing a spec's constraints — are functions
@@ -21,7 +23,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"rtic/internal/check"
 	"rtic/internal/obs"
@@ -95,54 +96,4 @@ func SerialBatch(step func(uint64, *storage.Transaction) ([]check.Violation, err
 		out = append(out, vs)
 	}
 	return out, nil
-}
-
-// Mode selects a checking engine.
-type Mode int
-
-const (
-	// Incremental is the paper's method: bounded history encoding, no
-	// stored history. The default.
-	Incremental Mode = iota
-	// Naive stores the full history and evaluates the temporal
-	// semantics directly; the baseline the paper improves on.
-	Naive
-	// ActiveRules compiles constraints to production rules maintaining
-	// the encoding in ordinary relations (the active-DBMS route).
-	ActiveRules
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Incremental:
-		return "incremental"
-	case Naive:
-		return "naive"
-	case ActiveRules:
-		return "active-rules"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
-// ModeNames lists the accepted ParseMode spellings, for usage strings.
-func ModeNames() []string {
-	return []string{"incremental", "naive", "active", "active-rules"}
-}
-
-// ParseMode resolves a mode name as accepted by the CLIs. "active" is
-// an alias for "active-rules"; unknown names produce an error listing
-// the valid ones.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "incremental":
-		return Incremental, nil
-	case "naive":
-		return Naive, nil
-	case "active", "active-rules":
-		return ActiveRules, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown mode %q (valid: %s)", s, strings.Join(ModeNames(), ", "))
-	}
 }

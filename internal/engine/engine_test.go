@@ -9,43 +9,6 @@ import (
 	"rtic/internal/storage"
 )
 
-func TestParseMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Mode
-	}{
-		{"incremental", Incremental},
-		{"naive", Naive},
-		{"active", ActiveRules},
-		{"active-rules", ActiveRules},
-	}
-	for _, c := range cases {
-		got, err := ParseMode(c.in)
-		if err != nil {
-			t.Fatalf("ParseMode(%q): %v", c.in, err)
-		}
-		if got != c.want {
-			t.Errorf("ParseMode(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	for _, bad := range []string{"", "warp", "INCREMENTAL", "Naive"} {
-		if _, err := ParseMode(bad); err == nil {
-			t.Errorf("ParseMode(%q) accepted", bad)
-		} else if !strings.Contains(err.Error(), "incremental") {
-			t.Errorf("ParseMode(%q) error does not list valid modes: %v", bad, err)
-		}
-	}
-}
-
-func TestModeRoundTrip(t *testing.T) {
-	for _, m := range []Mode{Incremental, Naive, ActiveRules} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%v.String()) = %v, %v", m, got, err)
-		}
-	}
-}
-
 func TestSerialBatch(t *testing.T) {
 	var times []uint64
 	step := func(tm uint64, tx *storage.Transaction) ([]check.Violation, error) {

@@ -89,7 +89,7 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 	for _, opt := range opts {
 		opt(&o)
 	}
-	eng, err := shard.Build(s, o.shards, func() engine.Engine { return core.New(s) })
+	eng, err := shard.Build(s, o.shards)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: %w", err)
 	}
@@ -97,7 +97,7 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 		return nil, err
 	}
 	m := &Monitor{schema: s, subs: make(map[int]chan check.Violation)}
-	m.setEngine(eng.(shard.Checker))
+	m.setEngine(eng)
 	m.diags = lint.Constraints(constraints, s, lint.Options{})
 	return m, nil
 }

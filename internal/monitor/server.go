@@ -18,11 +18,6 @@ import (
 	"rtic/internal/storage"
 )
 
-// maxLineBytes caps one protocol line (a transaction can carry many
-// tuples); lines beyond the cap earn an "error" reply instead of a
-// silent disconnect.
-const maxLineBytes = 1 << 20
-
 // Server speaks a line protocol over any net.Listener, sharing one
 // Monitor across all connections:
 //
@@ -186,7 +181,7 @@ func (s *Server) handle(conn net.Conn) {
 		src = &idleReader{conn: conn, src: rd, timeout: s.idleTimeout}
 	}
 	sc := bufio.NewScanner(&flushReader{w: w, src: src})
-	sc.Buffer(make([]byte, 0, 4096), maxLineBytes)
+	sc.Buffer(make([]byte, 0, 4096), spec.MaxLineBytes)
 	replyError := func(format string, args ...interface{}) {
 		if m != nil {
 			m.ProtocolErrors.Inc()
@@ -295,7 +290,7 @@ func (s *Server) handle(conn net.Conn) {
 	if err := sc.Err(); err != nil && w.Flush() == nil {
 		switch {
 		case errors.Is(err, bufio.ErrTooLong):
-			replyError("line exceeds %d bytes", maxLineBytes)
+			replyError("line exceeds %d bytes", spec.MaxLineBytes)
 		case errors.Is(err, os.ErrDeadlineExceeded):
 			replyError("idle for more than %s, closing", s.idleTimeout)
 		default:

@@ -8,11 +8,9 @@ import (
 	"strconv"
 	"time"
 
-	"rtic/internal/active"
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
-	"rtic/internal/naive"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/storage"
@@ -80,31 +78,10 @@ func New(s *schema.Schema, shards int, factory Factory) (*Router, error) {
 	return &Router{schema: s, n: shards, factory: factory, names: make(map[string]bool), plan: plan}, nil
 }
 
-// ModeFactory returns the factory of an engine mode: the one place a
-// mode name becomes a constructor, for the router's shards and for
-// everything that lets a caller pick the engine (the public checker,
-// the rtic CLI, the differential harness and the bench harness). The
-// monitor runs the incremental checker only and does not go through it.
-func ModeFactory(s *schema.Schema, mode engine.Mode) (Factory, error) {
-	switch mode {
-	case engine.Incremental:
-		return func() engine.Engine { return core.New(s) }, nil
-	case engine.Naive:
-		return func() engine.Engine { return naive.New(s) }, nil
-	case engine.ActiveRules:
-		return func() engine.Engine { return active.New(s) }, nil
-	default:
-		return nil, fmt.Errorf("shard: unknown engine mode %v", mode)
-	}
-}
-
-// NewMode is New over ModeFactory's engines.
-func NewMode(s *schema.Schema, shards int, mode engine.Mode) (*Router, error) {
-	factory, err := ModeFactory(s, mode)
-	if err != nil {
-		return nil, err
-	}
-	return New(s, shards, factory)
+// coreFactory builds the paper's checker for one shard: the factory
+// behind Build and Restore.
+func coreFactory(s *schema.Schema) Factory {
+	return func() engine.Engine { return core.New(s) }
 }
 
 // Checker is the paper's checker as its front doors hold it — the
@@ -122,14 +99,18 @@ type Checker interface {
 	Explain(check.Violation) (*core.Explanation, error)
 }
 
-// Build is the one place a shard count becomes a shape: the factory's
-// bare engine for shards <= 1, a Router over its engines otherwise.
-// Over the incremental factory either shape is a Checker.
-func Build(s *schema.Schema, shards int, factory Factory) (engine.Engine, error) {
+// Build is the one place the paper's checker is constructed and a shard
+// count becomes a shape: a bare *core.Checker for shards <= 1, a Router
+// over core engines otherwise.
+func Build(s *schema.Schema, shards int) (Checker, error) {
 	if shards <= 1 {
-		return factory(), nil
+		return core.New(s), nil
 	}
-	return New(s, shards, factory)
+	r, err := New(s, shards, coreFactory(s))
+	if err != nil {
+		return nil, err // not a nil *Router inside a non-nil Checker
+	}
+	return r, nil
 }
 
 // Shards returns the configured shard count.
@@ -140,7 +121,7 @@ func (r *Router) Shards() int { return r.n }
 // callers must not mutate it.
 func (r *Router) Plan() *Plan { return r.plan }
 
-// AddConstraint validates con against a probe engine (so mode-specific
+// AddConstraint validates con against a probe engine (so engine-specific
 // rejections surface here, not at the first commit), re-runs the
 // partitionability analysis over all installed constraints, and defers
 // installation to the seal: a later constraint may still demote an

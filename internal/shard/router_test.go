@@ -15,7 +15,6 @@ import (
 	"rtic/internal/engine"
 	"rtic/internal/naive"
 	"rtic/internal/obs"
-	"rtic/internal/schema"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
 )
@@ -30,10 +29,6 @@ func canon(vs []check.Violation) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func coreFactory(s *schema.Schema) Factory {
-	return func() engine.Engine { return core.New(s) }
 }
 
 // randomTx mirrors the equivalence suite's generator: a few inserts
@@ -352,14 +347,16 @@ func TestRouterObserverMetrics(t *testing.T) {
 func TestRouterModes(t *testing.T) {
 	s := testSchema(t)
 	srcs := []string{"p(x) -> not once[0,3] q(x)", "r(x, y) -> not once[0,2] r(y, x)"}
-	for _, mode := range []engine.Mode{engine.Naive, engine.ActiveRules} {
-		var ref engine.Engine
-		if mode == engine.Naive {
-			ref = naive.New(s)
-		} else {
-			ref = active.New(s)
-		}
-		r, err := NewMode(s, 2, mode)
+	engines := []struct {
+		name    string
+		factory Factory
+	}{
+		{"naive", func() engine.Engine { return naive.New(s) }},
+		{"active", func() engine.Engine { return active.New(s) }},
+	}
+	for _, e := range engines {
+		ref := e.factory()
+		r, err := New(s, 2, e.factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,10 +380,10 @@ func TestRouterModes(t *testing.T) {
 			}
 			got, err := r.Step(tme, tx.Clone())
 			if err != nil {
-				t.Fatalf("mode %v step %d: %v", mode, step, err)
+				t.Fatalf("%s step %d: %v", e.name, step, err)
 			}
 			if !reflect.DeepEqual(canon(got), canon(want)) {
-				t.Fatalf("mode %v step %d: violations diverge\ngot  %v\nwant %v", mode, step, canon(got), canon(want))
+				t.Fatalf("%s step %d: violations diverge\ngot  %v\nwant %v", e.name, step, canon(got), canon(want))
 			}
 		}
 	}

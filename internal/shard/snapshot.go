@@ -202,7 +202,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 		return nil, err
 	}
 
-	r, err := NewMode(s, shards, engine.Incremental)
+	r, err := New(s, shards, coreFactory(s))
 	if err != nil {
 		return nil, err
 	}

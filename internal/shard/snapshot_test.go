@@ -13,10 +13,17 @@ import (
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
+	"rtic/internal/naive"
 	"rtic/internal/schema"
 	"rtic/internal/tuple"
 	"rtic/internal/workload"
 )
+
+// naiveFactory builds the specification engine for one shard: a router
+// the paper's checker does not back.
+func naiveFactory(s *schema.Schema) Factory {
+	return func() engine.Engine { return naive.New(s) }
+}
 
 // cdcFeed is the snapshot corpus: bursty, reordered CDC traffic with
 // injected violations over three partitionable freshness constraints.
@@ -34,7 +41,7 @@ func cdcFeed() workload.History {
 // and commits the first steps of the feed.
 func feedRouter(t *testing.T, h workload.History, n, steps int) *Router {
 	t.Helper()
-	r, err := NewMode(h.Schema, n, engine.Incremental)
+	r, err := New(h.Schema, n, coreFactory(h.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +220,7 @@ func spliceShard(t *testing.T, a, b []byte, i int) []byte {
 // as a router's.
 func TestRouterSnapshotPreconditions(t *testing.T) {
 	h := cdcFeed()
-	r, err := NewMode(h.Schema, 2, engine.Naive)
+	r, err := New(h.Schema, 2, naiveFactory(h.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,18 +246,21 @@ func TestRouterSnapshotPreconditions(t *testing.T) {
 	}
 }
 
-// TestBuildAndExplainRefusals covers the shape rule — Build returns the
-// factory's bare engine for one shard and a router for more — and what
+// TestBuildAndExplainRefusals covers the shape rule — Build returns a
+// bare core checker for one shard and a router for more — and what
 // a router refuses to explain: an unknown constraint, a witness that
 // does not bind the constraint's partition key, and a shard that is not
 // the incremental engine.
 func TestBuildAndExplainRefusals(t *testing.T) {
 	h := cdcFeed()
 	for n, want := range map[int]string{0: "*core.Checker", 1: "*core.Checker", 2: "*shard.Router"} {
-		e, err := Build(h.Schema, n, func() engine.Engine { return core.New(h.Schema) })
+		e, err := Build(h.Schema, n)
 		if got := fmt.Sprintf("%T", e); err != nil || got != want {
 			t.Fatalf("Build(shards=%d) = (%s, %v), want a %s", n, got, err, want)
 		}
+	}
+	if c, err := Build(nil, 2); err == nil || c != nil {
+		t.Fatalf("Build(nil schema, shards=2) = (%v, %v), want (nil, error)", c, err)
 	}
 	r := feedRouter(t, h, 2, 5)
 	key := check.Violation{Constraint: "fresh_serve", Time: r.Now(), Vars: []string{"s"}, Binding: tuple.Ints(3)}
@@ -268,7 +278,7 @@ func TestBuildAndExplainRefusals(t *testing.T) {
 	if _, err := r.Explain(key); err != nil {
 		t.Fatalf("Explain of a bound key on an incremental router: %v", err)
 	}
-	naive, err := NewMode(h.Schema, 2, engine.Naive)
+	naive, err := New(h.Schema, 2, naiveFactory(h.Schema))
 	if err != nil {
 		t.Fatal(err)
 	}

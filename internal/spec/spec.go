@@ -90,6 +90,12 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	return &Spec{Schema: s, Constraints: cons}, nil
 }
 
+// MaxLineBytes caps one log line, its newline included: the server's
+// sessions and the rtic CLI's replay scan with this limit, so a line one
+// accepts the other accepts too. A transaction can carry many tuples,
+// hence the generous cap.
+const MaxLineBytes = 1 << 20
+
 // ParseLogLine reads one "@time ±rel(args) …" line into a transaction
 // of its own. Empty lines and comment lines ("--") yield ok=false.
 func ParseLogLine(line string) (t uint64, tx *storage.Transaction, ok bool, err error) {

@@ -10,14 +10,11 @@
 //	clear(a) -> (ack(a) since raisd(a))     -- acknowledged since raised
 //
 // A Checker ingests one transaction per commit and reports the witnesses
-// violating any installed constraint in the resulting state. The default
-// engine is the paper's contribution — incremental checking with bounded
-// history encoding: it stores no history, only small auxiliary relations
-// whose size is bounded by the constraints' metric windows, and its
-// per-transaction cost is independent of history length. Two other
-// engines exist for comparison and integration: the naive full-history
-// evaluator and an active-DBMS route that compiles constraints into
-// trigger rules.
+// violating any installed constraint in the resulting state. It runs the
+// paper's contribution — incremental checking with bounded history
+// encoding: it stores no history, only small auxiliary relations whose
+// size is bounded by the constraints' metric windows, and its
+// per-transaction cost is independent of history length.
 //
 // Quick start:
 //
@@ -93,36 +90,10 @@ func (sb *SchemaBuilder) Build() (*Schema, error) { return sb.b.Build() }
 // MustBuild builds or panics.
 func (sb *SchemaBuilder) MustBuild() *Schema { return sb.b.MustBuild() }
 
-// Mode selects the checking engine. It aliases the internal engine
-// package's Mode so the public API, the monitor and the daemons share
-// one enum.
-type Mode = engine.Mode
-
-const (
-	// Incremental is the paper's method: bounded history encoding,
-	// no stored history. The default.
-	Incremental = engine.Incremental
-	// Naive stores the full history and evaluates the temporal
-	// semantics directly; the baseline the paper improves on.
-	Naive = engine.Naive
-	// ActiveRules compiles constraints to production rules maintaining
-	// the encoding in ordinary relations (the active-DBMS route).
-	ActiveRules = engine.ActiveRules
-)
-
-// ParseMode resolves a mode name as accepted by the CLIs: "incremental",
-// "naive", "active" or "active-rules". Unknown names produce an error
-// listing the valid ones.
-func ParseMode(s string) (Mode, error) { return engine.ParseMode(s) }
-
-// ModeNames lists the spellings ParseMode accepts, for usage strings.
-func ModeNames() []string { return engine.ModeNames() }
-
 // Option configures a Checker.
 type Option func(*config)
 
 type config struct {
-	mode   Mode
 	shards int
 	obs    *obs.Observer
 	lint   LintMode
@@ -163,21 +134,15 @@ func WithLint(m LintMode) Option {
 	return func(c *config) { c.lint = m }
 }
 
-// WithMode selects the checking engine (default Incremental).
-func WithMode(m Mode) Option {
-	return func(c *config) { c.mode = m }
-}
-
 // WithShards partitions the checker's state across n independent shard
 // engines fronted by a router: each relation is hash-partitioned by a
 // column inferred from the constraints' join keys, transactions split
 // by ownership, and the shards commit one after another. Results
 // stay exact — a constraint whose witnesses the static analysis cannot
 // pin to one shard falls back to a designated global shard (see
-// internal/shard). n<=1 selects the plain unsharded engine. Sharding
-// composes with WithMode, and a sharded Incremental checker explains,
-// snapshots and restores like an unsharded one: pass RestoreChecker the
-// n its snapshot was written with.
+// internal/shard). n<=1 selects the plain unsharded engine. A sharded
+// checker explains, snapshots and restores like an unsharded one: pass
+// RestoreChecker the n its snapshot was written with.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -246,11 +211,8 @@ func WithObserver(o *Observer) Option {
 // constraints. Checkers are not safe for concurrent use.
 type Checker struct {
 	schema   *Schema
-	mode     Mode
-	eng      engine.Engine // a shard.Checker in Incremental mode
+	eng      shard.Checker
 	obs      *obs.Observer
-	started  bool
-	names    []string
 	lintMode LintMode
 	diags    []lint.Diagnostic
 }
@@ -260,26 +222,19 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 	if s == nil {
 		return nil, fmt.Errorf("rtic: nil schema")
 	}
-	cfg := config{mode: Incremental}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	factory, err := shard.ModeFactory(s, cfg.mode)
-	if err != nil {
-		return nil, fmt.Errorf("rtic: %w", err)
-	}
-	eng, err := shard.Build(s, cfg.shards, factory)
+	eng, err := shard.Build(s, cfg.shards)
 	if err != nil {
 		return nil, fmt.Errorf("rtic: %w", err)
 	}
 	if cfg.obs != nil {
 		eng.SetObserver(cfg.obs)
 	}
-	return &Checker{schema: s, mode: cfg.mode, eng: eng, obs: cfg.obs, lintMode: cfg.lint}, nil
+	return &Checker{schema: s, eng: eng, obs: cfg.obs, lintMode: cfg.lint}, nil
 }
-
-// Mode reports the engine in use.
-func (c *Checker) Mode() Mode { return c.mode }
 
 // Shards reports the shard count of the routing layer (1 = unsharded).
 func (c *Checker) Shards() int {
@@ -292,7 +247,7 @@ func (c *Checker) Shards() int {
 // Constraints returns the names of installed constraints, in
 // installation order.
 func (c *Checker) Constraints() []string {
-	return append([]string(nil), c.names...)
+	return c.eng.ConstraintNames()
 }
 
 // AddConstraint parses, validates and installs a constraint. Constraints
@@ -302,7 +257,7 @@ func (c *Checker) Constraints() []string {
 // so violation witnesses are enumerable — AddConstraint reports a
 // detailed error otherwise.
 func (c *Checker) AddConstraint(name, src string) error {
-	if c.started {
+	if c.eng.Len() > 0 {
 		return fmt.Errorf("rtic: constraint %q added after the first commit", name)
 	}
 	sink := c.obs.SpanSink()
@@ -334,11 +289,7 @@ func (c *Checker) AddConstraint(name, src string) error {
 			}
 		}
 	}
-	if err := c.eng.AddConstraint(con); err != nil {
-		return err
-	}
-	c.names = append(c.names, name)
-	return nil
+	return c.eng.AddConstraint(con)
 }
 
 // LintDiagnostics returns the linter findings accumulated by
@@ -371,7 +322,7 @@ func (c *Checker) Begin() *Tx {
 	return &Tx{c: c, tx: storage.NewTransaction()}
 }
 
-// Stats describes the auxiliary storage of the incremental engine.
+// Stats describes the checker's auxiliary storage.
 type Stats struct {
 	// Nodes is the number of temporal subformulas tracked.
 	Nodes int
@@ -382,28 +333,14 @@ type Stats struct {
 	Bytes      int
 }
 
-// Stats reports the incremental engine's auxiliary storage; it returns
-// zeros for other modes. For a sharded incremental checker the figures
-// are summed across shards: Entries and Timestamps match the unsharded
+// Stats reports the checker's auxiliary storage. For a sharded checker
+// the figures are summed across shards: Entries and Timestamps match the unsharded
 // engine exactly (each tracked binding lives on one shard), while Nodes
 // and Bytes count the per-shard copies of partitionable constraints'
 // node structures.
 func (c *Checker) Stats() Stats {
-	p, err := c.paper()
-	if err != nil {
-		return Stats{}
-	}
-	s := p.Stats()
+	s := c.eng.Stats()
 	return Stats{Nodes: s.Nodes, Entries: s.Entries, Timestamps: s.Timestamps, Bytes: s.Bytes}
-}
-
-// paper returns the engine as the paper's checker, whole or sharded; the
-// Naive and ActiveRules engines keep no auxiliary encoding.
-func (c *Checker) paper() (shard.Checker, error) {
-	if p, ok := c.eng.(shard.Checker); ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("rtic: the %v engine keeps no auxiliary encoding; Explain and snapshots need Incremental mode", c.mode)
 }
 
 // Explanation is the evidence trail of a violation: for every temporal
@@ -412,20 +349,15 @@ func (c *Checker) paper() (shard.Checker, error) {
 type Explanation = core.Explanation
 
 // Explain answers "why was this violation flagged?" from the auxiliary
-// encoding. Only the Incremental engine supports it, and only for
-// violations of the most recent commit (the encoding answers for the
-// current state only). A sharded checker asks the shard that derived
+// encoding, for violations of the most recent commit only (the encoding
+// answers for the current state only). A sharded checker asks the shard that derived
 // the violation, whose encoding is the unsharded one restricted to its
 // keys, so the explanation is the one an unsharded checker gives.
 func (c *Checker) Explain(v Violation) (*Explanation, error) {
-	p, err := c.paper()
-	if err != nil {
-		return nil, err
-	}
-	return p.Explain(v)
+	return c.eng.Explain(v)
 }
 
-// SkipInfo records which checking strategy the incremental engine chose
+// SkipInfo records which checking strategy the checker chose
 // for one constraint at the latest commit — skipped (previous answer
 // reused), seeded (re-derived from the delta) or planned (compiled plan
 // ran in full) — and why.
@@ -443,8 +375,8 @@ const (
 
 // LastSkips reports the per-constraint strategy record of the latest
 // commit, in constraint-installation order: the commit-level
-// counterpart of Explain. Only the unsharded Incremental engine records
-// it (each shard decides for itself); other configurations return nil.
+// counterpart of Explain. Only the unsharded checker records it (each
+// shard decides for itself); a sharded checker returns nil.
 func (c *Checker) LastSkips() []SkipInfo {
 	if inc, ok := c.eng.(*core.Checker); ok {
 		return inc.LastSkips()
@@ -455,9 +387,8 @@ func (c *Checker) LastSkips() []SkipInfo {
 // Tx is a transaction under construction: an ordered list of tuple
 // insertions and deletions committed atomically at one timestamp.
 type Tx struct {
-	c   *Checker
-	tx  *storage.Transaction
-	err error
+	c  *Checker
+	tx *storage.Transaction
 }
 
 // Insert schedules the insertion of a tuple into rel.
@@ -478,15 +409,7 @@ func (t *Tx) Delete(rel string, vals ...Value) *Tx {
 // transaction back; reacting to violations is the caller's policy, as in
 // the paper's detection-oriented model.
 func (t *Tx) Commit(time uint64) ([]Violation, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
-	vs, err := t.c.eng.Step(time, t.tx)
-	if err != nil {
-		return nil, err
-	}
-	t.c.started = true
-	return vs, nil
+	return t.c.eng.Step(time, t.tx)
 }
 
 // Batch accumulates transactions for one multi-commit call: each added
@@ -513,10 +436,6 @@ func (b *Batch) Add(time uint64, t *Tx) *Batch {
 		b.err = fmt.Errorf("rtic: batch Add of a transaction from a different checker")
 		return b
 	}
-	if t.err != nil {
-		b.err = t.err
-		return b
-	}
 	b.steps = append(b.steps, engine.Step{Time: time, Tx: t.tx})
 	return b
 }
@@ -529,31 +448,22 @@ func (b *Batch) Commit() ([][]Violation, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	out, err := engine.SerialBatch(b.c.eng.Step, b.steps)
-	if len(out) > 0 {
-		b.c.started = true
-	}
-	return out, err
+	return engine.SerialBatch(b.c.eng.Step, b.steps)
 }
 
 // SaveSnapshot checkpoints the checker's complete state — the current
 // database, clock and (small) auxiliary encoding — so a monitor can
-// restart without replaying its history. Only the Incremental engine
-// supports snapshots; a sharded checker writes every shard into one
-// snapshot, which RestoreChecker reads back under the same WithShards.
+// restart without replaying its history. A sharded checker writes every
+// shard into one snapshot, which RestoreChecker reads back under the
+// same WithShards.
 func (c *Checker) SaveSnapshot(w io.Writer) error {
-	p, err := c.paper()
-	if err != nil {
-		return err
-	}
-	return p.SaveSnapshot(w)
+	return c.eng.SaveSnapshot(w)
 }
 
-// RestoreChecker rebuilds an Incremental checker from a snapshot written
-// by SaveSnapshot; the snapshot carries its constraints. WithShards must
+// RestoreChecker rebuilds a checker from a snapshot written by
+// SaveSnapshot; the snapshot carries its constraints. WithShards must
 // give the shard count the snapshot was written with (a mismatch is an
-// error), and WithObserver attaches instrumentation; restored checkers
-// are always Incremental. The restore itself is one snapshot.restore
+// error), and WithObserver attaches instrumentation. The restore itself is one snapshot.restore
 // span when a span sink is attached.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	var cfg config
@@ -564,8 +474,7 @@ func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Checker{schema: s, mode: Incremental, eng: p, obs: cfg.obs, started: p.Len() > 0,
-		names: p.ConstraintNames(), lintMode: cfg.lint}, nil
+	return &Checker{schema: s, eng: p, obs: cfg.obs, lintMode: cfg.lint}, nil
 }
 
 // QueryResult holds the satisfying bindings of an ad-hoc query: Rows[i]

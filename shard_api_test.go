@@ -22,9 +22,6 @@ func TestShardsAccessor(t *testing.T) {
 	if got := c.Shards(); got != 4 {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}
-	if got := c.Mode(); got != Incremental {
-		t.Fatalf("sharded Mode() = %v, want Incremental", got)
-	}
 	// n<=1 selects the plain unsharded engine, not a one-shard router.
 	c, _ = NewChecker(s, WithShards(1))
 	if got := c.Shards(); got != 1 {
@@ -33,14 +30,6 @@ func TestShardsAccessor(t *testing.T) {
 	c, _ = NewChecker(s)
 	if got := c.Shards(); got != 1 {
 		t.Fatalf("default Shards() = %d, want 1", got)
-	}
-	// Sharding composes with mode selection.
-	c, err = NewChecker(s, WithMode(Naive), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shards() != 2 || c.Mode() != Naive {
-		t.Fatalf("naive sharded: shards=%d mode=%v", c.Shards(), c.Mode())
 	}
 }
 
