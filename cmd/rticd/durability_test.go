@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"rtic/internal/chaos"
 	"rtic/internal/vfs"
-	"rtic/internal/wal"
 )
 
 // crash abandons a daemon the way kill -9 would: the listeners die, but
@@ -229,69 +229,73 @@ func TestDaemonSnapshotRestart(t *testing.T) {
 	}
 }
 
-// TestDaemonWALTruncationSweep cuts the crashed daemon's WAL at every
-// byte offset of the final record and restarts: every cut must recover
-// without error, losing at most the torn final record.
+// TestDaemonWALTruncationSweep restarts the daemon over every disk the
+// crash enumerator (internal/chaos) finds in which only the final
+// commit of its trace is missing or torn, one journal; see
+// daemonCrashSweep.
 func TestDaemonWALTruncationSweep(t *testing.T) {
-	dir := t.TempDir()
-	spec := writeSpec(t, dir, "hr.rtic", hrSpec)
-	walPath := filepath.Join(dir, "state.wal")
-	trace := rehireTrace(6)
+	daemonCrashSweep(t, 1)
+}
 
-	d, err := start(options{specPath: spec, listen: "127.0.0.1:0", walPath: walPath})
+// daemonCrashSweep takes the disks of the enumerator's SyncAlways runs
+// over n journals cut inside the trace's last commit — fault-free, or
+// after a short write tore that commit's record on one journal — and
+// restarts a daemon over each with the same -snapshot and -wal. Every
+// restart must recover at least the commits that were durable, and
+// finish the trace over the line protocol with the replies of an
+// uninterrupted daemon. Tearing a record at every byte offset is
+// wal.TestTruncateEveryOffset's job.
+func daemonCrashSweep(t *testing.T, n int) {
+	trace := chaos.Trace()
+	last := len(trace) - 1
+	ref, err := start(options{specPath: writeSpec(t, t.TempDir(), "hr.rtic", hrSpec), listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := dialLine(t, d)
+	defer ref.shutdown()
+	refC := dialLine(t, ref)
+	var want [][]string
 	for _, line := range trace {
-		c.commit(t, line)
+		want = append(want, refC.commit(t, line))
 	}
-	d.crash()
 
-	raw, err := os.ReadFile(walPath)
+	spec := writeSpec(t, t.TempDir(), "hr.rtic", hrSpec)
+	res, err := chaos.Sweep{Dir: t.TempDir(), Journals: n,
+		Faults: func(f chaos.Fault) bool {
+			return f.Kind == vfs.ShortWrite && f.In.Kind == "commit" && f.In.Index == last
+		},
+		Cuts: func(c chaos.Cut) bool { return c.Fault.AtOp != 0 || c.In.Kind == "commit" && c.In.Index == last },
+		Check: func(dir string, durable int) error {
+			d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: n,
+				snapPath: filepath.Join(dir, "state.snap"), walPath: filepath.Join(dir, "state.wal")})
+			if err != nil {
+				return fmt.Errorf("restart: %w", err)
+			}
+			if got := d.m.Len(); got < durable || got < last {
+				d.shutdown()
+				return fmt.Errorf("restart recovered %d commits, want at least %d of %d", got, max(durable, last), len(trace))
+			}
+			c := dialLine(t, d)
+			for i := d.m.Len(); i < len(trace); i++ {
+				if got := c.commit(t, trace[i]); !reflect.DeepEqual(got, want[i]) {
+					d.shutdown()
+					return fmt.Errorf("step %d after the restart: replies %q, want %q", i, got, want[i])
+				}
+			}
+			return d.shutdown()
+		}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find where the final record's frame starts by replaying the intact
-	// log: the frame is its payload plus the fixed 8-byte frame header.
-	var lastPayload int
-	lcheck, err := wal.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
+	// The last commit is a write and a sync per journal, each a cut of
+	// the fault-free run; a short write on journal k is followed by its
+	// rollback, the later journals' ops and the end of the run. The
+	// disks: the record missing, whole, or torn on each journal.
+	pinned := map[int]chaos.SweepResult{1: {Runs: 2, Cuts: 4, Images: 3}, 2: {Runs: 3, Cuts: 10, Images: 7}}[n]
+	if res != pinned {
+		t.Fatalf("counts %+v, want %+v", res, pinned)
 	}
-	n, err := lcheck.Replay(func(p []byte) error { lastPayload = len(p); return nil })
-	lcheck.Close()
-	if err != nil || n != len(trace) {
-		t.Fatalf("intact WAL replays %d records (err %v), want %d", n, err, len(trace))
-	}
-	lastStart := len(raw) - (8 + lastPayload) // 4-byte length + 4-byte CRC32C
-
-	for cut := lastStart; cut <= len(raw); cut++ {
-		caseDir := t.TempDir()
-		cutWal := filepath.Join(caseDir, "state.wal")
-		if err := os.WriteFile(cutWal, raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := start(options{specPath: spec, listen: "127.0.0.1:0", walPath: cutWal})
-		if err != nil {
-			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
-		}
-		wantLen := len(trace) - 1
-		if cut == len(raw) {
-			wantLen = len(trace)
-		}
-		if d.m.Len() != wantLen {
-			t.Errorf("cut=%d: recovered %d states, want %d", cut, d.m.Len(), wantLen)
-		}
-		// The truncated log accepts new commits after recovery.
-		cl := dialLine(t, d)
-		if got := cl.commit(t, "@1000 +fire(9)"); got[len(got)-1] != "ok 0" {
-			t.Errorf("cut=%d: commit after recovery replied %q", cut, got)
-		}
-		if err := d.shutdown(); err != nil {
-			t.Errorf("cut=%d: shutdown: %v", cut, err)
-		}
-	}
+	t.Logf("%+v", res)
 }
 
 // TestDaemonHealthzDegraded flips /healthz to degraded when the

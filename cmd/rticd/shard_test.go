@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"rtic/internal/monitor"
-	"rtic/internal/wal"
 )
 
 // TestDaemonShardedMatchesUnsharded runs the same trace through an
@@ -49,121 +47,12 @@ func TestDaemonShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestDaemonShardedWALTruncationSweep is the sharded kill-and-recover
-// acceptance test: a -shards 3 daemon journals a trace to three shard
-// WALs and crashes; the sweep then tears every shard subset's final
-// record at several byte offsets and restarts against the mutilated
-// journals. Every restart must recover the journals' common prefix —
-// the full trace minus the one commit whose journaling tore — land on
-// a consistent global state, and finish the workload with replies
-// matching an uninterrupted daemon.
+// TestDaemonShardedWALTruncationSweep is TestDaemonWALTruncationSweep
+// over two shard journals: the final commit is missing or torn on
+// either journal alone or on both, and every restart must land on the
+// journals' common prefix and finish the trace.
 func TestDaemonShardedWALTruncationSweep(t *testing.T) {
-	const shards = 3
-	trace := rehireTrace(8)
-	last := len(trace) - 1
-
-	// Reference replies from an uninterrupted unsharded daemon.
-	ref, err := start(options{
-		specPath: writeSpec(t, t.TempDir(), "hr.rtic", hrSpec),
-		listen:   "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.shutdown()
-	refC := dialLine(t, ref)
-	var want [][]string
-	for _, line := range trace {
-		want = append(want, refC.commit(t, line))
-	}
-
-	// Crash a sharded durable daemon after the full trace.
-	dir := t.TempDir()
-	spec := writeSpec(t, dir, "hr.rtic", hrSpec)
-	walPath := filepath.Join(dir, "state.wal")
-	d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: shards, walPath: walPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialLine(t, d)
-	for i, line := range trace {
-		if got := c.commit(t, line); !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("sharded step %d: replies %q, want %q", i, got, want[i])
-		}
-	}
-	d.crash()
-
-	// Per-shard raw bytes and final-record offsets of the intact journals.
-	raws := make([][]byte, shards)
-	lastStarts := make([]int, shards)
-	for i := 0; i < shards; i++ {
-		path := fmt.Sprintf("%s.%d", walPath, i)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = raw
-		var lastPayload int
-		l, err := wal.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := l.Replay(func(p []byte) error { lastPayload = len(p); return nil })
-		l.Close()
-		if err != nil || n != len(trace) {
-			t.Fatalf("shard %d journal replays %d records (err %v), want %d", i, n, err, len(trace))
-		}
-		lastStarts[i] = len(raw) - (8 + lastPayload) // 4-byte length + 4-byte CRC32C
-	}
-
-	// cuts maps a tear kind to a byte offset within shard i's final record.
-	cuts := func(i, kind int) int {
-		switch kind {
-		case 0:
-			return lastStarts[i] // record fully gone
-		case 1:
-			return lastStarts[i] + 5 // torn mid-frame-header
-		default:
-			return len(raws[i]) - 1 // torn in the last payload byte
-		}
-	}
-
-	for mask := 1; mask < 1<<shards; mask++ { // every nonempty torn subset
-		for kind := 0; kind < 3; kind++ {
-			caseDir := t.TempDir()
-			caseWal := filepath.Join(caseDir, "state.wal")
-			for i := 0; i < shards; i++ {
-				raw := raws[i]
-				if mask&(1<<i) != 0 {
-					raw = raw[:cuts(i, kind)]
-				}
-				if err := os.WriteFile(fmt.Sprintf("%s.%d", caseWal, i), raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: shards, walPath: caseWal})
-			if err != nil {
-				t.Fatalf("mask=%b kind=%d: recovery failed: %v", mask, kind, err)
-			}
-			if r.m.Len() != last {
-				t.Errorf("mask=%b kind=%d: recovered %d states, want %d", mask, kind, r.m.Len(), last)
-			}
-			// The torn commit is lost; re-submitting it must yield the
-			// reference replies, proving the recovered state is the same
-			// consistent prefix every time.
-			rc := dialLine(t, r)
-			if got := rc.commit(t, trace[last]); !reflect.DeepEqual(got, want[last]) {
-				t.Errorf("mask=%b kind=%d: re-commit replies %q, want %q", mask, kind, got, want[last])
-			}
-			// And the realigned journals keep accepting new commits.
-			if got := rc.commit(t, "@1000 +fire(9)"); got[len(got)-1] != "ok 0" {
-				t.Errorf("mask=%b kind=%d: commit after recovery replied %q", mask, kind, got)
-			}
-			if err := r.shutdown(); err != nil {
-				t.Errorf("mask=%b kind=%d: shutdown: %v", mask, kind, err)
-			}
-		}
-	}
+	daemonCrashSweep(t, 2)
 }
 
 // TestDaemonShardedHealthz checks the /healthz shards and durability

@@ -85,9 +85,8 @@ func TestChaosCDCMidBurstCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("calibration run: %+v: %v", clean, err)
 	}
-	firstOp := uint64(3*1) + 2 // Run's default journal-setup offset, unsharded
-	opsPerCommit := (clean.Ops - firstOp) / uint64(len(h.Steps))
-	crashAt := firstOp + opsPerCommit*uint64(mid)
+	opsPerCommit := (clean.Ops - clean.FirstOp) / uint64(len(h.Steps))
+	crashAt := clean.FirstOp + opsPerCommit*uint64(mid)
 
 	res, err := Run(Config{Dir: t.TempDir(), History: &h,
 		Plan: []vfs.Injection{{AtOp: crashAt, Kind: vfs.Crash}}})

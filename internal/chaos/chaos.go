@@ -37,7 +37,7 @@ type Config struct {
 	Seed    int64  // fault-schedule seed
 	Commits int    // workload length (default 24)
 	Shards  int    // >1 shards the monitor: one journal per shard, one checkpoint for all
-	FirstOp uint64 // first faultable op index (default: just past journal setup)
+	FirstOp uint64 // first faultable op index (default: just past journal setup, measured)
 	Window  uint64 // op window the schedule draws from (default 4*Commits)
 	Faults  int    // injections in the window (default Commits/3+2; <0: none)
 
@@ -75,6 +75,7 @@ type Result struct {
 	Crashed        bool        // a Crash fault latched the filesystem
 	Fired          []vfs.Fired // injections that actually fired
 	Ops            uint64      // filesystem ops the run performed (crash-plan calibration)
+	FirstOp        uint64      // the first op past journal setup (crash-plan calibration)
 }
 
 type step struct {
@@ -184,11 +185,23 @@ func Run(cfg Config) (*Result, error) {
 	if shards < 1 {
 		shards = 1
 	}
+	ffs := vfs.NewFaultFS(vfs.OS, cfg.Plan...)
+	res := &Result{Seed: cfg.Seed}
+	snapPath := filepath.Join(cfg.Dir, "state.snap")
+	m, err := newMonitor(sch, cons, cfg.Shards)
+	if err != nil {
+		return res, err
+	}
+	logs, err := openJournals(cfg.Dir, shards, wal.WithFS(ffs))
+	if err != nil {
+		return res, fmt.Errorf("seed %d: %w", cfg.Seed, err)
+	}
+	// Faults during journal setup are a different failure mode than
+	// faults during operation, and startup validation owns it: the
+	// window starts past the ops the journals' Open made.
+	res.FirstOp = ffs.OpCount() + 1
 	if cfg.FirstOp == 0 {
-		// Skip journal setup (open + header write + header sync per
-		// log): faults during Open are a different failure mode than
-		// faults during operation, and startup validation owns it.
-		cfg.FirstOp = uint64(3*shards) + 2
+		cfg.FirstOp = res.FirstOp
 	}
 	if cfg.Window == 0 {
 		cfg.Window = uint64(cfg.Commits) * 4
@@ -196,32 +209,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Faults == 0 {
 		cfg.Faults = cfg.Commits/3 + 2
 	}
-	plan := cfg.Plan
-	if plan == nil && cfg.Faults > 0 {
-		plan = vfs.Schedule(cfg.Seed, cfg.FirstOp, cfg.Window, cfg.Faults)
-	}
-	ffs := vfs.NewFaultFS(vfs.OS, plan...)
-	res := &Result{Seed: cfg.Seed}
-	snapPath := filepath.Join(cfg.Dir, "state.snap")
-	walPaths := monitor.JournalPaths(filepath.Join(cfg.Dir, "state.wal"), shards)
-	openLogs := func(opts ...wal.Option) ([]*wal.Log, error) {
-		logs := make([]*wal.Log, len(walPaths))
-		for i, p := range walPaths {
-			var err error
-			if logs[i], err = wal.Open(p, opts...); err != nil {
-				return nil, fmt.Errorf("seed %d: opening journal %d: %w", cfg.Seed, i, err)
-			}
-		}
-		return logs, nil
-	}
-
-	m, err := newMonitor(sch, cons, cfg.Shards)
-	if err != nil {
-		return res, err
-	}
-	logs, err := openLogs(wal.WithFS(ffs))
-	if err != nil {
-		return res, err
+	if cfg.Plan == nil && cfg.Faults > 0 {
+		ffs.Inject(vfs.Schedule(cfg.Seed, cfg.FirstOp, cfg.Window, cfg.Faults)...)
 	}
 	// Millisecond-scale backoff so re-arm episodes resolve within the
 	// run instead of after it.
@@ -278,28 +267,11 @@ func Run(cfg Config) (*Result, error) {
 
 	// Recover on the real filesystem, exactly as a restarted process
 	// would: newest checkpoint (if any) plus journal tails.
-	var m2 *monitor.Monitor
-	if sf, err := os.Open(snapPath); err == nil {
-		m2, err = monitor.RestoreObserved(sch, nil, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())},
-			monitor.WithShards(cfg.Shards))
-		sf.Close()
-		if err != nil {
-			return res, fmt.Errorf("seed %d: restoring checkpoint: %w", cfg.Seed, err)
-		}
-	} else if m2, err = newMonitor(sch, cons, cfg.Shards); err != nil {
-		return res, err
-	}
-	logs2, err := openLogs()
+	m2, d2, logs2, err := openDir(sch, cons, cfg.Dir, shards)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("seed %d: %w", cfg.Seed, err)
 	}
-	for _, l := range logs2 {
-		defer l.Close()
-	}
-	d2, err := monitor.NewDurableLogs(m2, logs2, snapPath)
-	if err != nil {
-		return res, err
-	}
+	defer closeAll(logs2)
 	replayed, err := d2.Recover()
 	if err != nil {
 		return res, fmt.Errorf("seed %d: recovery: %w", cfg.Seed, err)
@@ -316,40 +288,120 @@ func Run(cfg Config) (*Result, error) {
 
 	// Differential check: the recovered monitor must be identical to a
 	// reference monitor fed the same trace prefix on a healthy disk.
-	ref, err := newMonitor(sch, cons, cfg.Shards)
-	if err != nil {
-		return res, err
-	}
 	prefix := 0
-	for _, st := range trace {
-		if st.t > res.RecoveredT {
-			break
-		}
-		if _, err := ref.Apply(st.t, st.tx); err != nil {
-			return res, fmt.Errorf("seed %d: reference replay at t=%d: %w", cfg.Seed, st.t, err)
-		}
+	for prefix < len(trace) && trace[prefix].t <= res.RecoveredT {
 		prefix++
 	}
-	if ref.Now() != res.RecoveredT {
-		return res, fmt.Errorf("seed %d: recovered t=%d is not a trace prefix boundary", cfg.Seed, res.RecoveredT)
+	ref, err := reference(sch, cons, shards, trace[:prefix])
+	if err != nil {
+		return res, fmt.Errorf("seed %d: %w", cfg.Seed, err)
 	}
-	if m2.Len() != ref.Len() {
-		return res, fmt.Errorf("seed %d: recovered %d states, reference has %d for the same prefix", cfg.Seed, m2.Len(), ref.Len())
-	}
-	if got, want := m2.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
-		return res, fmt.Errorf("seed %d: recovered aux state diverges: %+v vs %+v", cfg.Seed, got, want)
+	if err := sameState(m2, ref); err != nil {
+		return res, fmt.Errorf("seed %d: %w", cfg.Seed, err)
 	}
 	if probe == nil {
 		return res, nil
 	}
-	pt := res.RecoveredT + 1
-	pv, err := m2.Apply(pt, probe)
-	if err != nil {
-		return res, fmt.Errorf("seed %d: probe commit on recovered monitor: %w", cfg.Seed, err)
+	if err := sameStep(m2, ref, step{t: m2.Now() + 1, tx: probe}); err != nil {
+		return res, fmt.Errorf("seed %d: %w", cfg.Seed, err)
 	}
-	rv, err := ref.Apply(pt, probe)
+	return res, nil
+}
+
+// openJournals opens the shards journals under dir (monitor.JournalPaths
+// of dir/state.wal) with opts.
+func openJournals(dir string, shards int, opts ...wal.Option) ([]*wal.Log, error) {
+	paths := monitor.JournalPaths(filepath.Join(dir, "state.wal"), shards)
+	logs := make([]*wal.Log, len(paths))
+	for i, p := range paths {
+		var err error
+		if logs[i], err = wal.Open(p, opts...); err != nil {
+			closeAll(logs[:i])
+			return nil, fmt.Errorf("opening journal %d: %w", i, err)
+		}
+	}
+	return logs, nil
+}
+
+func closeAll(logs []*wal.Log) {
+	for _, l := range logs {
+		// Only the file handles are at stake: what the contract checks
+		// was read before.
+		l.Close()
+	}
+}
+
+// openDir builds what a restarted process builds over dir on the real
+// filesystem, ready to Recover: the monitor restored from dir's
+// checkpoint (or fresh without one) and the durability manager over
+// its journals, opened with opts. cons builds the fresh monitor; a
+// checkpoint carries its own.
+func openDir(sch *schema.Schema, cons []workload.ConstraintSpec, dir string, shards int, opts ...wal.Option) (*monitor.Monitor, *monitor.Durable, []*wal.Log, error) {
+	snapPath := filepath.Join(dir, "state.snap")
+	var m *monitor.Monitor
+	if sf, err := os.Open(snapPath); err == nil {
+		m, err = monitor.RestoreObserved(sch, nil, sf, &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())},
+			monitor.WithShards(shards))
+		sf.Close()
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("restoring checkpoint: %w", err)
+		}
+	} else if m, err = newMonitor(sch, cons, shards); err != nil {
+		return nil, nil, nil, err
+	}
+	logs, err := openJournals(dir, shards, opts...)
 	if err != nil {
-		return res, fmt.Errorf("seed %d: probe commit on reference monitor: %w", cfg.Seed, err)
+		return nil, nil, nil, err
+	}
+	d, err := monitor.NewDurableLogs(m, logs, snapPath)
+	if err != nil {
+		closeAll(logs)
+		return nil, nil, nil, err
+	}
+	return m, d, logs, nil
+}
+
+// reference is a monitor fed steps on a healthy disk.
+func reference(sch *schema.Schema, cons []workload.ConstraintSpec, shards int, steps []step) (*monitor.Monitor, error) {
+	ref, err := newMonitor(sch, cons, shards)
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range steps {
+		if _, err := ref.Apply(st.t, st.tx); err != nil {
+			return nil, fmt.Errorf("reference replay at t=%d: %w", st.t, err)
+		}
+	}
+	return ref, nil
+}
+
+// sameState holds a recovered monitor to the reference fed the trace
+// prefix it recovered: nothing half-applied, nothing extra.
+func sameState(m, ref *monitor.Monitor) error {
+	if m.Now() != ref.Now() {
+		return fmt.Errorf("recovered t=%d is not a trace prefix boundary (reference t=%d)", m.Now(), ref.Now())
+	}
+	if m.Len() != ref.Len() {
+		return fmt.Errorf("recovered %d states, reference has %d for the same prefix", m.Len(), ref.Len())
+	}
+	if got, want := m.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("recovered aux state diverges: %+v vs %+v", got, want)
+	}
+	return nil
+}
+
+// sameStep commits st to both monitors and compares the violations.
+// Committing a probe past both clocks is a behavioral, not just
+// structural, equivalence check: which violations it raises depends on
+// the full history.
+func sameStep(m, ref *monitor.Monitor, st step) error {
+	pv, err := m.Apply(st.t, st.tx)
+	if err != nil {
+		return fmt.Errorf("commit at t=%d on the recovered monitor: %w", st.t, err)
+	}
+	rv, err := ref.Apply(st.t, st.tx)
+	if err != nil {
+		return fmt.Errorf("commit at t=%d on the reference monitor: %w", st.t, err)
 	}
 	pk := make([]string, 0, len(pv))
 	for _, v := range pv {
@@ -360,7 +412,7 @@ func Run(cfg Config) (*Result, error) {
 		rk = append(rk, v.String())
 	}
 	if !reflect.DeepEqual(violationKey(pk), violationKey(rk)) {
-		return res, fmt.Errorf("seed %d: probe violations diverge: %v vs %v", cfg.Seed, pk, rk)
+		return fmt.Errorf("violations at t=%d diverge: %v vs %v", st.t, pk, rk)
 	}
-	return res, nil
+	return nil
 }

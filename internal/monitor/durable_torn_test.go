@@ -73,71 +73,6 @@ func TestShardedRecoverTruncatesTornJournals(t *testing.T) {
 	}
 }
 
-// TestShardedRecoverEveryTornSubset crashes a run at every (shard
-// subset, prefix length) combination the torn-tail model allows and
-// proves recovery always lands on a consistent global state: the
-// common prefix replayed, the tail gone, and the run completable.
-func TestShardedRecoverEveryTornSubset(t *testing.T) {
-	const shards = 3
-	trace := hrTrace(8)
-	full := len(trace)
-
-	for prefix := 0; prefix < full; prefix++ {
-		for mask := 1; mask < 1<<shards-1; mask++ { // proper nonempty subsets got the extra commit
-			dir := t.TempDir()
-			m1 := durableMonitor(t, shards)
-			logs1 := openJournals(t, dir, shards)
-			d1, err := NewDurableLogs(m1, logs1, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			d1.Attach()
-			for _, st := range trace[:prefix] {
-				if _, err := m1.Apply(st.t, st.tx); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The crash commit reaches only the journals in mask.
-			crashStep := trace[prefix]
-			parts := m1.Router().Split(crashStep.tx)
-			for i := 0; i < shards; i++ {
-				if mask&(1<<i) != 0 {
-					if err := logs1[i].AppendTx(crashStep.t, parts[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			closeJournals(t, logs1)
-
-			m2 := durableMonitor(t, shards)
-			logs2 := openJournals(t, dir, shards)
-			d2, err := NewDurableLogs(m2, logs2, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			applied, err := d2.Recover()
-			if err != nil {
-				t.Fatalf("prefix=%d mask=%b: Recover: %v", prefix, mask, err)
-			}
-			if applied != prefix {
-				t.Fatalf("prefix=%d mask=%b: applied %d, want %d", prefix, mask, applied, prefix)
-			}
-			d2.Attach()
-			// The run must be completable from the recovered state,
-			// re-committing the commit whose journaling tore.
-			for _, st := range trace[prefix:] {
-				if _, err := m2.Apply(st.t, st.tx); err != nil {
-					t.Fatalf("prefix=%d mask=%b: resume at t=%d: %v", prefix, mask, st.t, err)
-				}
-			}
-			if m2.Len() != full {
-				t.Fatalf("prefix=%d mask=%b: finished at len=%d, want %d", prefix, mask, m2.Len(), full)
-			}
-			closeJournals(t, logs2)
-		}
-	}
-}
-
 // TestDurableJournalValidation covers the constructor's journal checks:
 // none at all, or exactly one per shard, none of them nil.
 func TestDurableJournalValidation(t *testing.T) {

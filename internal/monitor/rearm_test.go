@@ -1,10 +1,8 @@
 package monitor
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,9 +15,9 @@ import (
 
 // The fault tests below put the fault filesystem under the last journal
 // only (see openJournals), so its op indexes are the same for one
-// journal and for several: open(1), header write(2)+sync(3), then a
-// write and a sync per append — 4 and 5 for the first commit, 6 and 7
-// for the second.
+// journal and for several: open(1), header write(2)+sync(3), the
+// directory's open(4), sync(5) and close(6), then a write and a sync
+// per append — 7 and 8 for the first commit, 9 and 10 for the second.
 
 // waitHealthy polls the health function until the status clears or the
 // deadline passes.
@@ -56,7 +54,7 @@ func TestRearmAfterTransientFailureResetsInPlace(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		snapPath := snapshotPath(dir)
-		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 6, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
+		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 9, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
 
 		m1 := durableMonitor(t, n)
 		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
@@ -95,9 +93,9 @@ func TestFreshSegmentRearmAfterBrokenLog(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
 		snapPath := snapshotPath(dir)
-		// Op 7 is the second append's fsync: the write lands, the sync
+		// Op 10 is the second append's fsync: the write lands, the sync
 		// fails, the journal latches broken.
-		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 7, Op: vfs.OpSync, Kind: vfs.SyncFailure})
+		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 10, Op: vfs.OpSync, Kind: vfs.SyncFailure})
 
 		m1 := durableMonitor(t, n)
 		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
@@ -146,8 +144,8 @@ var degradedFaults = []struct {
 	name string
 	inj  vfs.Injection
 }{
-	{"enospc", vfs.Injection{AtOp: 4, Op: vfs.OpWrite, Kind: vfs.ENOSPC}},
-	{"fsync", vfs.Injection{AtOp: 5, Op: vfs.OpSync, Kind: vfs.SyncFailure}},
+	{"enospc", vfs.Injection{AtOp: 7, Op: vfs.OpWrite, Kind: vfs.ENOSPC}},
+	{"fsync", vfs.Injection{AtOp: 8, Op: vfs.OpSync, Kind: vfs.SyncFailure}},
 }
 
 // TestCheckpointWhileDegradedRearms pins that Checkpoint is a re-arm
@@ -257,7 +255,7 @@ func TestShutdownCheckpointWhileDegraded(t *testing.T) {
 // replaced journal's close.
 func TestRotationDirSyncFailure(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
-		latch := vfs.Injection{AtOp: 5, Op: vfs.OpSync, Kind: vfs.SyncFailure}
+		latch := vfs.Injection{AtOp: 8, Op: vfs.OpSync, Kind: vfs.SyncFailure}
 		run := func(plan ...vfs.Injection) (*vfs.FaultFS, *Durable, string, uint64, error) {
 			dir := t.TempDir()
 			ffs := vfs.NewFaultFS(vfs.OS, plan...)
@@ -306,9 +304,9 @@ func TestRotationDirSyncFailure(t *testing.T) {
 func TestHaltPolicyCallsHaltOnce(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
-		// Op 5 is the first append's fsync: the journal latches broken and
+		// Op 8 is the first append's fsync: the journal latches broken and
 		// every later append to it fails too.
-		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 5, Op: vfs.OpSync, Kind: vfs.SyncFailure})
+		ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 8, Op: vfs.OpSync, Kind: vfs.SyncFailure})
 
 		m1 := durableMonitor(t, n)
 		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
@@ -327,118 +325,6 @@ func TestHaltPolicyCallsHaltOnce(t *testing.T) {
 		}
 		if m1.Len() != 2 {
 			t.Fatalf("commits under halt policy: Len = %d, want 2", m1.Len())
-		}
-	})
-}
-
-// crashRun drives one durable monitor over a fault filesystem shared by
-// every journal and the checkpoint: it commits the first steps of the
-// trace, runs during (the operation a crash is swept across), waits
-// for the filesystem to crash or the manager to be healthy, and
-// abandons everything. It returns the ops the filesystem saw before
-// and after during.
-func crashRun(t *testing.T, dir string, n, steps int, plan []vfs.Injection, during func(d *Durable)) (before, after uint64) {
-	t.Helper()
-	ffs := vfs.NewFaultFS(vfs.OS, plan...)
-	m := durableMonitor(t, n)
-	logs := make([]*wal.Log, n)
-	for i := range logs {
-		l, err := wal.Open(journalPath(dir, n, i), wal.WithFS(ffs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[i] = l
-	}
-	d := attachDurable(t, m, logs, snapshotPath(dir), WithDurableFS(ffs),
-		WithRearmBackoff(time.Millisecond, 4*time.Millisecond))
-	applyAll(t, m, hrTrace(steps))
-	before = ffs.OpCount()
-	during(d)
-	for end := time.Now().Add(10 * time.Second); !ffs.Crashed() && d.Health().Status != "ok"; {
-		if time.Now().After(end) {
-			t.Fatalf("neither crashed nor re-armed; health = %+v", d.Health())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	d.Stop()
-	return before, ffs.OpCount()
-}
-
-// checkRecoversWholeTrace recovers dir on the real filesystem and
-// requires the state of an uninterrupted run over the same steps, then
-// finishes a longer trace on both to compare behaviour, not just
-// counters — journaling it, so that a second crash and recovery also
-// proves the journals were left aligned (a journal may still start with
-// records the checkpoint covers).
-func checkRecoversWholeTrace(t *testing.T, dir string, n, steps int, label string) {
-	t.Helper()
-	trace := hrTrace(steps + 6)
-	ref := durableMonitor(t, n)
-	applyAll(t, ref, trace[:steps])
-	m, d, _ := recoverFrom(t, dir, n, snapshotPath(dir))
-	if m.Len() != steps || m.Now() != ref.Now() || !reflect.DeepEqual(m.Stats(), ref.Stats()) {
-		t.Fatalf("%s: recovered Len=%d Now=%d stats=%+v, want %d/%d %+v",
-			label, m.Len(), m.Now(), m.Stats(), steps, ref.Now(), ref.Stats())
-	}
-	d.Attach()
-	got, want := applyAll(t, m, trace[steps:]), applyAll(t, ref, trace[steps:])
-	if !reflect.DeepEqual(violationKeys(got), violationKeys(want)) {
-		t.Fatalf("%s: post-recovery violations = %v, want %v", label, violationKeys(got), violationKeys(want))
-	}
-	m, _, _ = recoverFrom(t, dir, n, snapshotPath(dir))
-	if m.Len() != len(trace) || !reflect.DeepEqual(m.Stats(), ref.Stats()) {
-		t.Fatalf("%s: second recovery reached Len=%d stats=%+v, want %d %+v",
-			label, m.Len(), m.Stats(), len(trace), ref.Stats())
-	}
-}
-
-// TestCheckpointCrashSweep crashes the disk at every filesystem op of
-// one checkpoint — snapshot temp file, fsync, rename, then one reset
-// per journal — and recovers on a clean filesystem. After the rename
-// the journals are reset one at a time, so a crash between two resets
-// leaves journals of different lengths whose surplus the checkpoint
-// covers; recovery must filter by the checkpoint's clock before it
-// compares journals, or it would see a torn tail and truncate.
-func TestCheckpointCrashSweep(t *testing.T) {
-	const steps = 7
-	forJournalCounts(t, func(t *testing.T, n int) {
-		checkpoint := func(d *Durable) { d.Checkpoint() }
-		first, last := crashRun(t, t.TempDir(), n, steps, nil, checkpoint)
-		if last-first < uint64(3+2*n) {
-			t.Fatalf("a checkpoint over %d journals took %d ops; the sweep is not covering it", n, last-first)
-		}
-		for op := first + 1; op <= last; op++ {
-			dir := t.TempDir()
-			crashRun(t, dir, n, steps, []vfs.Injection{{AtOp: op, Kind: vfs.Crash}}, checkpoint)
-			checkRecoversWholeTrace(t, dir, n, steps, fmt.Sprintf("crash at op %d", op))
-		}
-	})
-}
-
-// TestFreshRearmCrashSweep does the same for one re-arm over a latched
-// journal: the last journal's final fsync fails (the record itself
-// landed), the rotation opens a staging segment beside it, writes the
-// checkpoint, resets the other journals in place and renames the
-// segment over the latched one — and the disk crashes at every op of
-// that sequence in turn.
-func TestFreshRearmCrashSweep(t *testing.T) {
-	const steps = 5
-	forJournalCounts(t, func(t *testing.T, n int) {
-		// The last op of the last commit is the last journal's fsync.
-		_, latchOp := crashRun(t, t.TempDir(), n, steps, nil, func(*Durable) {})
-		latch := vfs.Injection{AtOp: latchOp, Op: vfs.OpSync, Kind: vfs.SyncFailure}
-		_, last := crashRun(t, t.TempDir(), n, steps, []vfs.Injection{latch}, func(d *Durable) {
-			if h := waitHealthy(t, d.Health); h.Rearms != 1 {
-				t.Fatalf("calibration run did not re-arm once: %+v", h)
-			}
-		})
-		if last-latchOp < uint64(3+5*n) {
-			t.Fatalf("a fresh-segment re-arm over %d journals took %d ops; the sweep is not covering it", n, last-latchOp)
-		}
-		for op := latchOp + 1; op <= last; op++ {
-			dir := t.TempDir()
-			crashRun(t, dir, n, steps, []vfs.Injection{latch, {AtOp: op, Kind: vfs.Crash}}, func(*Durable) {})
-			checkRecoversWholeTrace(t, dir, n, steps, fmt.Sprintf("crash at op %d", op))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io/fs"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"syscall"
@@ -174,8 +175,10 @@ type Fired struct {
 // FaultFS wraps an FS and injects faults from a schedule, counting
 // every faultable operation (opens, writes, syncs, truncates, closes,
 // renames, removes, directory lists, stats — reads are always
-// reliable) so failures are reproducible run to run. Safe for
-// concurrent use; the count orders concurrent ops in arrival order.
+// reliable) so failures are reproducible run to run. It also records
+// what each op changed on disk, from which Images rebuilds the disks a
+// power cut may leave. Safe for concurrent use; the count orders
+// concurrent ops in arrival order.
 type FaultFS struct {
 	inner FS
 
@@ -184,12 +187,13 @@ type FaultFS struct {
 	plan    map[uint64]Injection
 	crashed bool
 	fired   []Fired
+	model
 }
 
 // NewFaultFS wraps inner with the given fault plan. Injections sharing
 // an op index keep the last one.
 func NewFaultFS(inner FS, plan ...Injection) *FaultFS {
-	f := &FaultFS{inner: inner, plan: make(map[uint64]Injection, len(plan))}
+	f := &FaultFS{inner: inner, plan: make(map[uint64]Injection, len(plan)), model: newModel()}
 	for _, inj := range plan {
 		f.plan[inj.AtOp] = inj
 	}
@@ -229,20 +233,25 @@ func (f *FaultFS) Crashed() bool {
 
 // check counts one operation and decides its fate: err non-nil fails
 // it, short true tears a write (only ever set for OpWrite).
-func (f *FaultFS) check(op Op, path string) (short bool, err error) {
+// check counts one operation and decides its fate: err non-nil fails
+// it, short true tears a write (only ever set for OpWrite). n is the
+// op's index, under which the crash model records what it changed.
+func (f *FaultFS) check(op Op, path string) (n uint64, short bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops++
+	n = f.ops
+	f.recs = append(f.recs, rec{op: op, path: path})
 	if f.crashed {
-		return false, &fs.PathError{Op: op.String(), Path: path, Err: ErrCrashed}
+		return n, false, &fs.PathError{Op: op.String(), Path: path, Err: ErrCrashed}
 	}
-	inj, ok := f.plan[f.ops]
+	inj, ok := f.plan[n]
 	if !ok || (inj.Op != OpAny && inj.Op != op) {
-		return false, nil
+		return n, false, nil
 	}
-	f.fired = append(f.fired, Fired{AtOp: f.ops, Op: op, Kind: inj.Kind, Path: path})
-	fail := func(errno error) (bool, error) {
-		return false, &fs.PathError{Op: op.String(), Path: path, Err: errno}
+	f.fired = append(f.fired, Fired{AtOp: n, Op: op, Kind: inj.Kind, Path: path})
+	fail := func(errno error) (uint64, bool, error) {
+		return n, false, &fs.PathError{Op: op.String(), Path: path, Err: errno}
 	}
 	switch inj.Kind {
 	case ENOSPC:
@@ -251,17 +260,14 @@ func (f *FaultFS) check(op Op, path string) (short bool, err error) {
 		return fail(syscall.EIO)
 	case ShortWrite:
 		if op == OpWrite {
-			return true, nil
+			return n, true, nil
 		}
 		return fail(syscall.EIO)
 	case SyncFailure:
-		if op == OpSync {
-			return fail(syscall.EIO)
-		}
 		return fail(syscall.EIO)
 	case Crash:
 		f.crashed = true
-		return false, &fs.PathError{Op: op.String(), Path: path, Err: ErrCrashed}
+		return n, false, &fs.PathError{Op: op.String(), Path: path, Err: ErrCrashed}
 	default:
 		return fail(syscall.EIO)
 	}
@@ -270,35 +276,72 @@ func (f *FaultFS) check(op Op, path string) (short bool, err error) {
 // OpenFile counts one open; a fresh fault-wrapped file is returned on
 // success.
 func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	if _, err := f.check(OpOpen, name); err != nil {
+	n, _, err := f.check(OpOpen, name)
+	if err != nil {
 		return nil, err
 	}
+	existed := f.known(name)
 	inner, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: inner, fs: f}, nil
+	ff := &faultFile{File: inner, fs: f, ino: -1}
+	if st, err := inner.Stat(); err == nil && st.IsDir() {
+		return ff, nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case !existed:
+		ff.ino = f.create(n, name)
+	case flag&os.O_TRUNC != 0:
+		ff.ino = f.names[name]
+		f.note(n, rec{change: chTruncate, ino: ff.ino})
+	default:
+		ff.ino = f.names[name]
+	}
+	return ff, nil
 }
 
 // Rename counts one rename.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if _, err := f.check(OpRename, oldpath); err != nil {
+	n, _, err := f.check(OpRename, oldpath)
+	if err != nil {
 		return err
 	}
-	return f.inner.Rename(oldpath, newpath)
+	f.known(oldpath)
+	f.known(newpath)
+	if err := f.inner.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.note(n, rec{change: chRename, to: newpath, ino: f.names[oldpath]})
+	f.names[newpath] = f.names[oldpath]
+	delete(f.names, oldpath)
+	return nil
 }
 
 // Remove counts one remove.
 func (f *FaultFS) Remove(name string) error {
-	if _, err := f.check(OpRemove, name); err != nil {
+	n, _, err := f.check(OpRemove, name)
+	if err != nil {
 		return err
 	}
-	return f.inner.Remove(name)
+	f.known(name)
+	if err := f.inner.Remove(name); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.note(n, rec{change: chRemove})
+	delete(f.names, name)
+	return nil
 }
 
 // ReadDir counts one directory list.
 func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
-	if _, err := f.check(OpReadDir, name); err != nil {
+	if _, _, err := f.check(OpReadDir, name); err != nil {
 		return nil, err
 	}
 	return f.inner.ReadDir(name)
@@ -306,7 +349,7 @@ func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
 
 // Stat counts one stat.
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
-	if _, err := f.check(OpStat, name); err != nil {
+	if _, _, err := f.check(OpStat, name); err != nil {
 		return nil, err
 	}
 	return f.inner.Stat(name)
@@ -318,11 +361,12 @@ func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 // read-side damage is the WAL checksum layer's department.
 type faultFile struct {
 	File
-	fs *FaultFS
+	fs  *FaultFS
+	ino int // the crash model's file; -1 for a directory
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	short, err := f.fs.check(OpWrite, f.Name())
+	n, short, err := f.fs.check(OpWrite, f.Name())
 	if err != nil {
 		return 0, err
 	}
@@ -330,32 +374,57 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		// Accept a strict prefix and report it without an error, as a
 		// real filesystem can on a full disk: the caller's n != len(p)
 		// check is what must catch this.
-		n := len(p) - (len(p)+1)/2
-		wrote, werr := f.File.Write(p[:n])
-		if werr != nil {
-			return wrote, werr
-		}
-		return wrote, nil
+		p = p[:len(p)-(len(p)+1)/2]
 	}
-	return f.File.Write(p)
+	wrote, werr := f.File.Write(p)
+	if wrote > 0 {
+		// Every writer of the durable path writes at the end of the
+		// file, so the size after the write places it.
+		st, serr := f.File.Stat()
+		if serr != nil {
+			return wrote, serr
+		}
+		f.fs.mu.Lock()
+		f.fs.note(n, rec{change: chWrite, ino: f.ino, off: st.Size() - int64(wrote), data: append([]byte(nil), p[:wrote]...)})
+		f.fs.mu.Unlock()
+	}
+	return wrote, werr
 }
 
 func (f *faultFile) Sync() error {
-	if _, err := f.fs.check(OpSync, f.Name()); err != nil {
+	n, _, err := f.fs.check(OpSync, f.Name())
+	if err != nil {
 		return err
 	}
-	return f.File.Sync()
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.ino < 0 {
+		f.fs.note(n, rec{change: chSyncDir})
+	} else {
+		f.fs.note(n, rec{change: chSyncFile, ino: f.ino})
+	}
+	return nil
 }
 
 func (f *faultFile) Truncate(size int64) error {
-	if _, err := f.fs.check(OpTruncate, f.Name()); err != nil {
+	n, _, err := f.fs.check(OpTruncate, f.Name())
+	if err != nil {
 		return err
 	}
-	return f.File.Truncate(size)
+	if err := f.File.Truncate(size); err != nil {
+		return err
+	}
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	f.fs.note(n, rec{change: chTruncate, ino: f.ino, off: size})
+	return nil
 }
 
 func (f *faultFile) Close() error {
-	if _, err := f.fs.check(OpClose, f.Name()); err != nil {
+	if _, _, err := f.fs.check(OpClose, f.Name()); err != nil {
 		return err
 	}
 	return f.File.Close()

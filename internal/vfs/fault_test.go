@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -164,5 +166,61 @@ func TestFaultOpCountMatchesSequence(t *testing.T) {
 	ffs.Remove(filepath.Join(dir, "y"))                          // 9
 	if got := ffs.OpCount(); got != 9 {
 		t.Fatalf("OpCount = %d, want 9", got)
+	}
+}
+
+// TestCrashImages pins the crash model: a file keeps its synced bytes
+// plus any prefix of the writes since, and a directory its synced
+// entries plus any prefix of the creates, renames and removes since.
+func TestCrashImages(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(OS)
+	f := openAppend(t, ffs, filepath.Join(dir, "a")) // op 1: create a
+	write := func(s string) {
+		t.Helper()
+		if _, err := f.Write([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("x")                       // op 2
+	if err := f.Sync(); err != nil { // op 3
+		t.Fatal(err)
+	}
+	write("y")                                // op 4
+	if err := SyncDir(ffs, dir); err != nil { // ops 5-7: the entry of a is durable
+		t.Fatal(err)
+	}
+	if err := ffs.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); err != nil { // op 8
+		t.Fatal(err)
+	}
+	images := func(j uint64) []string {
+		var out []string
+		for _, im := range ffs.Images(dir, j) {
+			var files []string
+			for p, b := range im {
+				files = append(files, p+"="+string(b))
+			}
+			sort.Strings(files)
+			out = append(out, strings.Join(files, ","))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		j    uint64
+		want []string
+	}{
+		{1, []string{""}},                           // nothing ran
+		{2, []string{"", "a="}},                     // the create may be lost
+		{4, []string{"", "a=x"}},                    // the sync kept x, not the entry
+		{5, []string{"", "a=x", "a=xy"}},            // y is unsynced
+		{8, []string{"a=x", "a=xy"}},                // the directory sync kept a
+		{9, []string{"a=x", "a=xy", "b=x", "b=xy"}}, // the rename is unsynced
+	} {
+		if got := images(c.j); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("cut before op %d: images %q, want %q", c.j, got, c.want)
+		}
+	}
+	if op, path := ffs.OpAt(8); op != OpRename || path != filepath.Join(dir, "a") {
+		t.Errorf("OpAt(8) = %s %s, want the rename of a", op, path)
 	}
 }

@@ -308,9 +308,10 @@ func TestBrokenLatchAfterFailedRollback(t *testing.T) {
 // the successful records.
 func TestLiveENOSPCRollsBackAndHeals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "live.wal")
-	// Ops: open=1, header write=2, header sync=3; append k is write,
-	// then sync (SyncAlways). Fail the second append's write (op 6).
-	ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 6, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
+	// Ops: open=1, header write=2, header sync=3, directory open,
+	// sync and close=4-6; append k is write, then sync (SyncAlways).
+	// Fail the second append's write (op 9).
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 9, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
 	l, err := Open(path, WithFS(ffs))
 	if err != nil {
 		t.Fatal(err)
@@ -346,12 +347,13 @@ func TestLiveENOSPCRollsBackAndHeals(t *testing.T) {
 // truncate it away and recover the clean prefix.
 func TestLiveShortWriteTearTruncatedOnReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.wal")
-	// Ops: open=1, header write=2, header sync=3, append1 write=4,
-	// append1 sync=5. Tear append2's write (op 6) and crash on the
-	// rollback truncate (op 7): the partial frame stays on disk.
+	// Ops: open=1, header write=2, header sync=3, directory open, sync
+	// and close=4-6, append1 write=7, append1 sync=8. Tear append2's
+	// write (op 9) and crash on the rollback truncate (op 10): the
+	// partial frame stays on disk.
 	ffs := vfs.NewFaultFS(vfs.OS,
-		vfs.Injection{AtOp: 6, Op: vfs.OpWrite, Kind: vfs.ShortWrite},
-		vfs.Injection{AtOp: 7, Kind: vfs.Crash},
+		vfs.Injection{AtOp: 9, Op: vfs.OpWrite, Kind: vfs.ShortWrite},
+		vfs.Injection{AtOp: 10, Kind: vfs.Crash},
 	)
 	l, err := Open(path, WithFS(ffs))
 	if err != nil {
@@ -399,15 +401,59 @@ func TestLiveShortWriteTearTruncatedOnReopen(t *testing.T) {
 	}
 }
 
+// TestOpenSyncsFreshLogDirectory pins that a log Open creates survives
+// a power cut with its directory entry: on the disk that keeps only
+// what was synced, an acknowledged record is still there. Reopening an
+// existing log syncs nothing.
+func TestOpenSyncsFreshLogDirectory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fresh.wal")
+	ffs := vfs.NewFaultFS(vfs.OS)
+	l, err := Open(path, WithFS(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("acknowledged")); err != nil {
+		t.Fatal(err)
+	}
+	strict := ffs.Images(dir, ffs.OpCount()+1)[0]
+	if got, want := len(strict["fresh.wal"]), headerSize+frameHeaderSize+len("acknowledged"); got != want {
+		t.Fatalf("a power cut leaves %d bytes of the journal, want %d", got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := vfs.NewFaultFS(vfs.OS)
+	l, err = Open(path, WithFS(reopen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if n := reopen.OpCount(); n != 1 {
+		t.Fatalf("reopening an existing log took %d ops, want its open alone", n)
+	}
+}
+
+// TestLiveShortHeaderWriteFailsOpen tears a fresh log's header: Open
+// must fail rather than hand out a log whose file is shorter than the
+// header it counts.
+func TestLiveShortHeaderWriteFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fresh.wal")
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 2, Op: vfs.OpWrite, Kind: vfs.ShortWrite})
+	if _, err := Open(path, WithFS(ffs)); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Open over a torn header: %v, want a short write", err)
+	}
+}
+
 // TestLiveBatchFlusherFailureSurfacesAtPointOfFailure pins the
 // satellite fix: an injected fsync error on the background flusher must
 // fire the failure handler immediately (not on the next append), and
 // the next Append must still surface the latched error.
 func TestLiveBatchFlusherFailureSurfacesAtPointOfFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.wal")
-	// Ops: open=1, header write=2, header sync=3, append write=4,
-	// flusher sync=5 — fail it.
-	ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 5, Op: vfs.OpSync, Kind: vfs.SyncFailure})
+	// Ops: open=1, header write=2, header sync=3, directory open, sync
+	// and close=4-6, append write=7, flusher sync=8 — fail it.
+	ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 8, Op: vfs.OpSync, Kind: vfs.SyncFailure})
 	failed := make(chan error, 1)
 	l, err := Open(path,
 		WithFS(ffs),

@@ -214,6 +214,14 @@ func Open(path string, opts ...Option) (*Log, error) {
 		f.Close() //rtic:errok recovery scan failed; its error supersedes closing the unused handle
 		return nil, err
 	}
+	if st.Size() == 0 {
+		// A fresh journal's name must survive a power cut as its records
+		// do: until its directory is synced, a crash may unlink it.
+		if err := vfs.SyncDir(o.fs, filepath.Dir(path)); err != nil {
+			l.Close() //rtic:errok the directory sync failed; its error supersedes closing the unused log
+			return nil, fmt.Errorf("wal: syncing directory of %s: %w", path, err)
+		}
+	}
 	return l, nil
 }
 
@@ -228,7 +236,10 @@ func newLog(f file, path string, size int64, o logOptions) (*Log, error) {
 	}
 	l := &Log{path: path, policy: o.policy, metrics: o.metrics, spans: o.spans, fs: o.fs, f: f, size: size}
 	if size == 0 {
-		if _, err := f.Write(magic[:]); err != nil {
+		if n, err := f.Write(magic[:]); err != nil || n != headerSize {
+			if err == nil {
+				err = io.ErrShortWrite
+			}
 			return nil, fmt.Errorf("wal: writing header: %w", err)
 		}
 		if err := f.Sync(); err != nil {
