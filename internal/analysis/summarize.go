@@ -422,6 +422,8 @@ func allowedExternal(fn *types.Func) bool {
 		}
 	case "strconv":
 		return strings.HasPrefix(fn.Name(), "Append")
+	case "encoding/binary":
+		return strings.HasPrefix(fn.Name(), "Append") || strings.HasPrefix(fn.Name(), "Put")
 	case "time":
 		switch fn.Name() {
 		case "Seconds", "Nanoseconds", "Milliseconds", "Microseconds":

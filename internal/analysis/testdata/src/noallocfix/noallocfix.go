@@ -3,6 +3,8 @@
 // Diagnostics expected by the harness are marked with want comments.
 package noallocfix
 
+import "encoding/binary"
+
 //rtic:noalloc
 func cleanAdd(a, b int) int { return a + b }
 
@@ -49,3 +51,13 @@ func boxes(v int) {
 }
 
 func blackhole(x any) { _ = x }
+
+// binaryAppends exercises the encoding/binary allowance: varints and
+// fixed-width integers written into the caller's buffer.
+//
+//rtic:noalloc
+func binaryAppends(buf []byte, v uint64) []byte {
+	buf = binary.AppendUvarint(buf, v)
+	binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+	return buf
+}

@@ -28,11 +28,14 @@ var poison = value.Str("\x00poisoned")
 // router over core and naive, one engine commits every history from
 // fresh transactions and its twin commits it from one transaction,
 // refilled before and scribbled over after every Step, as the server's
-// sessions reuse theirs. The twins must report the same violation
-// multiset at every step; the violations each twin returned earlier
-// must still read as they did when returned; and the final base state,
-// and Stats where the engine has them, must agree. Histories: the CDC
-// corpus and the first 50 random legs of TestDifferentialGenerated.
+// sessions reuse theirs. The router's own parts are reused too — it
+// empties and refills them at every commit — so the two-shard leg's
+// fresh twin is core alone, which reads nothing the router reuses. The
+// twins must report the same violation multiset at every step; the
+// violations each twin returned earlier must still read as they did
+// when returned; and the final base state, and Stats where the engine
+// has them, must agree. Histories: the CDC corpus and the first 50
+// random legs of TestDifferentialGenerated.
 func TestBorrowedTransaction(t *testing.T) {
 	t.Parallel()
 	var corpus []workload.History
@@ -43,19 +46,21 @@ func TestBorrowedTransaction(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		corpus = append(corpus, generatedPair(seed))
 	}
+	mkCore := func(s *schema.Schema) (engine.Engine, error) { return core.New(s), nil }
+	mkNaive := func(s *schema.Schema) (engine.Engine, error) { return naive.New(s), nil }
 	engines := []struct {
-		label string
-		make  func(*schema.Schema) (engine.Engine, error)
+		label         string
+		fresh, reused func(*schema.Schema) (engine.Engine, error)
 	}{
-		{"core", func(s *schema.Schema) (engine.Engine, error) { return core.New(s), nil }},
-		{"core/shards=2", func(s *schema.Schema) (engine.Engine, error) { return shard.Build(s, 2) }},
-		{"naive", func(s *schema.Schema) (engine.Engine, error) { return naive.New(s), nil }},
+		{"core", mkCore, mkCore},
+		{"core/shards=2", mkCore, func(s *schema.Schema) (engine.Engine, error) { return shard.Build(s, 2) }},
+		{"naive", mkNaive, mkNaive},
 	}
 	for _, e := range engines {
 		t.Run(e.label, func(t *testing.T) {
 			t.Parallel()
 			for i, h := range corpus {
-				if err := borrowed(h, e.make); err != nil {
+				if err := borrowed(h, e.fresh, e.reused); err != nil {
 					t.Fatalf("history %d (constraints %v): %v", i, h.Constraints, err)
 				}
 			}
@@ -63,12 +68,12 @@ func TestBorrowedTransaction(t *testing.T) {
 	}
 }
 
-// borrowed runs h through two engines from mk, one on fresh
-// transactions and one on a single reused and poisoned transaction,
-// and returns the first difference between them.
-func borrowed(h workload.History, mk func(*schema.Schema) (engine.Engine, error)) error {
+// borrowed runs h through two engines, one from mkFresh on fresh
+// transactions and one from mkReused on a single reused and poisoned
+// transaction, and returns the first difference between them.
+func borrowed(h workload.History, mkFresh, mkReused func(*schema.Schema) (engine.Engine, error)) error {
 	var pair [2]engine.Engine
-	for i := range pair {
+	for i, mk := range []func(*schema.Schema) (engine.Engine, error){mkFresh, mkReused} {
 		eng, err := mk(h.Schema)
 		if err != nil {
 			return err
@@ -128,7 +133,14 @@ func borrowed(h workload.History, mk func(*schema.Schema) (engine.Engine, error)
 		}
 	}
 	if f, ok := fresh.(checker); ok {
-		if a, b := f.Stats(), reused.(checker).Stats(); !reflect.DeepEqual(a, b) {
+		a, b := f.Stats(), reused.(checker).Stats()
+		if reflect.TypeOf(fresh) != reflect.TypeOf(reused) {
+			// A router counts every shard's copy of a node and reports
+			// no per-node figures; its entries and timestamps are exact.
+			a = core.Stats{Entries: a.Entries, Timestamps: a.Timestamps}
+			b = core.Stats{Entries: b.Entries, Timestamps: b.Timestamps}
+		}
+		if !reflect.DeepEqual(a, b) {
 			return fmt.Errorf("final stats: fresh %+v, reused %+v", a, b)
 		}
 	}

@@ -86,21 +86,25 @@ func WithRearmBackoff(min, max time.Duration) DurableOption {
 // Crash-safety argument: a commit appends exactly one record to every
 // journal (empty sub-transactions included) under the commit lock,
 // before the next commit can start, so the journals always hold every
-// accepted transaction since the last checkpoint, record j of every
-// journal carries the same timestamp, and a crash can tear that
-// alignment only at the tail — some journals got the last commit,
-// others did not. A rotation writes the snapshot to a temp file,
-// fsyncs, renames it over the live path, and only then empties the
-// journals one by one — a crash before the rename leaves the old
-// checkpoint plus journals that cover everything after it; a crash
-// after the rename, before or between the journals, leaves records the
-// recovery skips by timestamp (timestamps are strictly increasing, so
-// "t at or before the checkpoint's clock" identifies them exactly).
+// accepted transaction since the last checkpoint and record j of every
+// journal carries the same timestamp. A crash can tear that alignment
+// only at the tails. Under wal.SyncAlways every append is fsynced before
+// the next commit, so the journals differ by the last commit at most:
+// some got it, others did not. Under wal.SyncBatch a power cut keeps any
+// prefix of each journal's unsynced records, so the journals can end
+// several commits apart, either one ahead. A rotation writes the
+// snapshot to a temp file, fsyncs, renames it over the live path, and
+// only then empties the journals one by one — a crash before the
+// rename leaves the old checkpoint plus journals that cover everything
+// after it; a crash after the rename, before or between the journals,
+// leaves records the recovery skips by timestamp (timestamps are
+// strictly increasing, so "t at or before the checkpoint's clock"
+// identifies them exactly).
 // Recovery therefore drops the covered records of each journal first,
 // then replays the common prefix of what remains, verifying the
 // timestamps agree record by record, and truncates the longer journals
-// back to that prefix — discarding at most the final, partially
-// journaled commit.
+// back to that prefix — discarding only commits that did not reach
+// every journal's disk.
 //
 // One rotation is the only code that empties journals: it writes the
 // snapshot atomically, then empties every journal — Reset in place
@@ -130,7 +134,8 @@ type Durable struct {
 	backoffMax time.Duration
 
 	// one is the journal hook's parts slice when there is one journal:
-	// the transaction passes whole, with no Split and no allocation. The
+	// the transaction passes whole. With several, the hook journals the
+	// parts the router split the commit into (shard.Router.Parts). The
 	// hook runs under the commit lock, so it has a single user.
 	one [1]*storage.Transaction
 
@@ -391,7 +396,7 @@ func (d *Durable) journalHook(t uint64, tx *storage.Transaction) {
 	if rtr := d.m.rtr; rtr == nil {
 		parts[0] = tx
 	} else {
-		parts = rtr.Split(tx)
+		parts = rtr.Parts()
 	}
 	var firstErr error
 	for i, part := range parts {

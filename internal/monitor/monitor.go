@@ -29,7 +29,7 @@ import (
 type Monitor struct {
 	mu     sync.Mutex
 	eng    shard.Checker
-	rtr    *shard.Router // eng when sharded, else nil: Split, Shards, Router
+	rtr    *shard.Router // eng when sharded, else nil: Parts, Shards, Router
 	schema *schema.Schema
 	// obs is read without the commit lock — Apply, publish, the server and
 	// the durability hooks all load it — and stored under it, beside the

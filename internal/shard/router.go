@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strconv"
@@ -53,6 +52,9 @@ type Router struct {
 
 	engines  []engine.Engine
 	conIndex map[string]int
+	parts    []*storage.Transaction // the last commit's split, one per shard (Parts)
+	outs     [][]check.Violation    // per-shard reports of the commit in progress
+	durs     []time.Duration        // per-shard sub-commit times of the commit in progress
 	started  bool
 	now      uint64
 	index    int
@@ -232,6 +234,12 @@ func (r *Router) adopt(engines []engine.Engine) {
 		r.conIndex[con.Name] = i
 	}
 	r.engines = engines
+	r.parts = make([]*storage.Transaction, r.n)
+	for i := range r.parts {
+		r.parts[i] = storage.NewTransaction()
+	}
+	r.outs = make([][]check.Violation, r.n)
+	r.durs = make([]time.Duration, r.n)
 }
 
 // ShardFor returns the shard owning tup in rel under the current plan.
@@ -245,25 +253,57 @@ func (r *Router) ShardFor(rel string, tup tuple.Tuple) int {
 	return shardOf(tup[p.Column], r.n)
 }
 
-// shardOf hashes one partition-key value onto [0, n).
+// FNV-1a's 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// shardOf hashes one partition-key value onto [0, n): FNV-1a over the
+// bytes of v.Key(), read in place — an int's decimal digits from a
+// stack buffer, a string's payload where it lies — so routing a row
+// allocates nothing. Snapshots and journals depend on the assignment;
+// TestShardOfMatchesFNV holds it to hash/fnv over v.Key().
+//
+//rtic:noalloc
 func shardOf(v value.Value, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(v.Key()))
-	return int(h.Sum64() % uint64(n))
+	h := uint64(fnvOffset64)
+	if v.Kind() == value.KindInt {
+		var buf [24]byte
+		for _, c := range v.AppendKey(buf[:0]) {
+			h = (h ^ uint64(c)) * fnvPrime64
+		}
+	} else {
+		h = (h ^ 's') * fnvPrime64
+		s := v.AsString()
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime64
+		}
+	}
+	return int(h % uint64(n))
 }
 
-// Split routes tx's operations into one sub-transaction per shard
-// (empty ones included — every shard commits at every timestamp).
-// Relative op order is preserved within each shard, which is enough:
-// ops on the same tuple always land on the same shard.
+// Split routes tx's operations into one fresh sub-transaction per shard
+// (empty ones included — every shard commits at every timestamp). It is
+// the allocating form of the routing a commit does into the router's
+// own parts (see Parts).
 func (r *Router) Split(tx *storage.Transaction) []*storage.Transaction {
 	parts := make([]*storage.Transaction, r.n)
 	for i := range parts {
 		parts[i] = storage.NewTransaction()
 	}
-	if tx == nil {
-		return parts
+	if tx != nil {
+		r.route(tx, parts)
 	}
+	return parts
+}
+
+// route appends each of tx's operations to the part of the shard that
+// owns its tuple. Relative op order is preserved within each shard,
+// which is enough: ops on the same tuple always land on the same shard.
+//
+//rtic:noalloc
+func (r *Router) route(tx *storage.Transaction, parts []*storage.Transaction) {
 	for _, op := range tx.Ops() {
 		p := parts[r.ShardFor(op.Rel, op.Tuple)]
 		if op.Insert {
@@ -272,8 +312,15 @@ func (r *Router) Split(tx *storage.Transaction) []*storage.Transaction {
 			p.Delete(op.Rel, op.Tuple)
 		}
 	}
-	return parts
 }
+
+// Parts returns the sub-transactions of the last commit, by shard: the
+// transaction itself for one shard, otherwise the router's own parts,
+// which the next Step empties and refills. Like a transaction an engine
+// borrows (engine.Engine), they are valid until the next Step, and only
+// after a Step that returned no error. The journal reads them under the
+// commit lock, so a sharded commit is split once.
+func (r *Router) Parts() []*storage.Transaction { return r.parts }
 
 // Step commits one transaction across the shards and merges their
 // violation reports. Validation (schema, timestamp monotonicity)
@@ -324,6 +371,10 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 		if m != nil && tx != nil && tx.Len() > 0 {
 			r.perShard[0].opsRouted.Add(uint64(tx.Len()))
 		}
+		if tx == nil {
+			tx = storage.NewTransaction()
+		}
+		r.parts[0] = tx
 	} else {
 		// Validate before any shard applies anything: a rejected
 		// transaction must leave every shard untouched.
@@ -336,18 +387,19 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 		if err := tx.Validate(r.schema); err != nil {
 			return nil, err
 		}
-		parts := r.Split(tx)
+		for _, p := range r.parts {
+			p.Reset()
+		}
+		r.route(tx, r.parts)
 		if m != nil {
-			for i, p := range parts {
-				if n := len(p.Ops()); n > 0 {
+			for i, p := range r.parts {
+				if n := p.Len(); n > 0 {
 					r.perShard[i].opsRouted.Add(uint64(n))
 				}
 			}
 		}
-		outs := make([][]check.Violation, r.n)
-		durs := make([]time.Duration, r.n)
 		for i := range r.engines {
-			out, sp, d, err := r.stepOne(i, t, parts[i], m, span != nil)
+			out, sp, d, err := r.stepOne(i, t, r.parts[i], m, span != nil)
 			if sp != nil {
 				span.Children = append(span.Children, sp)
 			}
@@ -355,14 +407,14 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 				r.broken = fmt.Errorf("shard %d: %w", i, err)
 				return nil, r.broken
 			}
-			outs[i], durs[i] = out, d
+			r.outs[i], r.durs[i] = out, d
 		}
 		if m != nil {
-			if skew := shardSkew(durs); skew > 0 {
+			if skew := shardSkew(r.durs); skew > 0 {
 				m.ShardSkew.Set(skew)
 			}
 		}
-		vs = r.merge(outs)
+		vs = r.merge(r.outs)
 	}
 	r.started = true
 	r.now = t
@@ -427,6 +479,9 @@ func (r *Router) merge(outs [][]check.Violation) []check.Violation {
 	var vs []check.Violation
 	for _, out := range outs {
 		vs = append(vs, out...)
+	}
+	if len(vs) < 2 {
+		return vs
 	}
 	sort.SliceStable(vs, func(i, j int) bool {
 		ci, cj := r.conIndex[vs[i].Constraint], r.conIndex[vs[j].Constraint]

@@ -55,7 +55,7 @@ func (v Value) Kind() Kind { return v.kind }
 // v.Kind() == KindInt.
 func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
-		panic("value: AsInt on " + v.kind.String())
+		panic("value: AsInt on " + v.kind.String()) //rtic:allocok cold path: a kind mismatch is a caller bug
 	}
 	return v.i
 }
@@ -64,7 +64,7 @@ func (v Value) AsInt() int64 {
 // v.Kind() == KindString.
 func (v Value) AsString() string {
 	if v.kind != KindString {
-		panic("value: AsString on " + v.kind.String())
+		panic("value: AsString on " + v.kind.String()) //rtic:allocok cold path: a kind mismatch is a caller bug
 	}
 	return v.s
 }
@@ -208,19 +208,32 @@ func (v Value) Size() int {
 // MarshalBinary encodes the value for gob/binary transport: a kind byte
 // followed by the payload (big-endian int64 or raw string bytes).
 func (v Value) MarshalBinary() ([]byte, error) {
+	return v.AppendBinary(make([]byte, 0, v.BinaryLen())), nil
+}
+
+// AppendBinary appends the MarshalBinary encoding of v to dst and
+// returns the extended slice — the form the WAL encodes records with,
+// into a buffer it reuses.
+//
+//rtic:noalloc
+func (v Value) AppendBinary(dst []byte) []byte {
 	if v.kind == KindInt {
-		buf := make([]byte, 9)
-		buf[0] = byte(KindInt)
 		u := uint64(v.i)
-		for k := 0; k < 8; k++ {
-			buf[1+k] = byte(u >> (56 - 8*k))
-		}
-		return buf, nil
+		return append(dst, byte(KindInt),
+			byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
+			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 	}
-	buf := make([]byte, 1+len(v.s))
-	buf[0] = byte(KindString)
-	copy(buf[1:], v.s)
-	return buf, nil
+	dst = append(dst, byte(KindString))
+	return append(dst, v.s...)
+}
+
+// BinaryLen reports len of the MarshalBinary encoding of v without
+// building it.
+func (v Value) BinaryLen() int {
+	if v.kind == KindInt {
+		return 9
+	}
+	return 1 + len(v.s)
 }
 
 // UnmarshalBinary decodes a value produced by MarshalBinary.

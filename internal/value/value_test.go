@@ -1,6 +1,8 @@
 package value
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -203,6 +205,38 @@ func TestMarshalBinaryRoundTrip(t *testing.T) {
 		}
 		if !got.Equal(v) {
 			t.Fatalf("round trip %v -> %v", v, got)
+		}
+	}
+}
+
+// TestAppendBinaryBytes pins the binary encoding journal records are
+// made of: a kind byte, then the int64 big-endian or the string's bytes.
+// AppendBinary writes exactly those bytes after what dst holds, and so
+// does MarshalBinary; BinaryLen is their length, and an append into a
+// buffer with room allocates nothing.
+func TestAppendBinaryBytes(t *testing.T) {
+	vals := []Value{Int(0), Int(-1), Int(1<<62 + 7), Int(-1 << 60), Int(math.MinInt64), Int(math.MaxInt64),
+		Str(""), Str("café"), Str("a'b"), Str("i5"), Str("\x00nul")}
+	for _, v := range vals {
+		var want []byte
+		if v.Kind() == KindInt {
+			want = binary.BigEndian.AppendUint64([]byte{byte(KindInt)}, uint64(v.AsInt()))
+		} else {
+			want = append([]byte{byte(KindString)}, v.AsString()...)
+		}
+		prefix := []byte("prefix")
+		if got := v.AppendBinary(prefix); string(got) != "prefix"+string(want) {
+			t.Errorf("AppendBinary(%v) = %x, want prefix then %x", v, got, want)
+		}
+		if got, _ := v.MarshalBinary(); string(got) != string(want) {
+			t.Errorf("MarshalBinary(%v) = %x, want %x", v, got, want)
+		}
+		if got := v.BinaryLen(); got != len(want) {
+			t.Errorf("BinaryLen(%v) = %d, want %d", v, got, len(want))
+		}
+		buf := make([]byte, 0, 64)
+		if n := testing.AllocsPerRun(10, func() { buf = v.AppendBinary(buf[:0]) }); n != 0 {
+			t.Errorf("AppendBinary(%v) into a buffer with room: %.0f allocations", v, n)
 		}
 	}
 }

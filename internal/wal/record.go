@@ -21,9 +21,17 @@ import (
 //	        per value: uvarint length, value.MarshalBinary bytes
 
 // EncodeTx serializes one committed transaction into a record payload.
+// Log.AppendTx writes the same bytes without building them apart.
 func EncodeTx(t uint64, tx *storage.Transaction) []byte {
+	return appendTx(make([]byte, 0, 16+32*len(tx.Ops())), t, tx)
+}
+
+// appendTx appends the record payload of tx at t to buf: the one
+// encoder behind EncodeTx and Log.AppendTx.
+//
+//rtic:noalloc
+func appendTx(buf []byte, t uint64, tx *storage.Transaction) []byte {
 	ops := tx.Ops()
-	buf := make([]byte, 0, 16+32*len(ops))
 	buf = binary.AppendUvarint(buf, t)
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
@@ -36,14 +44,8 @@ func EncodeTx(t uint64, tx *storage.Transaction) []byte {
 		buf = append(buf, op.Rel...)
 		buf = binary.AppendUvarint(buf, uint64(len(op.Tuple)))
 		for _, v := range op.Tuple {
-			vb, err := v.MarshalBinary()
-			if err != nil {
-				// MarshalBinary on a Value cannot fail; keep the signature
-				// honest anyway.
-				panic(fmt.Sprintf("wal: encoding value: %v", err))
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(vb)))
-			buf = append(buf, vb...)
+			buf = binary.AppendUvarint(buf, uint64(v.BinaryLen()))
+			buf = v.AppendBinary(buf)
 		}
 	}
 	return buf

@@ -173,10 +173,11 @@ type Log struct {
 	mu      sync.Mutex
 	path    string
 	f       file
-	size    int64 // bytes of valid header + records on disk
-	records int   // valid records on disk
-	dirty   bool  // bytes appended since the last fsync
-	broken  error // sticky: set when the on-disk state is unknown
+	frame   []byte // the frame of the last append, reused by the next
+	size    int64  // bytes of valid header + records on disk
+	records int    // valid records on disk
+	dirty   bool   // bytes appended since the last fsync
+	broken  error  // sticky: set when the on-disk state is unknown
 
 	onFail      func(error) // fired (outside mu) when broken latches
 	justLatched bool        // broken was set and the handler not yet fired
@@ -342,22 +343,60 @@ func (l *Log) frameAt(off, size int64) (payload []byte, next int64, err error) {
 // back by truncating the partial frame; if even that fails the log
 // latches broken and refuses further appends.
 func (l *Log) Append(payload []byte) error {
-	if len(payload) == 0 {
-		return errors.New("wal: empty record")
-	}
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", len(payload), MaxRecordBytes)
-	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderSize:], payload)
+	return l.appendRecord(payload, 0, nil)
+}
 
-	var sp *obs.Span
+// AppendTx journals one committed transaction, as Append(EncodeTx(t,
+// tx)) would, byte for byte: the record is encoded straight into the
+// log's frame buffer, so a journaled commit allocates nothing once the
+// buffer fits its records.
+func (l *Log) AppendTx(t uint64, tx *storage.Transaction) error {
+	return l.appendRecord(nil, t, tx)
+}
+
+// maxKeptFrame bounds the frame buffer a log keeps between appends: a
+// larger record's buffer is dropped once it is written, so one outsized
+// record does not stay pinned for the life of the log.
+const maxKeptFrame = 64 << 10
+
+// appendRecord frames one record — payload, or the encoding of tx at t
+// when tx is set — in the log's frame buffer, under the lock, and writes
+// the frame with one write.
+func (l *Log) appendRecord(payload []byte, t uint64, tx *storage.Transaction) error {
+	var start time.Time
 	if l.spans != nil {
-		sp = &obs.Span{Name: obs.SpanWALAppend, Start: time.Now(), Ops: len(frame)}
+		start = time.Now()
 	}
-	err := l.appendFrame(frame, sp)
+	l.mu.Lock()
+	var hdr [frameHeaderSize]byte
+	frame := append(l.frame[:0], hdr[:]...)
+	if tx != nil {
+		frame = appendTx(frame, t, tx)
+	} else {
+		frame = append(frame, payload...)
+	}
+	l.frame = frame
+	if cap(frame) > maxKeptFrame {
+		l.frame = nil
+	}
+	var err error
+	var sp *obs.Span
+	switch n := len(frame) - frameHeaderSize; {
+	case n == 0:
+		err = errors.New("wal: empty record")
+	case n > MaxRecordBytes:
+		err = fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", n, MaxRecordBytes)
+	default:
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
+		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeaderSize:], castagnoli))
+		if l.spans != nil {
+			sp = &obs.Span{Name: obs.SpanWALAppend, Start: start, Ops: len(frame)}
+		}
+		err = l.appendFrameLocked(frame, sp)
+	}
+	fire := l.takeLatchNotifyLocked()
+	l.mu.Unlock()
+	fire()
 	if sp != nil {
 		sp.End()
 		sp.Err = err
@@ -393,17 +432,8 @@ func (l *Log) takeLatchNotifyLocked() func() {
 	return func() { h(err) }
 }
 
-// appendFrame writes one framed record under the log lock; sp (may be
-// nil) collects the fsync child under SyncAlways.
-func (l *Log) appendFrame(frame []byte, sp *obs.Span) error {
-	l.mu.Lock()
-	err := l.appendFrameLocked(frame, sp)
-	fire := l.takeLatchNotifyLocked()
-	l.mu.Unlock()
-	fire()
-	return err
-}
-
+// appendFrameLocked writes one framed record (caller holds mu); sp
+// (may be nil) collects the fsync child under SyncAlways.
 func (l *Log) appendFrameLocked(frame []byte, sp *obs.Span) error {
 	if l.broken != nil {
 		l.countError()
@@ -441,11 +471,6 @@ func (l *Log) appendFrameLocked(frame []byte, sp *obs.Span) error {
 		return l.syncLocked()
 	}
 	return nil
-}
-
-// AppendTx journals one committed transaction.
-func (l *Log) AppendTx(t uint64, tx *storage.Transaction) error {
-	return l.Append(EncodeTx(t, tx))
 }
 
 // Sync forces buffered appends to stable storage.
