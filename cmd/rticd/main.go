@@ -253,6 +253,7 @@ func start(opts options) (*daemon, error) {
 	// only optional part.
 	o := &obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())}
 	o.Metrics.BuildInfo.With(runtime.Version(), buildRev()).Set(1)
+	obs.RegisterRuntime(o.Metrics.Registry())
 
 	// Span sinks: structured lines for -trace, an in-memory ring for
 	// -trace-out (exported as a Chrome trace at shutdown) and a

@@ -516,3 +516,47 @@ func TestTraceOutWritesChromeTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonExportsRuntimeCounters: /metrics carries the Go runtime's
+// heap-allocated-objects and GC-cycle counters, read at the scrape, so
+// an operator can watch whether commits allocate on a live daemon. The
+// allocation counter is past zero at the first scrape (starting the
+// daemon allocates) and never falls between scrapes.
+func TestDaemonExportsRuntimeCounters(t *testing.T) {
+	dir := t.TempDir()
+	d, err := start(options{
+		specPath:    writeSpec(t, dir, "hr.rtic", hrSpec),
+		listen:      "127.0.0.1:0",
+		metricsAddr: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown() //nolint:errcheck — nothing to checkpoint
+	read := func() (allocs, cycles float64) {
+		t.Helper()
+		body := httpGet(t, "http://"+d.hl.Addr().String()+"/metrics")
+		values := map[string]float64{}
+		for _, line := range strings.Split(body, "\n") {
+			var name string
+			var v float64
+			if _, err := fmt.Sscanf(line, "%s %g", &name, &v); err == nil && !strings.HasPrefix(name, "#") {
+				values[name] = v
+			}
+		}
+		for _, name := range []string{"rtic_runtime_heap_allocs_objects_total", "rtic_runtime_gc_cycles_total"} {
+			if _, ok := values[name]; !ok {
+				t.Fatalf("/metrics has no %s series:\n%s", name, body)
+			}
+		}
+		return values["rtic_runtime_heap_allocs_objects_total"], values["rtic_runtime_gc_cycles_total"]
+	}
+	a0, c0 := read()
+	if a0 <= 0 {
+		t.Fatalf("rtic_runtime_heap_allocs_objects_total = %g at the first scrape", a0)
+	}
+	dialLine(t, d).commit(t, "@0 +fire(7)")
+	if a1, c1 := read(); a1 < a0 || c1 < c0 {
+		t.Fatalf("runtime counters fell between scrapes: allocs %g -> %g, cycles %g -> %g", a0, a1, c0, c1)
+	}
+}

@@ -420,13 +420,20 @@ func allowedExternal(fn *types.Func) bool {
 		case "Compare", "EqualFold", "HasPrefix", "HasSuffix", "IndexByte", "Contains":
 			return true
 		}
+	case "bytes":
+		switch fn.Name() {
+		case "Equal", "Compare", "HasPrefix", "IndexByte":
+			return true
+		}
+	case "hash/maphash":
+		return fn.Name() == "Bytes" || fn.Name() == "String"
 	case "strconv":
 		return strings.HasPrefix(fn.Name(), "Append")
 	case "encoding/binary":
 		return strings.HasPrefix(fn.Name(), "Append") || strings.HasPrefix(fn.Name(), "Put")
 	case "time":
 		switch fn.Name() {
-		case "Seconds", "Nanoseconds", "Milliseconds", "Microseconds":
+		case "Now", "Since", "Sub", "Seconds", "Nanoseconds", "Milliseconds", "Microseconds":
 			return true
 		}
 	}

@@ -3,7 +3,12 @@
 // Diagnostics expected by the harness are marked with want comments.
 package noallocfix
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/maphash"
+	"time"
+)
 
 //rtic:noalloc
 func cleanAdd(a, b int) int { return a + b }
@@ -60,4 +65,14 @@ func binaryAppends(buf []byte, v uint64) []byte {
 	buf = binary.AppendUvarint(buf, v)
 	binary.LittleEndian.PutUint32(buf[:4], uint32(v))
 	return buf
+}
+
+// hashesAndClocks exercises the allowances a slab's probe and a phase
+// timer rely on: maphash over the caller's bytes, bytes.Equal against a
+// stored key, and reading the monotonic clock.
+//
+//rtic:noalloc
+func hashesAndClocks(seed maphash.Seed, key, stored []byte, start time.Time) (uint64, bool, time.Duration) {
+	end := time.Now()
+	return maphash.Bytes(seed, key), bytes.Equal(key, stored), end.Sub(start) + time.Since(start)
 }

@@ -104,9 +104,50 @@ type Violation struct {
 	Time  uint64
 	// Vars and Binding give the witness: Binding[i] is the value of
 	// Vars[i]. Both are empty for closed constraints. Binding may share
-	// storage with the checker's answer set: read it, do not modify it.
+	// storage with the checker's answer set, which the checker's next
+	// commit changes: read it, do not modify it, and Clone a violation
+	// to keep it.
 	Vars    []string
 	Binding tuple.Tuple
+}
+
+// Clone returns v with a Binding of its own, valid however the engine
+// that reported v goes on.
+func (v Violation) Clone() Violation {
+	v.Binding = v.Binding.Clone()
+	return v
+}
+
+// CopyTo stores a copy of v in d, its Binding in d's binding storage.
+func (v Violation) CopyTo(d *Violation) {
+	v.Binding = append(d.Binding[:0], v.Binding...)
+	*d = v
+}
+
+// CloneViolations returns copies of vs that stay valid past the next
+// Step of the engine that reported them (nil for none).
+func CloneViolations(vs []Violation) []Violation {
+	if len(vs) == 0 {
+		return nil
+	}
+	return AppendClones(make([]Violation, 0, len(vs)), vs)
+}
+
+// AppendClones appends copies of vs to dst (see CloneViolations). The
+// elements between len(dst) and cap(dst) are taken to be the caller's
+// spare storage: their bindings are reused, so a caller that passes
+// back its last result, truncated, stops allocating once dst has grown
+// to its high-water mark.
+func AppendClones(dst, vs []Violation) []Violation {
+	for _, v := range vs {
+		if len(dst) < cap(dst) {
+			dst = dst[:len(dst)+1]
+		} else {
+			dst = append(dst, Violation{})
+		}
+		v.CopyTo(&dst[len(dst)-1])
+	}
+	return dst
 }
 
 // String renders the violation for reports and logs.
@@ -157,8 +198,8 @@ func (c *Constraint) Columns(vars []string) ([]int, error) {
 
 // AppendViolations appends the violation each row of b witnesses, in b's
 // iteration order; cols are c.Columns(b.Vars()). With cols nil the row
-// itself is the violation's Binding: answer sets are immutable once
-// published, so nothing is copied.
+// itself is the violation's Binding, valid while b holds it: nothing is
+// copied.
 func AppendViolations(dst []Violation, c *Constraint, cols []int, index int, t uint64, b *fol.Bindings) []Violation {
 	if b.Empty() {
 		return dst

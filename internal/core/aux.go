@@ -8,6 +8,7 @@ import (
 	"rtic/internal/fol"
 	"rtic/internal/mtl"
 	"rtic/internal/plan"
+	"rtic/internal/relation"
 	"rtic/internal/tuple"
 )
 
@@ -211,9 +212,16 @@ func (p *prevNode) account() (entries, timestamps, bytes int) {
 // and keep cache the entry's recurrence inputs as of the family's last
 // commit (row ∈ ⟦ψ⟧? and θ ⊨ φ?), so a commit only has to visit the
 // entries whose inputs moved or whose deadline fell due.
+//
+// An entry's row is the one its family's rows relation holds in the
+// entry's slot: a dropped entry's slot, and the entry with it, is the
+// next new row's.
 type sinceEntry struct {
-	key    string // tuple.Key of row: the entry's key in the family's table
-	row    tuple.Tuple
+	slot int32 // the row's slot in sinceFamily.rows, and the entry's in entries
+	// gen numbers the rows the entry has held: anchors logged for an
+	// earlier one are stale.
+	gen    uint32
+	fixed  int       // entryFixedBytes(row), kept while the entry lives
 	times  []uint64  // ascending
 	first  [1]uint64 // backing store of times while one timestamp suffices
 	liveIx int       // index in sinceFamily.live while row ∈ ⟦ψ⟧, else -1
@@ -224,16 +232,22 @@ type sinceEntry struct {
 	sat  int
 	seen uint64 // epoch of the commit that last queued the entry for resolve
 	mark uint64 // epoch of the full enumeration of ⟦ψ⟧ that last produced row
-	gone bool   // dropped from the table: anchors still logged for it are stale
 }
+
+// entryChunk is the fewest entries a family makes at once.
+const entryChunk = 16
 
 // anchor is one timestamp tm of entry e, logged when it is stored: a
 // window [a,b] must look at e at the first commit at or after tm+a, when
 // tm ages into it, and at the first at or after tm+b+1, when it ages out.
 type anchor struct {
-	tm uint64
-	e  *sinceEntry
+	tm  uint64
+	e   *sinceEntry
+	gen uint32 // e.gen when logged
 }
+
+// stale reports whether a's entry has been dropped since a was logged.
+func (a anchor) stale() bool { return a.gen != a.e.gen }
 
 // anchorLog is the FIFO of a family's anchors in ascending tm order —
 // commit times ascend, so appending in commit order keeps it sorted with
@@ -244,7 +258,7 @@ type anchorLog struct {
 	base int // position of ev[0]
 }
 
-func (q *anchorLog) push(tm uint64, e *sinceEntry) { q.ev = append(q.ev, anchor{tm, e}) }
+func (q *anchorLog) push(tm uint64, e *sinceEntry) { q.ev = append(q.ev, anchor{tm, e, e.gen}) }
 
 func (q *anchorLog) end() int { return q.base + len(q.ev) }
 
@@ -325,7 +339,11 @@ type sinceFamily struct {
 	noPrune bool
 	newest  bool // a = 0 and pruning on: the third rule applies
 
-	entries map[string]*sinceEntry
+	// rows holds every entry's row; entries[s] is the entry of slot s,
+	// made in chunks as rows reaches a new high-water mark, so entering
+	// and dropping rows allocate nothing after that.
+	rows    *relation.Relation
+	entries []*sinceEntry
 	live    []*sinceEntry // entries whose row is in ⟦ψ⟧ as of lastT
 	// anchors logs every stored timestamp some window has yet to see age
 	// in (a > 0; enterCur reads those) or out (finite b; each member's
@@ -341,14 +359,13 @@ type sinceFamily struct {
 	fixedBytes int
 
 	// The table answers for time lastT once primed. epoch numbers the
-	// commits that got past the first rung; touched, envBuf and keyBuf are
-	// the update's scratch.
+	// commits that got past the first rung; touched and envBuf are the
+	// update's scratch.
 	lastT   uint64
 	primed  bool
 	epoch   uint64
 	touched []*sinceEntry
 	envBuf  fol.Env
-	keyBuf  []byte
 
 	// visited counts the entries update resolved since the family was
 	// built; tests and benchmarks read it, nothing else does.
@@ -409,7 +426,7 @@ func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula, no
 		lo:      iv.Lo,
 		noPrune: noPrune,
 		newest:  iv.Lo == 0 && !noPrune,
-		entries: make(map[string]*sinceEntry),
+		rows:    relation.New(len(vars)),
 		envBuf:  make(fol.Env, len(lvars)),
 	}
 	return s, nil
@@ -533,9 +550,7 @@ func (f *sinceFamily) update(sc *stepCtx, t uint64) error {
 	}
 	switch {
 	case walk:
-		for _, e := range f.entries {
-			f.touch(e)
-		}
+		f.eachEntry(f.touch)
 	case !f.newest:
 		// The semantics need every anchor of a window with a > 0: a live
 		// entry takes this commit's timestamp.
@@ -583,13 +598,85 @@ func (f *sinceFamily) touch(e *sinceEntry) {
 	}
 }
 
-// enter records that row is in ⟦ψ⟧ now, creating its entry if need be.
+// row returns e's row, which aliases its slot in f.rows.
+//
+//rtic:noalloc
+func (f *sinceFamily) row(e *sinceEntry) tuple.Tuple { return f.rows.Row(e.slot) }
+
+// find returns the entry holding row, or nil.
+//
+//rtic:noalloc
+func (f *sinceFamily) find(row tuple.Tuple) *sinceEntry {
+	if s := f.rows.Slot(row); s >= 0 {
+		return f.entries[s]
+	}
+	return nil
+}
+
+// findKey returns the entry whose row's tuple.Key encoding is key, or
+// nil.
+//
+//rtic:noalloc
+func (f *sinceFamily) findKey(key []byte) *sinceEntry {
+	if s := f.rows.SlotKey(key); s >= 0 {
+		return f.entries[s]
+	}
+	return nil
+}
+
+// take copies row, which no entry holds, into f.rows and returns the
+// entry of its slot with no timestamps. The entry's other fields are the
+// caller's to set.
+//
+//rtic:noalloc
+func (f *sinceFamily) take(row tuple.Tuple) (*sinceEntry, error) {
+	s, _, err := f.rows.InsertSlot(row)
+	if err != nil {
+		return nil, err
+	}
+	if int(s) == len(f.entries) {
+		chunk := make([]sinceEntry, max(entryChunk, len(f.entries)/4)) //rtic:allocok once per new high-water mark of the family's rows
+		for i := range chunk {
+			chunk[i].slot = int32(len(f.entries))
+			chunk[i].times = chunk[i].first[:0]
+			f.entries = append(f.entries, &chunk[i])
+		}
+	}
+	e := f.entries[s]
+	e.times = e.times[:0]
+	e.fixed = entryFixedBytes(row)
+	return e, nil
+}
+
+// drop frees e: its row leaves f.rows, anchors logged for it turn stale,
+// and its slot is the next row's.
+//
+//rtic:noalloc
+func (f *sinceFamily) drop(e *sinceEntry) {
+	f.rows.Delete(f.row(e))
+	e.gen++
+}
+
+// eachEntry calls fn with every entry in the table, in slot order.
+func (f *sinceFamily) eachEntry(fn func(*sinceEntry)) {
+	f.rows.EachSlot(func(s int32) bool {
+		fn(f.entries[s])
+		return true
+	})
+}
+
+// enter records that row is in ⟦ψ⟧ now, creating its entry if need be:
+// the entry of row's slot in f.rows.
+//
+//rtic:noalloc
 func (f *sinceFamily) enter(sc *stepCtx, row tuple.Tuple) (*sinceEntry, error) {
-	f.keyBuf = row.AppendKeyTo(f.keyBuf[:0])
-	e, ok := f.entries[string(f.keyBuf)]
-	if !ok {
-		e = &sinceEntry{key: string(f.keyBuf), row: row.Clone(), liveIx: -1, keep: true}
-		e.times = e.first[:0]
+	e := f.find(row)
+	if e == nil {
+		var err error
+		if e, err = f.take(row); err != nil {
+			return nil, err
+		}
+		e.liveIx, e.keep, e.seen, e.mark = -1, true, 0, 0
 		if !f.once {
 			keep, err := f.chainHolds(sc, e)
 			if err != nil {
@@ -652,11 +739,11 @@ func (f *sinceFamily) loadAnchors() {
 		return
 	}
 	var all []anchor
-	for _, e := range f.entries {
+	f.eachEntry(func(e *sinceEntry) {
 		for _, tm := range e.times {
-			all = append(all, anchor{tm, e})
+			all = append(all, anchor{tm, e, e.gen})
 		}
-	}
+	})
 	sort.Slice(all, func(i, j int) bool { return all[i].tm < all[j].tm })
 	for _, a := range all {
 		f.log(a.tm, a.e)
@@ -671,7 +758,7 @@ func (f *sinceFamily) loadAnchors() {
 // that has since gone live or been rewritten — are passed over.
 func (f *sinceFamily) popDue(t uint64) {
 	for f.lo > 0 && f.anchors.due(f.enterCur, f.lo, t) {
-		if a := f.anchors.at(f.enterCur); !a.e.gone {
+		if a := f.anchors.at(f.enterCur); !a.stale() {
 			f.touch(a.e)
 		}
 		f.enterCur++
@@ -684,12 +771,12 @@ func (f *sinceFamily) popDue(t uint64) {
 		for age := m.leaveAge(); f.anchors.due(m.cursor, age, t); m.cursor++ {
 			a := f.anchors.at(m.cursor)
 			switch e := a.e; {
-			case e.gone || (f.newest && (e.liveIx >= 0 || e.times[0] != a.tm)):
+			case a.stale() || (f.newest && (e.liveIx >= 0 || e.times[0] != a.tm)):
 			case m == f.widest():
 				f.touch(e)
 			case e.sat == i:
 				e.sat++
-				m.removed = append(m.removed, e.row)
+				m.removed = append(m.removed, f.row(e))
 			}
 		}
 		slowest = m.cursor
@@ -706,7 +793,7 @@ func (f *sinceFamily) deltaAnchors(sc *stepCtx, prev uint64) error {
 	if len(f.live) > 0 && f.rhs.moved(false) {
 		for i := len(f.live) - 1; i >= 0; i-- {
 			e := f.live[i]
-			ok, err := f.rhs.plan.RetestRow(sc.c.cur, &sc.orc, e.row)
+			ok, err := f.rhs.plan.RetestRow(sc.c.cur, &sc.orc, f.row(e))
 			if err != nil {
 				return err
 			}
@@ -759,16 +846,17 @@ func (f *sinceFamily) enumerateAnchors(sc *stepCtx, prev uint64) error {
 // chainHolds evaluates θ ⊨ φ for e's binding in the current state: φ's
 // plan, its inputs bound from e's row, stopped at the first row it emits.
 func (f *sinceFamily) chainHolds(sc *stepCtx, e *sinceEntry) (bool, error) {
+	row := f.row(e)
 	for i, p := range f.lPos {
-		f.envBuf[f.lvars[i]] = e.row[p]
+		f.envBuf[f.lvars[i]] = row[p]
 	}
 	holds := false
-	err := f.chain.Execute(sc.c.cur, &sc.orc, f.envBuf, func(tuple.Tuple) bool {
+	err := f.chain.Execute(sc.c.cur, &sc.orc, f.envBuf, func(tuple.Tuple) bool { //rtic:allocok closure does not escape Execute
 		holds = true
 		return false
 	})
 	if err != nil {
-		return false, fmt.Errorf("testing chain: %w", err)
+		return false, fmt.Errorf("testing chain: %w", err) //rtic:allocok cold path: the chain plan failed
 	}
 	return holds, nil
 }
@@ -780,16 +868,19 @@ func (f *sinceFamily) retestChain(sc *stepCtx) error {
 	if f.once {
 		return nil
 	}
-	for _, e := range f.entries {
-		keep, err := f.chainHolds(sc, e)
+	var err error
+	f.eachEntry(func(e *sinceEntry) {
 		if err != nil {
-			return err
+			return
 		}
-		if e.keep = keep; !keep {
-			f.touch(e)
+		var keep bool
+		if keep, err = f.chainHolds(sc, e); err == nil {
+			if e.keep = keep; !keep {
+				f.touch(e)
+			}
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // resolve applies one entry's recurrence step from its cached inputs,
@@ -831,16 +922,15 @@ func (f *sinceFamily) resolve(e *sinceEntry, t uint64) {
 		}
 	}
 	for _, m := range f.members[min(sat, e.sat):e.sat] {
-		m.added = append(m.added, e.row)
+		m.added = append(m.added, f.row(e))
 	}
 	for _, m := range f.members[e.sat:max(sat, e.sat)] {
-		m.removed = append(m.removed, e.row)
+		m.removed = append(m.removed, f.row(e))
 	}
 	e.sat = sat
 	if len(e.times) == 0 {
-		delete(f.entries, e.key)
-		f.fixedBytes -= entryFixedBytes(e.key, e.row)
-		e.gone = true
+		f.fixedBytes -= e.fixed
+		f.drop(e)
 	}
 }
 
@@ -901,12 +991,14 @@ func (s *sinceNode) satisfied(e *sinceEntry, now uint64) bool {
 // table and build nothing.
 func (s *sinceNode) enumerate(now uint64) (*fol.Bindings, error) {
 	out := fol.NewBindings(s.fam.vars)
-	for _, e := range s.fam.entries {
-		if s.satisfied(e, now) {
-			if err := out.AddKeyedRow(e.key, e.row); err != nil {
-				return nil, err
-			}
+	var err error
+	s.fam.eachEntry(func(e *sinceEntry) {
+		if err == nil && s.satisfied(e, now) {
+			err = out.AddRow(s.fam.row(e))
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -929,13 +1021,13 @@ func (s *sinceNode) test(env fol.Env, now uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e, ok := s.fam.entries[row.Key()]
-	return ok && s.satisfied(e, now), nil
+	e := s.fam.find(row)
+	return e != nil && s.satisfied(e, now), nil
 }
 
 func (s *sinceNode) testKey(key []byte, now uint64) (bool, error) {
-	e, ok := s.fam.entries[string(key)]
-	return ok && s.satisfied(e, now), nil
+	e := s.fam.findKey(key)
+	return e != nil && s.satisfied(e, now), nil
 }
 
 // place returns the place of the row whose key is key in the members'
@@ -943,7 +1035,7 @@ func (s *sinceNode) testKey(key []byte, now uint64) (bool, error) {
 //
 //rtic:noalloc
 func (f *sinceFamily) place(key []byte) int {
-	if e, ok := f.entries[string(key)]; ok {
+	if e := f.findKey(key); e != nil {
 		return e.sat
 	}
 	return len(f.members)
@@ -955,19 +1047,23 @@ func (s *sinceNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return s.added, s.removed, true
 }
 
-// insert adds an entry no member answers yet under its row key and opens
-// its storage account.
+// insert opens the storage account of an entry just taken from the slab,
+// which no member answers yet.
 func (f *sinceFamily) insert(e *sinceEntry) {
 	e.sat = len(f.members)
-	f.entries[e.key] = e
 	f.nTimes += len(e.times)
-	f.fixedBytes += entryFixedBytes(e.key, e.row)
+	f.fixedBytes += e.fixed
 }
 
 // entryFixedBytes estimates one entry's footprint apart from its
-// timestamps: map key, row, and the entry and slice headers.
-func entryFixedBytes(key string, row tuple.Tuple) int {
-	return len(key) + row.Size() + 48
+// timestamps: the row's key text, the row, and the entry and slice
+// headers — the estimate of an entry filed under its key string, which
+// the figures the experiments publish were taken with.
+//
+//rtic:noalloc
+func entryFixedBytes(row tuple.Tuple) int {
+	var buf [64]byte
+	return len(row.AppendKeyTo(buf[:0])) + row.Size() + 48
 }
 
 // stats and account report a family's table once, on the member whose
@@ -977,11 +1073,11 @@ func (s *sinceNode) stats() NodeStats {
 	if s != s.fam.widest() {
 		return st
 	}
-	st.Entries = len(s.fam.entries)
-	for _, e := range s.fam.entries {
+	st.Entries = s.fam.rows.Len()
+	s.fam.eachEntry(func(e *sinceEntry) {
 		st.Timestamps += len(e.times)
-		st.Bytes += entryFixedBytes(e.key, e.row) + 8*len(e.times)
-	}
+		st.Bytes += e.fixed + 8*len(e.times)
+	})
 	return st
 }
 
@@ -990,7 +1086,7 @@ func (s *sinceNode) account() (entries, timestamps, bytes int) {
 	if s != f.widest() {
 		return 0, 0, 0
 	}
-	return len(f.entries), f.nTimes, f.fixedBytes + 8*f.nTimes
+	return f.rows.Len(), f.nTimes, f.fixedBytes + 8*f.nTimes
 }
 
 // invariants returns an error if the family's internal invariants are
@@ -1005,15 +1101,22 @@ func (f *sinceFamily) invariants(now uint64, ev *fol.Evaluator) error {
 			return fmt.Errorf("core: %q: window %s shares a table the newest-anchor rule does not cover", f.name(), m.iv.String())
 		}
 	}
+	for s, e := range f.entries {
+		if e.slot != int32(s) {
+			return fmt.Errorf("core: %q: entry of slot %d filed at %d", f.name(), e.slot, s)
+		}
+	}
+	var held []*sinceEntry
+	f.eachEntry(func(e *sinceEntry) { held = append(held, e) })
 	nLive := 0
-	for key, e := range f.entries {
-		if e.key != key || e.gone {
-			return fmt.Errorf("core: %q: entry %s filed under %s (gone=%v)", f.name(), e.key, key, e.gone)
+	for _, e := range held {
+		if f.find(f.row(e)) != e {
+			return fmt.Errorf("core: %q: entry %s is not found under its row", f.name(), f.row(e))
 		}
 		if e.liveIx >= 0 {
 			nLive++
 			if e.liveIx >= len(f.live) || f.live[e.liveIx] != e {
-				return fmt.Errorf("core: %q: live entry %s not at its place in the live list", f.name(), key)
+				return fmt.Errorf("core: %q: live entry %s not at its place in the live list", f.name(), f.row(e))
 			}
 		}
 	}
@@ -1026,9 +1129,9 @@ func (f *sinceFamily) invariants(now uint64, ev *fol.Evaluator) error {
 	if f.primed && now == f.lastT {
 		// Every member's answer is the table read through its window.
 		for i, m := range f.members {
-			for key, e := range f.entries {
+			for _, e := range held {
 				if holds := m.satisfied(e, now); holds != (i >= e.sat) {
-					return fmt.Errorf("core: %q: entry %s satisfied=%v, filed from member %d on", m.node.String(), key, holds, e.sat)
+					return fmt.Errorf("core: %q: entry %s satisfied=%v, filed from member %d on", m.node.String(), f.row(e), holds, e.sat)
 				}
 			}
 		}
@@ -1050,7 +1153,8 @@ func (f *sinceFamily) invariants(now uint64, ev *fol.Evaluator) error {
 	}
 	wide := f.widest().iv
 	bound := windowSpan(f.widest().node)
-	for key, e := range f.entries {
+	for _, e := range held {
+		key := f.row(e)
 		if len(e.times) == 0 {
 			return fmt.Errorf("core: %q: empty entry %s retained", f.name(), key)
 		}
@@ -1075,11 +1179,11 @@ func (f *sinceFamily) invariants(now uint64, ev *fol.Evaluator) error {
 			}
 			// Every reader that has yet to see tm age in or out finds it
 			// at or after its cursor.
-			if satAdd(tm, f.lo) > now && !ahead(anchor{tm, e}, f.enterCur) {
+			if satAdd(tm, f.lo) > now && !ahead(anchor{tm, e, e.gen}, f.enterCur) {
 				return fmt.Errorf("core: %q: entry %s: timestamp %d is not ahead of the enter cursor", f.name(), key, tm)
 			}
 			for _, m := range f.members {
-				if !m.iv.Unbounded && now-tm <= m.iv.Hi && !ahead(anchor{tm, e}, m.cursor) {
+				if !m.iv.Unbounded && now-tm <= m.iv.Hi && !ahead(anchor{tm, e, e.gen}, m.cursor) {
 					return fmt.Errorf("core: %q: entry %s: timestamp %d is not ahead of the cursor of %s", f.name(), key, tm, m.node.String())
 				}
 			}
@@ -1109,8 +1213,8 @@ func (f *sinceFamily) liveMatches(ev *fol.Evaluator) error {
 		return fmt.Errorf("core: %q: %d live entries, ⟦ψ⟧ has %d rows", f.name(), len(f.live), rb.Len())
 	}
 	for _, e := range f.live {
-		if !rb.ContainsKey(e.key) {
-			return fmt.Errorf("core: %q: live entry %s is not in ⟦ψ⟧", f.name(), e.key)
+		if !rb.ContainsRow(f.row(e)) {
+			return fmt.Errorf("core: %q: live entry %s is not in ⟦ψ⟧", f.name(), f.row(e))
 		}
 	}
 	return nil

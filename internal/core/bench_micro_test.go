@@ -147,12 +147,13 @@ func planExecs(c *Checker) int {
 // maxAllocs, resolves more than maxVisits entries or runs more than
 // maxExecs plans: the update phase is delta-driven, the 25 windows over
 // reading(s) read one table, the 34 policies over them are checked as two
-// denial families, and all three must stay so.
+// denial families, rows, entries and answers are recycled in slabs, and
+// all four must stay so.
 func BenchmarkStepWidePolicies(b *testing.B) {
 	const (
 		warm        = 2000
 		gateCommits = 4000
-		maxAllocs   = 45
+		maxAllocs   = 1
 		maxVisits   = 8
 		maxExecs    = 2
 	)
@@ -198,7 +199,7 @@ func BenchmarkStepWidePolicies(b *testing.B) {
 	b.ReportMetric(visits, "visits/commit")
 	b.ReportMetric(execs, "plan-execs/commit")
 	if allocs > maxAllocs {
-		b.Fatalf("%.1f allocations per commit over %d commits, want at most %d", allocs, gateCommits, maxAllocs)
+		b.Fatalf("%.3f allocations per commit over %d commits, want at most %d", allocs, gateCommits, maxAllocs)
 	}
 	if visits > maxVisits {
 		b.Fatalf("%.2f entries resolved per commit over %d commits, want at most %d", visits, gateCommits, maxVisits)

@@ -61,6 +61,8 @@ type Checker struct {
 	delta     map[string]*relDelta
 	lastSkips []SkipInfo
 	sc        stepCtx
+	// out is the violations slice Step returns, reused by the next Step.
+	out []check.Violation
 	// denials are the check phase's units of work, in the order of their
 	// first constraints; denialKeys files those other denials may join
 	// under their denialKey.
@@ -117,11 +119,12 @@ type conState struct {
 	// cols places the constraint's variables in the answer's rows (nil:
 	// in order, see check.Constraint.Columns).
 	cols []int
-	// lastB is the denial's answer at the previous commit; nil until the
-	// first check. Published answers are immutable:
-	// a commit that changes the answer builds a new set.
-	lastB  *fol.Bindings
-	family *denialFamily
+	// ans is the denial's answer as of the last commit that checked it,
+	// checked whether one has. A commit changes ans in place, so what a
+	// violation reads out of it is valid until the next commit.
+	ans     *fol.Bindings
+	checked bool
+	family  *denialFamily
 	// vary is the window of the conjunct that sets the denial apart in its
 	// family, nil when no other denial can join it.
 	vary *sinceNode
@@ -200,6 +203,7 @@ func (c *Checker) AddConstraint(con *check.Constraint) error {
 	c.constraints = append(c.constraints, con)
 	c.conNames[con.Name] = struct{}{}
 	c.conStates = append(c.conStates, &conState{
+		ans:      fol.NewBindings(p.Vars()),
 		seeded:   c.seedsOf(p),
 		readRels: c.skeletonDeltas(con.Denial),
 		nodes:    c.directNodes(con.Denial),
@@ -342,6 +346,10 @@ type stepInstr struct {
 	m      *obs.Metrics
 	span   *obs.Span // commit span; phases append children. May be nil.
 	detail bool      // the sink wants node.update / constraint.check children
+	// at is where the next phase starts: the commit's start, then the end
+	// of each phase closed. Phases are timed back to back, so no instant
+	// of the commit — a preemption included — falls between two of them.
+	at time.Time
 }
 
 // detailUnder returns phase span ps as the parent of detail children,
@@ -354,8 +362,8 @@ func (si *stepInstr) detailUnder(ps *obs.Span) *obs.Span {
 }
 
 // phaseScope times one pipeline phase: a histogram observation plus a
-// child span. The zero scope (from a nil or metric-less stepInstr) is
-// a no-op.
+// child span. It starts where the previous phase ended. The zero scope
+// (from a nil or metric-less stepInstr) is a no-op.
 type phaseScope struct {
 	si    *stepInstr
 	idx   int
@@ -368,19 +376,22 @@ func (si *stepInstr) phase(idx int, name string) phaseScope {
 	if si == nil || (si.c.phaseHist[idx] == nil && si.span == nil) {
 		return phaseScope{}
 	}
-	ps := phaseScope{si: si, idx: idx, start: time.Now()}
+	ps := phaseScope{si: si, idx: idx, start: si.at}
 	if si.span != nil {
 		ps.span = si.span.Child(name, "")
 	}
 	return ps
 }
 
-// done closes the scope, attributing the elapsed time to the phase.
+// done closes the scope, attributing the elapsed time to the phase; the
+// next phase starts where this one ends.
 func (ps phaseScope) done(ops int, err error) {
 	if ps.si == nil {
 		return
 	}
-	d := time.Since(ps.start)
+	end := time.Now()
+	d := end.Sub(ps.start)
+	ps.si.at = end
 	if h := ps.si.c.phaseHist[ps.idx]; h != nil {
 		h.Observe(d.Seconds())
 	}
@@ -402,8 +413,13 @@ func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, er
 	if cs.Idle() {
 		return c.step(t, tx, nil)
 	}
-	vs, err := c.step(t, tx, &stepInstr{c: c, m: cs.Metrics, span: cs.Span, detail: cs.Detail})
-	if cs.End(err) {
+	si := &stepInstr{c: c, m: cs.Metrics, span: cs.Span, detail: cs.Detail, at: cs.Start()}
+	vs, err := c.step(t, tx, si)
+	end := si.at
+	if err != nil {
+		end = time.Now() // the failing phase, if any ran, ended at si.at; the commit ends with the error
+	}
+	if cs.EndAt(err, end) {
 		c.publishAuxGauges(cs.Metrics)
 	}
 	return vs, err
@@ -463,7 +479,12 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 }
 
 // applyPhase validates the transaction, computes its net delta against
-// the pre-state, and applies it to the current state.
+// the pre-state, and applies it to the current state. The delta points
+// into the transaction and the state copies rows into its relations'
+// slabs, so once they have grown to the feed's high-water mark the
+// phase allocates nothing.
+//
+//rtic:noalloc
 func (c *Checker) applyPhase(tx *storage.Transaction) error {
 	if err := tx.Validate(c.schema); err != nil {
 		return err
@@ -575,11 +596,11 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 	if err := c.runFamilies(sc, sampled || detail != nil); err != nil {
 		return nil, err
 	}
-	var out []check.Violation
+	out := c.out[:0]
 	for i, con := range c.constraints {
 		cs := c.conStates[i]
 		found := len(out)
-		out = check.AppendViolations(out, con, cs.cols, c.index, sc.t, cs.lastB)
+		out = check.AppendViolations(out, con, cs.cols, c.index, sc.t, cs.ans)
 		found = len(out) - found
 		df := cs.family
 		if m != nil && i < len(c.conMetrics) {
@@ -597,12 +618,20 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 			})
 		}
 	}
+	c.out = out
+	if len(out) == 0 {
+		return nil, nil
+	}
 	return out, nil
 }
 
 // runFamilies checks every denial family in family order, stopping at
 // the first error; with timed set each family records when it ran and
-// for how long.
+// for how long. Every answer changes in place, in its own slab, so the
+// loop allocates nothing once the answers have grown to their
+// high-water marks.
+//
+//rtic:noalloc
 func (c *Checker) runFamilies(sc *stepCtx, timed bool) error {
 	for _, df := range c.denials {
 		if timed {
@@ -630,10 +659,10 @@ func (c *Checker) decide(i int) {
 	si := &c.lastSkips[i]
 	clean := !anyChanged(cs.readRels) && !anyDirty(cs.nodes)
 	switch {
-	case clean && cs.lastB != nil:
+	case clean && cs.checked:
 		si.Action, si.Reason = ActionSkipped, "read set untouched"
-	case cs.canSeed && cs.lastB != nil && !cs.inexactDirty():
-		if cs.lastB.Empty() && !cs.moved(true) {
+	case cs.canSeed && cs.checked && !cs.inexactDirty():
+		if cs.ans.Empty() && !cs.moved(true) {
 			// Nothing to retest, and no changed source has rows in the
 			// direction that could complete a derivation.
 			si.Action, si.Reason = ActionSkipped, "delta cannot add an answer"
@@ -648,7 +677,7 @@ func (c *Checker) decide(i int) {
 // fullEvalReason explains why a planned constraint ran in full.
 func fullEvalReason(cs *conState) string {
 	switch {
-	case cs.lastB == nil:
+	case !cs.checked:
 		return "no previous answer"
 	case !cs.canSeed:
 		return "plan not seedable"

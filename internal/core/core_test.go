@@ -28,6 +28,8 @@ func del(rel string, v int64) *storage.Transaction {
 	return storage.NewTransaction().Delete(rel, tuple.Ints(v))
 }
 
+// mustStep commits tx and returns copies of its violations: what Step
+// returns is valid only until the next Step.
 func mustStep(t *testing.T, c *Checker, tm uint64, tx *storage.Transaction) []check.Violation {
 	t.Helper()
 	vs, err := c.Step(tm, tx)
@@ -37,7 +39,7 @@ func mustStep(t *testing.T, c *Checker, tm uint64, tx *storage.Transaction) []ch
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return vs
+	return check.CloneViolations(vs)
 }
 
 func addConstraint(t *testing.T, c *Checker, s *schema.Schema, name, src string) {

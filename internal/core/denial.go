@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"rtic/internal/fol"
 	"rtic/internal/mtl"
 	"rtic/internal/tuple"
 )
@@ -40,7 +39,6 @@ type denialFamily struct {
 	// Scratch of the family's check.
 	keyBuf, placeBuf []byte
 	drop             []tuple.Tuple
-	work             []*fol.Bindings
 
 	// start and dur time the family's last timed run.
 	start time.Time
@@ -126,7 +124,6 @@ func (df *denialFamily) add(c *Checker, i int, vary *sinceNode) {
 		at = sort.Search(len(df.cons), func(k int) bool { return vary.narrowerThan(c.conStates[df.cons[k]].vary) })
 	}
 	df.cons = slices.Insert(df.cons, at, i)
-	df.work = append(df.work, nil)
 }
 
 // looseAt is the position of the member whose window admits every row
@@ -168,8 +165,9 @@ func (df *denialFamily) moved(v *sinceNode, arrivals bool) []tuple.Tuple {
 // checkFamily checks every member of df. Each member's action is the one
 // decide picks from its own read set; the work runs once, for the loose
 // member's denial, and every other member that is not skipped is
-// answered from it. The answers are built in df.work, parallel to cons,
-// and published at the end.
+// answered from it. Each member's answer is a set of its own, kept from
+// commit to commit and changed in place: a row that leaves it frees a
+// slot the next row takes.
 func (c *Checker) checkFamily(sc *stepCtx, df *denialFamily) error {
 	act := ActionSkipped
 	for _, i := range df.cons {
@@ -181,9 +179,6 @@ func (c *Checker) checkFamily(sc *stepCtx, df *denialFamily) error {
 	if act == ActionSkipped {
 		return nil
 	}
-	for k, i := range df.cons {
-		df.work[k] = c.conStates[i].lastB
-	}
 	var err error
 	if act == ActionSeeded {
 		err = c.seedFamily(sc, df)
@@ -192,16 +187,15 @@ func (c *Checker) checkFamily(sc *stepCtx, df *denialFamily) error {
 	}
 	lk := df.looseAt()
 	if err != nil {
-		return fmt.Errorf("core: constraint %s at state %d: %w", c.constraints[df.cons[lk]].Name, c.index, err)
+		return fmt.Errorf("core: constraint %s at state %d: %w", c.constraints[df.cons[lk]].Name, c.index, err) //rtic:allocok cold path: the commit fails
 	}
 	for k, i := range df.cons {
 		if c.running(i) {
-			c.conStates[i].lastB = df.work[k]
+			c.conStates[i].checked = true
 			if k != lk {
 				c.lastSkips[i].Reason = "answered by family"
 			}
 		}
-		df.work[k] = nil
 	}
 	return nil
 }
@@ -210,19 +204,20 @@ func (c *Checker) checkFamily(sc *stepCtx, df *denialFamily) error {
 // other running member with the rows its window admits.
 func (c *Checker) planFamily(sc *stepCtx, df *denialFamily) error {
 	lk := df.looseAt()
-	u, err := c.conStates[df.cons[lk]].plan.Eval(c.cur, &sc.orc, nil)
-	if err != nil {
+	lc := c.conStates[df.cons[lk]]
+	u := lc.ans
+	if err := lc.plan.EvalInto(c.cur, &sc.orc, nil, u); err != nil {
 		return err
 	}
 	df.execs++
-	df.work[lk] = u
 	for k, i := range df.cons {
 		if k != lk && c.running(i) {
-			df.work[k] = fol.NewBindings(u.Vars())
+			c.conStates[i].ans.Clear()
 		}
 	}
+	var err error
 	if len(df.cons) > 1 {
-		u.EachRow(func(w tuple.Tuple) bool {
+		u.EachRow(func(w tuple.Tuple) bool { //rtic:allocok closure does not escape EachRow
 			df.keyBuf = w.AppendKeyTo(df.keyBuf[:0])
 			err = c.fanOut(df, w, df.keyBuf)
 			return err == nil
@@ -236,16 +231,15 @@ func (c *Checker) planFamily(sc *stepCtx, df *denialFamily) error {
 // loses w when U does or when j's literal stopped holding for w's
 // varying row, and gains w when U does and j's window admits its row, or
 // when its literal started to hold for the varying row of a w that U
-// kept. Answers that did not move are kept as they are; a new set is
-// built only once one does.
+// kept. Every answer changes in place.
 func (c *Checker) seedFamily(sc *stepCtx, df *denialFamily) error {
 	lk := df.looseAt()
 	lc := c.conStates[df.cons[lk]]
-	last := lc.lastB
+	u := lc.ans
 	var rerr error
 	lc.lost = lc.lost[:0]
-	if !last.Empty() && lc.moved(false) {
-		last.EachRow(func(row tuple.Tuple) bool {
+	if !u.Empty() && lc.moved(false) {
+		u.EachRow(func(row tuple.Tuple) bool { //rtic:allocok closure does not escape EachRow
 			df.execs++
 			ok, err := lc.plan.RetestRow(c.cur, &sc.orc, row)
 			if err != nil {
@@ -261,12 +255,8 @@ func (c *Checker) seedFamily(sc *stepCtx, df *denialFamily) error {
 			return rerr
 		}
 	}
-	u := last
-	if len(lc.lost) > 0 {
-		u = last.Clone()
-		for _, row := range lc.lost {
-			u.RemoveKey(row.Key())
-		}
+	for _, row := range lc.lost {
+		u.RemoveRow(row)
 	}
 	rise := false
 	for k, i := range df.cons {
@@ -279,22 +269,19 @@ func (c *Checker) seedFamily(sc *stepCtx, df *denialFamily) error {
 			continue
 		}
 		df.drop = df.drop[:0]
-		cs.lastB.EachRow(func(w tuple.Tuple) bool {
+		cs.ans.EachRow(func(w tuple.Tuple) bool { //rtic:allocok closure does not escape EachRow
 			df.keyBuf = w.AppendKeyTo(df.keyBuf[:0])
 			if !u.ContainsKeyBytes(df.keyBuf) || !df.admits(cs.vary, df.place(w)) {
 				df.drop = append(df.drop, w)
 			}
 			return true
 		})
-		if len(df.drop) > 0 {
-			df.work[k] = cs.lastB.Clone()
-			for _, w := range df.drop {
-				df.work[k].RemoveKey(w.Key())
-			}
+		for _, w := range df.drop {
+			cs.ans.RemoveRow(w)
 		}
 	}
 	if rise {
-		u.EachRow(func(w tuple.Tuple) bool {
+		u.EachRow(func(w tuple.Tuple) bool { //rtic:allocok closure does not escape EachRow
 			df.keyBuf = w.AppendKeyTo(df.keyBuf[:0])
 			rerr = c.fanOut(df, w, df.keyBuf)
 			return rerr == nil
@@ -304,12 +291,9 @@ func (c *Checker) seedFamily(sc *stepCtx, df *denialFamily) error {
 		}
 	}
 	if lc.moved(true) {
-		n, err := lc.derive(sc, func(row tuple.Tuple) bool {
+		n, err := lc.derive(sc, func(row tuple.Tuple) bool { //rtic:allocok closure does not escape derive
 			df.keyBuf = row.AppendKeyTo(df.keyBuf[:0])
 			if !u.ContainsKeyBytes(df.keyBuf) {
-				if u == last {
-					u = last.Clone()
-				}
 				if rerr = u.AddRow(row); rerr != nil {
 					return false
 				}
@@ -325,7 +309,6 @@ func (c *Checker) seedFamily(sc *stepCtx, df *denialFamily) error {
 			return err
 		}
 	}
-	df.work[lk] = u
 	return nil
 }
 
@@ -341,13 +324,10 @@ func (c *Checker) fanOut(df *denialFamily, w tuple.Tuple, key []byte) error {
 		if place < 0 {
 			place = df.place(w)
 		}
-		if !df.admits(cs.vary, place) || df.work[k].ContainsKeyBytes(key) {
+		if !df.admits(cs.vary, place) || cs.ans.ContainsKeyBytes(key) {
 			continue
 		}
-		if df.work[k] == cs.lastB {
-			df.work[k] = cs.lastB.Clone()
-		}
-		if err := df.work[k].AddRow(w); err != nil {
+		if err := cs.ans.AddRow(w); err != nil {
 			return err
 		}
 	}

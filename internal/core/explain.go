@@ -200,8 +200,8 @@ func (s *sinceNode) witnesses(env fol.Env, now uint64) []uint64 {
 	if err != nil {
 		return nil
 	}
-	e, ok := s.fam.entries[row.Key()]
-	if !ok {
+	e := s.fam.find(row)
+	if e == nil {
 		return nil
 	}
 	var out []uint64

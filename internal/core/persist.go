@@ -160,17 +160,21 @@ func encodeNode(node auxNode, now uint64) (snapNode, error) {
 	case *sinceNode:
 		sn := snapNode{Kind: "since", Formula: n.node.String()}
 		f := n.fam
-		keys := make([]string, 0, len(f.entries))
-		for k, e := range f.entries {
-			if !f.newest || n.satisfied(e, now) {
-				keys = append(keys, k)
-			}
+		type keyed struct {
+			key string
+			e   *sinceEntry
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e := f.entries[k]
+		var held []keyed
+		f.eachEntry(func(e *sinceEntry) {
+			if !f.newest || n.satisfied(e, now) {
+				held = append(held, keyed{f.row(e).Key(), e})
+			}
+		})
+		sort.Slice(held, func(i, j int) bool { return held[i].key < held[j].key })
+		for _, k := range held {
+			e := k.e
 			sn.Entries = append(sn.Entries, snapEntry{
-				Row:   e.row.Clone(),
+				Row:   f.row(e).Clone(),
 				Times: append([]uint64(nil), f.anchorsOf(e)...),
 			})
 		}
@@ -310,14 +314,17 @@ func decodeNode(node auxNode, sn snapNode) error {
 			} else if len(times) > 1 && n.iv.Unbounded {
 				times = times[:1]
 			}
-			key := e.Row.Key()
-			have, ok := f.entries[key]
+			have := f.find(e.Row)
 			switch {
-			case !ok:
-				have = &sinceEntry{key: key, row: e.Row.Clone(), times: append([]uint64(nil), times...), liveIx: -1, keep: true}
+			case have == nil:
+				var err error
+				if have, err = f.take(e.Row); err != nil {
+					return err
+				}
+				have.times, have.liveIx, have.keep = append(have.times, times...), -1, true
 				f.insert(have)
 			case have.seen == f.epoch || !f.newest:
-				return fmt.Errorf("core: snapshot repeats entry %s of node %s", key, n.node.String())
+				return fmt.Errorf("core: snapshot repeats entry %s of node %s", e.Row.Key(), n.node.String())
 			case len(times) == 1 && len(have.times) == 1 && times[0] > have.times[0]:
 				have.times[0] = times[0]
 			}

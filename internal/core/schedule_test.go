@@ -292,7 +292,7 @@ func TestStepBatchMatchesSteps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		want = append(want, vs)
+		want = append(want, check.CloneViolations(vs))
 	}
 	got, err := engine.SerialBatch(batch.Step, steps)
 	if err != nil {

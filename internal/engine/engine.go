@@ -48,9 +48,14 @@ type Engine interface {
 	// The engine borrows the transaction for the call only: the caller
 	// may reset and refill it as soon as Step returns (the server's
 	// sessions and cmd/rtic parse every line into one transaction). What
-	// an engine keeps past Step, rows it stores and the witnesses it
-	// returns, it copies; state it reads only within Step, such as
-	// core's per-commit delta, may point into the transaction.
+	// an engine keeps past Step, the rows it stores, it copies; state it
+	// reads only within Step, such as core's per-commit delta, may point
+	// into the transaction.
+	//
+	// The caller borrows the returned violations the same way: they are
+	// valid until the engine's next Step, which may reuse the slice and
+	// the storage their bindings point into (core recycles both). A
+	// caller that keeps them longer copies them (check.CloneViolations).
 	Step(uint64, *storage.Transaction) ([]check.Violation, error)
 	// State returns the current database: the base relations every
 	// engine holds, plus whatever relations the engine manages beside
@@ -82,7 +87,8 @@ type Step struct {
 }
 
 // SerialBatch commits a sequence of transactions in order through step
-// and returns per-transaction violations. On error the committed prefix
+// and returns per-transaction violations, each copied out of the engine
+// before the next commit. On error the committed prefix
 // stays committed (the detection-oriented model never rolls back) and
 // the violations of that prefix are returned with the error of the
 // failing step.
@@ -93,7 +99,7 @@ func SerialBatch(step func(uint64, *storage.Transaction) ([]check.Violation, err
 		if err != nil {
 			return out, fmt.Errorf("engine: batch step %d (t=%d): %w", i, s.Time, err)
 		}
-		out = append(out, vs)
+		out = append(out, check.CloneViolations(vs))
 	}
 	return out, nil
 }

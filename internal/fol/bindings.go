@@ -42,8 +42,8 @@ func (e Env) Clone() Env {
 type Bindings struct {
 	vars []string
 	rel  *relation.Relation
-	// scratch is the reusable row buffer of Add/Contains; the relation
-	// clones on insert, so reuse is safe.
+	// scratch is the reusable row buffer of Add; the relation copies on
+	// insert, so reuse is safe.
 	scratch tuple.Tuple
 }
 
@@ -106,14 +106,6 @@ func (b *Bindings) AddRow(row tuple.Tuple) error {
 	return err
 }
 
-// AddKeyedRow inserts a tuple aligned with b's variable order under its
-// Key() encoding, sharing both with the caller instead of copying them;
-// the caller must not mutate row afterwards.
-func (b *Bindings) AddKeyedRow(key string, row tuple.Tuple) error {
-	_, err := b.rel.InsertKeyed(key, row)
-	return err
-}
-
 // Each calls f with an Env view of every binding, in unspecified order;
 // iteration stops early when f returns false. The Env passed to f is
 // reused across calls; clone it to retain it.
@@ -171,18 +163,16 @@ func (b *Bindings) ContainsKeyBytes(key []byte) bool {
 	return b.rel.ContainsKeyBytes(key)
 }
 
-// ContainsKey reports whether the binding row with the given Key()
-// string is present.
+// RemoveRow deletes a tuple aligned with Vars(), reporting whether it
+// was present.
 //
 //rtic:noalloc
-func (b *Bindings) ContainsKey(key string) bool {
-	_, ok := b.rel.GetKey(key)
-	return ok
-}
+func (b *Bindings) RemoveRow(row tuple.Tuple) bool { return b.rel.Delete(row) }
 
-// RemoveKey deletes the binding row with the given Key() string,
-// reporting whether it was present.
-func (b *Bindings) RemoveKey(key string) bool { return b.rel.DeleteKey(key) }
+// Clear empties the set, keeping its storage for the rows that follow.
+//
+//rtic:noalloc
+func (b *Bindings) Clear() { b.rel.Clear() }
 
 // Clone returns an independent copy of the binding set.
 func (b *Bindings) Clone() *Bindings {

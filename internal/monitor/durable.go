@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"rtic/internal/check"
 	"rtic/internal/obs"
 	"rtic/internal/storage"
 	"rtic/internal/vfs"
@@ -289,6 +290,9 @@ func (d *Durable) Recover() (int, error) {
 	}
 
 	applied, first := 0, 0 // first: journal 0's records past the checkpoint
+	// reported holds each replayed commit's violations, its storage the
+	// next one's.
+	var reported []check.Violation
 	_, err := logs[0].Replay(func(payload []byte) error {
 		t, tx, err := wal.DecodeTx(payload)
 		if err != nil {
@@ -320,9 +324,11 @@ func (d *Durable) Recover() (int, error) {
 				}
 			}
 		}
-		if _, err := d.m.Apply(t, tx); err != nil {
+		vs, err := d.m.ApplyInto(t, tx, reported)
+		if err != nil {
 			return fmt.Errorf("monitor: replaying record at t=%d: %w", t, err)
 		}
+		reported = vs
 		applied++
 		return nil
 	})

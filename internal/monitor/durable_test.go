@@ -165,7 +165,7 @@ func applyAll(t *testing.T, m *Monitor, steps []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, vs)
+		out = append(out, check.CloneViolations(vs))
 	}
 	return out
 }

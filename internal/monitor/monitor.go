@@ -224,13 +224,25 @@ func (m *Monitor) Router() *shard.Router { return m.rtr }
 // takes no lock, so code holding the commit lock may call it.
 func (m *Monitor) Observer() *obs.Observer { return m.obs.Load() }
 
-// Apply commits a transaction at time t and returns its violations.
-// Calls are serialized; timestamps must be strictly increasing across
-// all callers. With an observer attached, the wait for the commit lock
-// is recorded (rtic_commit_lock_wait_seconds) and one span tree goes to
-// the span sink: a monitor.apply root carrying the lock wait, with the
-// engine's commit span and the journal hook's wal.append spans beneath.
+// Apply commits a transaction at time t and returns its violations,
+// which are the caller's to keep. Calls are serialized; timestamps must
+// be strictly increasing across all callers. With an observer attached,
+// the wait for the commit lock is recorded (rtic_commit_lock_wait_seconds)
+// and one span tree goes to the span sink: a monitor.apply root carrying
+// the lock wait, with the engine's commit span and the journal hook's
+// wal.append spans beneath.
 func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, error) {
+	return m.ApplyInto(t, tx, nil)
+}
+
+// ApplyInto is Apply that returns the violations in dst's storage
+// (check.AppendClones onto dst[:0]). The engine's violations are valid
+// only until its next Step, which another caller may take as soon as
+// the commit lock is released, so they are copied out, and filed in the
+// Recent ring, before it is. A caller that passes back the slice its
+// last call returned commits without allocating once that slice has
+// grown to its high-water mark.
+func (m *Monitor) ApplyInto(t uint64, tx *storage.Transaction, dst []check.Violation) ([]check.Violation, error) {
 	obsv := m.Observer()
 	mm := obsv.MetricSink()
 	sink := obsv.SpanSink()
@@ -251,8 +263,14 @@ func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, e
 		}
 	}
 	vs, err := m.eng.Step(t, tx)
-	if err == nil && m.journal != nil {
-		m.journal(t, tx)
+	if err == nil {
+		if m.journal != nil {
+			m.journal(t, tx)
+		}
+		if len(vs) > 0 {
+			m.publish(vs)
+		}
+		dst = check.AppendClones(dst[:0], vs)
 	}
 	m.open = nil
 	m.mu.Unlock()
@@ -264,29 +282,34 @@ func (m *Monitor) Apply(t uint64, tx *storage.Transaction) ([]check.Violation, e
 	if err != nil {
 		return nil, err
 	}
-	if len(vs) > 0 {
-		m.publish(vs)
-	}
-	return vs, nil
+	return dst, nil
 }
 
+// publish files the commit's violations in the Recent ring and sends
+// them to subscribers; it runs under the commit lock. The engine's
+// violations are valid until its next Step, so each is copied: into
+// storage its ring slot owns and reuses, and into a binding of its own
+// for each subscriber.
 func (m *Monitor) publish(vs []check.Violation) {
 	mm := m.Observer().MetricSink()
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
 	for _, v := range vs {
+		var slot *check.Violation
 		if len(m.recent) < recentCapacity {
-			m.recent = append(m.recent, v)
+			m.recent = append(m.recent, check.Violation{})
+			slot = &m.recent[len(m.recent)-1]
 		} else {
-			m.recent[m.recentNext] = v
+			slot = &m.recent[m.recentNext]
 			m.recentNext = (m.recentNext + 1) % recentCapacity
 			m.recentFull = true
 		}
+		v.CopyTo(slot)
 	}
 	for _, ch := range m.subs {
 		for _, v := range vs {
 			select {
-			case ch <- v:
+			case ch <- v.Clone():
 			default:
 				m.dropped++ // slow subscriber: drop rather than stall commits
 				if mm != nil {
@@ -298,7 +321,7 @@ func (m *Monitor) publish(vs []check.Violation) {
 }
 
 // Recent returns up to n of the most recent violations, oldest first
-// (the monitor retains the last 128).
+// (the monitor retains the last 128), copied out of the ring.
 func (m *Monitor) Recent(n int) []check.Violation {
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
@@ -311,6 +334,9 @@ func (m *Monitor) Recent(n int) []check.Violation {
 	}
 	if n > 0 && len(ordered) > n {
 		ordered = ordered[len(ordered)-n:]
+	}
+	for i := range ordered {
+		ordered[i] = ordered[i].Clone()
 	}
 	return ordered
 }

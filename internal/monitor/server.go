@@ -211,6 +211,9 @@ func (s *Server) handle(conn net.Conn) {
 	// parsed into it in place, straight from the scanner's buffer, and
 	// the engine borrows it for the one Step (engine.Engine's contract).
 	tx := storage.NewTransaction()
+	// reported holds a commit's violations while its reply is written,
+	// and its storage is the next commit's (Monitor.ApplyInto).
+	var reported []check.Violation
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		switch {
@@ -271,11 +274,12 @@ func (s *Server) handle(conn net.Conn) {
 			if !ok {
 				continue
 			}
-			vs, err := s.M.Apply(t, tx)
+			vs, err := s.M.ApplyInto(t, tx, reported)
 			if err != nil {
 				replyError("%v", err)
 				break
 			}
+			reported = vs
 			for _, v := range vs {
 				replyViolation(v)
 			}

@@ -10,17 +10,27 @@ import (
 	"runtime/metrics"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"rtic/internal/cdcgen"
 	"rtic/internal/obs"
+	"rtic/internal/schema"
+	"rtic/internal/workload"
 )
 
 func startServer(t *testing.T) (*Server, net.Addr) {
 	t.Helper()
 	m, _ := hrMonitor(t)
+	return serve(t, m)
+}
+
+// serve starts a server over m on a loopback listener closed at cleanup.
+func serve(t *testing.T, m *Monitor) (*Server, net.Addr) {
+	t.Helper()
 	srv := NewServer(m)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -132,6 +142,75 @@ func TestServerMultipleClients(t *testing.T) {
 	}
 	if got := b.recv(t); got != "ok 1" {
 		t.Fatalf("b reply = %q", got)
+	}
+}
+
+// TestServerConcurrentReplies runs two writer sessions that commit
+// violating transactions at the same time: every reply must report its
+// own commit. The engine's report is valid only until its next Step,
+// which the other session may take as soon as the commit lock is
+// released, so a reply written from it after that could carry the other
+// commit's violation (and -race flags the overlap). Only a commit's own
+// new row violates p(x) -> prev p(x). A commit that lost the race for
+// the next timestamp is refused, and its reply is an error.
+func TestServerConcurrentReplies(t *testing.T) {
+	s := schema.NewBuilder().Relation("p", 1).MustBuild()
+	m, err := New(s, []workload.ConstraintSpec{{Name: "fresh", Source: "p(x) -> prev p(x)"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serve(t, m)
+	const commits = 200
+	var clock atomic.Uint64
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for id := range 2 {
+		c := dial(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reported := 0
+			for i := range commits {
+				x, at := id*commits+i, clock.Add(1)
+				if _, err := fmt.Fprintf(c.conn, "@%d +p(%d)\n", at, x); err != nil {
+					errs <- err
+					return
+				}
+				want := fmt.Sprintf(" (time %d) by x=%d", at, x)
+				for n := 0; ; n++ {
+					line, err := c.r.ReadString('\n')
+					if err != nil {
+						errs <- err
+						return
+					}
+					line = strings.TrimSuffix(line, "\n")
+					if strings.HasPrefix(line, "violation ") {
+						if !strings.HasPrefix(line, "violation fresh violated at state ") || !strings.HasSuffix(line, want) {
+							errs <- fmt.Errorf("session %d, commit at %d: reply %q does not report x=%d", id, at, line, x)
+							return
+						}
+						continue
+					}
+					if strings.HasPrefix(line, "error ") {
+						break
+					}
+					if line != "ok 1" || n != 1 {
+						errs <- fmt.Errorf("session %d, commit at %d: reply %q after %d violations, want ok 1 after 1", id, at, line, n)
+						return
+					}
+					reported++
+					break
+				}
+			}
+			if reported == 0 {
+				errs <- fmt.Errorf("session %d: no commit of %d was accepted", id, commits)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -552,14 +631,14 @@ func (c countingRawConn) Write(f func(fd uintptr) bool) error {
 // acknowledged in one write (the server's flush rule). And over a fixed
 // window after warm-up, a commit in a train of 12 allocates at most
 // maxAllocs objects, counting the client's side: the session parses
-// every line into one reused transaction, so what remains is core's
-// per-row keys and entries. GC cycles per 1k commits over the timed
-// loop are reported, not gated.
+// every line into one reused transaction and core recycles its rows and
+// entries. GC cycles per 1k commits over the timed loop are reported,
+// not gated; the feed=cdc leg gates them.
 func BenchmarkServerTrain(b *testing.B) {
 	const (
 		warmTrains = 50
 		gateTrains = 200
-		maxAllocs  = 6 // per commit, at train=12
+		maxAllocs  = 1 // per commit, at train=12
 	)
 	for _, train := range []int{1, 12} {
 		b.Run(fmt.Sprintf("train=%d", train), func(b *testing.B) {
@@ -637,5 +716,118 @@ func BenchmarkServerTrain(b *testing.B) {
 				b.Fatalf("%.2f allocations per commit over %d trains of %d, want at most %d", allocs, gateTrains, train, maxAllocs)
 			}
 		})
+	}
+	b.Run("feed=cdc", benchServerCDC)
+}
+
+// benchServerCDC is BenchmarkServerTrain over the shape of the
+// benchmark's cdc-stream workload: cdcgen seed 7, 24 sensors, bursts of
+// 8 every 20 commits, reorder up to 3, 2% violations, cdcgen's three
+// constraints, metrics attached as in rticd, trains of 12. After
+// warmCommits it counts, over gateCommits, heap allocations and bytes and
+// GC cycles per commit, client side included, and fails above
+// maxAllocs allocations per commit or at any GC cycle in the window: a
+// steady feed frees about as many rows and entries as it adds, and the
+// checker recycles what pruning frees.
+func benchServerCDC(b *testing.B) {
+	const (
+		train       = 12
+		warmCommits = 2000
+		gateCommits = 10000
+		maxAllocs   = 0.05 // per commit
+	)
+	cfg := cdcgen.Config{Steps: 4000, Seed: 7, Sensors: 24, BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.02}
+	h, _ := cdcgen.Generate(cfg)
+	bodies := make([]string, len(h.Steps))
+	for i, st := range h.Steps {
+		bodies[i] = st.Tx.String()
+	}
+	// The feed repeats, each lap shifted past the previous one by more
+	// than any window of the spec, so timestamps keep increasing.
+	lap := h.Steps[len(h.Steps)-1].Time + 1000
+	m, err := New(h.Schema, cdcgen.Constraints(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetObserver(&obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())})
+	srv := NewServer(m)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck — returns when the listener closes
+	defer func() {
+		l.Close()
+		srv.Close()
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+
+	var out []byte
+	k := 0 // commits sent
+	send := func(commits int) {
+		for sent := 0; sent < commits; sent += train {
+			out = out[:0]
+			for j := 0; j < train; j++ {
+				step := k % len(h.Steps)
+				out = append(out, '@')
+				out = strconv.AppendUint(out, h.Steps[step].Time+uint64(k/len(h.Steps))*lap, 10)
+				out = append(out, ' ')
+				out = append(out, bodies[step]...)
+				out = append(out, '\n')
+				k++
+			}
+			if _, err := conn.Write(out); err != nil {
+				b.Fatal(err)
+			}
+			for acked := 0; acked < train; {
+				reply, err := r.ReadSlice('\n')
+				if err != nil {
+					b.Fatal(err)
+				}
+				switch {
+				case bytes.HasPrefix(reply, []byte("ok ")):
+					acked++
+				case !bytes.HasPrefix(reply, []byte("violation ")):
+					b.Fatalf("reply = %q", reply)
+				}
+			}
+		}
+	}
+	// A collection first, so the window starts from a fresh heap goal
+	// whatever garbage earlier legs and rounds left: the warm-up
+	// allocates about 66 KB against megabytes of headroom, so a cycle
+	// inside the window is one this leg's commits caused. It comes before
+	// the warm-up, not after, so the runtime's own work after a cycle
+	// (a profile of the window showed its weak-pointer cleanup) is done
+	// before the window opens. ReadMemStats flushes every P's allocation
+	// counts, which runtime/metrics reads only as each span fills: exact
+	// counts need it.
+	runtime.GC()
+	send(warmCommits)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	send(gateCommits)
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / gateCommits
+	heapBytes := float64(m1.TotalAlloc-m0.TotalAlloc) / gateCommits
+	gcs := m1.NumGC - m0.NumGC
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	send(b.N * train)
+	b.StopTimer()
+	b.ReportMetric(allocs, "allocs/commit")
+	b.ReportMetric(heapBytes, "heap-B/commit")
+	b.ReportMetric(float64(gcs)*1000/gateCommits, "gc/1k-commits")
+	if allocs > maxAllocs {
+		b.Fatalf("%.3f allocations per commit over %d commits in trains of %d, want at most %g", allocs, gateCommits, train, maxAllocs)
+	}
+	if gcs > 0 {
+		b.Fatalf("%d GC cycles over %d commits in trains of %d, want none", gcs, gateCommits, train)
 	}
 }

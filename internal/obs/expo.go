@@ -14,7 +14,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	r.mu.Lock()
 	families := append([]*family(nil), r.families...)
+	collect := append([]func(){}, r.collect...)
 	r.mu.Unlock()
+	for _, f := range collect {
+		f()
+	}
 	for _, f := range families {
 		f.write(bw)
 	}

@@ -222,6 +222,9 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	// collect runs before every exposition: series that mirror a value
+	// kept elsewhere (RegisterRuntime's) read it here.
+	collect []func()
 }
 
 // NewRegistry returns an empty registry.

@@ -66,12 +66,21 @@ func (o *Observer) BeginCommit(t uint64, ops int) CommitScope {
 // take its uninstrumented path and skip End.
 func (cs *CommitScope) Idle() bool { return cs.Metrics == nil && cs.Span == nil }
 
+// Start returns the instant the commit began: where an engine that times
+// its phases back to back starts the first.
+func (cs *CommitScope) Start() time.Time { return cs.start }
+
 // End closes the scope with the commit's outcome: a failed commit counts
 // as an error, a successful one as a commit with its latency, and the
 // root span goes to the sink either way. It reports whether a metric set
 // saw a successful commit — the engine's cue to publish its gauges.
-func (cs *CommitScope) End(err error) bool {
-	d := time.Since(cs.start)
+func (cs *CommitScope) End(err error) bool { return cs.EndAt(err, time.Now()) }
+
+// EndAt is End with the commit ending at end: an engine that times its
+// phases back to back ends the commit where its last phase ended, so
+// the phases account for all of it.
+func (cs *CommitScope) EndAt(err error, end time.Time) bool {
+	d := end.Sub(cs.start)
 	if m := cs.Metrics; m != nil {
 		if err != nil {
 			m.CommitErrors.Inc()

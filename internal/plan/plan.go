@@ -19,8 +19,9 @@
 // internal/relation) and enumerate only the matching bucket.
 //
 // Execution uses pooled, reusable binding buffers: a run borrows an
-// execState (slot array, probe-key buffer, output row) from a sync.Pool,
-// so the steady-state hot path of a commit performs no allocation.
+// execState (slot array, probe-key buffer, output row) from the plan's
+// free list, so the steady-state hot path of a commit performs no
+// allocation.
 // Rows passed to the emit callback are scratch and must be cloned to be
 // retained. Rows may repeat across disjuncts (and within a disjunct
 // when existential variables were inlined); callers that need a set
@@ -136,7 +137,13 @@ type Plan struct {
 	temps     []mtl.Formula
 	disjuncts []*conj
 	seedable  bool
-	pool      sync.Pool
+	// free holds the execStates no run is using; a run takes one and
+	// gives it back. A locked list rather than a sync.Pool: a pool drops
+	// its states at every GC and keeps one list per P, so a steady feed
+	// would allocate a state whenever the committing goroutine moved to
+	// another P.
+	mu   sync.Mutex
+	free []*execState
 }
 
 type execState struct {
@@ -273,7 +280,6 @@ func Compile(f mtl.Formula, st *storage.State, inputs []string) (*Plan, error) {
 		inputs:   dedupSorted(inputs),
 		seedable: true,
 	}
-	p.pool.New = func() interface{} { return &execState{} }
 	c := &compiler{st: st, plan: p, tempIx: map[string]int{}}
 	for _, d := range dnf(f) {
 		cj, drop, err := c.compileDisjunct(d)
@@ -690,11 +696,19 @@ func (c *compiler) argsOf(ts []mtl.Term, bound []bool) []argSpec {
 	return out
 }
 
-// getState borrows a pooled execState sized for this plan.
+// getState borrows an execState from the free list, sized for this plan.
 //
 //rtic:noalloc
 func (p *Plan) getState() *execState {
-	es := p.pool.Get().(*execState)
+	var es *execState
+	p.mu.Lock()
+	if k := len(p.free); k > 0 {
+		es, p.free = p.free[k-1], p.free[:k-1]
+	}
+	p.mu.Unlock()
+	if es == nil {
+		es = &execState{} //rtic:allocok one per run in flight at once, the first time
+	}
 	n := 0
 	for _, cj := range p.disjuncts {
 		if cj.nslots > n {
@@ -719,7 +733,11 @@ func (p *Plan) getState() *execState {
 }
 
 //rtic:noalloc
-func (p *Plan) putState(es *execState) { p.pool.Put(es) }
+func (p *Plan) putState(es *execState) {
+	p.mu.Lock()
+	p.free = append(p.free, es)
+	p.mu.Unlock()
+}
 
 // Execute runs the plan over st with temporal literals answered by
 // oracle, calling emit for every satisfying assignment of the output
@@ -754,8 +772,18 @@ func (p *Plan) Execute(st *storage.State, oracle fol.Oracle, in fol.Env, emit fu
 // deduplicated binding set over Vars().
 func (p *Plan) Eval(st *storage.State, oracle fol.Oracle, in fol.Env) (*fol.Bindings, error) {
 	out := fol.NewBindings(p.vars)
+	if err := p.EvalInto(st, oracle, in, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EvalInto is Eval into a set the caller owns, over Vars(): out is
+// emptied and refilled, its storage reused.
+func (p *Plan) EvalInto(st *storage.State, oracle fol.Oracle, in fol.Env, out *fol.Bindings) error {
+	out.Clear()
 	var addErr error
-	err := p.Execute(st, oracle, in, func(row tuple.Tuple) bool {
+	err := p.Execute(st, oracle, in, func(row tuple.Tuple) bool { //rtic:allocok closure does not escape Execute
 		if e := out.AddRow(row); e != nil {
 			addErr = e
 			return false
@@ -765,10 +793,7 @@ func (p *Plan) Eval(st *storage.State, oracle fol.Oracle, in fol.Env) (*fol.Bind
 	if err == nil {
 		err = addErr
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return err
 }
 
 // RetestRow re-decides whether a row (aligned with Vars()) satisfies the
@@ -985,8 +1010,9 @@ func (p *Plan) run(cj *conj, steps []step, es *execState, st *storage.State, ora
 						}
 					}
 					es.key = k
-					for _, t := range ix.LookupKeyBytes(k) {
-						if !visit(t) {
+					for it := ix.LookupKeyBytes(k); ; {
+						t, ok := it.Next()
+						if !ok || !visit(t) {
 							break
 						}
 					}

@@ -117,7 +117,7 @@ func (s *Schema) Lookup(name string) (RelDef, bool) {
 func (s *Schema) Arity(name string) (int, error) {
 	d, ok := s.rels[name]
 	if !ok {
-		return 0, fmt.Errorf("schema: unknown relation %q", name)
+		return 0, fmt.Errorf("schema: unknown relation %q", name) //rtic:allocok cold path: the relation is not declared
 	}
 	return d.Arity, nil
 }

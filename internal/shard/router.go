@@ -3,7 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -45,6 +45,11 @@ type Router struct {
 	factory  Factory
 	obs      *obs.Observer
 	perShard []shardMetrics // obs's per-shard series, by shard; nil without metrics
+	// violations are obs's per-constraint violation counters, parallel to
+	// cons (resolved again whenever a constraint is added with metrics
+	// attached), so a commit's violations are counted without a labelled
+	// lookup.
+	violations []*obs.Counter
 
 	cons  []*check.Constraint
 	names map[string]bool
@@ -54,6 +59,7 @@ type Router struct {
 	conIndex map[string]int
 	parts    []*storage.Transaction // the last commit's split, one per shard (Parts)
 	outs     [][]check.Violation    // per-shard reports of the commit in progress
+	merged   []check.Violation      // the commit's merged report, reused by the next Step
 	durs     []time.Duration        // per-shard sub-commit times of the commit in progress
 	started  bool
 	now      uint64
@@ -148,6 +154,9 @@ func (r *Router) AddConstraint(con *check.Constraint) error {
 	r.cons = append(r.cons, con)
 	r.names[con.Name] = true
 	r.plan = plan
+	if m := r.obs.MetricSink(); m != nil {
+		r.syncPlanMetrics(m)
+	}
 	return nil
 }
 
@@ -165,16 +174,16 @@ type shardMetrics struct {
 // records commit, violation and per-shard routing metrics itself.
 func (r *Router) SetObserver(o *obs.Observer) {
 	r.obs = o
-	r.perShard = nil
+	r.perShard, r.violations = nil, nil
 	if m := o.MetricSink(); m != nil {
 		m.Shards.Set(int64(r.n))
 		r.syncPlanMetrics(m)
 	}
 }
 
-// syncPlanMetrics republishes the plan-derived gauges, resolves the
-// per-shard series the commit path updates, and pre-registers the
-// per-constraint series, so a scrape shows them all at zero.
+// syncPlanMetrics republishes the plan-derived gauges and resolves the
+// per-shard and per-constraint series the commit path updates, which
+// registers them, so a scrape shows them all at zero.
 func (r *Router) syncPlanMetrics(m *obs.Metrics) {
 	global := 0
 	for _, cp := range r.plan.Cons {
@@ -192,8 +201,9 @@ func (r *Router) syncPlanMetrics(m *obs.Metrics) {
 			opsRouted:     m.ShardOpsRouted.With(label),
 		}
 	}
-	for _, con := range r.cons {
-		m.Violations.With(con.Name)
+	r.violations = make([]*obs.Counter, len(r.cons))
+	for i, con := range r.cons {
+		r.violations[i] = m.Violations.With(con.Name)
 	}
 }
 
@@ -339,7 +349,7 @@ func (r *Router) Step(t uint64, tx *storage.Transaction) ([]check.Violation, err
 	vs, err := r.step(t, tx, cs.Metrics, cs.Span)
 	if cs.End(err) {
 		for _, v := range vs {
-			cs.Metrics.Violations.With(v.Constraint).Inc()
+			r.violations[r.conIndex[v.Constraint]].Inc()
 		}
 		r.publishAuxGauges(cs.Metrics)
 	}
@@ -476,19 +486,22 @@ func shardSkew(durs []time.Duration) float64 {
 // derivable on exactly one shard, and global constraints run on one
 // shard only.
 func (r *Router) merge(outs [][]check.Violation) []check.Violation {
-	var vs []check.Violation
+	vs := r.merged[:0]
 	for _, out := range outs {
 		vs = append(vs, out...)
+	}
+	r.merged = vs
+	if len(vs) == 0 {
+		return nil
 	}
 	if len(vs) < 2 {
 		return vs
 	}
-	sort.SliceStable(vs, func(i, j int) bool {
-		ci, cj := r.conIndex[vs[i].Constraint], r.conIndex[vs[j].Constraint]
-		if ci != cj {
-			return ci < cj
+	slices.SortStableFunc(vs, func(a, b check.Violation) int {
+		if c := r.conIndex[a.Constraint] - r.conIndex[b.Constraint]; c != 0 {
+			return c
 		}
-		return vs[i].Binding.Compare(vs[j].Binding) < 0
+		return a.Binding.Compare(b.Binding)
 	})
 	return vs
 }

@@ -342,6 +342,39 @@ func TestRouterObserverMetrics(t *testing.T) {
 	}
 }
 
+// TestRouterObserverBeforeConstraints attaches metrics before any
+// constraint: the constraints added after still have their violations
+// counted, and the plan gauges follow them.
+func TestRouterObserverBeforeConstraints(t *testing.T) {
+	s := testSchema(t)
+	r, err := New(s, 3, coreFactory(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics(obs.NewRegistry())
+	r.SetObserver(&obs.Observer{Metrics: m})
+	if err := r.AddConstraint(parse(t, s, "part", "p(x) -> not once[0,3] q(x)")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddConstraint(parse(t, s, "glob", "r(0, 0) -> not once[0,3] r(0, 1)")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ShardGlobalConstraints.Value(); got != 1 {
+		t.Fatalf("global fallback gauge = %d, want 1", got)
+	}
+	if _, err := r.Step(1, storage.NewTransaction().Insert("q", tuple.Ints(1)).Insert("r", tuple.Ints(0, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Step(2, storage.NewTransaction().Insert("p", tuple.Ints(1)).Insert("r", tuple.Ints(0, 0))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"part", "glob"} {
+		if got := m.Violations.With(name).Value(); got != 1 {
+			t.Errorf("violations{%s} = %d, want 1", name, got)
+		}
+	}
+}
+
 // TestRouterModes runs the naive and active engines behind the router
 // against their unsharded selves.
 func TestRouterModes(t *testing.T) {

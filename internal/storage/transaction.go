@@ -103,11 +103,11 @@ func (tx *Transaction) Validate(s *schema.Schema) error {
 	for i, m := range tx.ops {
 		arity, err := s.Arity(m.Rel)
 		if err != nil {
-			return fmt.Errorf("storage: op %d: %w", i, err)
+			return fmt.Errorf("storage: op %d: %w", i, err) //rtic:allocok cold path: the transaction is rejected
 		}
 		if len(m.Tuple) != arity {
-			return fmt.Errorf("storage: op %d: relation %s expects arity %d, got %d",
-				i, m.Rel, arity, len(m.Tuple))
+			//rtic:allocok cold path: the transaction is rejected
+			return fmt.Errorf("storage: op %d: relation %s expects arity %d, got %d", i, m.Rel, arity, len(m.Tuple))
 		}
 	}
 	return nil

@@ -407,9 +407,11 @@ func (t *Tx) Delete(rel string, vals ...Value) *Tx {
 // be strictly increasing across commits) and returns the violation
 // witnesses of the resulting state. A violation does not roll the
 // transaction back; reacting to violations is the caller's policy, as in
-// the paper's detection-oriented model.
+// the paper's detection-oriented model. The violations are the
+// caller's to keep.
 func (t *Tx) Commit(time uint64) ([]Violation, error) {
-	return t.c.eng.Step(time, t.tx)
+	vs, err := t.c.eng.Step(time, t.tx)
+	return check.CloneViolations(vs), err
 }
 
 // Batch accumulates transactions for one multi-commit call: each added
