@@ -5,7 +5,7 @@
 //
 //	rtic -spec constraints.rtic [-quiet] [-explain] [-trace] [log...]
 //	rtic lint -spec constraints.rtic [-json] [-strict] [log...]
-//	rtic trace -spec constraints.rtic [-out trace.json] [-shards N]
+//	rtic trace -spec constraints.rtic [-out trace.json]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [log...]
 //
 // The spec file declares relations and constraints (see package

@@ -22,10 +22,9 @@ import (
 )
 
 func runTrace(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("rtic trace", flag.ContinueOnError)
+	// A bad flag is a usage error, exit 2, as for rtic and rticd.
+	fs := flag.NewFlagSet("rtic trace", flag.ExitOnError)
 	specPath := fs.String("spec", "", "spec file with relations and constraints (required)")
-	shards := fs.Int("shards", 1,
-		"hash-partition state across N shard engines (1 = unsharded)")
 	outPath := fs.String("out", "trace.json", "Chrome trace-event output file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the replay to this file")
@@ -37,10 +36,9 @@ func runTrace(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Span tracing decomposes the paper's commit pipeline, sharded as
-	// -shards says.
+	// Span tracing decomposes the paper's commit pipeline.
 	rec := obs.NewSpanRecorder(0)
-	eng, err := shard.Build(sp.Schema, *shards)
+	eng, err := shard.Build(sp.Schema, 1)
 	if err != nil {
 		return err
 	}

@@ -79,18 +79,6 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
-func TestRunTraceSharded(t *testing.T) {
-	specPath, logPath := writeTraceFixtures(t)
-	outPath := filepath.Join(filepath.Dir(specPath), "sharded.json")
-	var out bytes.Buffer
-	if err := runTrace([]string{"-spec", specPath, "-out", outPath, "-shards", "2", logPath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "shard.commit") {
-		t.Errorf("sharded summary missing shard.commit:\n%s", out.String())
-	}
-}
-
 func TestRunTraceRequiresSpec(t *testing.T) {
 	if err := runTrace(nil, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-spec") {
 		t.Fatalf("err = %v, want -spec requirement", err)

@@ -17,7 +17,6 @@ import (
 	"rtic/internal/engine"
 	"rtic/internal/naive"
 	"rtic/internal/obs"
-	"rtic/internal/shard"
 	"rtic/internal/workload"
 )
 
@@ -144,20 +143,6 @@ func newIncremental(h workload.History) (*core.Checker, error) {
 	return c, nil
 }
 
-// newSharded builds a shard router over h's schema (incremental
-// engines inside) with h's constraints installed.
-func newSharded(h workload.History, shards int) (*shard.Router, error) {
-	r, err := shard.New(h.Schema, shards, func() engine.Engine { return core.New(h.Schema) })
-	if err != nil {
-		return nil, err
-	}
-	if err := engine.Install(r, h.Schema, h.Constraints); err != nil {
-		return nil, err
-	}
-	observeEngine(r)
-	return r, nil
-}
-
 // repeats is how many fresh replays the timing experiments take the
 // fastest of; single runs are too exposed to GC scheduling noise.
 func repeats(quick bool) int {
@@ -193,18 +178,6 @@ func runIncremental(h workload.History) (replayResult, core.Stats, error) {
 	}
 	res, err := replay(h, c)
 	return res, c.Stats(), err
-}
-
-// runSharded is runIncremental on a router over shards engines.
-func runSharded(shards int) func(workload.History) (replayResult, core.Stats, error) {
-	return func(h workload.History) (replayResult, core.Stats, error) {
-		r, err := newSharded(h, shards)
-		if err != nil {
-			return replayResult{}, core.Stats{}, err
-		}
-		res, err := replay(h, r)
-		return res, r.Stats(), err
-	}
 }
 
 // runUnpruned replays h on an incremental checker with the pruning

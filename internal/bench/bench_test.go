@@ -76,8 +76,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 13 {
-		t.Fatalf("got %d tables, want 13", len(tables))
+	if len(tables) != 12 {
+		t.Fatalf("got %d tables, want 12", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
@@ -150,22 +150,4 @@ func parsePercent(t *testing.T, s string) float64 {
 		t.Fatalf("bad percent %q", s)
 	}
 	return v
-}
-
-func TestTable9ShardScalingShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment")
-	}
-	tbl, err := Table9ShardScaling(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unsharded baseline plus fan-outs 2, 4, 8; the identical-violations
-	// assertion lives inside the experiment and surfaces as err.
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4:\n%v", len(tbl.Rows), tbl.Rows)
-	}
-	if tbl.Rows[0][0] != "unsharded" || tbl.Rows[3][0] != "8" {
-		t.Fatalf("unexpected row labels: %v", tbl.Rows)
-	}
 }

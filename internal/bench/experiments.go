@@ -330,100 +330,8 @@ func Experiments() []struct {
 		{"Table 6", Table6Ablation},
 		{"Figure 4", Figure4Storage},
 		{"Table 7", Table7SinceChain},
-		{"Table 9", Table9ShardScaling},
 		{"Table 10", Table10CDCFreshness},
 	}
-}
-
-// crossShardConstraints builds a spec no partition column can serve:
-// count self-join denials whose key variables swap positions between
-// the two r atoms, so the static analysis places every constraint (and
-// r itself) on the global shard.
-func crossShardConstraints(count int) []workload.ConstraintSpec {
-	out := make([]workload.ConstraintSpec, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, workload.ConstraintSpec{
-			Name:   fmt.Sprintf("x%03d", i),
-			Source: fmt.Sprintf("r(x, y) -> not once[0,%d] r(y, x)", 40+i),
-		})
-	}
-	return out
-}
-
-// Table9ShardScaling — hash-partitioned shard engines vs the unsharded
-// checker, on two workloads: one fully partitionable (the router
-// spreads state and checks across the shards) and one forced onto the
-// global shard by cross-partition joins (the router's worst case — all
-// routing overhead, no spreading). Violations are asserted identical
-// to the unsharded engine at every fan-out.
-func Table9ShardScaling(quick bool) (Table, error) {
-	t := Table{
-		ID:      "Table 9",
-		Title:   "shard fan-out vs per-transaction cost (32 constraints)",
-		Columns: []string{"shards", "partitionable ns/tx", "speedup vs unsharded", "cross-shard ns/tx", "speedup vs unsharded"},
-		Notes:   "partitionable: 32 once-window denials keyed by one variable; cross-shard: 32 self-join denials forced onto the global shard; all fan-outs report identical violations",
-	}
-	n := 400
-	if quick {
-		n = 150
-	}
-	part := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
-	part.Constraints = onceWindowConstraints(32)
-	cross := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 59, OpsPerTx: 4, Domain: 16})
-	cross.Constraints = crossShardConstraints(32)
-
-	basePart, _, err := best(part, repeats(quick), runIncremental)
-	if err != nil {
-		return t, err
-	}
-	baseCross, _, err := best(cross, repeats(quick), runIncremental)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, []string{
-		"unsharded", ns(basePart.nsPerStepAll), "1.0x", ns(baseCross.nsPerStepAll), "1.0x",
-	})
-
-	for _, shards := range []int{2, 4, 8} {
-		resPart, _, err := best(part, repeats(quick), runSharded(shards))
-		if err != nil {
-			return t, err
-		}
-		if resPart.violations != basePart.violations {
-			return t, fmt.Errorf("bench: %d shards reported %d violations on the partitionable leg, unsharded %d",
-				shards, resPart.violations, basePart.violations)
-		}
-		resCross, _, err := best(cross, repeats(quick), runSharded(shards))
-		if err != nil {
-			return t, err
-		}
-		if resCross.violations != baseCross.violations {
-			return t, fmt.Errorf("bench: %d shards reported %d violations on the cross-shard leg, unsharded %d",
-				shards, resCross.violations, baseCross.violations)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", shards),
-			ns(resPart.nsPerStepAll),
-			ratio(basePart.nsPerStepAll, resPart.nsPerStepAll),
-			ns(resCross.nsPerStepAll),
-			ratio(baseCross.nsPerStepAll, resCross.nsPerStepAll),
-		})
-	}
-	return t, nil
-}
-
-// onceWindowConstraints builds a constraint-heavy spec: count distinct
-// once-window denials over the uniform workload's relations, each keyed
-// by its one variable.
-func onceWindowConstraints(count int) []workload.ConstraintSpec {
-	out := make([]workload.ConstraintSpec, 0, count)
-	for i := 0; i < count; i++ {
-		out = append(out, workload.ConstraintSpec{
-			Name:   fmt.Sprintf("w%03d", i),
-			Source: fmt.Sprintf("p(x) -> not once[0,%d] q(x)", 40+i),
-		})
-	}
-	return out
 }
 
 // All runs every experiment in report order.

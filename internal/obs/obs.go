@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -165,10 +166,11 @@ func (f *family) get(values []string) metric {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelKey(values)
+	var buf [64]byte
+	key := appendLabelKey(buf[:0], values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s.m
 	}
 	var m metric
@@ -182,17 +184,23 @@ func (f *family) get(values []string) metric {
 	case "histogram":
 		m = newHistogram(f.bounds)
 	}
-	f.series[key] = &series{labelValues: append([]string(nil), values...), m: m}
-	f.order = append(f.order, key)
+	k := string(key)
+	f.series[k] = &series{labelValues: append([]string(nil), values...), m: m}
+	f.order = append(f.order, k)
 	return m
 }
 
-func labelKey(values []string) string {
-	key := ""
+// appendLabelKey appends the series key of values to b: each value
+// length-prefixed and ';'-terminated, so distinct label tuples never
+// share a key. Looking a series up with it allocates nothing.
+func appendLabelKey(b []byte, values []string) []byte {
 	for _, v := range values {
-		key += fmt.Sprintf("%d:%s;", len(v), v)
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
+		b = append(b, v...)
+		b = append(b, ';')
 	}
-	return key
+	return b
 }
 
 // CounterVec is a counter family partitioned by labels.

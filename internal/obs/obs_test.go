@@ -185,6 +185,26 @@ func TestVecArityPanics(t *testing.T) {
 	v.With("only-one")
 }
 
+// TestVecWithExistingSeriesAllocatesNothing: With on a series that
+// already exists is a lookup, not a key built on the heap, and label
+// tuples that concatenate alike stay distinct series.
+func TestVecWithExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	one := r.CounterVec("one_total", "help", "k")
+	two := r.HistogramVec("two_seconds", "help", []float64{1}, "a", "b")
+	one.With("constraint_name").Inc()
+	two.With("ab", "c").Observe(0.5)
+	if n := testing.AllocsPerRun(100, func() { one.With("constraint_name").Inc() }); n != 0 {
+		t.Errorf("CounterVec.With on an existing series: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { two.With("ab", "c").Observe(0.5) }); n != 0 {
+		t.Errorf("HistogramVec.With on an existing series: %v allocs, want 0", n)
+	}
+	if two.With("a", "bc") == two.With("ab", "c") {
+		t.Error(`("a", "bc") and ("ab", "c") share a series`)
+	}
+}
+
 func TestNewMetricsIdempotent(t *testing.T) {
 	r := NewRegistry()
 	m1 := NewMetrics(r)

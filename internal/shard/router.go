@@ -30,7 +30,7 @@ type Factory func() engine.Engine
 // partition columns and commits the sub-transactions one shard after
 // another on the committing goroutine: a sub-commit is tens of
 // microseconds, less than the wake-up a goroutine per shard would cost
-// (EXPERIMENTS.md, Table 9).
+// (EXPERIMENTS.md, "Table 9 (retired 2026-10-19)").
 //
 // Every shard steps at every commit timestamp — shards the split
 // leaves empty receive an empty sub-transaction — so temporal window

@@ -148,8 +148,8 @@ func TestRouterSnapshotRejectsDamage(t *testing.T) {
 }
 
 // TestRouterSnapshotMismatches covers the loads that must fail with
-// both sides named: another shard count, another partition plan, and
-// shards at different clocks.
+// both sides named: another shard count (one included), another
+// partition plan, and shards at different clocks.
 func TestRouterSnapshotMismatches(t *testing.T) {
 	h := cdcFeed()
 	live := feedRouter(t, h, 2, 20)
@@ -158,6 +158,10 @@ func TestRouterSnapshotMismatches(t *testing.T) {
 	_, err := LoadSnapshot(h.Schema, bytes.NewReader(raw), 4)
 	if err == nil || !strings.Contains(err.Error(), "written by 2 shards") || !strings.Contains(err.Error(), "configured with 4") {
 		t.Fatalf("shard-count mismatch: err = %v, want both counts named", err)
+	}
+	// Restored as one shard, the envelope is not a checker snapshot.
+	if c, err := Restore(h.Schema, bytes.NewReader(raw), 1, nil); err == nil || c != nil || !strings.Contains(err.Error(), "not an rtic snapshot") {
+		t.Fatalf("2-shard snapshot restored as one shard = (%v, %v), want a file-type complaint", c, err)
 	}
 
 	// A schema with one more relation plans one more placement.

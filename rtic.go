@@ -94,9 +94,8 @@ func (sb *SchemaBuilder) MustBuild() *Schema { return sb.b.MustBuild() }
 type Option func(*config)
 
 type config struct {
-	shards int
-	obs    *obs.Observer
-	lint   LintMode
+	obs  *obs.Observer
+	lint LintMode
 }
 
 // Diagnostic is one static-analysis finding of the constraint linter;
@@ -134,19 +133,6 @@ func WithLint(m LintMode) Option {
 	return func(c *config) { c.lint = m }
 }
 
-// WithShards partitions the checker's state across n independent shard
-// engines fronted by a router: each relation is hash-partitioned by a
-// column inferred from the constraints' join keys, transactions split
-// by ownership, and the shards commit one after another. Results
-// stay exact — a constraint whose witnesses the static analysis cannot
-// pin to one shard falls back to a designated global shard (see
-// internal/shard). n<=1 selects the plain unsharded engine. A sharded
-// checker explains, snapshots and restores like an unsharded one: pass
-// RestoreChecker the n its snapshot was written with.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
 // Observer bundles the instrumentation sinks a checker can carry: a
 // metric set (counters, gauges, latency histograms behind a
 // Prometheus-format registry) and a span sink receiving one tree of
@@ -169,7 +155,7 @@ func NewMetrics(r *Registry) *Metrics { return obs.NewMetrics(r) }
 
 // Span is one timed section of the commit path. Spans form a tree
 // rooted at a commit: per-phase children (apply, update, check,
-// carry), per-shard sub-spans, WAL append/fsync spans.
+// carry), WAL append/fsync spans.
 // Constraint parsing and snapshot save/restore are root spans of their
 // own.
 type Span = obs.Span
@@ -226,7 +212,7 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng, err := shard.Build(s, cfg.shards)
+	eng, err := shard.Build(s, 1)
 	if err != nil {
 		return nil, fmt.Errorf("rtic: %w", err)
 	}
@@ -234,14 +220,6 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 		eng.SetObserver(cfg.obs)
 	}
 	return &Checker{schema: s, eng: eng, obs: cfg.obs, lintMode: cfg.lint}, nil
-}
-
-// Shards reports the shard count of the routing layer (1 = unsharded).
-func (c *Checker) Shards() int {
-	if r, ok := c.eng.(*shard.Router); ok {
-		return r.Shards()
-	}
-	return 1
 }
 
 // Constraints returns the names of installed constraints, in
@@ -333,11 +311,7 @@ type Stats struct {
 	Bytes      int
 }
 
-// Stats reports the checker's auxiliary storage. For a sharded checker
-// the figures are summed across shards: Entries and Timestamps match the unsharded
-// engine exactly (each tracked binding lives on one shard), while Nodes
-// and Bytes count the per-shard copies of partitionable constraints'
-// node structures.
+// Stats reports the checker's auxiliary storage.
 func (c *Checker) Stats() Stats {
 	s := c.eng.Stats()
 	return Stats{Nodes: s.Nodes, Entries: s.Entries, Timestamps: s.Timestamps, Bytes: s.Bytes}
@@ -350,9 +324,7 @@ type Explanation = core.Explanation
 
 // Explain answers "why was this violation flagged?" from the auxiliary
 // encoding, for violations of the most recent commit only (the encoding
-// answers for the current state only). A sharded checker asks the shard that derived
-// the violation, whose encoding is the unsharded one restricted to its
-// keys, so the explanation is the one an unsharded checker gives.
+// answers for the current state only).
 func (c *Checker) Explain(v Violation) (*Explanation, error) {
 	return c.eng.Explain(v)
 }
@@ -375,8 +347,7 @@ const (
 
 // LastSkips reports the per-constraint strategy record of the latest
 // commit, in constraint-installation order: the commit-level
-// counterpart of Explain. Only the unsharded checker records it (each
-// shard decides for itself); a sharded checker returns nil.
+// counterpart of Explain.
 func (c *Checker) LastSkips() []SkipInfo {
 	if inc, ok := c.eng.(*core.Checker); ok {
 		return inc.LastSkips()
@@ -455,24 +426,21 @@ func (b *Batch) Commit() ([][]Violation, error) {
 
 // SaveSnapshot checkpoints the checker's complete state — the current
 // database, clock and (small) auxiliary encoding — so a monitor can
-// restart without replaying its history. A sharded checker writes every
-// shard into one snapshot, which RestoreChecker reads back under the
-// same WithShards.
+// restart without replaying its history.
 func (c *Checker) SaveSnapshot(w io.Writer) error {
 	return c.eng.SaveSnapshot(w)
 }
 
 // RestoreChecker rebuilds a checker from a snapshot written by
-// SaveSnapshot; the snapshot carries its constraints. WithShards must
-// give the shard count the snapshot was written with (a mismatch is an
-// error), and WithObserver attaches instrumentation. The restore itself is one snapshot.restore
+// SaveSnapshot; the snapshot carries its constraints. WithObserver
+// attaches instrumentation. The restore itself is one snapshot.restore
 // span when a span sink is attached.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p, err := shard.Restore(s, r, cfg.shards, cfg.obs)
+	p, err := shard.Restore(s, r, 1, cfg.obs)
 	if err != nil {
 		return nil, err
 	}

@@ -78,8 +78,7 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 // TestDefaultModeIsIncremental: the engine behind NewChecker is the
-// paper's checker, bare by default and core shards behind a router
-// under WithShards.
+// paper's checker.
 func TestDefaultModeIsIncremental(t *testing.T) {
 	c, err := NewChecker(hrSchema(t))
 	if err != nil {
@@ -87,17 +86,6 @@ func TestDefaultModeIsIncremental(t *testing.T) {
 	}
 	if _, ok := c.eng.(*core.Checker); !ok {
 		t.Fatalf("default engine is %T, want *core.Checker", c.eng)
-	}
-	c, err = NewChecker(hrSchema(t), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.MustAddConstraint("no_quick_rehire", "hire(e) -> not once[0,365] fire(e)")
-	if _, err := c.Begin().Insert("fire", Int(7)).Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Entries == 0 {
-		t.Fatalf("WithShards(2) keeps no auxiliary entries after a fire: %+v", st)
 	}
 }
 
@@ -266,15 +254,6 @@ func TestLastSkipsThroughPublicAPI(t *testing.T) {
 	}
 	if got := c.LastSkips()[0]; got.Action == ActionSkipped {
 		t.Fatalf("constraint skipped although its read set was written: %v", got)
-	}
-	// A router records nothing: each shard decides for itself.
-	r, _ := NewChecker(s, WithShards(2))
-	r.MustAddConstraint("no_quick_rehire", "hire(e) -> not once[0,365] fire(e)")
-	if _, err := r.Begin().Insert("hire", Int(7)).Commit(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.LastSkips(); got != nil {
-		t.Fatalf("sharded checker reported skips: %v", got)
 	}
 }
 
