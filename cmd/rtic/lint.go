@@ -11,7 +11,9 @@ package main
 // which arms the never-written-relation rule.
 //
 // Exit code 2 when any Error-severity finding fired (any
-// Warning-or-worse with -strict), 1 on operational errors, 0 otherwise.
+// Warning-or-worse with -strict) and on a usage error such as an unknown
+// flag (the flag set exits, as for every other rtic and rticd command),
+// 1 on operational errors, 0 otherwise.
 
 import (
 	"encoding/json"
@@ -27,7 +29,7 @@ import (
 var errLintFindings = fmt.Errorf("lint findings at failing severity")
 
 func runLint(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("rtic lint", flag.ContinueOnError)
+	fs := flag.NewFlagSet("rtic lint", flag.ExitOnError)
 	specPath := fs.String("spec", "", "spec file with relations and constraints (required)")
 	asJSON := fs.Bool("json", false, "emit findings as one JSON document")
 	strict := fs.Bool("strict", false, "fail (exit 2) on warnings, not just errors")

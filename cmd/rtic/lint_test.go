@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -111,6 +114,24 @@ constraint w: p(x) or not p(x)
 	out.Reset()
 	if err := runLint([]string{"-strict", "-spec", spec}, &out); err != errLintFindings {
 		t.Fatalf("err = %v, want errLintFindings under -strict", err)
+	}
+}
+
+// TestLintUsageErrorExitsTwo: a flag rtic lint does not define is a
+// usage error, and it exits 2 as it does for rtic, rtic trace and rticd.
+// The test runs itself again with the bad flag, since the flag set
+// exits the process.
+func TestLintUsageErrorExitsTwo(t *testing.T) {
+	if os.Getenv("RTIC_LINT_BAD_FLAG") == "1" {
+		runLint([]string{"-cost-threshold", "1", "-spec", "../../examples/specs/hr.rtic"}, io.Discard)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLintUsageErrorExitsTwo$")
+	cmd.Env = append(os.Environ(), "RTIC_LINT_BAD_FLAG=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -cost-threshold") {
+		t.Fatalf("rtic lint -cost-threshold: %v, want exit status 2 naming the flag:\n%s", err, out)
 	}
 }
 

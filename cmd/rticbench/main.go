@@ -4,18 +4,20 @@
 // Usage:
 //
 //	rticbench [-quick] [-only "Table 1"] [-json out.json] [-trace-out trace.json]
-//	rticbench -compare old.json new.json [-regress-factor 3]
-//	rticbench -validate result.json
+//	rticbench -compare old.json new.json
 //
-// -quick runs smaller sweeps (seconds instead of minutes); -only runs a
+// -quick shortens the length sweeps to their leading rows and replays
+// each naive and active-rules timing cell once instead of taking the
+// best of three; every row it keeps is built from the same input as in
+// a full run. -only runs a
 // single experiment by its id. -json additionally writes the run as a
 // schema'd BENCH_<date>.json (see docs/OBSERVABILITY.md). -trace-out
 // records every commit's span tree and writes a Chrome trace-event file
-// loadable in chrome://tracing or Perfetto. -compare matches the cells
-// of two result files and exits nonzero when any duration cell got more
-// than -regress-factor times slower or any allocation-count cell more
-// than doubled (bench.AllocFactor). -validate checks a result file
-// against the schema and exits.
+// loadable in chrome://tracing or Perfetto. -compare validates two
+// result files, matches their cells and exits 1 when a count, byte or
+// percent cell differs at all or a duration cell got more than
+// bench.DurationFactor times slower; it refuses files written under
+// different Go versions.
 package main
 
 import (
@@ -34,16 +36,10 @@ func main() {
 	jsonOut := flag.String("json", "", "also write results as schema'd JSON to this file")
 	traceOut := flag.String("trace-out", "", "write commit span trees as Chrome trace-event JSON to this file")
 	compare := flag.Bool("compare", false, "compare two result files: rticbench -compare old.json new.json")
-	factor := flag.Float64("regress-factor", 3, "with -compare, flag duration cells more than this many times slower")
-	validate := flag.String("validate", "", "validate a result file against the schema and exit")
 	flag.Parse()
 
-	if *validate != "" {
-		runValidate(*validate)
-		return
-	}
 	if *compare {
-		runCompare(flag.Args(), *factor)
+		runCompare(flag.Args())
 		return
 	}
 
@@ -98,21 +94,7 @@ func main() {
 	}
 }
 
-func runValidate(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	res, err := bench.ReadResult(f)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: schema %d, %d tables, rev %s, %s %s/%s\n",
-		path, res.Schema, len(res.Tables), res.GitRev, res.GoVersion, res.GOOS, res.GOARCH)
-}
-
-func runCompare(args []string, factor float64) {
+func runCompare(args []string) {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "rticbench: -compare needs exactly two files: old.json new.json")
 		os.Exit(2)
@@ -125,7 +107,10 @@ func runCompare(args []string, factor float64) {
 	if err != nil {
 		fatal(err)
 	}
-	rep := bench.Compare(old, cur, factor)
+	rep, err := bench.Compare(old, cur)
+	if err != nil {
+		fatal(err)
+	}
 	rep.Render(os.Stdout)
 	if !rep.OK() {
 		os.Exit(1)

@@ -143,14 +143,22 @@ func newIncremental(h workload.History) (*core.Checker, error) {
 	return c, nil
 }
 
-// repeats is how many fresh replays the timing experiments take the
-// fastest of; single runs are too exposed to GC scheduling noise.
+// repeats is how many fresh replays a naive or active-rules timing cell
+// takes the fastest of: single runs are too exposed to GC scheduling
+// noise, but these replays are most of a run's time, so a quick run
+// takes one.
 func repeats(quick bool) int {
 	if quick {
 		return 1
 	}
 	return 3
 }
+
+// incRepeats is how many fresh replays an incremental timing cell takes
+// the fastest of, in either mode. Its steady-state window is a few
+// hundred µs, so one preemption can multiply a single run's reading;
+// the replays cost milliseconds.
+const incRepeats = 3
 
 // best replays h n times through run, each on a fresh engine, and
 // keeps the fastest run with what run reported beside it.

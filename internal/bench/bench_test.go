@@ -136,8 +136,8 @@ func TestTable10CDCFreshnessShape(t *testing.T) {
 	// Steady-state CDC traffic must ride the cheap check paths — the
 	// same invariant internal/cdcgen's skip regression test pins, here
 	// asserted on the benchmark's own measurement.
-	skipped := parsePercent(t, tbl.Rows[0][5])
-	seeded := parsePercent(t, tbl.Rows[0][6])
+	skipped := parsePercent(t, tbl.Rows[0][4])
+	seeded := parsePercent(t, tbl.Rows[0][5])
 	if skipped+seeded < 50 {
 		t.Fatalf("steady phase skipped+seeded %.1f%% < 50%%:\n%v", skipped+seeded, tbl.Rows)
 	}

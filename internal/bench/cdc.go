@@ -30,12 +30,10 @@ func (p *phaseStats) row(name string) []string {
 		}
 		return fmt.Sprintf("%.1f%%", 100*float64(p.actions[a])/float64(total))
 	}
-	nsPerTx := float64(p.ns) / float64(p.commits)
 	return []string{
 		name,
 		fmt.Sprintf("%d", p.commits),
-		ns(nsPerTx),
-		fmt.Sprintf("%.0f", 1e9/nsPerTx),
+		ns(float64(p.ns) / float64(p.commits)),
 		fmt.Sprintf("%.0f", float64(p.mallocs)/float64(p.commits)),
 		share(core.ActionSkipped),
 		share(core.ActionSeeded),
@@ -46,27 +44,23 @@ func (p *phaseStats) row(name string) []string {
 // Table10CDCFreshness — the CDC freshness workload (internal/cdcgen,
 // ROADMAP item 5): burst trains of source captures against steady
 // mixed traffic, checked under the validity-window, derived-lifetime,
-// and staleness-chain constraints. The table attributes throughput,
+// and staleness-chain constraints. The table attributes cost,
 // allocations, and the LastSkips action distribution to each phase:
 // steady traffic should ride the skipped/seeded paths, while bursts
 // concentrate writes on few relations and show where the skip rule's
-// coverage ends.
-func Table10CDCFreshness(quick bool) (Table, error) {
+// coverage ends. It replays the feed once in either mode.
+func Table10CDCFreshness(bool) (Table, error) {
 	t := Table{
 		ID:    "Table 10",
 		Title: "CDC freshness workload: burst vs steady phases",
 		Columns: []string{
-			"phase", "commits", "ns/tx", "commits/sec", "allocs/tx",
+			"phase", "commits", "ns/tx", "allocs/tx",
 			"skipped", "seeded", "planned",
 		},
 		Notes: "cdcgen feed: 3 freshness constraints, burst trains of 8 every 20 commits, late arrivals up to 3 commits (25%), 2% planned violations; action columns are each phase's share of LastSkips decisions",
 	}
-	steps := 1000
-	if quick {
-		steps = 300
-	}
 	cfg := cdcgen.Config{
-		Steps: steps, Seed: 60,
+		Steps: 1000, Seed: 60,
 		BurstLen: 8, BurstEvery: 20,
 		MaxReorder:    3,
 		ViolationRate: 0.02,

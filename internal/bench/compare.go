@@ -3,49 +3,52 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
-// AllocFactor is the regression threshold for allocation-count cells
-// (unit "count" in a column whose header mentions "alloc"). Allocation
-// counts are near-deterministic — they do not move with host speed or
-// scheduler noise the way durations do — so the gate is much tighter
-// than the duration factor.
-const AllocFactor = 2.0
+// DurationFactor is how many times slower a duration cell may get
+// before Compare calls it a regression. Durations move with the host
+// and the hour; the counts beside them do not.
+const DurationFactor = 3.0
 
 // Delta is one matched cell across two benchmark runs.
 type Delta struct {
-	Table  string  `json:"table"`
-	Row    string  `json:"row"`
-	Column string  `json:"column"`
-	OldRaw string  `json:"old_raw"`
-	NewRaw string  `json:"new_raw"`
-	Old    float64 `json:"old_ns"`
-	New    float64 `json:"new_ns"`
-	Ratio  float64 `json:"ratio"` // new/old; >1 is slower
-	Limit  float64 `json:"limit"` // threshold this cell was held to
+	Table, Row, Column string
+	OldRaw, NewRaw     string
+	Old, New           float64
+	// Exact marks a count, byte or percent cell: it regresses unless it
+	// renders identically. A duration cell regresses beyond
+	// DurationFactor.
+	Exact bool
+}
+
+// regressed reports whether the cell moved beyond what its kind allows.
+func (d Delta) regressed() bool {
+	if d.Exact {
+		return d.NewRaw != d.OldRaw
+	}
+	return d.New > DurationFactor*d.Old
 }
 
 // Report is the outcome of comparing two benchmark runs.
 type Report struct {
-	Factor      float64  `json:"factor"`
-	Deltas      []Delta  `json:"deltas"`            // every matched cell
-	Regressions []Delta  `json:"regressions"`       // subset with Ratio > Limit
-	Missing     []string `json:"missing,omitempty"` // tables/rows present before, gone now
+	Deltas      []Delta  // every matched cell
+	Regressions []Delta  // subset that regressed
+	Missing     []string // tables, rows and columns present before, gone now
 }
 
 // Compare matches the two runs' cells — tables by ID, rows by key,
-// columns by header — and flags regressions. Two kinds of cell
-// participate: durations (unit "ns"), held to the given factor, and
-// allocation counts (unit "count" in an "alloc" column), held to the
-// fixed AllocFactor. Other ratios, counts and byte sizes move for
-// legitimate reasons (different host, different GOMAXPROCS) and
-// host-to-host noise would drown the signal.
-func Compare(old, new Result, factor float64) Report {
-	if factor <= 1 {
-		factor = 3
+// columns by header — and flags regressions. Both runs are taken to be
+// valid (ReadResult validates what it reads). Count, byte and percent
+// cells are logical sizes fixed by the experiments' seeds, so they must
+// match exactly, 0 included; duration cells may grow up to
+// DurationFactor; ratio and text cells are not gated. Allocation counts
+// belong to the toolchain, so two runs built by different Go versions
+// are refused.
+func Compare(old, new Result) (Report, error) {
+	var rep Report
+	if old.GoVersion != new.GoVersion {
+		return rep, fmt.Errorf("bench: runs built by %s and %s; allocation counts compare only under one Go version", old.GoVersion, new.GoVersion)
 	}
-	rep := Report{Factor: factor}
 	newTables := map[string]ResultTable{}
 	for _, t := range new.Tables {
 		newTables[t.ID] = t
@@ -64,47 +67,42 @@ func Compare(old, new Result, factor float64) Report {
 		for i, c := range nt.Columns {
 			newCol[c] = i
 		}
+		for _, c := range ot.Columns {
+			if _, ok := newCol[c]; !ok {
+				rep.Missing = append(rep.Missing, fmt.Sprintf("%s column %q", ot.ID, c))
+			}
+		}
 		for _, orow := range ot.Rows {
 			nrow, ok := newRows[orow.Key]
 			if !ok {
 				rep.Missing = append(rep.Missing, fmt.Sprintf("%s row %q", ot.ID, orow.Key))
 				continue
 			}
-			for i, oc := range orow.Cells {
-				if oc.Value <= 0 || i >= len(ot.Columns) {
-					continue
-				}
-				var limit float64
-				switch {
-				case oc.Unit == "ns":
-					limit = factor
-				case oc.Unit == "count" && strings.Contains(ot.Columns[i], "alloc"):
-					limit = AllocFactor
-				default:
-					continue
-				}
+			for i := 1; i < len(orow.Cells); i++ { // cell 0 is the key
+				oc := orow.Cells[i]
 				j, ok := newCol[ot.Columns[i]]
-				if !ok || j >= len(nrow.Cells) {
+				if !ok {
+					continue
+				}
+				exact := oc.Unit == "count" || oc.Unit == "bytes" || oc.Unit == "percent"
+				if !exact && (oc.Unit != "ns" || oc.Value <= 0) {
 					continue
 				}
 				nc := nrow.Cells[j]
-				if nc.Unit != oc.Unit || nc.Value <= 0 {
-					continue
-				}
 				d := Delta{
 					Table: ot.ID, Row: orow.Key, Column: ot.Columns[i],
-					OldRaw: oc.Raw, NewRaw: nc.Raw,
-					Old: oc.Value, New: nc.Value, Ratio: nc.Value / oc.Value,
-					Limit: limit,
+					OldRaw: oc.Raw, NewRaw: nc.Raw, Old: oc.Value, New: nc.Value,
+					// A duration that lost its unit can only be held to its text.
+					Exact: exact || nc.Unit != oc.Unit,
 				}
 				rep.Deltas = append(rep.Deltas, d)
-				if d.Ratio > limit {
+				if d.regressed() {
 					rep.Regressions = append(rep.Regressions, d)
 				}
 			}
 		}
 	}
-	return rep
+	return rep, nil
 }
 
 // OK reports whether the comparison found no regressions.
@@ -116,16 +114,24 @@ func (r Report) Render(w io.Writer) {
 	if len(r.Regressions) > 0 {
 		fmt.Fprintf(w, "REGRESSIONS:\n")
 		for _, d := range r.Regressions {
-			fmt.Fprintf(w, "  %s / %s / %s: %s -> %s (%.2fx, limit %.1fx)\n", d.Table, d.Row, d.Column, d.OldRaw, d.NewRaw, d.Ratio, d.Limit)
+			fmt.Fprintf(w, "  %s / %s / %s: %s -> %s (%s)\n", d.Table, d.Row, d.Column, d.OldRaw, d.NewRaw, d.rule())
 		}
 	} else {
-		fmt.Fprintf(w, "no regressions beyond %.1fx (durations) / %.1fx (allocs)\n", r.Factor, AllocFactor)
+		fmt.Fprintf(w, "no regressions: counts, bytes and percentages identical, durations within %.0fx\n", DurationFactor)
 	}
 	for _, m := range r.Missing {
 		fmt.Fprintf(w, "  missing in new run: %s\n", m)
 	}
 	fmt.Fprintf(w, "%d cells compared:\n", len(r.Deltas))
 	for _, d := range r.Deltas {
-		fmt.Fprintf(w, "  %s / %s / %s: %s -> %s (%.2fx)\n", d.Table, d.Row, d.Column, d.OldRaw, d.NewRaw, d.Ratio)
+		fmt.Fprintf(w, "  %s / %s / %s: %s -> %s (%s)\n", d.Table, d.Row, d.Column, d.OldRaw, d.NewRaw, d.rule())
 	}
+}
+
+// rule names the cell's gate and where the new value stands against it.
+func (d Delta) rule() string {
+	if d.Exact {
+		return "exact"
+	}
+	return fmt.Sprintf("%.2fx, limit %.0fx", d.New/d.Old, DurationFactor)
 }

@@ -6,13 +6,21 @@ import (
 	"rtic/internal/workload"
 )
 
-// Experiment sizes. Quick mode keeps every experiment under a few
-// seconds for CI; full mode is what EXPERIMENTS.md records.
-func histLengths(quick bool) []int {
+// sweep returns the row keys of an experiment's length sweep: all of
+// full, or in quick mode its first keep entries. Every row is built
+// from the same input in both modes, so a quick run's rows are a subset
+// of the full run's and compare with them cell for cell.
+func sweep(full []int, quick bool, keep int) []int {
 	if quick {
-		return []int{250, 500, 1000}
+		return full[:keep]
 	}
-	return []int{500, 1000, 2000, 4000}
+	return full
+}
+
+// histLengths is the history-length sweep of Table 1, Figure 1, Table 6
+// and Figure 4.
+func histLengths(quick bool) []int {
+	return sweep([]int{500, 1000, 2000, 4000}, quick, 2)
 }
 
 // Table1HistoryLength — per-transaction checking cost as the history
@@ -31,7 +39,7 @@ func Table1HistoryLength(quick bool) (Table, error) {
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "no_q_ever", Source: "p(x) -> not once q(x)"},
 		}
-		inc, _, err := best(h, repeats(quick), runIncremental)
+		inc, _, err := best(h, incRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}
@@ -89,23 +97,20 @@ func Figure1Space(quick bool) (Table, error) {
 // window [1,W] auxiliary size grows with W until it saturates at the
 // history length (one timestamp per state inside the window); under
 // [0,W] and under the unbounded window it is O(1) per binding — the
-// newest anchor decides the one, the earliest the other.
-func Table2Window(quick bool) (Table, error) {
+// newest anchor decides the one, the earliest the other. It runs the
+// same in either mode.
+func Table2Window(bool) (Table, error) {
 	t := Table{
 		ID:      "Table 2",
 		Title:   "incremental cost and space vs metric window size",
 		Columns: []string{"window", "ns/tx", "aux entries", "aux timestamps", "aux bytes"},
 		Notes:   "constraint: p(x) -> not once[a,W] q(x); a = 0 keeps the newest timestamp per binding, W = inf the earliest, a = 1 every one inside the window",
 	}
-	n := 2000
-	if quick {
-		n = 600
-	}
 	windows := []string{"[1,10]", "[1,100]", "[1,1000]", "[1,10000]", "[0,10]", "[0,10000]", "[0,*]"}
 	for _, w := range windows {
-		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 44, OpsPerTx: 1, Domain: 8})
+		h := workload.Uniform(workload.UniformConfig{Steps: 2000, Seed: 44, OpsPerTx: 1, Domain: 8})
 		h.Constraints = []workload.ConstraintSpec{{Name: "c", Source: "p(x) -> not once" + w + " q(x)"}}
-		res, stats, err := best(h, repeats(quick), runIncremental)
+		res, stats, err := best(h, incRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}
@@ -130,16 +135,12 @@ func Table3UpdateRate(quick bool) (Table, error) {
 		Columns: []string{"ops/tx", "incremental ns/tx", "naive ns/tx", "naive/incremental"},
 		Notes:   "constraint: p(x) -> not once[0,100] q(x); history length 1000",
 	}
-	n := 1000
-	if quick {
-		n = 300
-	}
 	for _, ops := range []int{1, 4, 16, 64} {
-		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 45, OpsPerTx: ops, Domain: 32})
+		h := workload.Uniform(workload.UniformConfig{Steps: 1000, Seed: 45, OpsPerTx: ops, Domain: 32})
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "c", Source: "p(x) -> not once[0,100] q(x)"},
 		}
-		inc, _, err := best(h, repeats(quick), runIncremental)
+		inc, _, err := best(h, incRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}
@@ -175,14 +176,10 @@ func Table4Depth(quick bool) (Table, error) {
 		Columns: []string{"depth", "constraint", "incremental ns/tx", "naive ns/tx"},
 		Notes:   "history length 800, uniform workload",
 	}
-	n := 800
-	if quick {
-		n = 250
-	}
 	for d, cs := range depthConstraints {
-		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 46, OpsPerTx: 1, Domain: 8})
+		h := workload.Uniform(workload.UniformConfig{Steps: 800, Seed: 46, OpsPerTx: 1, Domain: 8})
 		h.Constraints = []workload.ConstraintSpec{cs}
-		inc, _, err := best(h, repeats(quick), runIncremental)
+		inc, _, err := best(h, incRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}
@@ -200,6 +197,11 @@ func Table4Depth(quick bool) (Table, error) {
 	return t, nil
 }
 
+// crossoverRepeats is how many replays Figure 2 takes the fastest of,
+// in either mode: its shortest histories total tens of µs, within what
+// one preemption or page fault adds to a single timing.
+const crossoverRepeats = 25
+
 // Figure2Crossover — total checking cost on short histories. The naive
 // checker is competitive only at the very beginning; the incremental
 // checker's advantage compounds with history length.
@@ -210,20 +212,16 @@ func Figure2Crossover(quick bool) (Table, error) {
 		Columns: []string{"history n", "incremental total", "naive total", "naive/incremental"},
 		Notes:   "constraint: p(x) -> not once q(x)",
 	}
-	sizes := []int{1, 4, 16, 64, 256}
-	if quick {
-		sizes = []int{1, 8, 64}
-	}
-	for _, n := range sizes {
+	for _, n := range sweep([]int{1, 4, 16, 64, 256}, quick, 3) {
 		h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 47, OpsPerTx: 1, Domain: 8})
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "c", Source: "p(x) -> not once q(x)"},
 		}
-		inc, _, err := best(h, repeats(quick), runIncremental)
+		inc, _, err := best(h, crossoverRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}
-		nv, _, err := best(h, repeats(quick), runNaive)
+		nv, _, err := best(h, crossoverRepeats, runNaive)
 		if err != nil {
 			return t, err
 		}
@@ -248,12 +246,8 @@ func Table5Active(quick bool) (Table, error) {
 		Columns: []string{"route", "ns/tx", "violations", "aux tuples / entries"},
 		Notes:   "tickets workload (deadline 3, 1% late), 500 transactions",
 	}
-	n := 500
-	if quick {
-		n = 200
-	}
-	h := workload.Tickets(workload.TicketsConfig{Steps: n, Seed: 48, ViolationRate: 0.01})
-	inc, stats, err := best(h, repeats(quick), runIncremental)
+	h := workload.Tickets(workload.TicketsConfig{Steps: 500, Seed: 48, ViolationRate: 0.01})
+	inc, stats, err := best(h, incRepeats, runIncremental)
 	if err != nil {
 		return t, err
 	}
@@ -283,13 +277,9 @@ func Figure3Violations(quick bool) (Table, error) {
 		Columns: []string{"violation rate", "incremental ns/tx", "violations (incremental)", "violations (naive)"},
 		Notes:   "every violation is reported in the transaction that commits it",
 	}
-	n := 600
-	if quick {
-		n = 200
-	}
 	for _, rate := range []float64{0, 0.001, 0.01, 0.1} {
-		h := workload.Tickets(workload.TicketsConfig{Steps: n, Seed: 49, ViolationRate: rate})
-		inc, _, err := best(h, repeats(quick), runIncremental)
+		h := workload.Tickets(workload.TicketsConfig{Steps: 600, Seed: 49, ViolationRate: rate})
+		inc, _, err := best(h, incRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}
@@ -432,18 +422,14 @@ func Table7SinceChain(quick bool) (Table, error) {
 		Columns: []string{"history n", "incremental ns/tx", "naive ns/tx", "violations"},
 		Notes:   "constraint: clear(a) -> (ack(a) since[0,50] raisd(a)); 2% broken chains",
 	}
-	sizes := []int{200, 400, 800}
-	if quick {
-		sizes = []int{100, 200}
-	}
-	for _, n := range sizes {
+	for _, n := range sweep([]int{200, 400, 800}, quick, 2) {
 		h := workload.Alarms(workload.AlarmsConfig{Steps: n, Seed: 52, ViolationRate: 0.02})
 		// Bound the chain window so the naive baseline terminates its
 		// backward scan; alarms in this workload clear within 50 ticks.
 		h.Constraints = []workload.ConstraintSpec{
 			{Name: "ack_before_clear", Source: "clear(a) -> (ack(a) since[0,50] raisd(a))"},
 		}
-		inc, _, err := best(h, repeats(quick), runIncremental)
+		inc, _, err := best(h, incRepeats, runIncremental)
 		if err != nil {
 			return t, err
 		}

@@ -113,9 +113,17 @@ func TestValidateRejectsMalformed(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
+	compare := func(old, new Result) Report {
+		t.Helper()
+		rep, err := Compare(old, new)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
 	old := NewResult(sampleTables(), false, 1)
 	same := NewResult(sampleTables(), false, 2)
-	rep := Compare(old, same, 3)
+	rep := compare(old, same)
 	if !rep.OK() {
 		t.Fatalf("identical runs flagged: %+v", rep.Regressions)
 	}
@@ -125,7 +133,7 @@ func TestCompare(t *testing.T) {
 
 	slow := sampleTables()
 	slow[0].Rows[0][1] = "90.0 µs" // 4.5x the old 20 µs
-	rep = Compare(old, NewResult(slow, false, 3), 3)
+	rep = compare(old, NewResult(slow, false, 3))
 	if rep.OK() || len(rep.Regressions) != 1 {
 		t.Fatalf("4.5x slowdown not flagged: %+v", rep.Regressions)
 	}
@@ -133,50 +141,73 @@ func TestCompare(t *testing.T) {
 	if d.Table != "Table 1" || d.Row != "250" || d.Column != "incremental ns/tx" {
 		t.Errorf("regression located at %s/%s/%s", d.Table, d.Row, d.Column)
 	}
-	if d.Ratio < 4.49 || d.Ratio > 4.51 {
-		t.Errorf("regression ratio %v, want ~4.5", d.Ratio)
-	}
 	var buf bytes.Buffer
 	rep.Render(&buf)
 	if !strings.Contains(buf.String(), "REGRESSIONS") || !strings.Contains(buf.String(), "4.50x") {
 		t.Errorf("render missing regression:\n%s", buf.String())
 	}
 
-	// A 4.5x speedup is not a regression.
+	// A 4.5x speedup is not a regression, nor is a 2.5x slowdown.
 	fast := sampleTables()
 	fast[0].Rows[0][1] = "4.4 µs"
-	if rep := Compare(old, NewResult(fast, false, 4), 3); !rep.OK() {
-		t.Errorf("speedup flagged as regression: %+v", rep.Regressions)
+	fast[0].Rows[1][1] = "52.5 µs"
+	if rep := compare(old, NewResult(fast, false, 4)); !rep.OK() {
+		t.Errorf("speedup or 2.5x slowdown flagged as regression: %+v", rep.Regressions)
 	}
 
-	// Allocation-count cells are held to the tighter fixed gate: a 2.5x
-	// growth in an "alloc" column is a regression even though it is well
-	// under the duration factor, and count cells in other columns stay
-	// exempt.
-	allocTables := func(incAllocs, histN string) []Table {
+	// Count, byte and percent cells are logical sizes fixed by the seed:
+	// every change is a regression, in every column and from 0 too.
+	countTables := func(allocs, entries, bytes, share string) []Table {
 		t := sampleTables()
-		t[0].Columns = append(t[0].Columns, "incremental allocs/tx", "aux entries")
-		t[0].Rows[0] = append(t[0].Rows[0], incAllocs, histN)
-		t[0].Rows[1] = append(t[0].Rows[1], "12", "600")
+		t[0].Columns = append(t[0].Columns, "incremental allocs/tx", "aux entries", "aux bytes", "skipped")
+		t[0].Rows[0] = append(t[0].Rows[0], allocs, entries, bytes, share)
+		t[0].Rows[1] = append(t[0].Rows[1], "0", "8", "651 B", "86.2%")
 		return t
 	}
-	allocOld := NewResult(allocTables("10", "300"), false, 6)
-	rep = Compare(allocOld, NewResult(allocTables("25", "900"), false, 7), 3)
-	if rep.OK() || len(rep.Regressions) != 1 {
-		t.Fatalf("2.5x alloc growth not flagged (or non-alloc count flagged): %+v", rep.Regressions)
+	base := countTables("0", "8", "744 B", "65.6%")
+	if rep := compare(NewResult(base, false, 6), NewResult(countTables("0", "8", "744 B", "65.6%"), false, 7)); !rep.OK() || len(rep.Deltas) != 12 {
+		t.Fatalf("identical counts: %d cells compared, regressions %+v; want 12 and none", len(rep.Deltas), rep.Regressions)
 	}
-	if d := rep.Regressions[0]; d.Column != "incremental allocs/tx" || d.Limit != AllocFactor {
-		t.Errorf("alloc regression at %q limit %v, want alloc column at %v", d.Column, d.Limit, AllocFactor)
-	}
-	if rep := Compare(allocOld, NewResult(allocTables("15", "300"), false, 8), 3); !rep.OK() {
-		t.Errorf("1.5x alloc growth flagged: %+v", rep.Regressions)
+	for _, c := range []struct {
+		name, column string
+		old, new     []Table
+	}{
+		{"0 -> 30 allocations", "incremental allocs/tx", base, countTables("30", "8", "744 B", "65.6%")},
+		{"1.5x allocation growth", "incremental allocs/tx", countTables("10", "8", "744 B", "65.6%"), countTables("15", "8", "744 B", "65.6%")},
+		{"aux entries off by one", "aux entries", base, countTables("0", "9", "744 B", "65.6%")},
+		{"aux bytes", "aux bytes", base, countTables("0", "8", "837 B", "65.6%")},
+		{"decision share", "skipped", base, countTables("0", "8", "744 B", "65.5%")},
+		{"count turned to text", "incremental allocs/tx", base, countTables("-", "8", "744 B", "65.6%")},
+	} {
+		rep := compare(NewResult(c.old, false, 8), NewResult(c.new, false, 9))
+		if rep.OK() || len(rep.Regressions) != 1 || rep.Regressions[0].Column != c.column {
+			t.Errorf("%s: regressions %+v, want one in %q", c.name, rep.Regressions, c.column)
+		}
 	}
 
-	// Disappearing tables and rows are reported, not silently skipped.
+	// Allocation counts belong to the toolchain: runs built by two Go
+	// versions are refused, not compared.
+	other := NewResult(sampleTables(), false, 10)
+	other.GoVersion = "go0.0-other"
+	if _, err := Compare(old, other); err == nil || !strings.Contains(err.Error(), "go0.0-other") {
+		t.Errorf("Compare across Go versions = %v, want a refusal naming both", err)
+	}
+
+	// Disappearing tables, rows and columns are reported, not silently
+	// skipped.
 	shrunk := NewResult(sampleTables(), false, 5)
 	shrunk.Tables[0].Rows = shrunk.Tables[0].Rows[:1]
-	rep = Compare(old, shrunk, 3)
+	rep = compare(old, shrunk)
 	if len(rep.Missing) != 1 || !strings.Contains(rep.Missing[0], `row "500"`) {
 		t.Errorf("missing row not reported: %v", rep.Missing)
+	}
+	narrow := sampleTables()
+	narrow[0].Columns = narrow[0].Columns[:3]
+	for i := range narrow[0].Rows {
+		narrow[0].Rows[i] = narrow[0].Rows[i][:3]
+	}
+	rep = compare(old, NewResult(narrow, false, 11))
+	if len(rep.Missing) != 1 || !strings.Contains(rep.Missing[0], `column "speedup"`) {
+		t.Errorf("missing column not reported: %v", rep.Missing)
 	}
 }
