@@ -141,23 +141,41 @@ func NewResult(tables []Table, quick bool, createdUnix int64) Result {
 	return r
 }
 
-// GitRev reports the VCS revision baked into the binary (go build's
-// vcs.revision stamp), falling back to `git rev-parse HEAD`, then
-// "unknown" — `go run` binaries are not stamped.
+// GitRev reports the VCS revision baked into the binary (see
+// stampedRev), falling back to `git describe --always --dirty
+// --abbrev=40`, then "unknown" — `go run` binaries are not stamped. A
+// revision built from uncommitted changes ends in "-dirty" either way.
 func GitRev() string {
 	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return s.Value
-			}
+		if rev := stampedRev(info.Settings); rev != "" {
+			return rev
 		}
 	}
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output(); err == nil {
 		if rev := strings.TrimSpace(string(out)); rev != "" {
 			return rev
 		}
 	}
 	return "unknown"
+}
+
+// stampedRev is the revision go build's VCS stamp names: vcs.revision,
+// with "-dirty" appended when vcs.modified reports uncommitted changes;
+// "" without a stamp.
+func stampedRev(settings []debug.BuildSetting) string {
+	rev, dirty := "", ""
+	for _, s := range settings {
+		switch {
+		case s.Key == "vcs.revision":
+			rev = s.Value
+		case s.Key == "vcs.modified" && s.Value == "true":
+			dirty = "-dirty"
+		}
+	}
+	if rev == "" {
+		return ""
+	}
+	return rev + dirty
 }
 
 // WriteResult encodes r as indented JSON.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,27 @@ func sampleTables() []Table {
 		},
 		Notes: "synthetic",
 	}}
+}
+
+// TestStampedRev names a build from uncommitted changes by its parent
+// revision plus "-dirty". Test binaries carry no VCS stamp, so the
+// settings are built here.
+func TestStampedRev(t *testing.T) {
+	const rev = "fc9ec68776622e2948502a7891dbbf4a4d5f9ee1"
+	for _, c := range []struct {
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{nil, ""},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: rev}}, rev},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: "false"}}, rev},
+		{[]debug.BuildSetting{{Key: "vcs", Value: "git"}, {Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: "true"}}, rev + "-dirty"},
+	} {
+		if got := stampedRev(c.settings); got != c.want {
+			t.Errorf("stampedRev(%v) = %q, want %q", c.settings, got, c.want)
+		}
+	}
 }
 
 func TestResultRoundTrip(t *testing.T) {

@@ -9,7 +9,7 @@
 //
 // The generator is deterministic in its seed: the same Config always
 // produces the byte-identical history, so generated feeds serve as
-// golden traces for the differential harness, the chaos suite, and the
+// golden traces for the differential harness, the crash enumerator, and the
 // Table 10 benchmark alike. It emits plain workload.History values, so
 // every existing consumer replays them unchanged.
 //

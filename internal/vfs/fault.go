@@ -3,9 +3,7 @@ package vfs
 import (
 	"errors"
 	"io/fs"
-	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"syscall"
 )
@@ -82,7 +80,6 @@ const (
 	// written. Recovery is modeled by reopening the real files through
 	// a fresh FS.
 	Crash
-	kindCount // one past the last kind, for schedule generation
 )
 
 // String names the fault class.
@@ -105,62 +102,12 @@ func (k Kind) String() string {
 
 // Injection schedules one fault: when the FaultFS's operation counter
 // reaches AtOp (1-based) and the operation's class matches Op, Kind
-// fires. A non-matching class lets the operation through untouched —
-// with Op left as OpAny the injection fires unconditionally, which is
-// what seeded schedules use.
+// fires. A non-matching class lets the operation through untouched;
+// with Op left as OpAny the injection fires unconditionally.
 type Injection struct {
 	AtOp uint64
 	Op   Op
 	Kind Kind
-}
-
-// Schedule derives a deterministic fault plan from a seed: n distinct
-// operation indices in [firstOp, firstOp+window) with fault kinds drawn
-// from a seeded generator. Crash faults are rarer than the transient
-// kinds (a crash ends the schedule's useful life), and at most one
-// crash is emitted. The same (seed, firstOp, window, n) always yields
-// the same plan.
-func Schedule(seed int64, firstOp, window uint64, n int) []Injection {
-	rng := rand.New(rand.NewSource(seed))
-	if window == 0 || n <= 0 {
-		return nil
-	}
-	if uint64(n) > window {
-		n = int(window)
-	}
-	used := make(map[uint64]bool, n)
-	injs := make([]Injection, 0, n)
-	crashed := false
-	for len(injs) < n {
-		at := firstOp + uint64(rng.Int63n(int64(window)))
-		if used[at] {
-			continue
-		}
-		used[at] = true
-		var k Kind
-		switch r := rng.Intn(10); {
-		case r < 3:
-			k = ENOSPC
-		case r < 5:
-			k = EIO
-		case r < 7:
-			k = ShortWrite
-		case r < 9:
-			k = SyncFailure
-		default:
-			k = Crash
-		}
-		if k == Crash {
-			if crashed {
-				k = EIO
-			} else {
-				crashed = true
-			}
-		}
-		injs = append(injs, Injection{AtOp: at, Kind: k})
-	}
-	sort.Slice(injs, func(i, j int) bool { return injs[i].AtOp < injs[j].AtOp })
-	return injs
 }
 
 // Fired records one injection that actually fired, for test assertions
@@ -224,15 +171,6 @@ func (f *FaultFS) Fired() []Fired {
 	return append([]Fired(nil), f.fired...)
 }
 
-// Crashed reports whether a Crash fault has latched the filesystem.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
-// check counts one operation and decides its fate: err non-nil fails
-// it, short true tears a write (only ever set for OpWrite).
 // check counts one operation and decides its fate: err non-nil fails
 // it, short true tears a write (only ever set for OpWrite). n is the
 // op's index, under which the crash model records what it changed.
