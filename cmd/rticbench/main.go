@@ -17,7 +17,11 @@
 // result files, matches their cells and exits 1 when a count, byte or
 // percent cell differs at all or a duration cell got more than
 // bench.DurationFactor times slower; it refuses files written under
-// different Go versions.
+// different Go versions. Table 11 makes -compare the repository's one
+// count gate for the commit path: its allocations and GC cycles per
+// window, socket and journal writes, fsyncs, journal bytes, entries
+// visited and plan executions per commit are count cells, held exactly
+// (no go test benchmark asserts a count).
 package main
 
 import (

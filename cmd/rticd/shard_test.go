@@ -217,7 +217,7 @@ func TestDaemonShardedArgValidation(t *testing.T) {
 			d.shutdown()
 			t.Fatal("start accepted bad options")
 		}
-		if want := "not a sharded rtic snapshot"; !strings.Contains(err.Error(), want) {
+		if want := "written by an unsharded checker, this router is configured with 2: restart with -shards 1"; !strings.Contains(err.Error(), want) {
 			t.Fatalf("error = %v, want substring %q", err, want)
 		}
 	})

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,8 +77,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 12 {
-		t.Fatalf("got %d tables, want 12", len(tables))
+	if len(tables) != 13 {
+		t.Fatalf("got %d tables, want 13", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
@@ -87,6 +88,32 @@ func TestAllExperimentsQuick(t *testing.T) {
 		tbl.Render(&buf)
 		if buf.Len() == 0 {
 			t.Errorf("%s rendered empty", tbl.ID)
+		}
+	}
+	checkCommitPath(t, tables[len(tables)-1])
+}
+
+// checkCommitPath holds Table 11's protocol cells, which no toolchain
+// moves: a train is acknowledged in one socket write, a commit reaches
+// every journal in one write, and only SyncAlways fsyncs on the commit
+// path (one per commit). The baseline comparison holds every other cell.
+func checkCommitPath(t *testing.T, tbl Table) {
+	t.Helper()
+	want := map[string][]string{ // sock writes, vfs writes, fsyncs per commit
+		"train=1":                {"1.0000", "-", "-"},
+		"train=12":               {"0.0833", "-", "-"},
+		"feed=cdc":               {"0.0833", "-", "-"},
+		"journals=1":             {"0.1000", "1.0000", "0.0000"},
+		"journals=2":             {"0.1000", "2.0000", "0.0000"},
+		"journals=1 sync=always": {"0.1000", "1.0000", "1.0000"},
+		"policy-wide":            {"-", "-", "-"},
+	}
+	if tbl.ID != "Table 11" || len(tbl.Rows) != len(want) {
+		t.Fatalf("%s has %d rows, want Table 11 with %d", tbl.ID, len(tbl.Rows), len(want))
+	}
+	for _, row := range tbl.Rows {
+		if got := row[4:7]; !slices.Equal(got, want[row[0]]) {
+			t.Errorf("Table 11 %s: sock, vfs writes and fsyncs per commit %v, want %v", row[0], got, want[row[0]])
 		}
 	}
 }

@@ -321,6 +321,7 @@ func Experiments() []struct {
 		{"Figure 4", Figure4Storage},
 		{"Table 7", Table7SinceChain},
 		{"Table 10", Table10CDCFreshness},
+		{"Table 11", Table11CommitPath},
 	}
 }
 

@@ -162,6 +162,27 @@ func Constraints(cfg Config) []workload.ConstraintSpec {
 	}
 }
 
+// WidePolicies is the policy set of the policy-wide workload: the three
+// Constraints plus 16 more validity windows and 16 more derived-row
+// lifetimes over the same relations — 35 constraints over 26 distinct
+// auxiliary nodes, 25 of them windows [0,b] over reading(s), which share
+// one table.
+func WidePolicies(cfg Config) []workload.ConstraintSpec {
+	cons := Constraints(cfg)
+	for i := 0; i < 16; i++ {
+		cons = append(cons,
+			workload.ConstraintSpec{
+				Name:   fmt.Sprintf("fresh_serve_%d", 17+i),
+				Source: fmt.Sprintf("serve(s) -> once[0,%d] reading(s)", 17+i),
+			},
+			workload.ConstraintSpec{
+				Name:   fmt.Sprintf("derived_lineage_%d", 25+i),
+				Source: fmt.Sprintf("derived(d, s) -> once[0,%d] reading(s)", 25+i),
+			})
+	}
+	return cons
+}
+
 // logical is one commit before late-arrival displacement.
 type logical struct {
 	time  uint64

@@ -368,7 +368,7 @@ type sinceFamily struct {
 	envBuf  fol.Env
 
 	// visited counts the entries update resolved since the family was
-	// built; tests and benchmarks read it, nothing else does.
+	// built; Checker.Work reads it.
 	visited int
 }
 

@@ -260,7 +260,7 @@ func TestCleanUpdatePhaseIsFree(t *testing.T) {
 	if err := c.computeDelta(ins("probe", 9)); err != nil {
 		t.Fatal(err)
 	}
-	before := visitedEntries(c)
+	before := c.Work().Visited
 	allocs := testing.AllocsPerRun(200, func() {
 		tm++
 		sc.t, sc.orc = tm, oracle{c: c, now: tm}
@@ -271,7 +271,7 @@ func TestCleanUpdatePhaseIsFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("clean update phase allocates %.1f times per commit, want 0", allocs)
 	}
-	if n := visitedEntries(c) - before; n != 0 {
+	if n := c.Work().Visited - before; n != 0 {
 		t.Errorf("clean update phase visited %d entries, want 0", n)
 	}
 	for _, node := range c.nodes {

@@ -751,6 +751,33 @@ func (c *Checker) Totals() Stats {
 	return s
 }
 
+// Work counts what the checker has done since it was built: Visited is
+// the entries its once/since families' updates resolved, PlanExecs the
+// plan executions its denial families ran (full runs, retested rows,
+// seeded derivations). The differences across a run of commits are the
+// per-commit work the delta-driven update and the denial families bound.
+type Work struct {
+	Visited   int
+	PlanExecs int
+}
+
+// Work reads the checker's work counters: a few integer adds per node
+// and family, nothing allocated.
+//
+//rtic:noalloc
+func (c *Checker) Work() Work {
+	var w Work
+	for _, n := range c.nodes {
+		if s, ok := n.(*sinceNode); ok && s.idx == 0 {
+			w.Visited += s.fam.visited
+		}
+	}
+	for _, df := range c.denials {
+		w.PlanExecs += df.execs
+	}
+	return w
+}
+
 // CheckInvariants verifies the internal invariants of every once/since
 // family (sorted, deduplicated timestamp sets inside the widest window;
 // every member's answer equal to the table read through its window;
@@ -812,7 +839,7 @@ func (o *oracle) Test(f mtl.Formula, env fol.Env) (bool, error) {
 }
 
 // TestKey probes a temporal node's answer by encoded row key without
-// materializing an Env — the plan executor's fast path (plan.KeyTester).
+// materializing an Env — the plan executor's probe (plan.Oracle).
 func (o *oracle) TestKey(f mtl.Formula, key []byte) (bool, error) {
 	node, err := o.lookup(f)
 	if err != nil {

@@ -45,8 +45,7 @@ type denialFamily struct {
 	dur   time.Duration
 
 	// execs counts the plan executions the family ran — full runs,
-	// retested rows, seeded derivations; tests and benchmarks read it,
-	// nothing else does.
+	// retested rows, seeded derivations; Checker.Work reads it.
 	execs int
 }
 

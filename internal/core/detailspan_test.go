@@ -25,7 +25,7 @@ func newWide(t testing.TB, steps int) (*Checker, []workload.Step) {
 	}
 	h, _ := cdcgen.Generate(cfg)
 	c := New(h.Schema)
-	for _, cs := range widePolicies(cfg) {
+	for _, cs := range cdcgen.WidePolicies(cfg) {
 		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
 		if err != nil {
 			t.Fatal(err)

@@ -276,7 +276,7 @@ func TestParentWideSnapshot(t *testing.T) {
 
 	own := New(h.Schema)
 	ref := naive.New(h.Schema)
-	for _, cs := range widePolicies(cfg) {
+	for _, cs := range cdcgen.WidePolicies(cfg) {
 		for _, eng := range []engine.Engine{own, ref} {
 			con, err := check.Parse(cs.Name, cs.Source, h.Schema)
 			if err != nil {
@@ -343,7 +343,7 @@ func testDenialFamilyEqualsSolo(t *testing.T) {
 		BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.05,
 	}
 	h, _ := cdcgen.Generate(cfg)
-	policies := widePolicies(cfg)
+	policies := cdcgen.WidePolicies(cfg)
 	shared := New(h.Schema)
 	solo := make([]*Checker, len(policies))
 	for k, p := range policies {

@@ -6,17 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
-	"runtime/metrics"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
-	"rtic/internal/cdcgen"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/workload"
@@ -576,261 +571,5 @@ func TestServerPipelinedWindow(t *testing.T) {
 			c.send(t, line(sent))
 			sent++
 		}
-	}
-}
-
-// countingListener counts the Write calls of the connections it accepts.
-type countingListener struct {
-	net.Listener
-	writes *atomic.Int64
-}
-
-func (l countingListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return countingConn{conn, l.writes}, nil
-}
-
-// countingConn counts writes on whichever path the session takes: its
-// own Write, or — forwarded through SyscallConn, as production sockets
-// offer it — the raw path's RawConn.Write calls.
-type countingConn struct {
-	net.Conn
-	writes *atomic.Int64
-}
-
-func (c countingConn) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return c.Conn.Write(p)
-}
-
-func (c countingConn) SyscallConn() (syscall.RawConn, error) {
-	rc, err := c.Conn.(syscall.Conn).SyscallConn()
-	if err != nil {
-		return nil, err
-	}
-	return countingRawConn{rc, c.writes}, nil
-}
-
-type countingRawConn struct {
-	syscall.RawConn
-	writes *atomic.Int64
-}
-
-func (c countingRawConn) Write(f func(fd uintptr) bool) error {
-	c.writes.Add(1)
-	return c.RawConn.Write(f)
-}
-
-// BenchmarkServerTrain measures the acknowledged commit over loopback
-// when commits arrive alone and in trains of 12 (one client write, as a
-// CDC connector delivers a poll), and guards two counts where CI runs
-// benchmarks. A train that reached the server in one segment is
-// acknowledged in one write (the server's flush rule). And over a fixed
-// window after warm-up, a commit in a train of 12 allocates at most
-// maxAllocs objects, counting the client's side: the session parses
-// every line into one reused transaction and core recycles its rows and
-// entries. At one time unit per commit, the once table's anchor log
-// holds up to two of the spec's 365-unit windows before it compacts;
-// the warm-up runs past that, so at either train size the window opens
-// on storage that has stopped growing. GC cycles per 1k commits over the
-// timed loop are reported, not gated; the feed=cdc leg gates them.
-func BenchmarkServerTrain(b *testing.B) {
-	const (
-		warmCommits = 1200
-		gateTrains  = 200
-		maxAllocs   = 1 // per commit, at train=12
-	)
-	for _, train := range []int{1, 12} {
-		b.Run(fmt.Sprintf("train=%d", train), func(b *testing.B) {
-			m, _ := hrMonitor(b)
-			srv := NewServer(m)
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var writes atomic.Int64
-			go srv.Serve(countingListener{l, &writes}) //nolint:errcheck — returns when the listener closes
-			defer func() {
-				l.Close()
-				srv.Close()
-			}()
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
-
-			out := make([]byte, 0, 64*train) // room for a train of the longest lines
-			t := uint64(0)
-			sendTrains := func(n int) {
-				for i := 0; i < n; i++ {
-					out = out[:0]
-					for j := 0; j < train; j++ {
-						t++
-						out = append(out, '@')
-						out = strconv.AppendUint(out, t, 10)
-						out = append(out, " -fire("...)
-						out = strconv.AppendUint(out, t-1, 10)
-						out = append(out, ") +fire("...)
-						out = strconv.AppendUint(out, t, 10)
-						out = append(out, ")\n"...)
-					}
-					if _, err := conn.Write(out); err != nil {
-						b.Fatal(err)
-					}
-					for j := 0; j < train; j++ {
-						reply, err := r.ReadSlice('\n')
-						if err != nil {
-							b.Fatal(err)
-						}
-						if string(reply) != "ok 0\n" {
-							b.Fatalf("reply = %q", reply)
-						}
-					}
-				}
-			}
-			sendTrains(warmCommits / train)
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			sendTrains(gateTrains)
-			runtime.ReadMemStats(&m1)
-			allocs := float64(m1.Mallocs-m0.Mallocs) / float64(gateTrains*train)
-
-			gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
-			metrics.Read(gc)
-			gc0 := gc[0].Value.Uint64()
-			writes.Store(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sendTrains(b.N)
-			b.StopTimer()
-			metrics.Read(gc)
-			if got := writes.Load(); got > int64(b.N) {
-				b.Fatalf("%d socket writes for %d trains of %d commits: replies are being flushed per command", got, b.N, train)
-			}
-			b.ReportMetric(float64(writes.Load())/float64(b.N*train), "writes/commit")
-			b.ReportMetric(allocs, "allocs/commit")
-			b.ReportMetric(float64(gc[0].Value.Uint64()-gc0)*1000/float64(b.N*train), "gc/1k-commits")
-			if train == 12 && allocs > maxAllocs {
-				b.Fatalf("%.2f allocations per commit over %d trains of %d, want at most %d", allocs, gateTrains, train, maxAllocs)
-			}
-		})
-	}
-	b.Run("feed=cdc", benchServerCDC)
-}
-
-// benchServerCDC is BenchmarkServerTrain over the shape of the
-// benchmark's cdc-stream workload: cdcgen seed 7, 24 sensors, bursts of
-// 8 every 20 commits, reorder up to 3, 2% violations, cdcgen's three
-// constraints, metrics attached as in rticd, trains of 12. After
-// warmCommits it counts, over gateCommits, heap allocations and bytes and
-// GC cycles per commit, client side included, and fails above
-// maxAllocs allocations per commit or at any GC cycle in the window: a
-// steady feed frees about as many rows and entries as it adds, and the
-// checker recycles what pruning frees.
-func benchServerCDC(b *testing.B) {
-	const (
-		train       = 12
-		warmCommits = 2000
-		gateCommits = 10000
-		maxAllocs   = 0.05 // per commit
-	)
-	cfg := cdcgen.Config{Steps: 4000, Seed: 7, Sensors: 24, BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.02}
-	h, _ := cdcgen.Generate(cfg)
-	bodies := make([]string, len(h.Steps))
-	for i, st := range h.Steps {
-		bodies[i] = st.Tx.String()
-	}
-	// The feed repeats, each lap shifted past the previous one by more
-	// than any window of the spec, so timestamps keep increasing.
-	lap := h.Steps[len(h.Steps)-1].Time + 1000
-	m, err := New(h.Schema, cdcgen.Constraints(cfg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.SetObserver(&obs.Observer{Metrics: obs.NewMetrics(obs.NewRegistry())})
-	srv := NewServer(m)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(l) //nolint:errcheck — returns when the listener closes
-	defer func() {
-		l.Close()
-		srv.Close()
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	var out []byte
-	k := 0 // commits sent
-	send := func(commits int) {
-		for sent := 0; sent < commits; sent += train {
-			out = out[:0]
-			for j := 0; j < train; j++ {
-				step := k % len(h.Steps)
-				out = append(out, '@')
-				out = strconv.AppendUint(out, h.Steps[step].Time+uint64(k/len(h.Steps))*lap, 10)
-				out = append(out, ' ')
-				out = append(out, bodies[step]...)
-				out = append(out, '\n')
-				k++
-			}
-			if _, err := conn.Write(out); err != nil {
-				b.Fatal(err)
-			}
-			for acked := 0; acked < train; {
-				reply, err := r.ReadSlice('\n')
-				if err != nil {
-					b.Fatal(err)
-				}
-				switch {
-				case bytes.HasPrefix(reply, []byte("ok ")):
-					acked++
-				case !bytes.HasPrefix(reply, []byte("violation ")):
-					b.Fatalf("reply = %q", reply)
-				}
-			}
-		}
-	}
-	// A collection first, so the window starts from a fresh heap goal
-	// whatever garbage earlier legs and rounds left: the warm-up
-	// allocates about 66 KB against megabytes of headroom, so a cycle
-	// inside the window is one this leg's commits caused. It comes before
-	// the warm-up, not after, so the runtime's own work after a cycle
-	// (a profile of the window showed its weak-pointer cleanup) is done
-	// before the window opens. ReadMemStats flushes every P's allocation
-	// counts, which runtime/metrics reads only as each span fills: exact
-	// counts need it.
-	runtime.GC()
-	send(warmCommits)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	send(gateCommits)
-	runtime.ReadMemStats(&m1)
-	allocs := float64(m1.Mallocs-m0.Mallocs) / gateCommits
-	heapBytes := float64(m1.TotalAlloc-m0.TotalAlloc) / gateCommits
-	gcs := m1.NumGC - m0.NumGC
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	send(b.N * train)
-	b.StopTimer()
-	b.ReportMetric(allocs, "allocs/commit")
-	b.ReportMetric(heapBytes, "heap-B/commit")
-	b.ReportMetric(float64(gcs)*1000/gateCommits, "gc/1k-commits")
-	if allocs > maxAllocs {
-		b.Fatalf("%.3f allocations per commit over %d commits in trains of %d, want at most %g", allocs, gateCommits, train, maxAllocs)
-	}
-	if gcs > 0 {
-		b.Fatalf("%d GC cycles over %d commits in trains of %d, want none", gcs, gateCommits, train)
 	}
 }

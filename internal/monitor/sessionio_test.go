@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -57,8 +56,7 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 
 // TestSessionIOFallback: sockets take the raw path on Linux; net.Pipe,
 // and a wrapper that does not forward SyscallConn, keep the conn's own
-// methods everywhere. The benchmark's countingConn forwards it, so
-// BenchmarkServerTrain counts the raw path's writes.
+// methods everywhere.
 func TestSessionIOFallback(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -73,9 +71,6 @@ func TestSessionIOFallback(t *testing.T) {
 	linux := runtime.GOOS == "linux"
 	if got := rawPath(server); got != linux {
 		t.Errorf("TCP conn on %s: raw path = %v, want %v", runtime.GOOS, got, linux)
-	}
-	if got := rawPath(countingConn{server, new(atomic.Int64)}); got != linux {
-		t.Errorf("countingConn on %s: raw path = %v, want %v", runtime.GOOS, got, linux)
 	}
 }
 

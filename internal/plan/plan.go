@@ -47,11 +47,15 @@ import (
 	"rtic/internal/value"
 )
 
-// KeyTester is the optional oracle extension the plan executor probes
-// temporal literals through: key is the tuple.Key encoding of a row
-// aligned with the node's sorted free variables. Oracles that do not
-// implement it are probed through fol.Oracle.Test with a reusable Env.
-type KeyTester interface {
+// Oracle answers a plan's temporal literals: fol.Oracle's enumeration,
+// and the key probe fully bound literals go through, where key is the
+// tuple.Key encoding of a row aligned with the node's sorted free
+// variables. The probe is part of the interface, not an extension
+// asserted per probe: an interface-to-interface assertion calls into
+// the runtime, which builds the call site's type cache with an
+// allocation at a random one of its first thousand-odd calls.
+type Oracle interface {
+	fol.Oracle
 	TestKey(f mtl.Formula, key []byte) (bool, error)
 }
 
@@ -746,7 +750,7 @@ func (p *Plan) putState(es *execState) {
 // for plans compiled without inputs.
 //
 //rtic:noalloc
-func (p *Plan) Execute(st *storage.State, oracle fol.Oracle, in fol.Env, emit func(tuple.Tuple) bool) error {
+func (p *Plan) Execute(st *storage.State, oracle Oracle, in fol.Env, emit func(tuple.Tuple) bool) error {
 	es := p.getState()
 	defer p.putState(es)
 	for _, cj := range p.disjuncts {
@@ -770,7 +774,7 @@ func (p *Plan) Execute(st *storage.State, oracle fol.Oracle, in fol.Env, emit fu
 
 // Eval runs the plan and collects the satisfying assignments into a
 // deduplicated binding set over Vars().
-func (p *Plan) Eval(st *storage.State, oracle fol.Oracle, in fol.Env) (*fol.Bindings, error) {
+func (p *Plan) Eval(st *storage.State, oracle Oracle, in fol.Env) (*fol.Bindings, error) {
 	out := fol.NewBindings(p.vars)
 	if err := p.EvalInto(st, oracle, in, out); err != nil {
 		return nil, err
@@ -780,7 +784,7 @@ func (p *Plan) Eval(st *storage.State, oracle fol.Oracle, in fol.Env) (*fol.Bind
 
 // EvalInto is Eval into a set the caller owns, over Vars(): out is
 // emptied and refilled, its storage reused.
-func (p *Plan) EvalInto(st *storage.State, oracle fol.Oracle, in fol.Env, out *fol.Bindings) error {
+func (p *Plan) EvalInto(st *storage.State, oracle Oracle, in fol.Env, out *fol.Bindings) error {
 	out.Clear()
 	var addErr error
 	err := p.Execute(st, oracle, in, func(row tuple.Tuple) bool { //rtic:allocok closure does not escape Execute
@@ -801,7 +805,7 @@ func (p *Plan) EvalInto(st *storage.State, oracle fol.Oracle, in fol.Env, out *f
 // Seedable().
 //
 //rtic:noalloc
-func (p *Plan) RetestRow(st *storage.State, oracle fol.Oracle, row tuple.Tuple) (bool, error) {
+func (p *Plan) RetestRow(st *storage.State, oracle Oracle, row tuple.Tuple) (bool, error) {
 	es := p.getState()
 	defer p.putState(es)
 	for _, cj := range p.disjuncts {
@@ -829,7 +833,7 @@ func (p *Plan) RetestRow(st *storage.State, oracle fol.Oracle, row tuple.Tuple) 
 // conjuncts run from there. Only valid when Seedable().
 //
 //rtic:noalloc
-func (p *Plan) ExecuteSeeded(st *storage.State, oracle fol.Oracle, src Source, seeds []tuple.Tuple, emit func(tuple.Tuple) bool) error {
+func (p *Plan) ExecuteSeeded(st *storage.State, oracle Oracle, src Source, seeds []tuple.Tuple, emit func(tuple.Tuple) bool) error {
 	es := p.getState()
 	defer p.putState(es)
 	for _, cj := range p.disjuncts {
@@ -900,7 +904,7 @@ func (es *execState) buildKey(args []argSpec) []byte {
 // enumerated row. It returns false when emit stopped the run.
 //
 //rtic:noalloc
-func (p *Plan) run(cj *conj, steps []step, es *execState, st *storage.State, oracle fol.Oracle, emit func(tuple.Tuple) bool) (bool, error) {
+func (p *Plan) run(cj *conj, steps []step, es *execState, st *storage.State, oracle Oracle, emit func(tuple.Tuple) bool) (bool, error) {
 	var rec func(i int) (bool, error)
 	rec = func(i int) (bool, error) { //rtic:allocok recursive closure over locals; does not escape run (TestPlanAllocationFree covers this path)
 		if i == len(steps) {
@@ -1052,7 +1056,7 @@ func (p *Plan) run(cj *conj, steps []step, es *execState, st *storage.State, ora
 }
 
 //rtic:noalloc
-func (p *Plan) tempAnswer(temp int, es *execState, oracle fol.Oracle) (*fol.Bindings, error) {
+func (p *Plan) tempAnswer(temp int, es *execState, oracle Oracle) (*fol.Bindings, error) {
 	if es.answers[temp] == nil {
 		b, err := oracle.Enumerate(p.temps[temp])
 		if err != nil {
@@ -1063,20 +1067,12 @@ func (p *Plan) tempAnswer(temp int, es *execState, oracle fol.Oracle) (*fol.Bind
 	return es.answers[temp], nil
 }
 
-// probeTemp decides a fully bound temporal literal: through the oracle's
-// key-probe extension when available, else by enumerating (cached per
-// execution) and probing the answer set.
+// probeTemp decides a fully bound temporal literal through the oracle's
+// key probe.
 //
 //rtic:noalloc
-func (p *Plan) probeTemp(s *step, es *execState, oracle fol.Oracle) (bool, error) {
-	if kt, ok := oracle.(KeyTester); ok {
-		return kt.TestKey(p.temps[s.temp], es.buildKey(s.args))
-	}
-	ans, err := p.tempAnswer(s.temp, es, oracle)
-	if err != nil {
-		return false, err
-	}
-	return ans.ContainsKeyBytes(es.buildKey(s.args)), nil
+func (p *Plan) probeTemp(s *step, es *execState, oracle Oracle) (bool, error) {
+	return oracle.TestKey(p.temps[s.temp], es.buildKey(s.args))
 }
 
 func dedupSorted(vars []string) []string {

@@ -72,6 +72,14 @@ func (o *fakeOracle) Test(f mtl.Formula, env fol.Env) (bool, error) {
 	return false, fmt.Errorf("fakeOracle: non-temporal %q", f.String())
 }
 
+func (o *fakeOracle) TestKey(f mtl.Formula, key []byte) (bool, error) {
+	switch f.(type) {
+	case *mtl.Prev, *mtl.Once, *mtl.Since:
+		return o.answerFor(f).ContainsKeyBytes(key), nil
+	}
+	return false, fmt.Errorf("fakeOracle: non-temporal %q", f.String())
+}
+
 func testSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	return schema.NewBuilder().
@@ -108,7 +116,7 @@ func canon(b *fol.Bindings) string {
 }
 
 // assertAgree compiles f, runs it both ways, and compares answer sets.
-func assertAgree(t *testing.T, st *storage.State, oracle fol.Oracle, f mtl.Formula) *Plan {
+func assertAgree(t *testing.T, st *storage.State, oracle Oracle, f mtl.Formula) *Plan {
 	t.Helper()
 	p, err := Compile(f, st, nil)
 	if err != nil {

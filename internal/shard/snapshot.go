@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -28,6 +29,9 @@ import (
 // under one plan or shard count is garbage under another.
 
 var snapshotMagic = [8]byte{'R', 'T', 'I', 'C', 'S', 'H', 'D', '1'}
+
+// coreMagic opens an unsharded checker's snapshot (core.SaveSnapshot).
+var coreMagic = []byte("RTICSNP1")
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -123,7 +127,12 @@ func (r *Router) saveSnapshot(w io.Writer) (int, error) {
 // restore is one snapshot.restore root span, either shape.
 func Restore(s *schema.Schema, rd io.Reader, shards int, o *obs.Observer) (Checker, error) {
 	if shards <= 1 {
-		c, err := core.LoadSnapshotObserved(s, rd, o)
+		var magic [8]byte
+		n, err := io.ReadFull(rd, magic[:])
+		if err == nil && magic == snapshotMagic {
+			return nil, unshardedRestoreErr(rd)
+		}
+		c, err := core.LoadSnapshotObserved(s, io.MultiReader(bytes.NewReader(magic[:n]), rd), o)
 		if err != nil {
 			return nil, err
 		}
@@ -145,6 +154,19 @@ func Restore(s *schema.Schema, rd io.Reader, shards int, o *obs.Observer) (Check
 	return r, nil
 }
 
+// unshardedRestoreErr names the shard count of the router snapshot rd
+// continues, past its magic, which an unsharded checker was asked to
+// restore.
+func unshardedRestoreErr(rd io.Reader) error {
+	var rest [12]byte // payload length and checksum; the shard count leads the payload
+	if _, err := io.ReadFull(rd, rest[:]); err == nil {
+		if n, err := binary.ReadUvarint(bufio.NewReader(rd)); err == nil {
+			return fmt.Errorf("shard: snapshot was written by %d shards, this checker is unsharded: restart with -shards %d", n, n)
+		}
+	}
+	return fmt.Errorf("shard: snapshot was written by a router (magic %q), this checker is unsharded: restart with the -shards it was written with", snapshotMagic[:])
+}
+
 // LoadSnapshot rebuilds a sealed router over s from a snapshot written
 // by SaveSnapshot. shards must equal the snapshot's shard count, and
 // the partition plan re-derived from the snapshot's constraints over s
@@ -155,6 +177,9 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 		return nil, fmt.Errorf("shard: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
 	}
 	if !bytes.Equal(hdr[:8], snapshotMagic[:]) {
+		if bytes.Equal(hdr[:8], coreMagic) {
+			return nil, fmt.Errorf("shard: snapshot was written by an unsharded checker, this router is configured with %d: restart with -shards 1", shards)
+		}
 		return nil, fmt.Errorf("shard: not a sharded rtic snapshot (magic %q, want %q)", hdr[:8], snapshotMagic[:])
 	}
 	size := binary.LittleEndian.Uint64(hdr[8:16])
@@ -195,7 +220,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 		return nil, err
 	}
 	if n != uint64(shards) {
-		return nil, fmt.Errorf("shard: snapshot was written by %d shards, this router is configured with %d", n, shards)
+		return nil, fmt.Errorf("shard: snapshot was written by %d shards, this router is configured with %d: restart with -shards %d", n, shards, n)
 	}
 	fp, err := field()
 	if err != nil {

@@ -159,9 +159,9 @@ func TestRouterSnapshotMismatches(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "written by 2 shards") || !strings.Contains(err.Error(), "configured with 4") {
 		t.Fatalf("shard-count mismatch: err = %v, want both counts named", err)
 	}
-	// Restored as one shard, the envelope is not a checker snapshot.
-	if c, err := Restore(h.Schema, bytes.NewReader(raw), 1, nil); err == nil || c != nil || !strings.Contains(err.Error(), "not an rtic snapshot") {
-		t.Fatalf("2-shard snapshot restored as one shard = (%v, %v), want a file-type complaint", c, err)
+	// Restored as one shard, the envelope names the shard count it needs.
+	if c, err := Restore(h.Schema, bytes.NewReader(raw), 1, nil); err == nil || c != nil || !strings.Contains(err.Error(), "written by 2 shards, this checker is unsharded: restart with -shards 2") {
+		t.Fatalf("2-shard snapshot restored as one shard = (%v, %v), want the shard count to restart with", c, err)
 	}
 
 	// A schema with one more relation plans one more placement.
@@ -233,13 +233,14 @@ func TestRouterSnapshotPreconditions(t *testing.T) {
 		t.Fatalf("naive router snapshot: err = %v, want an incremental-engine complaint", err)
 	}
 
-	// An unsharded checker snapshot is a different file type.
+	// An unsharded checker snapshot is a different file type, and the
+	// complaint says which -shards reads it.
 	buf.Reset()
 	if err := feedRouter(t, h, 1, 5).engines[0].(*core.Checker).SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(h.Schema, &buf, 2); err == nil || !strings.Contains(err.Error(), "not a sharded rtic snapshot") {
-		t.Fatalf("checker snapshot as a router's: err = %v, want a file-type complaint", err)
+	if _, err := LoadSnapshot(h.Schema, &buf, 2); err == nil || !strings.Contains(err.Error(), "written by an unsharded checker, this router is configured with 2: restart with -shards 1") {
+		t.Fatalf("checker snapshot as a router's: err = %v, want -shards 1 named", err)
 	}
 	// A failed Restore returns no checker at either shape: not a nil
 	// *core.Checker or *Router inside a non-nil interface.
