@@ -24,7 +24,7 @@ func (d *daemon) crash() {
 	d.l.Close()
 	d.srv.Close()
 	if d.hsrv != nil {
-		d.hsrv.Close()
+		d.hsrv.close()
 	}
 	if d.dur != nil {
 		d.dur.Stop()

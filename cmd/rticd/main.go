@@ -65,7 +65,8 @@
 // — one checkpoint file holds every shard, and a restart must pass the
 // -shards it was written with.
 //
-// With -metrics the daemon serves HTTP on the given address:
+// With -metrics the daemon serves HTTP/1.1 on the given address, from
+// a small responder of its own rather than net/http (httpd.go):
 //
 //	GET /metrics  -> Prometheus text exposition (commits, violations by
 //	                 constraint, commit-latency histogram, auxiliary
@@ -89,8 +90,12 @@
 // stderr.
 //
 // Three commit-path attribution switches (see docs/OBSERVABILITY.md):
-// -pprof mounts net/http/pprof under /debug/pprof/ on the -metrics
-// listener (block and mutex profiling enabled); -slow-commit logs the
+// -pprof serves the runtime's profiles under /debug/pprof/ on the
+// -metrics listener (block and mutex profiling enabled): a plain-text
+// index, profile?seconds=N (CPU, default 30), trace?seconds=N (default
+// 1), and goroutine, heap, allocs, block, mutex and threadcreate, each
+// with ?debug=N; there is no cmdline or symbol endpoint, as runtime
+// profiles carry their symbols; -slow-commit logs the
 // span tree of every commit slower than the threshold to stderr — one
 // tree per acknowledged commit, rooted at monitor.apply, with the
 // engine's commit and the journal's wal.append beneath it;
@@ -100,6 +105,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -107,8 +113,6 @@ import (
 	"io/fs"
 	"log/slog"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -120,6 +124,7 @@ import (
 	"rtic/internal/lint"
 	"rtic/internal/monitor"
 	"rtic/internal/obs"
+	"rtic/internal/shard"
 	"rtic/internal/spec"
 	"rtic/internal/vfs"
 	"rtic/internal/wal"
@@ -163,7 +168,7 @@ func main() {
 	flag.DurationVar(&opts.idleTimeout, "idle-timeout", 0, "close line-protocol connections idle for this long (0 = never)")
 	flag.StringVar(&opts.metricsAddr, "metrics", "", "HTTP listen address for /metrics and /healthz (empty: disabled)")
 	flag.BoolVar(&opts.trace, "trace", false, "log every span tree (structured, stderr)")
-	flag.BoolVar(&opts.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the -metrics listener (enables block and mutex profiling)")
+	flag.BoolVar(&opts.pprof, "pprof", false, "serve runtime profiles under /debug/pprof/ on the -metrics listener (enables block and mutex profiling)")
 	flag.DurationVar(&opts.slowCommit, "slow-commit", 0, "log the span tree of commits slower than this (0 = disabled)")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "record commit span trees and write Chrome trace-event JSON here at shutdown")
 	flag.Parse()
@@ -202,7 +207,7 @@ type daemon struct {
 	dur  *monitor.Durable // nil without a checkpoint path; owns the checkpoint and the journals
 	l    net.Listener
 	hl   net.Listener // nil without -metrics
-	hsrv *http.Server
+	hsrv *httpd
 	rec  *obs.SpanRecorder // nil without -trace-out
 	done chan error
 }
@@ -345,7 +350,18 @@ func start(opts options) (*daemon, error) {
 		m, err = monitor.RestoreObserved(sp.Schema, sp.Constraints, sf, o, monitor.WithShards(opts.shards))
 		sf.Close()
 		if err != nil {
-			return nil, fmt.Errorf("restoring %s (-shards %d): %w", opts.snapPath, max(opts.shards, 1), err)
+			err = fmt.Errorf("restoring %s (-shards %d): %w", opts.snapPath, max(opts.shards, 1), err)
+			// The library states the mismatch; the flag that mends it is
+			// the daemon's.
+			var ce *shard.CountError
+			switch {
+			case !errors.As(err, &ce):
+			case ce.Written == 0:
+				err = fmt.Errorf("%w: restart with the -shards it was written with", err)
+			default:
+				err = fmt.Errorf("%w: restart with -shards %d", err, ce.Written)
+			}
+			return nil, err
 		}
 		fmt.Printf("restored checkpoint: %d states, t=%d\n", m.Len(), m.Now())
 	} else {
@@ -427,50 +443,52 @@ func start(opts options) (*daemon, error) {
 			l.Close()
 			return fail(err)
 		}
-		mux := http.NewServeMux()
 		reg := o.Metrics.Registry()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = reg.WritePrometheus(w)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			resp := map[string]any{
-				"status": "ok",
-				"states": m.Len(),
-				"now":    m.Now(),
-				"lint":   lintSummary(diags),
-			}
-			if s := m.Shards(); s > 1 {
-				resp["shards"] = s
-			}
-			if d.dur != nil {
-				dh := d.dur.Health()
-				resp["durability"] = dh
-				if dh.Status != "ok" {
-					// Orchestrators watch the top-level status: commits
-					// still serve, but they are no longer durable.
-					resp["status"] = "degraded"
+		routes := map[string]route{
+			"/metrics": func(string) reply {
+				var b bytes.Buffer
+				if err := reg.WritePrometheus(&b); err != nil {
+					return textReply(500, err.Error())
 				}
-			}
-			_ = json.NewEncoder(w).Encode(resp)
-		})
+				return reply{200, "text/plain; version=0.0.4; charset=utf-8", b.Bytes()}
+			},
+			"/healthz": func(string) reply {
+				resp := map[string]any{
+					"status": "ok",
+					"states": m.Len(),
+					"now":    m.Now(),
+					"lint":   lintSummary(diags),
+				}
+				if s := m.Shards(); s > 1 {
+					resp["shards"] = s
+				}
+				if d.dur != nil {
+					dh := d.dur.Health()
+					resp["durability"] = dh
+					if dh.Status != "ok" {
+						// Orchestrators watch the top-level status: commits
+						// still serve, but they are no longer durable.
+						resp["status"] = "degraded"
+					}
+				}
+				var b bytes.Buffer
+				if err := json.NewEncoder(&b).Encode(resp); err != nil {
+					return textReply(500, err.Error())
+				}
+				return reply{200, "application/json", b.Bytes()}
+			},
+		}
 		if opts.pprof {
 			// Block and mutex profiles are empty unless sampling is on;
 			// these rates are cheap enough to leave running (one block
 			// event per millisecond blocked, 1-in-5 mutex contentions).
 			runtime.SetBlockProfileRate(1_000_000)
 			runtime.SetMutexProfileFraction(5)
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+			addPprofRoutes(routes)
 			fmt.Printf("rticd pprof on http://%s/debug/pprof/\n", hl.Addr())
 		}
 		d.hl = hl
-		d.hsrv = &http.Server{Handler: mux}
-		go d.hsrv.Serve(hl) //nolint:errcheck — returns on Close
+		d.hsrv = serveHTTP(hl, routes)
 		fmt.Printf("rticd metrics on http://%s/metrics\n", hl.Addr())
 	}
 
@@ -549,7 +567,7 @@ func (d *daemon) shutdown() error {
 	d.l.Close()
 	d.srv.Close()
 	if d.hsrv != nil {
-		d.hsrv.Close()
+		d.hsrv.close()
 	}
 
 	var err error

@@ -221,6 +221,31 @@ func TestDaemonShardedArgValidation(t *testing.T) {
 			t.Fatalf("error = %v, want substring %q", err, want)
 		}
 	})
+	// The library names both shard counts; the daemon adds the flag
+	// that restores the checkpoint.
+	t.Run("2-shard checkpoint under another -shards", func(t *testing.T) {
+		two := filepath.Join(dir, "two.snap")
+		d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: 2, snapPath: two})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		for shards, want := range map[int]string{
+			1: "written by 2 shards, this checker is unsharded: restart with -shards 2",
+			4: "written by 2 shards, this router is configured with 4: restart with -shards 2",
+		} {
+			d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: shards, snapPath: two})
+			if err == nil {
+				d.shutdown()
+				t.Fatalf("a 2-shard checkpoint restored under -shards %d", shards)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-shards %d: error = %v, want substring %q", shards, err, want)
+			}
+		}
+	})
 	// A missing checkpoint file is a fresh start, as under -wal.
 	t.Run("restore without a checkpoint file", func(t *testing.T) {
 		d, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: 2, snapPath: filepath.Join(dir, "nope.snap")})

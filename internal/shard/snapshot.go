@@ -154,17 +154,39 @@ func Restore(s *schema.Schema, rd io.Reader, shards int, o *obs.Observer) (Check
 	return r, nil
 }
 
-// unshardedRestoreErr names the shard count of the router snapshot rd
+// CountError reports a snapshot written by another number of shards
+// than the checker restoring it runs. Written is 1 for an unsharded
+// checker's snapshot and 0 for a router's whose count could not be
+// read; Configured is 1 for an unsharded checker. It states the fact
+// only: how to restart with the right count is the caller's to say.
+type CountError struct{ Written, Configured int }
+
+func (e *CountError) Error() string {
+	by := "a router"
+	switch {
+	case e.Written == 1:
+		by = "an unsharded checker"
+	case e.Written > 1:
+		by = fmt.Sprintf("%d shards", e.Written)
+	}
+	into := "this checker is unsharded"
+	if e.Configured > 1 {
+		into = fmt.Sprintf("this router is configured with %d", e.Configured)
+	}
+	return fmt.Sprintf("shard: snapshot was written by %s, %s", by, into)
+}
+
+// unshardedRestoreErr reads the shard count of the router snapshot rd
 // continues, past its magic, which an unsharded checker was asked to
 // restore.
 func unshardedRestoreErr(rd io.Reader) error {
 	var rest [12]byte // payload length and checksum; the shard count leads the payload
 	if _, err := io.ReadFull(rd, rest[:]); err == nil {
-		if n, err := binary.ReadUvarint(bufio.NewReader(rd)); err == nil {
-			return fmt.Errorf("shard: snapshot was written by %d shards, this checker is unsharded: restart with -shards %d", n, n)
+		if n, err := binary.ReadUvarint(bufio.NewReader(rd)); err == nil && n > 1 && n < 1<<31 {
+			return &CountError{Written: int(n), Configured: 1}
 		}
 	}
-	return fmt.Errorf("shard: snapshot was written by a router (magic %q), this checker is unsharded: restart with the -shards it was written with", snapshotMagic[:])
+	return &CountError{Configured: 1}
 }
 
 // LoadSnapshot rebuilds a sealed router over s from a snapshot written
@@ -178,7 +200,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 	}
 	if !bytes.Equal(hdr[:8], snapshotMagic[:]) {
 		if bytes.Equal(hdr[:8], coreMagic) {
-			return nil, fmt.Errorf("shard: snapshot was written by an unsharded checker, this router is configured with %d: restart with -shards 1", shards)
+			return nil, &CountError{Written: 1, Configured: shards}
 		}
 		return nil, fmt.Errorf("shard: not a sharded rtic snapshot (magic %q, want %q)", hdr[:8], snapshotMagic[:])
 	}
@@ -220,7 +242,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 		return nil, err
 	}
 	if n != uint64(shards) {
-		return nil, fmt.Errorf("shard: snapshot was written by %d shards, this router is configured with %d: restart with -shards %d", n, shards, n)
+		return nil, &CountError{Written: int(n), Configured: shards}
 	}
 	fp, err := field()
 	if err != nil {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"reflect"
@@ -159,9 +160,13 @@ func TestRouterSnapshotMismatches(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "written by 2 shards") || !strings.Contains(err.Error(), "configured with 4") {
 		t.Fatalf("shard-count mismatch: err = %v, want both counts named", err)
 	}
-	// Restored as one shard, the envelope names the shard count it needs.
-	if c, err := Restore(h.Schema, bytes.NewReader(raw), 1, nil); err == nil || c != nil || !strings.Contains(err.Error(), "written by 2 shards, this checker is unsharded: restart with -shards 2") {
-		t.Fatalf("2-shard snapshot restored as one shard = (%v, %v), want the shard count to restart with", c, err)
+	// Restored as one shard, the envelope names the shard count it was
+	// written with, and no flag: the library has none.
+	c, err := Restore(h.Schema, bytes.NewReader(raw), 1, nil)
+	var ce *CountError
+	if err == nil || c != nil || !errors.As(err, &ce) || *ce != (CountError{Written: 2, Configured: 1}) ||
+		err.Error() != "shard: snapshot was written by 2 shards, this checker is unsharded" {
+		t.Fatalf("2-shard snapshot restored as one shard = (%v, %v), want both shard counts and no flag", c, err)
 	}
 
 	// A schema with one more relation plans one more placement.
@@ -234,13 +239,15 @@ func TestRouterSnapshotPreconditions(t *testing.T) {
 	}
 
 	// An unsharded checker snapshot is a different file type, and the
-	// complaint says which -shards reads it.
+	// complaint names both shard counts.
 	buf.Reset()
 	if err := feedRouter(t, h, 1, 5).engines[0].(*core.Checker).SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(h.Schema, &buf, 2); err == nil || !strings.Contains(err.Error(), "written by an unsharded checker, this router is configured with 2: restart with -shards 1") {
-		t.Fatalf("checker snapshot as a router's: err = %v, want -shards 1 named", err)
+	var ce *CountError
+	if _, err := LoadSnapshot(h.Schema, &buf, 2); err == nil || !errors.As(err, &ce) || *ce != (CountError{Written: 1, Configured: 2}) ||
+		!strings.Contains(err.Error(), "written by an unsharded checker, this router is configured with 2") {
+		t.Fatalf("checker snapshot as a router's: err = %v, want both shard counts named", err)
 	}
 	// A failed Restore returns no checker at either shape: not a nil
 	// *core.Checker or *Router inside a non-nil interface.

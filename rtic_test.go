@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rtic/internal/active"
+	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/naive"
@@ -369,5 +370,34 @@ func TestSnapshotThroughPublicAPI(t *testing.T) {
 	// Restored checkers refuse late constraint additions like live ones.
 	if err := restored.AddConstraint("late", "hire(e) -> not once fire(e)"); err == nil {
 		t.Fatal("late constraint accepted on restored checker")
+	}
+}
+
+// TestRestoreRouterSnapshot: a snapshot a sharded daemon wrote does not
+// restore into the unsharded public checker, and the refusal names both
+// shard counts but no daemon flag, which the public API does not have.
+func TestRestoreRouterSnapshot(t *testing.T) {
+	s := hrSchema(t)
+	r, err := shard.Build(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	con, err := check.Parse("no_quick_rehire", "hire(e) -> not once[0,365] fire(e)", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddConstraint(con); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := RestoreChecker(s, &buf)
+	if err == nil || c != nil {
+		t.Fatalf("2-shard snapshot restored as a checker = (%v, %v)", c, err)
+	}
+	if want := "written by 2 shards, this checker is unsharded"; !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("error = %q, want %q and no flag", err, want)
 	}
 }
