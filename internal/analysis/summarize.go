@@ -433,7 +433,7 @@ func allowedExternal(fn *types.Func) bool {
 		return strings.HasPrefix(fn.Name(), "Append") || strings.HasPrefix(fn.Name(), "Put")
 	case "time":
 		switch fn.Name() {
-		case "Now", "Since", "Sub", "Seconds", "Nanoseconds", "Milliseconds", "Microseconds":
+		case "Now", "Since", "Sub", "Add", "Seconds", "Nanoseconds", "Milliseconds", "Microseconds":
 			return true
 		}
 	}

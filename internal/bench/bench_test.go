@@ -152,7 +152,7 @@ func TestTable10CDCFreshnessShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "steady" || tbl.Rows[1][0] != "burst" {
+	if len(tbl.Rows) != 3 || tbl.Rows[0][0] != "steady" || tbl.Rows[1][0] != "burst" || tbl.Rows[2][0] != "feed" {
 		t.Fatalf("unexpected rows: %v", tbl.Rows)
 	}
 	for _, row := range tbl.Rows {

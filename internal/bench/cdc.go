@@ -57,7 +57,7 @@ func Table10CDCFreshness(bool) (Table, error) {
 			"phase", "commits", "ns/tx", "allocs/tx",
 			"skipped", "seeded", "planned",
 		},
-		Notes: "cdcgen feed: 3 freshness constraints, burst trains of 8 every 20 commits, late arrivals up to 3 commits (25%), 2% planned violations; action columns are each phase's share of LastSkips decisions",
+		Notes: "cdcgen feed: 3 freshness constraints, burst trains of 8 every 20 commits, late arrivals up to 3 commits (25%), 2% planned violations; action columns are each phase's share of LastSkips decisions; the feed row builds the feed (cdcgen.Generate, then Render) once in a window that does not collect",
 	}
 	cfg := cdcgen.Config{
 		Steps: 1000, Seed: 60,
@@ -111,6 +111,39 @@ func Table10CDCFreshness(bool) (Table, error) {
 	if steady.commits == 0 || burst.commits == 0 {
 		return t, fmt.Errorf("bench: degenerate phase split: %d steady, %d burst commits", steady.commits, burst.commits)
 	}
-	t.Rows = append(t.Rows, steady.row("steady"), burst.row("burst"))
+	feed, err := feedRow(cfg)
+	if err != nil {
+		return t, err
+	}
+	t.Rows = append(t.Rows, steady.row("steady"), burst.row("burst"), feed)
 	return t, nil
+}
+
+// feedRow times and counts building the feed itself, cdcgen.Generate
+// then Render of cfg, per generated commit. Its window must not
+// collect: after a collection the runtime's own cleanup allocates, and
+// the count would move from process to process.
+func feedRow(cfg cdcgen.Config) ([]string, error) {
+	build := func(n int) error {
+		for i := 0; i < n; i++ {
+			h, _ := cdcgen.Generate(cfg)
+			_ = cdcgen.Render(h)
+		}
+		return nil
+	}
+	r0, r1, err := counted(1, 1, build, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if gcs := r1.gcs - r0.gcs; gcs != 0 {
+		return nil, fmt.Errorf("bench: the feed window ran %d collections", gcs)
+	}
+	n := float64(cfg.Steps)
+	return []string{
+		"feed",
+		fmt.Sprintf("%d", cfg.Steps),
+		ns(float64(r1.at.Sub(r0.at).Nanoseconds()) / n),
+		fmt.Sprintf("%.2f", float64(r1.mallocs-r0.mallocs)/n),
+		"-", "-", "-",
+	}, nil
 }

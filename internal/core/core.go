@@ -26,6 +26,7 @@ import (
 
 	"rtic/internal/check"
 	"rtic/internal/fol"
+	"rtic/internal/mono"
 	"rtic/internal/mtl"
 	"rtic/internal/obs"
 	"rtic/internal/plan"
@@ -389,7 +390,7 @@ func (ps phaseScope) done(ops int, err error) {
 	if ps.si == nil {
 		return
 	}
-	end := time.Now()
+	end := mono.Now()
 	d := end.Sub(ps.start)
 	ps.si.at = end
 	if h := ps.si.c.phaseHist[ps.idx]; h != nil {
@@ -417,7 +418,7 @@ func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, er
 	vs, err := c.step(t, tx, si)
 	end := si.at
 	if err != nil {
-		end = time.Now() // the failing phase, if any ran, ended at si.at; the commit ends with the error
+		end = mono.Now() // the failing phase, if any ran, ended at si.at; the commit ends with the error
 	}
 	if cs.EndAt(err, end) {
 		c.publishAuxGauges(cs.Metrics)
@@ -635,7 +636,7 @@ func (c *Checker) checkPhase(sc *stepCtx, si *stepInstr, span *obs.Span) ([]chec
 func (c *Checker) runFamilies(sc *stepCtx, timed bool) error {
 	for _, df := range c.denials {
 		if timed {
-			df.start = time.Now()
+			df.start = mono.Now()
 		}
 		err := c.checkFamily(sc, df)
 		if timed {

@@ -17,6 +17,7 @@ import (
 	"rtic/internal/core"
 	"rtic/internal/engine"
 	"rtic/internal/lint"
+	"rtic/internal/mono"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/shard"
@@ -249,7 +250,7 @@ func (m *Monitor) ApplyInto(t uint64, tx *storage.Transaction, dst []check.Viola
 	var sp *obs.Span
 	var lockStart time.Time
 	if mm != nil || sink != nil {
-		lockStart = time.Now()
+		lockStart = mono.Now()
 	}
 	m.mu.Lock()
 	if mm != nil || sink != nil {

@@ -1,6 +1,10 @@
 package obs
 
-import "time"
+import (
+	"time"
+
+	"rtic/internal/mono"
+)
 
 // Observer bundles the instrumentation sinks an engine can carry: a
 // metric set and a span sink. Either (or the Observer itself) may be
@@ -54,7 +58,7 @@ func (o *Observer) BeginCommit(t uint64, ops int) CommitScope {
 	if o == nil || (o.Metrics == nil && o.Spans == nil) {
 		return CommitScope{}
 	}
-	cs := CommitScope{Metrics: o.Metrics, sink: o.Spans, start: time.Now()}
+	cs := CommitScope{Metrics: o.Metrics, sink: o.Spans, start: mono.Now()}
 	if cs.sink != nil {
 		cs.Span = &Span{Name: SpanCommit, Time: t, Start: cs.start, Ops: ops}
 		cs.Detail = wantsDetail(cs.sink)
@@ -74,7 +78,7 @@ func (cs *CommitScope) Start() time.Time { return cs.start }
 // as an error, a successful one as a commit with its latency, and the
 // root span goes to the sink either way. It reports whether a metric set
 // saw a successful commit — the engine's cue to publish its gauges.
-func (cs *CommitScope) End(err error) bool { return cs.EndAt(err, time.Now()) }
+func (cs *CommitScope) End(err error) bool { return cs.EndAt(err, mono.Now()) }
 
 // EndAt is End with the commit ending at end: an engine that times its
 // phases back to back ends the commit where its last phase ended, so

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rtic/internal/mono"
 )
 
 // Span names: the one vocabulary of the tracing model. A commit span
@@ -41,7 +43,7 @@ type Span struct {
 	Detail string        // subject (constraint, shard index, level, ...)
 	Time   uint64        // engine timestamp of the enclosing commit
 	Track  int           // timeline lane: 0 = serial path, 1..n = shard n-1
-	Start  time.Time     // wall-clock begin
+	Start  time.Time     // begin (mono.Now on the commit path)
 	Dur    time.Duration // wall-clock length
 	Ops    int           // operations attributed (nodes, checks, tuples, ...)
 	Wait   time.Duration // lock wait included in Dur
@@ -55,7 +57,7 @@ func (s *Span) End() { s.Dur = time.Since(s.Start) }
 
 // Child appends and returns a started child span on the parent's track.
 func (s *Span) Child(name, detail string) *Span {
-	c := &Span{Name: name, Detail: detail, Time: s.Time, Track: s.Track, Start: time.Now()}
+	c := &Span{Name: name, Detail: detail, Time: s.Time, Track: s.Track, Start: mono.Now()}
 	s.Children = append(s.Children, c)
 	return c
 }

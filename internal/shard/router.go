@@ -10,6 +10,7 @@ import (
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
+	"rtic/internal/mono"
 	"rtic/internal/obs"
 	"rtic/internal/schema"
 	"rtic/internal/storage"
@@ -440,7 +441,7 @@ func (r *Router) stepOne(i int, t uint64, tx *storage.Transaction, m *obs.Metric
 		vs, err := r.engines[i].Step(t, tx)
 		return vs, nil, 0, err
 	}
-	start := time.Now()
+	start := mono.Now()
 	vs, err := r.engines[i].Step(t, tx)
 	d := time.Since(start)
 	if m != nil && err == nil {

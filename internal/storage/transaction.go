@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"strings"
 
 	"rtic/internal/schema"
 	"rtic/internal/tuple"
@@ -65,6 +64,16 @@ func (tx *Transaction) add(rel string, t tuple.Tuple, insert bool) {
 	tx.ops = append(tx.ops, Op{Rel: rel, Tuple: row, Insert: insert})
 }
 
+// Init empties tx and gives it ops's and slab's arrays to fill: it
+// appends its ops to ops[:0] and copies their values into slab[:0]
+// until either is full, and allocates only past that. A builder of many
+// transactions carves them all out of two arrays it allocated once,
+// each window capped at what its transaction needs (ops[i:i:j]), so no
+// transaction writes into another's ops or values.
+func (tx *Transaction) Init(ops []Op, slab []value.Value) {
+	tx.ops, tx.slab = ops[:0], slab[:0]
+}
+
 // Reset empties the transaction for reuse, keeping its capacity. Tuples
 // read from it before are overwritten by the ops added after. When the
 // transaction held more values than its slab has room for, the slab is
@@ -123,19 +132,24 @@ func (tx *Transaction) Clone() *Transaction {
 }
 
 // String renders the transaction as "+rel(…) -rel(…) …" for diagnostics.
-func (tx *Transaction) String() string {
-	var b strings.Builder
+func (tx *Transaction) String() string { return string(tx.AppendTo(nil)) }
+
+// AppendTo appends the String() rendering of tx to dst and returns the
+// extended slice.
+//
+//rtic:noalloc
+func (tx *Transaction) AppendTo(dst []byte) []byte {
 	for i, m := range tx.ops {
 		if i > 0 {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
 		if m.Insert {
-			b.WriteByte('+')
+			dst = append(dst, '+')
 		} else {
-			b.WriteByte('-')
+			dst = append(dst, '-')
 		}
-		b.WriteString(m.Rel)
-		b.WriteString(m.Tuple.String())
+		dst = append(dst, m.Rel...)
+		dst = m.Tuple.AppendTo(dst)
 	}
-	return b.String()
+	return dst
 }

@@ -113,17 +113,21 @@ func appendUint(dst []byte, n int) []byte {
 }
 
 // String renders the tuple as "(v1, v2, …)".
-func (t Tuple) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+func (t Tuple) String() string { return string(t.AppendTo(nil)) }
+
+// AppendTo appends the String() rendering of t to dst and returns the
+// extended slice.
+//
+//rtic:noalloc
+func (t Tuple) AppendTo(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, v := range t {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(v.String())
+		dst = v.AppendTo(dst)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // Project returns the tuple restricted to the given positions, in order.
