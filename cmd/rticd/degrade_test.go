@@ -28,8 +28,8 @@ func pollHealthz(t *testing.T, base string, deadline time.Duration, ok func(stri
 
 // TestDaemonDegradeEpisodeAndRearm drives a daemon through a transient
 // ENOSPC episode on its journal: the commit that hits the fault is
-// still acknowledged, /healthz flips to degraded, the re-arm loop's
-// rotation checkpoints and resets the journals once the disk
+// still acknowledged, /healthz flips to degraded, the durability
+// worker's re-arm rotation checkpoints and resets the journals once the disk
 // "recovers", and a kill/restart afterwards proves the degraded-window
 // commit was made durable. The episode is the same with one journal and
 // with one per shard.
@@ -86,7 +86,7 @@ func degradeEpisode(t *testing.T, shards int) {
 		t.Errorf("metrics during episode missing degraded gauge: %s", metrics)
 	}
 
-	// The re-arm loop must restore full durability once writes succeed.
+	// The worker's re-arm must restore full durability once writes succeed.
 	health = pollHealthz(t, hbase, 15*time.Second, func(b string) bool {
 		return strings.Contains(b, `"status":"ok"`) && strings.Contains(b, `"rearms":1`)
 	})
@@ -119,7 +119,7 @@ func degradeEpisode(t *testing.T, shards int) {
 
 // TestDaemonWALOnlyRearm runs -wal without -snapshot, whose journal
 // latches broken on a failed fsync. The daemon checkpoints to
-// <wal>.ckpt, so the re-arm loop's rotation heals it without a restart,
+// <wal>.ckpt, so the worker's re-arm rotation heals it without a restart,
 // and a kill/restart keeps the commit acknowledged while it was
 // degraded.
 func TestDaemonWALOnlyRearm(t *testing.T) {
@@ -204,8 +204,9 @@ func TestDaemonShutdownWhileDegraded(t *testing.T) {
 	ffs.Inject(vfs.Injection{AtOp: ffs.OpCount() + 1, Op: vfs.OpWrite, Kind: vfs.ENOSPC})
 	c.commit(t, "@20 +fire(2)") // degraded; the one-shot fault leaves the disk healed
 
-	// Stop the re-arm loop first, as shutdown does. Its first attempt is
-	// due 25ms or more after the failure, so it has almost never run.
+	// Stop the durability worker first, as shutdown does. Its first
+	// re-arm attempt is due 25ms or more after the failure, so it has
+	// almost never run.
 	d.dur.Stop()
 	if h := d.dur.Health(); h.Rearms == 0 && h.Status != "degraded" {
 		t.Fatalf("health before shutdown = %+v, want degraded", h)

@@ -18,7 +18,7 @@ import (
 
 // crash abandons a daemon the way kill -9 would: the listeners die, but
 // no shutdown checkpoint is written and the WAL is never closed. (The
-// background checkpointer is stopped because a dead process runs no
+// durability worker is stopped because a dead process runs no
 // goroutines.)
 func (d *daemon) crash() {
 	d.l.Close()
@@ -397,7 +397,7 @@ func TestDurabilityArgValidation(t *testing.T) {
 
 // TestStartFailureReleasesDurability pins that a startup failure after
 // the durability layer is up — a -listen or -metrics port that is
-// already taken — stops the checkpointer and closes the journals
+// already taken — stops the durability worker and closes the journals
 // instead of leaking them: the filesystem sees no further operation
 // once start has returned, and a second start over the same files
 // recovers everything.
@@ -445,7 +445,7 @@ func TestStartFailureReleasesDurability(t *testing.T) {
 				ops := ffs.OpCount()
 				time.Sleep(20 * time.Millisecond) // twenty checkpoint intervals
 				if now := ffs.OpCount(); now != ops {
-					t.Fatalf("failed start left the checkpointer running: %d filesystem ops after it returned", now-ops)
+					t.Fatalf("failed start left the durability worker running: %d filesystem ops after it returned", now-ops)
 				}
 
 				again, err := start(opts)

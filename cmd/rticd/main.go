@@ -47,7 +47,7 @@
 // runtime (disk full, I/O error, failed fsync). The default, degrade,
 // keeps the daemon checking and acknowledging commits — as non-durable,
 // and unjournaled — while /healthz reports "degraded",
-// rtic_durability_degraded flips to 1, and a background re-arm loop
+// rtic_durability_degraded flips to 1, and the durability worker
 // (exponential backoff with jitter) retries one rotation: an atomic
 // checkpoint that covers the degraded window, then every journal reset
 // in place or, if it latched broken, replaced by a fresh segment. A
@@ -160,7 +160,7 @@ func main() {
 		"hash-partition state across N shard engines behind a router (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
 	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, restored at startup when present and written atomically on shutdown (and periodically with -checkpoint-interval); default <wal>.ckpt with -wal")
 	flag.StringVar(&opts.walPath, "wal", "", "write-ahead log journaling every commit; startup recovers checkpoint + WAL tail automatically")
-	flag.StringVar(&opts.walSync, "wal-sync", "always", "WAL sync policy: always (fsync per commit) or batch (background flush)")
+	flag.StringVar(&opts.walSync, "wal-sync", "always", "WAL sync policy: always (fsync per commit) or batch (fsync every 100ms by the durability worker)")
 	flag.DurationVar(&opts.ckptInterval, "checkpoint-interval", 0, "background checkpoint period truncating the WAL (0 = checkpoint only on shutdown)")
 	flag.StringVar(&opts.onDurFailure, "on-durability-failure", "degrade",
 		"journaling-failure policy: degrade (keep serving non-durably, re-arm in the background) or halt (shut down)")
@@ -419,8 +419,8 @@ func start(opts options) (*daemon, error) {
 			return nil, err
 		}
 	}
-	// The manager now holds open journals and, with -checkpoint-interval,
-	// a running checkpointer: every later failure releases both.
+	// The manager now holds open journals and runs its durability worker:
+	// every later failure releases both.
 	fail := func(err error) (*daemon, error) {
 		if dur != nil {
 			dur.Stop()
@@ -502,7 +502,7 @@ func start(opts options) (*daemon, error) {
 // journals written by earlier versions are found), builds the
 // durability manager over them and the checkpoint path, replays
 // whatever the checkpoint m was restored from does not cover, and
-// starts journaling and the periodic checkpointer. On failure the
+// starts journaling and the durability worker. On failure the
 // journals are closed again.
 func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.FS, durOpts []monitor.DurableOption) (dur *monitor.Durable, err error) {
 	var logs []*wal.Log
@@ -518,8 +518,8 @@ func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.
 		if err != nil {
 			return nil, err
 		}
-		// The factory also hands the re-arm loop fresh segments with the
-		// same sync policy and instrumentation as the original journals.
+		// The factory also hands the re-arm rotation fresh segments with
+		// the same sync policy and instrumentation as the original journals.
 		// It runs under the commit lock there, so the monitor's sink is
 		// taken once, here.
 		spans := m.SpanSink()

@@ -142,7 +142,7 @@ func TestDaemonShardedCheckpointBoundsRecovery(t *testing.T) {
 	if health := pollHealthz(t, "http://"+a.hl.Addr().String(), 10*time.Second, checkpointed); !checkpointed(health) {
 		t.Fatalf("no periodic checkpoint truncated the shard journals: %s", health)
 	}
-	a.dur.Stop() // freeze the checkpointer so the tail stays in the journals
+	a.dur.Stop() // stop the worker's checkpoints so the tail stays in the journals
 	for i, line := range trace[sent:] {
 		if got := ac.commit(t, line); !reflect.DeepEqual(got, want[sent+i]) {
 			t.Fatalf("step %d: sharded replies %q, want %q", sent+i, got, want[sent+i])

@@ -3,9 +3,9 @@
 // lockorder, errdiscard, metrichygiene) that machine-check the
 // implementation invariants the hot paths depend on — steady-state
 // plan execution must not allocate, nothing reachable under the
-// monitor commit lock or wal.Log.mu may re-acquire it / touch the
-// network / fire the WAL failure handler, durability errors must
-// never be silently discarded, and every metric is catalogued.
+// monitor commit lock or wal.Log.mu may re-acquire it or touch the
+// network, durability errors must never be silently discarded, and
+// every metric is catalogued.
 //
 // The framework is built directly on the standard library (go/ast,
 // go/types, go/importer) rather than golang.org/x/tools so the repo
@@ -46,12 +46,6 @@ type Config struct {
 	// Locks are the critical lock identities (pkgpath.Type.field) whose
 	// hold regions lockorder polices.
 	Locks []string
-	// WALLock is the lock (also listed in Locks) under which invoking
-	// the WAL failure handler is forbidden.
-	WALLock string
-	// WALHandlerField is the func-valued field (pkgpath.Type.field)
-	// holding the WAL failure handler.
-	WALHandlerField string
 	// ErrPackages are the durability-critical package paths errdiscard
 	// polices.
 	ErrPackages []string
@@ -69,8 +63,6 @@ func DefaultConfig(metricsDoc string) *Config {
 			"rtic/internal/wal.Log.mu",
 			"rtic/internal/monitor.Monitor.mu",
 		},
-		WALLock:         "rtic/internal/wal.Log.mu",
-		WALHandlerField: "rtic/internal/wal.Log.onFail",
 		ErrPackages: []string{
 			"rtic/internal/wal",
 			"rtic/internal/vfs",
@@ -142,7 +134,7 @@ func (p *Pass) fact(fn *types.Func) (FuncFact, bool) {
 func RunAnalyzers(pkg *LoadedPackage, cfg *Config, depFacts map[string]*PackageFacts, analyzers ...*Analyzer) ([]Diagnostic, *PackageFacts, error) {
 	var diags []Diagnostic
 	dirs := CollectDirectives(pkg.Fset, pkg.Files, pkg.Src)
-	sums := Summarize(pkg, cfg, dirs, depFacts)
+	sums := Summarize(pkg, dirs, depFacts)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,

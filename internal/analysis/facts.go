@@ -22,13 +22,6 @@ type FuncFact struct {
 	// Net is "" unless the function may perform network I/O (a
 	// statically-visible call into package net), else evidence.
 	Net string
-	// Handler is "" unless the function may invoke the WAL failure
-	// handler, else evidence.
-	Handler string
-	// ReturnsHandler marks functions returning a closure that invokes
-	// the WAL failure handler (wal.Log.takeLatchNotifyLocked's shape);
-	// calling their result under the WAL lock is a violation.
-	ReturnsHandler bool
 	// Noalloc records the //rtic:noalloc annotation, so callers can
 	// rely on the callee being independently checked.
 	Noalloc bool

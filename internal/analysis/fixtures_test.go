@@ -111,11 +111,7 @@ func TestNoAllocFixture(t *testing.T) {
 
 func TestLockOrderFixture(t *testing.T) {
 	runFixture(t, "lockfix", func(pkgPath string) *Config {
-		return &Config{
-			Locks:           []string{pkgPath + ".Log.mu"},
-			WALLock:         pkgPath + ".Log.mu",
-			WALHandlerField: pkgPath + ".Log.onFail",
-		}
+		return &Config{Locks: []string{pkgPath + ".Log.mu"}}
 	})
 }
 

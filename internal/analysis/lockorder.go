@@ -11,12 +11,9 @@ import (
 // where one is held, the function must not — directly or through any
 // statically-resolved module callee —
 //
-//   - re-acquire the same lock (self-deadlock),
+//   - re-acquire the same lock (self-deadlock), or
 //   - call into package net (the commit path must never block on
-//     network I/O; PR 6's stall regression), or
-//   - invoke the WAL failure handler while holding wal.Log.mu (the
-//     handler contract is "fired outside mu"; that is why
-//     takeLatchNotifyLocked returns a closure instead of firing).
+//     network I/O; PR 6's stall regression).
 //
 // Held regions span Lock() to the matching Unlock(); a deferred
 // Unlock holds to the end of the function. `go` statements and
@@ -26,7 +23,7 @@ import (
 // Individual sites are accepted with //rtic:lockok <reason>.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "prove critical-lock regions free of re-acquisition, net I/O, and WAL-handler invocation",
+	Doc:  "prove critical-lock regions free of re-acquisition and net I/O",
 	Run:  runLockOrder,
 }
 
@@ -213,36 +210,12 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]token.Pos) {
 		}
 		return
 	}
-	walHeld := w.walHeldAt(held)
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		obj := info.Uses[id]
-		if via, isHandler := w.sum.handlerVarObjs[obj]; isHandler {
-			definite := via == nil
-			if !definite {
-				if f, ok := w.pass.fact(via); ok && f.ReturnsHandler {
-					definite = true
-				}
-			}
-			if definite && walHeld != (token.Position{}) {
-				w.pass.Report(call.Pos(), VerbLockOK,
-					"invokes the WAL failure handler under %s (held since %s); the handler must fire after Unlock",
-					w.pass.Config.WALLock, walHeld)
-			}
-			return
-		}
-		if lit := w.sum.localFnLits[obj]; lit != nil && !w.visited[lit] {
+		if lit := w.sum.localFnLits[info.Uses[id]]; lit != nil && !w.visited[lit] {
 			w.visited[lit] = true
 			w.stmts(lit.Body.List, copyHeld(held))
 			return
 		}
-	}
-	if handlerField(info, w.pass.Config, call.Fun) {
-		if walHeld != (token.Position{}) {
-			w.pass.Report(call.Pos(), VerbLockOK,
-				"invokes the WAL failure handler under %s (held since %s); the handler must fire after Unlock",
-				w.pass.Config.WALLock, walHeld)
-		}
-		return
 	}
 	fn, iface := staticCallee(info, call)
 	if fn == nil {
@@ -276,19 +249,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]token.Pos) {
 			w.pass.Report(call.Pos(), VerbLockOK,
 				"calls %s under %s (held since %s): %s", fn.FullName(), id, w.pass.Fset.Position(at), fact.Net)
 		}
-		if id == w.pass.Config.WALLock && fact.Handler != "" {
-			w.pass.Report(call.Pos(), VerbLockOK,
-				"calls %s under %s (held since %s): %s", fn.FullName(), id, w.pass.Fset.Position(at), fact.Handler)
-		}
 	}
-}
-
-// walHeldAt returns the acquire position of the WAL lock if held.
-func (w *lockWalker) walHeldAt(held map[string]token.Pos) token.Position {
-	if at, ok := held[w.pass.Config.WALLock]; ok {
-		return w.pass.Fset.Position(at)
-	}
-	return token.Position{}
 }
 
 func copyHeld(held map[string]token.Pos) map[string]token.Pos {

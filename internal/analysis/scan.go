@@ -12,16 +12,13 @@ import (
 //   - the lexical allocation scan, which covers every nested func
 //     literal (an allocation inside a closure defined in a noalloc
 //     function is still an allocation whenever it runs), and
-//   - the direct-effect scan for locks / network / handler facts,
-//     which covers only code that runs when the function itself runs:
-//     the body, func literals invoked on the spot, and local closures
-//     the body calls — but not returned closures (that is exactly how
-//     wal.Log.takeLatchNotifyLocked defers the failure handler past
-//     the unlock) and not `go` statements (a new goroutine does not
-//     hold the caller's locks).
+//   - the direct-effect scan for lock and network facts, which covers
+//     only code that runs when the function itself runs: the body,
+//     func literals invoked on the spot, and local closures the body
+//     calls — but not returned closures and not `go` statements (a new
+//     goroutine does not hold the caller's locks).
 type fnScanner struct {
 	pkg  *LoadedPackage
-	cfg  *Config
 	dirs *Directives
 	sum  *funcSummary
 
@@ -30,12 +27,7 @@ type fnScanner struct {
 	exemptConv   map[*ast.CallExpr]bool
 	callFuns     map[ast.Expr]bool
 	addrLits     map[*ast.CompositeLit]bool
-	// handlerVars maps local variables bound to the WAL failure
-	// handler: value nil = bound to the field itself (definite), else
-	// bound to the result of that function (conditional on its
-	// ReturnsHandler fact).
-	handlerVars map[types.Object]*types.Func
-	localFns    map[types.Object]*ast.FuncLit
+	localFns     map[types.Object]*ast.FuncLit
 }
 
 func (sc *fnScanner) info() *types.Info { return sc.pkg.Info }
@@ -45,22 +37,19 @@ func (sc *fnScanner) scan() {
 	sc.prepass(body)
 	sc.allocScan(body)
 	sc.directWalk(body, map[*ast.FuncLit]bool{})
-	sc.returnScan(body)
 	sc.sum.immediateLits = sc.immediate
 	sc.sum.localFnLits = sc.localFns
-	sc.sum.handlerVarObjs = sc.handlerVars
 }
 
 // prepass indexes the body: immediately-invoked func literals,
 // self-append exemptions, map-index string conversions, call
-// positions, handler-bound variables, and local closures.
+// positions, and local closures.
 func (sc *fnScanner) prepass(body *ast.BlockStmt) {
 	sc.immediate = map[*ast.FuncLit]bool{}
 	sc.exemptAppend = map[*ast.CallExpr]bool{}
 	sc.exemptConv = map[*ast.CallExpr]bool{}
 	sc.callFuns = map[ast.Expr]bool{}
 	sc.addrLits = map[*ast.CompositeLit]bool{}
-	sc.handlerVars = map[types.Object]*types.Func{}
 	sc.localFns = map[types.Object]*ast.FuncLit{}
 	info := sc.info()
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -91,7 +80,7 @@ func (sc *fnScanner) prepass(body *ast.BlockStmt) {
 		case *ast.ValueSpec:
 			for i, name := range n.Names {
 				if i < len(n.Values) {
-					sc.bindValue(info.Defs[name], n.Values[i])
+					sc.bindLit(info.Defs[name], n.Values[i])
 				}
 			}
 		case *ast.ReturnStmt:
@@ -112,10 +101,7 @@ func (sc *fnScanner) prepass(body *ast.BlockStmt) {
 func (sc *fnScanner) prepassAssign(n *ast.AssignStmt) {
 	info := sc.info()
 	if len(n.Lhs) != len(n.Rhs) {
-		// Tuple assignment from one call: bind each name to the
-		// handler if the call's receiver field matches (h, err :=
-		// l.onFail, ... is the 1:1 case below).
-		return
+		return // tuple assignment from one call: binds no func literal
 	}
 	for i, lhs := range n.Lhs {
 		rhs := n.Rhs[i]
@@ -134,30 +120,14 @@ func (sc *fnScanner) prepassAssign(n *ast.AssignStmt) {
 		if obj == nil {
 			obj = info.Uses[id]
 		}
-		sc.bindValue(obj, rhs)
+		sc.bindLit(obj, rhs)
 	}
 }
 
-// bindValue tracks what a local variable is bound to: the WAL failure
-// handler field, the result of a (possibly) handler-returning call,
-// or a func literal.
-func (sc *fnScanner) bindValue(obj types.Object, rhs ast.Expr) {
-	if obj == nil {
-		return
-	}
-	rhs = ast.Unparen(rhs)
-	if lit, ok := rhs.(*ast.FuncLit); ok {
+// bindLit records a local variable bound to a func literal.
+func (sc *fnScanner) bindLit(obj types.Object, rhs ast.Expr) {
+	if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok && obj != nil {
 		sc.localFns[obj] = lit
-		return
-	}
-	if handlerField(sc.info(), sc.cfg, rhs) {
-		sc.handlerVars[obj] = nil
-		return
-	}
-	if call, ok := rhs.(*ast.CallExpr); ok && !isConversion(sc.info(), call) {
-		if fn, iface := staticCallee(sc.info(), call); fn != nil && !iface && sc.pkg.ModuleLocal(fn) {
-			sc.handlerVars[obj] = fn
-		}
 	}
 }
 
@@ -329,7 +299,7 @@ func isByteOrRuneSlice(t types.Type) bool {
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 }
 
-// ---- direct-effect scan (locks, net, handler) ----
+// ---- direct-effect scan (locks, net) ----
 
 func (sc *fnScanner) directWalk(n ast.Node, seen map[*ast.FuncLit]bool) {
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -357,12 +327,7 @@ func (sc *fnScanner) directCall(call *ast.CallExpr, seen map[*ast.FuncLit]bool) 
 		return
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		obj := info.Uses[id]
-		if via, isHandler := sc.handlerVars[obj]; isHandler {
-			sc.sum.handlerCalls = append(sc.sum.handlerCalls, handlerCall{pos: call.Pos(), via: via})
-			return
-		}
-		if lit := sc.localFns[obj]; lit != nil && !seen[lit] {
+		if lit := sc.localFns[info.Uses[id]]; lit != nil && !seen[lit] {
 			// A local closure the body invokes runs as part of this
 			// function: scan its body in place.
 			seen[lit] = true
@@ -370,76 +335,7 @@ func (sc *fnScanner) directCall(call *ast.CallExpr, seen map[*ast.FuncLit]bool) 
 			return
 		}
 	}
-	if handlerField(info, sc.cfg, call.Fun) {
-		sc.sum.handlerCalls = append(sc.sum.handlerCalls, handlerCall{pos: call.Pos()})
-		return
-	}
 	if fn, iface := staticCallee(info, call); fn != nil {
 		sc.sum.directCalls = append(sc.sum.directCalls, callSite{pos: call.Pos(), fn: fn, iface: iface})
 	}
-}
-
-// ---- returned-handler scan ----
-
-// returnScan marks functions whose return value, when later invoked,
-// fires the WAL failure handler (takeLatchNotifyLocked's shape).
-func (sc *fnScanner) returnScan(body *ast.BlockStmt) {
-	info := sc.info()
-	ast.Inspect(body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			res = ast.Unparen(res)
-			switch r := res.(type) {
-			case *ast.FuncLit:
-				sc.litInvokesHandler(r)
-			case *ast.CallExpr:
-				if fn, iface := staticCallee(info, r); fn != nil && !iface && sc.pkg.ModuleLocal(fn) {
-					sc.sum.retHandlers = append(sc.sum.retHandlers, fn)
-				}
-			case *ast.Ident:
-				if via, isHandler := sc.handlerVars[info.Uses[r]]; isHandler {
-					if via == nil {
-						sc.sum.retsHandler = true
-					} else {
-						sc.sum.retHandlers = append(sc.sum.retHandlers, via)
-					}
-				}
-				if lit := sc.localFns[info.Uses[r]]; lit != nil {
-					sc.litInvokesHandler(lit)
-				}
-			case *ast.SelectorExpr:
-				if handlerField(info, sc.cfg, r) {
-					sc.sum.retsHandler = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-func (sc *fnScanner) litInvokesHandler(lit *ast.FuncLit) {
-	info := sc.info()
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if handlerField(info, sc.cfg, call.Fun) {
-			sc.sum.retsHandler = true
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if via, isHandler := sc.handlerVars[info.Uses[id]]; isHandler {
-				if via == nil {
-					sc.sum.retsHandler = true
-				} else {
-					sc.sum.retHandlers = append(sc.sum.retHandlers, via)
-				}
-			}
-		}
-		return true
-	})
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // PackageSummaries holds the per-function effect summaries of one
-// package: the direct allocation sites, lock acquisitions, network
-// calls, and WAL-handler invocations each function performs, plus the
+// package: the direct allocation sites, lock acquisitions and network
+// calls each function performs, plus the
 // fixpoint-resolved transitive FuncFact each exports to dependents.
 type PackageSummaries struct {
 	Path    string
@@ -31,15 +31,6 @@ type callSite struct {
 	iface bool // dynamic dispatch through an interface
 }
 
-// handlerCall is one possible invocation of the WAL failure handler:
-// either definite (the handler field, or a variable bound to it) or
-// conditional on via's ReturnsHandler fact (a variable bound to the
-// result of a handler-returning function).
-type handlerCall struct {
-	pos token.Pos
-	via *types.Func // nil = definite
-}
-
 type funcSummary struct {
 	decl *ast.FuncDecl
 	obj  *types.Func
@@ -51,16 +42,12 @@ type funcSummary struct {
 
 	// Direct-region scan (excludes func literals that are not invoked
 	// on the spot): effects that happen when this function runs.
-	acquires     map[string]token.Pos
-	directCalls  []callSite
-	handlerCalls []handlerCall
-	retHandlers  []*types.Func // returned calls, for ReturnsHandler propagation
-	retsHandler  bool          // returns the handler or a closure invoking it
+	acquires    map[string]token.Pos
+	directCalls []callSite
 
 	// Scanner indexes retained for lockorder's region walk.
-	immediateLits  map[*ast.FuncLit]bool
-	localFnLits    map[types.Object]*ast.FuncLit
-	handlerVarObjs map[types.Object]*types.Func
+	immediateLits map[*ast.FuncLit]bool
+	localFnLits   map[types.Object]*ast.FuncLit
 
 	fact FuncFact
 }
@@ -75,7 +62,7 @@ var metricMethods = map[string]bool{
 
 // Summarize scans every function of pkg and resolves the transitive
 // facts against the already-computed facts of module-local deps.
-func Summarize(pkg *LoadedPackage, cfg *Config, dirs *Directives, depFacts map[string]*PackageFacts) *PackageSummaries {
+func Summarize(pkg *LoadedPackage, dirs *Directives, depFacts map[string]*PackageFacts) *PackageSummaries {
 	sums := &PackageSummaries{
 		Path:   pkg.Path,
 		Funcs:  map[string]*funcSummary{},
@@ -93,7 +80,7 @@ func Summarize(pkg *LoadedPackage, cfg *Config, dirs *Directives, depFacts map[s
 			}
 			s := &funcSummary{decl: fd, obj: obj, acquires: map[string]token.Pos{}}
 			s.fact.Noalloc = dirs.Noalloc(fd)
-			sc := &fnScanner{pkg: pkg, cfg: cfg, dirs: dirs, sum: s}
+			sc := &fnScanner{pkg: pkg, dirs: dirs, sum: s}
 			sc.scan()
 			sums.Funcs[obj.FullName()] = s
 			sums.ByDecl[fd] = s
@@ -179,11 +166,6 @@ func resolveFacts(pkg *LoadedPackage, sums *PackageSummaries, dirs *Directives, 
 						cs.fn.FullName(), fset.Position(cs.pos), f.Net), 300)
 					changed = true
 				}
-				if s.fact.Handler == "" && f.Handler != "" {
-					s.fact.Handler = truncate(fmt.Sprintf("calls %s (%s): %s",
-						cs.fn.FullName(), fset.Position(cs.pos), f.Handler), 300)
-					changed = true
-				}
 			}
 			// Direct net I/O: any statically-visible call into package net.
 			if s.fact.Net == "" {
@@ -192,36 +174,6 @@ func resolveFacts(pkg *LoadedPackage, sums *PackageSummaries, dirs *Directives, 
 						s.fact.Net = fmt.Sprintf("calls net.%s at %s", cs.fn.Name(), fset.Position(cs.pos))
 						changed = true
 						break
-					}
-				}
-			}
-			// WAL failure handler invocation.
-			if s.fact.Handler == "" {
-				for _, hc := range s.handlerCalls {
-					if hc.via == nil {
-						s.fact.Handler = fmt.Sprintf("invokes the WAL failure handler at %s", fset.Position(hc.pos))
-						changed = true
-						break
-					}
-					if f, ok := lookup(hc.via); ok && f.ReturnsHandler {
-						s.fact.Handler = fmt.Sprintf("invokes the handler returned by %s at %s",
-							hc.via.FullName(), fset.Position(hc.pos))
-						changed = true
-						break
-					}
-				}
-			}
-			if !s.fact.ReturnsHandler {
-				if s.retsHandler {
-					s.fact.ReturnsHandler = true
-					changed = true
-				} else {
-					for _, fn := range s.retHandlers {
-						if f, ok := lookup(fn); ok && f.ReturnsHandler {
-							s.fact.ReturnsHandler = true
-							changed = true
-							break
-						}
 					}
 				}
 			}
@@ -379,22 +331,6 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (id string, acquire, release 
 		return lockID(info, sel.X), false, true
 	}
 	return "", false, false
-}
-
-// handlerField reports whether expr selects the configured WAL
-// failure-handler field (e.g. l.onFail).
-func handlerField(info *types.Info, cfg *Config, expr ast.Expr) bool {
-	if cfg.WALHandlerField == "" {
-		return false
-	}
-	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if s, ok := info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
-		return false
-	}
-	return lockID(info, sel) == cfg.WALHandlerField
 }
 
 // allowedExternal lists non-module callees noalloc accepts: proven

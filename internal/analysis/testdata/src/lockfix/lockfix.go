@@ -1,6 +1,6 @@
 // Package lockfix is the lockorder analyzer's fixture: a miniature WAL
-// shape (mutex, failure-handler field, network connection) with clean,
-// violating, propagated, and suppressed critical sections.
+// shape (mutex, network connection) with clean, violating, propagated,
+// and suppressed critical sections.
 package lockfix
 
 import (
@@ -9,21 +9,15 @@ import (
 )
 
 type Log struct {
-	mu     sync.Mutex
-	onFail func(error)
-	conn   net.Conn
-	broken error
+	mu   sync.Mutex
+	conn net.Conn
 }
 
-// CleanNotify is the correct pattern: snapshot the handler under the
-// lock, fire it after Unlock.
-func (l *Log) CleanNotify() {
+// CleanNet is the correct pattern: release the lock before network I/O.
+func (l *Log) CleanNet() {
 	l.mu.Lock()
-	h, err := l.onFail, l.broken
 	l.mu.Unlock()
-	if h != nil {
-		h(err)
-	}
+	l.conn.Write(nil)
 }
 
 func (l *Log) Reacquire() {
@@ -36,14 +30,6 @@ func (l *Log) NetUnderLock() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.conn.Write(nil) // want `lockorder: network I/O \(net\.Write\) under .*Log\.mu`
-}
-
-func (l *Log) NotifyLocked() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.onFail != nil {
-		l.onFail(l.broken) // want `lockorder: invokes the WAL failure handler under .*Log\.mu`
-	}
 }
 
 func (l *Log) lockedHelper() {

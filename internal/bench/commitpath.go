@@ -249,8 +249,8 @@ func counted(warm, window int, commit func(n int) error, io *ioCounts, work func
 // one client connection in trains of train commits, each train one
 // client write read back to its last acknowledgement. With journals > 0
 // the monitor has that many shards, each journaled under sync through a
-// counting filesystem; the SyncBatch flusher's interval outlasts the
-// run, so every fsync counted is one the commit path made.
+// counting filesystem; no durability worker runs, so every fsync counted
+// is one the commit path made.
 func loopbackLeg(f feed, train, journals int, sync wal.SyncPolicy, warm, window int) (reading, reading, error) {
 	m, err := monitor.New(f.schema, f.constraints, monitor.WithShards(journals))
 	if err != nil {
@@ -268,7 +268,7 @@ func loopbackLeg(f feed, train, journals int, sync wal.SyncPolicy, warm, window 
 		fsys := countingFS{vfs.OS, io}
 		var logs []*wal.Log
 		for _, p := range monitor.JournalPaths(filepath.Join(dir, "journal"), journals) {
-			l, err := wal.Open(p, wal.WithSyncPolicy(sync), wal.WithBatchInterval(time.Hour), wal.WithMetrics(o.Metrics), wal.WithFS(fsys))
+			l, err := wal.Open(p, wal.WithSyncPolicy(sync), wal.WithMetrics(o.Metrics), wal.WithFS(fsys))
 			if err != nil {
 				return reading{}, reading{}, err
 			}
@@ -396,7 +396,7 @@ func Table11CommitPath(bool) (Table, error) {
 		},
 		Notes: "allocs and GC cycles are totals over the window, client side included; " +
 			"over loopback with metrics attached: train=* the hire/fire spec, feed=cdc the cdc-stream feed (cdcgen seed 7, 24 sensors, bursts) in trains of 12, " +
-			"journals=* cdcgen seed 7 without bursts in trains of 10, under SyncBatch with the flusher idle unless sync=always; " +
+			"journals=* cdcgen seed 7 without bursts in trains of 10, under SyncBatch with no durability worker unless sync=always; " +
 			"policy-wide steps its 35 policies over 1,024 sensors in process; windows are at most 10,000 commits, so per-commit cells keep every count",
 	}
 	hr := hrFeed()

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"rtic/internal/monitor"
 	"rtic/internal/storage"
@@ -36,9 +35,9 @@ import (
 // cut, so Crash is no fault outcome. Byte-identical disks are recovered
 // once, held to the strictest watermark among the cuts that leave them.
 //
-// The re-arm backoff is an hour, so a latched journal heals only at the
-// trace's own Checkpoint calls and a run's op sequence depends on its
-// faults alone.
+// The manager's worker never starts, so a latched journal heals only at
+// the trace's own Checkpoint calls and a run's op sequence depends on
+// its faults alone.
 type Sweep struct {
 	Dir      string // scratch directory (required)
 	Journals int    // journals, one per shard (default 1)
@@ -46,9 +45,9 @@ type Sweep struct {
 	// the hire/fire commits of Trace). Its first two segments are
 	// (len-1)/2 commits each.
 	History *workload.History
-	// Batch journals under SyncBatch with a flush interval longer than
-	// the run; the trace calls Log.Sync after each segment's first
-	// commit, and the sweep makes no fault runs.
+	// Batch journals under SyncBatch; the trace calls Durable.Sync, the
+	// worker's step, after each segment's first commit, and the sweep
+	// makes no fault runs.
 	Batch bool
 	// Faults picks the fault runs, first and second faults alike (nil:
 	// every one); a second fault follows only a picked first fault.
@@ -176,7 +175,7 @@ func (s *Sweep) run(dir string, plan ...vfs.Injection) (*sweepRun, error) {
 	r := &sweepRun{dir: dir, ffs: ffs}
 	opts := []wal.Option{wal.WithFS(ffs)}
 	if s.Batch {
-		opts = append(opts, wal.WithSyncPolicy(wal.SyncBatch), wal.WithBatchInterval(time.Hour))
+		opts = append(opts, wal.WithSyncPolicy(wal.SyncBatch))
 	}
 	logs, err := openJournals(dir, s.Journals, opts...)
 	if err != nil {
@@ -189,18 +188,14 @@ func (s *Sweep) run(dir string, plan ...vfs.Injection) (*sweepRun, error) {
 		return nil, err
 	}
 	d, err := monitor.NewDurableLogs(m, logs, filepath.Join(dir, "state.snap"), monitor.WithDurableFS(ffs),
-		monitor.WithRearmBackoff(time.Hour, time.Hour),
 		monitor.WithLogFactory(func(p string) (*wal.Log, error) { return wal.Open(p, opts...) }))
 	if err != nil {
 		return nil, err
 	}
 	d.Attach()
-	defer func() {
-		d.Stop()
-		// The run is over: closing only stops batch flushers and frees
-		// handles.
-		d.CloseLogs()
-	}()
+	// The run's ops are counted by the time it returns: closing only
+	// frees handles.
+	defer d.CloseLogs()
 
 	commits, syncs, ckpts := 0, 0, 0
 	// do runs one step; only a rejected commit fails the run, a failed
@@ -237,16 +232,7 @@ func (s *Sweep) run(dir string, plan ...vfs.Injection) (*sweepRun, error) {
 			return nil, err
 		}
 		if s.Batch && i%seg == 0 && i < 2*seg {
-			if err := do("sync", syncs, func() error {
-				syncs++
-				var first error
-				for _, l := range logs {
-					if err := l.Sync(); err != nil && first == nil {
-						first = err
-					}
-				}
-				return first
-			}); err != nil {
+			if err := do("sync", syncs, func() error { syncs++; return d.Sync() }); err != nil {
 				return nil, err
 			}
 		}

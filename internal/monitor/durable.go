@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,19 +21,9 @@ import (
 type DurableOption func(*durableOptions)
 
 type durableOptions struct {
-	fs         vfs.FS
-	halt       func(error)
-	openLog    func(path string) (*wal.Log, error)
-	backoffMin time.Duration
-	backoffMax time.Duration
-}
-
-func defaultDurableOptions() durableOptions {
-	return durableOptions{
-		fs:         vfs.OS,
-		backoffMin: 50 * time.Millisecond,
-		backoffMax: 5 * time.Second,
-	}
+	fs      vfs.FS
+	halt    func(error)
+	openLog func(path string) (*wal.Log, error)
 }
 
 // WithDurableFS selects the filesystem checkpoints and fresh journal
@@ -50,7 +41,7 @@ func WithDurableFS(fsys vfs.FS) DurableOption {
 // manager calls h (at most once) on the first durability failure, so a
 // daemon that must never acknowledge a non-durable commit can shut down
 // instead of serving degraded. h may be called from the commit path or
-// a background goroutine and must not block. Without it a failure
+// the durability worker and must not block. Without it a failure
 // degrades (see Durable).
 func WithHaltFunc(h func(error)) DurableOption {
 	return func(o *durableOptions) { o.halt = h }
@@ -64,18 +55,15 @@ func WithLogFactory(open func(path string) (*wal.Log, error)) DurableOption {
 	return func(o *durableOptions) { o.openLog = open }
 }
 
-// WithRearmBackoff bounds the re-arm retry delay (defaults 50ms..5s,
-// doubling per failed attempt, with jitter).
-func WithRearmBackoff(min, max time.Duration) DurableOption {
-	return func(o *durableOptions) {
-		if min > 0 {
-			o.backoffMin = min
-		}
-		if max >= o.backoffMin {
-			o.backoffMax = max
-		}
-	}
-}
+// The durability worker's schedule (see Start): while healthy, a Sync
+// every syncInterval; while degraded, a rotation retried after a delay
+// that starts at rearmMin and doubles per failed attempt up to
+// rearmMax, with jitter.
+const (
+	syncInterval = 100 * time.Millisecond
+	rearmMin     = 50 * time.Millisecond
+	rearmMax     = 5 * time.Second
+)
 
 // Durable is the durability manager around a monitor: it journals every
 // accepted transaction to write-ahead logs — one for an unsharded
@@ -111,8 +99,16 @@ func WithRearmBackoff(min, max time.Duration) DurableOption {
 // snapshot atomically, then empties every journal — Reset in place
 // while the log is usable, so a caller's *wal.Log handle keeps working,
 // or a fresh <journal>.rearm segment renamed over it once the log
-// latched broken. The periodic checkpointer, Checkpoint and every
-// attempt of the re-arm loop run it.
+// latched broken. Checkpoint runs it, whether a caller or the
+// durability worker calls it.
+//
+// The manager has at most one background goroutine, the durability
+// worker, and only after Start: it makes wal.SyncBatch appends durable
+// (Sync), checkpoints periodically and retries the rotation while
+// degraded. Without Start nothing runs in the background, and the
+// caller drives Sync and Checkpoint. The journals themselves are
+// passive: every journal failure returns to the manager's own call —
+// the journal hook, Sync or the rotation — which reacts to it.
 //
 // A journaling failure halts when a halt function is configured (see
 // WithHaltFunc). Otherwise the manager enters degraded mode: commits keep
@@ -122,7 +118,7 @@ func WithRearmBackoff(min, max time.Duration) DurableOption {
 // captures the whole state, degraded-window commits included, so no
 // acknowledged-durable commit is ever lost and the degraded window
 // becomes durable again. A manager without a checkpoint path cannot
-// rotate: it starts no re-arm loop and stays degraded until restart.
+// rotate: it stays degraded until restart.
 type Durable struct {
 	m        *Monitor
 	snapPath string // "": journal-only durability
@@ -130,9 +126,6 @@ type Durable struct {
 	halt     func(error) // nil: a failure degrades
 	haltOnce sync.Once
 	openLog  func(path string) (*wal.Log, error)
-
-	backoffMin time.Duration
-	backoffMax time.Duration
 
 	// one is the journal hook's parts slice when there is one journal:
 	// the transaction passes whole. With several, the hook journals the
@@ -154,11 +147,9 @@ type Durable struct {
 	degradedSince time.Time
 	rearmAttempts uint64
 	rearms        uint64
-	rearmStop     chan struct{} // closed to end the re-arm loop
-	rearmDone     chan struct{} // closed when the re-arm loop has ended
 
-	stop chan struct{}
-	done chan struct{}
+	stop chan struct{} // closed to end the worker; nil when none runs
+	done chan struct{} // closed when the worker has ended
 }
 
 // NewDurable builds the durability manager of a monitor with at most
@@ -196,14 +187,13 @@ func NewDurableLogs(m *Monitor, logs []*wal.Log, snapPath string, opts ...Durabl
 			return nil, fmt.Errorf("monitor: journal %d is nil", i)
 		}
 	}
-	o := defaultDurableOptions()
+	o := durableOptions{fs: vfs.OS}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	d := &Durable{
 		m: m, logs: logs, snapPath: snapPath,
 		fs: o.fs, halt: o.halt, openLog: o.openLog,
-		backoffMin: o.backoffMin, backoffMax: o.backoffMax,
 	}
 	if d.openLog == nil {
 		fsys := o.fs
@@ -361,23 +351,12 @@ func (d *Durable) metrics() *obs.Metrics { return d.m.Observer().MetricSink() }
 
 // Attach starts journaling: every subsequently accepted transaction is
 // appended to the journals under the commit lock, one record per
-// journal per commit. Failures — including a background-flusher fsync
-// failure, surfaced through the log's failure handler at the point of
-// failure — halt or degrade (see onFailure).
+// journal per commit. A failed append halts or degrades (see
+// onFailure).
 func (d *Durable) Attach() {
-	logs := d.currentLogs()
-	if len(logs) == 0 {
-		return
+	if len(d.currentLogs()) != 0 {
+		d.m.SetJournal(d.journalHook)
 	}
-	for i, l := range logs {
-		d.watch(i, len(logs), l)
-	}
-	d.m.SetJournal(d.journalHook)
-}
-
-// watch routes the failure notifications of journal i of n to onFailure.
-func (d *Durable) watch(i, n int, l *wal.Log) {
-	l.SetFailureHandler(func(err error) { d.onFailure(journalErr(n, i, err)) })
 }
 
 // journalErr names the failing journal when there are several.
@@ -404,92 +383,74 @@ func (d *Durable) journalHook(t uint64, tx *storage.Transaction) {
 	} else {
 		parts = rtr.Parts()
 	}
-	var firstErr error
 	for i, part := range parts {
-		if err := logs[i].AppendTx(t, part); err != nil && firstErr == nil {
-			firstErr = journalErr(len(logs), i, err)
+		if err := logs[i].AppendTx(t, part); err != nil {
+			d.onFailure(logs[i], journalErr(len(logs), i, err))
 		}
 	}
-	if firstErr != nil {
-		d.onFailure(firstErr)
-	}
 }
 
-// onFailure reacts to a journaling failure: it calls the halt function
-// once when there is one, and degrades otherwise. It is called from the
-// commit path and from WAL failure handlers (possibly a flusher
-// goroutine); it only takes d.mu.
-func (d *Durable) onFailure(err error) {
-	if d.halt == nil {
-		d.degrade(err)
-		return
+// Sync makes every journal's batched appends durable: under
+// wal.SyncBatch a commit is durable once a Sync after it returns. A
+// journal with nothing appended since its last fsync (any
+// wal.SyncAlways journal) costs nothing. A failure halts or degrades as
+// a failed append does, and the first is returned.
+func (d *Durable) Sync() error {
+	logs := d.currentLogs()
+	var first error
+	for i, l := range logs {
+		if err := l.Sync(); err != nil {
+			err = journalErr(len(logs), i, err)
+			d.onFailure(l, err)
+			if first == nil {
+				first = err
+			}
+		}
 	}
-	d.mu.Lock()
-	d.lastErr = err
-	d.mu.Unlock()
-	d.haltOnce.Do(func() { d.halt(err) })
+	return first
 }
 
-// degrade flips the manager into degraded mode (idempotent) and, when
-// it has a checkpoint path to rotate to, starts the re-arm loop.
-func (d *Durable) degrade(err error) {
+// onFailure reacts to a failure of journal l: it calls the halt
+// function once when there is one, and degrades otherwise. A journal
+// that a rotation has replaced since is no failure of the manager's:
+// the checkpoint that replaced it covers its records. It is called from
+// the commit path, Sync and the rotation; it only takes d.mu.
+func (d *Durable) onFailure(l *wal.Log, err error) {
 	d.mu.Lock()
-	d.lastErr = err
-	if d.degraded {
+	if !slices.Contains(d.logs, l) {
 		d.mu.Unlock()
 		return
 	}
-	d.degraded = true
-	d.degradedSince = time.Now()
-	var stop, done chan struct{}
-	if d.snapPath != "" {
-		stop, done = make(chan struct{}), make(chan struct{})
-		d.rearmStop, d.rearmDone = stop, done
+	d.lastErr = err
+	if d.halt != nil {
+		d.mu.Unlock()
+		d.haltOnce.Do(func() { d.halt(err) })
+		return
+	}
+	if !d.degraded {
+		d.degraded = true
+		d.degradedSince = time.Now()
+		if mm := d.metrics(); mm != nil {
+			mm.DurabilityDegraded.Set(1)
+		}
 	}
 	d.mu.Unlock()
-	if mm := d.metrics(); mm != nil {
-		mm.DurabilityDegraded.Set(1)
-	}
-	if stop != nil {
-		go runRearmLoop(stop, done, d.backoffMin, d.backoffMax, d.tryRearm)
-	}
-}
-
-// runRearmLoop retries try with exponential backoff until it reports
-// success or stop closes.
-func runRearmLoop(stop, done chan struct{}, min, max time.Duration, try func() bool) {
-	defer close(done)
-	delay := min
-	for {
-		t := time.NewTimer(rearmJitter(delay))
-		select {
-		case <-stop:
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		if try() {
-			return
-		}
-		delay *= 2
-		if delay > max {
-			delay = max
-		}
-	}
 }
 
 // rearmJitter spreads retries over [d/2, d) so managers degraded by a
 // shared cause do not retry in lockstep.
 func rearmJitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2))) //nolint:gosec — jitter, not crypto
 }
 
-// tryRearm is one attempt of the re-arm loop: a rotation.
+// tryRearm is one re-arm attempt of the worker: a rotation, unless a
+// Checkpoint re-armed the manager while the worker waited.
 func (d *Durable) tryRearm() bool {
 	d.mu.Lock()
+	if !d.degraded {
+		d.mu.Unlock()
+		return true
+	}
 	d.rearmAttempts++
 	d.mu.Unlock()
 	if mm := d.metrics(); mm != nil {
@@ -503,62 +464,80 @@ func (d *Durable) tryRearm() bool {
 const rearmSuffix = ".rearm"
 
 // finishRearmLocked clears the degraded state (caller holds d.mu and
-// the commit lock) and ends the re-arm loop; Stop still waits for it.
+// the commit lock).
 func (d *Durable) finishRearmLocked() {
 	d.degraded = false
 	d.degradedSince = time.Time{}
 	d.rearms++
-	if d.rearmStop != nil {
-		close(d.rearmStop)
-		d.rearmStop = nil
-	}
 	if mm := d.metrics(); mm != nil {
 		mm.DurabilityDegraded.Set(0)
 		mm.Rearms.Inc()
 	}
 }
 
-// Start runs the background checkpointer at the given interval until
-// Stop. It requires a checkpoint path.
+// Start runs the durability worker until Stop. While the manager is
+// healthy the worker calls Sync every syncInterval and Checkpoint every
+// interval (0: never; periodic checkpoints need a checkpoint path).
+// While it is degraded the worker retries the rotation instead, after a
+// jittered delay from rearmMin doubling up to rearmMax, until one
+// re-arms; a manager without a checkpoint path cannot rotate and keeps
+// to its Sync ticks.
 func (d *Durable) Start(interval time.Duration) {
-	if d.snapPath == "" || interval <= 0 {
-		return
-	}
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	go func() {
-		defer close(d.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case <-t.C:
-				d.Checkpoint() //rtic:errok failures are recorded in Health and CheckpointErrors; the ticker retries
-			}
-		}
-	}()
+	d.stop, d.done = make(chan struct{}), make(chan struct{})
+	go d.work(interval, d.stop, d.done)
 }
 
-// Stop halts the background checkpointer and the re-arm loop. A manager
-// stopped while degraded stays degraded until a Checkpoint re-arms it —
-// call Checkpoint for a clean shutdown.
+// work is the durability worker.
+func (d *Durable) work(interval time.Duration, stop, done chan struct{}) {
+	defer close(done)
+	periodic := interval > 0 && d.snapPath != ""
+	start := time.Now()
+	nextSync, nextCkpt := start.Add(syncInterval), start.Add(interval)
+	backoff := rearmMin
+	for {
+		d.mu.Lock()
+		rearm := d.degraded && d.snapPath != ""
+		d.mu.Unlock()
+		wait := time.Until(nextSync)
+		switch {
+		case rearm:
+			wait = rearmJitter(backoff)
+		case periodic && nextCkpt.Before(nextSync):
+			wait = time.Until(nextCkpt)
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-stop:
+			t.Stop()
+			return
+		case <-t.C:
+		}
+		now := time.Now()
+		switch {
+		case rearm:
+			if d.tryRearm() {
+				backoff, nextCkpt = rearmMin, now.Add(interval)
+			} else {
+				backoff = min(2*backoff, rearmMax)
+			}
+		case periodic && !now.Before(nextCkpt):
+			d.Checkpoint() //rtic:errok failures are recorded in Health and CheckpointErrors; the worker retries
+			nextCkpt = now.Add(interval)
+		case !now.Before(nextSync):
+			d.Sync() //rtic:errok a failure halts or degrades inside Sync and shows in Health
+			nextSync = now.Add(syncInterval)
+		}
+	}
+}
+
+// Stop ends the worker, if one runs. A manager stopped while degraded
+// stays degraded until a Checkpoint re-arms it — call Checkpoint for a
+// clean shutdown.
 func (d *Durable) Stop() {
 	if d.stop != nil {
 		close(d.stop)
 		<-d.done
 		d.stop = nil
-	}
-	d.mu.Lock()
-	stop, done := d.rearmStop, d.rearmDone
-	d.rearmStop, d.rearmDone = nil, nil
-	d.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	if done != nil {
-		<-done
 	}
 }
 
@@ -660,8 +639,12 @@ func (d *Durable) rotateLocked() error {
 	next := append([]*wal.Log(nil), logs...)
 	for i, l := range logs {
 		if fresh[i] == nil {
-			if err := l.Reset(); err != nil && first == nil {
-				first = err
+			if err := l.Reset(); err != nil {
+				err = journalErr(len(logs), i, err)
+				d.onFailure(l, err)
+				if first == nil {
+					first = err
+				}
 			}
 			continue
 		}
@@ -679,7 +662,6 @@ func (d *Durable) rotateLocked() error {
 	d.mu.Unlock()
 	for i, l := range logs {
 		if next[i] != l {
-			d.watch(i, len(next), next[i])
 			l.Close() //rtic:errok the replaced journal is superseded by the checkpoint; its latched error has been reported
 		}
 	}
@@ -704,7 +686,7 @@ type DurabilityHealth struct {
 	// DegradedSeconds is how long the current degraded episode has
 	// lasted (0 when not in degraded mode).
 	DegradedSeconds float64 `json:"degraded_seconds,omitempty"`
-	// RearmAttempts counts re-arm loop attempts this run; Rearms counts
+	// RearmAttempts counts the worker's re-arm attempts this run; Rearms counts
 	// the rotations that ended a degraded episode.
 	RearmAttempts uint64 `json:"rearm_attempts,omitempty"`
 	Rearms        uint64 `json:"rearms,omitempty"`

@@ -19,20 +19,20 @@ import (
 // directory's open(4), sync(5) and close(6), then a write and a sync
 // per append — 7 and 8 for the first commit, 9 and 10 for the second.
 
-// waitHealthy polls the health function until the status clears or the
-// deadline passes.
-func waitHealthy(t *testing.T, health func() DurabilityHealth) DurabilityHealth {
+// waitStatus polls the health function until the status reads status
+// ("ok" once re-armed, "degraded") or the deadline passes.
+func waitStatus(t *testing.T, health func() DurabilityHealth, status string) DurabilityHealth {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		h := health()
-		if h.Status == "ok" {
+		if h.Status == status {
 			return h
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("durability never re-armed; health = %+v", h)
+			t.Fatalf("durability status never read %q; health = %+v", status, h)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -45,7 +45,7 @@ func insertAt(t *testing.T, m *Monitor, ts uint64, e int64) {
 
 // TestRearmAfterTransientFailureResetsInPlace fires one transient ENOSPC
 // at a journal append: the commit is still acknowledged, the manager
-// degrades and stops journaling, and the re-arm loop's rotation writes
+// degrades and stops journaling, and the worker's re-arm rotation writes
 // a checkpoint covering the degraded window and resets every journal in
 // place — the caller's handles stay the live journals. A post-crash
 // replay must see every commit, including the one from the degraded
@@ -58,11 +58,12 @@ func TestRearmAfterTransientFailureResetsInPlace(t *testing.T) {
 
 		m1 := durableMonitor(t, n)
 		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
-		d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(5*time.Millisecond, 50*time.Millisecond))
+		d1 := attachDurable(t, m1, logs1, snapPath)
+		d1.Start(0)
 
 		insertAt(t, m1, 10, 1)
 		insertAt(t, m1, 20, 2) // the last journal's append fails, commit still acknowledged
-		h := waitHealthy(t, d1.Health)
+		h := waitStatus(t, d1.Health, "ok")
 		if h.Rearms != 1 || h.LastCheckpointAgeSeconds < 0 {
 			t.Fatalf("health after re-arm = %+v, want 1 re-arm and a checkpoint", h)
 		}
@@ -99,14 +100,16 @@ func TestFreshSegmentRearmAfterBrokenLog(t *testing.T) {
 
 		m1 := durableMonitor(t, n)
 		logs1 := openJournals(t, dir, n, wal.WithFS(ffs))
-		d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(5*time.Millisecond, 50*time.Millisecond))
+		d1 := attachDurable(t, m1, logs1, snapPath)
+		d1.Start(0)
+		defer d1.Stop()
 
 		insertAt(t, m1, 10, 1)
 		insertAt(t, m1, 20, 2) // fsync fails: journal breaks, manager degrades
 		if err := logs1[n-1].Err(); err == nil {
 			t.Fatal("expected the original journal to latch broken")
 		}
-		h := waitHealthy(t, d1.Health)
+		h := waitStatus(t, d1.Health, "ok")
 		if h.Rearms != 1 {
 			t.Fatalf("health after fresh-segment re-arm = %+v, want 1 re-arm", h)
 		}
@@ -161,10 +164,8 @@ func TestCheckpointWhileDegradedRearms(t *testing.T) {
 				snapPath := snapshotPath(dir)
 				m1 := durableMonitor(t, n)
 				logs1 := openJournals(t, dir, n, wal.WithFS(vfs.NewFaultFS(vfs.OS, f.inj)))
-				// An hour of backoff keeps the re-arm loop asleep: only
-				// Checkpoint can heal.
-				d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(time.Hour, time.Hour))
-				defer d1.Stop()
+				// Without Start no worker re-arms: only Checkpoint can heal.
+				d1 := attachDurable(t, m1, logs1, snapPath)
 				insertAt(t, m1, 10, 1)
 				if h := d1.Health(); h.Status != "degraded" || h.DegradedSeconds <= 0 {
 					t.Fatalf("health = %+v, want degraded", h)
@@ -203,8 +204,8 @@ func TestCheckpointWhileDegradedRearms(t *testing.T) {
 }
 
 // TestShutdownCheckpointWhileDegraded is a daemon's shutdown while
-// degraded: the re-arm loop is asleep (an hour of backoff), the disk
-// heals, then Stop and a final Checkpoint. The checkpoint must be
+// degraded: the disk heals, then Stop and a final Checkpoint, with no
+// re-arm attempt in between. The checkpoint must be
 // written and cover the degraded window, and Health must read ok — a
 // shutdown must not report success while discarding those commits.
 func TestShutdownCheckpointWhileDegraded(t *testing.T) {
@@ -217,7 +218,7 @@ func TestShutdownCheckpointWhileDegraded(t *testing.T) {
 				// The one-shot injection is the whole outage: the disk has
 				// healed once it fired.
 				logs1 := openJournals(t, dir, n, wal.WithFS(vfs.NewFaultFS(vfs.OS, f.inj)))
-				d1 := attachDurable(t, m1, logs1, snapPath, WithRearmBackoff(time.Hour, time.Hour))
+				d1 := attachDurable(t, m1, logs1, snapPath)
 				insertAt(t, m1, 10, 1) // journaling fails: degraded
 				insertAt(t, m1, 20, 2)
 				if h := d1.Health(); h.Status != "degraded" {
@@ -261,9 +262,7 @@ func TestRotationDirSyncFailure(t *testing.T) {
 			ffs := vfs.NewFaultFS(vfs.OS, plan...)
 			m := durableMonitor(t, n)
 			logs := openJournals(t, dir, n, wal.WithFS(ffs))
-			d := attachDurable(t, m, logs, snapshotPath(dir), WithDurableFS(ffs),
-				WithRearmBackoff(time.Hour, time.Hour))
-			t.Cleanup(d.Stop)
+			d := attachDurable(t, m, logs, snapshotPath(dir), WithDurableFS(ffs))
 			insertAt(t, m, 10, 1) // fsync fails: the last journal latches
 			before := ffs.OpCount()
 			err := d.Checkpoint()

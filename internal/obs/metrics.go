@@ -45,7 +45,7 @@ type Metrics struct {
 	LintWarnings *Counter    // Warning-or-worse findings
 	LintFindings *CounterVec // all findings, by rule
 
-	// Durability section (updated by the WAL and the checkpointer).
+	// Durability section (updated by the WAL and the durability manager).
 	WALAppends         *Counter   // records journaled
 	WALAppendedBytes   *Counter   // framed bytes journaled
 	WALFsyncs          *Counter   // fsyncs issued on the log
@@ -146,7 +146,7 @@ func NewMetrics(r *Registry) *Metrics {
 		DurabilityDegraded: r.Gauge("rtic_durability_degraded",
 			"1 while the durability manager is degraded (commits acknowledged as non-durable), 0 when journaling."),
 		RearmAttempts: r.Counter("rtic_durability_rearm_attempts_total",
-			"Attempts by the re-arm loop to restore durability after a failure."),
+			"Attempts by the durability worker to restore durability after a failure."),
 		Rearms: r.Counter("rtic_durability_rearms_total",
 			"Successful durability re-arms (journaling restored after a degraded episode)."),
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rtic/internal/cdcgen"
 	"rtic/internal/storage"
@@ -101,7 +100,7 @@ func TestAppendTxMatchesAppend(t *testing.T) {
 // nothing; a record over 64 KiB is written from a buffer the log drops
 // when the append returns.
 func TestAppendTxFrameBuffer(t *testing.T) {
-	l, _ := tmpLog(t, WithSyncPolicy(SyncBatch), WithBatchInterval(time.Hour))
+	l, _ := tmpLog(t, WithSyncPolicy(SyncBatch))
 	tx := storage.NewTransaction().
 		Insert("reading", tuple.Of(value.Str("sensor-7"), value.Int(42))).
 		Delete("stale", tuple.Of(value.Str("sensor-7")))

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
@@ -445,47 +444,33 @@ func TestLiveShortHeaderWriteFailsOpen(t *testing.T) {
 	}
 }
 
-// TestLiveBatchFlusherFailureSurfacesAtPointOfFailure pins the
-// satellite fix: an injected fsync error on the background flusher must
-// fire the failure handler immediately (not on the next append), and
-// the next Append must still surface the latched error.
-func TestLiveBatchFlusherFailureSurfacesAtPointOfFailure(t *testing.T) {
+// TestLiveBatchSyncFailureLatches: a SyncBatch log fsyncs only when
+// its owner calls Sync, and an fsync failure there latches the log and
+// goes back to that caller; the next Append re-reports it.
+func TestLiveBatchSyncFailureLatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.wal")
 	// Ops: open=1, header write=2, header sync=3, directory open, sync
-	// and close=4-6, append write=7, flusher sync=8 — fail it.
+	// and close=4-6, append write=7, Sync's fsync=8 — fail it.
 	ffs := vfs.NewFaultFS(vfs.OS, vfs.Injection{AtOp: 8, Op: vfs.OpSync, Kind: vfs.SyncFailure})
-	failed := make(chan error, 1)
-	l, err := Open(path,
-		WithFS(ffs),
-		WithSyncPolicy(SyncBatch),
-		WithBatchInterval(time.Millisecond),
-	)
+	l, err := Open(path, WithFS(ffs), WithSyncPolicy(SyncBatch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.SetFailureHandler(func(err error) {
-		select {
-		case failed <- err:
-		default:
-		}
-	})
 	if err := l.Append([]byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-failed:
-		if !errors.Is(err, syscall.EIO) {
-			t.Fatalf("handler got %v, want the injected EIO", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("flusher failure never fired the failure handler")
+	if n := ffs.OpCount(); n != 7 {
+		t.Fatalf("a batched append made %d ops, want 7 (no fsync of its own)", n)
+	}
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync = %v, want the injected EIO", err)
 	}
 	if err := l.Append([]byte("refused")); err == nil {
-		t.Fatal("append accepted after the flusher latched the log")
+		t.Fatal("append accepted after Sync latched the log")
 	}
 	if l.Err() == nil {
-		t.Fatal("Err() nil after a flusher fsync failure")
+		t.Fatal("Err() nil after a failed Sync")
 	}
 }
 

@@ -17,9 +17,13 @@
 //
 // Two sync policies cover the durability/latency trade-off: SyncAlways
 // fsyncs after every append (no committed transaction is ever lost),
-// SyncBatch marks the log dirty and fsyncs from a background flusher at
-// a configurable interval (bounded loss window, much higher append
-// throughput on spinning or network disks).
+// SyncBatch only marks the log dirty, and its owner's next Sync makes
+// the batch durable (bounded loss window, much higher append throughput
+// on spinning or network disks).
+//
+// A log is passive: it starts no goroutine and calls nothing back. An
+// operation that latches the log broken returns the error to its
+// caller, and every later operation re-reports it.
 package wal
 
 import (
@@ -78,8 +82,8 @@ const (
 	// SyncAlways fsyncs after every append: a commit acknowledged to a
 	// client is durable.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs from a background flusher on a fixed interval; a
-	// crash loses at most one interval's worth of acknowledged commits.
+	// SyncBatch defers the fsync to the owner's next Sync; a crash loses
+	// the acknowledged commits appended since the last one.
 	SyncBatch
 )
 
@@ -121,21 +125,15 @@ type file interface {
 type Option func(*logOptions)
 
 type logOptions struct {
-	policy   SyncPolicy
-	interval time.Duration
-	metrics  *obs.Metrics
-	spans    obs.SpanSink
-	fs       vfs.FS
+	policy  SyncPolicy
+	metrics *obs.Metrics
+	spans   obs.SpanSink
+	fs      vfs.FS
 }
 
 // WithSyncPolicy selects the sync policy (default SyncAlways).
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(o *logOptions) { o.policy = p }
-}
-
-// WithBatchInterval sets the SyncBatch flush interval (default 100ms).
-func WithBatchInterval(d time.Duration) Option {
-	return func(o *logOptions) { o.interval = d }
 }
 
 // WithMetrics attaches the standard metric set: appends, appended
@@ -179,14 +177,8 @@ type Log struct {
 	dirty   bool   // bytes appended since the last fsync
 	broken  error  // sticky: set when the on-disk state is unknown
 
-	onFail      func(error) // fired (outside mu) when broken latches
-	justLatched bool        // broken was set and the handler not yet fired
-
 	torn       bool  // a torn final record was truncated on open
 	tornOffset int64 // where the torn record started
-
-	flushStop chan struct{}
-	flushDone chan struct{}
 }
 
 // Open opens (or creates) the log at path, validates the header, scans
@@ -229,9 +221,6 @@ func Open(path string, opts ...Option) (*Log, error) {
 // newLog validates and recovers an opened file; tests drive it with
 // fault-injecting file implementations.
 func newLog(f file, path string, size int64, o logOptions) (*Log, error) {
-	if o.interval <= 0 {
-		o.interval = 100 * time.Millisecond
-	}
 	if o.fs == nil {
 		o.fs = vfs.OS
 	}
@@ -290,11 +279,6 @@ func newLog(f file, path string, size int64, o logOptions) (*Log, error) {
 	if m := l.metrics; m != nil {
 		m.WALSizeBytes.Set(l.size)
 	}
-	if l.policy == SyncBatch {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flushLoop(o.interval)
-	}
 	return l, nil
 }
 
@@ -339,9 +323,9 @@ func (l *Log) frameAt(off, size int64) (payload []byte, next int64, err error) {
 
 // Append frames payload and writes it. Under SyncAlways the record is
 // on stable storage when Append returns; under SyncBatch it is durable
-// after the next background flush. A failed or short write is rolled
-// back by truncating the partial frame; if even that fails the log
-// latches broken and refuses further appends.
+// after the next Sync. A failed or short write is rolled back by
+// truncating the partial frame; if even that fails the log latches
+// broken and refuses further appends.
 func (l *Log) Append(payload []byte) error {
 	return l.appendRecord(payload, 0, nil)
 }
@@ -394,9 +378,7 @@ func (l *Log) appendRecord(payload []byte, t uint64, tx *storage.Transaction) er
 		}
 		err = l.appendFrameLocked(frame, sp)
 	}
-	fire := l.takeLatchNotifyLocked()
 	l.mu.Unlock()
-	fire()
 	if sp != nil {
 		sp.End()
 		sp.Err = err
@@ -406,30 +388,11 @@ func (l *Log) appendRecord(payload []byte, t uint64, tx *storage.Transaction) er
 }
 
 // latchLocked marks the log permanently broken (caller holds mu): the
-// on-disk state can no longer be trusted. The registered failure
-// handler fires once per latch, outside the lock, via
-// takeLatchNotifyLocked — at the point of failure, even when the
-// failing operation ran on the background flusher.
+// on-disk state can no longer be trusted.
 func (l *Log) latchLocked(err error) {
 	if l.broken == nil {
 		l.broken = err
-		l.justLatched = true
 	}
-}
-
-// takeLatchNotifyLocked returns the pending failure notification as a
-// closure to invoke after releasing mu (a no-op when nothing latched
-// or no handler is registered).
-func (l *Log) takeLatchNotifyLocked() func() {
-	if !l.justLatched {
-		return func() {}
-	}
-	l.justLatched = false
-	h, err := l.onFail, l.broken
-	if h == nil {
-		return func() {}
-	}
-	return func() { h(err) }
 }
 
 // appendFrameLocked writes one framed record (caller holds mu); sp
@@ -476,11 +439,8 @@ func (l *Log) appendFrameLocked(frame []byte, sp *obs.Span) error {
 // Sync forces buffered appends to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	err := l.syncLocked()
-	fire := l.takeLatchNotifyLocked()
-	l.mu.Unlock()
-	fire()
-	return err
+	defer l.mu.Unlock()
+	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {
@@ -506,11 +466,8 @@ func (l *Log) syncLocked() error {
 // checkpoint has made every journaled record redundant.
 func (l *Log) Reset() error {
 	l.mu.Lock()
-	err := l.resetLocked()
-	fire := l.takeLatchNotifyLocked()
-	l.mu.Unlock()
-	fire()
-	return err
+	defer l.mu.Unlock()
+	return l.resetLocked()
 }
 
 func (l *Log) resetLocked() error {
@@ -547,11 +504,8 @@ func (l *Log) Truncate(keep int) error {
 		return fmt.Errorf("wal: truncate to negative record count %d", keep)
 	}
 	l.mu.Lock()
-	err := l.truncateLocked(keep)
-	fire := l.takeLatchNotifyLocked()
-	l.mu.Unlock()
-	fire()
-	return err
+	defer l.mu.Unlock()
+	return l.truncateLocked(keep)
 }
 
 func (l *Log) truncateLocked(keep int) error {
@@ -615,35 +569,12 @@ func (l *Log) Replay(fn func(payload []byte) error) (int, error) {
 	}
 }
 
-// flushLoop is the SyncBatch background flusher.
-func (l *Log) flushLoop(interval time.Duration) {
-	defer close(l.flushDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-t.C:
-			// A flush failure latches the log broken inside syncLocked
-			// and fires the failure handler right here, at the point of
-			// failure — not on the next append. The error itself is
-			// re-reported by every subsequent operation.
-			_ = l.Sync() //rtic:errok the failure handler fires inside Sync at the point of failure; every later append/sync re-reports the latched error
-		}
-	}
-}
-
 // Close flushes and closes the log file. A failed final sync latches
-// the log broken (and fires the failure handler) in addition to being
-// returned: the buffered tail never reached stable storage.
+// the log broken in addition to being returned: the buffered tail never
+// reached stable storage.
 func (l *Log) Close() error {
-	if l.flushStop != nil {
-		close(l.flushStop)
-		<-l.flushDone
-		l.flushStop = nil
-	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	err := error(nil)
 	if l.broken == nil && l.dirty {
 		if serr := l.f.Sync(); serr == nil {
@@ -658,9 +589,6 @@ func (l *Log) Close() error {
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	fire := l.takeLatchNotifyLocked()
-	l.mu.Unlock()
-	fire()
 	return err
 }
 
@@ -670,17 +598,6 @@ func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.broken
-}
-
-// SetFailureHandler registers (or, with nil, clears) a callback fired
-// (outside the log lock) the moment the log latches broken — a failed
-// fsync, rollback, truncate or reset — so a durability manager learns
-// about a background-flusher failure at the point of failure, not on
-// the next append. A latch that already happened is not re-fired.
-func (l *Log) SetFailureHandler(h func(error)) {
-	l.mu.Lock()
-	l.onFail = h
-	l.mu.Unlock()
 }
 
 // Rename atomically moves the log file to newPath through the log's

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"rtic/internal/obs"
 	"rtic/internal/storage"
@@ -163,19 +162,28 @@ func TestSyncPolicyAlwaysFsyncsPerAppend(t *testing.T) {
 	}
 }
 
-func TestSyncPolicyBatchFlushesInBackground(t *testing.T) {
+// TestSyncPolicyBatchSyncsOnSync: a SyncBatch append marks the log
+// dirty and nothing more; the owner's Sync is the one fsync, and a Sync
+// with nothing appended since is free.
+func TestSyncPolicyBatchSyncsOnSync(t *testing.T) {
 	m := obs.NewMetrics(obs.NewRegistry())
-	l, _ := tmpLog(t, WithSyncPolicy(SyncBatch), WithBatchInterval(5*time.Millisecond), WithMetrics(m))
+	l, _ := tmpLog(t, WithSyncPolicy(SyncBatch), WithMetrics(m))
 	base := m.WALFsyncs.Value()
-	if err := l.Append([]byte("batched")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for m.WALFsyncs.Value() == base {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never synced")
+	for i := 0; i < 3; i++ {
+		if err := l.Append([]byte("batched")); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if got := m.WALFsyncs.Value() - base; got != 0 {
+		t.Fatalf("3 batched appends fsynced %d times, want 0", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.WALFsyncs.Value() - base; got != 1 {
+		t.Fatalf("two Syncs after 3 batched appends fsynced %d times, want 1", got)
 	}
 }
 
