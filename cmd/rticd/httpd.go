@@ -5,13 +5,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"runtime/pprof"
 	"runtime/trace"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"rtic/internal/monitor"
 )
 
 // The -metrics listener speaks just enough HTTP/1.x for scrapers, health
@@ -48,14 +49,14 @@ func textReply(status int, msg string) reply {
 // httpd serves routes on one listener until close.
 type httpd struct {
 	routes  map[string]route
-	l       net.Listener
+	l       listener
 	timeout time.Duration // requestTimeout when serving began
 	mu      sync.Mutex
-	conns   map[net.Conn]struct{} // nil once closed
+	conns   map[monitor.Conn]struct{} // nil once closed
 }
 
-func serveHTTP(l net.Listener, routes map[string]route) *httpd {
-	s := &httpd{routes: routes, l: l, timeout: requestTimeout, conns: map[net.Conn]struct{}{}}
+func serveHTTP(l listener, routes map[string]route) *httpd {
+	s := &httpd{routes: routes, l: l, timeout: requestTimeout, conns: map[monitor.Conn]struct{}{}}
 	go s.serve()
 	return s
 }
@@ -95,7 +96,7 @@ func (s *httpd) close() {
 	s.conns = nil
 }
 
-func (s *httpd) handle(c net.Conn) {
+func (s *httpd) handle(c monitor.Conn) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
@@ -104,7 +105,7 @@ func (s *httpd) handle(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, maxHeaderBytes)
 	for {
-		c.SetDeadline(time.Now().Add(s.timeout))
+		c.SetReadDeadline(time.Now().Add(s.timeout))
 		method, target, keepAlive, status := readRequest(br)
 		var rp reply
 		switch {
@@ -123,23 +124,23 @@ func (s *httpd) handle(c net.Conn) {
 				rp = textReply(404, "404 page not found")
 			}
 		}
-		var hdr bytes.Buffer
-		fmt.Fprintf(&hdr, "HTTP/1.1 %d %s\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n",
+		// The whole response leaves in one write.
+		var out bytes.Buffer
+		fmt.Fprintf(&out, "HTTP/1.1 %d %s\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n",
 			rp.status, statusText[rp.status], time.Now().UTC().Format("Mon, 02 Jan 2006 15:04:05 GMT"), rp.ctype, len(rp.body))
 		if rp.status == 405 {
-			hdr.WriteString("Allow: GET, HEAD\r\n")
+			out.WriteString("Allow: GET, HEAD\r\n")
 		}
 		conn := "close"
 		if keepAlive {
 			conn = "keep-alive"
 		}
-		fmt.Fprintf(&hdr, "Connection: %s\r\n\r\n", conn)
-		out := net.Buffers{hdr.Bytes()}
+		fmt.Fprintf(&out, "Connection: %s\r\n\r\n", conn)
 		if method != "HEAD" {
-			out = append(out, rp.body)
+			out.Write(rp.body)
 		}
-		c.SetDeadline(time.Now().Add(s.timeout))
-		if _, err := out.WriteTo(c); err != nil || !keepAlive {
+		c.SetWriteDeadline(time.Now().Add(s.timeout))
+		if _, err := c.Write(out.Bytes()); err != nil || !keepAlive {
 			return
 		}
 	}

@@ -1,6 +1,13 @@
 // Command rticd runs a network integrity monitor: one shared
 // incremental checker, fed transactions over a TCP line protocol.
 //
+// -listen and -metrics take an IP literal with a port: 127.0.0.1:7411,
+// [::1]:7411, or :7411 for every interface (IPv4 and IPv6); port 0
+// picks a free one, and the startup lines print the port bound. There
+// is no resolver, so a host name such as localhost:7411 is refused at
+// startup. On Linux the daemon opens its sockets with system calls and
+// links no package net: its build is static and maps no C library.
+//
 // Usage:
 //
 //	rticd -spec constraints.rtic [-listen 127.0.0.1:7411] [-shards N]
@@ -112,7 +119,6 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -155,7 +161,7 @@ type options struct {
 func main() {
 	var opts options
 	flag.StringVar(&opts.specPath, "spec", "", "spec file with relations and constraints (required)")
-	flag.StringVar(&opts.listen, "listen", "127.0.0.1:7411", "TCP listen address")
+	flag.StringVar(&opts.listen, "listen", "127.0.0.1:7411", "TCP listen address: an IP literal with a port (127.0.0.1:7411, [::1]:7411, :7411 for every interface); no host names")
 	flag.IntVar(&opts.shards, "shards", 1,
 		"hash-partition state across N shard engines behind a router (1 = unsharded; -wal journals to one file per shard, -snapshot holds all shards and restores only under the same N)")
 	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, restored at startup when present and written atomically on shutdown (and periodically with -checkpoint-interval); default <wal>.ckpt with -wal")
@@ -166,7 +172,7 @@ func main() {
 		"journaling-failure policy: degrade (keep serving non-durably, re-arm in the background) or halt (shut down)")
 	flag.IntVar(&opts.maxConns, "max-conns", 0, "cap on concurrently open line-protocol connections (0 = unlimited)")
 	flag.DurationVar(&opts.idleTimeout, "idle-timeout", 0, "close line-protocol connections idle for this long (0 = never)")
-	flag.StringVar(&opts.metricsAddr, "metrics", "", "HTTP listen address for /metrics and /healthz (empty: disabled)")
+	flag.StringVar(&opts.metricsAddr, "metrics", "", "HTTP listen address for /metrics and /healthz, an IP literal with a port like -listen (empty: disabled)")
 	flag.BoolVar(&opts.trace, "trace", false, "log every span tree (structured, stderr)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "serve runtime profiles under /debug/pprof/ on the -metrics listener (enables block and mutex profiling)")
 	flag.DurationVar(&opts.slowCommit, "slow-commit", 0, "log the span tree of commits slower than this (0 = disabled)")
@@ -205,8 +211,8 @@ type daemon struct {
 	m    *monitor.Monitor
 	srv  *monitor.Server
 	dur  *monitor.Durable // nil without a checkpoint path; owns the checkpoint and the journals
-	l    net.Listener
-	hl   net.Listener // nil without -metrics
+	l    listener
+	hl   listener // nil without -metrics
 	hsrv *httpd
 	rec  *obs.SpanRecorder // nil without -trace-out
 	done chan error
@@ -429,7 +435,7 @@ func start(opts options) (*daemon, error) {
 		return nil, err
 	}
 
-	l, err := net.Listen("tcp", opts.listen)
+	l, err := listen("-listen", opts.listen)
 	if err != nil {
 		return fail(err)
 	}
@@ -438,7 +444,7 @@ func start(opts options) (*daemon, error) {
 	d := &daemon{opts: opts, m: m, l: l, srv: srv, dur: dur, rec: rec, done: done}
 
 	if opts.metricsAddr != "" {
-		hl, err := net.Listen("tcp", opts.metricsAddr)
+		hl, err := listen("-metrics", opts.metricsAddr)
 		if err != nil {
 			l.Close()
 			return fail(err)

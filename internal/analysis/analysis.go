@@ -46,6 +46,10 @@ type Config struct {
 	// Locks are the critical lock identities (pkgpath.Type.field) whose
 	// hold regions lockorder polices.
 	Locks []string
+	// NetTypes are the named types (pkgpath.Type) whose methods are
+	// network I/O, besides everything in package net: lockorder reports
+	// a call to one under a critical lock.
+	NetTypes []string
 	// ErrPackages are the durability-critical package paths errdiscard
 	// polices.
 	ErrPackages []string
@@ -62,6 +66,13 @@ func DefaultConfig(metricsDoc string) *Config {
 		Locks: []string{
 			"rtic/internal/wal.Log.mu",
 			"rtic/internal/monitor.Monitor.mu",
+		},
+		// The server's connections, and the daemon's sockets, which
+		// reach the network without package net.
+		NetTypes: []string{
+			"rtic/internal/monitor.Conn",
+			"rtic/internal/sock.Conn",
+			"rtic/internal/sock.Listener",
 		},
 		ErrPackages: []string{
 			"rtic/internal/wal",
@@ -134,7 +145,7 @@ func (p *Pass) fact(fn *types.Func) (FuncFact, bool) {
 func RunAnalyzers(pkg *LoadedPackage, cfg *Config, depFacts map[string]*PackageFacts, analyzers ...*Analyzer) ([]Diagnostic, *PackageFacts, error) {
 	var diags []Diagnostic
 	dirs := CollectDirectives(pkg.Fset, pkg.Files, pkg.Src)
-	sums := Summarize(pkg, dirs, depFacts)
+	sums := Summarize(pkg, dirs, depFacts, cfg)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,

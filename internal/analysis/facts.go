@@ -20,7 +20,8 @@ type FuncFact struct {
 	// may acquire, directly or transitively.
 	Acquires []string
 	// Net is "" unless the function may perform network I/O (a
-	// statically-visible call into package net), else evidence.
+	// statically-visible call into package net, or to a method of one
+	// of Config.NetTypes), else evidence.
 	Net string
 	// Noalloc records the //rtic:noalloc annotation, so callers can
 	// rely on the callee being independently checked.

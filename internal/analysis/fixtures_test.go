@@ -111,7 +111,7 @@ func TestNoAllocFixture(t *testing.T) {
 
 func TestLockOrderFixture(t *testing.T) {
 	runFixture(t, "lockfix", func(pkgPath string) *Config {
-		return &Config{Locks: []string{pkgPath + ".Log.mu"}}
+		return &Config{Locks: []string{pkgPath + ".Log.mu"}, NetTypes: []string{pkgPath + ".Conn", pkgPath + ".Socket"}}
 	})
 }
 

@@ -221,11 +221,11 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]token.Pos) {
 	if fn == nil {
 		return
 	}
-	if p := fn.Pkg(); p != nil && p.Path() == "net" {
+	if what := netCall(w.pass.Config, fn, recvType(info, call)); what != "" {
 		for id, at := range held {
 			if w.critical[id] {
 				w.pass.Report(call.Pos(), VerbLockOK,
-					"network I/O (net.%s) under %s (held since %s)", fn.Name(), id, w.pass.Fset.Position(at))
+					"network I/O (%s) under %s (held since %s)", what, id, w.pass.Fset.Position(at))
 			}
 		}
 		return

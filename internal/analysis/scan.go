@@ -336,6 +336,6 @@ func (sc *fnScanner) directCall(call *ast.CallExpr, seen map[*ast.FuncLit]bool) 
 		}
 	}
 	if fn, iface := staticCallee(info, call); fn != nil {
-		sc.sum.directCalls = append(sc.sum.directCalls, callSite{pos: call.Pos(), fn: fn, iface: iface})
+		sc.sum.directCalls = append(sc.sum.directCalls, callSite{pos: call.Pos(), fn: fn, iface: iface, recv: recvType(info, call)})
 	}
 }

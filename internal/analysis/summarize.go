@@ -28,7 +28,8 @@ type site struct {
 type callSite struct {
 	pos   token.Pos
 	fn    *types.Func
-	iface bool // dynamic dispatch through an interface
+	iface bool   // dynamic dispatch through an interface
+	recv  string // a method call's receiver type (recvType)
 }
 
 type funcSummary struct {
@@ -62,7 +63,7 @@ var metricMethods = map[string]bool{
 
 // Summarize scans every function of pkg and resolves the transitive
 // facts against the already-computed facts of module-local deps.
-func Summarize(pkg *LoadedPackage, dirs *Directives, depFacts map[string]*PackageFacts) *PackageSummaries {
+func Summarize(pkg *LoadedPackage, dirs *Directives, depFacts map[string]*PackageFacts, cfg *Config) *PackageSummaries {
 	sums := &PackageSummaries{
 		Path:   pkg.Path,
 		Funcs:  map[string]*funcSummary{},
@@ -87,13 +88,13 @@ func Summarize(pkg *LoadedPackage, dirs *Directives, depFacts map[string]*Packag
 		}
 	}
 	sums.Metrics = collectMetrics(pkg)
-	resolveFacts(pkg, sums, dirs, depFacts)
+	resolveFacts(pkg, sums, dirs, depFacts, cfg)
 	return sums
 }
 
 // resolveFacts runs the intra-package fixpoint, folding callee facts
 // (same package and module-local deps) into each function's FuncFact.
-func resolveFacts(pkg *LoadedPackage, sums *PackageSummaries, dirs *Directives, depFacts map[string]*PackageFacts) {
+func resolveFacts(pkg *LoadedPackage, sums *PackageSummaries, dirs *Directives, depFacts map[string]*PackageFacts, cfg *Config) {
 	lookup := func(fn *types.Func) (FuncFact, bool) {
 		if fn.Pkg() != nil && fn.Pkg().Path() == pkg.Path {
 			if s, ok := sums.Funcs[fn.FullName()]; ok {
@@ -167,11 +168,11 @@ func resolveFacts(pkg *LoadedPackage, sums *PackageSummaries, dirs *Directives, 
 					changed = true
 				}
 			}
-			// Direct net I/O: any statically-visible call into package net.
+			// Direct network I/O (netCall).
 			if s.fact.Net == "" {
 				for _, cs := range s.directCalls {
-					if p := cs.fn.Pkg(); p != nil && p.Path() == "net" {
-						s.fact.Net = fmt.Sprintf("calls net.%s at %s", cs.fn.Name(), fset.Position(cs.pos))
+					if what := netCall(cfg, cs.fn, cs.recv); what != "" {
+						s.fact.Net = fmt.Sprintf("calls %s at %s", what, fset.Position(cs.pos))
 						changed = true
 						break
 					}
@@ -179,6 +180,42 @@ func resolveFacts(pkg *LoadedPackage, sums *PackageSummaries, dirs *Directives, 
 			}
 		}
 	}
+}
+
+// netCall names a call that is network I/O — a function or method of
+// package net, or a method called on one of cfg.NetTypes — and returns
+// "" for any other.
+func netCall(cfg *Config, fn *types.Func, recv string) string {
+	if p := fn.Pkg(); p != nil && p.Path() == "net" {
+		return "net." + fn.Name()
+	}
+	for _, t := range cfg.NetTypes {
+		if recv == t {
+			return t[strings.LastIndexByte(t, '/')+1:] + "." + fn.Name()
+		}
+	}
+	return ""
+}
+
+// recvType is the named type ("pkgpath.Type", pointer stripped) of a
+// method call's receiver expression, or "".
+func recvType(info *types.Info, call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return ""
+	}
+	t := s.Recv()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+	}
+	return ""
 }
 
 func truncate(s string, n int) string {

@@ -4,6 +4,7 @@
 package lockfix
 
 import (
+	"io"
 	"net"
 	"sync"
 )
@@ -11,6 +12,46 @@ import (
 type Log struct {
 	mu   sync.Mutex
 	conn net.Conn
+	c    Conn
+	sock *Socket
+}
+
+// Conn stands in for monitor.Conn: a connection declared without
+// package net, listed in the fixture's NetTypes.
+type Conn interface{ io.Writer }
+
+// Socket stands in for the daemon's socket type (sock.Conn), also
+// listed in NetTypes.
+type Socket struct{}
+
+func (*Socket) Write(p []byte) (int, error) { return len(p), nil }
+
+// CleanConn writes through both after releasing the lock.
+func (l *Log) CleanConn() {
+	l.mu.Lock()
+	l.mu.Unlock()
+	l.c.Write(nil)
+	l.sock.Write(nil)
+}
+
+func (l *Log) ConnUnderLock() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.c.Write(nil) // want `lockorder: network I/O \(lockfix\.Conn\.Write\) under .*Log\.mu`
+}
+
+func (l *Log) SocketUnderLock() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sock.Write(nil) // want `lockorder: network I/O \(lockfix\.Socket\.Write\) under .*Log\.mu`
+}
+
+func (l *Log) reply() { l.sock.Write(nil) }
+
+func (l *Log) ReplyUnderLock() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reply() // want `lockorder: calls .*reply under .*Log\.mu .*: calls lockfix\.Socket\.Write`
 }
 
 // CleanNet is the correct pattern: release the lock before network I/O.

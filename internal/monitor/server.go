@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,8 +18,8 @@ import (
 	"rtic/internal/storage"
 )
 
-// Server speaks a line protocol over any net.Listener, sharing one
-// Monitor across all connections:
+// Server speaks a line protocol over any Listener (a net.Listener is
+// one), sharing one Monitor across all connections:
 //
 //	client: @100 -fire(7) +hire(7)       -- one transaction per line
 //	server: violation <constraint> ...   -- zero or more, then
@@ -61,8 +61,23 @@ type Server struct {
 	idleTimeout time.Duration // 0 = no read deadline
 
 	mu    sync.Mutex
-	conns map[net.Conn]bool
+	conns map[Conn]bool
 }
+
+// Conn is one client connection. net.Conn satisfies it, and so does a
+// socket the daemon opens without package net. A Conn that is also a
+// syscall.Conn takes the raw I/O path on Linux (sessionio_linux.go).
+type Conn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(t time.Time) error
+	SetWriteDeadline(t time.Time) error
+}
+
+// Listener is what Serve accepts connections from: any listener whose
+// Accept returns a type that satisfies Conn and an error, as
+// net.Listener's returns a net.Conn. It names no net type, so a program
+// that serves its own sockets links no package net.
+type Listener interface{ Close() error }
 
 // ServerOption configures a server at construction time.
 type ServerOption func(*Server)
@@ -84,7 +99,7 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 
 // NewServer wraps a monitor.
 func NewServer(m *Monitor, opts ...ServerOption) *Server {
-	s := &Server{M: m, conns: make(map[net.Conn]bool)}
+	s := &Server{M: m, conns: make(map[Conn]bool)}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -101,10 +116,14 @@ const (
 // accept failures (EMFILE, ECONNABORTED, ...) are retried with
 // exponential backoff instead of killing the serve loop — under fd
 // exhaustion the server degrades instead of dying.
-func (s *Server) Serve(l net.Listener) error {
+func (s *Server) Serve(l Listener) error {
+	accept, err := acceptor(l)
+	if err != nil {
+		return err
+	}
 	var backoff time.Duration
 	for {
-		conn, err := l.Accept()
+		conn, err := accept()
 		if err != nil {
 			if ne, ok := err.(interface{ Temporary() bool }); ok && ne.Temporary() {
 				if backoff == 0 {
@@ -130,13 +149,39 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+var (
+	connType  = reflect.TypeFor[Conn]()
+	errorType = reflect.TypeFor[error]()
+)
+
+// acceptor returns l's Accept as a function returning a Conn. Accept
+// is found through reflection, so that a net.Listener and a listener
+// that links no net serve alike; the name is a constant, so the linker
+// still drops the methods no one calls. The call costs one reflect.Call
+// per connection, not per commit.
+func acceptor(l Listener) (func() (Conn, error), error) {
+	m := reflect.ValueOf(l).MethodByName("Accept")
+	if !m.IsValid() || m.Type().NumIn() != 0 || m.Type().NumOut() != 2 ||
+		!m.Type().Out(0).Implements(connType) || m.Type().Out(1) != errorType {
+		return nil, fmt.Errorf("monitor: %T has no Accept method returning a Conn and an error", l)
+	}
+	return func() (Conn, error) {
+		out := m.Call(nil)
+		if err, _ := out[1].Interface().(error); err != nil {
+			return nil, err
+		}
+		conn, _ := out[0].Interface().(Conn)
+		return conn, nil
+	}, nil
+}
+
 // reject tells a connection the server is at capacity and closes it.
-func (s *Server) reject(conn net.Conn) {
+func (s *Server) reject(conn Conn) {
 	if m := s.M.Observer().MetricSink(); m != nil {
 		m.ConnectionsRejected.Inc()
 	}
 	go func() {
-		conn.SetWriteDeadline(time.Now().Add(time.Second))
+		conn.SetWriteDeadline(time.Now().Add(time.Second)) //rtic:errok fails only on a closed conn, whose write then fails too
 		fmt.Fprintf(conn, "error server at connection limit (%d)\n", s.maxConns)
 		conn.Close() //rtic:errok tearing down a rejected connection; there is no one to report the error to
 	}()
@@ -152,7 +197,7 @@ func (s *Server) Close() {
 	}
 }
 
-func (s *Server) handle(conn net.Conn) {
+func (s *Server) handle(conn Conn) {
 	m := s.M.Observer().MetricSink()
 	if m != nil {
 		m.Connections.Inc()
@@ -323,7 +368,7 @@ func (r *flushReader) Read(p []byte) (int, error) {
 // socket read through src, so the deadline measures idle time, not
 // connection age.
 type idleReader struct {
-	conn    net.Conn
+	conn    Conn
 	src     io.Reader
 	timeout time.Duration
 }

@@ -2,8 +2,8 @@ package monitor
 
 import (
 	"io"
-	"net"
 	"os"
+	"reflect"
 	"syscall"
 	"unsafe"
 )
@@ -21,7 +21,7 @@ import (
 //
 // Anything that is not a syscall.Conn — net.Pipe, a test's wrapper —
 // keeps the conn's own methods.
-func sessionIO(conn net.Conn) (io.Reader, io.Writer) {
+func sessionIO(conn Conn) (io.Reader, io.Writer) {
 	sc, ok := conn.(syscall.Conn)
 	if !ok {
 		return conn, conn
@@ -42,25 +42,52 @@ func sessionIO(conn net.Conn) (io.Reader, io.Writer) {
 // and results from here, so a call allocates nothing.
 type rawSide struct {
 	rc    syscall.RawConn
-	conn  net.Conn // addresses for errors
+	conn  Conn
 	fn    func(fd uintptr) bool
 	p     []byte // the buffer of the call in flight
 	n     int
 	errno syscall.Errno
 }
 
-// opError shapes err as net.Conn's own errors are shaped, so messages,
-// errors.Is(os.ErrDeadlineExceeded) and errors.Is(net.ErrClosed) read
-// the same on either path: the RawConn's wait failures come back with
-// op "raw-read"/"raw-write", renamed here.
-func (s *rawSide) opError(op string, err error) error {
-	if oe, ok := err.(*net.OpError); ok {
-		e := *oe
-		e.Op = op
-		return &e
+// connError is a failed system call of the raw path, shaped as
+// net.Conn shapes its own: "read tcp LOCAL->REMOTE: read: <errno>".
+type connError struct {
+	op, net, local, remote string
+	err                    error
+}
+
+func (e *connError) Error() string {
+	return e.op + " " + e.net + " " + e.local + "->" + e.remote + ": " + e.err.Error()
+}
+
+func (e *connError) Unwrap() error { return e.err }
+
+// addr is the method set of the addresses a net.Conn reports.
+type addr interface {
+	Network() string
+	String() string
+}
+
+// fail shapes err, from op on the socket, with the conn's local and
+// remote addresses when it reports them (net.Conn's LocalAddr and
+// RemoteAddr, found by constant name, so package net stays unlinked);
+// err alone when it does not.
+func (s *rawSide) fail(op string, err error) error {
+	v := reflect.ValueOf(s.conn)
+	local, ok1 := callAddr(v.MethodByName("LocalAddr"))
+	remote, ok2 := callAddr(v.MethodByName("RemoteAddr"))
+	if !ok1 || !ok2 {
+		return err
 	}
-	la := s.conn.LocalAddr()
-	return &net.OpError{Op: op, Net: la.Network(), Source: la, Addr: s.conn.RemoteAddr(), Err: err}
+	return &connError{op, local.Network(), local.String(), remote.String(), err}
+}
+
+func callAddr(m reflect.Value) (addr, bool) {
+	if !m.IsValid() || m.Type().NumIn() != 0 || m.Type().NumOut() != 1 {
+		return nil, false
+	}
+	a, ok := m.Call(nil)[0].Interface().(addr)
+	return a, ok
 }
 
 type rawReader struct{ rawSide }
@@ -74,9 +101,12 @@ func (r *rawReader) Read(p []byte) (int, error) {
 	r.p = nil
 	switch {
 	case err != nil:
-		return 0, r.opError("read", err)
+		// The wait failed: the conn is closed or its deadline passed.
+		// Both persist, so the conn's own Read fails the same way and
+		// words the error as the conn always does.
+		return r.conn.Read(p)
 	case r.errno != 0:
-		return 0, r.opError("read", os.NewSyscallError("read", r.errno))
+		return 0, r.fail("read", os.NewSyscallError("read", r.errno))
 	case r.n == 0:
 		return 0, io.EOF
 	}
@@ -112,11 +142,12 @@ func (w *rawWriter) Write(p []byte) (int, error) {
 	w.p = nil
 	switch {
 	case err != nil:
-		return n, w.opError("write", err)
+		m, err := w.conn.Write(p[n:]) // as in Read
+		return n + m, err
 	case w.errno != 0:
-		return n, w.opError("write", os.NewSyscallError("write", w.errno))
+		return n, w.fail("write", os.NewSyscallError("write", w.errno))
 	case n < len(p):
-		return n, w.opError("write", io.ErrUnexpectedEOF)
+		return n, w.fail("write", io.ErrUnexpectedEOF)
 	}
 	return n, nil
 }
