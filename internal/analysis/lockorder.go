@@ -16,8 +16,9 @@ import (
 //     network I/O; PR 6's stall regression).
 //
 // Held regions span Lock() to the matching Unlock(); a deferred
-// Unlock holds to the end of the function. `go` statements and
-// returned closures run outside the region and are skipped; dynamic
+// Unlock holds to the end of the function. A `go` statement's function
+// literal runs outside the region: its body is a region of its own,
+// starting with nothing held. Returned closures are skipped; dynamic
 // calls through func values or non-net interfaces are not followed
 // (documented hole — the runtime stall tests remain the backstop).
 // Individual sites are accepted with //rtic:lockok <reason>.
@@ -32,17 +33,9 @@ func runLockOrder(pass *Pass) error {
 	for _, id := range pass.Config.Locks {
 		critical[id] = true
 	}
+	// Every function is walked: one that takes no critical lock itself
+	// may start a goroutine that does.
 	for decl, sum := range pass.Sums.ByDecl {
-		walksCritical := false
-		for id := range sum.acquires {
-			if critical[id] {
-				walksCritical = true
-				break
-			}
-		}
-		if !walksCritical {
-			continue
-		}
 		w := &lockWalker{pass: pass, sum: sum, critical: critical, visited: map[*ast.FuncLit]bool{}}
 		w.stmts(decl.Body.List, map[string]token.Pos{})
 	}
@@ -96,7 +89,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]token.Pos) {
 		w.call(s.Call, held)
 		w.exprList(s.Call.Args, held)
 	case *ast.GoStmt:
-		// A new goroutine does not hold this goroutine's locks.
+		w.goStmt(s)
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
 			w.exprs(e, held)
@@ -182,12 +175,21 @@ func (w *lockWalker) exprs(n ast.Node, held map[string]token.Pos) {
 			// closures are scanned when a local call reaches them.
 			return w.sum.immediateLits[n]
 		case *ast.GoStmt:
+			w.goStmt(n)
 			return false
 		case *ast.CallExpr:
 			w.call(n, held)
 		}
 		return true
 	})
+}
+
+// goStmt walks the body of a `go` statement's function literal as a
+// region of its own: a new goroutine holds none of this one's locks.
+func (w *lockWalker) goStmt(s *ast.GoStmt) {
+	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+		w.stmts(lit.Body.List, map[string]token.Pos{})
+	}
 }
 
 func (w *lockWalker) exprList(list []ast.Expr, held map[string]token.Pos) {

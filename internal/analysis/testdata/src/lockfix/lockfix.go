@@ -89,3 +89,21 @@ func (l *Log) SuppressedRelock() {
 	defer l.mu.Unlock()
 	l.lockedHelper() //rtic:lockok fixture: pretend the helper has a TryLock fast path
 }
+
+// GoLiteral's goroutine takes the lock itself: its body is a region of
+// its own, checked as a function's is.
+func (l *Log) GoLiteral() {
+	go func() {
+		l.mu.Lock()
+		l.sock.Write(nil) // want `lockorder: network I/O \(lockfix\.Socket\.Write\) under .*Log\.mu`
+		l.mu.Unlock()
+	}()
+}
+
+// GoUnderLock starts a goroutine while holding the lock; the goroutine
+// does not hold it.
+func (l *Log) GoUnderLock() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	go func() { l.sock.Write(nil) }()
+}

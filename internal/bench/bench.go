@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -103,23 +104,27 @@ func replay(h workload.History, eng engine.Engine) (replayResult, error) {
 	}
 	var tailNs int64
 	tailCount := 0
-	var m0, m1 runtime.MemStats
+	var tail quietWindow
 	for i, s := range h.Steps {
 		if i == tailStart {
-			// Snapshot the malloc counter outside the timed region; the
-			// delta over the tail is the steady-state allocs/tx.
-			runtime.ReadMemStats(&m0)
+			// Open the allocation count outside the timed region; its total
+			// over the tail is the steady-state allocs/tx.
+			tail.open()
 		}
 		t0 := time.Now()
 		vs, err := eng.Step(s.Time, s.Tx)
 		d := time.Since(t0).Nanoseconds()
 		if err != nil {
+			if i >= tailStart {
+				tail.close() //nolint:errcheck — the step's error is the one to report
+			}
 			return res, fmt.Errorf("step %d: %w", i, err)
 		}
 		res.totalNs += d
 		if i >= tailStart {
 			tailNs += d
 			tailCount++
+			tail.next()
 		}
 		res.violations += len(vs)
 	}
@@ -127,11 +132,58 @@ func replay(h workload.History, eng engine.Engine) (replayResult, error) {
 		res.nsPerStepAll = float64(res.totalNs) / float64(n)
 	}
 	if tailCount > 0 {
-		runtime.ReadMemStats(&m1)
+		mallocs, err := tail.close()
+		if err != nil {
+			return res, err
+		}
 		res.nsPerStepTail = float64(tailNs) / float64(tailCount)
-		res.allocsPerStepTail = float64(m1.Mallocs-m0.Mallocs) / float64(tailCount)
+		res.allocsPerStepTail = float64(mallocs) / float64(tailCount)
 	}
 	return res, nil
+}
+
+// quietBudget is what a quiet window may allocate between two pauses.
+const quietBudget = 64 << 20
+
+// quietWindow counts allocations in a window that does not collect:
+// after a collection the runtime's own cleanup allocates on its own
+// schedule, and the count would move from process to process. The
+// window opens settled and runs with the collector off; a replay's tail
+// that has allocated quietBudget since the window opened or last paused
+// pauses between two commits to collect and settle, and what the pause
+// allocates is left out. Every allocation a commit makes is counted.
+type quietWindow struct {
+	gcPercent int
+	counted   uint64 // mallocs before the last pause
+	m0, m     runtime.MemStats
+}
+
+func (w *quietWindow) open() {
+	settle()
+	w.gcPercent = debug.SetGCPercent(-1)
+	runtime.ReadMemStats(&w.m0)
+}
+
+// next pauses the window between two commits once they have allocated
+// its budget.
+func (w *quietWindow) next() {
+	runtime.ReadMemStats(&w.m)
+	if w.m.HeapAlloc-w.m0.HeapAlloc < quietBudget || w.m.NumGC != w.m0.NumGC {
+		return
+	}
+	w.counted += w.m.Mallocs - w.m0.Mallocs
+	settle()
+	runtime.ReadMemStats(&w.m0)
+}
+
+// close turns the collector back on and returns the window's count.
+func (w *quietWindow) close() (uint64, error) {
+	runtime.ReadMemStats(&w.m)
+	debug.SetGCPercent(w.gcPercent)
+	if gcs := w.m.NumGC - w.m0.NumGC; gcs != 0 {
+		return 0, fmt.Errorf("bench: a quiet window ran %d collections", gcs)
+	}
+	return w.counted + w.m.Mallocs - w.m0.Mallocs, nil
 }
 
 func newIncremental(h workload.History) (*core.Checker, error) {

@@ -77,8 +77,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 13 {
-		t.Fatalf("got %d tables, want 13", len(tables))
+	if len(tables) != 14 {
+		t.Fatalf("got %d tables, want 14", len(tables))
 	}
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
@@ -90,7 +90,26 @@ func TestAllExperimentsQuick(t *testing.T) {
 			t.Errorf("%s rendered empty", tbl.ID)
 		}
 	}
-	checkCommitPath(t, tables[len(tables)-1])
+	checkCommitPath(t, tables[len(tables)-2])
+	checkCheckpoint(t, tables[len(tables)-1])
+}
+
+// checkCheckpoint holds Table 12's claims: a steady save allocates
+// nothing, and the first commit after a load does the work that commit
+// does on the checker that saved.
+func checkCheckpoint(t *testing.T, tbl Table) {
+	t.Helper()
+	if tbl.ID != "Table 12" || len(tbl.Rows) != 2 {
+		t.Fatalf("%s has %d rows, want Table 12 with 2", tbl.ID, len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if row[3] != "0" {
+			t.Errorf("Table 12 %s: a steady save allocates %s times, want 0", row[0], row[3])
+		}
+		if !slices.Equal(row[5:7], row[7:9]) {
+			t.Errorf("Table 12 %s: the first commit after a load visits and executes %v, the same commit on the saving checker %v", row[0], row[5:7], row[7:9])
+		}
+	}
 }
 
 // checkCommitPath holds Table 11's protocol cells, which no toolchain

@@ -322,6 +322,7 @@ func Experiments() []struct {
 		{"Table 7", Table7SinceChain},
 		{"Table 10", Table10CDCFreshness},
 		{"Table 11", Table11CommitPath},
+		{"Table 12", Table12Checkpoint},
 	}
 }
 

@@ -309,7 +309,7 @@ func (q *anchorLog) release(pos int) {
 // derived from the commit's delta (seeded) and only the entries it
 // names, those whose chain broke and those with a due deadline are
 // resolved; the full enumerate-and-walk primes the family (first commit,
-// first commit after LoadSnapshot) and serves the inputs the delta rung
+// first commit after loading a version-1 snapshot) and serves the inputs the delta rung
 // cannot: a ψ whose plan is not seedable, children without exact deltas,
 // and the pruning ablation.
 type sinceFamily struct {
@@ -733,7 +733,9 @@ func (f *sinceFamily) log(tm uint64, e *sinceEntry) {
 }
 
 // loadAnchors rebuilds the log from the stored timestamps — the priming
-// step after LoadSnapshot, whose format holds rows and times only.
+// step of a family loaded unprimed, from a version-1 snapshot that held
+// rows and times only. A version-2 snapshot restores the log and its
+// cursors as they stood, primed.
 func (f *sinceFamily) loadAnchors() {
 	if f.noPrune {
 		return

@@ -1,17 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"sort"
-	"strings"
 	"testing"
 
 	"rtic/internal/cdcgen"
 	"rtic/internal/check"
 	"rtic/internal/formgen"
-	"rtic/internal/naive"
 	"rtic/internal/schema"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
@@ -154,81 +150,6 @@ func TestAuxExpiryAndReanchorSameCommit(t *testing.T) {
 	vs = step(34, storage.NewTransaction())
 	if len(vs) != 1 {
 		t.Fatalf("t=34, reading(0) last held at 28: want the violation, got %v", vs)
-	}
-}
-
-// fixtureSpecs are the policies of testdata/pr15_cdc_seed5_step100.snap.
-var fixtureSpecs = []struct{ name, src string }{
-	{"fresh_serve", "serve(s) -> once[0,16] reading(s)"},
-	{"derived_lineage", "derived(d, s) -> once[0,24] reading(s)"},
-	{"stale_escalation", "escalate(s) -> (stale(s) since[0,64] mark(s))"},
-	{"settled_serve", "serve(s) -> once[2,9] reading(s)"},
-	{"ever_marked", "escalate(s) -> (stale(s) since[3,*] mark(s))"},
-	{"ever_read", "serve(s) -> once reading(s)"},
-}
-
-// TestLoadParentSnapshot loads a snapshot the parent commit wrote — 100
-// commits into a cdcgen feed, 28 entries holding 63 timestamps, every
-// in-window anchor as that encoding kept them — and continues the feed.
-// The format did not change: the file loads, entries under the
-// newest-anchor rule shrink to one timestamp, the three windows over
-// reading(s) — [0,16], [0,24], [0,∞) — merge what each wrote into one
-// table counted once (28 entries become 16), and the remaining 60
-// commits report what internal/naive reports over the whole feed.
-func TestLoadParentSnapshot(t *testing.T) {
-	const at = 100
-	h, _ := cdcgen.Generate(cdcgen.Config{Steps: 160, Seed: 5, Sensors: 8, BurstLen: 4, BurstEvery: 10, ViolationRate: 0.1})
-	raw, err := os.ReadFile("testdata/pr15_cdc_seed5_step100.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadSnapshot(h.Schema, bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != at || c.Now() != h.Steps[at-1].Time {
-		t.Fatalf("loaded clock %d/%d, feed is at %d/%d", c.Len(), c.Now(), at, h.Steps[at-1].Time)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Entries != 16 || st.Timestamps != 23 {
-		t.Fatalf("loaded %d entries with %d timestamps; the parent wrote 28 with 63, of which one table per family and one timestamp per [0,b] entry leave 16 with 23", st.Entries, st.Timestamps)
-	}
-	for _, ns := range st.PerNode {
-		if strings.Contains(ns.Formula, "[0,") && ns.Timestamps != ns.Entries {
-			t.Fatalf("%s: %d entries hold %d timestamps, want one each", ns.Formula, ns.Entries, ns.Timestamps)
-		}
-	}
-
-	ref := naive.New(h.Schema)
-	for _, sp := range fixtureSpecs {
-		con, err := check.Parse(sp.name, sp.src, h.Schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.AddConstraint(con); err != nil {
-			t.Fatal(err)
-		}
-	}
-	violations := 0
-	for i, step := range h.Steps {
-		want, err := ref.Step(step.Time, step.Tx.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < at {
-			continue
-		}
-		got := mustStep(t, c, step.Time, step.Tx)
-		if !sameCanon(canon(got), canon(want)) {
-			t.Fatalf("commit %d (t=%d): loaded checker %v, naive %v", i, step.Time, canon(got), canon(want))
-		}
-		violations += len(got)
-	}
-	if violations == 0 {
-		t.Fatal("the continued feed reported no violation: the comparison checked nothing")
 	}
 }
 

@@ -37,7 +37,10 @@ import (
 
 // Checker is the incremental bounded-history checker.
 type Checker struct {
-	schema      *schema.Schema
+	schema *schema.Schema
+	// relNames are the schema's relations, sorted: the order a snapshot
+	// writes them in.
+	relNames    []string
 	cur         *storage.State
 	constraints []*check.Constraint
 	conNames    map[string]struct{}
@@ -75,6 +78,12 @@ type Checker struct {
 	started bool
 
 	pruningDisabled bool
+
+	// snap is the buffer SaveSnapshot encodes into, snapIdx its map from a
+	// once/since entry's slot to its place in its table's record; both
+	// kept from save to save.
+	snap    []byte
+	snapIdx []int32
 
 	obs *obs.Observer
 	// conMetrics caches the per-constraint metric handles (violation
@@ -131,6 +140,8 @@ type conState struct {
 	vary *sinceNode
 	// lost is seedFamily's scratch.
 	lost []tuple.Tuple
+	// source is the constraint's canonical text, as a snapshot writes it.
+	source string
 }
 
 // WithParallelism returns an Option that does nothing: the commit
@@ -143,6 +154,7 @@ func WithParallelism(int) Option { return func(*Checker) {} }
 func New(s *schema.Schema, opts ...Option) *Checker {
 	c := &Checker{
 		schema:   s,
+		relNames: s.Names(),
 		cur:      storage.NewState(s),
 		conNames: make(map[string]struct{}),
 		byNode:   make(map[mtl.Formula]auxNode),
@@ -152,7 +164,7 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 
 		denialKeys: make(map[string]*denialFamily),
 	}
-	for _, name := range s.Names() {
+	for _, name := range c.relNames {
 		c.delta[name] = &relDelta{}
 	}
 	for _, opt := range opts {
@@ -209,6 +221,7 @@ func (c *Checker) AddConstraint(con *check.Constraint) error {
 		readRels: c.skeletonDeltas(con.Denial),
 		nodes:    c.directNodes(con.Denial),
 		cols:     cols,
+		source:   con.Formula.String(),
 	})
 	c.joinFamily(len(c.constraints) - 1)
 	c.syncConMetrics()

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"strings"
 	"testing"
 
 	"rtic/internal/cdcgen"
 	"rtic/internal/check"
-	"rtic/internal/engine"
 	"rtic/internal/naive"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
@@ -242,84 +240,6 @@ func TestFamilyClosedOncePrimed(t *testing.T) {
 		if got := mustStep(t, c, tm, tx); !sameCanon(canon(got), canon(want)) {
 			t.Fatalf("t=%d: loaded checker %v, original %v", tm, canon(got), canon(want))
 		}
-	}
-}
-
-// TestParentWideSnapshot holds the snapshot format both ways against the
-// parent commit, which kept one relation per node: its snapshot of the
-// policy-wide set (35 policies over 26 nodes, 400 commits into cdcgen
-// seed 5) loads and continues as internal/naive does over the whole
-// feed, and this checker's snapshot at the same commit of the same feed
-// is that file, byte for byte.
-func TestParentWideSnapshot(t *testing.T) {
-	const at, more = 400, 200
-	cfg := cdcgen.Config{
-		Steps: at + more, Seed: 5, Sensors: 1024,
-		BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.02,
-	}
-	h, _ := cdcgen.Generate(cfg)
-	want, err := os.ReadFile("testdata/pr18_wide_seed5_step400.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(h.Schema, bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The parent counted 148 entries: the reading(s) table once per window.
-	if st := loaded.Stats(); st.Nodes != 26 || st.Entries >= 148 {
-		t.Fatalf("loaded %d nodes with %d entries", st.Nodes, st.Entries)
-	}
-
-	own := New(h.Schema)
-	ref := naive.New(h.Schema)
-	for _, cs := range cdcgen.WidePolicies(cfg) {
-		for _, eng := range []engine.Engine{own, ref} {
-			con, err := check.Parse(cs.Name, cs.Source, h.Schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.AddConstraint(con); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	violations := 0
-	for i, step := range h.Steps {
-		expect, err := ref.Step(step.Time, step.Tx.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == at {
-			var buf bytes.Buffer
-			if err := own.SaveSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("snapshot after %d commits is %d bytes and differs from the parent's %d", at, buf.Len(), len(want))
-			}
-			if a, b := own.Stats(), loaded.Stats(); a.Entries != b.Entries || a.Timestamps != b.Timestamps || a.Bytes != b.Bytes {
-				t.Fatalf("loaded checker holds %+v, the one that ran the feed %+v", b, a)
-			}
-		}
-		got := mustStep(t, own, step.Time, step.Tx.Clone())
-		if !sameCanon(canon(got), canon(expect)) {
-			t.Fatalf("commit %d (t=%d): checker %v, naive %v", i, step.Time, canon(got), canon(expect))
-		}
-		if i < at {
-			continue
-		}
-		got = mustStep(t, loaded, step.Time, step.Tx)
-		if !sameCanon(canon(got), canon(expect)) {
-			t.Fatalf("commit %d (t=%d): loaded checker %v, naive %v", i, step.Time, canon(got), canon(expect))
-		}
-		violations += len(got)
-	}
-	if violations == 0 {
-		t.Fatal("the continued feed reported no violation: the comparison checked nothing")
 	}
 }
 

@@ -1,186 +1,240 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"sort"
 	"time"
 
 	"rtic/internal/check"
 	"rtic/internal/fol"
 	"rtic/internal/obs"
+	"rtic/internal/relation"
 	"rtic/internal/schema"
 	"rtic/internal/tuple"
+	"rtic/internal/wal"
 )
 
 // Snapshot persistence: the whole point of bounded history encoding is
 // that the checker's state is small, so a monitor can checkpoint it and
-// restart without replaying the history. SaveSnapshot serializes the
-// current database state, the clock, and every auxiliary node;
-// LoadSnapshot rebuilds an equivalent checker. Constraints travel as
-// their canonical surface syntax (the printer/parser round-trip is
-// exact), so a snapshot is self-describing up to the schema.
+// restart without replaying the history. A snapshot is that state as it
+// stands — the database, the clock, every once/since family's table with
+// its live entries and anchor log, every prev node's stored enumeration
+// and every constraint's answer — so a loaded checker takes its next
+// commit as the one that saved it would, with nothing to re-derive.
+// Constraints travel as their canonical surface syntax (the
+// printer/parser round-trip is exact), so a snapshot is self-describing
+// up to the schema.
+//
+// Version 2 is an 8-byte magic, then records in the journal's framing
+// and codec (internal/wal), times written as their ages at the
+// snapshot's clock and entries as their places in their table's record:
+//
+//	header      version, commits, clock; how many constraint and relation records follow
+//	constraint  name, source, whether its denial has been checked, the denial's answer
+//	relation    name, rows (relations in name order)
+//	table       per once/since family, in the order the constraints compile
+//	            them: its clock age and primed flag; its entries, each a row, its
+//	            chain flag and timestamps; the live entries; the anchor log from
+//	            its slowest reader on; every reader's cursor
+//	prev        per prev node: whether it stores an enumeration, that enumeration's
+//	            age and rows, and the answer served last (the stored one, or rows)
+//
+// Version 1 (magic RTICSNP1, a gob payload) is refused here; package
+// snapv1 rewrites it as version 2.
+var snapshotMagic = [8]byte{'R', 'T', 'I', 'C', 'S', 'N', 'P', '2'}
 
-const snapshotVersion = 1
+const (
+	snapshotVersion = 2
+	// maxRecordBytes caps one record: a relation's or a table's rows.
+	maxRecordBytes = 1 << 30
+	// maxKeptSnapshot bounds the buffer a checker keeps between saves, so
+	// one outsized state does not stay pinned.
+	maxKeptSnapshot = 1 << 20
+)
 
-// Snapshot files carry a framing envelope so LoadSnapshot can reject a
-// torn or corrupted file with a clear error instead of decoding
-// garbage: an 8-byte magic, the payload length (8 bytes LE), a CRC32C
-// of the payload (4 bytes LE), then the gob payload.
-var snapshotMagic = [8]byte{'R', 'T', 'I', 'C', 'S', 'N', 'P', '1'}
-
-// snapshotCRC is the CRC32C (Castagnoli) polynomial table.
-var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// maxSnapshotBytes caps the payload length LoadSnapshot will allocate;
-// the whole point of bounded history encoding is that real snapshots
-// are far smaller.
-const maxSnapshotBytes = 1 << 30
-
-type snapConstraint struct {
-	Name   string
-	Source string
-}
-
-type snapRelation struct {
-	Name string
-	Rows []tuple.Tuple
-}
-
-type snapEntry struct {
-	Row   tuple.Tuple
-	Times []uint64
-}
-
-type snapNode struct {
-	Kind       string // "prev" or "since"
-	Formula    string // diagnostic only
-	Has        bool
-	StoredTime uint64
-	Rows       []tuple.Tuple // prev: stored enumeration
-	Entries    []snapEntry   // since: bounded history encoding
-}
-
-type snapshot struct {
-	Version     int
-	Constraints []snapConstraint
-	Index       int
-	Now         uint64
-	Started     bool
-	Relations   []snapRelation
-	Nodes       []snapNode
-}
-
-// SaveSnapshot writes the checker's complete state to w, handing a
-// snapshot.save root span to the span sink when one is attached.
+// SaveSnapshot writes the checker's complete state to w with one Write,
+// handing a snapshot.save root span to the span sink when one is
+// attached. It encodes into a buffer the checker keeps, so a save of a
+// state no larger than the last allocates nothing.
 func (c *Checker) SaveSnapshot(w io.Writer) error {
 	sink := c.obs.SpanSink()
-	if sink == nil {
-		return c.saveSnapshot(w)
+	var sp *obs.Span
+	if sink != nil {
+		sp = &obs.Span{Name: obs.SpanSnapshotSave, Time: c.now, Start: time.Now()}
 	}
-	cw := &countingWriter{w: w}
-	sp := &obs.Span{Name: obs.SpanSnapshotSave, Time: c.now, Start: time.Now()}
-	sp.Err = c.saveSnapshot(cw)
-	sp.End()
-	sp.Detail = fmt.Sprintf("%d bytes", cw.n)
-	sink.ObserveSpan(sp)
-	return sp.Err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *Checker) saveSnapshot(w io.Writer) error {
-	snap := snapshot{
-		Version: snapshotVersion,
-		Index:   c.index,
-		Now:     c.now,
-		Started: c.started,
+	b, err := c.encodeSnapshot()
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	for _, con := range c.constraints {
-		snap.Constraints = append(snap.Constraints, snapConstraint{
-			Name:   con.Name,
-			Source: con.Formula.String(),
-		})
+	if sp != nil {
+		sp.End()
+		sp.Detail, sp.Err = fmt.Sprintf("%d bytes", len(b)), err
+		sink.ObserveSpan(sp)
 	}
-	names := c.schema.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		rel, err := c.cur.Relation(name)
-		if err != nil {
-			return err
-		}
-		snap.Relations = append(snap.Relations, snapRelation{Name: name, Rows: rel.Tuples()})
-	}
-	for _, node := range c.nodes {
-		sn, err := encodeNode(node, c.now)
-		if err != nil {
-			return err
-		}
-		snap.Nodes = append(snap.Nodes, sn)
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return err
-	}
-	var hdr [20]byte
-	copy(hdr[:8], snapshotMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(payload.Bytes(), snapshotCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
 	return err
 }
 
-// encodeNode writes each node as if it kept a relation of its own — the
-// format predates shared tables: a once/since node writes the family's
-// entries its window still holds at now.
-func encodeNode(node auxNode, now uint64) (snapNode, error) {
-	switch n := node.(type) {
-	case *prevNode:
-		sn := snapNode{Kind: "prev", Formula: n.n.String(), Has: n.has, StoredTime: n.storedTime}
-		if n.has {
-			sn.Rows = n.stored.Rows()
+// records builds a snapshot's records: open one, append its payload,
+// seal it.
+type records struct {
+	b     []byte
+	start int
+	err   error
+}
+
+func (r *records) open() { r.start, r.b = len(r.b), wal.OpenFrame(r.b) }
+
+func (r *records) seal() {
+	if err := wal.SealFrame(r.b, r.start, maxRecordBytes); err != nil && r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *records) uvarint(v uint64) { r.b = binary.AppendUvarint(r.b, v) }
+
+func (r *records) flag(f bool) {
+	if f {
+		r.b = append(r.b, 1)
+	} else {
+		r.b = append(r.b, 0)
+	}
+}
+
+func (r *records) rows(rel *relation.Relation) {
+	r.uvarint(uint64(rel.Len()))
+	rel.Each(func(row tuple.Tuple) bool {
+		r.b = wal.AppendRow(r.b, row)
+		return true
+	})
+}
+
+// bindings writes bs's rows; nil is the empty set.
+func (r *records) bindings(bs *fol.Bindings) {
+	if bs == nil {
+		r.uvarint(0)
+		return
+	}
+	r.uvarint(uint64(bs.Len()))
+	bs.EachRow(func(row tuple.Tuple) bool {
+		r.b = wal.AppendRow(r.b, row)
+		return true
+	})
+}
+
+func (c *Checker) encodeSnapshot() ([]byte, error) {
+	r := records{b: append(c.snap[:0], snapshotMagic[:]...)}
+	r.open()
+	for _, v := range [...]uint64{snapshotVersion, uint64(c.index), c.now, uint64(len(c.constraints)), uint64(len(c.relNames))} {
+		r.uvarint(v)
+	}
+	r.seal()
+	for i, con := range c.constraints {
+		cs := c.conStates[i]
+		r.open()
+		r.b = wal.AppendString(wal.AppendString(r.b, con.Name), cs.source)
+		r.flag(cs.checked)
+		r.bindings(cs.ans)
+		r.seal()
+	}
+	for _, name := range c.relNames {
+		rel, err := c.cur.Relation(name)
+		if err != nil {
+			return nil, err
 		}
-		return sn, nil
-	case *sinceNode:
-		sn := snapNode{Kind: "since", Formula: n.node.String()}
-		f := n.fam
-		type keyed struct {
-			key string
-			e   *sinceEntry
-		}
-		var held []keyed
-		f.eachEntry(func(e *sinceEntry) {
-			if !f.newest || n.satisfied(e, now) {
-				held = append(held, keyed{f.row(e).Key(), e})
+		r.open()
+		r.b = wal.AppendString(r.b, name)
+		r.rows(rel)
+		r.seal()
+	}
+	for _, node := range c.nodes {
+		switch n := node.(type) {
+		case *sinceNode:
+			if n.idx == 0 {
+				r.open()
+				c.snapIdx = n.fam.encode(&r, c.now, c.snapIdx)
+				r.seal()
 			}
-		})
-		sort.Slice(held, func(i, j int) bool { return held[i].key < held[j].key })
-		for _, k := range held {
-			e := k.e
-			sn.Entries = append(sn.Entries, snapEntry{
-				Row:   f.row(e).Clone(),
-				Times: append([]uint64(nil), f.anchorsOf(e)...),
-			})
+		case *prevNode:
+			r.open()
+			n.encode(&r, c.now)
+			r.seal()
 		}
-		return sn, nil
-	default:
-		return snapNode{}, fmt.Errorf("core: cannot snapshot node %T", node)
+	}
+	if c.snap = r.b; cap(r.b) > maxKeptSnapshot {
+		c.snap = nil
+	}
+	return r.b, r.err
+}
+
+// encode writes the family's table record; idx is scratch, returned
+// for the next table, that maps a slot to its entry's place in the
+// record.
+func (f *sinceFamily) encode(r *records, now uint64, idx []int32) []int32 {
+	idx = append(idx[:0], make([]int32, len(f.entries))...)
+	r.uvarint(now - f.lastT)
+	r.flag(f.primed)
+	r.uvarint(uint64(f.rows.Len()))
+	n := int32(0)
+	f.rows.EachSlot(func(s int32) bool {
+		e := f.entries[s]
+		idx[s], n = n, n+1
+		r.b = wal.AppendRow(r.b, f.rows.Row(s))
+		r.flag(e.keep)
+		r.uvarint(uint64(len(e.times)))
+		for _, tm := range e.times {
+			r.uvarint(now - tm)
+		}
+		return true
+	})
+	r.uvarint(uint64(len(f.live)))
+	for _, e := range f.live {
+		r.uvarint(uint64(idx[e.slot]))
+	}
+	// The log from its slowest reader on, without the anchors of dropped
+	// entries; each cursor counts the anchors kept before it.
+	from := f.anchors.end()
+	if f.lo > 0 {
+		from = min(from, f.enterCur)
+	}
+	for _, m := range f.members {
+		if !m.iv.Unbounded {
+			from = min(from, m.cursor)
+		}
+	}
+	kept := func(to int) (k int) {
+		for pos := from; pos < to; pos++ {
+			if !f.anchors.at(pos).stale() {
+				k++
+			}
+		}
+		return k
+	}
+	r.uvarint(uint64(kept(f.anchors.end())))
+	for pos := from; pos < f.anchors.end(); pos++ {
+		if a := f.anchors.at(pos); !a.stale() {
+			r.uvarint(now - a.tm)
+			r.uvarint(uint64(idx[a.e.slot]))
+		}
+	}
+	r.uvarint(uint64(kept(f.enterCur)))
+	for _, m := range f.members {
+		r.uvarint(uint64(kept(m.cursor)))
+	}
+	return idx
+}
+
+func (p *prevNode) encode(r *records, now uint64) {
+	r.flag(p.has)
+	if p.has {
+		r.uvarint(now - p.storedTime)
+		r.bindings(p.stored)
+	}
+	served := p.has && p.lastServed == p.stored
+	r.flag(served)
+	if !served {
+		r.bindings(p.lastServed)
 	}
 }
 
@@ -212,139 +266,272 @@ func LoadSnapshotObserved(s *schema.Schema, r io.Reader, o *obs.Observer) (*Chec
 	return c, nil
 }
 
+// snapReader hands out a snapshot's records in turn.
+type snapReader struct {
+	rest []byte
+	read int
+	cur  wal.Cursor // over the record being read
+}
+
+// next returns a cursor over the next record, or one holding the error
+// that stopped it.
+func (d *snapReader) next() *wal.Cursor {
+	p, rest, err := wal.SplitFrame(d.rest, maxRecordBytes)
+	switch d.cur = (wal.Cursor{}); {
+	case len(d.rest) == 0:
+		d.cur.Fail(fmt.Errorf("snapshot truncated after %d records", d.read))
+	case err != nil:
+		d.cur.Fail(fmt.Errorf("record %d: %w", d.read, err))
+	default:
+		d.cur, d.rest, d.read = wal.NewCursor(p), rest, d.read+1
+	}
+	return &d.cur
+}
+
 func loadSnapshot(s *schema.Schema, r io.Reader) (*Checker, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
+	data, err := io.ReadAll(io.LimitReader(r, maxRecordBytes+1))
+	switch magic := string(data[:min(len(data), len(snapshotMagic))]); {
+	case err != nil:
+		return nil, fmt.Errorf("core: reading snapshot: %w", err)
+	case len(data) < len(snapshotMagic):
+		return nil, fmt.Errorf("core: snapshot truncated in header (%d of the %d-byte magic)", len(data), len(snapshotMagic))
+	case magic == "RTICSNP1":
+		return nil, fmt.Errorf("core: snapshot is format version 1 (magic %q) and this build reads version %d: "+
+			"load it with the rtic library (rtic.RestoreChecker) and save it again to convert it", magic, snapshotVersion)
+	case magic != string(snapshotMagic[:]):
+		return nil, fmt.Errorf("core: not an rtic snapshot (magic %q, want %q)", magic, snapshotMagic[:])
 	}
-	if !bytes.Equal(hdr[:8], snapshotMagic[:]) {
-		return nil, fmt.Errorf("core: not an rtic snapshot (magic %q, want %q)", hdr[:8], snapshotMagic[:])
+	d := snapReader{rest: data[len(snapshotMagic):]}
+	cur := d.next()
+	var hdr [5]uint64 // version, commits, clock, constraints, relations
+	for i := range hdr {
+		hdr[i] = cur.Uvarint("header field")
 	}
-	size := binary.LittleEndian.Uint64(hdr[8:16])
-	if size == 0 || size > maxSnapshotBytes {
-		return nil, fmt.Errorf("core: snapshot header corrupted: implausible payload length %d", size)
+	if err := cur.Done("header"); err != nil {
+		return nil, fmt.Errorf("core: snapshot header: %w", err)
 	}
-	want := binary.LittleEndian.Uint32(hdr[16:20])
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("core: snapshot truncated: header promises %d payload bytes: %w", size, err)
+	if hdr[0] != snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d, this build reads %d", hdr[0], snapshotVersion)
 	}
-	if got := crc32.Checksum(payload, snapshotCRC); got != want {
-		return nil, fmt.Errorf("core: snapshot corrupted: checksum mismatch (stored %08x, computed %08x)", want, got)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
-	}
+	now := hdr[2]
 	c := New(s)
-	for _, sc := range snap.Constraints {
-		con, err := check.Parse(sc.Name, sc.Source, s)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot constraint %s: %w", sc.Name, err)
-		}
-		if err := c.AddConstraint(con); err != nil {
-			return nil, err
+	for i := uint64(0); i < hdr[3]; i++ {
+		if err := c.loadConstraint(d.next()); err != nil {
+			return nil, fmt.Errorf("core: snapshot constraint %d: %w", i, err)
 		}
 	}
-	if len(c.nodes) != len(snap.Nodes) {
-		return nil, fmt.Errorf("core: snapshot has %d auxiliary nodes, compiled constraints need %d",
-			len(snap.Nodes), len(c.nodes))
-	}
-	for _, sr := range snap.Relations {
-		rel, err := c.cur.Relation(sr.Name)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot relation %q not in schema: %w", sr.Name, err)
+	last := ""
+	for i := uint64(0); i < hdr[4]; i++ {
+		if err := c.loadRelation(d.next(), &last); err != nil {
+			return nil, fmt.Errorf("core: snapshot relation %d: %w", i, err)
 		}
-		for _, row := range sr.Rows {
-			if _, err := rel.Insert(row); err != nil {
-				return nil, err
+	}
+	for _, node := range c.nodes {
+		var err error
+		switch n := node.(type) {
+		case *sinceNode:
+			if n.idx == 0 {
+				err = n.fam.load(d.next(), now)
 			}
+		case *prevNode:
+			err = n.load(d.next(), now)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot node %s: %w", node.formula().String(), err)
 		}
 	}
-	for i, sn := range snap.Nodes {
-		if err := decodeNode(c.nodes[i], sn); err != nil {
-			return nil, err
-		}
+	if len(d.rest) > 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after the snapshot's %d records", len(d.rest), d.read)
 	}
-	c.index = snap.Index
-	c.now = snap.Now
-	c.started = snap.Started
+	c.index, c.now, c.started = int(hdr[1]), now, hdr[1] > 0
 	return c, nil
 }
 
-func decodeNode(node auxNode, sn snapNode) error {
-	switch n := node.(type) {
-	case *prevNode:
-		if sn.Kind != "prev" {
-			return fmt.Errorf("core: snapshot node kind %q, compiled node is prev (%s)", sn.Kind, n.n.String())
-		}
-		n.has = sn.Has
-		n.storedTime = sn.StoredTime
-		if sn.Has {
-			b := newBindingsForRows(n.fvars, sn.Rows)
-			if b == nil {
-				return fmt.Errorf("core: snapshot prev rows have wrong arity for %s", n.n.String())
+func (c *Checker) loadConstraint(cur *wal.Cursor) error {
+	name, src := cur.Bytes("name"), cur.Bytes("source")
+	if err := cur.Err(); err != nil {
+		return err
+	}
+	con, err := check.Parse(string(name), string(src), c.schema)
+	if err == nil {
+		err = c.AddConstraint(con)
+	}
+	if err != nil {
+		return err
+	}
+	cs := c.conStates[len(c.conStates)-1]
+	cs.checked = cur.Flag("checked flag")
+	readRows(cur, len(cs.ans.Vars()), addTo(cs.ans))
+	return cur.Done("constraint")
+}
+
+// loadRelation restores one relation, whose name must follow *last's.
+func (c *Checker) loadRelation(cur *wal.Cursor, last *string) error {
+	name := string(cur.Bytes("name"))
+	if err := cur.Err(); err != nil {
+		return err
+	}
+	rel, err := c.cur.Relation(name)
+	if err != nil {
+		return err
+	}
+	if name <= *last {
+		return fmt.Errorf("relation %q out of order after %q", name, *last)
+	}
+	*last = name
+	readRows(cur, rel.Arity(), rel.Insert)
+	return cur.Done("relation")
+}
+
+// readRows reads a row count and that many rows of arity values, handing
+// each to add, which reports whether it was new.
+func readRows(cur *wal.Cursor, arity int, add func(tuple.Tuple) (bool, error)) {
+	row := make(tuple.Tuple, arity)
+	for n := cur.Count("row", 2*arity); n > 0 && cur.Err() == nil; n-- {
+		if cur.Row(row); cur.Err() == nil {
+			if added, err := add(row); err != nil || !added {
+				cur.Fail(cmp.Or(err, fmt.Errorf("row %v repeated", row)))
 			}
-			n.stored = b
 		}
-		return nil
-	case *sinceNode:
-		if sn.Kind != "since" {
-			return fmt.Errorf("core: snapshot node kind %q, compiled node is since (%s)", sn.Kind, n.node.String())
-		}
-		// The members of a family each wrote the part of one table their
-		// window held; the table is their union, an entry's anchor the
-		// newest any of them wrote. An epoch per node tells an entry another
-		// member brought from one this node repeats.
-		f := n.fam
-		f.epoch++
-		for _, e := range sn.Entries {
-			if len(e.Row) != len(f.vars) {
-				return fmt.Errorf("core: snapshot entry arity %d for node %s (want %d)",
-					len(e.Row), n.node.String(), len(f.vars))
-			}
-			// A snapshot written before the newest-anchor rule holds every
-			// in-window timestamp; keep what this family's rule keeps.
-			times := e.Times
-			if len(times) > 1 && f.newest {
-				times = times[len(times)-1:]
-			} else if len(times) > 1 && n.iv.Unbounded {
-				times = times[:1]
-			}
-			have := f.find(e.Row)
-			switch {
-			case have == nil:
-				var err error
-				if have, err = f.take(e.Row); err != nil {
-					return err
-				}
-				have.times, have.liveIx, have.keep = append(have.times, times...), -1, true
-				f.insert(have)
-			case have.seen == f.epoch || !f.newest:
-				return fmt.Errorf("core: snapshot repeats entry %s of node %s", e.Row.Key(), n.node.String())
-			case len(times) == 1 && len(have.times) == 1 && times[0] > have.times[0]:
-				have.times[0] = times[0]
-			}
-			have.seen = f.epoch
-		}
-		return nil
-	default:
-		return fmt.Errorf("core: cannot restore node %T", node)
 	}
 }
 
-func newBindingsForRows(vars []string, rows []tuple.Tuple) *fol.Bindings {
+func addTo(b *fol.Bindings) func(tuple.Tuple) (bool, error) {
+	return func(row tuple.Tuple) (bool, error) {
+		n := b.Len()
+		err := b.AddRow(row)
+		return b.Len() > n, err
+	}
+}
+
+func readBindings(cur *wal.Cursor, vars []string) *fol.Bindings {
 	b := fol.NewBindings(vars)
-	for _, row := range rows {
-		if len(row) != len(vars) {
-			return nil
+	readRows(cur, len(b.Vars()), addTo(b))
+	return b
+}
+
+// readTime reads a time written as its age at now.
+func readTime(cur *wal.Cursor, what string, now uint64) uint64 {
+	a := cur.Uvarint(what)
+	if a > now {
+		cur.Fail(fmt.Errorf("%s %d precedes time 0 (clock %d)", what, a, now))
+		return 0
+	}
+	return now - a
+}
+
+// load restores the family's table from its record into the empty
+// table of a checker just built, entry i in slot i, and holds the
+// readers' cursors to the order popDue keeps them in: the enter cursor
+// ahead of every finite window's, a narrower window's ahead of a wider
+// one's. The members' places in a primed table are re-read through their
+// windows; an unprimed one (a version-1 snapshot's) is primed by the
+// first commit.
+func (f *sinceFamily) load(cur *wal.Cursor, now uint64) error {
+	f.lastT = readTime(cur, "clock age", now)
+	f.primed = cur.Flag("primed flag")
+	row := make(tuple.Tuple, len(f.vars))
+	n := cur.Count("entry", 3+2*len(row))
+	for i := 0; i < n && cur.Err() == nil; i++ {
+		if cur.Row(row); cur.Err() == nil && f.find(row) != nil {
+			cur.Fail(fmt.Errorf("entry %v repeated", row))
 		}
-		if err := b.AddRow(row); err != nil {
-			return nil
+		if cur.Err() != nil {
+			break
+		}
+		e, err := f.take(row)
+		if err != nil {
+			return err
+		}
+		e.liveIx, e.seen, e.mark, e.keep = -1, 0, 0, cur.Flag("chain flag")
+		for k := cur.Count("timestamp", 1); k > 0 && cur.Err() == nil; k-- {
+			tm := readTime(cur, "timestamp age", now)
+			if len(e.times) > 0 && tm <= e.times[len(e.times)-1] {
+				cur.Fail(fmt.Errorf("entry %v: timestamps out of order", row))
+			}
+			e.times = append(e.times, tm)
+		}
+		if len(e.times) == 0 {
+			cur.Fail(fmt.Errorf("entry %v holds no timestamp", row))
+		}
+		f.insert(e)
+	}
+	at := func(what string) *sinceEntry {
+		if i := cur.Uvarint(what); i < uint64(n) && cur.Err() == nil {
+			return f.entries[i]
+		}
+		cur.Fail(fmt.Errorf("%s out of range", what))
+		return nil
+	}
+	for k := cur.Count("live entry", 1); k > 0 && cur.Err() == nil; k-- {
+		if e := at("live entry"); e != nil && e.liveIx < 0 {
+			e.liveIx, f.live = len(f.live), append(f.live, e)
+		} else {
+			cur.Fail(fmt.Errorf("live entry repeated"))
 		}
 	}
-	return b
+	for k := cur.Count("anchor", 2); k > 0 && cur.Err() == nil; k-- {
+		tm, e := readTime(cur, "anchor age", now), at("anchor entry")
+		if end := f.anchors.end(); end > 0 && tm < f.anchors.at(end-1).tm {
+			cur.Fail(fmt.Errorf("anchor log out of order"))
+		}
+		if cur.Err() == nil {
+			f.anchors.push(tm, e)
+		}
+	}
+	end := uint64(f.anchors.end())
+	enter := cur.Uvarint("enter cursor")
+	ahead := end // no finite window's cursor passes it
+	switch {
+	case enter > end || f.lo == 0 && enter != 0:
+		cur.Fail(fmt.Errorf("enter cursor %d out of place", enter))
+	case f.lo > 0:
+		ahead = enter
+	case end > 0 && f.members[0].iv.Unbounded:
+		cur.Fail(fmt.Errorf("%d anchors logged for no reader", end))
+	}
+	f.enterCur = int(enter)
+	for _, m := range f.members {
+		pos := cur.Uvarint("cursor")
+		if m.iv.Unbounded && pos != 0 || pos > ahead {
+			cur.Fail(fmt.Errorf("cursor %d of %s out of place", pos, m.node.String()))
+		} else if !m.iv.Unbounded {
+			ahead = pos
+		}
+		m.cursor = int(pos)
+	}
+	if !f.primed && (len(f.live) > 0 || end > 0) {
+		cur.Fail(fmt.Errorf("an unprimed table holds live entries or anchors"))
+	}
+	if err := cur.Done("table"); err != nil || !f.primed {
+		return err
+	}
+	f.eachEntry(func(e *sinceEntry) {
+		e.sat = len(f.members)
+		for i, m := range f.members {
+			if m.satisfied(e, f.lastT) {
+				e.sat = i
+				break
+			}
+		}
+	})
+	return nil
+}
+
+func (p *prevNode) load(cur *wal.Cursor, now uint64) error {
+	if p.has = cur.Flag("stored flag"); p.has {
+		p.storedTime = readTime(cur, "stored age", now)
+		p.stored = readBindings(cur, p.fvars)
+	}
+	switch served := cur.Flag("served flag"); {
+	case served && !p.has:
+		cur.Fail(fmt.Errorf("serves an enumeration it does not store"))
+	case served:
+		p.lastServed = p.stored
+	default:
+		if b := readBindings(cur, p.fvars); !b.Empty() {
+			p.lastServed = b
+		}
+	}
+	return cur.Done("prev")
 }

@@ -41,7 +41,10 @@ func corruptSnapshotFixture(t *testing.T) ([]byte, *schema.Schema) {
 
 // TestLoadSnapshotRejectsDamage feeds truncated, bit-flipped, and
 // wrong-magic snapshots to LoadSnapshot and demands a descriptive error
-// every time — no panics, no silently partial state.
+// every time — no panics, no silently partial state. The offsets are the
+// layout's: an 8-byte magic, then the header record's frame — payload
+// length at bytes 8–11, its CRC32C at 12–15, the payload from 16 on —
+// and the other records' frames after it.
 func TestLoadSnapshotRejectsDamage(t *testing.T) {
 	raw, s := corruptSnapshotFixture(t)
 
@@ -58,13 +61,13 @@ func TestLoadSnapshotRejectsDamage(t *testing.T) {
 		{"empty file", nil, "truncated in header"},
 		{"header only partially present", raw[:10], "truncated in header"},
 		{"wrong magic", append([]byte("NOTASNAP"), raw[8:]...), "not an rtic snapshot"},
-		{"gob stream without envelope", raw[20:], "not an rtic snapshot"},
+		{"records without magic", raw[8:], "not an rtic snapshot"},
 		{"payload truncated at start", raw[:21], "truncated"},
 		{"payload truncated near end", raw[:len(raw)-1], "truncated"},
 		{"payload truncated halfway", raw[:20+(len(raw)-20)/2], "truncated"},
 		{"length field corrupted", flip(8), ""},
-		{"checksum field corrupted", flip(17), "checksum mismatch"},
-		{"payload bit flip early", flip(25), "checksum mismatch"},
+		{"checksum field corrupted", flip(13), "checksum mismatch"},
+		{"payload bit flip early", flip(17), "checksum mismatch"},
 		{"payload bit flip late", flip(len(raw) - 2), "checksum mismatch"},
 		{"extreme length field", func() []byte {
 			b := append([]byte(nil), raw...)

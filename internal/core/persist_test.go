@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"rtic/internal/cdcgen"
 	"rtic/internal/check"
 	"rtic/internal/formgen"
 	"rtic/internal/naive"
@@ -215,5 +217,34 @@ func TestSnapshotFuzzWithGeneratedConstraints(t *testing.T) {
 					seed, i, canon(a), canon(b), names)
 			}
 		}
+	}
+}
+
+// TestSteadySaveAllocatesNothing: SaveSnapshot encodes into a buffer the
+// checker keeps, so once it has grown to the state's size a save — of
+// the policy-wide set 300 commits into a cdcgen feed — allocates
+// nothing.
+func TestSteadySaveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := cdcgen.Config{Steps: 300, Seed: 7, Sensors: 1024, BurstLen: 8, BurstEvery: 20, MaxReorder: 3, ViolationRate: 0.02}
+	h, _ := cdcgen.Generate(cfg)
+	c := New(h.Schema)
+	for _, cs := range cdcgen.WidePolicies(cfg) {
+		addConstraint(t, c, h.Schema, cs.Name, cs.Source)
+	}
+	for _, st := range h.Steps {
+		mustStep(t, c, st.Time, st.Tx)
+	}
+	if err := c.SaveSnapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := c.SaveSnapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a steady save allocates %.1f times, want 0", allocs)
 	}
 }

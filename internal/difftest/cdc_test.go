@@ -1,9 +1,13 @@
 package difftest
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"rtic/internal/cdcgen"
+	"rtic/internal/core"
+	"rtic/internal/engine"
 	"rtic/internal/workload"
 )
 
@@ -65,6 +69,59 @@ func TestDifferentialCDC(t *testing.T) {
 				t.Fatalf("config %+v: %v", tc.cfg, err)
 			}
 		})
+	}
+}
+
+// TestSnapshotRoundTripCDC saves the paper's checker after every commit
+// of every CDC corpus history, under the corpus's constraints and under
+// the policy-wide set: the save loads, and the loaded checker saves the
+// same bytes; and the loaded checker's first commit reports what the
+// original's does, with the same work (core.Checker.Work) — the loaded
+// families and answers need no priming.
+func TestSnapshotRoundTripCDC(t *testing.T) {
+	t.Parallel()
+	for _, tc := range cdcCorpus() {
+		h, _ := cdcgen.Generate(tc.cfg)
+		for _, specs := range [][]workload.ConstraintSpec{h.Constraints, cdcgen.WidePolicies(tc.cfg)} {
+			orig := core.New(h.Schema)
+			if err := engine.Install(orig, h.Schema, specs); err != nil {
+				t.Fatal(err)
+			}
+			var first, second bytes.Buffer
+			for i, st := range h.Steps {
+				first.Reset()
+				second.Reset()
+				if err := orig.SaveSnapshot(&first); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := core.LoadSnapshot(h.Schema, bytes.NewReader(first.Bytes()))
+				if err != nil {
+					t.Fatalf("%s, %d constraints, commit %d: %v", tc.name, len(specs), i, err)
+				}
+				if err := loaded.SaveSnapshot(&second); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(first.Bytes(), second.Bytes()) {
+					t.Fatalf("%s, %d constraints, commit %d: a loaded %d-byte snapshot saves %d other bytes", tc.name, len(specs), i, first.Len(), second.Len())
+				}
+				w0, l0 := orig.Work(), loaded.Work()
+				want, err := orig.Step(st.Time, st.Tx.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := loaded.Step(st.Time, st.Tx.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(canon(got), canon(want)) {
+					t.Fatalf("%s, %d constraints, commit %d: loaded checker reports %v, original %v", tc.name, len(specs), i, canon(got), canon(want))
+				}
+				w1, l1 := orig.Work(), loaded.Work()
+				if lw, ow := (core.Work{Visited: l1.Visited - l0.Visited, PlanExecs: l1.PlanExecs - l0.PlanExecs}), (core.Work{Visited: w1.Visited - w0.Visited, PlanExecs: w1.PlanExecs - w0.PlanExecs}); lw != ow {
+					t.Fatalf("%s, %d constraints, commit %d: loaded checker's first commit did %+v, the original's %+v", tc.name, len(specs), i, lw, ow)
+				}
+			}
+		}
 	}
 }
 

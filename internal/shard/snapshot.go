@@ -30,8 +30,9 @@ import (
 
 var snapshotMagic = [8]byte{'R', 'T', 'I', 'C', 'S', 'H', 'D', '1'}
 
-// coreMagic opens an unsharded checker's snapshot (core.SaveSnapshot).
-var coreMagic = []byte("RTICSNP1")
+// coreMagic opens an unsharded checker's snapshot (core.SaveSnapshot),
+// of any version.
+var coreMagic = []byte("RTICSNP")
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -199,7 +200,7 @@ func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
 		return nil, fmt.Errorf("shard: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
 	}
 	if !bytes.Equal(hdr[:8], snapshotMagic[:]) {
-		if bytes.Equal(hdr[:8], coreMagic) {
+		if bytes.HasPrefix(hdr[:8], coreMagic) {
 			return nil, &CountError{Written: 1, Configured: shards}
 		}
 		return nil, fmt.Errorf("shard: not a sharded rtic snapshot (magic %q, want %q)", hdr[:8], snapshotMagic[:])

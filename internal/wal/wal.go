@@ -352,8 +352,7 @@ func (l *Log) appendRecord(payload []byte, t uint64, tx *storage.Transaction) er
 		start = time.Now()
 	}
 	l.mu.Lock()
-	var hdr [frameHeaderSize]byte
-	frame := append(l.frame[:0], hdr[:]...)
+	frame := OpenFrame(l.frame[:0])
 	if tx != nil {
 		frame = appendTx(frame, t, tx)
 	} else {
@@ -363,16 +362,9 @@ func (l *Log) appendRecord(payload []byte, t uint64, tx *storage.Transaction) er
 	if cap(frame) > maxKeptFrame {
 		l.frame = nil
 	}
-	var err error
 	var sp *obs.Span
-	switch n := len(frame) - frameHeaderSize; {
-	case n == 0:
-		err = errors.New("wal: empty record")
-	case n > MaxRecordBytes:
-		err = fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", n, MaxRecordBytes)
-	default:
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeaderSize:], castagnoli))
+	err := SealFrame(frame, 0, MaxRecordBytes)
+	if err == nil {
 		if l.spans != nil {
 			sp = &obs.Span{Name: obs.SpanWALAppend, Start: start, Ops: len(frame)}
 		}

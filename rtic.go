@@ -29,6 +29,8 @@
 package rtic
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
@@ -44,6 +46,7 @@ import (
 	"rtic/internal/plan"
 	"rtic/internal/schema"
 	"rtic/internal/shard"
+	"rtic/internal/snapv1"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
 	"rtic/internal/value"
@@ -434,11 +437,24 @@ func (c *Checker) SaveSnapshot(w io.Writer) error {
 // RestoreChecker rebuilds a checker from a snapshot written by
 // SaveSnapshot; the snapshot carries its constraints. WithObserver
 // attaches instrumentation. The restore itself is one snapshot.restore
-// span when a span sink is attached.
+// span when a span sink is attached. A version-1 snapshot (an older
+// build's) is rewritten as the current format first, and the checker's
+// next SaveSnapshot writes it in that format: loading and saving once
+// converts a checkpoint, which the daemon then restores.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
+	}
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(snapv1.Magic)); string(magic) == snapv1.Magic {
+		v2, err := snapv1.Rewrite(s, br)
+		if err != nil {
+			return nil, err
+		}
+		r = bytes.NewReader(v2)
+	} else {
+		r = br
 	}
 	p, err := shard.Restore(s, r, 1, cfg.obs)
 	if err != nil {

@@ -3,10 +3,12 @@ package rtic
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"rtic/internal/active"
+	"rtic/internal/cdcgen"
 	"rtic/internal/check"
 	"rtic/internal/core"
 	"rtic/internal/engine"
@@ -370,6 +372,39 @@ func TestSnapshotThroughPublicAPI(t *testing.T) {
 	// Restored checkers refuse late constraint additions like live ones.
 	if err := restored.AddConstraint("late", "hire(e) -> not once fire(e)"); err == nil {
 		t.Fatal("late constraint accepted on restored checker")
+	}
+}
+
+// TestRestoreCheckerConvertsVersion1: the library restores a version-1
+// snapshot, which the engine (and so the daemon) refuses naming the
+// version, and the restored checker saves it as version 2, which the
+// engine loads.
+func TestRestoreCheckerConvertsVersion1(t *testing.T) {
+	raw, err := os.ReadFile("internal/core/testdata/pr15_cdc_seed5_step100.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cdcgen.Schema()
+	if _, err := core.LoadSnapshot(s, bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("core.LoadSnapshot of a version-1 snapshot: %v", err)
+	}
+	c, err := RestoreChecker(s, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("RTICSNP2")) {
+		t.Fatalf("the converted checkpoint opens %q", buf.Bytes()[:8])
+	}
+	loaded, err := core.LoadSnapshot(s, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != 100 || len(loaded.Constraints()) != 6 {
+		t.Fatalf("converted checkpoint holds %d commits and %d constraints, want 100 and 6", loaded.Len(), len(loaded.Constraints()))
 	}
 }
 
