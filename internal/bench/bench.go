@@ -148,18 +148,28 @@ const quietBudget = 64 << 20
 // quietWindow counts allocations in a window that does not collect:
 // after a collection the runtime's own cleanup allocates on its own
 // schedule, and the count would move from process to process. The
-// window opens settled and runs with the collector off; a replay's tail
-// that has allocated quietBudget since the window opened or last paused
-// pauses between two commits to collect and settle, and what the pause
-// allocates is left out. Every allocation a commit makes is counted.
+// window opens after a collection and a millisecond for that cleanup,
+// and runs with the collector off; a replay's tail that has allocated
+// quietBudget since the window opened or last paused pauses between two
+// commits to do the same again, and what the pause allocates is left
+// out. Every allocation a commit makes is counted. (It does not settle:
+// pages returned to the OS fault back in on the next commits and
+// inflate their times — Figure 2's totals read four times slower.)
 type quietWindow struct {
 	gcPercent int
 	counted   uint64 // mallocs before the last pause
 	m0, m     runtime.MemStats
 }
 
+// quiesce collects and gives the runtime's post-collection work a
+// millisecond to run.
+func quiesce() {
+	runtime.GC()
+	time.Sleep(time.Millisecond)
+}
+
 func (w *quietWindow) open() {
-	settle()
+	quiesce()
 	w.gcPercent = debug.SetGCPercent(-1)
 	runtime.ReadMemStats(&w.m0)
 }
@@ -172,7 +182,7 @@ func (w *quietWindow) next() {
 		return
 	}
 	w.counted += w.m.Mallocs - w.m0.Mallocs
-	settle()
+	quiesce()
 	runtime.ReadMemStats(&w.m0)
 }
 
