@@ -229,6 +229,32 @@ func TestDaemonSnapshotRestart(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesVersion1Checkpoint: a checkpoint an earlier build
+// wrote (format version 1, testdata/hr_v1.snap: the hire/fire spec after
+// "@0 +fire(7)") fails the daemon at startup, naming the file and the
+// version; the daemon links no reader for it.
+func TestDaemonRefusesVersion1Checkpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/hr_v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "state.snap")
+	if err := os.WriteFile(snap, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := start(options{specPath: writeSpec(t, dir, "hr.rtic", hrSpec), listen: "127.0.0.1:0", snapPath: snap})
+	if err == nil {
+		d.shutdown()
+		t.Fatal("the daemon restored a version-1 checkpoint")
+	}
+	for _, want := range []string{snap, "format version 1", "rtic.RestoreChecker"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("startup error %q does not name %q", err, want)
+		}
+	}
+}
+
 // TestDaemonWALTruncationSweep restarts the daemon over every disk the
 // crash enumerator (internal/chaos) finds in which only the final
 // commit of its trace is missing or torn, one journal; see

@@ -296,8 +296,8 @@ func loadSnapshot(s *schema.Schema, r io.Reader) (*Checker, error) {
 	case len(data) < len(snapshotMagic):
 		return nil, fmt.Errorf("core: snapshot truncated in header (%d of the %d-byte magic)", len(data), len(snapshotMagic))
 	case magic == "RTICSNP1":
-		return nil, fmt.Errorf("core: snapshot is format version 1 (magic %q) and this build reads version %d: "+
-			"load it with the rtic library (rtic.RestoreChecker) and save it again to convert it", magic, snapshotVersion)
+		return nil, fmt.Errorf("core: snapshot is format version 1 (magic %q) and this build reads version %d; "+
+			"the rtic library converts an unsharded checker's: load it with rtic.RestoreChecker and save it again", magic, snapshotVersion)
 	case magic != string(snapshotMagic[:]):
 		return nil, fmt.Errorf("core: not an rtic snapshot (magic %q, want %q)", magic, snapshotMagic[:])
 	}
