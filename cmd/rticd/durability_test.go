@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rtic"
 	"rtic/internal/chaos"
 	"rtic/internal/vfs"
 )
@@ -230,28 +232,83 @@ func TestDaemonSnapshotRestart(t *testing.T) {
 }
 
 // TestDaemonRefusesVersion1Checkpoint: a checkpoint an earlier build
-// wrote (format version 1, testdata/hr_v1.snap: the hire/fire spec after
-// "@0 +fire(7)") fails the daemon at startup, naming the file and the
-// version; the daemon links no reader for it.
+// wrote (format version 1) fails the daemon at startup, naming the file,
+// the version and the converter, since the daemon links no reader for
+// it; rtic.UpgradeSnapshot converts it, and the daemon restarted over
+// the converted file replies as one that never stopped. The fixtures
+// are the hire/fire spec's checkpoints written by that build's rticd:
+// testdata/hr_v1.snap unsharded after "@0 +fire(7)", and
+// testdata/hr_shards2_v1.snap under -shards 2 after the first two
+// commits of the sharded trace below.
 func TestDaemonRefusesVersion1Checkpoint(t *testing.T) {
-	raw, err := os.ReadFile("testdata/hr_v1.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "state.snap")
-	if err := os.WriteFile(snap, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := start(options{specPath: writeSpec(t, dir, "hr.rtic", hrSpec), listen: "127.0.0.1:0", snapPath: snap})
-	if err == nil {
-		d.shutdown()
-		t.Fatal("the daemon restored a version-1 checkpoint")
-	}
-	for _, want := range []string{snap, "format version 1", "rtic.RestoreChecker"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("startup error %q does not name %q", err, want)
-		}
+	for _, tc := range []struct {
+		fixture string
+		shards  int
+		trace   []string // the fixture's commits, then the restart's
+		written int
+	}{
+		{"hr_v1.snap", 1, []string{"@0 +fire(7)", "@100 +hire(7)"}, 1},
+		{"hr_shards2_v1.snap", 2, []string{"@0 +fire(7) +fire(8) +fire(9) +fire(10)", "@10 -fire(10)",
+			"@100 +hire(7) +hire(8) +hire(9) +hire(10)", "@400 -hire(7) +hire(11) +fire(11)", "@500 -fire(11) +hire(8)"}, 2},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := writeSpec(t, dir, "hr.rtic", hrSpec)
+			ref, err := start(options{specPath: spec, listen: "127.0.0.1:0", shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.shutdown()
+			refC := dialLine(t, ref)
+			for _, line := range tc.trace[:tc.written] {
+				refC.commit(t, line)
+			}
+
+			raw, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := filepath.Join(dir, "state.snap")
+			if err := os.WriteFile(snap, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := options{specPath: spec, listen: "127.0.0.1:0", shards: tc.shards, snapPath: snap}
+			d, err := start(opts)
+			if err == nil {
+				d.shutdown()
+				t.Fatal("the daemon restored a version-1 checkpoint")
+			}
+			for _, want := range []string{snap, "format version 1", "rtic.UpgradeSnapshot"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("startup error %q does not name %q", err, want)
+				}
+			}
+
+			s, err := rtic.NewSchema().Relation("hire", 1).Relation("fire", 1).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := rtic.UpgradeSnapshot(s, bytes.NewReader(raw), &out); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snap, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if d, err = start(opts); err != nil {
+				t.Fatalf("restoring the converted checkpoint: %v", err)
+			}
+			defer d.shutdown()
+			if got := d.m.Len(); got != tc.written {
+				t.Fatalf("restored daemon has %d states, want %d", got, tc.written)
+			}
+			c := dialLine(t, d)
+			for _, line := range tc.trace[tc.written:] {
+				if got, want := c.commit(t, line), refC.commit(t, line); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: restored daemon replies %q, uninterrupted one %q", line, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -84,11 +84,19 @@ func (t *Table) Render(w io.Writer) {
 
 // replayResult carries the measurements of one replay.
 type replayResult struct {
-	nsPerStepAll      float64 // average over all steps
-	nsPerStepTail     float64 // average over the final 10% (steady state)
-	allocsPerStepTail float64 // heap allocations per step over the tail
-	violations        int
-	totalNs           int64
+	nsPerStepAll  float64 // average over all steps
+	nsPerStepTail float64 // average over the final 10% (steady state)
+	violations    int
+	totalNs       int64
+}
+
+// tailStart is where the steady-state tail of n steps begins: the final
+// 10%, or every step when that is none.
+func tailStart(n int) int {
+	if s := n - n/10; s < n {
+		return s
+	}
+	return 0
 }
 
 // replay commits h's steps on eng, one at a time, timing each.
@@ -98,48 +106,60 @@ func replay(h workload.History, eng engine.Engine) (replayResult, error) {
 	runtime.GC()
 	var res replayResult
 	n := len(h.Steps)
-	tailStart := n - n/10
-	if tailStart >= n {
-		tailStart = 0
-	}
+	tail := tailStart(n)
 	var tailNs int64
-	tailCount := 0
-	var tail quietWindow
 	for i, s := range h.Steps {
-		if i == tailStart {
-			// Open the allocation count outside the timed region; its total
-			// over the tail is the steady-state allocs/tx.
-			tail.open()
-		}
 		t0 := time.Now()
 		vs, err := eng.Step(s.Time, s.Tx)
 		d := time.Since(t0).Nanoseconds()
 		if err != nil {
-			if i >= tailStart {
-				tail.close() //nolint:errcheck — the step's error is the one to report
-			}
 			return res, fmt.Errorf("step %d: %w", i, err)
 		}
 		res.totalNs += d
-		if i >= tailStart {
+		if i >= tail {
 			tailNs += d
-			tailCount++
-			tail.next()
 		}
 		res.violations += len(vs)
 	}
 	if n > 0 {
 		res.nsPerStepAll = float64(res.totalNs) / float64(n)
-	}
-	if tailCount > 0 {
-		mallocs, err := tail.close()
-		if err != nil {
-			return res, err
-		}
-		res.nsPerStepTail = float64(tailNs) / float64(tailCount)
-		res.allocsPerStepTail = float64(mallocs) / float64(tailCount)
+		res.nsPerStepTail = float64(tailNs) / float64(n-tail)
 	}
 	return res, nil
+}
+
+// tailAllocs replays h, untimed, on an engine fresh from build and
+// returns the heap allocations per commit of the tail replay averages
+// its time over, counted in a quiet window. The count takes a pass of
+// its own so that the timed passes run under the collector as
+// configured.
+func tailAllocs(h workload.History, build func(workload.History) (engine.Engine, error)) (float64, error) {
+	eng, err := build(h)
+	if err != nil {
+		return 0, err
+	}
+	runtime.GC()
+	tail := tailStart(len(h.Steps))
+	var w quietWindow
+	for i, s := range h.Steps {
+		if i == tail {
+			w.open()
+		}
+		if _, err := eng.Step(s.Time, s.Tx); err != nil {
+			if i >= tail {
+				w.close() //nolint:errcheck — the step's error is the one to report
+			}
+			return 0, fmt.Errorf("step %d: %w", i, err)
+		}
+		if i >= tail {
+			w.next()
+		}
+	}
+	if tail == len(h.Steps) {
+		return 0, nil
+	}
+	mallocs, err := w.close()
+	return float64(mallocs) / float64(len(h.Steps)-tail), err
 }
 
 // quietBudget is what a quiet window may allocate between two pauses.
@@ -153,8 +173,8 @@ const quietBudget = 64 << 20
 // quietBudget since the window opened or last paused pauses between two
 // commits to do the same again, and what the pause allocates is left
 // out. Every allocation a commit makes is counted. (It does not settle:
-// pages returned to the OS fault back in on the next commits and
-// inflate their times — Figure 2's totals read four times slower.)
+// pages returned to the OS would fault back in on the next commits and
+// inflate the times of a window that is also timed, as Table 11's are.)
 type quietWindow struct {
 	gcPercent int
 	counted   uint64 // mallocs before the last pause
@@ -278,12 +298,17 @@ func runCheckpointedNaive(h workload.History, interval int) (int, error) {
 // runNaive replays h on the naive checker and returns its history
 // footprint.
 func runNaive(h workload.History) (replayResult, int, error) {
-	c := naive.New(h.Schema)
-	if err := engine.Install(c, h.Schema, h.Constraints); err != nil {
+	c, err := newNaive(h)
+	if err != nil {
 		return replayResult{}, 0, err
 	}
 	res, err := replay(h, c)
 	return res, c.HistoryBytes(), err
+}
+
+func newNaive(h workload.History) (*naive.Checker, error) {
+	c := naive.New(h.Schema)
+	return c, engine.Install(c, h.Schema, h.Constraints)
 }
 
 // runActive replays h on the active-rules checker and returns its

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"rtic/internal/engine"
 	"rtic/internal/workload"
 )
 
@@ -47,13 +48,21 @@ func Table1HistoryLength(quick bool) (Table, error) {
 		if err != nil {
 			return t, err
 		}
+		incAllocs, err := tailAllocs(h, func(h workload.History) (engine.Engine, error) { return newIncremental(h) })
+		if err != nil {
+			return t, err
+		}
+		nvAllocs, err := tailAllocs(h, func(h workload.History) (engine.Engine, error) { return newNaive(h) })
+		if err != nil {
+			return t, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
 			ns(inc.nsPerStepTail),
 			ns(nv.nsPerStepTail),
 			ratio(nv.nsPerStepTail, inc.nsPerStepTail),
-			fmt.Sprintf("%.0f", inc.allocsPerStepTail),
-			fmt.Sprintf("%.0f", nv.allocsPerStepTail),
+			fmt.Sprintf("%.0f", incAllocs),
+			fmt.Sprintf("%.0f", nvAllocs),
 		})
 	}
 	return t, nil

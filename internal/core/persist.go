@@ -94,13 +94,7 @@ func (r *records) seal() {
 
 func (r *records) uvarint(v uint64) { r.b = binary.AppendUvarint(r.b, v) }
 
-func (r *records) flag(f bool) {
-	if f {
-		r.b = append(r.b, 1)
-	} else {
-		r.b = append(r.b, 0)
-	}
-}
+func (r *records) flag(f bool) { r.b = wal.AppendFlag(r.b, f) }
 
 func (r *records) rows(rel *relation.Relation) {
 	r.uvarint(uint64(rel.Len()))
@@ -297,7 +291,7 @@ func loadSnapshot(s *schema.Schema, r io.Reader) (*Checker, error) {
 		return nil, fmt.Errorf("core: snapshot truncated in header (%d of the %d-byte magic)", len(data), len(snapshotMagic))
 	case magic == "RTICSNP1":
 		return nil, fmt.Errorf("core: snapshot is format version 1 (magic %q) and this build reads version %d; "+
-			"the rtic library converts an unsharded checker's: load it with rtic.RestoreChecker and save it again", magic, snapshotVersion)
+			"convert it with rtic.UpgradeSnapshot", magic, snapshotVersion)
 	case magic != string(snapshotMagic[:]):
 		return nil, fmt.Errorf("core: not an rtic snapshot (magic %q, want %q)", magic, snapshotMagic[:])
 	}
@@ -368,14 +362,13 @@ func (c *Checker) loadConstraint(cur *wal.Cursor) error {
 // loadRelation restores one relation, whose name must follow *last's.
 func (c *Checker) loadRelation(cur *wal.Cursor, last *string) error {
 	name := string(cur.Bytes("name"))
-	if err := cur.Err(); err != nil {
-		return err
-	}
 	rel, err := c.cur.Relation(name)
-	if err != nil {
+	switch {
+	case cur.Err() != nil:
+		return cur.Err()
+	case err != nil:
 		return err
-	}
-	if name <= *last {
+	case name <= *last:
 		return fmt.Errorf("relation %q out of order after %q", name, *last)
 	}
 	*last = name

@@ -92,10 +92,7 @@ func (r *Router) saveSnapshot(w io.Writer) (int, error) {
 	if err := r.seal(); err != nil {
 		return 0, err
 	}
-	payload := binary.AppendUvarint(nil, uint64(r.n))
-	fp := r.planFingerprint()
-	payload = binary.AppendUvarint(payload, uint64(len(fp)))
-	payload = append(payload, fp...)
+	payload := appendField(binary.AppendUvarint(nil, uint64(r.n)), []byte(r.planFingerprint()))
 	var one bytes.Buffer
 	for i, e := range r.engines {
 		c, ok := e.(*core.Checker)
@@ -106,9 +103,18 @@ func (r *Router) saveSnapshot(w io.Writer) (int, error) {
 		if err := c.SaveSnapshot(&one); err != nil {
 			return 0, fmt.Errorf("shard %d: %w", i, err)
 		}
-		payload = binary.AppendUvarint(payload, uint64(one.Len()))
-		payload = append(payload, one.Bytes()...)
+		payload = appendField(payload, one.Bytes())
 	}
+	return writeEnvelope(w, payload)
+}
+
+// appendField appends f to a router snapshot's payload, length first.
+func appendField(payload, f []byte) []byte {
+	return append(binary.AppendUvarint(payload, uint64(len(f))), f...)
+}
+
+// writeEnvelope writes payload to w behind the envelope's header.
+func writeEnvelope(w io.Writer, payload []byte) (int, error) {
 	var hdr [20]byte
 	copy(hdr[:8], snapshotMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
@@ -190,76 +196,108 @@ func unshardedRestoreErr(rd io.Reader) error {
 	return &CountError{Configured: 1}
 }
 
-// LoadSnapshot rebuilds a sealed router over s from a snapshot written
-// by SaveSnapshot. shards must equal the snapshot's shard count, and
-// the partition plan re-derived from the snapshot's constraints over s
-// must equal the one the snapshot was taken under.
-func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
+// errCoreSnapshot reports an unsharded checker's snapshot where a
+// router's was expected.
+var errCoreSnapshot = errors.New("shard: snapshot is an unsharded checker's, not a router's")
+
+// readEnvelope reads a router snapshot from rd and returns its payload's
+// fields: the shard count, the plan fingerprint and the shard snapshots,
+// which alias the payload.
+func readEnvelope(rd io.Reader) (n uint64, fp []byte, shards [][]byte, err error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, fmt.Errorf("shard: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
+		return 0, nil, nil, fmt.Errorf("shard: snapshot truncated in header (%d-byte envelope): %w", len(hdr), err)
 	}
 	if !bytes.Equal(hdr[:8], snapshotMagic[:]) {
 		if bytes.HasPrefix(hdr[:8], coreMagic) {
-			return nil, &CountError{Written: 1, Configured: shards}
+			return 0, nil, nil, errCoreSnapshot
 		}
-		return nil, fmt.Errorf("shard: not a sharded rtic snapshot (magic %q, want %q)", hdr[:8], snapshotMagic[:])
+		return 0, nil, nil, fmt.Errorf("shard: not a sharded rtic snapshot (magic %q, want %q)", hdr[:8], snapshotMagic[:])
 	}
 	size := binary.LittleEndian.Uint64(hdr[8:16])
 	if size == 0 || size > maxSnapshotBytes {
-		return nil, fmt.Errorf("shard: snapshot header corrupted: implausible payload length %d", size)
+		return 0, nil, nil, fmt.Errorf("shard: snapshot header corrupted: implausible payload length %d", size)
 	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(rd, payload); err != nil {
-		return nil, fmt.Errorf("shard: snapshot truncated: header promises %d payload bytes: %w", size, err)
+		return 0, nil, nil, fmt.Errorf("shard: snapshot truncated: header promises %d payload bytes: %w", size, err)
 	}
 	want := binary.LittleEndian.Uint32(hdr[16:20])
 	if got := crc32.Checksum(payload, snapshotCRC); got != want {
-		return nil, fmt.Errorf("shard: snapshot corrupted: checksum mismatch (stored %08x, computed %08x)", want, got)
+		return 0, nil, nil, fmt.Errorf("shard: snapshot corrupted: checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 
 	// The payload passed its checksum, so a malformed field means a
 	// writer bug, not disk damage; it is still reported, not trusted.
 	malformed := errors.New("shard: snapshot payload malformed")
-	uvarint := func() (uint64, error) {
-		v, w := binary.Uvarint(payload)
-		if w <= 0 {
-			return 0, malformed
-		}
-		payload = payload[w:]
-		return v, nil
+	n, w := binary.Uvarint(payload)
+	if w <= 0 {
+		return 0, nil, nil, malformed
 	}
+	payload = payload[w:]
 	field := func() ([]byte, error) {
-		n, err := uvarint()
-		if err != nil || n > uint64(len(payload)) {
+		l, w := binary.Uvarint(payload)
+		if w <= 0 || l > uint64(len(payload)-w) {
 			return nil, malformed
 		}
-		f := payload[:n]
-		payload = payload[n:]
+		f := payload[w : w+int(l)]
+		payload = payload[w+int(l):]
 		return f, nil
 	}
-	n, err := uvarint()
-	if err != nil {
-		return nil, err
+	if fp, err = field(); err != nil {
+		return 0, nil, nil, err
 	}
-	if n != uint64(shards) {
+	for i := uint64(0); i < n; i++ {
+		f, err := field()
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		shards = append(shards, f)
+	}
+	return n, fp, shards, nil
+}
+
+// RewriteSnapshot copies the router snapshot rd holds to w with each
+// shard's core snapshot passed through fn, the shard count and plan
+// fingerprint unchanged: how a converter carries a router's checkpoint to
+// a new core snapshot format.
+func RewriteSnapshot(rd io.Reader, w io.Writer, fn func(shard int, snap []byte) ([]byte, error)) error {
+	n, fp, shards, err := readEnvelope(rd)
+	if err != nil {
+		return err
+	}
+	payload := appendField(binary.AppendUvarint(nil, n), fp)
+	for i, snap := range shards {
+		out, err := fn(i, snap)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		payload = appendField(payload, out)
+	}
+	_, err = writeEnvelope(w, payload)
+	return err
+}
+
+// LoadSnapshot rebuilds a sealed router over s from a snapshot written
+// by SaveSnapshot. shards must equal the snapshot's shard count, and
+// the partition plan re-derived from the snapshot's constraints over s
+// must equal the one the snapshot was taken under.
+func LoadSnapshot(s *schema.Schema, rd io.Reader, shards int) (*Router, error) {
+	n, fp, blobs, err := readEnvelope(rd)
+	switch {
+	case err == errCoreSnapshot:
+		return nil, &CountError{Written: 1, Configured: shards}
+	case err != nil:
+		return nil, err
+	case n != uint64(shards):
 		return nil, &CountError{Written: int(n), Configured: shards}
 	}
-	fp, err := field()
-	if err != nil {
-		return nil, err
-	}
-
 	r, err := New(s, shards, coreFactory(s))
 	if err != nil {
 		return nil, err
 	}
 	engines := make([]engine.Engine, shards)
-	for i := range engines {
-		blob, err := field()
-		if err != nil {
-			return nil, err
-		}
+	for i, blob := range blobs {
 		c, err := core.LoadSnapshot(s, bytes.NewReader(blob))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

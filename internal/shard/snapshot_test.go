@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -145,6 +146,45 @@ func TestRouterSnapshotRejectsDamage(t *testing.T) {
 		if _, err := LoadSnapshot(h.Schema, bytes.NewReader(dam), 2); err == nil {
 			t.Fatalf("snapshot with a bit flipped in byte %d of %d loaded", i, len(raw))
 		}
+	}
+}
+
+// TestRewriteSnapshot: passing every shard's snapshot through unchanged
+// rewrites the router's checkpoint byte for byte, a shard the converter
+// refuses is named, and an unsharded checker's snapshot is no router's.
+func TestRewriteSnapshot(t *testing.T) {
+	h := cdcFeed()
+	raw := saveRouter(t, feedRouter(t, h, 3, 20))
+	var out bytes.Buffer
+	seen := 0
+	if err := RewriteSnapshot(bytes.NewReader(raw), &out, func(i int, snap []byte) ([]byte, error) {
+		if i != seen || !bytes.HasPrefix(snap, coreMagic) {
+			t.Fatalf("shard %d handed over as shard %d, opening %q", seen, i, snap[:min(len(snap), 8)])
+		}
+		seen++
+		return snap, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 3 || !bytes.Equal(out.Bytes(), raw) {
+		t.Fatalf("identity rewrite saw %d shards; output equal to input: %v", seen, bytes.Equal(out.Bytes(), raw))
+	}
+	err := RewriteSnapshot(bytes.NewReader(raw), io.Discard, func(i int, snap []byte) ([]byte, error) {
+		if i == 1 {
+			return nil, errors.New("refused")
+		}
+		return snap, nil
+	})
+	if err == nil || err.Error() != "shard 1: refused" {
+		t.Fatalf("a refused shard: %v", err)
+	}
+	live := feedRouter(t, h, 1, 5)
+	var one bytes.Buffer
+	if err := live.engines[0].(*core.Checker).SaveSnapshot(&one); err != nil {
+		t.Fatal(err)
+	}
+	if err := RewriteSnapshot(&one, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "unsharded checker") {
+		t.Fatalf("an unsharded checker's snapshot: %v", err)
 	}
 }
 

@@ -1,12 +1,15 @@
 // Package snapv1 reads version-1 checker snapshots and rewrites them as
 // the current format. Version 1 was a gob payload in an envelope — an
 // 8-byte magic ("RTICSNP1"), the payload length (8 bytes LE) and a
-// CRC32C of the payload (4 bytes LE) — and is read nowhere else: the
-// daemon refuses it, and the library (rtic.RestoreChecker) converts it
-// through this package. Decoding only; nothing writes version 1.
+// CRC32C of the payload (4 bytes LE) — alone or as the shard snapshots
+// of a router's checkpoint, and is read nowhere else: the daemon refuses
+// it, and the library (rtic.RestoreChecker, rtic.UpgradeSnapshot)
+// converts it through this package. Decoding only; nothing writes
+// version 1.
 package snapv1
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -16,6 +19,7 @@ import (
 
 	"rtic/internal/core"
 	"rtic/internal/schema"
+	"rtic/internal/shard"
 )
 
 // Magic opens a version-1 snapshot.
@@ -61,4 +65,30 @@ func Rewrite(s *schema.Schema, r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return out.Bytes(), nil
+}
+
+// Upgrade writes to w the checkpoint r holds, in the current format: a
+// version-1 checker snapshot rewritten, a router's checkpoint with its
+// version-1 shard snapshots rewritten under the same shard count and
+// plan, and a current checker snapshot as it is.
+func Upgrade(s *schema.Schema, r io.Reader, w io.Writer) error {
+	br := bufio.NewReader(r)
+	magic, _ := br.Peek(len(Magic))
+	switch {
+	case string(magic) == Magic:
+		v2, err := Rewrite(s, br)
+		if err == nil {
+			_, err = w.Write(v2)
+		}
+		return err
+	case bytes.HasPrefix(magic, []byte(Magic[:7])):
+		_, err := io.Copy(w, br)
+		return err
+	}
+	return shard.RewriteSnapshot(br, w, func(_ int, snap []byte) ([]byte, error) {
+		if bytes.HasPrefix(snap, []byte(Magic)) {
+			return Rewrite(s, bytes.NewReader(snap))
+		}
+		return snap, nil
+	})
 }

@@ -80,6 +80,16 @@ func AppendString(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
+// AppendFlag appends f as one byte, 1 or 0.
+//
+//rtic:noalloc
+func AppendFlag(buf []byte, f bool) []byte {
+	if f {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
 // AppendRow appends row's values, each a uvarint length and its binary
 // encoding; the arity is the reader's to know.
 //
@@ -107,12 +117,7 @@ func appendTx(buf []byte, t uint64, tx *storage.Transaction) []byte {
 	buf = binary.AppendUvarint(buf, t)
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
-		if op.Insert {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = AppendString(buf, op.Rel)
+		buf = AppendString(AppendFlag(buf, op.Insert), op.Rel)
 		buf = binary.AppendUvarint(buf, uint64(len(op.Tuple)))
 		buf = AppendRow(buf, op.Tuple)
 	}

@@ -439,8 +439,7 @@ func (c *Checker) SaveSnapshot(w io.Writer) error {
 // attaches instrumentation. The restore itself is one snapshot.restore
 // span when a span sink is attached. A version-1 snapshot (an older
 // build's) is rewritten as the current format first, and the checker's
-// next SaveSnapshot writes it in that format: loading and saving once
-// converts a checkpoint, which the daemon then restores.
+// next SaveSnapshot writes it in that format.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	var cfg config
 	for _, o := range opts {
@@ -461,6 +460,15 @@ func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 		return nil, err
 	}
 	return &Checker{schema: s, eng: p, obs: cfg.obs, lintMode: cfg.lint}, nil
+}
+
+// UpgradeSnapshot writes to w the checkpoint r holds in the current
+// snapshot format, which the daemon restores: an older build's
+// (version 1) is converted, an unsharded checker's or a sharded
+// daemon's alike, and a current one is copied. s must define every
+// relation the checkpoint references.
+func UpgradeSnapshot(s *Schema, r io.Reader, w io.Writer) error {
+	return snapv1.Upgrade(s, r, w)
 }
 
 // QueryResult holds the satisfying bindings of an ad-hoc query: Rows[i]
