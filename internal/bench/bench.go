@@ -129,8 +129,8 @@ func replay(h workload.History, eng engine.Engine) (replayResult, error) {
 }
 
 // tailAllocs replays h, untimed, on an engine fresh from build and
-// returns the heap allocations per commit of the tail replay averages
-// its time over, counted in a quiet window. The count takes a pass of
+// returns the heap allocations per commit over the tail whose time
+// replay averages, counted in a quiet window. The count takes a pass of
 // its own so that the timed passes run under the collector as
 // configured.
 func tailAllocs(h workload.History, build func(workload.History) (engine.Engine, error)) (float64, error) {
@@ -172,9 +172,7 @@ const quietBudget = 64 << 20
 // and runs with the collector off; a replay's tail that has allocated
 // quietBudget since the window opened or last paused pauses between two
 // commits to do the same again, and what the pause allocates is left
-// out. Every allocation a commit makes is counted. (It does not settle:
-// pages returned to the OS would fault back in on the next commits and
-// inflate the times of a window that is also timed, as Table 11's are.)
+// out. Every allocation a commit makes is counted.
 type quietWindow struct {
 	gcPercent int
 	counted   uint64 // mallocs before the last pause

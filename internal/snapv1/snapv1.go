@@ -81,7 +81,7 @@ func Upgrade(s *schema.Schema, r io.Reader, w io.Writer) error {
 			_, err = w.Write(v2)
 		}
 		return err
-	case bytes.HasPrefix(magic, []byte(Magic[:7])):
+	case bytes.HasPrefix(magic, []byte("RTICSNP")): // a checker snapshot of a later version
 		_, err := io.Copy(w, br)
 		return err
 	}
