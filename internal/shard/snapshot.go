@@ -254,6 +254,9 @@ func readEnvelope(rd io.Reader) (n uint64, fp []byte, shards [][]byte, err error
 		}
 		shards = append(shards, f)
 	}
+	if len(payload) > 0 {
+		return 0, nil, nil, malformed
+	}
 	return n, fp, shards, nil
 }
 

@@ -131,10 +131,19 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRouterSnapshotRejectsDamage cuts the envelope at every length and
-// flips one bit at every byte: no damaged file may load.
+// flips one bit at every byte, and sends a payload with bytes after its
+// last shard snapshot under a checksum that matches: no damaged or
+// malformed file may load.
 func TestRouterSnapshotRejectsDamage(t *testing.T) {
 	h := cdcFeed()
 	raw := saveRouter(t, feedRouter(t, h, 2, 20))
+	long := append(append([]byte(nil), raw[20:]...), 0xde, 0xad)
+	hdr := append([]byte(nil), raw[:20]...)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(long)))
+	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(long, snapshotCRC))
+	if _, err := LoadSnapshot(h.Schema, bytes.NewReader(append(hdr, long...)), 2); err == nil || !strings.Contains(err.Error(), "malformed") {
+		t.Fatalf("a payload with trailing bytes: %v", err)
+	}
 	for cut := 0; cut < len(raw); cut++ {
 		if _, err := LoadSnapshot(h.Schema, bytes.NewReader(raw[:cut]), 2); err == nil {
 			t.Fatalf("snapshot truncated to %d of %d bytes loaded", cut, len(raw))
