@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rtic/internal/httpd"
 )
 
 // startMetrics starts a daemon on hrSpec with the -metrics listener and
@@ -151,7 +154,7 @@ func TestMetricsResponder(t *testing.T) {
 
 	t.Run("oversized headers", func(t *testing.T) {
 		rc := dialMetrics(t, d)
-		rc.send(t, "GET /metrics HTTP/1.1\r\nX-Pad: "+strings.Repeat("a", maxHeaderBytes)+"\r\n\r\n")
+		rc.send(t, "GET /metrics HTTP/1.1\r\nX-Pad: "+strings.Repeat("a", httpd.MaxHeaderBytes)+"\r\n\r\n")
 		if resp, _ := rc.read(t, "GET"); resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge || !rc.closed(t) {
 			t.Fatalf("oversized headers: status %d, want 431 and a close", resp.StatusCode)
 		}
@@ -285,4 +288,68 @@ func TestHealthzFields(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHealthzReadsOneCommit commits the hr feed, the k-th commit at
+// t = k, in trains of 10 while /healthz is read on a kept-alive
+// connection: states and now come from one acquisition of the commit
+// lock, so every body reads now == states. Two acquisitions let a
+// commit land between them and show now = states + 1.
+func TestHealthzReadsOneCommit(t *testing.T) {
+	d := startMetrics(t, options{})
+	const commits = 3000
+	done := make(chan error, 1)
+	go func() {
+		conn, err := net.Dial("tcp", d.l.Addr().String())
+		if err != nil {
+			done <- err
+			return
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(20 * time.Second))
+		r := bufio.NewReader(conn)
+		for k := 1; k <= commits; k += 10 {
+			var train []byte
+			for j := k; j < k+10; j++ {
+				train = fmt.Appendf(train, "@%d -fire(%d) +fire(%d)\n", j, j-1, j)
+			}
+			if _, err := conn.Write(train); err != nil {
+				done <- err
+				return
+			}
+			for j := 0; j < 10; j++ {
+				if line, err := r.ReadString('\n'); err != nil || line != "ok 0\n" {
+					done <- fmt.Errorf("commit %d: reply %q, %v", k+j, line, err)
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	rc := dialMetrics(t, d)
+	reads, mixed := 0, 0
+	for finished := false; !finished; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+		}
+		rc.send(t, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+		_, body := rc.read(t, "GET")
+		var h struct{ States, Now uint64 }
+		if err := json.Unmarshal([]byte(body), &h); err != nil {
+			t.Fatalf("/healthz: %v: %s", err, body)
+		}
+		if h.Now != h.States {
+			mixed++
+			t.Errorf("/healthz read %d: now %d, states %d: %s", reads, h.Now, h.States, body)
+		}
+		if finished && h.States != commits {
+			t.Errorf("/healthz after the last commit: states %d, want %d", h.States, commits)
+		}
+	}
+	t.Logf("%d /healthz reads beside %d commits, %d mixed two commits", reads, commits, mixed)
 }

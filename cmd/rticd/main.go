@@ -73,7 +73,7 @@
 // -shards it was written with.
 //
 // With -metrics the daemon serves HTTP/1.1 on the given address, from
-// a small responder of its own rather than net/http (httpd.go):
+// a small responder of its own rather than net/http (internal/httpd):
 //
 //	GET /metrics  -> Prometheus text exposition (commits, violations by
 //	                 constraint, commit-latency histogram, auxiliary
@@ -127,6 +127,7 @@ import (
 	"syscall"
 	"time"
 
+	"rtic/internal/httpd"
 	"rtic/internal/lint"
 	"rtic/internal/monitor"
 	"rtic/internal/obs"
@@ -213,7 +214,7 @@ type daemon struct {
 	dur  *monitor.Durable // nil without a checkpoint path; owns the checkpoint and the journals
 	l    listener
 	hl   listener // nil without -metrics
-	hsrv *httpd
+	hsrv *metricsServer
 	rec  *obs.SpanRecorder // nil without -trace-out
 	done chan error
 }
@@ -450,19 +451,18 @@ func start(opts options) (*daemon, error) {
 			return fail(err)
 		}
 		reg := o.Metrics.Registry()
-		routes := map[string]route{
-			"/metrics": func(string) reply {
-				var b bytes.Buffer
-				if err := reg.WritePrometheus(&b); err != nil {
-					return textReply(500, err.Error())
-				}
-				return reply{200, "text/plain; version=0.0.4; charset=utf-8", b.Bytes()}
+		routes := map[string]httpd.Route{
+			// The exposition is appended into the connection's kept body
+			// buffer: a scrape on a kept-alive connection allocates nothing.
+			"/metrics": func(_ string, body []byte) httpd.Reply {
+				return httpd.Reply{Status: 200, Type: "text/plain; version=0.0.4; charset=utf-8", Body: reg.AppendPrometheus(body)}
 			},
-			"/healthz": func(string) reply {
+			"/healthz": func(string, []byte) httpd.Reply {
+				states, now := m.Progress()
 				resp := map[string]any{
 					"status": "ok",
-					"states": m.Len(),
-					"now":    m.Now(),
+					"states": states,
+					"now":    now,
 					"lint":   lintSummary(diags),
 				}
 				if s := m.Shards(); s > 1 {
@@ -479,9 +479,9 @@ func start(opts options) (*daemon, error) {
 				}
 				var b bytes.Buffer
 				if err := json.NewEncoder(&b).Encode(resp); err != nil {
-					return textReply(500, err.Error())
+					return httpd.Text(500, err.Error())
 				}
-				return reply{200, "application/json", b.Bytes()}
+				return httpd.Reply{Status: 200, Type: "application/json", Body: b.Bytes()}
 			},
 		}
 		if opts.pprof {

@@ -115,7 +115,9 @@ func checkCheckpoint(t *testing.T, tbl Table) {
 // checkCommitPath holds Table 11's protocol cells, which no toolchain
 // moves: a train is acknowledged in one socket write, a commit reaches
 // every journal in one write, and only SyncAlways fsyncs on the commit
-// path (one per commit). The baseline comparison holds every other cell.
+// path (one per commit); an operator's read is answered in one write
+// and allocates nothing. The baseline comparison holds every other
+// cell.
 func checkCommitPath(t *testing.T, tbl Table) {
 	t.Helper()
 	want := map[string][]string{ // sock writes, vfs writes, fsyncs per commit
@@ -126,6 +128,9 @@ func checkCommitPath(t *testing.T, tbl Table) {
 		"journals=2":             {"0.1000", "2.0000", "0.0000"},
 		"journals=1 sync=always": {"0.1000", "1.0000", "1.0000"},
 		"policy-wide":            {"-", "-", "-"},
+		"observer=stats":         {"1.0000", "-", "-"},
+		"observer=metrics":       {"1.0000", "-", "-"},
+		"observer=http":          {"1.0000", "-", "-"},
 	}
 	if tbl.ID != "Table 11" || len(tbl.Rows) != len(want) {
 		t.Fatalf("%s has %d rows, want Table 11 with %d", tbl.ID, len(tbl.Rows), len(want))
@@ -133,6 +138,9 @@ func checkCommitPath(t *testing.T, tbl Table) {
 	for _, row := range tbl.Rows {
 		if got := row[4:7]; !slices.Equal(got, want[row[0]]) {
 			t.Errorf("Table 11 %s: sock, vfs writes and fsyncs per commit %v, want %v", row[0], got, want[row[0]])
+		}
+		if strings.HasPrefix(row[0], "observer=") && (row[2] != "0" || row[3] != "0") {
+			t.Errorf("Table 11 %s: %s reads allocated %s times over %s GC cycles, want 0 and 0", row[0], row[1], row[2], row[3])
 		}
 	}
 }

@@ -10,7 +10,6 @@ package check
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
 	"strconv"
 
@@ -19,8 +18,6 @@ import (
 	"rtic/internal/schema"
 	"rtic/internal/tuple"
 )
-
-var nameRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 
 // Constraint is a named, compiled integrity constraint.
 type Constraint struct {
@@ -40,7 +37,7 @@ type Constraint struct {
 // against the schema, its denial is normalized, and the denial must be
 // safe so that violation witnesses are enumerable.
 func Compile(name string, formula mtl.Formula, s *schema.Schema) (*Constraint, error) {
-	if !nameRe.MatchString(name) {
+	if !schema.IsIdent(name) {
 		return nil, fmt.Errorf("check: invalid constraint name %q", name)
 	}
 	if err := fol.CheckSchema(formula, s); err != nil {

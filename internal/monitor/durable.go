@@ -494,6 +494,11 @@ func (d *Durable) work(interval time.Duration, stop, done chan struct{}) {
 	start := time.Now()
 	nextSync, nextCkpt := start.Add(syncInterval), start.Add(interval)
 	backoff := rearmMin
+	// One timer serves every wait. It is stopped here, and each wait
+	// below ends in a stop (the worker returns) or in a receive from
+	// t.C, so every Reset finds it stopped or fired and drained.
+	t := time.NewTimer(time.Hour)
+	t.Stop()
 	for {
 		d.mu.Lock()
 		rearm := d.degraded && d.snapPath != ""
@@ -505,7 +510,7 @@ func (d *Durable) work(interval time.Duration, stop, done chan struct{}) {
 		case periodic && nextCkpt.Before(nextSync):
 			wait = time.Until(nextCkpt)
 		}
-		t := time.NewTimer(wait)
+		t.Reset(wait)
 		select {
 		case <-stop:
 			t.Stop()

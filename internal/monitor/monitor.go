@@ -394,6 +394,27 @@ func (m *Monitor) Stats() core.Stats {
 	return m.eng.Stats()
 }
 
+// Totals reports Stats's sums from the engine's running accounts
+// (core.Checker.Totals, summed over a router's shards): O(nodes) under
+// the commit lock, no entry walked, nothing allocated. PerNode is nil.
+//
+//rtic:noalloc
+func (m *Monitor) Totals() core.Stats {
+	m.mu.Lock()
+	st := m.eng.Totals()
+	m.mu.Unlock()
+	return st
+}
+
+// Progress reports the number of committed transactions and the latest
+// committed timestamp, read under one acquisition of the commit lock so
+// that both describe the same commit.
+func (m *Monitor) Progress() (states int, now uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.eng.Len(), m.eng.Now()
+}
+
 // Len reports the number of committed transactions.
 func (m *Monitor) Len() int {
 	m.mu.Lock()

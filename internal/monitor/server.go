@@ -259,6 +259,10 @@ func (s *Server) handle(conn Conn) {
 	// reported holds a commit's violations while its reply is written,
 	// and its storage is the next commit's (Monitor.ApplyInto).
 	var reported []check.Violation
+	// reply holds a stats line or a whole exposition while it is
+	// written; it is kept for the session, so once it has grown to an
+	// exposition's size an operator's reads allocate nothing.
+	var reply []byte
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		switch {
@@ -267,24 +271,19 @@ func (s *Server) handle(conn Conn) {
 		case string(line) == "quit":
 			return
 		case string(line) == "stats":
-			st := s.M.Stats()
-			fmt.Fprintf(w, "stats nodes=%d entries=%d timestamps=%d bytes=%d\n",
-				st.Nodes, st.Entries, st.Timestamps, st.Bytes)
+			reply = s.appendStats(reply[:0])
+			w.Write(reply) //rtic:errok sticky; the next Flush reports it
 		case string(line) == "metrics":
 			if m == nil {
 				replyError("metrics not enabled")
 				break
 			}
-			// Render the full exposition to memory first: the conn write
-			// can stall on a slow reader for as long as the idle timeout
-			// allows, and nothing shared with the commit path may be held
-			// while it does.
-			var expo bytes.Buffer
-			if err := m.Registry().WritePrometheus(&expo); err != nil {
-				return
-			}
-			fmt.Fprintln(&expo, "# EOF")
-			w.Write(expo.Bytes()) //rtic:errok sticky; the next Flush reports it
+			// Render the full exposition before writing any of it: the
+			// conn write can stall on a slow reader for as long as the
+			// idle timeout allows, and nothing shared with the commit path
+			// may be held while it does.
+			reply = append(m.Registry().AppendPrometheus(reply[:0]), "# EOF\n"...)
+			w.Write(reply) //rtic:errok sticky; the next Flush reports it
 		case string(line) == "lint":
 			ds := s.M.Diagnostics()
 			for _, d := range ds {
@@ -346,6 +345,23 @@ func (s *Server) handle(conn Conn) {
 			replyError("read: %v", err)
 		}
 	}
+}
+
+// appendStats appends the stats reply line: the monitor's running
+// storage totals, read in O(nodes) under the commit lock.
+//
+//rtic:noalloc
+func (s *Server) appendStats(b []byte) []byte {
+	st := s.M.Totals()
+	b = append(b, "stats nodes="...)
+	b = strconv.AppendInt(b, int64(st.Nodes), 10)
+	b = append(b, " entries="...)
+	b = strconv.AppendInt(b, int64(st.Entries), 10)
+	b = append(b, " timestamps="...)
+	b = strconv.AppendInt(b, int64(st.Timestamps), 10)
+	b = append(b, " bytes="...)
+	b = strconv.AppendInt(b, int64(st.Bytes), 10)
+	return append(b, '\n')
 }
 
 // flushReader flushes w before every read of src: the scanner asks its

@@ -158,7 +158,7 @@ type family struct {
 	bounds []float64 // histograms only
 
 	mu     sync.Mutex
-	order  []string
+	list   []*series // creation order; only appended to
 	series map[string]*series
 }
 
@@ -184,9 +184,9 @@ func (f *family) get(values []string) metric {
 	case "histogram":
 		m = newHistogram(f.bounds)
 	}
-	k := string(key)
-	f.series[k] = &series{labelValues: append([]string(nil), values...), m: m}
-	f.order = append(f.order, k)
+	s := &series{labelValues: append([]string(nil), values...), m: m}
+	f.series[string(key)] = s
+	f.list = append(f.list, s)
 	return m
 }
 
@@ -228,11 +228,11 @@ func (v *HistogramVec) With(values ...string) *Histogram { return v.f.get(values
 // NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
-	families []*family
+	families []*family // registration order; only appended to
 	byName   map[string]*family
-	// collect runs before every exposition: series that mirror a value
-	// kept elsewhere (RegisterRuntime's) read it here.
-	collect []func()
+	// runtime, when RegisterRuntime has run, reads the Go runtime's
+	// counters into their series before every exposition.
+	runtime *runtimeCounters
 }
 
 // NewRegistry returns an empty registry.

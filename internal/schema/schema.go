@@ -4,11 +4,21 @@ package schema
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 )
 
-var identRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+// IsIdent reports whether s is an identifier — a relation, attribute or
+// constraint name: an ASCII letter or underscore, then ASCII letters,
+// digits and underscores.
+func IsIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c != '_' && (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return len(s) > 0
+}
 
 // RelDef describes one relation.
 type RelDef struct {
@@ -51,7 +61,7 @@ func (b *Builder) add(def RelDef) *Builder {
 		return b
 	}
 	switch {
-	case !identRe.MatchString(def.Name):
+	case !IsIdent(def.Name):
 		b.err = fmt.Errorf("schema: invalid relation name %q", def.Name)
 	case def.Arity < 0:
 		b.err = fmt.Errorf("schema: relation %s has negative arity", def.Name)
@@ -61,7 +71,7 @@ func (b *Builder) add(def RelDef) *Builder {
 			return b
 		}
 		for _, a := range def.Attrs {
-			if !identRe.MatchString(a) {
+			if !IsIdent(a) {
 				b.err = fmt.Errorf("schema: relation %s has invalid attribute name %q", def.Name, a)
 				return b
 			}

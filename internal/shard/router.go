@@ -103,6 +103,7 @@ type Checker interface {
 	Len() int
 	Now() uint64
 	Stats() core.Stats
+	Totals() core.Stats
 	SaveSnapshot(io.Writer) error
 	ConstraintNames() []string
 	Explain(check.Violation) (*core.Explanation, error)
@@ -596,7 +597,17 @@ func (r *Router) Stats() core.Stats {
 	return r.sumStats((*core.Checker).Stats)
 }
 
+// Totals sums Stats across the shards from the shard engines' running
+// accounts (core.Checker.Totals): no entry walked, nothing allocated.
+//
+//rtic:noalloc
+func (r *Router) Totals() core.Stats {
+	return r.sumStats((*core.Checker).Totals)
+}
+
 // sumStats adds up one per-shard storage report across the shards.
+//
+//rtic:noalloc
 func (r *Router) sumStats(of func(*core.Checker) core.Stats) core.Stats {
 	var total core.Stats
 	for _, e := range r.engines {
@@ -612,10 +623,9 @@ func (r *Router) sumStats(of func(*core.Checker) core.Stats) core.Stats {
 }
 
 // publishAuxGauges republishes the summed auxiliary-storage gauges from
-// the shard engines' running accounts (core.Checker.Totals): no entry
-// walked, nothing allocated.
+// the shard engines' running accounts.
 func (r *Router) publishAuxGauges(m *obs.Metrics) {
-	st := r.sumStats((*core.Checker).Totals)
+	st := r.Totals()
 	m.AuxNodes.Set(int64(st.Nodes))
 	m.AuxEntries.Set(int64(st.Entries))
 	m.AuxTimestamps.Set(int64(st.Timestamps))
