@@ -524,17 +524,9 @@ func openDurability(opts options, m *monitor.Monitor, o *obs.Observer, fsys vfs.
 		if err != nil {
 			return nil, err
 		}
-		// The factory also hands the re-arm rotation fresh segments with
-		// the same sync policy and instrumentation as the original journals.
-		// It runs under the commit lock there, so the monitor's sink is
-		// taken once, here.
-		spans := m.SpanSink()
-		openWAL := func(path string) (*wal.Log, error) {
-			return wal.Open(path, wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(spans), wal.WithFS(fsys))
-		}
-		durOpts = append(durOpts, monitor.WithLogFactory(openWAL))
+		walOpts := []wal.Option{wal.WithSyncPolicy(pol), wal.WithMetrics(o.Metrics), wal.WithSpans(m.SpanSink()), wal.WithFS(fsys)}
 		for _, path := range monitor.JournalPaths(opts.walPath, m.Shards()) {
-			l, err := openWAL(path)
+			l, err := wal.Open(path, walOpts...)
 			if err != nil {
 				return nil, err
 			}

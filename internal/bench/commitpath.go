@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"rtic/internal/cdcgen"
@@ -105,9 +104,7 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return countingConn{conn, l.io}, nil
 }
 
-// countingConn counts writes on whichever path the session takes: its
-// own Write, or — forwarded through SyscallConn, as production sockets
-// offer it — the raw path's RawConn.Write calls.
+// countingConn counts the session's writes to its socket.
 type countingConn struct {
 	net.Conn
 	io *ioCounts
@@ -116,27 +113,6 @@ type countingConn struct {
 func (c countingConn) Write(p []byte) (int, error) {
 	c.io.sock.Add(1)
 	return c.Conn.Write(p)
-}
-
-func (c countingConn) SyscallConn() (syscall.RawConn, error) {
-	rc, err := c.Conn.(syscall.Conn).SyscallConn()
-	if err != nil {
-		return nil, err
-	}
-	return countingRawConn{rc, c.io}, nil
-}
-
-// The session takes the raw path only through a conn that offers it.
-var _ syscall.Conn = countingConn{}
-
-type countingRawConn struct {
-	syscall.RawConn
-	io *ioCounts
-}
-
-func (c countingRawConn) Write(f func(fd uintptr) bool) error {
-	c.io.sock.Add(1)
-	return c.RawConn.Write(f)
 }
 
 // countingFS counts the writes, written bytes and fsyncs of the files

@@ -187,8 +187,7 @@ func (s *Sweep) run(dir string, plan ...vfs.Injection) (*sweepRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := monitor.NewDurableLogs(m, logs, filepath.Join(dir, "state.snap"), monitor.WithDurableFS(ffs),
-		monitor.WithLogFactory(func(p string) (*wal.Log, error) { return wal.Open(p, opts...) }))
+	d, err := monitor.NewDurableLogs(m, logs, filepath.Join(dir, "state.snap"), monitor.WithDurableFS(ffs))
 	if err != nil {
 		return nil, err
 	}

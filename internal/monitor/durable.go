@@ -21,14 +21,13 @@ import (
 type DurableOption func(*durableOptions)
 
 type durableOptions struct {
-	fs      vfs.FS
-	halt    func(error)
-	openLog func(path string) (*wal.Log, error)
+	fs   vfs.FS
+	halt func(error)
 }
 
-// WithDurableFS selects the filesystem checkpoints and fresh journal
-// segments go through (default vfs.OS). Fault-injection tests
-// substitute a vfs.FaultFS.
+// WithDurableFS selects the filesystem checkpoints go through (default
+// vfs.OS); a fresh journal segment opens through its journal's own.
+// Fault-injection tests substitute a vfs.FaultFS.
 func WithDurableFS(fsys vfs.FS) DurableOption {
 	return func(o *durableOptions) {
 		if fsys != nil {
@@ -45,14 +44,6 @@ func WithDurableFS(fsys vfs.FS) DurableOption {
 // degrades (see Durable).
 func WithHaltFunc(h func(error)) DurableOption {
 	return func(o *durableOptions) { o.halt = h }
-}
-
-// WithLogFactory sets how a rotation opens a fresh WAL segment,
-// so the replacement inherits the daemon's sync policy, metrics and
-// filesystem. The default opens a plain SyncAlways log through the
-// manager's filesystem.
-func WithLogFactory(open func(path string) (*wal.Log, error)) DurableOption {
-	return func(o *durableOptions) { o.openLog = open }
 }
 
 // The durability worker's schedule (see Start): while healthy, a Sync
@@ -125,7 +116,6 @@ type Durable struct {
 	fs       vfs.FS
 	halt     func(error) // nil: a failure degrades
 	haltOnce sync.Once
-	openLog  func(path string) (*wal.Log, error)
 
 	// one is the journal hook's parts slice when there is one journal:
 	// the transaction passes whole. With several, the hook journals the
@@ -191,15 +181,7 @@ func NewDurableLogs(m *Monitor, logs []*wal.Log, snapPath string, opts ...Durabl
 	for _, opt := range opts {
 		opt(&o)
 	}
-	d := &Durable{
-		m: m, logs: logs, snapPath: snapPath,
-		fs: o.fs, halt: o.halt, openLog: o.openLog,
-	}
-	if d.openLog == nil {
-		fsys := o.fs
-		d.openLog = func(p string) (*wal.Log, error) { return wal.Open(p, wal.WithFS(fsys)) }
-	}
-	return d, nil
+	return &Durable{m: m, logs: logs, snapPath: snapPath, fs: o.fs, halt: o.halt}, nil
 }
 
 // JournalPaths names the n journals kept under path: the path itself
@@ -628,7 +610,7 @@ func (d *Durable) rotateLocked() error {
 		if err := d.fs.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return abort(err)
 		}
-		seg, err := d.openLog(p)
+		seg, err := l.Reopen(p)
 		if err != nil {
 			return abort(err)
 		}

@@ -65,8 +65,7 @@ type Server struct {
 }
 
 // Conn is one client connection. net.Conn satisfies it, and so does a
-// socket the daemon opens without package net. A Conn that is also a
-// syscall.Conn takes the raw I/O path on Linux (sessionio_linux.go).
+// socket the daemon opens without package net (internal/sock).
 type Conn interface {
 	io.ReadWriteCloser
 	SetReadDeadline(t time.Time) error
@@ -216,14 +215,11 @@ func (s *Server) handle(conn Conn) {
 	// command: flushReader does, when the scanner is about to wait on the
 	// socket. The deferred Flush covers every way out (quit, EOF after a
 	// half-close, read errors) and runs before the deferred Close above.
-	// Socket I/O goes through sessionIO; conn stays the handle for
-	// deadlines, Close and s.conns.
-	rd, wr := sessionIO(conn)
-	w := bufio.NewWriter(wr)
+	w := bufio.NewWriter(conn)
 	defer w.Flush() //rtic:errok the session is over; a client that is gone cannot be told
-	src := rd
+	src := io.Reader(conn)
 	if s.idleTimeout > 0 {
-		src = &idleReader{conn: conn, src: rd, timeout: s.idleTimeout}
+		src = &idleReader{conn: conn, timeout: s.idleTimeout}
 	}
 	sc := bufio.NewScanner(&flushReader{w: w, src: src})
 	sc.Buffer(make([]byte, 0, 4096), spec.MaxLineBytes)
@@ -381,11 +377,9 @@ func (r *flushReader) Read(p []byte) (int, error) {
 }
 
 // idleReader refreshes the connection's read deadline before every
-// socket read through src, so the deadline measures idle time, not
-// connection age.
+// socket read, so the deadline measures idle time, not connection age.
 type idleReader struct {
 	conn    Conn
-	src     io.Reader
 	timeout time.Duration
 }
 
@@ -393,5 +387,5 @@ func (r *idleReader) Read(p []byte) (int, error) {
 	if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
 		return 0, err
 	}
-	return r.src.Read(p)
+	return r.conn.Read(p)
 }

@@ -112,6 +112,11 @@ func TestWorkerSyncFailureDegrades(t *testing.T) {
 // the journals just before the swap would — must not degrade the
 // manager again: the checkpoint that replaced the journal covers its
 // records.
+//
+// The fresh segment opens with the latched journal's own options
+// (wal.Log.Reopen): SyncBatch, the monitor's metrics, and the fault
+// filesystem, whose two injections have fired by then. So the worker,
+// not the append, syncs it, and its fsyncs count with the others.
 func TestCheckpointRearmBesideWorker(t *testing.T) {
 	forJournalCounts(t, func(t *testing.T, n int) {
 		dir := t.TempDir()
@@ -124,9 +129,7 @@ func TestCheckpointRearmBesideWorker(t *testing.T) {
 		mm := m1.Observer().MetricSink()
 		metrics := wal.WithMetrics(mm)
 		logs1 := batchJournals(t, dir, n, ffs, metrics)
-		d1 := attachDurable(t, m1, logs1, snapshotPath(dir), WithLogFactory(func(p string) (*wal.Log, error) {
-			return wal.Open(p, wal.WithSyncPolicy(wal.SyncBatch), metrics)
-		}))
+		d1 := attachDurable(t, m1, logs1, snapshotPath(dir))
 		d1.Start(0)
 		defer d1.Stop()
 

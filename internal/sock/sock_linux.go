@@ -2,10 +2,12 @@ package sock
 
 import (
 	"errors"
+	"io"
 	"net/netip"
 	"os"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // maxBacklog asks for the longest accept queue; the kernel caps it at
@@ -162,7 +164,13 @@ func (l *Listener) Accept() (*Conn, error) {
 	} {
 		syscall.SetsockoptInt(nfd, o.level, o.opt, o.v) // as net, best effort
 	}
-	return &Conn{os.NewFile(uintptr(nfd), l.f.Name())}, nil
+	c := &Conn{f: os.NewFile(uintptr(nfd), l.f.Name())}
+	if c.rc, err = c.f.SyscallConn(); err != nil {
+		c.f.Close()
+		return nil, err
+	}
+	c.rd.fn, c.wr.fn = c.tryRead, c.tryWrite
+	return c, nil
 }
 
 // Addr is the address the listener is bound to, its port resolved.
@@ -173,13 +181,123 @@ func (l *Listener) Close() error { return l.f.Close() }
 
 // Conn is one accepted connection: a non-blocking socket in the
 // runtime's poller, so reads and writes park a goroutine and not a
-// thread, and deadlines work as on a net.Conn. Its errors are os.File's,
-// named after the listener's address.
-type Conn struct{ f *os.File }
+// thread, and deadlines and Close work as on a net.Conn.
+//
+// Read and Write issue read(2) and write(2) as raw system calls under
+// the socket's RawConn: a call that would block returns EAGAIN, and the
+// goroutine parks in the netpoller as os.File's own Read and Write park
+// it. What a raw call skips is the runtime's syscall bookkeeping
+// (entersyscall/exitsyscall), which wakes the runtime's monitor thread
+// whenever it is parked, as it is whenever every P sits idle between
+// two trains of a paced client: one wake-up per train, for a call that
+// can never block.
+//
+// A failed wait (a passed deadline, a closed socket) reads as os.File
+// words it, named after the listener's address; an errno reads as the
+// bare system call's ("read: connection reset by peer"), since the
+// socket reports no addresses. One goroutine may read while another
+// writes or closes, as a session and its server do; two reads, or two
+// writes, must not overlap.
+type Conn struct {
+	f      *os.File
+	rc     syscall.RawConn
+	rd, wr rawSide
+}
 
-func (c *Conn) Read(p []byte) (int, error)            { return c.f.Read(p) }
-func (c *Conn) Write(p []byte) (int, error)           { return c.f.Write(p) }
-func (c *Conn) Close() error                          { return c.f.Close() }
-func (c *Conn) SetReadDeadline(t time.Time) error     { return c.f.SetReadDeadline(t) }
-func (c *Conn) SetWriteDeadline(t time.Time) error    { return c.f.SetWriteDeadline(t) }
-func (c *Conn) SyscallConn() (syscall.RawConn, error) { return c.f.SyscallConn() }
+// rawSide is one direction of the socket's raw I/O. Its closure, handed
+// to the RawConn, is built once per connection and reads the call's
+// buffer and results from here, so a call allocates nothing.
+type rawSide struct {
+	fn    func(fd uintptr) bool
+	p     []byte // the buffer of the call in flight
+	n     int
+	errno syscall.Errno
+}
+
+func (c *Conn) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	r := &c.rd
+	r.p, r.n, r.errno = p, 0, 0
+	err := c.rc.Read(r.fn)
+	r.p = nil
+	switch {
+	case err != nil:
+		// The wait failed: the socket is closed or its deadline passed.
+		// Both persist, so os.File's Read fails the same way and words
+		// the error as it always does.
+		return c.f.Read(p)
+	case r.errno != 0:
+		return 0, os.NewSyscallError("read", r.errno)
+	case r.n == 0:
+		return 0, io.EOF
+	}
+	return r.n, nil
+}
+
+// tryRead is one readiness attempt: false asks the netpoller to wait.
+func (c *Conn) tryRead(fd uintptr) bool {
+	r := &c.rd
+	for {
+		n, _, e := syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(&r.p[0])), uintptr(len(r.p)))
+		switch e {
+		case 0:
+			r.n = int(n)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		}
+		r.errno = e
+		return true
+	}
+}
+
+// Write returns only once every byte has left or the socket failed; a
+// partial write followed by EAGAIN waits for writability and goes on.
+func (c *Conn) Write(p []byte) (int, error) {
+	w := &c.wr
+	w.p, w.n, w.errno = p, 0, 0
+	err := c.rc.Write(w.fn)
+	n := w.n
+	w.p = nil
+	switch {
+	case err != nil:
+		m, err := c.f.Write(p[n:]) // as in Read
+		return n + m, err
+	case w.errno != 0:
+		return n, os.NewSyscallError("write", w.errno)
+	case n < len(p):
+		return n, io.ErrUnexpectedEOF
+	}
+	return n, nil
+}
+
+// tryWrite writes until the buffer is out (true), the socket is full
+// (false: wait for writability), or it fails (true, with errno set).
+func (c *Conn) tryWrite(fd uintptr) bool {
+	w := &c.wr
+	for w.n < len(w.p) {
+		n, _, e := syscall.RawSyscall(syscall.SYS_WRITE, fd, uintptr(unsafe.Pointer(&w.p[w.n])), uintptr(len(w.p)-w.n))
+		switch e {
+		case 0:
+			if n == 0 {
+				return true // no progress and no error: Write reports it
+			}
+			w.n += int(n)
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			w.errno = e
+			return true
+		}
+	}
+	return true
+}
+
+func (c *Conn) Close() error                       { return c.f.Close() }
+func (c *Conn) SetReadDeadline(t time.Time) error  { return c.f.SetReadDeadline(t) }
+func (c *Conn) SetWriteDeadline(t time.Time) error { return c.f.SetWriteDeadline(t) }

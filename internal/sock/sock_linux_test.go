@@ -292,11 +292,7 @@ func TestAcceptedSocketOptionsMatchNet(t *testing.T) {
 		{"TCP_KEEPINTVL", syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL},
 		{"TCP_KEEPCNT", syscall.IPPROTO_TCP, syscall.TCP_KEEPCNT},
 	}
-	read := func(c syscall.Conn) []int {
-		rc, err := c.SyscallConn()
-		if err != nil {
-			t.Fatal(err)
-		}
+	read := func(rc syscall.RawConn) []int {
 		var vals []int
 		rc.Control(func(fd uintptr) {
 			for _, o := range opts {
@@ -342,7 +338,11 @@ func TestAcceptedSocketOptionsMatchNet(t *testing.T) {
 	}
 	defer ss.Close()
 
-	want, got := read(ns.(syscall.Conn)), read(ss)
+	nrc, err := ns.(syscall.Conn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := read(nrc), read(ss.rc)
 	for i, o := range opts {
 		if got[i] != want[i] {
 			t.Errorf("%s = %d, net's accepted conn has %d", o.name, got[i], want[i])

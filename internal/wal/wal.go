@@ -218,6 +218,14 @@ func Open(path string, opts ...Option) (*Log, error) {
 	return l, nil
 }
 
+// Reopen opens (or creates) the log at path with l's own options: its
+// sync policy, metrics, span sink and filesystem. The durability
+// manager opens the fresh segment that replaces a latched journal this
+// way, so the replacement behaves as the journal did.
+func (l *Log) Reopen(path string) (*Log, error) {
+	return Open(path, WithSyncPolicy(l.policy), WithMetrics(l.metrics), WithSpans(l.spans), WithFS(l.fs))
+}
+
 // newLog validates and recovers an opened file; tests drive it with
 // fault-injecting file implementations.
 func newLog(f file, path string, size int64, o logOptions) (*Log, error) {

@@ -11,6 +11,7 @@ import (
 	"rtic/internal/obs"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
+	"rtic/internal/vfs"
 )
 
 // asCorrupt reports whether err wraps a *CorruptError.
@@ -184,6 +185,42 @@ func TestSyncPolicyBatchSyncsOnSync(t *testing.T) {
 	}
 	if got := m.WALFsyncs.Value() - base; got != 1 {
 		t.Fatalf("two Syncs after 3 batched appends fsynced %d times, want 1", got)
+	}
+}
+
+// TestReopenKeepsOptions: a log Reopen opens carries the original's
+// sync policy, metrics and filesystem: its opening goes through the
+// original's filesystem, and its batched appends count in the shared
+// metrics without an fsync each.
+func TestReopenKeepsOptions(t *testing.T) {
+	dir := t.TempDir()
+	m := obs.NewMetrics(obs.NewRegistry())
+	ffs := vfs.NewFaultFS(vfs.OS)
+	l, err := Open(filepath.Join(dir, "a.wal"), WithSyncPolicy(SyncBatch), WithMetrics(m), WithFS(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ops := ffs.OpCount()
+	r, err := l.Reopen(filepath.Join(dir, "b.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if ffs.OpCount() == ops {
+		t.Fatal("Reopen did not open through the log's filesystem")
+	}
+	appends, fsyncs := m.WALAppends.Value(), m.WALFsyncs.Value()
+	for i := 0; i < 3; i++ {
+		if err := r.Append([]byte("batched")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.WALAppends.Value() - appends; got != 3 {
+		t.Fatalf("3 appends counted %d times", got)
+	}
+	if got := m.WALFsyncs.Value() - fsyncs; got != 0 {
+		t.Fatalf("3 batched appends fsynced %d times, want 0", got)
 	}
 }
 
