@@ -81,9 +81,11 @@ func hrLine(out []byte, k int) []byte {
 // SyncBatch journal per shard and the durability worker running, the
 // daemon's metrics (runtime counters included) attached. A pipelined
 // writer commits in trains of 10 while an operator, after a first
-// scrape, sends 100 stats and 20 metrics commands 10 ms apart. Both
-// clients allocate nothing themselves, so the process's heap
-// allocation count must not move across the operator's reads.
+// scrape, sends 100 stats and 20 metrics commands, each stats command
+// after the writer's next train, so the reads interleave with commits
+// however busy the machine is. Both clients allocate nothing
+// themselves, so the process's heap allocation count must not move
+// across the operator's reads.
 func TestOperatorReadsAllocateNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("counted window")
@@ -197,6 +199,9 @@ func TestOperatorReadsAllocateNothing(t *testing.T) {
 	}
 	reads := func() {
 		for i := 0; i < 100; i++ {
+			for c := commits.Load(); commits.Load() == c; {
+				runtime.Gosched()
+			}
 			read(stats)
 			if i%5 == 0 {
 				read(metrics)

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -115,5 +116,46 @@ func TestServerPeerReset(t *testing.T) {
 	next.send(t, "@2 +fire(2)")
 	if got := next.recv(t); got != "ok 0" {
 		t.Fatalf("reply after a peer reset = %q", got)
+	}
+}
+
+// TestSessionIOAllocationFree: a session's reads and writes — the idle
+// deadline refreshed before each socket read, the scanner, the held
+// reply flushed before the next wait — allocate nothing per command.
+func TestSessionIOAllocationFree(t *testing.T) {
+	m, _ := hrMonitor(t)
+	srv := NewServer(m, WithIdleTimeout(time.Minute))
+	l := listenTCP(t)
+	go srv.Serve(l) //nolint:errcheck — returns when the listener closes
+	t.Cleanup(func() {
+		l.Close()
+		srv.Close()
+	})
+	c := dial(t, l.Addr())
+	c.send(t, "@1 +fire(7)")
+	if got := c.recv(t); got != "ok 0" {
+		t.Fatalf("reply = %q", got)
+	}
+	cmd := []byte("stats\n")
+	var failed []byte // the first unexpected reply line, copied
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.conn.Write(cmd); err != nil {
+			t.Fatal(err)
+		}
+		line, err := c.r.ReadSlice('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(line, []byte("stats nodes=")) && failed == nil {
+			failed = append(failed, line...)
+		}
+	})
+	if failed != nil {
+		t.Fatalf("unexpected reply %q", failed)
+	}
+	// The client's own net.Conn calls allocate nothing either; anything
+	// counted here is the session's.
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per command, want 0", allocs)
 	}
 }
